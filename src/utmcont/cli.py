@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -30,8 +28,6 @@ from .semidiscrete import LatticeSpec, continuum_limit_check, lattice_profile
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_REFUSED = 4
-
-THREADS_ENV = "UTMCONT_THREADS"
 
 LATTICE_KINDS = ("sd-heat-dirichlet", "sd-heat-neumann")
 
@@ -198,20 +194,6 @@ def _write_outputs(csv_lines, report, cfg, out_override):
     return 0
 
 
-def _thread_count(args):
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
-
-
-def _map_samples(fn, points, threads):
-    if threads <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, points))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -252,17 +234,14 @@ def cmd_solve(cfg, args):
                              int(grid["n_points"]))
         except KeyError as err:
             raise ConfigError(f"grid requires {err} for continuous problems")
-        threads = _thread_count(args)
         interior = _interior_test(spec)
         for T in times:
-
-            def one(x):
-                val = cont.evaluate_extended(spec, float(x), T, tol,
-                                             tile_depth=tile_depth)
-                return _make_row(float(x), T, val, reference,
-                                 "interior" if interior(x) else "continued")
-
-            rows.extend(_map_samples(one, xs, threads))
+            vals = cont.evaluate_extended(spec, xs, T, tol,
+                                          tile_depth=tile_depth)
+            for x, val in zip(xs.tolist(), vals.tolist()):
+                rows.append(_make_row(x, T, val, reference,
+                                      "interior" if interior(x)
+                                      else "continued"))
 
     wall = time.perf_counter() - started
     csv_lines = ["x,t,u_ac,u_ref,abs_err"]
@@ -438,7 +417,6 @@ def build_parser():
         p.add_argument("--scenario", help="name of a built-in scenario")
         p.add_argument("--out", help="CSV output path (stdout otherwise)")
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.set_defaults(fn=fn)
     p = sub.add_parser("list-scenarios")
     p.set_defaults(fn=cmd_list_scenarios)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import advected, finite_interval, heat, kdv
+from ._common import like_input
 from .kdv import IncompatibleDataError
 from .problems import (
     KINDS,
@@ -236,23 +239,41 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
 
 
 def evaluate_extended(spec, x, t, tol=1e-10, tile_depth=5):
-    """Full analytically-continued solution u_ac(x, t)."""
+    """Full analytically-continued solution u_ac(x, t).
+
+    ``x`` is a point or a 1-D array of points; a scalar gives a float, an
+    array an array.  Heat, advected-heat and finite-interval problems
+    integrate the initial-condition part of the whole array on one shared
+    k-rule; KdV and transport problems are evaluated point by point.
+    """
     kind = spec.kind
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1:
+        raise ValueError("evaluate_extended takes a point or a 1-D array")
+    if xs.size == 0:
+        return xs
+    points = xs.tolist()
     if kind == "transport":
-        return transport_solution(spec, x, t)
+        return like_input(
+            np.array([transport_solution(spec, p, t) for p in points]), x)
     if t <= 0:
         raise ValueError("evaluate_extended requires t > 0")
     if kind in ("heat-dirichlet", "heat-neumann"):
-        return heat.extended(spec, x, t, tol)
-    if kind == "advected-heat":
-        return advected.extended(spec, x, t, tol)
-    if kind == "kdv-one-bc":
-        return kdv.extended_one_bc(spec, x, t, tol)
-    if kind == "kdv-two-bc":
-        return kdv.extended_two_bc(spec, x, t, tol)
-    if kind == "heat-finite-interval":
-        return finite_interval.extended(spec, x, t, tol, tile_depth)
-    raise ProblemSpecError(f"evaluate_extended undefined for kind {kind!r}")
+        values = heat.extended(spec, xs, t, tol)
+    elif kind == "advected-heat":
+        values = advected.extended(spec, xs, t, tol)
+    elif kind == "kdv-one-bc":
+        values = np.array([kdv.extended_one_bc(spec, p, t, tol)
+                           for p in points])
+    elif kind == "kdv-two-bc":
+        values = np.array([kdv.extended_two_bc(spec, p, t, tol)
+                           for p in points])
+    elif kind == "heat-finite-interval":
+        values = finite_interval.extended(spec, xs, t, tol, tile_depth)
+    else:
+        raise ProblemSpecError(
+            f"evaluate_extended undefined for kind {kind!r}")
+    return like_input(values, x)
 
 
 def boundary_to_initial(spec, x, tile_depth=5):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "real_part",
+    "like_input",
     "CoeffLadder",
     "adaptive_series",
     "growth_radius",
@@ -18,13 +21,23 @@ class ResidualWarning(RuntimeError):
 
 
 def real_part(value, tol, where=""):
-    """Real part of an assembled integral; the imaginary part must be noise."""
-    v = complex(value)
-    if abs(v.imag) > 100 * tol * max(1.0, abs(v.real)):
+    """Real part of an assembled integral, or of an array of them; every
+    imaginary part must be noise."""
+    v = np.asarray(value, dtype=complex)
+    bad = np.abs(v.imag) > 100 * tol * np.maximum(1.0, np.abs(v.real))
+    if np.any(bad):
+        residual = float(v.imag[bad].flat[0])
         raise ResidualWarning(
-            f"imaginary residual {v.imag:.3e} exceeds budget near {where or 'assembly'}"
+            f"imaginary residual {residual:.3e} exceeds budget near "
+            f"{where or 'assembly'}"
         )
-    return v.real
+    return float(v.real) if v.ndim == 0 else v.real
+
+
+def like_input(values, x):
+    """``values`` computed for np.atleast_1d(x), shaped like ``x``: a float
+    for a scalar x, the array itself otherwise."""
+    return float(values[0]) if np.ndim(x) == 0 else values
 
 
 class CoeffLadder:

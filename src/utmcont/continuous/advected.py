@@ -17,45 +17,52 @@ import numpy as np
 
 from ..quad import integrate_segment
 from . import _common
-from ._common import CoeffLadder, adaptive_series, growth_radius, real_part
+from ._common import (CoeffLadder, adaptive_series, growth_radius, like_input,
+                      real_part)
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 def i0(spec, x, t, tol=1e-10):
-    """Initial-condition part: real-line integral minus the reflected-argument
-    transform integrated over a horizontal contour above the zeros of W."""
+    """Initial-condition part at a point or a 1-D array of points: real-line
+    integral minus the reflected-argument transform integrated over a
+    horizontal contour above the zeros of W.  The points share one adaptive
+    k-rule per piece, sized for the largest |x|."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
-        return 0.0
+        return like_input(np.zeros(xs.shape), x)
     c = spec.c
     tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
     log_target = math.log(40.0 / tol) + 5.0
+    x_max = float(np.max(np.abs(xs)))
 
     # piece 1: (1/2pi) int_R e^{ikx - W t} u0_hat(k) dk, W = k^2 - ick
     radius = math.sqrt(log_target / t)
 
     def line_part(k):
         w = k * k - 1j * c * k
-        return np.exp(1j * k * x - w * t) * tf(k)
+        spectral = np.exp(-w * t) * tf(k)
+        return np.exp(1j * np.outer(xs, k)) * spectral
 
-    panels = _common.oscillation_panels(2 * radius, abs(x) + abs(c) * t, base=4)
+    panels = _common.oscillation_panels(2 * radius, x_max + abs(c) * t, base=4)
     p1 = integrate_segment(line_part, -radius, radius, tol=tol / 4,
                            initial_panels=panels)
 
     # piece 2: -(1/2pi) int_{Im k = eta} e^{ikx - W t} u0_hat(-k + ic) dk
     eta = abs(c) + 1.0
-    kappa = growth_radius(t, abs(x) + 2 * eta * t + abs(c) * t,
-                          log_target + eta * (abs(x) + eta * t))
+    kappa = growth_radius(t, x_max + 2 * eta * t + abs(c) * t,
+                          log_target + eta * (x_max + eta * t))
 
     def shifted_part(kappa_arr):
         k = kappa_arr + 1j * eta
         w = k * k - 1j * c * k
-        return np.exp(1j * k * x - w * t) * tf(-k + 1j * c)
+        spectral = np.exp(-w * t) * tf(-k + 1j * c)
+        return np.exp(1j * np.outer(xs, k)) * spectral
 
     p2 = integrate_segment(lambda z: shifted_part(np.real(z)), -kappa, kappa,
                            tol=tol / 4, initial_panels=panels)
     value = (p1.value - p2.value) / (2 * math.pi)
-    return real_part(value, tol, "advected i0")
+    return like_input(real_part(value, tol, "advected i0"), x)
 
 
 def boundary_integral(spec, x, t, tol=1e-10):
@@ -216,14 +223,19 @@ def tilde_at_zero(spec, x, tol=1e-8):
 
 
 def extended(spec, x, t, tol=1e-10):
+    """u_ac(x, t) at each point of the 1-D array x; i0 is integrated for the
+    whole array at once."""
     base = i0(spec, x, t, tol)
+    return base + np.array([_extended_boundary(spec, p, t, tol)
+                            for p in x.tolist()])
+
+
+def _extended_boundary(spec, x, t, tol):
     if x > 0:
-        return base + boundary_integral(spec, x, t, tol)
+        return boundary_integral(spec, x, t, tol)
     if x == 0:
-        return base + float(spec.f0.eval(t))
-    return base + tilde_value(spec, x, t, tol) - boundary_integral(
-        spec, -x, t, tol
-    )
+        return float(spec.f0.eval(t))
+    return tilde_value(spec, x, t, tol) - boundary_integral(spec, -x, t, tol)
 
 
 def boundary_to_initial(spec, x, tol=1e-8):

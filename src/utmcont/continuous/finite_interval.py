@@ -19,7 +19,7 @@ from scipy import special as _sp
 
 from ..quad import finite_interval_transform, integrate_segment
 from . import _common
-from ._common import CoeffLadder, adaptive_series, real_part
+from ._common import CoeffLadder, adaptive_series, like_input, real_part
 from .heat import single_layer
 
 SQRT_PI = math.sqrt(math.pi)
@@ -44,37 +44,53 @@ def _interval_transform(spec, k):
 
 
 def i0(spec, x, t, tol=1e-10):
-    """Initial-condition part, entire in x (t > 0)."""
+    """Initial-condition part, entire in x (t > 0), at a point or a 1-D
+    array of points sharing one adaptive k-rule per piece.  The pole piece's
+    sin(kx) and sin(k(L - x)) are split into e^{+ikx} and e^{-ikx} terms, so
+    its x-free factors are computed once per k-node."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
-        return 0.0
+        return like_input(np.zeros(xs.shape), x)
     L = spec.L
+    x_max = float(np.max(np.abs(xs)))
     eps = min(1.0, 0.75 / L)
-    radius = math.sqrt((math.log(400.0 / tol) + 6.0 + eps * (abs(x) + L)) / t)
-    panels = _common.oscillation_panels(2 * radius, abs(x) + L, base=4)
+    radius = math.sqrt((math.log(400.0 / tol) + 6.0 + eps * (x_max + L)) / t)
+    panels = _common.oscillation_panels(2 * radius, x_max + L, base=4)
 
     def line_part(k):
-        return np.exp(1j * k * x - k * k * t) * _interval_transform(spec, k)
+        spectral = np.exp(-k * k * t) * _interval_transform(spec, k)
+        return np.exp(1j * np.outer(xs, k)) * spectral
 
     def pole_part(z):
         k = np.asarray(z)
-        ratio_f = np.exp(1j * k * L) * np.sin(k * x) * _interval_transform(spec, k)
-        ratio_g = np.sin(k * (L - x)) * _interval_transform(spec, -k)
-        return np.exp(-k * k * t) * (ratio_f + ratio_g) / np.sin(k * L)
+        f_plus = _interval_transform(spec, k)
+        f_minus = _interval_transform(spec, -k)
+        e_l = np.exp(1j * k * L)
+        scale = np.exp(-k * k * t) / (2j * np.sin(k * L))
+        # e^{ikL} sin(kx) F(k) + sin(k(L - x)) F(-k)
+        #   = [e^{ikx} (e^{ikL} F(k) - e^{-ikL} F(-k))
+        #      + e^{-ikx} e^{ikL} (F(-k) - F(k))] / 2i
+        up = scale * (e_l * f_plus - f_minus / e_l)
+        down = scale * e_l * (f_minus - f_plus)
+        phase = np.exp(1j * np.outer(xs, k))
+        return phase * up + down / phase
 
     p1 = integrate_segment(line_part, -radius, radius, tol=tol / 4,
                            initial_panels=panels)
     anchor = 1j * eps
     p2 = integrate_segment(pole_part, -radius + anchor, radius + anchor,
                            tol=tol / 4, initial_panels=panels)
-    return real_part((p1.value - p2.value) / (2 * math.pi), tol, "interval i0")
+    value = (p1.value - p2.value) / (2 * math.pi)
+    return like_input(real_part(value, tol, "interval i0"), x)
 
 
 def i0_at_zero(spec, x):
-    """Closed odd-periodic tiling of u0 (the t -> 0 limit of i0)."""
+    """Closed odd-periodic tiling of u0 (the t -> 0 limit of i0); u0 itself
+    on the closed interval [0, L]."""
     L = spec.L
     n = math.floor(x / (2 * L))
     base = x - 2 * n * L
-    if base < L:
+    if base < L or x == L:
         return float(spec.u0.eval(base))
     return -float(spec.u0.eval(2 * L - base))
 
@@ -265,11 +281,12 @@ def right_extension(spec, x, t, tol=1e-10, tile_depth=5):
 
 
 def extended(spec, x, t, tol=1e-10, tile_depth=5):
-    return (
-        i0(spec, x, t, tol)
-        + left_extension(spec, x, t, tol, tile_depth)
-        + right_extension(spec, x, t, tol, tile_depth)
-    )
+    """u_ac(x, t) at each point of the 1-D array x; i0 is integrated for the
+    whole array at once, after the tilings have checked the depth."""
+    left = [left_extension(spec, p, t, tol, tile_depth) for p in x.tolist()]
+    right = [right_extension(spec, p, t, tol, tile_depth)
+             for p in x.tolist()]
+    return i0(spec, x, t, tol) + np.array(left) + np.array(right)
 
 
 def boundary_to_initial(spec, x, tile_depth=5):

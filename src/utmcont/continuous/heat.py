@@ -16,7 +16,7 @@ import numpy as np
 from ..quad import SingularKernel, integrate_segment, singular_time_convolution
 from ..specfun import gamma
 from . import _common
-from ._common import CoeffLadder, adaptive_series, real_part
+from ._common import CoeffLadder, adaptive_series, like_input, real_part
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -26,20 +26,24 @@ def _i0_sign(kind):
 
 
 def i0(spec, x, t, tol=1e-10):
-    """Initial-condition part, entire in x."""
+    """Initial-condition part, entire in x, at a point or a 1-D array of
+    points.  The points share one adaptive k-rule, sized for the largest
+    |x|, and each meets its own error budget."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
-        return 0.0
+        return like_input(np.zeros(xs.shape), x)
     sign = _i0_sign(spec.kind)
     tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
     radius = math.sqrt((math.log(40.0 / tol) + 5.0) / t)
 
     def integrand(k):
-        return np.exp(1j * k * x - k * k * t) * (tf(k) + sign * tf(-k))
+        spectral = np.exp(-k * k * t) * (tf(k) + sign * tf(-k))
+        return np.exp(1j * np.outer(xs, k)) * spectral
 
-    panels = _common.oscillation_panels(2 * radius, abs(x), base=4)
+    panels = _common.oscillation_panels(2 * radius, np.max(np.abs(xs)), base=4)
     res = integrate_segment(integrand, -radius, radius, tol=tol / 2,
                             initial_panels=panels)
-    return real_part(res.value / (2 * math.pi), tol, "heat i0")
+    return like_input(real_part(res.value / (2 * math.pi), tol, "heat i0"), x)
 
 
 def boundary_integral(spec, x, t, tol=1e-10):
@@ -159,22 +163,28 @@ def full_series_coefficient(spec, order, t, tol=1e-11):
 
 
 def extended(spec, x, t, tol=1e-10):
-    """u_ac(x, t) = i0 + extended boundary part."""
+    """u_ac(x, t) = i0 + extended boundary part at each point of the 1-D
+    array x; i0 is integrated for the whole array at once."""
     base = i0(spec, x, t, tol)
+    return base + np.array([_extended_boundary(spec, p, t, tol)
+                            for p in x.tolist()])
+
+
+def _extended_boundary(spec, x, t, tol):
+    """Boundary part at x, continued to x < 0 by reflection plus the doubled
+    series: odd reflection and even series for Dirichlet, even reflection
+    and odd series for Neumann."""
     if spec.kind == "heat-dirichlet":
         if x > 0:
-            return base + boundary_integral(spec, x, t, tol)
+            return boundary_integral(spec, x, t, tol)
         if x == 0:
-            return base + float(spec.f0.eval(t))
-        return base + tilde_value(spec, x, t, tol) - boundary_integral(
+            return float(spec.f0.eval(t))
+        return tilde_value(spec, x, t, tol) - boundary_integral(
             spec, -x, t, tol
         )
-    # Neumann: even reflection, odd doubled series
     if x >= 0:
-        return base + boundary_integral(spec, x, t, tol)
-    return base + tilde_value(spec, x, t, tol) + boundary_integral(
-        spec, -x, t, tol
-    )
+        return boundary_integral(spec, x, t, tol)
+    return tilde_value(spec, x, t, tol) + boundary_integral(spec, -x, t, tol)
 
 
 def boundary_to_initial(spec, x):

@@ -126,10 +126,15 @@ class ContourPath:
 
 @dataclass
 class QuadratureResult:
+    """Value, error estimate, evaluation count and tolerance warning of one
+    quadrature; for a vector integrand ``value`` and ``error`` are arrays
+    and ``warnings`` holds one entry per row."""
+
     value: complex
     error: float
     evaluations: int = 0
     warning: str | None = None
+    warnings: tuple = ()
 
     def __complex__(self):
         return complex(self.value)
@@ -212,16 +217,24 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
                       rel_tol=None):
     """Adaptive GK15 of a vectorized complex integrand along segment a->b.
 
-    Stops when the error estimate is below tol (absolute) or below
-    rel_tol * |integral| when ``rel_tol`` is given.
+    ``f`` maps a 1-D array of nodes to an array of the same length (a
+    scalar integrand) or of shape (rows, len(nodes)) (a vector integrand:
+    one row per component, e.g. one per x of a grid, sharing the nodes).
+    Each row gets its own K15 value and |K15 - G7| error estimate on one
+    shared set of intervals, and its own budget: tol (absolute), or
+    rel_tol * |row integral| when ``rel_tol`` is given and larger.  Each
+    round bisects the third of the intervals (at least one) carrying the
+    largest share of the budget of any row still above it; refinement stops
+    when every row meets its budget, or at ``max_intervals``.
+
+    A scalar integrand gives a complex value, a float error and a warning
+    (None when the budget was met).  A vector integrand gives arrays of
+    values and errors, one warning per row in ``warnings``, and the first of
+    those warnings (None when every row met its budget) in ``warning``.
+    The scalar form is the one-row case of the same computation.
     """
     a = complex(a)
-    b = complex(b)
-    direction = b - a
-    length = abs(direction)
-    if length == 0:
-        return QuadratureResult(0j, 0.0, 0)
-
+    direction = complex(b) - a
     initial_panels = max(1, int(initial_panels))
     edges = np.linspace(0.0, 1.0, initial_panels + 1)
     lo = edges[:-1]
@@ -230,54 +243,56 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
     def eval_intervals(lo_arr, hi_arr):
         mid = 0.5 * (lo_arr + hi_arr)[:, None]
         half = 0.5 * (hi_arr - lo_arr)[:, None]
-        t = mid + half * _NODES[None, :]
-        z = a + t * direction
-        vals = np.asarray(f(z.ravel()), dtype=complex).reshape(z.shape)
-        scaled = vals * direction
+        z = a + (mid + half * _NODES[None, :]) * direction
+        vals = np.asarray(f(z.ravel()), dtype=complex)
+        # (rows, intervals, 15) @ (15,) is one product per row, so a row's
+        # values do not depend on the other rows or their order
+        scaled = vals.reshape(-1, *z.shape) * direction
         k15 = (scaled @ _WK) * half[:, 0]
         g7 = (scaled @ _WG15) * half[:, 0]
-        err = np.abs(k15 - g7)
-        return k15, err
+        return k15, np.abs(k15 - g7), vals.ndim == 1
 
-    vals, errs = eval_intervals(lo, hi)
+    vals, errs, scalar = eval_intervals(lo, hi)
     evaluations = 15 * len(lo)
 
-    def budget():
-        limit = tol
-        if rel_tol is not None:
-            limit = max(limit, rel_tol * float(np.abs(np.sum(vals))))
-        return limit
-
+    limit = np.full(len(vals), float(tol))
     while True:
-        total_err = float(np.sum(errs))
-        if total_err <= budget() or len(lo) >= max_intervals:
+        total_errs = errs.sum(axis=1)
+        if rel_tol is not None:
+            limit = np.maximum(tol, rel_tol * np.abs(vals.sum(axis=1)))
+        over = total_errs > limit
+        if not over.any() or len(lo) >= max_intervals:
             break
-        # bisect the worst third of intervals (at least one)
+        share = (errs[over] / limit[over, None]).max(axis=0)
         n_split = max(1, len(lo) // 3)
-        order = np.argsort(errs)[::-1]
+        order = np.argsort(share)[::-1]
         split = order[:n_split]
         keep = order[n_split:]
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[keep], lo[split], mid])
         new_hi = np.concatenate([hi[keep], mid, hi[split]])
-        new_vals, new_errs = eval_intervals(
+        new_vals, new_errs, _ = eval_intervals(
             np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         )
         evaluations += 15 * 2 * n_split
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
+        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
         lo, hi = new_lo, new_hi
 
-    total = complex(np.sum(vals))
-    total_err = float(np.sum(errs))
-    warning = None
-    if total_err > budget():
-        worst = int(np.argmax(errs))
-        warning = (
-            f"tolerance {tol:g} not met (error {total_err:g}); worst "
+    totals = vals.sum(axis=1)
+    warnings = [None] * len(vals)
+    for row in np.flatnonzero(over):
+        worst = int(np.argmax(errs[row]))
+        warnings[row] = (
+            f"tolerance {tol:g} not met (error {total_errs[row]:g}); worst "
             f"subinterval t in [{lo[worst]:.6f}, {hi[worst]:.6f}]"
         )
-    return QuadratureResult(total, total_err, evaluations, warning)
+    if scalar:
+        return QuadratureResult(complex(totals[0]), float(total_errs[0]),
+                                evaluations, warnings[0], tuple(warnings))
+    first = next((w for w in warnings if w is not None), None)
+    return QuadratureResult(totals, total_errs, evaluations, first,
+                            tuple(warnings))
 
 
 def integrate_path(f, path, decay, tol, max_intervals=4096, strict=True):
@@ -319,6 +334,13 @@ def integrate_path(f, path, decay, tol, max_intervals=4096, strict=True):
 # ---------------------------------------------------------------------------
 
 
+def _row_sums(phases, wvals):
+    """phases @ wvals, one row at a time: unlike a matrix-vector product,
+    whose blocking sums a row differently with different companions, each
+    value depends only on its own row."""
+    return np.einsum("kn,n->k", phases, wvals)
+
+
 def _decay_truncation_point(u0, decay_kind, rate, growth, tol):
     """Upper limit Y with |u0(Y)| e^{growth*Y} below tol."""
     if decay_kind == "exponential":
@@ -344,10 +366,12 @@ def _decay_truncation_point(u0, decay_kind, rate, growth, tol):
 class HalfLineTransform:
     """u0_hat(k) = integral over (0, inf) of e^{-iky} u0(y) dy, cached per k.
 
-    Evaluation uses fixed Gauss-Legendre panels on (0, Y) with Y chosen from
-    the declared decay class so the discarded tail is below tol; the panel
-    count doubles until the value stabilizes.  Values are cached so sweeps
-    over x reuse transforms at repeated contour nodes.
+    Evaluation uses one fixed rule: 24-point Gauss-Legendre panels on
+    (0, Y), geometrically growing from the origin (ratio 1.6), with Y chosen
+    from the declared decay class so the discarded tail is below tol.  The
+    rule does not adapt to k.  Each value is a row-wise sum over that rule,
+    so it depends only on its own k, never on the other k of a call.
+    Values are cached per k for repeated contour nodes.
     """
 
     def __init__(self, u0, decay_kind="exponential", rate=1.0, tol=1e-12,
@@ -403,8 +427,7 @@ class HalfLineTransform:
                     "transform requested above the declared decay margin "
                     f"(Im k = {float(np.max(ks.imag)):g} > {self.max_im:g})"
                 )
-            phases = np.exp(-1j * np.outer(ks, nodes))
-            vals = phases @ wvals
+            vals = _row_sums(np.exp(-1j * np.outer(ks, nodes)), wvals)
             for i, v in zip(missing, vals):
                 self._cache[k_arr[i]] = complex(v)
                 out[i] = v
@@ -421,22 +444,26 @@ def half_line_transform(u0, k, decay_kind="exponential", rate=1.0, tol=1e-12):
 
 
 def finite_interval_transform(u0, L, k, tol=1e-12):
-    """u0_hat(k) = integral over (0, L) of e^{-iky} u0(y) dy (entire in k)."""
+    """u0_hat(k) = integral over (0, L) of e^{-iky} u0(y) dy (entire in k).
+
+    24-point Gauss-Legendre panels on [0, L], max(4, |k| L / 6) of them,
+    sized for each k separately: a value depends only on its own k.
+    """
     if L <= 0:
         raise ValueError("interval length L must be positive")
     k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
     x, w = np.polynomial.legendre.leggauss(24)
-    scale = max(1.0, float(np.max(np.abs(k_arr))) * L / 6.0)
-    panels = max(4, int(scale))
-    edges = np.linspace(0.0, L, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    nodes = np.concatenate(nodes)
-    wvals = np.concatenate(weights) * u0.eval(nodes)
-    out = np.exp(-1j * np.outer(k_arr, nodes)) @ wvals
+    panels = np.maximum(4, (np.abs(k_arr) * L / 6.0).astype(int))
+    out = np.empty(k_arr.shape, dtype=complex)
+    for count in np.unique(panels):
+        edges = np.linspace(0.0, L, count + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        wvals = (half[:, None] * w[None, :]).ravel() * u0.eval(nodes)
+        group = panels == count
+        out[group] = _row_sums(np.exp(-1j * np.outer(k_arr[group], nodes)),
+                               wvals)
     if np.ndim(k) == 0:
         return complex(out[0])
     return out

@@ -96,16 +96,27 @@ def test_csv_round_trip_precision(tmp_path):
 
 
 def test_determinism(tmp_path):
-    cfg = json.loads(json.dumps(MINIMAL))
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    cfg["outputs"] = {"csv": str(a)}
-    path = _write(tmp_path, cfg)
-    assert main(["solve", "--config", path]) == 0
-    cfg["outputs"] = {"csv": str(b)}
-    path = _write(tmp_path, cfg, "cfg2.json")
-    assert main(["solve", "--config", path, "--threads", "4"]) == 0
-    assert a.read_text() == b.read_text()
+    # repeat runs and a run over the reversed grid give the same bytes,
+    # including the continued region x < 0
+    from utmcont.cli import scenario_path
+
+    for name in ("adv_plus", "kdv2_cos"):
+        problem = json.loads(scenario_path(name).read_text())["problem"]
+
+        def run(tag, x_min, x_max):
+            out = tmp_path / f"{name}-{tag}.csv"
+            cfg = {"problem": problem,
+                   "grid": {"x_min": x_min, "x_max": x_max, "n_points": 5,
+                            "times": [1.0]},
+                   "outputs": {"csv": str(out)}}
+            path = _write(tmp_path, cfg, f"{name}-{tag}.json")
+            assert main(["solve", "--config", path]) == 0
+            return out.read_text().splitlines()
+
+        first = run("a", -1.0, 1.0)
+        assert run("b", -1.0, 1.0) == first
+        reverse = run("r", 1.0, -1.0)
+        assert [reverse[0]] + reverse[:0:-1] == first
 
 
 def test_zero_datum_row_symmetry(tmp_path):

@@ -101,7 +101,7 @@ def test_smooth_gluing_at_both_boundaries(interval_gaussian):
 
 
 def test_w0_compatible(interval_gaussian):
-    for x in (-0.9, -0.3, 0.4, 1.2, 1.9):
+    for x in (-0.9, -0.3, 0.4, 1.0, 1.2, 1.9):
         got = boundary_to_initial(interval_gaussian, x)
         assert got == pytest.approx(
             reference_whole_line("gaussian-drift", x, 0.0), abs=1e-10

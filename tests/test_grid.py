@@ -1,0 +1,100 @@
+"""Grid evaluation: one call for an array of x against per-point calls."""
+
+import json
+
+import numpy as np
+import pytest
+
+from utmcont import cli
+from utmcont.continuous import ProblemSpec, evaluate_extended, evaluate_I0
+from utmcont.expr import parse
+
+
+@pytest.mark.parametrize("fixture, xs, t", [
+    ("heat_gaussian", [-1.5, -0.5, 0.0, 0.4, 1.3], 0.5),
+    ("neumann_spec", [-0.7, 0.0, 0.25, 0.9], 0.3),
+    ("advected_plus", [-0.8, 0.0, 0.6, 1.7], 1.0),
+    ("interval_gaussian", [-0.6, 0.0, 0.5, 1.0, 1.4], 0.5),
+])
+def test_array_matches_points(request, fixture, xs, t):
+    spec = request.getfixturevalue(fixture)
+    tol = 1e-10
+    grid = evaluate_extended(spec, np.array(xs), t, tol)
+    assert grid.shape == (len(xs),)
+    points = [evaluate_extended(spec, x, t, tol) for x in xs]
+    np.testing.assert_allclose(grid, points, rtol=0, atol=tol)
+
+
+def _fresh_spec(name):
+    """A new spec, so no cache filled by another test (at another tol) is
+    read."""
+    gauss, trace = "exp(-(x-1)^2)", "exp(-1/(4*t+1))/sqrt(4*t+1)"
+    if name == "heat":
+        return ProblemSpec("heat-dirichlet", u0=parse(gauss), f0=parse(trace))
+    if name == "neumann":
+        return ProblemSpec("heat-neumann", u0=parse("exp(-x)*cos(3*pi*x)"),
+                           f1=parse("-sin(4*pi*t)/(4*pi)"))
+    if name == "advected":
+        return ProblemSpec("advected-heat", c=1.0, u0=parse("exp(-x^2)"),
+                           f0=parse("exp(-t^2/(4*t+1))/sqrt(4*t+1)"))
+    if name == "interval":
+        return ProblemSpec("heat-finite-interval", L=1.0, u0=parse(gauss),
+                           f0=parse(trace), g0=parse("1/sqrt(4*t+1)"))
+    return ProblemSpec("kdv-one-bc", u0=parse("2*exp(-x)*cos(x)"),
+                       f0=parse("2*exp(-2*t)*cos(2*t)"),
+                       u0_decay=("exponential", 1.0))
+
+
+# (spec, x, t, value) computed by the per-point evaluation that preceded
+# grid evaluation, at tol 1e-10
+SCALAR_VALUES = [
+    ("heat", -1.0, 1.0, 0.20094602160513517),
+    ("heat", 0.0, 0.3, 0.4279392063499488),
+    ("heat", 0.7, 1.0, 0.43923576664090486),
+    ("neumann", -0.3, 0.5, 0.01193309288027173),
+    ("advected", -0.5, 1.0, 0.425402731076321),
+    ("advected", 0.8, 1.0, 0.23393336802192466),
+    ("interval", -0.5, 1.0, 0.2851559782787845),
+    ("interval", 1.0, 0.5, 0.5773502691896257),
+    ("interval", 1.7, 1.0, 0.40546571610392756),
+    ("kdv1", -0.5, 1.0, -0.3575186064777588),
+]
+SCALAR_I0 = [
+    ("heat", -2.5, 0.01, -0.11269481173525973),
+    ("advected", -1.5, 0.5, -0.4808118107003207),
+    ("interval", 2.5, 0.2, 0.13451455057731815),
+]
+
+
+def test_scalar_calls_reproduce_point_values():
+    specs = {name: _fresh_spec(name) for name in
+             ("heat", "neumann", "advected", "interval", "kdv1")}
+    for name, x, t, value in SCALAR_VALUES:
+        got = evaluate_extended(specs[name], x, t, 1e-10)
+        assert isinstance(got, float)
+        assert got == pytest.approx(value, rel=0, abs=1e-14), (name, x, t)
+    for name, x, t, value in SCALAR_I0:
+        got = evaluate_I0(specs[name], x, t, 1e-10)
+        assert got == pytest.approx(value, rel=0, abs=1e-14), (name, x, t)
+
+
+def test_heat_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
+    # Per-point evaluation computed the u0 transform at 495,245 distinct
+    # k-nodes for heat_te; the shared k-rule needs a small fraction of that.
+    # A count, not a time, so the guard is free of timing noise.
+    specs = []
+    build = cli.build_problem
+
+    def recording(cfg):
+        problem = build(cfg)
+        specs.append(problem[1])
+        return problem
+
+    monkeypatch.setattr(cli, "build_problem", recording)
+    cfg = json.loads(cli.scenario_path("heat_te").read_text())
+    cfg["outputs"] = {"csv": str(tmp_path / "heat_te.csv")}
+    path = tmp_path / "heat_te.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    (spec,) = specs
+    assert len(spec.transform()._cache) < 0.05 * 495_245

@@ -114,6 +114,47 @@ def test_linearity():
     assert combined.value == pytest.approx(separate, rel=1e-12)
 
 
+def test_vector_segment_rows_meet_own_budgets():
+    # one hard row (a narrow Lorentzian) drives refinement; the easy rows
+    # ride along on its intervals and every row meets the unchanged budget
+    def rows(z):
+        return np.array([np.exp(z), np.cos(3 * z), 1 / (z * z + 1e-4)])
+
+    exact = np.array([math.e - 1 / math.e, 2 * math.sin(3) / 3,
+                      200 * math.atan(100)])
+    tol = 1e-11
+    res = integrate_segment(rows, -1.0, 1.0, tol)
+    np.testing.assert_allclose(res.value, exact, rtol=0, atol=tol)
+    assert np.all(res.error <= tol)
+    assert res.warning is None and res.warnings == (None, None, None)
+    easy = integrate_segment(lambda z: rows(z)[:2], -1.0, 1.0, tol)
+    assert res.evaluations > easy.evaluations
+
+
+def test_vector_segment_cap_warns_failing_row_only():
+    def rows(z):
+        x = np.real(z)
+        return np.array([np.exp(x), np.abs(x - 0.37) ** -0.95])
+
+    res = integrate_segment(rows, 0.0, 1.0, tol=1e-13, max_intervals=32)
+    assert res.warnings[0] is None
+    assert res.warnings[1] is not None and "subinterval" in res.warnings[1]
+    assert res.warning == res.warnings[1]
+    assert res.value[0] == pytest.approx(math.e - 1, abs=1e-13)
+
+
+def test_scalar_segment_is_one_row_case():
+    def f(z):
+        return np.exp(2j * z) / (1 + z * z)
+
+    scalar = integrate_segment(f, -3.0, 4.0, 1e-12, initial_panels=3)
+    vector = integrate_segment(lambda z: f(z)[None, :], -3.0, 4.0, 1e-12,
+                               initial_panels=3)
+    assert scalar.value == vector.value[0]
+    assert scalar.error == vector.error[0]
+    assert scalar.evaluations == vector.evaluations
+
+
 def test_decay_descriptor_requires_positive_rate():
     with pytest.raises(DecayError):
         DecayDescriptor(rate=0.0).truncation_radius(1e-10)
@@ -182,6 +223,17 @@ def test_finite_interval_transform_gaussian_oracle():
     ys = np.linspace(0.0, 1.0, 400_001)
     oracle = np.trapezoid(u0.eval(ys) * np.exp(-2j * ys), ys)
     assert finite_interval_transform(u0, 1.0, 2.0) == pytest.approx(oracle, abs=1e-10)
+
+
+def test_transform_value_depends_only_on_its_own_k():
+    u0 = parse("exp(-(y-1)^2)")
+    k, far = 2.0 - 0.1j, 90.0
+    alone = finite_interval_transform(u0, 1.5, np.array([k]))[0]
+    batched = finite_interval_transform(u0, 1.5, np.array([k, far]))[0]
+    assert alone == batched
+    single = HalfLineTransform(u0, "gaussian")(np.array([k.real]))[0]
+    shared = HalfLineTransform(u0, "gaussian")(np.array([k.real, far]))[0]
+    assert single == shared
 
 
 # ---------------------------------------------------------------------------
