@@ -26,7 +26,7 @@ def real_part(value, tol, where=""):
     v = np.asarray(value, dtype=complex)
     bad = np.abs(v.imag) > 100 * tol * np.maximum(1.0, np.abs(v.real))
     if np.any(bad):
-        residual = float(v.imag[bad].flat[0])
+        residual = float(v.imag[bad][0])
         raise ResidualWarning(
             f"imaginary residual {residual:.3e} exceeds budget near "
             f"{where or 'assembly'}"
