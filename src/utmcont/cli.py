@@ -52,7 +52,7 @@ class ConfigError(ValueError):
 
 _PROBLEM_KEYS = {"kind", "u0", "f0", "f1", "g0", "c", "L", "h", "u0_decay"}
 _GRID_KEYS = {"x_min", "x_max", "n_points", "times", "n_min", "n_max"}
-_NUMERICS_KEYS = {"tol", "taylor_max_order", "tile_depth"}
+_NUMERICS_KEYS = {"tol", "tile_depth"}
 _REFERENCE_KEYS = {"name", "expr", "c"}
 _OUTPUT_KEYS = {"csv", "json"}
 _TOP_KEYS = {"description", "problem", "grid", "numerics", "reference",
@@ -203,7 +203,6 @@ def cmd_solve(cfg, args):
     tol = float(args.tol if args.tol is not None
                 else cfg.get("numerics", {}).get("tol", 1e-10))
     tile_depth = int(cfg.get("numerics", {}).get("tile_depth", 5))
-    taylor_cap = int(cfg.get("numerics", {}).get("taylor_max_order", 200))
     times = [float(t) for t in cfg["grid"]["times"]]
     reference = build_reference(cfg.get("reference"), times)
     problem = build_problem(cfg["problem"])
@@ -227,7 +226,6 @@ def cmd_solve(cfg, args):
                                       "continued" if n < 0 else "interior"))
     else:
         spec = problem[1]
-        spec._ws["taylor_cap"] = taylor_cap
         grid = cfg["grid"]
         try:
             xs = np.linspace(float(grid["x_min"]), float(grid["x_max"]),

@@ -3,17 +3,19 @@
 Public surface: problem descriptions, the four evaluation operations
 (initial part, boundary integrals, Taylor data, extended solution), the
 boundary-to-initial map, compatibility checks, and the reference-solution
-library.  Dispatch is by ``ProblemSpec.kind``.
+library.  Every operation dispatches through one table of per-kind
+:class:`Solver` entries, keyed by ``ProblemSpec.kind``.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import advected, finite_interval, heat, kdv
-from ._common import like_input
+from ._common import OutsideWindowError, cached_ladder, like_input
 from .kdv import IncompatibleDataError
 from .problems import (
     KINDS,
@@ -50,9 +52,154 @@ __all__ = [
 ]
 
 
-def _require(spec, kinds, op):
-    if spec.kind not in kinds:
+@dataclass(frozen=True)
+class Solver:
+    """What a problem kind provides.  Every entry looks its solver function
+    up through the module at call time, so a rebinding of a module
+    attribute (a tracer, a test double) sees every call.
+
+    ``i0(spec, x, t, tol)``; ``boundary[datum](spec, x, t, tol)`` on the
+    datum's native window; ``extended(spec, xs, t, tol, tile_depth)`` for a
+    1-D array; ``w0(spec, x, tile_depth)``; ``ladders[(datum, parity)](spec,
+    t, tol)`` the Taylor ladder, with ``parity[datum]`` the default parity.
+    """
+
+    extended: Callable
+    i0: Callable | None = None
+    boundary: dict = field(default_factory=dict)
+    w0: Callable | None = None
+    ladders: dict = field(default_factory=dict)
+    parity: dict = field(default_factory=dict)
+
+
+def _pointwise(extend):
+    """extended() for kinds evaluated point by point."""
+    return lambda spec, xs, t, tol, depth: np.array(
+        [extend(spec, p, t, tol) for p in xs.tolist()])
+
+
+def _full_ladder(datum, coefficient):
+    """The "all" ladder: every order of coefficient(spec, order, t, tol)."""
+    return lambda spec, t, tol: cached_ladder(
+        spec, (datum, "all", t, tol), 1, (0,),
+        lambda order: coefficient(spec, order, t, tol))
+
+
+def _odd_center_ladder(spec, t, tol):
+    return cached_ladder(
+        spec, ("f0", "odd-center", t, tol), 2, (1,),
+        lambda order: finite_interval.odd_center_coefficient(
+            spec, (order + 1) // 2, t, tol),
+        center=spec.L)
+
+
+_HEAT = dict(
+    i0=lambda spec, x, t, tol: heat.i0(spec, x, t, tol),
+    extended=lambda spec, xs, t, tol, depth: heat.extended(spec, xs, t, tol),
+    w0=lambda spec, x, depth: heat.boundary_to_initial(spec, x),
+)
+
+_SOLVERS = {
+    "transport": Solver(
+        extended=_pointwise(lambda spec, x, t, tol: transport_solution(
+            spec, x, t))),
+    "heat-dirichlet": Solver(
+        **_HEAT,
+        boundary={"f0": lambda spec, x, t, tol: heat.boundary_integral(
+            spec, x, t, tol)},
+        ladders={
+            ("f0", "even"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
+            ("f0", "all"): _full_ladder(
+                "f0", lambda *a: heat.full_series_coefficient(*a)),
+        },
+        parity={"f0": "even"}),
+    "heat-neumann": Solver(
+        **_HEAT,
+        boundary={"f1": lambda spec, x, t, tol: heat.boundary_integral(
+            spec, x, t, tol)},
+        ladders={
+            ("f1", "odd"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
+        },
+        parity={"f1": "odd"}),
+    "advected-heat": Solver(
+        i0=lambda spec, x, t, tol: advected.i0(spec, x, t, tol),
+        boundary={"f0": lambda spec, x, t, tol: advected.boundary_integral(
+            spec, x, t, tol)},
+        extended=lambda spec, xs, t, tol, depth: advected.extended(
+            spec, xs, t, tol),
+        w0=lambda spec, x, depth: advected.boundary_to_initial(spec, x),
+        ladders={
+            ("f0", "even"): lambda spec, t, tol: advected.tilde_ladder(
+                spec, t, tol),
+            ("f0", "all"): _full_ladder(
+                "f0", lambda *a: advected.boundary_coefficient(*a)),
+        },
+        parity={"f0": "even"}),
+    "kdv-one-bc": Solver(
+        i0=lambda spec, x, t, tol: kdv.i0_one_bc(spec, x, t, tol),
+        boundary={"f0": lambda spec, x, t, tol: kdv.if0_one_bc(
+            spec, x, t, tol)},
+        extended=_pointwise(
+            lambda spec, x, t, tol: kdv.extended_one_bc(spec, x, t, tol)),
+        w0=lambda spec, x, depth: kdv.w0_one_bc(spec, x),
+        ladders={
+            ("f0", "even"): lambda spec, t, tol: kdv.kdv1_tilde_ladder(
+                spec, t, tol),
+            ("f0", "all"): _full_ladder(
+                "f0", lambda *a: kdv.kdv1_coefficient(*a)),
+        },
+        parity={"f0": "even"}),
+    "kdv-two-bc": Solver(
+        i0=lambda spec, x, t, tol: kdv.i0_two_bc(spec, x, t, tol),
+        boundary={
+            which: lambda spec, x, t, tol, which=which: kdv._kdv2_boundary(
+                spec, which, x, t, tol)
+            for which in ("f0", "f1")
+        },
+        extended=_pointwise(
+            lambda spec, x, t, tol: kdv.extended_two_bc(spec, x, t, tol)),
+        w0=lambda spec, x, depth: kdv.w0_two_bc(spec, x),
+        ladders={
+            ("f0", "even"): lambda spec, t, tol: kdv.kdv2_tilde_ladder(
+                spec, "f0", t, tol),
+            ("f1", "odd"): lambda spec, t, tol: kdv.kdv2_tilde_ladder(
+                spec, "f1", t, tol),
+            **{(which, "all"): _full_ladder(
+                which, lambda spec, order, t, tol, which=which:
+                    kdv.kdv2_coefficient(spec, which, order, t, tol))
+               for which in ("f0", "f1")},
+        },
+        parity={"f0": "even", "f1": "odd"}),
+    "heat-finite-interval": Solver(
+        i0=lambda spec, x, t, tol: finite_interval.i0(spec, x, t, tol),
+        boundary={
+            "f0": lambda spec, x, t, tol:
+                finite_interval.left_boundary_integral(spec, x, t, tol),
+            "g0": lambda spec, x, t, tol:
+                finite_interval.right_boundary_integral(spec, x, t, tol),
+        },
+        extended=lambda spec, xs, t, tol, depth: finite_interval.extended(
+            spec, xs, t, tol, depth),
+        w0=lambda spec, x, depth: finite_interval.boundary_to_initial(
+            spec, x, depth),
+        ladders={
+            ("f0", "even"): lambda spec, t, tol:
+                finite_interval.tilde_ladders(spec, t)[0],
+            ("g0", "even"): lambda spec, t, tol:
+                finite_interval.tilde_ladders(spec, t)[1],
+            ("f0", "odd-center"): _odd_center_ladder,
+        },
+        parity={"f0": "even", "g0": "even"}),
+}
+
+
+def _solver(spec, op, part):
+    """The kind's ``part`` of the table; ProblemSpecError when the kind has
+    none."""
+    found = getattr(_SOLVERS[spec.kind], part)
+    if not found:
         raise ProblemSpecError(f"{op} is not defined for kind {spec.kind!r}")
+    return found
 
 
 def evaluate_I0(spec, x, t, tol=1e-10):
@@ -60,22 +207,7 @@ def evaluate_I0(spec, x, t, tol=1e-10):
     if t <= 0:
         raise ValueError("evaluate_I0 requires t > 0 (use boundary_to_initial "
                          "for the t = 0 profile)")
-    kind = spec.kind
-    if kind in ("heat-dirichlet", "heat-neumann"):
-        return heat.i0(spec, x, t, tol)
-    if kind == "advected-heat":
-        return advected.i0(spec, x, t, tol)
-    if kind == "kdv-one-bc":
-        return kdv.i0_one_bc(spec, x, t, tol)
-    if kind == "kdv-two-bc":
-        return kdv.i0_two_bc(spec, x, t, tol)
-    if kind == "heat-finite-interval":
-        return finite_interval.i0(spec, x, t, tol)
-    raise ProblemSpecError(f"evaluate_I0 is not defined for kind {kind!r}")
-
-
-class OutsideWindowError(ValueError):
-    """Boundary integral requested outside its representation window."""
+    return _solver(spec, "evaluate_I0", "i0")(spec, x, t, tol)
 
 
 def evaluate_boundary_integral(spec, which, x, t, tol=1e-10):
@@ -85,105 +217,19 @@ def evaluate_boundary_integral(spec, which, x, t, tol=1e-10):
     window an :class:`OutsideWindowError` directs the caller to
     :func:`evaluate_extended`.
     """
-    kind = spec.kind
-    try:
-        if kind in ("heat-dirichlet", "heat-neumann"):
-            _check_which(kind, which, {"heat-dirichlet": ("f0",),
-                                       "heat-neumann": ("f1",)})
-            return heat.boundary_integral(spec, x, t, tol)
-        if kind == "advected-heat":
-            _check_which(kind, which, {"advected-heat": ("f0",)})
-            return advected.boundary_integral(spec, x, t, tol)
-        if kind == "kdv-one-bc":
-            _check_which(kind, which, {"kdv-one-bc": ("f0",)})
-            return kdv.if0_one_bc(spec, x, t, tol)
-        if kind == "kdv-two-bc":
-            if which not in ("f0", "f1"):
-                raise ProblemSpecError(f"kind {kind} has data f0, f1")
-            if x < 0:
-                raise ValueError("two-condition boundary integrals need "
-                                 "x >= 0; use the extension")
-            if which == "f0" and x == 0:
-                return float(spec.f0.eval(t))
-            return kdv._kdv2_boundary(spec, which, x, t, tol)
-        if kind == "heat-finite-interval":
-            if which == "f0":
-                return finite_interval.left_boundary_integral(spec, x, t, tol)
-            if which == "g0":
-                return finite_interval.right_boundary_integral(spec, x, t, tol)
-            raise ProblemSpecError(f"kind {kind} has data f0, g0")
-    except ValueError as err:
-        if isinstance(err, ProblemSpecError):
-            raise
-        if "extension" in str(err):
-            raise OutsideWindowError(str(err)) from None
-        raise
-    raise ProblemSpecError(f"no boundary integral for kind {kind!r}")
-
-
-def _check_which(kind, which, allowed):
-    if which not in allowed[kind]:
-        raise ProblemSpecError(f"kind {kind} has data {allowed[kind]}")
+    boundary = _solver(spec, "evaluate_boundary_integral", "boundary")
+    if which not in boundary:
+        raise ProblemSpecError(f"kind {spec.kind} has data {tuple(boundary)}")
+    return boundary[which](spec, x, t, tol)
 
 
 def fourier_boundary_integral(spec, x, t, tol=1e-10):
     """Residue/Fourier-series evaluation of the finite-interval left
     boundary integral (cross-check path for the contour form)."""
-    _require(spec, ("heat-finite-interval",), "fourier_boundary_integral")
+    if spec.kind != "heat-finite-interval":
+        raise ProblemSpecError("fourier_boundary_integral is not defined for "
+                               f"kind {spec.kind!r}")
     return finite_interval.left_boundary_fourier(spec, x, t, tol)
-
-
-_COEFF_BUILDERS = {
-    ("heat-dirichlet", "f0", "even"): lambda spec, t, tol: (
-        lambda i: (2 * i, spec.deriv("f0").value(i, t) / math.factorial(2 * i))
-    ),
-    ("heat-dirichlet", "f0", "all"): lambda spec, t, tol: (
-        lambda i: (i, heat.full_series_coefficient(spec, i, t, tol))
-    ),
-    ("heat-neumann", "f1", "odd"): lambda spec, t, tol: (
-        lambda i: (2 * i + 1,
-                   spec.deriv("f1").value(i, t) / math.factorial(2 * i + 1))
-    ),
-    ("advected-heat", "f0", "even"): lambda spec, t, tol: (
-        lambda i: (2 * i, advected.boundary_coefficient(spec, 2 * i, t, tol))
-    ),
-    ("advected-heat", "f0", "all"): lambda spec, t, tol: (
-        lambda i: (i, advected.boundary_coefficient(spec, i, t, tol))
-    ),
-    ("kdv-one-bc", "f0", "even"): lambda spec, t, tol: (
-        lambda i: (2 * i, kdv.kdv1_coefficient(spec, 2 * i, t, tol))
-    ),
-    ("kdv-one-bc", "f0", "all"): lambda spec, t, tol: (
-        lambda i: (i, kdv.kdv1_coefficient(spec, i, t, tol))
-    ),
-    ("kdv-two-bc", "f0", "all"): lambda spec, t, tol: (
-        lambda i: (i, kdv.kdv2_coefficient(spec, "f0", i, t, tol))
-    ),
-    ("kdv-two-bc", "f1", "all"): lambda spec, t, tol: (
-        lambda i: (i, kdv.kdv2_coefficient(spec, "f1", i, t, tol))
-    ),
-    ("heat-finite-interval", "f0", "even"): lambda spec, t, tol: (
-        lambda i: (2 * i, spec.deriv("f0").value(i, t) / math.factorial(2 * i))
-    ),
-    ("heat-finite-interval", "g0", "even"): lambda spec, t, tol: (
-        lambda i: (2 * i, spec.deriv("g0").value(i, t) / math.factorial(2 * i))
-    ),
-    ("heat-finite-interval", "f0", "odd-center"): lambda spec, t, tol: (
-        lambda i: (2 * i + 1,
-                   finite_interval.odd_center_coefficient(spec, i + 1, t, tol))
-    ),
-}
-
-_DEFAULT_PARITY = {
-    ("heat-dirichlet", "f0"): "even",
-    ("heat-neumann", "f1"): "odd",
-    ("advected-heat", "f0"): "even",
-    ("kdv-one-bc", "f0"): "even",
-    ("kdv-two-bc", "f0"): "even",
-    ("kdv-two-bc", "f1"): "odd",
-    ("heat-finite-interval", "f0"): "even",
-    ("heat-finite-interval", "g0"): "even",
-}
 
 
 def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
@@ -193,48 +239,29 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     reduction for the datum (doubled-even for Dirichlet-type data,
     doubled-odd for derivative data); "all" gives the full series where
     available; "odd-center" the finite-interval series about x = L.
-    Structural zeros are stored as omitted orders.
+    Structural zeros are stored as omitted orders.  No coefficient past
+    order N is computed; ``stop_reason`` is "cap" when the series carries
+    orders up to N that the order cap (200) cuts off.
     """
     if t <= 0:
         raise ValueError("taylor coefficients require t > 0")
-    kind = spec.kind
-    parity = parity or _DEFAULT_PARITY.get((kind, which))
-    if parity is None:
-        raise ProblemSpecError(f"no Taylor data for ({kind}, {which})")
-
-    expansion_point = spec.L if (kind, parity) == (
-        "heat-finite-interval", "odd-center") else 0.0
-
-    if kind == "kdv-two-bc" and parity in ("even", "odd"):
-        ladder = kdv.kdv2_tilde_ladder(spec, which, t, tol)
-        entries = []
-        i = 0
-        while True:
-            entry = ladder.get(i)
-            if entry is None or entry[0] > N:
-                break
-            entries.append(entry)
-            i += 1
-    else:
-        build = _COEFF_BUILDERS[(kind, which, parity)](spec, t, tol)
-        entries = []
-        i = 0
-        while True:
-            order, coeff = build(i)
-            if order > N:
-                break
-            entries.append((order, coeff))
-            i += 1
-
+    solver = _SOLVERS[spec.kind]
+    parity = parity or solver.parity.get(which)
+    build = solver.ladders.get((which, parity))
+    if build is None:
+        raise ProblemSpecError(
+            f"no Taylor data for ({spec.kind}, {which}, {parity})")
+    ladder = build(spec, t, tol)
+    entries = ladder.through(N)
     return TaylorExtension(
         which=which,
         t=t,
-        expansion_point=expansion_point,
+        expansion_point=ladder.center,
         parity=parity,
         orders=[o for o, _ in entries],
         coeffs=[c for _, c in entries],
         truncation_order=entries[-1][0] if entries else 0,
-        stop_reason="requested",
+        stop_reason="cap" if ladder.capped_below(N) else "requested",
     )
 
 
@@ -246,48 +273,18 @@ def evaluate_extended(spec, x, t, tol=1e-10, tile_depth=5):
     integrate the initial-condition part of the whole array on one shared
     k-rule; KdV and transport problems are evaluated point by point.
     """
-    kind = spec.kind
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1:
         raise ValueError("evaluate_extended takes a point or a 1-D array")
     if xs.size == 0:
         return xs
-    points = xs.tolist()
-    if kind == "transport":
-        return like_input(
-            np.array([transport_solution(spec, p, t) for p in points]), x)
-    if t <= 0:
+    solver = _SOLVERS[spec.kind]
+    if solver.i0 is not None and t <= 0:
         raise ValueError("evaluate_extended requires t > 0")
-    if kind in ("heat-dirichlet", "heat-neumann"):
-        values = heat.extended(spec, xs, t, tol)
-    elif kind == "advected-heat":
-        values = advected.extended(spec, xs, t, tol)
-    elif kind == "kdv-one-bc":
-        values = np.array([kdv.extended_one_bc(spec, p, t, tol)
-                           for p in points])
-    elif kind == "kdv-two-bc":
-        values = np.array([kdv.extended_two_bc(spec, p, t, tol)
-                           for p in points])
-    elif kind == "heat-finite-interval":
-        values = finite_interval.extended(spec, xs, t, tol, tile_depth)
-    else:
-        raise ProblemSpecError(
-            f"evaluate_extended undefined for kind {kind!r}")
-    return like_input(values, x)
+    return like_input(solver.extended(spec, xs, t, tol, tile_depth), x)
 
 
 def boundary_to_initial(spec, x, tile_depth=5):
     """w0(x): initial condition of the whole-line problem the extension
     solves.  Refuses incompatible two-condition KdV data."""
-    kind = spec.kind
-    if kind in ("heat-dirichlet", "heat-neumann"):
-        return heat.boundary_to_initial(spec, x)
-    if kind == "advected-heat":
-        return advected.boundary_to_initial(spec, x)
-    if kind == "kdv-one-bc":
-        return kdv.w0_one_bc(spec, x)
-    if kind == "kdv-two-bc":
-        return kdv.w0_two_bc(spec, x)
-    if kind == "heat-finite-interval":
-        return finite_interval.boundary_to_initial(spec, x, tile_depth)
-    raise ProblemSpecError(f"boundary_to_initial undefined for kind {kind!r}")
+    return _solver(spec, "boundary_to_initial", "w0")(spec, x, tile_depth)

@@ -6,18 +6,34 @@ import math
 
 import numpy as np
 
+from ..expr import MAX_DERIVATIVE_ORDER
+
 __all__ = [
     "real_part",
     "like_input",
+    "over_factorial",
+    "datum_coefficient",
     "CoeffLadder",
+    "cached_ladder",
+    "datum_ladder",
+    "doubled_series",
     "adaptive_series",
     "growth_radius",
     "ResidualWarning",
+    "OutsideWindowError",
+    "COEFF_TOL",
 ]
+
+# Tolerance of the Taylor coefficients behind every continued solution.
+COEFF_TOL = 1e-11
 
 
 class ResidualWarning(RuntimeError):
     """Imaginary residual of a real-valued assembly exceeded its budget."""
+
+
+class OutsideWindowError(ValueError):
+    """Boundary integral requested outside its representation window."""
 
 
 def real_part(value, tol, where=""):
@@ -40,25 +56,105 @@ def like_input(values, x):
     return float(values[0]) if np.ndim(x) == 0 else values
 
 
-class CoeffLadder:
-    """Lazily extended list of Taylor data (order, coefficient).
+def over_factorial(value, n, weight=1.0, times=1.0):
+    """value / (weight * n!) * times.
 
-    ``build(i)`` returns the i-th kept entry; structural zeros are never
-    stored.  One ladder per (problem, datum, time); extension is sequential.
+    Up to n = 170 this is that float expression, so those values keep their
+    bits.  Past it n! no longer converts to a float, and the quotient is
+    taken as value * times / weight / 170! / (171 * ... * n).
+    """
+    if n <= 170:
+        return value / (weight * math.factorial(n)) * times
+    return (value * times / weight / math.factorial(170)
+            / math.prod(range(171, n + 1)))
+
+
+def datum_coefficient(cache, order, t, stride=2, offset=0, sign=1.0):
+    """sign^i f^(i)(t) / order! for order = stride*i + offset: one term of
+    the doubled series a datum contributes across the boundary."""
+    i = (order - offset) // stride
+    return over_factorial(sign**i * cache.value(i, t), order)
+
+
+class CoeffLadder:
+    """Lazily extended Taylor data (order, coefficient) of one series about
+    ``center``.
+
+    The series carries the orders stride*q + r, r in ``offsets``, up to
+    MAX_DERIVATIVE_ORDER (structural zeros are never carried);
+    ``coefficient(order)`` computes one coefficient.  Entries are computed
+    in order of the orders and kept in ``entries``.
     """
 
-    def __init__(self, build, cap=200):
-        self.build = build
-        self.cap = cap
+    def __init__(self, stride, offsets, coefficient, center=0.0):
+        self.stride = stride
+        self.offsets = offsets
+        self.coefficient = coefficient
+        self.center = center
+        self.orders = [o for o in range(MAX_DERIVATIVE_ORDER + 1)
+                       if o % stride in offsets]
         self.entries = []
 
     def get(self, i):
-        while len(self.entries) <= i:
-            idx = len(self.entries)
-            if self.entries and self.entries[-1][0] >= self.cap:
-                return None
-            self.entries.append(self.build(idx))
+        """Entry i, or None past the last carried order."""
+        if i >= len(self.orders):
+            return None
+        self._extend(i + 1)
         return self.entries[i]
+
+    def through(self, order):
+        """The entries of every carried order <= ``order``; computes none
+        beyond it."""
+        count = sum(1 for o in self.orders if o <= order)
+        self._extend(count)
+        return self.entries[:count]
+
+    def capped_below(self, order):
+        """Whether the series carries an order <= ``order`` that the cap
+        cuts off."""
+        return any(o % self.stride in self.offsets
+                   for o in range(MAX_DERIVATIVE_ORDER + 1, order + 1))
+
+    def _extend(self, count):
+        while len(self.entries) < count:
+            order = self.orders[len(self.entries)]
+            self.entries.append((order, self.coefficient(order)))
+
+
+def cached_ladder(spec, key, stride, offsets, coefficient, center=0.0):
+    """The ladder cached on ``spec`` under ``key`` = (datum, parity, t,
+    tol), built on first use; tol is None when no coefficient depends on
+    it."""
+    if key not in spec.ladders:
+        spec.ladders[key] = CoeffLadder(stride, offsets, coefficient, center)
+    return spec.ladders[key]
+
+
+_DATUM_PARITIES = {
+    # parity: (stride, offset, sign)
+    "even": (2, 0, 1.0),
+    "odd": (2, 1, 1.0),
+    "cubic": (3, 0, -1.0),
+}
+
+
+def datum_ladder(spec, datum, parity, t, center=0.0):
+    """Ladder of a datum's doubled series at time t: "even" carries
+    f^(i)(t)/(2i)!, "odd" f^(i)(t)/(2i+1)!, "cubic" (-1)^i f^(i)(t)/(3i)!."""
+    stride, offset, sign = _DATUM_PARITIES[parity]
+    cache = spec.deriv(datum)
+    return cached_ladder(
+        spec, (datum, parity, t, None), stride, (offset,),
+        lambda order: datum_coefficient(cache, order, t, stride, offset, sign),
+        center,
+    )
+
+
+def doubled_series(ladder, x, tol, factor=2.0):
+    """factor * sum coefficient * (x - center)^order, summed adaptively: the
+    reflected series the extensions add across a boundary."""
+    value, _, _ = adaptive_series(ladder, x - ladder.center, tol)
+    return factor * value
 
 
 def adaptive_series(ladder, dx, tol, min_entries=3, quiet_needed=3):

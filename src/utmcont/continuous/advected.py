@@ -17,8 +17,9 @@ import numpy as np
 
 from ..quad import integrate_segment
 from . import _common
-from ._common import (CoeffLadder, adaptive_series, growth_radius, like_input,
-                      real_part)
+from ._common import (COEFF_TOL, OutsideWindowError, cached_ladder,
+                      doubled_series, growth_radius, like_input,
+                      over_factorial, real_part)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -70,7 +71,8 @@ def boundary_integral(spec, x, t, tol=1e-10):
     if x == 0:
         return float(spec.f0.eval(t))
     if x < 0:
-        raise ValueError("advected boundary integral needs x >= 0")
+        raise OutsideWindowError("advected boundary integral needs x >= 0; "
+                                 "use the extension for x < 0")
     c = spec.c
     f0 = spec.f0
     z0 = x / (2.0 * math.sqrt(t))
@@ -129,11 +131,6 @@ def _phi_moments_scaled(c, j, m_list, sqrt_t, tol):
     return out
 
 
-def _phi_value(c, m, j, t, tol):
-    scaled = _phi_moments_scaled(c, j, [m], math.sqrt(t), tol)[m]
-    return -((-1.0) ** m) / (2 * math.pi) * t ** (m - (j + 2) / 2.0) * scaled
-
-
 def _conv_kernel_batch(c, j, m, sig, tol):
     """Scaled moment integral I(m) for a batch of sqrt(tau) values, sharing
     one contour grid sized for the largest |mu|."""
@@ -176,25 +173,15 @@ def boundary_coefficient(spec, order, t, tol=1e-11):
     kerns = -((-1.0) ** (n + 1)) / (2 * math.pi) * (sig * sig) ** tpow * scaled
     conv = np.sum(wts * 2.0 * sig * fvals * kerns)
 
-    value = (total + conv) / math.factorial(order)
+    value = over_factorial(total + conv, order)
     return real_part(value, tol, f"advected coefficient {order}")
 
 
-def tilde_ladder(spec, t, tol=1e-11, cap=None):
-    cap = cap or spec._ws.get("taylor_cap", 200)
-    key = ("adv-tilde", round(t, 14))
-    if key not in spec._ws:
-
-        def build(i):
-            return 2 * i, boundary_coefficient(spec, 2 * i, t, tol)
-
-        spec._ws[key] = CoeffLadder(build, cap=cap)
-    return spec._ws[key]
-
-
-def tilde_value(spec, x, t, tol=1e-10):
-    value, _, _ = adaptive_series(tilde_ladder(spec, t), x, tol)
-    return 2.0 * value
+def tilde_ladder(spec, t, tol=COEFF_TOL):
+    """Ladder of the even boundary coefficients, doubled across x = 0."""
+    return cached_ladder(
+        spec, ("f0", "even", t, tol), 2, (0,),
+        lambda order: boundary_coefficient(spec, order, t, tol))
 
 
 def tilde_at_zero(spec, x, tol=1e-8):
@@ -210,7 +197,7 @@ def tilde_at_zero(spec, x, tol=1e-8):
     floor = 1.25e-3
     t0 = floor * 2.0 ** math.ceil(math.log2(max(floor, x * x / 80.0) / floor))
     times = [8.0 * t0, 4.0 * t0, 2.0 * t0, t0]
-    vals = [tilde_value(spec, x, tv, tol) for tv in times]
+    vals = [doubled_series(tilde_ladder(spec, tv), x, tol) for tv in times]
     # the small-time approach is w + a t + b t^{3/2} + c t^2 (no sqrt(t) term)
     A = np.array([[1.0, tv, tv**1.5, tv * tv] for tv in times])
     w = np.linalg.solve(A, np.array(vals))
@@ -235,7 +222,8 @@ def _extended_boundary(spec, x, t, tol):
         return boundary_integral(spec, x, t, tol)
     if x == 0:
         return float(spec.f0.eval(t))
-    return tilde_value(spec, x, t, tol) - boundary_integral(spec, -x, t, tol)
+    return doubled_series(tilde_ladder(spec, t), x, tol) - boundary_integral(
+        spec, -x, t, tol)
 
 
 def boundary_to_initial(spec, x, tol=1e-8):

@@ -19,28 +19,11 @@ from scipy import special as _sp
 
 from ..quad import finite_interval_transform, integrate_segment
 from . import _common
-from ._common import CoeffLadder, adaptive_series, like_input, real_part
+from ._common import (OutsideWindowError, datum_ladder, doubled_series,
+                      like_input, over_factorial, real_part)
 from .heat import single_layer
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def _interval_transform(spec, k):
-    key = ("fit",)
-    cache = spec._ws.setdefault(key, {})
-    k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
-    out = np.empty(k_arr.shape, dtype=complex)
-    missing = [i for i, kv in enumerate(k_arr) if kv not in cache]
-    for i, kv in enumerate(k_arr):
-        if kv in cache:
-            out[i] = cache[kv]
-    if missing:
-        vals = finite_interval_transform(spec.u0, spec.L, k_arr[missing])
-        vals = np.atleast_1d(vals)
-        for i, v in zip(missing, vals):
-            cache[k_arr[i]] = complex(v)
-            out[i] = v
-    return out if np.ndim(k) else complex(out[0])
 
 
 def i0(spec, x, t, tol=1e-10):
@@ -58,13 +41,14 @@ def i0(spec, x, t, tol=1e-10):
     panels = _common.oscillation_panels(2 * radius, x_max + L, base=4)
 
     def line_part(k):
-        spectral = np.exp(-k * k * t) * _interval_transform(spec, k)
+        spectral = np.exp(-k * k * t) * finite_interval_transform(
+            spec.u0, L, k)
         return np.exp(1j * np.outer(xs, k)) * spectral
 
     def pole_part(z):
         k = np.asarray(z)
-        f_plus = _interval_transform(spec, k)
-        f_minus = _interval_transform(spec, -k)
+        f_plus = finite_interval_transform(spec.u0, L, k)
+        f_minus = finite_interval_transform(spec.u0, L, -k)
         e_l = np.exp(1j * k * L)
         scale = np.exp(-k * k * t) / (2j * np.sin(k * L))
         # e^{ikL} sin(kx) F(k) + sin(k(L - x)) F(-k)
@@ -110,8 +94,8 @@ def left_boundary_integral(spec, x, t, tol=1e-10):
     if x == 0.0:
         return float(spec.f0.eval(t))
     if not 0 < x < 2 * L:
-        raise ValueError("left boundary integral lives on (0, 2L); use the "
-                         "tiled extension outside")
+        raise OutsideWindowError("left boundary integral lives on (0, 2L); "
+                                 "use the tiled extension outside")
     total = 0.0
     for j in range(_image_budget(L, t, tol) + 1):
         total += single_layer(spec.f0, x + 2 * j * L, t, tol)
@@ -125,8 +109,8 @@ def right_boundary_integral(spec, x, t, tol=1e-10):
     if x == L:
         return float(spec.g0.eval(t))
     if not -L < x < L:
-        raise ValueError("right boundary integral lives on (-L, L); use the "
-                         "tiled extension outside")
+        raise OutsideWindowError("right boundary integral lives on (-L, L]; "
+                                 "use the tiled extension outside")
     total = 0.0
     for j in range(_image_budget(L, t, tol) + 1):
         total += single_layer(spec.g0, (2 * j + 1) * L - x, t, tol)
@@ -205,39 +189,11 @@ def left_boundary_fourier(spec, x, t, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def tilde_f0_ladder(spec, t, cap=200):
-    key = ("fi-tilde-f0", round(t, 14))
-    if key not in spec._ws:
-        cache = spec.deriv("f0")
-
-        def build(i):
-            return 2 * i, cache.value(i, t) / math.factorial(2 * i)
-
-        spec._ws[key] = CoeffLadder(build, cap=cap)
-    return spec._ws[key]
-
-
-def tilde_g0_ladder(spec, t, cap=200):
-    key = ("fi-tilde-g0", round(t, 14))
-    if key not in spec._ws:
-        cache = spec.deriv("g0")
-
-        def build(i):
-            return 2 * i, cache.value(i, t) / math.factorial(2 * i)
-
-        spec._ws[key] = CoeffLadder(build, cap=cap)
-    return spec._ws[key]
-
-
-def tilde_f0(spec, x, t, tol=1e-10):
-    value, _, _ = adaptive_series(tilde_f0_ladder(spec, t), x, tol)
-    return 2.0 * value
-
-
-def tilde_g0(spec, x, t, tol=1e-10):
-    """Doubled even series about x = L."""
-    value, _, _ = adaptive_series(tilde_g0_ladder(spec, t), x - spec.L, tol)
-    return 2.0 * value
+def tilde_ladders(spec, t):
+    """Ladders of the doubled even series of f0 about x = 0 and of g0 about
+    x = L."""
+    return (datum_ladder(spec, "f0", "even", t),
+            datum_ladder(spec, "g0", "even", t, center=spec.L))
 
 
 def _check_tile_depth(spec, x, tile_depth):
@@ -248,36 +204,52 @@ def _check_tile_depth(spec, x, tile_depth):
         )
 
 
+def _tile_left(spec, x, at_base, series):
+    """2L-periodic tiling of the left window [0, 2L): at_base(b) at the
+    image b of x in the window, plus the doubled series accumulated on the
+    way from b to x."""
+    L = spec.L
+    n = math.floor(x / (2 * L))
+    value = at_base(x - 2 * n * L)
+    if n >= 1:
+        for j in range(1, n + 1):
+            value -= series(x - 2 * j * L)
+    elif n <= -1:
+        for j in range(0, -n):
+            value += series(x + 2 * j * L)
+    return value
+
+
+def _tile_right(spec, x, at_base, series):
+    """2L-periodic tiling of the right window (-L, L], as _tile_left."""
+    L = spec.L
+    n = math.ceil((x - L) / (2 * L))
+    value = at_base(x - 2 * n * L)
+    if n >= 1:
+        for j in range(0, n):
+            value += series(x - 2 * j * L)
+    elif n <= -1:
+        for j in range(1, -n + 1):
+            value -= series(x + 2 * j * L)
+    return value
+
+
 def left_extension(spec, x, t, tol=1e-10, tile_depth=5):
     """I_{f0}^ext: 2L-periodic tiling with accumulated doubled series."""
     _check_tile_depth(spec, x, tile_depth)
-    L = spec.L
-    n = math.floor(x / (2 * L))
-    base = x - 2 * n * L
-    value = left_boundary_integral(spec, base, t, tol)
-    if n >= 1:
-        for j in range(1, n + 1):
-            value -= tilde_f0(spec, x - 2 * j * L, t, tol)
-    elif n <= -1:
-        for j in range(0, -n):
-            value += tilde_f0(spec, x + 2 * j * L, t, tol)
-    return value
+    ladder = tilde_ladders(spec, t)[0]
+    return _tile_left(spec, x,
+                      lambda b: left_boundary_integral(spec, b, t, tol),
+                      lambda y: doubled_series(ladder, y, tol))
 
 
 def right_extension(spec, x, t, tol=1e-10, tile_depth=5):
     """I_{g0}^ext: tiling of the (-L, L] window."""
     _check_tile_depth(spec, x, tile_depth)
-    L = spec.L
-    n = math.ceil((x - L) / (2 * L))
-    base = x - 2 * n * L
-    value = right_boundary_integral(spec, base, t, tol)
-    if n >= 1:
-        for j in range(0, n):
-            value += tilde_g0(spec, x - 2 * j * L, t, tol)
-    elif n <= -1:
-        for j in range(1, -n + 1):
-            value -= tilde_g0(spec, x + 2 * j * L, t, tol)
-    return value
+    ladder = tilde_ladders(spec, t)[1]
+    return _tile_right(spec, x,
+                       lambda b: right_boundary_integral(spec, b, t, tol),
+                       lambda y: doubled_series(ladder, y, tol))
 
 
 def extended(spec, x, t, tol=1e-10, tile_depth=5):
@@ -292,50 +264,11 @@ def extended(spec, x, t, tol=1e-10, tile_depth=5):
 def boundary_to_initial(spec, x, tile_depth=5):
     """w0(x): odd-tiled u0 plus the t -> 0 limits of both extensions."""
     _check_tile_depth(spec, x, tile_depth)
-    L = spec.L
-    value = i0_at_zero(spec, x)
-
-    f0_cache = spec.deriv("f0")
-    g0_cache = spec.deriv("g0")
-
-    def tilde_f0_zero(y):
-        lad_key = ("fi-tilde-f0-zero",)
-        if lad_key not in spec._ws:
-
-            def build(i):
-                return 2 * i, f0_cache.value(i, 0.0) / math.factorial(2 * i)
-
-            spec._ws[lad_key] = CoeffLadder(build, cap=200)
-        v, _, _ = adaptive_series(spec._ws[lad_key], y, 1e-13)
-        return 2.0 * v
-
-    def tilde_g0_zero(y):
-        lad_key = ("fi-tilde-g0-zero",)
-        if lad_key not in spec._ws:
-
-            def build(i):
-                return 2 * i, g0_cache.value(i, 0.0) / math.factorial(2 * i)
-
-            spec._ws[lad_key] = CoeffLadder(build, cap=200)
-        v, _, _ = adaptive_series(spec._ws[lad_key], y - L, 1e-13)
-        return 2.0 * v
-
-    n = math.floor(x / (2 * L))
-    if n >= 1:
-        for j in range(1, n + 1):
-            value -= tilde_f0_zero(x - 2 * j * L)
-    elif n <= -1:
-        for j in range(0, -n):
-            value += tilde_f0_zero(x + 2 * j * L)
-
-    m = math.ceil((x - L) / (2 * L))
-    if m >= 1:
-        for j in range(0, m):
-            value += tilde_g0_zero(x - 2 * j * L)
-    elif m <= -1:
-        for j in range(1, -m + 1):
-            value -= tilde_g0_zero(x + 2 * j * L)
-    return value
+    f0_ladder, g0_ladder = tilde_ladders(spec, 0.0)
+    value = _tile_left(spec, x, lambda b: i0_at_zero(spec, x),
+                       lambda y: doubled_series(f0_ladder, y, 1e-13))
+    return _tile_right(spec, x, lambda b: value,
+                       lambda y: doubled_series(g0_ladder, y, 1e-13))
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +311,4 @@ def odd_center_coefficient(spec, n, t, tol=1e-11, images=8):
         return f0c(t - sigma * sigma) * kernel(sigma) * 2.0 * sigma
 
     res = integrate_segment(integrand, 0.0, math.sqrt(t), tol=tol, rel_tol=tol)
-    return -2.0 / (math.pi * math.factorial(2 * n - 1)) * float(
-        np.real(res.value)
-    )
-
-
-def center_series(spec, x, t, orders, tol=1e-11):
-    """Partial sum of the odd series about x = L for the left boundary part."""
-    total = 0.0
-    for n in range(1, orders + 1):
-        total += odd_center_coefficient(spec, n, t, tol) * (x - spec.L) ** (
-            2 * n - 1
-        )
-    return total
+    return over_factorial(-2.0, 2 * n - 1, math.pi, float(np.real(res.value)))

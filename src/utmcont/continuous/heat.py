@@ -16,7 +16,8 @@ import numpy as np
 from ..quad import SingularKernel, integrate_segment, singular_time_convolution
 from ..specfun import gamma
 from . import _common
-from ._common import CoeffLadder, adaptive_series, like_input, real_part
+from ._common import (OutsideWindowError, datum_coefficient, datum_ladder,
+                      doubled_series, like_input, over_factorial, real_part)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -53,12 +54,12 @@ def boundary_integral(spec, x, t, tol=1e-10):
         if x == 0:
             return float(spec.f0.eval(t))
         if x < 0:
-            raise ValueError("Dirichlet boundary integral needs x >= 0; use "
-                             "the extension for x < 0")
+            raise OutsideWindowError("Dirichlet boundary integral needs "
+                                     "x >= 0; use the extension for x < 0")
         return single_layer(spec.f0, x, t, tol)
     if x < 0:
-        raise ValueError("Neumann boundary integral needs x >= 0; use the "
-                         "extension for x < 0")
+        raise OutsideWindowError("Neumann boundary integral needs x >= 0; "
+                                 "use the extension for x < 0")
     return _neumann_kernel_convolution(spec.f1, x, t, tol)
 
 
@@ -100,31 +101,12 @@ def _neumann_kernel_convolution(f1, x, t, tol):
 # ---------------------------------------------------------------------------
 
 
-def tilde_ladder(spec, t, tol=1e-12, cap=None):
-    """Structural tilde coefficients: even f0^{(n)}(t)/(2n)! for Dirichlet,
-    odd f1^{(p)}(t)/(2p+1)! for Neumann."""
-    cap = cap or spec._ws.get("taylor_cap", 200)
-    key = ("heat-tilde", spec.kind, round(t, 14))
-    if key not in spec._ws:
-        if spec.kind == "heat-dirichlet":
-            cache = spec.deriv("f0")
-
-            def build(i):
-                return 2 * i, cache.value(i, t) / math.factorial(2 * i)
-
-        else:
-            cache = spec.deriv("f1")
-
-            def build(i):
-                return 2 * i + 1, cache.value(i, t) / math.factorial(2 * i + 1)
-
-        spec._ws[key] = CoeffLadder(build, cap=cap)
-    return spec._ws[key]
-
-
-def tilde_value(spec, x, t, tol=1e-10):
-    value, _, _ = adaptive_series(tilde_ladder(spec, t), x, tol)
-    return 2.0 * value
+def tilde_ladder(spec, t):
+    """Ladder of the doubled series across x = 0: even f0^(n)(t)/(2n)! for
+    Dirichlet, odd f1^(p)(t)/(2p+1)! for Neumann."""
+    if spec.kind == "heat-dirichlet":
+        return datum_ladder(spec, "f0", "even", t)
+    return datum_ladder(spec, "f1", "odd", t)
 
 
 def dirichlet_odd_coefficient(spec, n, t, tol=1e-11):
@@ -147,13 +129,13 @@ def dirichlet_odd_coefficient(spec, n, t, tol=1e-11):
         tol=tol,
     )
     total += SQRT_PI * conv
-    return -total / (math.pi * math.factorial(2 * n - 1))
+    return over_factorial(-total, 2 * n - 1, math.pi)
 
 
 def full_series_coefficient(spec, order, t, tol=1e-11):
     """Coefficient of x^order in the full Dirichlet boundary Taylor series."""
     if order % 2 == 0:
-        return spec.deriv("f0").value(order // 2, t) / math.factorial(order)
+        return datum_coefficient(spec.deriv("f0"), order, t)
     return dirichlet_odd_coefficient(spec, (order + 1) // 2, t, tol)
 
 
@@ -179,30 +161,19 @@ def _extended_boundary(spec, x, t, tol):
             return boundary_integral(spec, x, t, tol)
         if x == 0:
             return float(spec.f0.eval(t))
-        return tilde_value(spec, x, t, tol) - boundary_integral(
-            spec, -x, t, tol
-        )
+        return doubled_series(tilde_ladder(spec, t), x, tol) - \
+            boundary_integral(spec, -x, t, tol)
     if x >= 0:
         return boundary_integral(spec, x, t, tol)
-    return tilde_value(spec, x, t, tol) + boundary_integral(spec, -x, t, tol)
+    return doubled_series(tilde_ladder(spec, t), x, tol) + \
+        boundary_integral(spec, -x, t, tol)
 
 
 def boundary_to_initial(spec, x):
     """w0(x): the whole-line initial condition of the extended solution."""
     if x >= 0:
         return float(spec.u0.eval(x))
+    series = doubled_series(tilde_ladder(spec, 0.0), x, 1e-13)
     if spec.kind == "heat-dirichlet":
-        cache = spec.deriv("f0")
-
-        def build(i):
-            return 2 * i, cache.value(i, 0.0) / math.factorial(2 * i)
-
-        series, _, _ = adaptive_series(CoeffLadder(build), x, 1e-13)
-        return 2.0 * series - float(spec.u0.eval(-x))
-    cache = spec.deriv("f1")
-
-    def build(i):
-        return 2 * i + 1, cache.value(i, 0.0) / math.factorial(2 * i + 1)
-
-    series, _, _ = adaptive_series(CoeffLadder(build), x, 1e-13)
-    return 2.0 * series + float(spec.u0.eval(-x))
+        return series - float(spec.u0.eval(-x))
+    return series + float(spec.u0.eval(-x))

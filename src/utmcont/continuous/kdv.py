@@ -26,7 +26,9 @@ from scipy import special as _sp
 from ..quad import SingularKernel, integrate_segment, singular_time_convolution
 from ..specfun import gamma
 from .problems import DecayClassError, check_compatibility
-from ._common import CoeffLadder, adaptive_series, real_part
+from ._common import (COEFF_TOL, OutsideWindowError, cached_ladder,
+                      datum_coefficient, datum_ladder, doubled_series,
+                      over_factorial, real_part)
 
 ALPHA = cmath.exp(2j * math.pi / 3)
 SQRT3 = math.sqrt(3.0)
@@ -115,7 +117,8 @@ def if0_one_bc(spec, x, t, tol=1e-10):
     if x == 0:
         return float(spec.f0.eval(t))
     if x < 0:
-        raise ValueError("one-condition boundary integral needs x >= 0")
+        raise OutsideWindowError("one-condition boundary integral needs "
+                                 "x >= 0; use the extension for x < 0")
     w_low = x / (3.0 * t) ** (1.0 / 3.0)
     w_high = w_low + (1.5 * (math.log(4.0 / tol) + 5.0)) ** (2.0 / 3.0) + 2.0
     f0c = spec.deriv("f0").compiled(0)
@@ -154,48 +157,21 @@ def kdv1_coefficient(spec, order, t, tol=1e-11):
     """Taylor coefficient a_order(t) of the one-condition boundary part."""
     cache = spec.deriv("f0")
     if order % 3 == 0:
-        m = order // 3
-        return (-1.0) ** m * cache.value(m, t) / math.factorial(order)
+        return datum_coefficient(cache, order, t, 3, 0, -1.0)
     if order % 3 == 1:  # order = 3m - 2
         m = (order + 2) // 3
-        return _family_sum_coefficient(cache, m, t, 1.0 / 3.0, 1.0, tol) / (
-            math.factorial(order)
-        )
+        return over_factorial(
+            _family_sum_coefficient(cache, m, t, 1.0 / 3.0, 1.0, tol), order)
     m = (order + 1) // 3  # order = 3m - 1
-    return _family_sum_coefficient(cache, m, t, 2.0 / 3.0, -1.0, tol) / (
-        math.factorial(order)
-    )
+    return over_factorial(
+        _family_sum_coefficient(cache, m, t, 2.0 / 3.0, -1.0, tol), order)
 
 
-def kdv1_tilde_ladder(spec, t, tol=1e-11, cap=None):
-    cap = cap or spec._ws.get("taylor_cap", 200)
-    key = ("kdv1-tilde", round(t, 14))
-    if key not in spec._ws:
-
-        def build(i):
-            return 2 * i, kdv1_coefficient(spec, 2 * i, t, tol)
-
-        spec._ws[key] = CoeffLadder(build, cap=cap)
-    return spec._ws[key]
-
-
-def kdv1_tilde(spec, x, t, tol=1e-10):
-    value, _, _ = adaptive_series(kdv1_tilde_ladder(spec, t), x, tol)
-    return 2.0 * value
-
-
-def kdv1_tilde_at_zero(spec, x, tol=1e-12):
-    """Closed small-time limit 3 sum (-1)^m x^{3m} f0^{(m)}(0) / (3m)!."""
-    cache = spec.deriv("f0")
-    key = ("kdv1-tilde0",)
-    if key not in spec._ws:
-
-        def build(i):
-            return 3 * i, (-1.0) ** i * cache.value(i, 0.0) / math.factorial(3 * i)
-
-        spec._ws[key] = CoeffLadder(build, cap=200)
-    value, _, _ = adaptive_series(spec._ws[key], x, tol)
-    return 3.0 * value
+def kdv1_tilde_ladder(spec, t, tol=COEFF_TOL):
+    """Ladder of the even boundary coefficients, doubled across x = 0."""
+    return cached_ladder(
+        spec, ("f0", "even", t, tol), 2, (0,),
+        lambda order: kdv1_coefficient(spec, order, t, tol))
 
 
 def extended_one_bc(spec, x, t, tol=1e-10):
@@ -204,14 +180,19 @@ def extended_one_bc(spec, x, t, tol=1e-10):
         return base + if0_one_bc(spec, x, t, tol)
     if x == 0:
         return base + float(spec.f0.eval(t))
-    return base + kdv1_tilde(spec, x, t, tol) - if0_one_bc(spec, -x, t, tol)
+    return (base + doubled_series(kdv1_tilde_ladder(spec, t), x, tol)
+            - if0_one_bc(spec, -x, t, tol))
 
 
 def w0_one_bc(spec, x):
     if x >= 0:
         return float(spec.u0.eval(x))
+    # closed small-time limit of the doubled series:
+    # 3 sum (-1)^m x^{3m} f0^{(m)}(0) / (3m)!
+    series = doubled_series(datum_ladder(spec, "f0", "cubic", 0.0), x, 1e-12,
+                            factor=3.0)
     rotated = spec.u0.eval_complex(ALPHA * x)
-    return kdv1_tilde_at_zero(spec, x) - 2.0 * float(np.real(rotated))
+    return series - 2.0 * float(np.real(rotated))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +272,12 @@ def _kdv2_boundary(spec, which, x, t, tol=1e-10):
     remaining convolution kernel integrates over the undeformed dodged sector
     boundary, absolutely and uniformly in the time lag.
     """
-    cache = spec.deriv("f0" if which == "f0" else "f1")
+    if x < 0:
+        raise OutsideWindowError("two-condition boundary integrals need "
+                                 "x >= 0; use the extension for x < 0")
+    if which == "f0" and x == 0:
+        return float(spec.f0.eval(t))
+    cache = spec.deriv(which)
     n = _N_IBP
     rate = _growth_rate(cache, t, n + 1)
     r0 = max(1.0, (2.2 * rate) ** (1.0 / 3.0))
@@ -368,72 +354,36 @@ def _kdv2_remainder(cache, weight, angles, r0, n, x, t, tol):
 def kdv2_coefficient(spec, which, order, t, tol=1e-11):
     """Taylor coefficients: a-family for f0, b-family for f1.  Structural
     zeros (a_{3m-2}, b_{3m}) return exactly 0."""
-    if which == "f0":
-        cache = spec.deriv("f0")
-        if order % 3 == 0:
-            return cache.value(order // 3, t) / math.factorial(order)
-        if order % 3 == 1:  # a_{3m-2} = 0
-            return 0.0
-        m = (order + 1) // 3
-        total = 0.0
-        for r in range(1, m + 1):
-            total += (
-                (-1.0) ** (m - r)
-                * gamma(m - r + 2.0 / 3.0)
-                * t ** -(m - r + 2.0 / 3.0)
-                * cache.value(r - 1, 0.0)
-            )
-        fm = cache.compiled(m)
-        total += gamma(2.0 / 3.0) * singular_time_convolution(
-            SingularKernel(2.0 / 3.0, lambda s: fm(np.asarray(s, dtype=float))),
-            t, tol=tol,
-        )
-        return -SQRT3 / (2 * math.pi * math.factorial(order)) * total
-    cache = spec.deriv("f1")
-    if order % 3 == 1:  # b_{3m+1}
-        return cache.value((order - 1) // 3, t) / math.factorial(order)
-    if order % 3 == 0:  # b_{3m} = 0
+    cache = spec.deriv(which)
+    offset, beta = (0, 2.0 / 3.0) if which == "f0" else (1, 1.0 / 3.0)
+    if order % 3 == offset:  # a_{3m}, b_{3m+1}
+        return datum_coefficient(cache, order, t, 3, offset)
+    if order % 3 != 2:  # a_{3m-2} = 0, b_{3m} = 0
         return 0.0
-    m = (order + 1) // 3  # b_{3m-1}
+    m = (order + 1) // 3  # a_{3m-1}, b_{3m-1}
     total = 0.0
     for r in range(1, m + 1):
         total += (
             (-1.0) ** (m - r)
-            * gamma(m - r + 1.0 / 3.0)
-            * t ** -(m - r + 1.0 / 3.0)
+            * gamma(m - r + beta)
+            * t ** -(m - r + beta)
             * cache.value(r - 1, 0.0)
         )
     fm = cache.compiled(m)
-    total += gamma(1.0 / 3.0) * singular_time_convolution(
-        SingularKernel(1.0 / 3.0, lambda s: fm(np.asarray(s, dtype=float))),
+    total += gamma(beta) * singular_time_convolution(
+        SingularKernel(beta, lambda s: fm(np.asarray(s, dtype=float))),
         t, tol=tol,
     )
-    return -SQRT3 / (2 * math.pi * math.factorial(order)) * total
+    return over_factorial(-SQRT3, order, 2 * math.pi, total)
 
 
-def kdv2_tilde_ladder(spec, which, t, tol=1e-11, cap=None):
-    cap = cap or spec._ws.get("taylor_cap", 200)
-    key = ("kdv2-tilde", which, round(t, 14))
-    if key not in spec._ws:
-        if which == "f0":
-            # even orders; order = 3m-2 vanishes structurally (skip 4, 10, ...)
-            kept = [m for m in range(0, cap + 1) if m % 2 == 0 and m % 3 != 1]
-        else:
-            kept = [m for m in range(1, cap + 1) if m % 2 == 1 and m % 3 != 0]
-
-        def build(i, kept=kept, which=which):
-            if i >= len(kept):
-                return cap + 1, 0.0
-            order = kept[i]
-            return order, kdv2_coefficient(spec, which, order, t, tol)
-
-        spec._ws[key] = CoeffLadder(build, cap=cap)
-    return spec._ws[key]
-
-
-def kdv2_tilde(spec, which, x, t, tol=1e-10):
-    value, _, _ = adaptive_series(kdv2_tilde_ladder(spec, which, t), x, tol)
-    return 2.0 * value
+def kdv2_tilde_ladder(spec, which, t, tol=COEFF_TOL):
+    """Ladder of the coefficients doubled across x = 0: even orders of the
+    a-family, odd orders of the b-family, structural zeros skipped."""
+    parity, offsets = ("even", (0, 2)) if which == "f0" else ("odd", (1, 5))
+    return cached_ladder(
+        spec, (which, parity, t, tol), 6, offsets,
+        lambda order: kdv2_coefficient(spec, which, order, t, tol))
 
 
 def extended_two_bc(spec, x, t, tol=1e-10):
@@ -444,12 +394,10 @@ def extended_two_bc(spec, x, t, tol=1e-10):
     if x == 0:
         return (base + float(spec.f0.eval(t))
                 + _kdv2_boundary(spec, "f1", 0.0, t, tol))
-    part_f0 = kdv2_tilde(spec, "f0", x, t, tol) - _kdv2_boundary(
-        spec, "f0", -x, t, tol
-    )
-    part_f1 = kdv2_tilde(spec, "f1", x, t, tol) + _kdv2_boundary(
-        spec, "f1", -x, t, tol
-    )
+    part_f0 = doubled_series(kdv2_tilde_ladder(spec, "f0", t), x, tol) - \
+        _kdv2_boundary(spec, "f0", -x, t, tol)
+    part_f1 = doubled_series(kdv2_tilde_ladder(spec, "f1", t), x, tol) + \
+        _kdv2_boundary(spec, "f1", -x, t, tol)
     return base + part_f0 + part_f1
 
 

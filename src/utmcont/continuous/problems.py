@@ -69,7 +69,17 @@ class ProblemSpec:
     c: float = 0.0
     L: float = 0.0
     u0_decay: tuple = ("auto",)
-    _ws: dict = field(default_factory=dict, repr=False, compare=False)
+    # caches: derivative ladders per datum, the resolved decay class, u0
+    # transforms per (max_im, tol), and Taylor ladders per (datum, parity,
+    # t, tol)
+    derivs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    resolved_decay: tuple | None = field(default=None, init=False,
+                                         repr=False, compare=False)
+    transforms: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+    ladders: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -90,28 +100,26 @@ class ProblemSpec:
     # -- caches --------------------------------------------------------
 
     def deriv(self, which):
-        key = ("deriv", which)
-        if key not in self._ws:
-            self._ws[key] = DerivativeCache(getattr(self, which))
-        return self._ws[key]
+        if which not in self.derivs:
+            self.derivs[which] = DerivativeCache(getattr(self, which))
+        return self.derivs[which]
 
     def decay(self):
         """Resolved decay class of u0: ("gaussian",) or ("exponential", rate)."""
-        key = ("decay",)
-        if key not in self._ws:
-            self._ws[key] = _resolve_decay(self.u0, self.u0_decay)
-        return self._ws[key]
+        if self.resolved_decay is None:
+            self.resolved_decay = _resolve_decay(self.u0, self.u0_decay)
+        return self.resolved_decay
 
     def transform(self, max_im=0.0, tol=1e-13):
         """Cached half-line transform of u0 valid for Im k <= max_im."""
-        key = ("hlt", round(max_im, 12))
-        if key not in self._ws:
+        key = (max_im, tol)
+        if key not in self.transforms:
             kind, *rest = self.decay()
             rate = rest[0] if rest else 1.0
-            self._ws[key] = HalfLineTransform(
+            self.transforms[key] = HalfLineTransform(
                 self.u0, kind, rate, tol=tol, max_im=max_im
             )
-        return self._ws[key]
+        return self.transforms[key]
 
 
 def _resolve_decay(u0, declared):

@@ -1,11 +1,10 @@
-"""Complex contour quadrature over segments and decaying rays.
+"""Complex contour quadrature over straight segments.
 
 The spectral representations integrate entire or sector-analytic functions
-over piecewise paths in the complex k-plane: finite segments plus semi-infinite
-rays whose integrands decay per a declared estimate.  Rays are truncated at a
-radius where the declared tail bound drops below the requested tolerance, then
-every piece is integrated by adaptive Gauss-Kronrod (G7/K15) with interval
-bisection, vectorized over the active intervals.
+over piecewise paths in the complex k-plane.  Each solver truncates its own
+infinite pieces at a radius derived from its integrand's decay and passes
+the resulting segments to :func:`integrate_segment`: adaptive Gauss-Kronrod
+(G7/K15) with interval bisection, vectorized over the active intervals.
 
 Also provides the data-transform integrals (half-line and finite-interval
 Fourier-type transforms of initial data) and the endpoint-singular time
@@ -14,31 +13,20 @@ convolutions appearing in the odd/fractional Taylor-coefficient formulas.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Segment",
-    "Ray",
-    "ContourPath",
-    "DecayDescriptor",
     "SingularKernel",
     "QuadratureResult",
     "QuadratureError",
     "DecayError",
-    "integrate_path",
     "integrate_segment",
-    "half_line_transform",
     "HalfLineTransform",
     "finite_interval_transform",
     "singular_time_convolution",
-    "real_line_path",
-    "horizontal_path",
-    "heat_sector_path",
-    "ray_pair_path",
 ]
 
 
@@ -47,7 +35,7 @@ class QuadratureError(RuntimeError):
 
 
 class DecayError(ValueError):
-    """Declared decay cannot dominate the integrand on the requested path."""
+    """Declared decay of the data cannot dominate a transform kernel."""
 
 
 # Gauss-Kronrod 15-point nodes/weights on [-1, 1] with embedded Gauss-7.
@@ -70,58 +58,6 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending nodes
 _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WG15 = np.zeros(15)
 _WG15[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-
-
-@dataclass(frozen=True)
-class Segment:
-    a: complex
-    b: complex
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Semi-infinite piece.  Outbound rays run start -> infinity; inbound rays
-    are traversed from infinity toward start (their contribution flips sign).
-    """
-
-    start: complex
-    direction: complex  # unit complex
-    inbound: bool = False
-
-    def __post_init__(self):
-        mag = abs(self.direction)
-        if not math.isclose(mag, 1.0, rel_tol=1e-9):
-            object.__setattr__(self, "direction", self.direction / mag)
-
-
-@dataclass(frozen=True)
-class DecayDescriptor:
-    """Tail estimate |f| <= scale * exp(-rate * rho**power) along a ray.
-
-    ``power`` 2 covers Gaussian-in-k kernels (heat family), 3 the cubic
-    exponentials (KdV), 1 plain exponential tails.  ``oscillation`` is the
-    phase scale |x| of e^{ikx} factors; it refines the panel layout, not the
-    truncation radius.
-    """
-
-    rate: float
-    power: float = 2.0
-    scale: float = 1.0
-    oscillation: float = 0.0
-
-    def truncation_radius(self, tol):
-        if self.rate <= 0:
-            raise DecayError("decay rate must be positive for ray truncation")
-        target = math.log(max(self.scale, 1.0) / (0.25 * tol)) + 5.0
-        return (target / self.rate) ** (1.0 / self.power)
-
-
-@dataclass(frozen=True)
-class ContourPath:
-    pieces: tuple
-
-    def __iter__(self):
-        return iter(self.pieces)
 
 
 @dataclass
@@ -150,62 +86,6 @@ class SingularKernel:
     def __post_init__(self):
         if not 0 < self.beta < 1:
             raise ValueError("singular exponent beta must lie in (0, 1)")
-
-
-# ---------------------------------------------------------------------------
-# Built-in path constructors
-# ---------------------------------------------------------------------------
-
-
-def real_line_path(radius):
-    """The real axis truncated to [-radius, radius]."""
-    return ContourPath((Segment(-radius + 0j, radius + 0j),))
-
-
-def horizontal_path(height, radius=None):
-    """Horizontal contour at Im k = height, left to right.
-
-    With ``radius`` the contour is the truncated segment; otherwise two rays
-    joined at the imaginary axis, for decay-driven truncation.
-    """
-    if radius is not None:
-        return ContourPath((Segment(-radius + 1j * height, radius + 1j * height),))
-    anchor = 1j * height
-    return ContourPath(
-        (
-            Ray(anchor, -1.0 + 0j, inbound=True),
-            Ray(anchor, 1.0 + 0j),
-        )
-    )
-
-
-def heat_sector_path(r=1.0):
-    """Boundary of the heat-family sector: in along arg 3pi/4, chord at
-    radius r, out along arg pi/4 (region kept on the left)."""
-    a = r * cmath.exp(3j * math.pi / 4)
-    b = r * cmath.exp(1j * math.pi / 4)
-    return ContourPath(
-        (
-            Ray(a, cmath.exp(3j * math.pi / 4), inbound=True),
-            Segment(a, b),
-            Ray(b, cmath.exp(1j * math.pi / 4)),
-        )
-    )
-
-
-def ray_pair_path(angle_in, angle_out, dodge_radius=0.0):
-    """Path in from infinity at ``angle_in`` toward the origin and out to
-    infinity at ``angle_out``, optionally detouring at ``dodge_radius`` to
-    keep clear of an origin singularity (straight chord between the rays)."""
-    din = cmath.exp(1j * angle_in)
-    dout = cmath.exp(1j * angle_out)
-    if dodge_radius > 0:
-        a = dodge_radius * din
-        b = dodge_radius * dout
-        return ContourPath(
-            (Ray(a, din, inbound=True), Segment(a, b), Ray(b, dout))
-        )
-    return ContourPath((Ray(0j, din, inbound=True), Ray(0j, dout)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,40 +173,6 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
     first = next((w for w in warnings if w is not None), None)
     return QuadratureResult(totals, total_errs, evaluations, first,
                             tuple(warnings))
-
-
-def integrate_path(f, path, decay, tol, max_intervals=4096, strict=True):
-    """Integrate a vectorized complex integrand along a :class:`ContourPath`.
-
-    Rays are truncated at the radius where the declared decay bound is below
-    tol/4; panel counts start from the oscillation scale so e^{ikx} phases are
-    resolved before adaptivity begins.
-    """
-    total = 0j
-    err = 0.0
-    evals = 0
-    warning = None
-    for piece in path:
-        if isinstance(piece, Ray):
-            radius = decay.truncation_radius(tol)
-            far = piece.start + radius * piece.direction
-            a, b = (far, piece.start) if piece.inbound else (piece.start, far)
-        else:
-            a, b = piece.a, piece.b
-        length = abs(b - a)
-        panels = 1 + int(length * decay.oscillation / (2 * math.pi))
-        res = integrate_segment(
-            f, a, b, tol=tol / max(len(path.pieces), 1),
-            max_intervals=max_intervals, initial_panels=min(panels, 256),
-        )
-        total += res.value
-        err += res.error
-        evals += res.evaluations
-        if res.warning and warning is None:
-            warning = res.warning
-    if warning and strict:
-        raise QuadratureError(warning)
-    return QuadratureResult(total, err, evals, warning)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +280,6 @@ class HalfLineTransform:
         if np.ndim(k) == 0:
             return complex(out[0])
         return out
-
-
-def half_line_transform(u0, k, decay_kind="exponential", rate=1.0, tol=1e-12):
-    """One-shot u0_hat(k); build a :class:`HalfLineTransform` for sweeps."""
-    im = float(np.max(np.atleast_1d(np.asarray(k, dtype=complex)).imag))
-    tf = HalfLineTransform(u0, decay_kind, rate, tol, max_im=max(im, 0.0))
-    return tf(k)
 
 
 def finite_interval_transform(u0, L, k, tol=1e-12):

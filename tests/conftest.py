@@ -70,3 +70,28 @@ def kdv2_zero_data():
 def interval_gaussian():
     return ProblemSpec("heat-finite-interval", L=1.0, u0=parse(GAUSS_U0),
                        f0=parse(GAUSS_F0), g0=parse("1/sqrt(4*t+1)"))
+
+
+_FRESH_DATA = {
+    "heat-dirichlet": dict(u0="exp(-(x-1)^2)", f0="t*exp(-t)"),
+    "heat-neumann": dict(u0="exp(-x)*cos(3*pi*x)", f1="-sin(4*pi*t)/(4*pi)"),
+    "advected-heat": dict(u0="exp(-x^2)", f0="exp(-t/2)", c=1.0),
+    "kdv-one-bc": dict(u0="2*exp(-x)*cos(x)", f0="2*exp(-2*t)*cos(2*t)",
+                       u0_decay=("exponential", 1.0)),
+    "kdv-two-bc": dict(u0="2*exp(-sqrt(3)*x)*cos(x)", f0="2*cos(8*t)",
+                       f1="-2*sqrt(3)*cos(8*t) - 2*sin(8*t)"),
+    "heat-finite-interval": dict(u0="exp(-(x-1)^2)", f0="t*exp(-t)",
+                                 g0="exp(-t)", L=1.0),
+}
+
+
+@pytest.fixture
+def fresh_spec():
+    """A new ProblemSpec of a kind on every call: nothing cached."""
+
+    def make(kind):
+        fields = {k: parse(v) if isinstance(v, str) else v
+                  for k, v in _FRESH_DATA[kind].items()}
+        return ProblemSpec(kind, **fields)
+
+    return make

@@ -14,6 +14,7 @@ from utmcont.expr import parse
 from utmcont import continuous as cont
 from utmcont.continuous import kdv as kdv_mod
 from utmcont.continuous import heat as heat_mod
+from utmcont.continuous._common import datum_ladder, doubled_series
 from utmcont.semidiscrete import (
     LatticeSpec,
     continuum_limit_check,
@@ -55,7 +56,8 @@ def test_criterion_2_tilde_closed_form(heat_te):
     worst = 0.0
     for t in (0.1, 1.0):
         for x in np.linspace(-5.0, 5.0, 41):
-            got = heat_mod.tilde_value(heat_te, float(x), t, 1e-12)
+            got = doubled_series(heat_mod.tilde_ladder(heat_te, t), float(x),
+                                 1e-12)
             want = math.exp(-t) * (2 * t * math.cos(x) + x * math.sin(x))
             worst = max(worst, abs(got - want))
     _report(2, worst <= 1e-10,
@@ -71,7 +73,8 @@ def test_criterion_3_kdv_one_bc(kdv1_cos, kdv1_te):
         worst = max(worst, abs(ua - ur))
     tilde_worst = 0.0
     for x in np.linspace(-3.0, 1.0, 41):
-        got = kdv_mod.kdv1_tilde_at_zero(kdv1_te, float(x))
+        got = doubled_series(datum_ladder(kdv1_te, "f0", "cubic", 0.0),
+                             float(x), 1e-12, factor=3.0)
         want = -x * math.exp(x) / 3.0 + (2.0 / 3.0) * x * math.exp(-x / 2) \
             * math.sin(math.sqrt(3) * x / 2 + math.pi / 6)
         tilde_worst = max(tilde_worst, abs(got - want))

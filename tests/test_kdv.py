@@ -19,6 +19,14 @@ from utmcont.continuous import (
     taylor_coefficients,
 )
 from utmcont.continuous import kdv
+from utmcont.continuous._common import datum_ladder, doubled_series
+
+
+def _tilde_at_zero(spec, x):
+    """Small-time limit of the doubled series, 3 sum (-1)^m x^{3m}
+    f0^(m)(0) / (3m)!."""
+    return doubled_series(datum_ladder(spec, "f0", "cubic", 0.0), x, 1e-12,
+                          factor=3.0)
 
 
 def test_one_bc_recovery(kdv1_cos):
@@ -53,7 +61,7 @@ def test_one_bc_airy_limit(kdv1_cos):
 def test_one_bc_tilde_small_time_closed_form(kdv1_te):
     # f0 = t e^-t: tilde at t -> 0+ has the closed exponential-sine form
     for x in np.linspace(-3.0, 1.0, 17):
-        got = kdv.kdv1_tilde_at_zero(kdv1_te, float(x))
+        got = _tilde_at_zero(kdv1_te, float(x))
         want = -x * math.exp(x) / 3.0 + (2.0 / 3.0) * x * math.exp(-x / 2) * \
             math.sin(math.sqrt(3) * x / 2 + math.pi / 6)
         assert got == pytest.approx(want, abs=1e-8)
@@ -69,7 +77,7 @@ def test_one_bc_w0(kdv1_cos, kdv1_te):
     x = -1.0
     alpha = kdv.ALPHA
     rotated = 2.0 * np.real(kdv1_te.u0.eval_complex(alpha * x))
-    want = kdv.kdv1_tilde_at_zero(kdv1_te, x) - float(rotated)
+    want = _tilde_at_zero(kdv1_te, x) - float(rotated)
     assert boundary_to_initial(kdv1_te, x) == pytest.approx(want, rel=1e-12)
 
 

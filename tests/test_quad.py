@@ -8,25 +8,34 @@ import pytest
 
 from utmcont.expr import parse
 from utmcont.quad import (
-    ContourPath,
     QuadratureError,
-    DecayDescriptor,
     DecayError,
-    Ray,
-    Segment,
     SingularKernel,
     finite_interval_transform,
-    half_line_transform,
     HalfLineTransform,
-    heat_sector_path,
-    horizontal_path,
-    integrate_path,
     integrate_segment,
-    real_line_path,
     singular_time_convolution,
 )
 
-GAUSS = DecayDescriptor(rate=1.0, power=2)
+
+def _radius(rate, power=2.0, scale=1.0, tol=1e-12):
+    """Truncation radius of a tail bounded by scale * exp(-rate r^power)."""
+    return ((math.log(scale / (0.25 * tol)) + 5.0) / rate) ** (1.0 / power)
+
+
+def _path(f, points, tol, oscillation=0.0):
+    """Sum of integrate_segment over the polygon through ``points``, each
+    segment with an equal share of tol and panels resolving e^{ikx} for
+    |x| = oscillation."""
+    pieces = list(zip(points[:-1], points[1:]))
+    total = 0j
+    for a, b in pieces:
+        panels = 1 + int(abs(b - a) * oscillation / (2 * math.pi))
+        res = integrate_segment(f, a, b, tol=tol / len(pieces),
+                                initial_panels=min(panels, 256))
+        assert res.warning is None, res.warning
+        total += res.value
+    return total
 
 
 def test_segment_constant():
@@ -36,35 +45,33 @@ def test_segment_constant():
 
 def test_rotated_gaussian_ray():
     # int over the pi/4 ray of e^{ik^2} dk = (sqrt(pi)/2) e^{i pi/4}
-    path = ContourPath((Ray(0j, cmath.exp(1j * math.pi / 4)),))
-    res = integrate_path(lambda k: np.exp(1j * k**2), path, GAUSS, 1e-12)
+    far = _radius(1.0) * cmath.exp(1j * math.pi / 4)
+    res = integrate_segment(lambda k: np.exp(1j * k**2), 0j, far, 1e-12)
     expected = (math.sqrt(math.pi) / 2) * cmath.exp(1j * math.pi / 4)
     assert res.value == pytest.approx(expected, abs=1e-12)
 
 
+def _gamma_integrand(k):
+    return k * np.exp(1j * k - 0.5 * k**2)
+
+
 def test_gamma_contour_against_closed_form():
     # int over Im k = 1 of k e^{ik - k^2/2} dk = i sqrt(2 pi) e^{-1/2}
-    def f(k):
-        return k * np.exp(1j * k - 0.5 * k**2)
-
-    res = integrate_path(
-        f, horizontal_path(1.0), DecayDescriptor(rate=0.5, oscillation=1.0), 1e-12
-    )
-    assert res.value == pytest.approx(
+    r = _radius(0.5)
+    value = _path(_gamma_integrand, [-r + 1j, 1j, r + 1j], 1e-12,
+                  oscillation=1.0)
+    assert value == pytest.approx(
         1j * math.sqrt(2 * math.pi) * math.exp(-0.5), abs=1e-12
     )
 
 
 def test_gamma_contour_against_trapezoid_oracle():
-    def f(k):
-        return k * np.exp(1j * k - 0.5 * k**2)
-
     ks = np.linspace(-30.0, 30.0, 1_000_001) + 1j
-    oracle = np.trapezoid(f(ks), ks.real)
-    res = integrate_path(
-        f, horizontal_path(1.0), DecayDescriptor(rate=0.5, oscillation=1.0), 1e-12
-    )
-    assert res.value == pytest.approx(oracle, abs=1e-9)
+    oracle = np.trapezoid(_gamma_integrand(ks), ks.real)
+    r = _radius(0.5)
+    value = _path(_gamma_integrand, [-r + 1j, 1j, r + 1j], 1e-12,
+                  oscillation=1.0)
+    assert value == pytest.approx(oracle, abs=1e-9)
 
 
 def test_contour_deformation_independence():
@@ -74,44 +81,38 @@ def test_contour_deformation_independence():
     def f(k):
         return k * np.exp(1j * k * x - k**2 * tau) / (1j * math.pi)
 
-    sector = integrate_path(
-        f,
-        heat_sector_path(1.0),
-        DecayDescriptor(rate=x * math.sin(math.pi / 4), power=1, scale=80.0,
-                        oscillation=x),
-        1e-10,
-    )
-    gamma = integrate_path(
-        f, horizontal_path(0.5),
-        DecayDescriptor(rate=0.5 * tau, oscillation=x), 1e-12
-    )
+    # in along arg 3pi/4, chord at radius 1, out along arg pi/4
+    far = _radius(x * math.sin(math.pi / 4), power=1, scale=80.0, tol=1e-10)
+    din, dout = cmath.exp(3j * math.pi / 4), cmath.exp(1j * math.pi / 4)
+    sector = _path(f, [far * din, din, dout, far * dout], 1e-10,
+                   oscillation=x)
+    r = _radius(0.5 * tau)
+    gamma = _path(f, [-r + 0.5j, 0.5j, r + 0.5j], 1e-12, oscillation=x)
     exact = x / (2 * math.sqrt(math.pi)) * tau**-1.5 * math.exp(-(x**2) / (4 * tau))
-    assert sector.value.real == pytest.approx(exact, rel=1e-10)
-    assert abs(sector.value - gamma.value) < 10 * 1e-10
+    assert sector.real == pytest.approx(exact, rel=1e-10)
+    assert abs(sector - gamma) < 10 * 1e-10
 
 
 def test_truncation_soundness():
-    radius = GAUSS.truncation_radius(1e-12)
+    radius = _radius(1.0)
     short = integrate_segment(lambda k: np.exp(-(k**2)), 0.0, radius, 1e-13)
     long = integrate_segment(lambda k: np.exp(-(k**2)), 0.0, 2 * radius, 1e-13)
     assert abs(short.value - long.value) < 1e-12
 
 
 def test_linearity():
-    path = real_line_path(8.0)
-
     def f(k):
         return np.exp(-(k**2))
 
     def g(k):
         return k**2 * np.exp(-(k**2))
 
-    combined = integrate_path(lambda k: 2 * f(k) + 3 * g(k), path, GAUSS, 1e-13)
-    separate = (
-        2 * integrate_path(f, path, GAUSS, 1e-13).value
-        + 3 * integrate_path(g, path, GAUSS, 1e-13).value
-    )
-    assert combined.value == pytest.approx(separate, rel=1e-12)
+    def on_line(h):
+        return integrate_segment(h, -8.0, 8.0, 1e-13).value
+
+    combined = on_line(lambda k: 2 * f(k) + 3 * g(k))
+    separate = 2 * on_line(f) + 3 * on_line(g)
+    assert combined == pytest.approx(separate, rel=1e-12)
 
 
 def test_vector_segment_rows_meet_own_budgets():
@@ -155,36 +156,28 @@ def test_scalar_segment_is_one_row_case():
     assert scalar.evaluations == vector.evaluations
 
 
-def test_decay_descriptor_requires_positive_rate():
-    with pytest.raises(DecayError):
-        DecayDescriptor(rate=0.0).truncation_radius(1e-10)
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
 
 def test_half_line_transform_exponential():
-    u0 = parse("exp(-y)")
+    tf = HalfLineTransform(parse("exp(-y)"), "exponential", 1.0)
     for k in (0.0, 2.0, -1.5):
-        assert half_line_transform(u0, k, "exponential", 1.0) == pytest.approx(
-            1 / (1 + 1j * k), abs=1e-12
-        )
+        assert tf(k) == pytest.approx(1 / (1 + 1j * k), abs=1e-12)
 
 
 def test_half_line_transform_linear_exponential():
-    u0 = parse("3*y*exp(-y)")
-    assert half_line_transform(u0, 0.0, "exponential", 1.0) == pytest.approx(
-        3.0, abs=1e-11
-    )
+    tf = HalfLineTransform(parse("3*y*exp(-y)"), "exponential", 1.0)
+    assert tf(0.0) == pytest.approx(3.0, abs=1e-11)
 
 
 def test_half_line_transform_gaussian_oracle():
     u0 = parse("exp(-(y-1)^2)")
     ys = np.linspace(0.0, 40.0, 2_000_001)
     oracle = np.trapezoid(u0.eval(ys) * np.exp(-1j * ys), ys)
-    assert half_line_transform(u0, 1.0, "gaussian") == pytest.approx(oracle, abs=1e-9)
+    assert HalfLineTransform(u0, "gaussian")(1.0) == pytest.approx(oracle,
+                                                                   abs=1e-9)
 
 
 def test_half_line_transform_cache_and_vector():
@@ -203,11 +196,9 @@ def test_half_line_transform_decay_violation():
 
 def test_half_line_transform_complex_argument():
     # Im k < 0 strengthens convergence; value continues 1/(1+ik)
-    u0 = parse("exp(-y)")
+    tf = HalfLineTransform(parse("exp(-y)"), "exponential", 1.0)
     k = 1.0 - 0.5j
-    assert half_line_transform(u0, k, "exponential", 1.0) == pytest.approx(
-        1 / (1 + 1j * k), abs=1e-12
-    )
+    assert tf(k) == pytest.approx(1 / (1 + 1j * k), abs=1e-12)
 
 
 def test_finite_interval_transform_constant():
@@ -281,17 +272,19 @@ def test_singular_convolution_requires_positive_time():
 def test_ray_pair_dodge_independence():
     # the origin dodge radius is arbitrary for integrands analytic away from
     # zero: two different dodges give the same value (Cauchy)
-    from utmcont.quad import ray_pair_path
-
     def f(k):
         return k**2 * np.exp(1j * k * 0.4 - 1j * k**3 * 0.8) / (-1j * k**3) ** 2
 
-    decay = DecayDescriptor(rate=0.5, power=3, oscillation=1.0)
-    a = integrate_path(f, ray_pair_path(math.pi / 2, -math.pi / 6, 1.0),
-                       decay, 1e-11)
-    b = integrate_path(f, ray_pair_path(math.pi / 2, -math.pi / 6, 1.7),
-                       decay, 1e-11)
-    assert a.value == pytest.approx(b.value, abs=1e-10)
+    # in from infinity along arg pi/2, chord at the dodge radius, out along
+    # arg -pi/6; the cubic phase decays like e^{-0.8 r^3} on both rays
+    far = _radius(0.5, power=3, tol=1e-11)
+    din, dout = cmath.exp(1j * math.pi / 2), cmath.exp(-1j * math.pi / 6)
+
+    def dodged(r0):
+        return _path(f, [far * din, r0 * din, r0 * dout, far * dout], 1e-11,
+                     oscillation=1.0)
+
+    assert dodged(1.0) == pytest.approx(dodged(1.7), abs=1e-10)
 
 
 def test_nonconvergence_reports_worst_subinterval():
@@ -301,6 +294,6 @@ def test_nonconvergence_reports_worst_subinterval():
 
     res = integrate_segment(nasty, 0.0, 1.0, tol=1e-13, max_intervals=32)
     assert res.warning is not None and "subinterval" in res.warning
-    with pytest.raises(QuadratureError):
-        integrate_path(nasty, ContourPath((Segment(0.0, 1.0),)),
-                       GAUSS, 1e-13, max_intervals=32)
+    kernel = SingularKernel(0.5, lambda s: nasty(np.asarray(s)))
+    with pytest.raises(QuadratureError, match="subinterval"):
+        singular_time_convolution(kernel, 1.0, tol=1e-13)

@@ -1,0 +1,72 @@
+"""Taylor data and native windows across the continuous kinds: values that
+do not depend on earlier calls, the order cap, and window errors."""
+
+import math
+
+import pytest
+
+from utmcont.continuous import (
+    OutsideWindowError,
+    evaluate_boundary_integral,
+    taylor_coefficients,
+)
+
+
+def test_coefficients_do_not_depend_on_an_earlier_tol(fresh_spec):
+    used = fresh_spec("kdv-two-bc")
+    taylor_coefficients(used, "f0", 1.0, 40, tol=1e-2)
+    got = taylor_coefficients(used, "f0", 1.0, 40, tol=1e-12)
+    want = taylor_coefficients(fresh_spec("kdv-two-bc"), "f0", 1.0, 40,
+                               tol=1e-12)
+    assert got.orders == want.orders
+    assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("kind,which,x", [
+    ("heat-dirichlet", "f0", -0.5),
+    ("heat-neumann", "f1", -0.5),
+    ("advected-heat", "f0", -0.5),
+    ("kdv-one-bc", "f0", -0.5),
+    ("kdv-two-bc", "f0", -0.5),
+    ("kdv-two-bc", "f1", -0.5),
+    ("heat-finite-interval", "f0", -0.5),
+    ("heat-finite-interval", "g0", -1.5),
+])
+def test_boundary_integral_outside_window(fresh_spec, kind, which, x):
+    with pytest.raises(OutsideWindowError):
+        evaluate_boundary_integral(fresh_spec(kind), which, x, 1.0)
+
+
+@pytest.mark.parametrize("kind,which,parity", [
+    ("heat-dirichlet", "f0", "even"),
+    ("heat-neumann", "f1", "odd"),
+    ("kdv-one-bc", "f0", "all"),
+    ("kdv-two-bc", "f1", "odd"),
+])
+def test_coefficients_reach_order_200(fresh_spec, kind, which, parity):
+    t = 0.9
+    base = taylor_coefficients(fresh_spec(kind), which, t, 168,
+                               parity=parity)
+    assert base.stop_reason == "requested"
+    for n in (170, 200):
+        ext = taylor_coefficients(fresh_spec(kind), which, t, n,
+                                  parity=parity)
+        assert ext.orders[-1] <= n
+        assert all(math.isfinite(c) for c in ext.coeffs)
+        assert ext.stop_reason == "requested"
+        kept = [(o, c) for o, c in zip(ext.orders, ext.coeffs) if o <= 168]
+        assert kept == list(zip(base.orders, base.coeffs))
+
+
+def test_stop_reason_cap_past_order_200(fresh_spec):
+    ext = taylor_coefficients(fresh_spec("heat-dirichlet"), "f0", 1.0, 230)
+    assert ext.orders[-1] == 200
+    assert ext.stop_reason == "cap"
+
+
+def test_g0_series_is_about_the_right_end(interval_gaussian):
+    # the doubled g0 series reflects about x = L, where its data sit
+    ext = taylor_coefficients(interval_gaussian, "g0", 1.0, 30)
+    assert ext.expansion_point == interval_gaussian.L
+    assert ext.tilde(interval_gaussian.L) == pytest.approx(
+        2.0 * float(interval_gaussian.g0.eval(1.0)), rel=1e-14)
