@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -105,7 +106,7 @@ class CoeffLadder:
     def through(self, order):
         """The entries of every carried order <= ``order``; computes none
         beyond it."""
-        count = sum(1 for o in self.orders if o <= order)
+        count = bisect.bisect_right(self.orders, order)
         self._extend(count)
         return self.entries[:count]
 
