@@ -5,8 +5,9 @@ schema is validated strictly (unknown keys are rejected) before any
 computation.  Outputs are CSV with 17-significant-digit floats (exact double
 round-trip) plus a JSON run report with per-row provenance tags.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 refused
-boundary-to-initial map.
+Exit codes: 0 success, 2 config error (including a command the problem
+kind does not support), 3 numerical failure, 4 refused boundary-to-initial
+map.
 """
 
 from __future__ import annotations
@@ -438,7 +439,9 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return args.fn(cfg, args)
-    except ConfigError as err:
+    except (ConfigError, cont.ProblemSpecError) as err:
+        # a ProblemSpecError here is a request the kind does not support
+        # (e.g. map-initial of a transport problem), not a numerical failure
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except cont.IncompatibleDataError as err:

@@ -72,12 +72,6 @@ class Solver:
     parity: dict = field(default_factory=dict)
 
 
-def _pointwise(extend):
-    """extended() for kinds evaluated point by point."""
-    return lambda spec, xs, t, tol, depth: np.array(
-        [extend(spec, p, t, tol) for p in xs.tolist()])
-
-
 def _full_ladder(datum, coefficient):
     """The "all" ladder: every order of coefficient(spec, order, t, tol)."""
     return lambda spec, t, tol: cached_ladder(
@@ -101,8 +95,8 @@ _HEAT = dict(
 
 _SOLVERS = {
     "transport": Solver(
-        extended=_pointwise(lambda spec, x, t, tol: transport_solution(
-            spec, x, t))),
+        extended=lambda spec, xs, t, tol, depth: transport_solution(
+            spec, xs, t)),
     "heat-dirichlet": Solver(
         **_HEAT,
         boundary={"f0": lambda spec, x, t, tol: heat.boundary_integral(
@@ -139,8 +133,8 @@ _SOLVERS = {
         i0=lambda spec, x, t, tol: kdv.i0_one_bc(spec, x, t, tol),
         boundary={"f0": lambda spec, x, t, tol: kdv.if0_one_bc(
             spec, x, t, tol)},
-        extended=_pointwise(
-            lambda spec, x, t, tol: kdv.extended_one_bc(spec, x, t, tol)),
+        extended=lambda spec, xs, t, tol, depth: kdv.extended_one_bc(
+            spec, xs, t, tol),
         w0=lambda spec, x, depth: kdv.w0_one_bc(spec, x),
         ladders={
             ("f0", "even"): lambda spec, t, tol: kdv.kdv1_tilde_ladder(
@@ -156,8 +150,8 @@ _SOLVERS = {
                 spec, which, x, t, tol)
             for which in ("f0", "f1")
         },
-        extended=_pointwise(
-            lambda spec, x, t, tol: kdv.extended_two_bc(spec, x, t, tol)),
+        extended=lambda spec, xs, t, tol, depth: kdv.extended_two_bc(
+            spec, xs, t, tol),
         w0=lambda spec, x, depth: kdv.w0_two_bc(spec, x),
         ladders={
             ("f0", "even"): lambda spec, t, tol: kdv.kdv2_tilde_ladder(
@@ -269,9 +263,12 @@ def evaluate_extended(spec, x, t, tol=1e-10, tile_depth=5):
     """Full analytically-continued solution u_ac(x, t).
 
     ``x`` is a point or a 1-D array of points; a scalar gives a float, an
-    array an array.  Heat, advected-heat and finite-interval problems
-    integrate the initial-condition part of the whole array on one shared
-    k-rule; KdV and transport problems are evaluated point by point.
+    array an array.  Every kind takes the whole array: the initial-condition
+    part of every continuous kind, and the two-condition KdV boundary
+    integrals (on |x|), are integrated for all points on one shared k-rule
+    per contour piece, each point meeting its own budget; the other
+    boundary integrals and the doubled Taylor series are evaluated point by
+    point.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if xs.ndim != 1:

@@ -12,7 +12,16 @@ Two boundary conditions (u_t - u_xxx = 0): the initial part integrates over
 one contour below the real axis and two rotated sector contours; the
 boundary parts are evaluated by repeated integration by parts in time, which
 trades the oscillatory kernel for derivative data at the corners plus one
-smooth remainder convolution over a short dodged contour.
+smooth remainder convolution over a short dodged contour.  The corner terms
+are linear in the data, so the n of them share one integrand
+weight(k) e^{ikx - ik^3 t} sum_m f^(m-1)(0) / (-ik^3)^m; the remainder
+factors its kernel as e^{ikx} e^{-ik^3(t-s)}, so its time sum is done once.
+
+Every integrand depends on x only through e^{ikx} or e^{i alpha k x}, so
+``i0_one_bc``, ``i0_two_bc`` and ``_kdv2_boundary`` take a 1-D array of x:
+each contour piece is sized for the largest |x| and integrated once as a
+vector integrand (one row per x, each meeting its own budget), and the data
+transform is computed once per k-node for every x.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from ..specfun import gamma
 from .problems import DecayClassError, check_compatibility
 from ._common import (COEFF_TOL, OutsideWindowError, cached_ladder,
                       datum_coefficient, datum_ladder, doubled_series,
-                      over_factorial, real_part)
+                      like_input, over_factorial, real_part)
 
 ALPHA = cmath.exp(2j * math.pi / 3)
 SQRT3 = math.sqrt(3.0)
@@ -59,57 +68,58 @@ def _kdv1_epsilon(spec):
 
 
 def i0_one_bc(spec, x, t, tol=1e-10):
-    """Initial-condition part of the one-condition problem, entire in x."""
+    """Initial-condition part of the one-condition problem, entire in x, at
+    a point or a 1-D array of points.  The points share one contour per
+    piece, sized for the largest |x|, and each meets its own budget."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
-        return 0.0
+        return like_input(np.zeros(xs.shape), x)
     kind = spec.decay()[0]
     if kind not in ("gaussian", "exponential"):
         raise DecayClassError("one-condition KdV requires exponential decay")
     eps = _kdv1_epsilon(spec)
     tf = spec.transform(max_im=eps, tol=min(tol, 1e-12) * 1e-2)
+    x_max = float(np.max(np.abs(xs)))
     a3 = 3.0 * eps * t
-    log_target = math.log(400.0 / tol) + eps * abs(x) + eps**3 * t
+    log_target = math.log(400.0 / tol) + eps * x_max + eps**3 * t
 
     # on a horizontal contour the kernel decays like e^{-3 eps kappa^2 t};
     # the wing pieces add rotated-phase growth ~ e^{sqrt(3)|x| kappa / 2}
-    growth = SQRT3 * abs(x) / 2.0
+    growth = SQRT3 * x_max / 2.0
     r_mid = math.sqrt(log_target / a3)
     r_wing = (growth + math.sqrt(growth * growth + 4 * a3 * log_target)) / (2 * a3)
 
-    def phase(k):
-        return np.exp(1j * k * x + 1j * k**3 * t)
+    def phase(k, rotation=1.0):
+        # rows = x, columns = k
+        return np.exp(1j * np.outer(xs, rotation * k) + 1j * k**3 * t)
 
     def center(k):
         return phase(k) * tf(k)
 
     def left(k):
-        rot = np.exp(1j * (ALPHA**2) * k * x + 1j * k**3 * t)
-        return phase(k) * ALPHA * tf(ALPHA * k) - rot * tf(k)
+        return phase(k) * (ALPHA * tf(ALPHA * k)) - phase(k, ALPHA**2) * tf(k)
 
     def right(k):
-        rot = np.exp(1j * ALPHA * k * x + 1j * k**3 * t)
-        return phase(k) * ALPHA**2 * tf(ALPHA**2 * k) - rot * tf(k)
+        return phase(k) * (ALPHA**2 * tf(ALPHA**2 * k)) - phase(k, ALPHA) * tf(k)
 
     def connector(k):
         # vertical seam 0 -> i eps: difference between the two wing
         # deformations, which end at i eps while the sector corner sits at 0
-        rot1 = np.exp(1j * (ALPHA**2) * k * x + 1j * k**3 * t)
-        rot2 = np.exp(1j * ALPHA * k * x + 1j * k**3 * t)
         return (
             phase(k) * (ALPHA**2 * tf(ALPHA**2 * k) - ALPHA * tf(ALPHA * k))
-            + (rot1 - rot2) * tf(k)
+            + (phase(k, ALPHA**2) - phase(k, ALPHA)) * tf(k)
         )
 
-    panels = 4 + int((abs(x) + 3 * t) * max(r_mid, r_wing) / (2 * math.pi))
+    panels = 4 + int((x_max + 3 * t) * max(r_mid, r_wing) / (2 * math.pi))
     anchor = 1j * eps
-    total = integrate_segment(center, -r_mid + anchor, r_mid + anchor,
-                              tol=tol / 6, initial_panels=panels).value
-    total += integrate_segment(left, -r_wing + anchor, anchor,
-                               tol=tol / 6, initial_panels=panels).value
-    total += integrate_segment(right, anchor, r_wing + anchor,
-                               tol=tol / 6, initial_panels=panels).value
-    total += integrate_segment(connector, 0j, anchor, tol=tol / 6).value
-    return real_part(total / (2 * math.pi), tol, "kdv1 i0")
+    pieces = ((center, -r_mid + anchor, r_mid + anchor, panels),
+              (left, -r_wing + anchor, anchor, panels),
+              (right, anchor, r_wing + anchor, panels),
+              (connector, 0j, anchor, 1))
+    total = sum(integrate_segment(f, a, b, tol=tol / 6,
+                                  initial_panels=count).value
+                for f, a, b, count in pieces)
+    return like_input(real_part(total / (2 * math.pi), tol, "kdv1 i0"), x)
 
 
 def if0_one_bc(spec, x, t, tol=1e-10):
@@ -175,12 +185,21 @@ def kdv1_tilde_ladder(spec, t, tol=COEFF_TOL):
 
 
 def extended_one_bc(spec, x, t, tol=1e-10):
+    """u_ac(x, t) at each point of the 1-D array x: i0 for the whole array
+    at once, the boundary part point by point."""
     base = i0_one_bc(spec, x, t, tol)
+    return base + np.array([_extended_boundary_one_bc(spec, p, t, tol)
+                            for p in x.tolist()])
+
+
+def _extended_boundary_one_bc(spec, x, t, tol):
+    """Airy convolution for x > 0, continued to x < 0 by the doubled series
+    less the reflected convolution."""
     if x > 0:
-        return base + if0_one_bc(spec, x, t, tol)
+        return if0_one_bc(spec, x, t, tol)
     if x == 0:
-        return base + float(spec.f0.eval(t))
-    return (base + doubled_series(kdv1_tilde_ladder(spec, t), x, tol)
+        return float(spec.f0.eval(t))
+    return (doubled_series(kdv1_tilde_ladder(spec, t), x, tol)
             - if0_one_bc(spec, -x, t, tol))
 
 
@@ -207,19 +226,21 @@ _RAW1_ANGLES = (math.pi / 3, 0.0)  # undeformed sector edges (in, out)
 _RAW2_ANGLES = (math.pi, 2 * math.pi / 3)
 
 
-def _ray_pair_value(f, angles, t, x, tol, dodge=0.0, panels_extra=0):
+def _ray_pair_value(f, angles, t, x_max, tol, dodge=0.0, panels_extra=0):
     """Integrate f over the (inbound, outbound) ray pair, truncating each ray
-    where the cubic decay of e^{-i k^3 t} beats the |e^{ikx}| growth."""
+    where the cubic decay of e^{-i k^3 t} beats the |e^{ikx}| growth for
+    every |x| <= x_max.  f may be a vector integrand (one row per x); each
+    row meets its own budget."""
     ain, aout = angles
     total = 0j
     log_target = math.log(600.0 / tol)
     for angle, inbound in ((ain, True), (aout, False)):
         decay = abs(math.sin(3 * angle)) * t
-        growth = abs(math.sin(angle) * x)
+        growth = abs(math.sin(angle) * x_max)
         radius = _cubic_radius(max(decay, 1e-12), growth, log_target)
         d = cmath.exp(1j * angle)
         a, b = (radius * d, dodge * d) if inbound else (dodge * d, radius * d)
-        panels = 2 + panels_extra + int(radius * (abs(x) + 1.0) / (2 * math.pi))
+        panels = 2 + panels_extra + int(radius * (x_max + 1.0) / (2 * math.pi))
         total += integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
                                    initial_panels=panels).value
     if dodge > 0.0:
@@ -231,24 +252,26 @@ def _ray_pair_value(f, angles, t, x, tol, dodge=0.0, panels_extra=0):
 
 
 def i0_two_bc(spec, x, t, tol=1e-10):
-    """Initial-condition part of the two-condition problem, entire in x."""
+    """Initial-condition part of the two-condition problem, entire in x, at
+    a point or a 1-D array of points.  The points share one ray pair per
+    piece, sized for the largest |x|, and each meets its own budget."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
-        return 0.0
+        return like_input(np.zeros(xs.shape), x)
     tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
+    x_max = float(np.max(np.abs(xs)))
 
-    def f_base(k):
-        return np.exp(1j * k * x - 1j * k**3 * t) * tf(k)
+    def piece(transform):
+        # rows = x, columns = k
+        return lambda k: (np.exp(1j * np.outer(xs, k) - 1j * k**3 * t)
+                          * transform(k))
 
-    def f_d1(k):
-        return np.exp(1j * k * x - 1j * k**3 * t) * tf(ALPHA**2 * k)
-
-    def f_d2(k):
-        return np.exp(1j * k * x - 1j * k**3 * t) * tf(ALPHA * k)
-
-    total = _ray_pair_value(f_base, _G0_ANGLES, t, x, tol)
-    total -= _ray_pair_value(f_d1, _D1_ANGLES, t, x, tol)
-    total -= _ray_pair_value(f_d2, _D2_ANGLES, t, x, tol)
-    return real_part(total / (2 * math.pi), tol, "kdv2 i0")
+    total = _ray_pair_value(piece(tf), _G0_ANGLES, t, x_max, tol)
+    total -= _ray_pair_value(piece(lambda k: tf(ALPHA**2 * k)), _D1_ANGLES,
+                             t, x_max, tol)
+    total -= _ray_pair_value(piece(lambda k: tf(ALPHA * k)), _D2_ANGLES,
+                             t, x_max, tol)
+    return like_input(real_part(total / (2 * math.pi), tol, "kdv2 i0"), x)
 
 
 def _growth_rate(cache, t, depth):
@@ -266,21 +289,31 @@ _N_IBP = 6
 
 
 def _kdv2_boundary(spec, which, x, t, tol=1e-10):
-    """I_{f0} or I_{f1} for x >= 0 via n-fold integration by parts in time.
+    """I_{f0} or I_{f1} at a point or a 1-D array of points x >= 0, via
+    n-fold integration by parts in time; I_{f0} at x = 0 is the datum value
+    by convention.
 
     The corner terms use the deformed sector contours (cubic decay); the one
     remaining convolution kernel integrates over the undeformed dodged sector
-    boundary, absolutely and uniformly in the time lag.
+    boundary, absolutely and uniformly in the time lag.  The points share
+    every contour, sized for the largest x.
     """
-    if x < 0:
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < 0):
         raise OutsideWindowError("two-condition boundary integrals need "
                                  "x >= 0; use the extension for x < 0")
-    if which == "f0" and x == 0:
-        return float(spec.f0.eval(t))
+    out = np.empty(xs.shape)
+    inside = xs > 0 if which == "f0" else xs >= 0
+    if not inside.all():
+        out[~inside] = float(spec.f0.eval(t))
+        if not inside.any():
+            return like_input(out, x)
+    rows = xs[inside]
     cache = spec.deriv(which)
     n = _N_IBP
     rate = _growth_rate(cache, t, n + 1)
     r0 = max(1.0, (2.2 * rate) ** (1.0 / 3.0))
+    x_max = float(np.max(rows))
 
     if which == "f0":
         weight = lambda k: k**2 / (2 * math.pi)
@@ -288,30 +321,32 @@ def _kdv2_boundary(spec, which, x, t, tol=1e-10):
     else:
         weight = lambda k: k / (2j * math.pi)
         coefs = (1.0 - ALPHA**2, 1.0 - ALPHA)
+    corner_data = [cache.value(m - 1, 0.0) for m in range(1, n + 1)]
+
+    def corners(k):
+        # the n corner terms at fixed t are linear in the data, so they
+        # share one integrand: sum_m f^(m-1)(0) / (-i k^3)^m
+        q = -1j * k**3
+        data = sum(fm / q**m for m, fm in enumerate(corner_data, 1))
+        return (np.exp(1j * np.outer(rows, k) - 1j * k**3 * t)
+                * (weight(k) * data))
 
     total = 0j
     for coef, deformed, raw in zip(
         coefs, (_D1_ANGLES, _D2_ANGLES), (_RAW1_ANGLES, _RAW2_ANGLES)
     ):
         # corner terms at fixed t on the decaying contours
-        for m in range(1, n + 1):
-            fm = cache.value(m - 1, 0.0)
-            if fm == 0.0:
-                continue
-
-            def fk(k, m=m):
-                return weight(k) * np.exp(1j * k * x - 1j * k**3 * t) / (
-                    (-1j * k**3) ** m
-                )
-
-            total += coef * fm * _ray_pair_value(fk, deformed, t, x, tol,
-                                                 dodge=r0)
+        if any(corner_data):
+            total += coef * _ray_pair_value(corners, deformed, t, x_max, tol,
+                                            dodge=r0)
         # remainder convolution on the undeformed dodged boundary
-        total += coef * _kdv2_remainder(cache, weight, raw, r0, n, x, t, tol)
-    return real_part(total, tol, f"kdv2 {which} boundary")
+        total += coef * _kdv2_remainder(cache, weight, raw, r0, rate, n,
+                                        rows, t, tol)
+    out[inside] = real_part(total, tol, f"kdv2 {which} boundary")
+    return like_input(out, x)
 
 
-def _kdv2_remainder(cache, weight, angles, r0, n, x, t, tol):
+def _kdv2_remainder(cache, weight, angles, r0, rate, n, xs, t, tol):
     # fixed k-grid along [in-ray, chord, out-ray], truncated where the
     # absolute k^{2-3n} tail is below tol
     radius = max(r0 * 1.6, (1.0 / ((3 * n - 3) * tol * 0.1)) ** (1.0 / (3 * n - 3)))
@@ -323,10 +358,11 @@ def _kdv2_remainder(cache, weight, angles, r0, n, x, t, tol):
         (r0 * dout, radius * dout),
     ]
     xg, wg = np.polynomial.legendre.leggauss(16)
+    x_max = float(np.max(xs))
     knodes, kweights = [], []
     for a, b in pieces:
         length = abs(b - a)
-        panels = 2 + int(length * (abs(x) + r0**2) / (2 * math.pi))
+        panels = 2 + int(length * (x_max + r0**2) / (2 * math.pi))
         edges = np.linspace(0.0, 1.0, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         halves = 0.5 * (edges[1:] - edges[:-1])
@@ -337,7 +373,6 @@ def _kdv2_remainder(cache, weight, angles, r0, n, x, t, tol):
     wk = np.concatenate(kweights) * weight(k) / (-1j * k**3) ** n
 
     # s-panels resolve the data oscillation
-    rate = _growth_rate(cache, t, n + 1)
     spanels = max(8, int(rate * t / 1.5))
     edges = np.linspace(0.0, t, spanels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -346,9 +381,12 @@ def _kdv2_remainder(cache, weight, angles, r0, n, x, t, tol):
     sweights = (halves[:, None] * wg[None, :]).ravel()
     fvals = cache.compiled(n)(snodes)
 
-    kernel = np.exp(1j * k[None, :] * x - 1j * k[None, :] ** 3
-                    * (t - snodes[:, None]))
-    return (sweights * fvals) @ (kernel @ wk)
+    # e^{ikx - ik^3(t-s)} = e^{ikx} e^{-ik^3(t-s)}: the s-sum is done once
+    # for every x, and only the sum over k depends on x (one row at a time,
+    # so a value does not depend on the other points of the call)
+    lagged = (sweights * fvals) @ np.exp(-1j * k[None, :] ** 3
+                                         * (t - snodes[:, None]))
+    return np.einsum("xk,k->x", np.exp(1j * np.outer(xs, k)), lagged * wk)
 
 
 def kdv2_coefficient(spec, which, order, t, tol=1e-11):
@@ -387,17 +425,19 @@ def kdv2_tilde_ladder(spec, which, t, tol=COEFF_TOL):
 
 
 def extended_two_bc(spec, x, t, tol=1e-10):
+    """u_ac(x, t) at each point of the 1-D array x: i0 for the whole array
+    and each boundary integral for every distinct |x| at once; for x < 0
+    the reflected integrals are continued by the doubled series."""
     base = i0_two_bc(spec, x, t, tol)
-    if x > 0:
-        return (base + _kdv2_boundary(spec, "f0", x, t, tol)
-                + _kdv2_boundary(spec, "f1", x, t, tol))
-    if x == 0:
-        return (base + float(spec.f0.eval(t))
-                + _kdv2_boundary(spec, "f1", 0.0, t, tol))
-    part_f0 = doubled_series(kdv2_tilde_ladder(spec, "f0", t), x, tol) - \
-        _kdv2_boundary(spec, "f0", -x, t, tol)
-    part_f1 = doubled_series(kdv2_tilde_ladder(spec, "f1", t), x, tol) + \
-        _kdv2_boundary(spec, "f1", -x, t, tol)
+    dist, back = np.unique(np.abs(x), return_inverse=True)
+    part_f0 = _kdv2_boundary(spec, "f0", dist, t, tol)[back]
+    part_f1 = _kdv2_boundary(spec, "f1", dist, t, tol)[back]
+    for i in np.flatnonzero(x < 0):
+        p = float(x[i])
+        part_f0[i] = (doubled_series(kdv2_tilde_ladder(spec, "f0", t), p, tol)
+                      - part_f0[i])
+        part_f1[i] = (doubled_series(kdv2_tilde_ladder(spec, "f1", t), p, tol)
+                      + part_f1[i])
     return base + part_f0 + part_f1
 
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..expr import DerivativeCache, Expression
 from ..quad import HalfLineTransform
+from ._common import like_input
 
 __all__ = [
     "ProblemSpec",
@@ -225,13 +226,18 @@ def reference_whole_line(name, x, t, c=1.0, u0=None, f0=None):
 
 
 def transport_solution(spec, x, t):
-    """d'Alembert evaluation of the transport problem, extended off-domain."""
+    """d'Alembert evaluation of the transport problem, extended off-domain,
+    at a point or a 1-D array of points.  Each datum is evaluated only on
+    its own points (f0 may be undefined at negative times)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     c = spec.c
-    if c < 0:
-        return float(spec.u0.eval(x - c * t))
-    if t > x / c:
-        return float(spec.f0.eval(t - x / c))
-    return float(spec.u0.eval(x - c * t))
+    behind = t > xs / c if c > 0 else np.zeros(xs.shape, dtype=bool)
+    out = np.empty(xs.shape)
+    if behind.any():
+        out[behind] = spec.f0.eval(t - xs[behind] / c)
+    if not behind.all():
+        out[~behind] = spec.u0.eval(xs[~behind] - c * t)
+    return like_input(out, x)
 
 
 # ---------------------------------------------------------------------------

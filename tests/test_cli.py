@@ -172,6 +172,16 @@ def test_map_initial_refusal_exit_code(tmp_path, capsys):
     assert code == EXIT_REFUSED
 
 
+def test_map_initial_unsupported_kind_is_config_error(capsys):
+    # transport has no boundary-to-initial map: an unsupported request,
+    # not a numerical failure
+    code = main(["map-initial", "--scenario", "transport"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "boundary_to_initial" in err
+
+
 def test_converge_single_h_rejected(tmp_path):
     cfg = {
         "problem": {"kind": "sd-heat-dirichlet", "u0": "3*x*exp(-x)",

@@ -15,6 +15,8 @@ from utmcont.expr import parse
     ("neumann_spec", [-0.7, 0.0, 0.25, 0.9], 0.3),
     ("advected_plus", [-0.8, 0.0, 0.6, 1.7], 1.0),
     ("interval_gaussian", [-0.6, 0.0, 0.5, 1.0, 1.4], 0.5),
+    ("kdv1_cos", [-1.2, -0.4, 0.0, 0.3, 1.1], 0.5),
+    ("kdv2_cos", [-0.8, -0.3, 0.0, 0.3, 0.9], 0.2),
 ])
 def test_array_matches_points(request, fixture, xs, t):
     spec = request.getfixturevalue(fixture)
@@ -78,10 +80,9 @@ def test_scalar_calls_reproduce_point_values():
         assert got == pytest.approx(value, rel=0, abs=1e-14), (name, x, t)
 
 
-def test_heat_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
-    # Per-point evaluation computed the u0 transform at 495,245 distinct
-    # k-nodes for heat_te; the shared k-rule needs a small fraction of that.
-    # A count, not a time, so the guard is free of timing noise.
+def _solve_recording_spec(name, tmp_path, monkeypatch):
+    """Run the built-in scenario ``name`` through ``cli.main`` and return
+    the spec it solved."""
     specs = []
     build = cli.build_problem
 
@@ -91,10 +92,27 @@ def test_heat_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
         return problem
 
     monkeypatch.setattr(cli, "build_problem", recording)
-    cfg = json.loads(cli.scenario_path("heat_te").read_text())
-    cfg["outputs"] = {"csv": str(tmp_path / "heat_te.csv")}
-    path = tmp_path / "heat_te.json"
+    cfg = json.loads(cli.scenario_path(name).read_text())
+    cfg["outputs"] = {"csv": str(tmp_path / f"{name}.csv")}
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["solve", "--config", str(path)]) == 0
     (spec,) = specs
+    return spec
+
+
+def test_heat_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
+    # Per-point evaluation computed the u0 transform at 495,245 distinct
+    # k-nodes for heat_te; the shared k-rule needs a small fraction of that.
+    # A count, not a time, so the guard is free of timing noise.
+    spec = _solve_recording_spec("heat_te", tmp_path, monkeypatch)
     assert len(spec.transform()._cache) < 0.05 * 495_245
+
+
+def test_kdv1_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
+    # Per-point evaluation left 51,870 transform cache entries for kdv1_te
+    # (one transform, at the contour's height above the real axis); the
+    # shared contours need a small fraction of that.
+    spec = _solve_recording_spec("kdv1_te", tmp_path, monkeypatch)
+    entries = sum(len(tf._cache) for tf in spec.transforms.values())
+    assert 0 < entries < 0.10 * 51_870
