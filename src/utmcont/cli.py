@@ -24,7 +24,8 @@ from . import continuous as cont
 from .expr import ExprDomainError, ExprSyntaxError, parse
 from .quad import DecayError, QuadratureError
 from .continuous._common import ResidualWarning
-from .semidiscrete import LatticeSpec, continuum_limit_check, lattice_profile
+from .semidiscrete import (LatticeSpec, continuum_limit_check, lattice_profile,
+                           window_nodes)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
@@ -345,18 +346,17 @@ def cmd_converge(cfg, args):
         f0=datum if condition == "dirichlet" else None,
         f1=datum if condition == "neumann" else None,
     )
-    cache = {}
-
-    def ref(x):
-        if x not in cache:
-            cache[x] = cont.evaluate_extended(cspec, x, T, tol)
-        return cache[x]
-
+    h_values = [float(h) for h in h_values]
     started = time.perf_counter()
+    # one array evaluation of the reference over every level's nodes
+    xs = np.unique(np.concatenate([window_nodes(window, h)[1]
+                                   for h in h_values]))
+    ref = dict(zip(xs.tolist(),
+                   cont.evaluate_extended(cspec, xs, T, tol).tolist()))
     result = continuum_limit_check(
         lambda h: LatticeSpec(h=h, u0=u0, datum=datum, T=T,
                               condition=condition),
-        [float(h) for h in h_values], window, T, ref, tol,
+        h_values, window, T, ref.__getitem__, tol,
     )
     csv_lines = ["h,max_err,observed_order"]
     orders = [None] + result["orders"]

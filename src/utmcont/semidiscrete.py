@@ -8,17 +8,27 @@ sum over boundary-datum derivatives weighted by pole-free gamma-ratio
 products, plus the reflected interior value.  A scaled-Bessel kernel form of
 the boundary term provides an independent cross-check of the integral
 representation.
+
+The initial-data transform sum_m u0(m h) e^{-+i m theta} runs over thousands
+of samples at every theta node.  Since the phase is uniform in m, it factors
+exactly: writing m = m0 + b B + j with B about the square root of the sample
+count, e^{i m theta} = e^{i (m0 + b B) theta} e^{i j theta}.  The sample sums
+within each block are two real matrix products against cos(j theta) and
+sin(j theta), and the block sums are combined with the block phases, so each
+node costs about 2 sqrt(M) exponentials instead of M, and no M-by-nodes
+matrix is ever formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .expr import DerivativeCache, Expression
-from .specfun import bessel_i_scaled, reflection_product_neumann
+from .specfun import bessel_i_scaled
 from .continuous._common import real_part
 
 __all__ = [
@@ -31,6 +41,7 @@ __all__ = [
     "sd_heat_neumann_range",
     "sd_heat_neumann_continued",
     "continuum_limit_check",
+    "window_nodes",
 ]
 
 
@@ -48,7 +59,10 @@ class LatticeSpec:
     datum: Expression
     T: float
     condition: str = "dirichlet"
-    _ws: dict = field(default_factory=dict, repr=False, compare=False)
+    # theta grids by (full_period, n_max), each held with its datum
+    # convolution: see _theta_grid
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.h <= 0:
@@ -58,10 +72,30 @@ class LatticeSpec:
         if self.condition not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown boundary condition {self.condition!r}")
 
+    @cached_property
     def deriv(self):
-        if "deriv" not in self._ws:
-            self._ws["deriv"] = DerivativeCache(self.datum)
-        return self._ws["deriv"]
+        """Derivative ladder of the boundary datum."""
+        return DerivativeCache(self.datum)
+
+    @cached_property
+    def samples(self):
+        """(m0, values): the initial samples u0(m h), m = m0, m0 + 1, ...,
+        read in blocks of 4096 until the last 256 of a block fall below
+        1e-17 max|u0|.
+        The Dirichlet sum starts at m0 = 1, the Neumann sum at m0 = 0."""
+        u0c = self.u0.compiled()
+        start = 1 if self.condition == "dirichlet" else 0
+        block, m0, keep = 4096, start, []
+        scale = 1.0
+        while m0 < 2_000_000:
+            vals = np.asarray(u0c(np.arange(m0, m0 + block) * self.h),
+                              dtype=float)
+            keep.append(vals)
+            scale = max(scale, float(np.max(np.abs(vals))))
+            if np.all(np.abs(vals[-256:]) < 1e-17 * scale):
+                break
+            m0 += block
+        return start, np.concatenate(keep)
 
     def dispersion(self, theta):
         return (2.0 - 2.0 * np.cos(theta)) / (self.h * self.h)
@@ -73,52 +107,26 @@ class LatticeSpec:
 
 
 def _theta_grid(spec, n_max, full_period=False):
-    """Gauss panels over [0, pi] (or [-pi, pi]) resolving e^{i n theta}."""
-    key = ("grid", bool(full_period), int(n_max))
-    if key in spec._ws:
-        return spec._ws[key]
-    lo, hi = (-math.pi, math.pi) if full_period else (0.0, math.pi)
-    panels = max(24, int(1.5 * n_max) + 8)
-    xg, wg = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
-    weights = (halves[:, None] * wg[None, :]).ravel()
-    spec._ws[key] = (nodes, weights)
-    return nodes, weights
-
-
-def _initial_samples(spec, cut=1e-17):
-    key = "samples"
-    if key in spec._ws:
-        return spec._ws[key]
-    u0c = spec.u0.compiled()
-    h = spec.h
-    start = 1 if spec.condition == "dirichlet" else 0
-    block, m0, keep = 4096, start, []
-    scale = 1.0
-    while m0 < 2_000_000:
-        ms = np.arange(m0, m0 + block)
-        vals = np.asarray(u0c(ms * h), dtype=float)
-        keep.append(vals)
-        scale = max(scale, float(np.max(np.abs(vals))))
-        if np.all(np.abs(vals[-256:]) < cut * scale):
-            break
-        m0 += block
-    vals = np.concatenate(keep)
-    ms = np.arange(start, start + len(vals))
-    spec._ws[key] = (ms, vals)
-    return ms, vals
+    """Gauss panels over [0, pi] (or [-pi, pi]) resolving e^{i n theta}, with
+    the datum convolution on the nodes: (nodes, weights, convolution)."""
+    key = (bool(full_period), int(n_max))
+    if key not in spec._grids:
+        lo, hi = (-math.pi, math.pi) if full_period else (0.0, math.pi)
+        panels = max(24, int(1.5 * n_max) + 8)
+        xg, wg = np.polynomial.legendre.leggauss(12)
+        edges = np.linspace(lo, hi, panels + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        halves = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
+        weights = (halves[:, None] * wg[None, :]).ravel()
+        spec._grids[key] = (nodes, weights, _datum_convolution(spec, nodes))
+    return spec._grids[key]
 
 
 def _datum_convolution(spec, theta_nodes):
     """C(theta) = int_0^T e^{-W(theta) (T-t)} datum(t) dt on the grid."""
-    key = ("datum-conv", theta_nodes.tobytes()[:48], len(theta_nodes))
-    if key in spec._ws:
-        return spec._ws[key]
     T, h = spec.T, spec.h
-    fc = spec.deriv().compiled(0)
+    fc = spec.deriv.compiled(0)
     # geometric panels in the lag resolve the stiffest mode W = 4/h^2
     edges = [0.0]
     step = h * h / 8.0
@@ -133,8 +141,28 @@ def _datum_convolution(spec, theta_nodes):
         tau = mid + half * xg
         fv = fc(T - tau)
         total += (half * wg * fv) @ np.exp(-np.outer(tau, w_disp))
-    spec._ws[key] = total
     return total
+
+
+def _phase_sum(start, values, theta, sign):
+    """sum_m values[m - start] e^{sign i m theta} at every theta node.
+
+    With m = start + b B + j, 0 <= j < B, the block sums over j are two real
+    matrix products against cos(j theta) and sin(j theta), and each block
+    enters through one phase e^{sign i (start + b B) theta}: (B + blocks)
+    exponentials per node instead of one per sample.
+    """
+    size = len(values)
+    width = math.isqrt(max(size - 1, 0)) + 1  # B = ceil(sqrt(size))
+    blocks = -(-size // width)
+    padded = np.zeros(blocks * width)
+    padded[:size] = values
+    padded = padded.reshape(blocks, width)
+    inner = np.outer(np.arange(width), theta)
+    sums = padded @ np.cos(inner) + (sign * 1j) * (padded @ np.sin(inner))
+    heads = np.exp((sign * 1j)
+                   * np.outer(start + width * np.arange(blocks), theta))
+    return np.einsum("bt,bt->t", heads, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +178,9 @@ def sd_heat_dirichlet_range(spec, ns, tol=1e-10):
     if spec.condition != "dirichlet":
         raise ValueError("spec has a Neumann datum")
     n_max = int(np.max(ns)) if len(ns) else 0
-    theta, wq = _theta_grid(spec, n_max)
-    wdisp = spec.dispersion(theta)
-    decay = np.exp(-wdisp * spec.T)
-
-    ms, samples = _initial_samples(spec)
-    dsum = np.zeros_like(theta)
-    for lo in range(0, len(ms), 4096):
-        mb = ms[lo : lo + 4096]
-        vb = samples[lo : lo + 4096]
-        dsum += vb @ np.sin(np.outer(mb, theta))
-
-    conv = _datum_convolution(spec, theta)
+    theta, wq, conv = _theta_grid(spec, n_max)
+    decay = np.exp(-spec.dispersion(theta) * spec.T)
+    dsum = _phase_sum(*spec.samples, theta, 1).imag
     base = wq * (2.0 / math.pi) * (decay * dsum
                                    + np.sin(theta) * conv / (spec.h**2))
     sines = np.sin(np.outer(ns, theta))
@@ -179,7 +198,7 @@ def sd_heat_dirichlet(spec, n, tol=1e-10):
 
 def dirichlet_reflection_sum(spec, nu):
     """The exact finite sum 2 sum_p f0^{(p)}(T) h^{2p} f(nu,p) / (2p)!."""
-    cache = spec.deriv()
+    cache = spec.deriv
     h, T = spec.h, spec.T
     total = 0.0
     bracket = 1.0  # h^{2p} * product / (2p)!
@@ -209,7 +228,7 @@ def sd_bessel_kernel_form(spec, n, tol=1e-10):
         raise ValueError("the Bessel kernel form carries an n prefactor; "
                          "n = 0 is the boundary convention")
     h, T = spec.h, spec.T
-    fc = spec.deriv().compiled(0)
+    fc = spec.deriv.compiled(0)
     n_abs = abs(int(n))
 
     def integrand(tau):
@@ -250,17 +269,9 @@ def sd_heat_neumann_range(spec, ns, tol=1e-10):
     if spec.condition != "neumann":
         raise ValueError("spec has a Dirichlet datum")
     n_max = int(np.max(ns)) if len(ns) else 0
-    theta, wq = _theta_grid(spec, n_max, full_period=True)
+    theta, wq, conv = _theta_grid(spec, n_max, full_period=True)
     decay = np.exp(-spec.dispersion(theta) * spec.T)
-
-    ms, samples = _initial_samples(spec)
-    trans = np.zeros_like(theta, dtype=complex)
-    for lo in range(0, len(ms), 4096):
-        mb = ms[lo : lo + 4096]
-        vb = samples[lo : lo + 4096]
-        trans += vb @ np.exp(-1j * np.outer(mb, theta))
-
-    conv = _datum_convolution(spec, theta)
+    trans = _phase_sum(*spec.samples, theta, -1)
     phase = np.exp(1j * theta)
     integrand = (
         decay * (trans + phase * np.conj(trans)) / (2 * math.pi)
@@ -277,15 +288,14 @@ def sd_heat_neumann(spec, n, tol=1e-10):
 
 def neumann_reflection_sum(spec, n):
     """(1-2n) h sum_p u^{(p)}(T) h^{2p} G(p+n)/G(n-p) / (2p+1)!."""
-    cache = spec.deriv()
+    cache = spec.deriv
     h, T = spec.h, spec.T
     total = 0.0
+    prod = 1.0  # specfun.reflection_product_neumann(n, p), factor by factor
     for p in range(0, n):
-        weight = (
-            h ** (2 * p + 1)
-            * reflection_product_neumann(n, p)
-            / math.factorial(2 * p + 1)
-        )
+        if p > 0:
+            prod *= (n + p - 1) * (n - p)
+        weight = h ** (2 * p + 1) * prod / math.factorial(2 * p + 1)
         if weight == 0.0:
             continue
         total += cache.value(p, T) * weight
@@ -330,23 +340,27 @@ def lattice_profile(spec, n_lo, n_hi, tol=1e-10):
     return np.array([out[int(n)] for n in ns])
 
 
+def window_nodes(x_window, h):
+    """Lattice indices n with n h in the window, and their positions n h."""
+    ns = np.arange(math.ceil(x_window[0] / h), math.floor(x_window[1] / h) + 1)
+    return ns, ns * h
+
+
 def continuum_limit_check(make_spec, h_values, x_window, T, reference,
                           tol=1e-10):
     """Refinement study: per-h max error against the continuum solution over
     the window (including x < 0), plus observed log-ratio orders.
 
     ``make_spec(h)`` builds the lattice problem, ``reference(x)`` evaluates
-    the continuum solution at time T.
+    the continuum solution at time T at one node of ``window_nodes``.
     """
     if len(h_values) < 3:
         raise ValueError("need at least three h values for a refinement study")
     rows = []
     for h in h_values:
         spec = make_spec(h)
-        n_lo = math.ceil(x_window[0] / h)
-        n_hi = math.floor(x_window[1] / h)
-        vals = lattice_profile(spec, n_lo, n_hi, tol)
-        xs = np.arange(n_lo, n_hi + 1) * h
+        ns, xs = window_nodes(x_window, h)
+        vals = lattice_profile(spec, ns[0], ns[-1], tol)
         ref = np.array([reference(float(x)) for x in xs])
         rows.append((h, float(np.max(np.abs(vals - ref)))))
     orders = []

@@ -1,17 +1,22 @@
 """Lattice heat equation: representations, continuations, continuum limits."""
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from utmcont.expr import parse
+from utmcont.specfun import reflection_product_neumann
 from utmcont import continuous as cont
 from utmcont.semidiscrete import (
     LatticeSpec,
+    _phase_sum,
     continuum_limit_check,
     dirichlet_reflection_sum,
     lattice_profile,
+    neumann_reflection_sum,
     sd_bessel_kernel_form,
     sd_heat_dirichlet,
     sd_heat_dirichlet_continued,
@@ -232,3 +237,71 @@ def test_dispersion_properties(lattice):
     assert lattice.dispersion(0.3) == pytest.approx(
         lattice.dispersion(0.3 + 2 * math.pi), rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# blocked sample transform, exact lattice modes, memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("size", [1, 7, 64, 1000, 4097])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_phase_sum_matches_direct_sum(start, size, sign):
+    rng = np.random.default_rng(size + 10 * start)
+    values = rng.standard_normal(size) * np.exp(-0.002 * np.arange(size))
+    theta = np.linspace(-math.pi, math.pi, 53)
+    ms = np.arange(start, start + size)
+    direct = values @ np.exp(sign * 1j * np.outer(ms, theta))
+    got = _phase_sum(start, values, theta, sign)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(values))
+
+
+def test_neumann_reflection_sum_keeps_reference_bits(neumann_lattice):
+    # the running product reproduces the per-p product value for value
+    h, T = neumann_lattice.h, neumann_lattice.T
+    for n in range(1, 41):
+        total = 0.0
+        for p in range(n):
+            weight = (h ** (2 * p + 1) * reflection_product_neumann(n, p)
+                      / math.factorial(2 * p + 1))
+            if weight != 0.0:
+                total += neumann_lattice.deriv.value(p, T) * weight
+        assert neumann_reflection_sum(neumann_lattice, n) == (1 - 2 * n) * total
+
+
+def _mode_spec(h, condition, p=1.2, q=4.0, T=0.1):
+    """u_n(t) = Re 2 exp(kappa n h + omega t), kappa = -p + i q, solves the
+    lattice heat equation on the whole lattice when
+    omega = (2 cosh(kappa h) - 2) / h^2."""
+    kappa = complex(-p, q)
+    omega = (2.0 * cmath.cosh(kappa * h) - 2.0) / (h * h)
+    g, d = omega.real, omega.imag
+    if condition == "dirichlet":
+        datum = f"2*exp({g!r}*t)*cos({d!r}*t)"
+    else:  # backward slope (u_0 - u_{-1}) / h
+        w = (1.0 - cmath.exp(-kappa * h)) / h
+        datum = (f"{2.0 * abs(w)!r}*exp({g!r}*t)"
+                 f"*cos({d!r}*t+{cmath.phase(w)!r})")
+    spec = LatticeSpec(h=h, u0=parse(f"2*exp({-p!r}*x)*cos({q!r}*x)"),
+                       datum=parse(datum), T=T, condition=condition)
+    return spec, lambda n: (2.0 * np.exp(kappa * n * h + omega * T)).real
+
+
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("inv_h", [40, 60])
+def test_exact_lattice_mode(condition, inv_h):
+    spec, exact = _mode_spec(1.0 / inv_h, condition)
+    vals = lattice_profile(spec, -60, 120)
+    assert np.max(np.abs(vals - exact(np.arange(-60, 121)))) < 1e-8
+
+
+def test_neumann_range_memory_stays_small():
+    spec, _ = _mode_spec(1.0 / 60, "neumann")
+    tracemalloc.start()
+    try:
+        sd_heat_neumann_range(spec, np.arange(0, 121))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
