@@ -415,7 +415,8 @@ def build_parser():
         p.add_argument("--config", help="path to a scenario JSON config")
         p.add_argument("--scenario", help="name of a built-in scenario")
         p.add_argument("--out", help="CSV output path (stdout otherwise)")
-        p.add_argument("--tol", type=float, default=None)
+        if fn is not cmd_map_initial:
+            p.add_argument("--tol", type=float, default=None)
         p.set_defaults(fn=fn)
     p = sub.add_parser("list-scenarios")
     p.set_defaults(fn=cmd_list_scenarios)

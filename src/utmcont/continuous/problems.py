@@ -70,13 +70,15 @@ class ProblemSpec:
     c: float = 0.0
     L: float = 0.0
     u0_decay: tuple = ("auto",)
-    # caches: derivative ladders per datum, the resolved decay class, u0
-    # transforms per (max_im, tol), and Taylor ladders per (datum, parity,
-    # t, tol)
+    # caches: derivative ladders per datum, the resolved decay class, the
+    # gauged heat-Dirichlet spec of an advected spec, u0 transforms per
+    # (max_im, tol), and Taylor ladders per (datum, parity, t, tol)
     derivs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     resolved_decay: tuple | None = field(default=None, init=False,
                                          repr=False, compare=False)
+    gauged: ProblemSpec | None = field(default=None, init=False, repr=False,
+                                       compare=False)
     transforms: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
     ladders: dict = field(default_factory=dict, init=False, repr=False,

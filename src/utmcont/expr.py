@@ -708,8 +708,10 @@ class Expression:
 
     __radd__ = __add__
 
-    def __mul__(self, scalar):
-        return Expression(_mul(_Num(scalar), self._node), self.var_name)
+    def __mul__(self, other):
+        if isinstance(other, Expression):
+            return Expression(_mul(self._node, other._node), self.var_name)
+        return Expression(_mul(_Num(other), self._node), self.var_name)
 
     __rmul__ = __mul__
 

@@ -98,15 +98,22 @@ def test_smooth_gluing(advected_plus):
 
 
 def test_w0_compatible_is_continuation(advected_plus):
-    # native side exact; continued side at the documented plot-grade accuracy
+    # native side: w0 = u0
     assert boundary_to_initial(advected_plus, 0.7) == pytest.approx(
         math.exp(-0.49), rel=1e-12
     )
-    # continued side is a small-time extrapolation limited to plot-grade
-    # accuracy by series cancellation (see module docs)
-    for x, budget in ((-0.3, 5e-3), (-1.0, 2.5e-2)):
+    # continued side: w0(x) = 2 e^{-cx/2} sum_n g^(n)(0) x^{2n}/(2n)!
+    # - e^{-cx} u0(-x) with g = e^{c^2 t/4} f0, the heat-Dirichlet w0 of the
+    # gauged data times e^{-cx/2}; compatible data continue u0 = e^{-x^2}
+    for x in (-0.3, -1.0, -1.5, -2.0):
         got = boundary_to_initial(advected_plus, x)
-        assert got == pytest.approx(math.exp(-x * x), abs=budget)
+        assert got == pytest.approx(math.exp(-x * x), abs=1e-12)
+    # the drifting Gaussian e^{-(x + t - 1)^2/(4t+1)}/sqrt(4t+1) gives
+    # compatible data with w0 = u0 = e^{-(x-1)^2}
+    drifted = ProblemSpec("advected-heat", c=1.0, u0=parse("exp(-(x-1)^2)"),
+                          f0=parse("exp(-(t-1)^2/(4*t+1))/sqrt(4*t+1)"))
+    assert boundary_to_initial(drifted, -0.3) == pytest.approx(
+        math.exp(-1.69), abs=1e-12)
 
 
 def test_w0_negative_side_structure():

@@ -182,6 +182,14 @@ def test_map_initial_unsupported_kind_is_config_error(capsys):
     assert "boundary_to_initial" in err
 
 
+def test_map_initial_has_no_tol_option(capsys):
+    # w0 takes no tolerance, so --tol is refused rather than ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["map-initial", "--scenario", "heat_te", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_converge_single_h_rejected(tmp_path):
     cfg = {
         "problem": {"kind": "sd-heat-dirichlet", "u0": "3*x*exp(-x)",

@@ -34,6 +34,8 @@ def test_tracer_counts_every_layer(tracer, fresh_spec):
         assert np.all(np.isfinite(values))
     taylor_coefficients(fresh_spec("heat-dirichlet"), "f0", 0.5, 5,
                         parity="all")
+    taylor_coefficients(fresh_spec("advected-heat"), "f0", 0.5, 5,
+                        parity="all")
     counts = tracer.counts
     for layer in ("continuous.i0", "continuous.boundary",
                   "continuous.coeff.heat", "continuous.coeff.advected",
