@@ -54,7 +54,7 @@ class ConfigError(ValueError):
 
 _PROBLEM_KEYS = {"kind", "u0", "f0", "f1", "g0", "c", "L", "h", "u0_decay"}
 _GRID_KEYS = {"x_min", "x_max", "n_points", "times", "n_min", "n_max"}
-_NUMERICS_KEYS = {"tol", "tile_depth"}
+_NUMERICS_KEYS = {"tol"}
 _REFERENCE_KEYS = {"name", "expr", "c"}
 _OUTPUT_KEYS = {"csv", "json"}
 _TOP_KEYS = {"description", "problem", "grid", "numerics", "reference",
@@ -204,7 +204,6 @@ def _write_outputs(csv_lines, report, cfg, out_override):
 def cmd_solve(cfg, args):
     tol = float(args.tol if args.tol is not None
                 else cfg.get("numerics", {}).get("tol", 1e-10))
-    tile_depth = int(cfg.get("numerics", {}).get("tile_depth", 5))
     times = [float(t) for t in cfg["grid"]["times"]]
     reference = build_reference(cfg.get("reference"), times)
     problem = build_problem(cfg["problem"])
@@ -236,8 +235,7 @@ def cmd_solve(cfg, args):
             raise ConfigError(f"grid requires {err} for continuous problems")
         interior = _interior_test(spec)
         for T in times:
-            vals = cont.evaluate_extended(spec, xs, T, tol,
-                                          tile_depth=tile_depth)
+            vals = cont.evaluate_extended(spec, xs, T, tol)
             for x, val in zip(xs.tolist(), vals.tolist()):
                 rows.append(_make_row(x, T, val, reference,
                                       "interior" if interior(x)
@@ -281,14 +279,13 @@ def cmd_map_initial(cfg, args):
     if problem[0] == "lattice":
         raise ConfigError("map-initial applies to continuous problems")
     spec = problem[1]
-    tile_depth = int(cfg.get("numerics", {}).get("tile_depth", 5))
     grid = cfg["grid"]
     xs = np.linspace(float(grid["x_min"]), float(grid["x_max"]),
                      int(grid["n_points"]))
     started = time.perf_counter()
     rows = []
     for x in xs:
-        w0 = cont.boundary_to_initial(spec, float(x), tile_depth=tile_depth)
+        w0 = cont.boundary_to_initial(spec, float(x))
         try:
             u0c = float(spec.u0.eval(float(x)))
         except ExprDomainError:
@@ -298,7 +295,7 @@ def cmd_map_initial(cfg, args):
     # one-sided limits with the linear variation extrapolated away, so a
     # continuous w0 reports a vanishing jump
     delta = 1e-5
-    w = {s: cont.boundary_to_initial(spec, s * delta, tile_depth=tile_depth)
+    w = {s: cont.boundary_to_initial(spec, s * delta)
          for s in (-1.0, -0.5, 0.5, 1.0)}
     left = 2 * w[-0.5] - w[-1.0]
     right = 2 * w[0.5] - w[1.0]

@@ -58,10 +58,11 @@ class Solver:
     up through the module at call time, so a rebinding of a module
     attribute (a tracer, a test double) sees every call.
 
-    ``i0(spec, x, t, tol)``; ``boundary[datum](spec, x, t, tol)`` on the
-    datum's native window; ``extended(spec, xs, t, tol, tile_depth)`` for a
-    1-D array; ``w0(spec, x, tile_depth)``; ``ladders[(datum, parity)](spec,
-    t, tol)`` the Taylor ladder, with ``parity[datum]`` the default parity.
+    ``i0(spec, x, t, tol)`` and ``boundary[datum](spec, x, t, tol)`` (on
+    the datum's native window) take a point or a 1-D array of points;
+    ``extended(spec, xs, t, tol)`` a 1-D array; ``w0(spec, x)`` a point;
+    ``ladders[(datum, parity)](spec, t, tol)`` is the Taylor ladder, with
+    ``parity[datum]`` the default parity.
     """
 
     extended: Callable
@@ -89,14 +90,13 @@ def _odd_center_ladder(spec, t, tol):
 
 _HEAT = dict(
     i0=lambda spec, x, t, tol: heat.i0(spec, x, t, tol),
-    extended=lambda spec, xs, t, tol, depth: heat.extended(spec, xs, t, tol),
-    w0=lambda spec, x, depth: heat.boundary_to_initial(spec, x),
+    extended=lambda spec, xs, t, tol: heat.extended(spec, xs, t, tol),
+    w0=lambda spec, x: heat.boundary_to_initial(spec, x),
 )
 
 _SOLVERS = {
     "transport": Solver(
-        extended=lambda spec, xs, t, tol, depth: transport_solution(
-            spec, xs, t)),
+        extended=lambda spec, xs, t, tol: transport_solution(spec, xs, t)),
     "heat-dirichlet": Solver(
         **_HEAT,
         boundary={"f0": lambda spec, x, t, tol: heat.boundary_integral(
@@ -119,9 +119,8 @@ _SOLVERS = {
         i0=lambda spec, x, t, tol: advected.i0(spec, x, t, tol),
         boundary={"f0": lambda spec, x, t, tol: advected.boundary_integral(
             spec, x, t, tol)},
-        extended=lambda spec, xs, t, tol, depth: advected.extended(
-            spec, xs, t, tol),
-        w0=lambda spec, x, depth: advected.boundary_to_initial(spec, x),
+        extended=lambda spec, xs, t, tol: advected.extended(spec, xs, t, tol),
+        w0=lambda spec, x: advected.boundary_to_initial(spec, x),
         ladders={
             ("f0", "even"): lambda spec, t, tol: advected.tilde_ladder(
                 spec, t, tol),
@@ -133,9 +132,9 @@ _SOLVERS = {
         i0=lambda spec, x, t, tol: kdv.i0_one_bc(spec, x, t, tol),
         boundary={"f0": lambda spec, x, t, tol: kdv.if0_one_bc(
             spec, x, t, tol)},
-        extended=lambda spec, xs, t, tol, depth: kdv.extended_one_bc(
+        extended=lambda spec, xs, t, tol: kdv.extended_one_bc(
             spec, xs, t, tol),
-        w0=lambda spec, x, depth: kdv.w0_one_bc(spec, x),
+        w0=lambda spec, x: kdv.w0_one_bc(spec, x),
         ladders={
             ("f0", "even"): lambda spec, t, tol: kdv.kdv1_tilde_ladder(
                 spec, t, tol),
@@ -150,9 +149,9 @@ _SOLVERS = {
                 spec, which, x, t, tol)
             for which in ("f0", "f1")
         },
-        extended=lambda spec, xs, t, tol, depth: kdv.extended_two_bc(
+        extended=lambda spec, xs, t, tol: kdv.extended_two_bc(
             spec, xs, t, tol),
-        w0=lambda spec, x, depth: kdv.w0_two_bc(spec, x),
+        w0=lambda spec, x: kdv.w0_two_bc(spec, x),
         ladders={
             ("f0", "even"): lambda spec, t, tol: kdv.kdv2_tilde_ladder(
                 spec, "f0", t, tol),
@@ -172,10 +171,9 @@ _SOLVERS = {
             "g0": lambda spec, x, t, tol:
                 finite_interval.right_boundary_integral(spec, x, t, tol),
         },
-        extended=lambda spec, xs, t, tol, depth: finite_interval.extended(
-            spec, xs, t, tol, depth),
-        w0=lambda spec, x, depth: finite_interval.boundary_to_initial(
-            spec, x, depth),
+        extended=lambda spec, xs, t, tol: finite_interval.extended(
+            spec, xs, t, tol),
+        w0=lambda spec, x: finite_interval.boundary_to_initial(spec, x),
         ladders={
             ("f0", "even"): lambda spec, t, tol:
                 finite_interval.tilde_ladders(spec, t)[0],
@@ -205,11 +203,12 @@ def evaluate_I0(spec, x, t, tol=1e-10):
 
 
 def evaluate_boundary_integral(spec, which, x, t, tol=1e-10):
-    """Boundary-datum contribution on its native window.
+    """Boundary-datum contribution on its native window, at a point or a
+    1-D array of points (one shared time rule for the whole array).
 
-    Boundary points return the datum value by convention.  Outside the
-    window an :class:`OutsideWindowError` directs the caller to
-    :func:`evaluate_extended`.
+    Dirichlet-type data return the datum value at their boundary point by
+    convention.  Outside the window an :class:`OutsideWindowError` directs
+    the caller to :func:`evaluate_extended`.
     """
     boundary = _solver(spec, "evaluate_boundary_integral", "boundary")
     if which not in boundary:
@@ -259,15 +258,15 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     )
 
 
-def evaluate_extended(spec, x, t, tol=1e-10, tile_depth=5):
+def evaluate_extended(spec, x, t, tol=1e-10):
     """Full analytically-continued solution u_ac(x, t).
 
     ``x`` is a point or a 1-D array of points; a scalar gives a float, an
     array an array.  Every kind takes the whole array: the initial-condition
-    part of every continuous kind, and the two-condition KdV boundary
-    integrals (on |x|), are integrated for all points on one shared k-rule
-    per contour piece, each point meeting its own budget; the other
-    boundary integrals and the doubled Taylor series are evaluated point by
+    parts on one shared k-rule per contour piece, the boundary integrals on
+    one shared rule per integral (on the distinct values of |x|, or per
+    finite-interval image), each point meeting its own budget.  The doubled
+    Taylor series that continue the boundary parts are summed point by
     point.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -278,10 +277,10 @@ def evaluate_extended(spec, x, t, tol=1e-10, tile_depth=5):
     solver = _SOLVERS[spec.kind]
     if solver.i0 is not None and t <= 0:
         raise ValueError("evaluate_extended requires t > 0")
-    return like_input(solver.extended(spec, xs, t, tol, tile_depth), x)
+    return like_input(solver.extended(spec, xs, t, tol), x)
 
 
-def boundary_to_initial(spec, x, tile_depth=5):
+def boundary_to_initial(spec, x):
     """w0(x): initial condition of the whole-line problem the extension
     solves.  Refuses incompatible two-condition KdV data."""
-    return _solver(spec, "boundary_to_initial", "w0")(spec, x, tile_depth)
+    return _solver(spec, "boundary_to_initial", "w0")(spec, x)

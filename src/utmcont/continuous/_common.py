@@ -8,16 +8,21 @@ import math
 import numpy as np
 
 from ..expr import MAX_DERIVATIVE_ORDER
+from ..quad import SingularKernel, singular_time_convolution
+from ..specfun import gamma
 
 __all__ = [
     "real_part",
     "like_input",
+    "half_line_points",
     "over_factorial",
     "datum_coefficient",
+    "fractional_family",
     "CoeffLadder",
     "cached_ladder",
     "datum_ladder",
     "doubled_series",
+    "reflected",
     "adaptive_series",
     "growth_radius",
     "ResidualWarning",
@@ -57,6 +62,16 @@ def like_input(values, x):
     return float(values[0]) if np.ndim(x) == 0 else values
 
 
+def half_line_points(x, where):
+    """x as a 1-D array of points x >= 0; OutsideWindowError names
+    ``where`` if a point lies behind the boundary."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < 0):
+        raise OutsideWindowError(f"{where} needs x >= 0; use the extension "
+                                 "for x < 0")
+    return xs
+
+
 def over_factorial(value, n, weight=1.0, times=1.0):
     """value / (weight * n!) * times.
 
@@ -75,6 +90,28 @@ def datum_coefficient(cache, order, t, stride=2, offset=0, sign=1.0):
     the doubled series a datum contributes across the boundary."""
     i = (order - offset) // stride
     return over_factorial(sign**i * cache.value(i, t), order)
+
+
+def fractional_family(cache, m, t, beta, tol):
+    """sum_{r=1}^{m} (-1)^{m-r} G(m-r+beta) t^{-(m-r+beta)} f^(r-1)(0)
+    + G(beta) int_0^t f^(m)(s) (t-s)^{-beta} ds: the boundary-derivative sum
+    plus endpoint-singular time convolution behind every fractional
+    coefficient family (heat Dirichlet odd orders with beta = 1/2, the KdV
+    families with beta = 1/3 and 2/3)."""
+    total = 0.0
+    for r in range(1, m + 1):
+        total += (
+            (-1.0) ** (m - r)
+            * gamma(m - r + beta)
+            * t ** -(m - r + beta)
+            * cache.value(r - 1, 0.0)
+        )
+    fm = cache.derivative(m)
+    conv = singular_time_convolution(
+        SingularKernel(beta, lambda s: fm.eval(np.asarray(s, dtype=float))),
+        t, tol=tol,
+    )
+    return total + gamma(beta) * conv
 
 
 class CoeffLadder:
@@ -156,6 +193,19 @@ def doubled_series(ladder, x, tol, factor=2.0):
     reflected series the extensions add across a boundary."""
     value, _, _ = adaptive_series(ladder, x - ladder.center, tol)
     return factor * value
+
+
+def reflected(xs, boundary, ladder, sign, tol):
+    """A half-line boundary part at each point of the 1-D array xs,
+    continued across x = 0 by its reflection identity: boundary(x) for
+    x >= 0, and the doubled series of ``ladder`` plus sign * boundary(-x)
+    for x < 0.  ``boundary`` is called once, on the distinct values of |x|.
+    """
+    dist, back = np.unique(np.abs(xs), return_inverse=True)
+    out = boundary(dist)[back]
+    for i in np.flatnonzero(xs < 0):
+        out[i] = doubled_series(ladder, float(xs[i]), tol) + sign * out[i]
+    return out
 
 
 def adaptive_series(ladder, dx, tol, min_entries=3, quiet_needed=3):

@@ -17,8 +17,8 @@ import numpy as np
 from ..expr import parse
 from ..quad import integrate_segment
 from . import _common, heat
-from ._common import (COEFF_TOL, OutsideWindowError, cached_ladder,
-                      doubled_series, growth_radius, like_input,
+from ._common import (COEFF_TOL, cached_ladder, doubled_series,
+                      growth_radius, half_line_points, like_input,
                       over_factorial, real_part)
 from .problems import ProblemSpec
 
@@ -76,18 +76,21 @@ def _gauged(spec):
 
 
 def _gauge(c, x, t):
-    return math.exp(-c * x / 2.0 - c * c * t / 4.0)
+    """E(x, t) at a point, or at each point of an array (math.exp at a
+    point, so the Taylor coefficients keep the bits of the libm exp)."""
+    if np.ndim(x) == 0:
+        return math.exp(-c * x / 2.0 - c * c * t / 4.0)
+    return np.exp(-c * x / 2.0 - c * c * t / 4.0)
 
 
 def boundary_integral(spec, x, t, tol=1e-10):
-    """E(x, t) times the heat single-layer potential of g, for x >= 0."""
-    if x == 0:
-        return float(spec.f0.eval(t))
-    if x < 0:
-        raise OutsideWindowError("advected boundary integral needs x >= 0; "
-                                 "use the extension for x < 0")
-    return _gauge(spec.c, x, t) * heat.single_layer(_gauged(spec).f0, x, t,
-                                                      tol)
+    """E(x, t) times the heat single-layer potential of g, at a point or a
+    1-D array of points x >= 0; the datum value f0(t) at x = 0."""
+    xs = half_line_points(x, "advected boundary integral")
+    out = _gauge(spec.c, xs, t) * heat.single_layer(_gauged(spec).f0, xs, t,
+                                                    tol)
+    out[xs == 0] = float(spec.f0.eval(t))
+    return like_input(out, x)
 
 
 def boundary_coefficient(spec, order, t, tol=1e-11):
@@ -117,23 +120,13 @@ def tilde_ladder(spec, t, tol=COEFF_TOL):
 
 
 def extended(spec, x, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array x; i0 is integrated for the
-    whole array at once."""
-    base = i0(spec, x, t, tol)
-    return base + np.array([_extended_boundary(spec, p, t, tol)
-                            for p in x.tolist()])
-
-
-def _extended_boundary(spec, x, t, tol):
-    # x < 0: E(x) times the Dirichlet extension of v, whose reflected term
-    # E(x) v_b(-x) is e^{-cx} u_b(-x)
-    if x > 0:
-        return boundary_integral(spec, x, t, tol)
-    if x == 0:
-        return float(spec.f0.eval(t))
-    series = doubled_series(heat.tilde_ladder(_gauged(spec), t), x, tol)
-    return _gauge(spec.c, x, t) * series - math.exp(
-        -spec.c * x) * boundary_integral(spec, -x, t, tol)
+    """u_ac(x, t) at each point of the 1-D array x: i0 plus E(x, t) times
+    the continued heat-Dirichlet boundary part of the gauged spec."""
+    g = _gauged(spec)
+    part = _common.reflected(
+        x, lambda dist: heat.boundary_integral(g, dist, t, tol),
+        heat.tilde_ladder(g, t), -1.0, tol)
+    return i0(spec, x, t, tol) + _gauge(spec.c, x, t) * part
 
 
 def boundary_to_initial(spec, x):

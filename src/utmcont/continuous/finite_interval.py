@@ -3,11 +3,12 @@
 The initial part integrates over the real line plus a horizontal contour
 above the real zeros of sin(kL).  Each boundary integral collapses, via the
 geometric expansion of 1/sin(kL), to an image sum of half-line single-layer
-potentials, which converges like a Gaussian in the image index.  Outside the
-native windows the extensions tile in steps of 2L, accumulating doubled
-Taylor series of the data.  The same boundary integral also has the
-classical Fourier-sine-series form; both evaluators are exposed and must
-agree inside the common window.
+potentials, which converges like a Gaussian in the image index; each image
+is one single-layer call for a whole array of x.  Outside the native windows
+the extensions tile in steps of 2L, accumulating doubled Taylor series of the
+data, and evaluate the window images of all points in one call.  The same
+boundary integral also has the classical Fourier-sine-series form; both
+evaluators are exposed and must agree inside the common window.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from ._common import (OutsideWindowError, datum_ladder, doubled_series,
 from .heat import single_layer
 
 SQRT_PI = math.sqrt(math.pi)
+
+# The tiled extensions reach |x| <= TILE_DEPTH * L.
+TILE_DEPTH = 5
 
 
 def i0(spec, x, t, tol=1e-10):
@@ -88,34 +92,35 @@ def _image_budget(L, t, tol):
     return 1 + int(math.sqrt(max(4.0 * t * math.log(4.0 / tol), 0.0)) / (2 * L))
 
 
-def left_boundary_integral(spec, x, t, tol=1e-10):
-    """I_{f0}(x, t) for x in [0, 2L): image sum of single-layer potentials."""
+def _image_sum(spec, datum, y, t, tol):
+    """sum_j [S(y + 2jL) - S(2(j+1)L - y)] for y in [0, 2L), S the
+    single-layer potential of ``datum``: one array call per image; the
+    datum value at y = 0."""
     L = spec.L
-    if x == 0.0:
-        return float(spec.f0.eval(t))
-    if not 0 < x < 2 * L:
-        raise OutsideWindowError("left boundary integral lives on (0, 2L); "
-                                 "use the tiled extension outside")
-    total = 0.0
+    if np.any((y < 0) | (y >= 2 * L)):
+        raise OutsideWindowError("finite-interval boundary integrals live on "
+                                 "their windows; use the tiled extension "
+                                 "outside")
+    total = np.zeros(y.shape)
     for j in range(_image_budget(L, t, tol) + 1):
-        total += single_layer(spec.f0, x + 2 * j * L, t, tol)
-        total -= single_layer(spec.f0, 2 * (j + 1) * L - x, t, tol)
+        total += single_layer(datum, y + 2 * j * L, t, tol)
+        total -= single_layer(datum, 2 * (j + 1) * L - y, t, tol)
+    total[y == 0] = float(datum.eval(t))
     return total
+
+
+def left_boundary_integral(spec, x, t, tol=1e-10):
+    """I_{f0}(x, t) at a point or a 1-D array of points in [0, 2L): image
+    sum of single-layer potentials."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return like_input(_image_sum(spec, spec.f0, xs, t, tol), x)
 
 
 def right_boundary_integral(spec, x, t, tol=1e-10):
-    """I_{g0}(x, t) for x in (-L, L]: image sum of single-layer potentials."""
-    L = spec.L
-    if x == L:
-        return float(spec.g0.eval(t))
-    if not -L < x < L:
-        raise OutsideWindowError("right boundary integral lives on (-L, L]; "
-                                 "use the tiled extension outside")
-    total = 0.0
-    for j in range(_image_budget(L, t, tol) + 1):
-        total += single_layer(spec.g0, (2 * j + 1) * L - x, t, tol)
-        total -= single_layer(spec.g0, (2 * j + 1) * L + x, t, tol)
-    return total
+    """I_{g0}(x, t) at a point or a 1-D array of points in (-L, L]: the
+    image sum of g0 at the distance L - x from the right end."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return like_input(_image_sum(spec, spec.g0, spec.L - xs, t, tol), x)
 
 
 # ---------------------------------------------------------------------------
@@ -196,79 +201,82 @@ def tilde_ladders(spec, t):
             datum_ladder(spec, "g0", "even", t, center=spec.L))
 
 
-def _check_tile_depth(spec, x, tile_depth):
-    if abs(x) > tile_depth * spec.L:
+def _tile_points(spec, x):
+    """x as a 1-D array, refused past the supported tiling depth."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    far = float(np.max(np.abs(xs)))
+    if far > TILE_DEPTH * spec.L:
         raise ValueError(
-            f"|x| = {abs(x):g} beyond the supported tiling depth "
-            f"{tile_depth} L = {tile_depth * spec.L:g}"
+            f"|x| = {far:g} beyond the supported tiling depth "
+            f"{TILE_DEPTH} L = {TILE_DEPTH * spec.L:g}"
         )
+    return xs
 
 
-def _tile_left(spec, x, at_base, series):
-    """2L-periodic tiling of the left window [0, 2L): at_base(b) at the
-    image b of x in the window, plus the doubled series accumulated on the
-    way from b to x."""
+def _tile_left(spec, xs, at_base, series):
+    """2L-periodic tiling of the left window [0, 2L) at each point of xs:
+    at_base(b) at the images b of the points in the window (one call), plus
+    the doubled series accumulated on the way from each b to its x."""
     L = spec.L
-    n = math.floor(x / (2 * L))
-    value = at_base(x - 2 * n * L)
-    if n >= 1:
-        for j in range(1, n + 1):
-            value -= series(x - 2 * j * L)
-    elif n <= -1:
-        for j in range(0, -n):
-            value += series(x + 2 * j * L)
+    n = np.floor(xs / (2 * L)).astype(int)
+    value = at_base(xs - 2 * n * L)
+    for i, (x, k) in enumerate(zip(xs.tolist(), n.tolist())):
+        for j in range(1, k + 1):
+            value[i] -= series(x - 2 * j * L)
+        for j in range(0, -k):
+            value[i] += series(x + 2 * j * L)
     return value
 
 
-def _tile_right(spec, x, at_base, series):
+def _tile_right(spec, xs, at_base, series):
     """2L-periodic tiling of the right window (-L, L], as _tile_left."""
     L = spec.L
-    n = math.ceil((x - L) / (2 * L))
-    value = at_base(x - 2 * n * L)
-    if n >= 1:
-        for j in range(0, n):
-            value += series(x - 2 * j * L)
-    elif n <= -1:
-        for j in range(1, -n + 1):
-            value -= series(x + 2 * j * L)
+    n = np.ceil((xs - L) / (2 * L)).astype(int)
+    value = at_base(xs - 2 * n * L)
+    for i, (x, k) in enumerate(zip(xs.tolist(), n.tolist())):
+        for j in range(0, k):
+            value[i] += series(x - 2 * j * L)
+        for j in range(1, -k + 1):
+            value[i] -= series(x + 2 * j * L)
     return value
 
 
-def left_extension(spec, x, t, tol=1e-10, tile_depth=5):
-    """I_{f0}^ext: 2L-periodic tiling with accumulated doubled series."""
-    _check_tile_depth(spec, x, tile_depth)
+def left_extension(spec, x, t, tol=1e-10):
+    """I_{f0}^ext at a point or a 1-D array of points: 2L-periodic tiling
+    with accumulated doubled series."""
     ladder = tilde_ladders(spec, t)[0]
-    return _tile_left(spec, x,
-                      lambda b: left_boundary_integral(spec, b, t, tol),
-                      lambda y: doubled_series(ladder, y, tol))
+    values = _tile_left(spec, _tile_points(spec, x),
+                        lambda b: left_boundary_integral(spec, b, t, tol),
+                        lambda y: doubled_series(ladder, y, tol))
+    return like_input(values, x)
 
 
-def right_extension(spec, x, t, tol=1e-10, tile_depth=5):
-    """I_{g0}^ext: tiling of the (-L, L] window."""
-    _check_tile_depth(spec, x, tile_depth)
+def right_extension(spec, x, t, tol=1e-10):
+    """I_{g0}^ext: tiling of the (-L, L] window, as left_extension."""
     ladder = tilde_ladders(spec, t)[1]
-    return _tile_right(spec, x,
-                       lambda b: right_boundary_integral(spec, b, t, tol),
-                       lambda y: doubled_series(ladder, y, tol))
+    values = _tile_right(spec, _tile_points(spec, x),
+                         lambda b: right_boundary_integral(spec, b, t, tol),
+                         lambda y: doubled_series(ladder, y, tol))
+    return like_input(values, x)
 
 
-def extended(spec, x, t, tol=1e-10, tile_depth=5):
+def extended(spec, x, t, tol=1e-10):
     """u_ac(x, t) at each point of the 1-D array x; i0 is integrated for the
     whole array at once, after the tilings have checked the depth."""
-    left = [left_extension(spec, p, t, tol, tile_depth) for p in x.tolist()]
-    right = [right_extension(spec, p, t, tol, tile_depth)
-             for p in x.tolist()]
-    return i0(spec, x, t, tol) + np.array(left) + np.array(right)
+    left = left_extension(spec, x, t, tol)
+    right = right_extension(spec, x, t, tol)
+    return i0(spec, x, t, tol) + left + right
 
 
-def boundary_to_initial(spec, x, tile_depth=5):
+def boundary_to_initial(spec, x):
     """w0(x): odd-tiled u0 plus the t -> 0 limits of both extensions."""
-    _check_tile_depth(spec, x, tile_depth)
+    xs = _tile_points(spec, x)
     f0_ladder, g0_ladder = tilde_ladders(spec, 0.0)
-    value = _tile_left(spec, x, lambda b: i0_at_zero(spec, x),
+    value = _tile_left(spec, xs, lambda b: np.array([i0_at_zero(spec, x)]),
                        lambda y: doubled_series(f0_ladder, y, 1e-13))
-    return _tile_right(spec, x, lambda b: value,
-                       lambda y: doubled_series(g0_ladder, y, 1e-13))
+    value = _tile_right(spec, xs, lambda b: value,
+                        lambda y: doubled_series(g0_ladder, y, 1e-13))
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ Every integrand depends on x only through e^{ikx} or e^{i alpha k x}, so
 ``i0_one_bc``, ``i0_two_bc`` and ``_kdv2_boundary`` take a 1-D array of x:
 each contour piece is sized for the largest |x| and integrated once as a
 vector integrand (one row per x, each meeting its own budget), and the data
-transform is computed once per k-node for every x.
+transform is computed once per k-node for every x.  ``if0_one_bc`` takes
+the array too: shifted by its x-dependent lower limit, its Airy integral
+runs over one span for every x.  Both kinds continue their boundary parts
+to x < 0 by ``_common.reflected``.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ..quad import SingularKernel, integrate_segment, singular_time_convolution
-from ..specfun import gamma
+from ..quad import integrate_segment
 from .problems import DecayClassError, check_compatibility
-from ._common import (COEFF_TOL, OutsideWindowError, cached_ladder,
-                      datum_coefficient, datum_ladder, doubled_series,
-                      like_input, over_factorial, real_part)
+from ._common import (COEFF_TOL, cached_ladder, datum_coefficient,
+                      datum_ladder, doubled_series, fractional_family,
+                      half_line_points, like_input, over_factorial,
+                      real_part, reflected)
 
 ALPHA = cmath.exp(2j * math.pi / 3)
 SQRT3 = math.sqrt(3.0)
@@ -123,58 +126,44 @@ def i0_one_bc(spec, x, t, tol=1e-10):
 
 
 def if0_one_bc(spec, x, t, tol=1e-10):
-    """Airy-kernel convolution, valid for x > 0 (datum value at x = 0)."""
-    if x == 0:
-        return float(spec.f0.eval(t))
-    if x < 0:
-        raise OutsideWindowError("one-condition boundary integral needs "
-                                 "x >= 0; use the extension for x < 0")
-    w_low = x / (3.0 * t) ** (1.0 / 3.0)
-    w_high = w_low + (1.5 * (math.log(4.0 / tol) + 5.0)) ** (2.0 / 3.0) + 2.0
+    """Airy-kernel convolution at a point or a 1-D array of points x >= 0
+    (datum value at x = 0).
+
+    Over w = x/(3(t-s))^{1/3} the integrand is f0(s) Ai(w) on [w_low, inf),
+    w_low = x/(3t)^{1/3}; over u = w - w_low the span does not depend on x,
+    so the points share one adaptive rule.
+    """
+    xs = half_line_points(x, "one-condition boundary integral")
+    rows = xs[:, None]
+    w_low = rows / (3.0 * t) ** (1.0 / 3.0)
     f0c = spec.deriv("f0").compiled(0)
 
-    def integrand(w):
-        w = np.real(np.asarray(w))
-        s = np.clip(t - x**3 / (3.0 * w**3), 0.0, t)
+    def integrand(u):
+        w = w_low + np.real(u)
+        s = np.clip(t - rows**3 / (3.0 * w**3), 0.0, t)
         return f0c(s) * _airy(w)
 
-    res = integrate_segment(integrand, w_low, w_high, tol=tol / 3)
-    return real_part(3.0 * res.value, tol, "kdv1 boundary")
-
-
-def _family_sum_coefficient(cache, m, t, beta, front_sign, tol):
-    """Shared shape of the fractional coefficient families:
-    sum_{r=1}^{m} (-1)^r G(m-r+beta) t^{-(m-r+beta)} f^{(r-1)}(0)
-    + (-1)^m G(beta) * int_0^t f^{(m)}(s) (t-s)^{-beta} ds,
-    scaled by front_sign * sqrt(3)/(2 pi (3m-2 or 3m-1)!)."""
-    total = 0.0
-    for r in range(1, m + 1):
-        total += (
-            (-1.0) ** r
-            * gamma(m - r + beta)
-            * t ** -(m - r + beta)
-            * cache.value(r - 1, 0.0)
-        )
-    fm = cache.compiled(m)
-    conv = singular_time_convolution(
-        SingularKernel(beta, lambda s: fm(np.asarray(s, dtype=float))), t, tol=tol
-    )
-    total += (-1.0) ** m * gamma(beta) * conv
-    return front_sign * SQRT3 / (2.0 * math.pi) * total
+    span = (1.5 * (math.log(4.0 / tol) + 5.0)) ** (2.0 / 3.0) + 2.0
+    res = integrate_segment(integrand, 0.0, span, tol=tol / 3)
+    out = real_part(3.0 * res.value, tol, "kdv1 boundary")
+    out[xs == 0] = float(spec.f0.eval(t))
+    return like_input(out, x)
 
 
 def kdv1_coefficient(spec, order, t, tol=1e-11):
-    """Taylor coefficient a_order(t) of the one-condition boundary part."""
+    """Taylor coefficient a_order(t) of the one-condition boundary part:
+    (-1)^m times the fractional family, beta = 1/3 for order 3m - 2 and
+    2/3 (negated) for order 3m - 1."""
     cache = spec.deriv("f0")
     if order % 3 == 0:
         return datum_coefficient(cache, order, t, 3, 0, -1.0)
     if order % 3 == 1:  # order = 3m - 2
-        m = (order + 2) // 3
-        return over_factorial(
-            _family_sum_coefficient(cache, m, t, 1.0 / 3.0, 1.0, tol), order)
-    m = (order + 1) // 3  # order = 3m - 1
-    return over_factorial(
-        _family_sum_coefficient(cache, m, t, 2.0 / 3.0, -1.0, tol), order)
+        m, beta, front_sign = (order + 2) // 3, 1.0 / 3.0, 1.0
+    else:  # order = 3m - 1
+        m, beta, front_sign = (order + 1) // 3, 2.0 / 3.0, -1.0
+    total = (-1.0) ** m * fractional_family(cache, m, t, beta, tol)
+    return over_factorial(front_sign * SQRT3 / (2.0 * math.pi) * total,
+                          order)
 
 
 def kdv1_tilde_ladder(spec, t, tol=COEFF_TOL):
@@ -185,22 +174,12 @@ def kdv1_tilde_ladder(spec, t, tol=COEFF_TOL):
 
 
 def extended_one_bc(spec, x, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array x: i0 for the whole array
-    at once, the boundary part point by point."""
-    base = i0_one_bc(spec, x, t, tol)
-    return base + np.array([_extended_boundary_one_bc(spec, p, t, tol)
-                            for p in x.tolist()])
-
-
-def _extended_boundary_one_bc(spec, x, t, tol):
-    """Airy convolution for x > 0, continued to x < 0 by the doubled series
-    less the reflected convolution."""
-    if x > 0:
-        return if0_one_bc(spec, x, t, tol)
-    if x == 0:
-        return float(spec.f0.eval(t))
-    return (doubled_series(kdv1_tilde_ladder(spec, t), x, tol)
-            - if0_one_bc(spec, -x, t, tol))
+    """u_ac(x, t) at each point of the 1-D array x: the Airy convolution,
+    continued to x < 0 by the doubled series less the reflected
+    convolution."""
+    return i0_one_bc(spec, x, t, tol) + reflected(
+        x, lambda dist: if0_one_bc(spec, dist, t, tol),
+        kdv1_tilde_ladder(spec, t), -1.0, tol)
 
 
 def w0_one_bc(spec, x):
@@ -298,10 +277,7 @@ def _kdv2_boundary(spec, which, x, t, tol=1e-10):
     boundary, absolutely and uniformly in the time lag.  The points share
     every contour, sized for the largest x.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0):
-        raise OutsideWindowError("two-condition boundary integrals need "
-                                 "x >= 0; use the extension for x < 0")
+    xs = half_line_points(x, "two-condition boundary integral")
     out = np.empty(xs.shape)
     inside = xs > 0 if which == "f0" else xs >= 0
     if not inside.all():
@@ -390,8 +366,9 @@ def _kdv2_remainder(cache, weight, angles, r0, rate, n, xs, t, tol):
 
 
 def kdv2_coefficient(spec, which, order, t, tol=1e-11):
-    """Taylor coefficients: a-family for f0, b-family for f1.  Structural
-    zeros (a_{3m-2}, b_{3m}) return exactly 0."""
+    """Taylor coefficients: a-family for f0, b-family for f1, their
+    fractional orders from the fractional family (beta = 2/3 and 1/3).
+    Structural zeros (a_{3m-2}, b_{3m}) return exactly 0."""
     cache = spec.deriv(which)
     offset, beta = (0, 2.0 / 3.0) if which == "f0" else (1, 1.0 / 3.0)
     if order % 3 == offset:  # a_{3m}, b_{3m+1}
@@ -399,19 +376,7 @@ def kdv2_coefficient(spec, which, order, t, tol=1e-11):
     if order % 3 != 2:  # a_{3m-2} = 0, b_{3m} = 0
         return 0.0
     m = (order + 1) // 3  # a_{3m-1}, b_{3m-1}
-    total = 0.0
-    for r in range(1, m + 1):
-        total += (
-            (-1.0) ** (m - r)
-            * gamma(m - r + beta)
-            * t ** -(m - r + beta)
-            * cache.value(r - 1, 0.0)
-        )
-    fm = cache.compiled(m)
-    total += gamma(beta) * singular_time_convolution(
-        SingularKernel(beta, lambda s: fm(np.asarray(s, dtype=float))),
-        t, tol=tol,
-    )
+    total = fractional_family(cache, m, t, beta, tol)
     return over_factorial(-SQRT3, order, 2 * math.pi, total)
 
 
@@ -425,20 +390,15 @@ def kdv2_tilde_ladder(spec, which, t, tol=COEFF_TOL):
 
 
 def extended_two_bc(spec, x, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array x: i0 for the whole array
-    and each boundary integral for every distinct |x| at once; for x < 0
-    the reflected integrals are continued by the doubled series."""
-    base = i0_two_bc(spec, x, t, tol)
-    dist, back = np.unique(np.abs(x), return_inverse=True)
-    part_f0 = _kdv2_boundary(spec, "f0", dist, t, tol)[back]
-    part_f1 = _kdv2_boundary(spec, "f1", dist, t, tol)[back]
-    for i in np.flatnonzero(x < 0):
-        p = float(x[i])
-        part_f0[i] = (doubled_series(kdv2_tilde_ladder(spec, "f0", t), p, tol)
-                      - part_f0[i])
-        part_f1[i] = (doubled_series(kdv2_tilde_ladder(spec, "f1", t), p, tol)
-                      + part_f1[i])
-    return base + part_f0 + part_f1
+    """u_ac(x, t) at each point of the 1-D array x: i0 plus both boundary
+    integrals, continued to x < 0 by the doubled series less (f0) or plus
+    (f1) the reflected integral."""
+    def part(which, sign):
+        return reflected(
+            x, lambda dist: _kdv2_boundary(spec, which, dist, t, tol),
+            kdv2_tilde_ladder(spec, which, t), sign, tol)
+
+    return i0_two_bc(spec, x, t, tol) + part("f0", -1.0) + part("f1", 1.0)
 
 
 class IncompatibleDataError(ValueError):

@@ -72,7 +72,7 @@ def test_center_series_matches_integral(interval_gaussian):
 
 def test_tiling_depth_guard(interval_gaussian):
     with pytest.raises(ValueError, match="tiling depth"):
-        evaluate_extended(interval_gaussian, 5.5, 1.0, 1e-9, tile_depth=5)
+        evaluate_extended(interval_gaussian, 5.5, 1.0, 1e-9)
 
 
 def test_deep_tiles(interval_gaussian):

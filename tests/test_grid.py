@@ -1,12 +1,14 @@
 """Grid evaluation: one call for an array of x against per-point calls."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from utmcont import cli
-from utmcont.continuous import ProblemSpec, evaluate_extended, evaluate_I0
+from utmcont import cli, quad
+from utmcont.continuous import (ProblemSpec, evaluate_boundary_integral,
+                                evaluate_extended, evaluate_I0)
 from utmcont.expr import parse
 
 
@@ -25,6 +27,61 @@ def test_array_matches_points(request, fixture, xs, t):
     assert grid.shape == (len(xs),)
     points = [evaluate_extended(spec, x, t, tol) for x in xs]
     np.testing.assert_allclose(grid, points, rtol=0, atol=tol)
+
+
+# (kind, datum, points on the datum's native window, the boundary point
+# where a Dirichlet-type datum returns its own value; None for derivative
+# data, which have no such convention)
+BOUNDARY_CASES = [
+    ("heat-dirichlet", "f0", [0.0, 0.15, 0.6, 1.3, 2.4], 0.0),
+    ("heat-neumann", "f1", [0.0, 0.15, 0.6, 1.3, 2.4], None),
+    ("advected-heat", "f0", [0.0, 0.15, 0.6, 1.3, 2.4], 0.0),
+    ("kdv-one-bc", "f0", [0.0, 0.15, 0.6, 1.3, 2.4], 0.0),
+    ("kdv-two-bc", "f0", [0.0, 0.15, 0.4, 0.7, 0.9], 0.0),
+    ("kdv-two-bc", "f1", [0.0, 0.15, 0.4, 0.7, 0.9], None),
+    ("heat-finite-interval", "f0", [0.0, 0.3, 0.9, 1.4, 1.9], 0.0),
+    ("heat-finite-interval", "g0", [-0.8, -0.2, 0.4, 0.9, 1.0], 1.0),
+]
+
+
+@pytest.mark.parametrize("kind, which, xs, edge", BOUNDARY_CASES,
+                         ids=[f"{k}-{w}" for k, w, _, _ in BOUNDARY_CASES])
+def test_boundary_integral_array(fresh_spec, kind, which, xs, edge):
+    spec = fresh_spec(kind)
+    t, tol = 0.5, 1e-10
+    xs = np.array(xs)
+    grid = evaluate_boundary_integral(spec, which, xs, t, tol)
+    assert grid.shape == xs.shape
+    points = [evaluate_boundary_integral(spec, which, x, t, tol) for x in xs]
+    np.testing.assert_allclose(grid, points, rtol=0, atol=tol)
+    # a row depends only on its own x, not on its companions' order
+    reverse = evaluate_boundary_integral(spec, which, xs[::-1], t, tol)
+    assert reverse[::-1].tobytes() == grid.tobytes()
+    if edge is not None:
+        datum = float(getattr(spec, which).eval(t))
+        assert grid[list(xs).index(edge)] == datum
+        assert evaluate_boundary_integral(spec, which, edge, t, tol) == datum
+
+
+def test_fi_te_inv_boundary_quadratures_stay_batched(tmp_path, monkeypatch):
+    # Per-point image sums made 1,418 integrate_segment calls for fi_te_inv;
+    # one array call per image needs a small fraction of that.  A count,
+    # not a time, so the guard is free of timing noise.
+    calls = []
+    real = quad.integrate_segment
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("utmcont")
+                and getattr(module, "integrate_segment", None) is real):
+            monkeypatch.setattr(module, "integrate_segment", counting)
+    out = tmp_path / "fi_te_inv.csv"
+    assert cli.main(["solve", "--scenario", "fi_te_inv", "--out",
+                     str(out)]) == 0
+    assert 0 < len(calls) < 0.10 * 1_418
 
 
 def _fresh_spec(name):

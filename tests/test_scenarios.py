@@ -1,0 +1,70 @@
+"""Every built-in scenario's output stays within its configured tol of the
+recorded one.
+
+``scenario_outputs/`` holds the ``solve`` CSV of every built-in scenario
+and the ``map-initial`` CSV of the finite-interval scenarios.  A change
+that is meant to move these values re-records them with
+
+    PYTHONPATH=src python tests/test_scenarios.py --record
+
+and says in its change notes why they moved.
+"""
+
+import csv
+import json
+import sys
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from utmcont.cli import main, scenario_names
+
+RECORDED = Path(__file__).resolve().parent / "scenario_outputs"
+
+CASES = sorted([("solve", name[:-5]) for name in scenario_names()]
+               + [("map-initial", "fi_gaussian"),
+                  ("map-initial", "fi_te_inv")])
+
+
+def _tol(scenario):
+    cfg = json.loads(resources.files("utmcont.scenarios")
+                     .joinpath(f"{scenario}.json").read_text())
+    return float(cfg.get("numerics", {}).get("tol", 1e-10))
+
+
+def _run(command, scenario, out):
+    assert main([command, "--scenario", scenario, "--out", str(out)]) == 0
+
+
+def _columns(path):
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    header, body = rows[0], rows[1:]
+    values = np.array([[float(v) if v else np.nan for v in row]
+                       for row in body])
+    return header, values
+
+
+@pytest.mark.parametrize("command,scenario", CASES,
+                         ids=[f"{c}-{s}" for c, s in CASES])
+def test_output_within_tol_of_recorded(command, scenario, tmp_path):
+    out = tmp_path / "out.csv"
+    _run(command, scenario, out)
+    header, values = _columns(out)
+    want_header, want = _columns(RECORDED / f"{scenario}.{command}.csv")
+    assert header == want_header
+    assert values.shape == want.shape
+    assert np.array_equal(np.isnan(values), np.isnan(want))
+    live = ~np.isnan(want)
+    diff = np.abs(values[live] - want[live])
+    assert diff.max(initial=0.0) <= _tol(scenario)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    RECORDED.mkdir(exist_ok=True)
+    for command, scenario in CASES:
+        _run(command, scenario, RECORDED / f"{scenario}.{command}.csv")
