@@ -195,24 +195,31 @@ def _solver(spec, op, part):
 
 
 def evaluate_I0(spec, x, t, tol=1e-10):
-    """Initial-condition contribution; entire in x, t > 0."""
+    """Initial-condition contribution at a point or a 1-D array of points
+    (an empty array gives an empty array); entire in x, t > 0."""
     if t <= 0:
         raise ValueError("evaluate_I0 requires t > 0 (use boundary_to_initial "
                          "for the t = 0 profile)")
-    return _solver(spec, "evaluate_I0", "i0")(spec, x, t, tol)
+    i0 = _solver(spec, "evaluate_I0", "i0")
+    if np.size(x) == 0:
+        return np.zeros(0)
+    return i0(spec, x, t, tol)
 
 
 def evaluate_boundary_integral(spec, which, x, t, tol=1e-10):
     """Boundary-datum contribution on its native window, at a point or a
     1-D array of points (one shared time rule for the whole array).
 
-    Dirichlet-type data return the datum value at their boundary point by
-    convention.  Outside the window an :class:`OutsideWindowError` directs
-    the caller to :func:`evaluate_extended`.
+    An empty array gives an empty array.  Dirichlet-type data return the
+    datum value at their boundary point by convention.  Outside the window
+    an :class:`OutsideWindowError` directs the caller to
+    :func:`evaluate_extended`.
     """
     boundary = _solver(spec, "evaluate_boundary_integral", "boundary")
     if which not in boundary:
         raise ProblemSpecError(f"kind {spec.kind} has data {tuple(boundary)}")
+    if np.size(x) == 0:
+        return np.zeros(0)
     return boundary[which](spec, x, t, tol)
 
 

@@ -6,6 +6,14 @@ ic/2 turns the dispersion k^2 - ick into k'^2 + c^2/4).  E is entire and
 never zero, so the boundary part, its continuation, its Taylor data and w0
 are the heat-Dirichlet ones of the gauged spec times E.  The initial part
 keeps its shifted contour: e^{cx/2} u0 need not have a half-line transform.
+
+That contour is the line Im k = eta with eta = max(c, 0) + SHIFT_MARGIN:
+the lowest height the data transform allows, plus a margin.  Its integrand
+e^{ikx - W t} u0_hat(-k + ic) divides by nothing, so no zero of W has to be
+stepped over; u0_hat is the half-line transform, defined for
+Im(-k + ic) <= 0, i.e. eta >= c.  On the line the integrand grows like
+e^{eta max(-x, 0) + eta (eta - c) t}, so a higher eta only raises the
+rounding floor of the quadrature error estimate at x < 0.
 """
 
 from __future__ import annotations
@@ -22,11 +30,20 @@ from ._common import (COEFF_TOL, cached_ladder, doubled_series,
                       over_factorial, real_part)
 from .problems import ProblemSpec
 
+# Height of the shifted initial-part contour above Im k = max(c, 0), the
+# lowest the data transform allows; it keeps Im(-k + ic) < 0, so the
+# transform's integrand gains a factor e^{-SHIFT_MARGIN y} on top of u0's
+# own decay.
+SHIFT_MARGIN = 0.25
+
 
 def i0(spec, x, t, tol=1e-10):
     """Initial-condition part at a point or a 1-D array of points: real-line
-    integral minus the reflected-argument transform integrated over a
-    horizontal contour above the zeros of W.  The points share one adaptive
+    integral minus the reflected-argument transform integrated over the
+    horizontal contour Im k = max(c, 0) + SHIFT_MARGIN: the lowest height
+    at which u0_hat(-k + ic) is defined, plus a margin, since a higher
+    contour only raises the integrand's size at x < 0 and with it the
+    rounding floor of the error estimate.  The points share one adaptive
     k-rule per piece, sized for the largest |x|."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
@@ -49,7 +66,7 @@ def i0(spec, x, t, tol=1e-10):
                            initial_panels=panels)
 
     # piece 2: -(1/2pi) int_{Im k = eta} e^{ikx - W t} u0_hat(-k + ic) dk
-    eta = abs(c) + 1.0
+    eta = max(c, 0.0) + SHIFT_MARGIN
     kappa = growth_radius(t, x_max + 2 * eta * t + abs(c) * t,
                           log_target + eta * (x_max + eta * t))
 

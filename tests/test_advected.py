@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from utmcont.expr import parse
@@ -130,3 +131,72 @@ def test_i0_zero_data():
     spec = ProblemSpec("advected-heat", c=1.0, u0=parse("0*x"),
                        f0=parse("t*exp(-t)"))
     assert evaluate_I0(spec, -0.5, 0.7) == 0.0
+
+
+def _drifting_gaussian(c, a=0.3):
+    """Advected heat data whose exact solution is the drifting Gaussian
+    u = e^{-(x + ct - a)^2/(1 + 4t)}/sqrt(1 + 4t), with that solution."""
+    spec = ProblemSpec(
+        "advected-heat", c=c, u0=parse(f"exp(-(x-{a})^2)"),
+        f0=parse(f"exp(-({c}*t-{a})^2/(1+4*t))/sqrt(1+4*t)"))
+
+    def exact(x, t):
+        return np.exp(-(x + c * t - a) ** 2 / (1 + 4 * t)) / math.sqrt(
+            1 + 4 * t)
+
+    return spec, exact
+
+
+def _recording(monkeypatch):
+    """The results of every integrate_segment call advected.i0 makes, in
+    call order: the line piece, then the shifted piece."""
+    results = []
+    real = advected.integrate_segment
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(advected, "integrate_segment", recording)
+    return results
+
+
+@pytest.mark.parametrize("c", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+def test_i0_shifted_contour_meets_every_budget(c, monkeypatch):
+    # On the contour Im k = eta the integrand grows like
+    # e^{eta max(-x, 0) + eta (eta - c) t}: a contour higher than the data
+    # transform needs puts the rounding floor of the rows at x < 0 above
+    # their budget, and the shared rule then refines every row to
+    # max_intervals (127k-163k evaluations at eta = |c| + 1).
+    results = _recording(monkeypatch)
+    spec, _ = _drifting_gaussian(c)
+    xs = np.linspace(-3.0, 5.0, 81)
+    for t in (0.1, 0.5, 1.0, 2.0):
+        results.clear()
+        values = evaluate_I0(spec, xs, t, 1e-10)
+        assert values.shape == xs.shape and np.all(np.isfinite(values))
+        assert all(w is None for r in results for w in r.warnings), (c, t)
+        assert sum(r.evaluations for r in results) < 5_000, (c, t)
+
+
+def test_negative_drift_matches_exact_behind_boundary():
+    # c = -2 at t = 1: with the contour at Im k = |c| + 1 the error at
+    # x = -2 is 6.4e-10, and on a grid down to x = -3 i0 raises
+    # ResidualWarning
+    spec, exact = _drifting_gaussian(-2.0)
+    xs = np.array([0.0, -0.5, -1.0, -1.5, -2.0])
+    got = evaluate_extended(spec, xs, 1.0, 1e-10)
+    np.testing.assert_allclose(got, exact(xs, 1.0), rtol=0, atol=1e-10)
+
+
+def test_adv_minus_shifted_piece_stays_cheap(advected_minus, monkeypatch):
+    # The adv_minus data on x in [-2, -1.5] at t = 1: with the contour at
+    # Im k = |c| + 1 the shifted piece makes 142,605 evaluations and misses
+    # its budget on every row.  A count, so the guard is free of timing
+    # noise.
+    results = _recording(monkeypatch)
+    evaluate_I0(advected_minus, np.linspace(-2.0, -1.5, 11), 1.0, 1e-10)
+    assert len(results) == 2
+    assert all(w is None for r in results for w in r.warnings)
+    assert results[1].evaluations < 0.05 * 142_605

@@ -63,6 +63,17 @@ def test_boundary_integral_array(fresh_spec, kind, which, xs, edge):
         assert evaluate_boundary_integral(spec, which, edge, t, tol) == datum
 
 
+@pytest.mark.parametrize("kind", sorted({k for k, _, _, _ in BOUNDARY_CASES}))
+def test_empty_array_gives_empty_array(fresh_spec, kind):
+    spec = fresh_spec(kind)
+    empty = np.array([])
+    for got in (evaluate_I0(spec, empty, 0.5),
+                evaluate_extended(spec, empty, 0.5),
+                *(evaluate_boundary_integral(spec, which, empty, 0.5)
+                  for k, which, _, _ in BOUNDARY_CASES if k == kind)):
+        assert got.shape == (0,) and got.dtype == float
+
+
 def test_fi_te_inv_boundary_quadratures_stay_batched(tmp_path, monkeypatch):
     # Per-point image sums made 1,418 integrate_segment calls for fi_te_inv;
     # one array call per image needs a small fraction of that.  A count,
