@@ -106,11 +106,8 @@ def fractional_family(cache, m, t, beta, tol):
             * t ** -(m - r + beta)
             * cache.value(r - 1, 0.0)
         )
-    fm = cache.derivative(m)
     conv = singular_time_convolution(
-        SingularKernel(beta, lambda s: fm.eval(np.asarray(s, dtype=float))),
-        t, tol=tol,
-    )
+        SingularKernel(beta, cache.derivative(m).eval), t, tol=tol)
     return total + gamma(beta) * conv
 
 

@@ -147,7 +147,7 @@ def _sine_tail(order, theta):
 
 def _mode_coefficient(spec, w, t, tol):
     """e_n(t) = int_0^t e^{-w (t-s)} f0(s) ds by short geometric panels."""
-    f0c = spec.deriv("f0").compiled(0)
+    f0c = spec.f0.compiled()
     upper = min(t, 45.0 / w) if w > 0 else t
     edges = [0.0]
     step = min(upper, 1.0 / max(w, 1.0 / t))
@@ -291,7 +291,7 @@ def odd_center_coefficient(spec, n, t, tol=1e-11, images=8):
     if n < 1:
         raise ValueError("odd center coefficients start at n = 1")
     L = spec.L
-    f0c = spec.deriv("f0").compiled(0)
+    f0c = spec.f0.compiled()
 
     def kernel(sigma):
         sigma = np.maximum(np.real(np.asarray(sigma)), 1e-300)

@@ -136,7 +136,7 @@ def if0_one_bc(spec, x, t, tol=1e-10):
     xs = half_line_points(x, "one-condition boundary integral")
     rows = xs[:, None]
     w_low = rows / (3.0 * t) ** (1.0 / 3.0)
-    f0c = spec.deriv("f0").compiled(0)
+    f0c = spec.f0.compiled()
 
     def integrand(u):
         w = w_low + np.real(u)
@@ -355,7 +355,7 @@ def _kdv2_remainder(cache, weight, angles, r0, rate, n, xs, t, tol):
     halves = 0.5 * (edges[1:] - edges[:-1])
     snodes = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
     sweights = (halves[:, None] * wg[None, :]).ravel()
-    fvals = cache.compiled(n)(snodes)
+    fvals = cache.derivative(n).compiled()(snodes)
 
     # e^{ikx - ik^3(t-s)} = e^{ikx} e^{-ik^3(t-s)}: the s-sum is done once
     # for every x, and only the sum over k depends on x (one row at a time,

@@ -1,16 +1,16 @@
-"""Closed-form data expressions: parsing, exact differentiation, evaluation.
+"""Closed-form data expressions: parsing, evaluation and Taylor jets.
 
 Boundary and initial data (f0, f1, g0, u0) enter every coefficient formula
-through their derivatives, often to high order, so expressions are kept
-symbolic and differentiated exactly.  The grammar covers constants (including
-``pi``), one free variable, ``+ - * /``, powers with constant exponents, and
-``exp, sin, cos, sinh, cosh, sqrt``, closed under differentiation.
+through their derivatives, often to high order.  The grammar covers
+constants (including ``pi``), one free variable, ``+ - * /``, powers with
+constant exponents, and ``exp, sin, cos, sinh, cosh, sqrt``.
 
-Trees are canonicalized on construction: constants fold, products flatten and
-merge repeated bases into powers, sums flatten and collect like terms.  This
-keeps the derivative sequence of the supported data class (polynomial x
-exponential x trigonometric, rational powers of linear factors) at polynomial
-size in the derivative order.
+Trees are canonicalized on construction: constants fold, products flatten,
+merge repeated bases into powers and their exponentials into one, and
+distribute over sums; sums flatten and collect like terms.  Values are
+evaluated from the tree; derivatives of any order come from truncated
+Taylor series (jets) propagated over it, f^(k)(x)/k! for k up to the
+requested order at every point at once.
 """
 
 from __future__ import annotations
@@ -31,14 +31,6 @@ __all__ = [
 MAX_DERIVATIVE_ORDER = 200
 
 _FUNCTIONS = ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
-
-_NUMPY_FN = {
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-}
 
 
 class ExprSyntaxError(ValueError):
@@ -64,9 +56,6 @@ class DerivativeOrderError(ValueError):
 
 class _Node:
     __slots__ = ("_key",)
-
-    def key(self):
-        return self._key
 
     def __eq__(self, other):
         return isinstance(other, _Node) and self._key == other._key
@@ -96,7 +85,7 @@ class _Fn(_Node):
     def __init__(self, name, arg):
         self.name = name
         self.arg = arg
-        self._key = ("fn", name, arg.key())
+        self._key = ("fn", name, arg._key)
 
 
 class _Pow(_Node):
@@ -106,7 +95,7 @@ class _Pow(_Node):
     def __init__(self, base, expo):
         self.base = base
         self.expo = float(expo)
-        self._key = ("pow", base.key(), self.expo)
+        self._key = ("pow", base._key, self.expo)
 
 
 class _Mul(_Node):
@@ -116,7 +105,7 @@ class _Mul(_Node):
     def __init__(self, coeff, factors):
         self.coeff = float(coeff)
         self.factors = tuple(factors)
-        self._key = ("mul", self.coeff, tuple((b.key(), e) for b, e in self.factors))
+        self._key = ("mul", self.coeff, tuple((b._key, e) for b, e in self.factors))
 
 
 class _Add(_Node):
@@ -124,7 +113,7 @@ class _Add(_Node):
 
     def __init__(self, terms):
         self.terms = tuple(terms)
-        self._key = ("add", tuple(t.key() for t in self.terms))
+        self._key = ("add", tuple(t._key for t in self.terms))
 
 
 _ZERO = _Num(0.0)
@@ -157,81 +146,64 @@ def _mul_from(coeff, factors):
         return _ZERO
     if not factors:
         return _Num(coeff)
-    if coeff == 1.0 and len(factors) == 1 and factors[0][1] == 1.0:
-        return factors[0][0]
-    if len(factors) == 1 and factors[0][1] != 1.0 and coeff == 1.0:
-        return _pow(factors[0][0], factors[0][1])
+    if coeff == 1.0 and len(factors) == 1:
+        return _pow(*factors[0])
     return _Mul(coeff, factors)
 
 
 def _mul(*nodes):
     coeff = 1.0
-    merged = {}
-    order = []
-    stack = list(nodes)
-    for node in stack:
+    merged = {}  # base key: (base, summed exponent), in order of appearance
+    for node in nodes:
         c, facs = _as_factors(node)
         coeff *= c
         for base, expo in facs:
-            k = base.key()
-            if k in merged:
-                b0, e0 = merged[k]
-                merged[k] = (b0, e0 + expo)
-            else:
-                merged[k] = (base, expo)
-                order.append(k)
+            _, seen = merged.get(base._key, (base, 0.0))
+            merged[base._key] = (base, seen + expo)
     if coeff == 0.0:
         return _ZERO
+    exps = [(b, e) for b, e in merged.values() if _is_exp(b)]
+    if len(exps) > 1 or (exps and exps[0][1] != 1.0):
+        # exp(a)^p * exp(b)^q = exp(p*a + q*b)
+        arg = _add(*[_mul(_Num(e), b.arg) for b, e in exps])
+        rest = [_Pow(b, e) for b, e in merged.values() if not _is_exp(b)]
+        return _mul(_Num(coeff), _fn("exp", arg), *rest)
     factors = []
     adds_to_expand = []
-    for k in order:
-        base, expo = merged[k]
+    for base, expo in merged.values():
         if expo == 0.0:
             continue
         if isinstance(base, _Add) and expo > 0 and _is_int(expo) and expo <= 16:
             adds_to_expand.append((base, int(round(expo))))
         else:
             factors.append((base, expo))
-    factors.sort(key=lambda f: (f[0].key(), f[1]))
+    factors.sort(key=lambda f: (f[0]._key, f[1]))
     result = _mul_from(coeff, tuple(factors))
     for base, n in adds_to_expand:
         for _ in range(n):
-            result = _distribute(result, base)
+            result = _add(*[_mul(result, t) for t in base.terms])
     return result
 
 
-def _distribute(node, add):
-    return _add(*[_mul(node, t) for t in add.terms])
-
-
-def _split_coeff(node):
-    """Split a term into (coefficient, canonical non-numeric part key, part)."""
-    if isinstance(node, _Num):
-        return node.value, None
-    if isinstance(node, _Mul):
-        return node.coeff, _mul_from(1.0, node.factors)
-    return 1.0, node
+def _is_exp(node):
+    return isinstance(node, _Fn) and node.name == "exp"
 
 
 def _add(*nodes):
     const = 0.0
-    parts = {}
-    order = []
+    parts = {}  # part key: (summed coefficient, part)
     for node in nodes:
         todo = node.terms if isinstance(node, _Add) else (node,)
         for t in todo:
-            c, part = _split_coeff(t)
-            if part is None:
-                const += c
+            if isinstance(t, _Num):
+                const += t.value
                 continue
-            k = part.key()
-            if k in parts:
-                parts[k] = (parts[k][0] + c, part)
-            else:
-                parts[k] = (c, part)
-                order.append(k)
+            c, part = ((t.coeff, _mul_from(1.0, t.factors))
+                       if isinstance(t, _Mul) else (1.0, t))
+            total, _ = parts.get(part._key, (0.0, part))
+            parts[part._key] = (total + c, part)
     terms = []
-    for k in sorted(order):
+    for k in sorted(parts):
         c, part = parts[k]
         if c == 0.0:
             continue
@@ -258,6 +230,8 @@ def _pow(base, expo):
         return _Num(val)
     if isinstance(base, _Pow):
         return _pow(base.base, base.expo * expo)
+    if _is_exp(base):
+        return _fn("exp", _mul(_Num(expo), base.arg))
     if isinstance(base, _Mul) and _is_int(expo):
         n = int(round(expo))
         return _mul(_Num(base.coeff**n), *[_pow(b, e * n) for b, e in base.factors])
@@ -271,57 +245,177 @@ def _pow(base, expo):
 
 def _fn(name, arg):
     if isinstance(arg, _Num):
-        val = getattr(math, name)(arg.value) if name != "sqrt" else math.sqrt(arg.value)
-        return _Num(val)
+        return _Num(getattr(math, name)(arg.value))
     if name == "sqrt":
         return _pow(arg, 0.5)
     return _Fn(name, arg)
 
 
 # ---------------------------------------------------------------------------
-# Differentiation
+# Taylor jets: J[k] = f^(k)(x)/k! for k = 0..n at each point of a 1-D x, by
+# the truncated Taylor recurrences (Griewank & Walther, Evaluating
+# Derivatives, ch. 13).  A product fuses its exp, sin, cos, sinh and cosh
+# factors into one sum of exponentials, so no Cauchy product of two growing
+# or oscillating series cancels.  Sums over the order index run in one fixed
+# sequence and every other step is elementwise, so an entry depends neither
+# on the jet's order nor on the other points.
 # ---------------------------------------------------------------------------
 
-_FN_DERIV = {
-    "exp": lambda a: _fn("exp", a),
-    "sin": lambda a: _fn("cos", a),
-    "cos": lambda a: _mul(_Num(-1.0), _fn("sin", a)),
-    "sinh": lambda a: _fn("cosh", a),
-    "cosh": lambda a: _fn("sinh", a),
+# f(a) = sum of coefficient * exp(multiplier * a)
+_WAVES = {
+    "exp": ((1.0, 1.0),),
+    "sinh": ((0.5, 1.0), (-0.5, -1.0)),
+    "cosh": ((0.5, 1.0), (0.5, -1.0)),
+    "sin": ((-0.5j, 1j), (0.5j, -1j)),
+    "cos": ((0.5, 1j), (0.5, -1j)),
 }
 
 
-def _diff(node):
-    if isinstance(node, _Num):
-        return _ZERO
-    if isinstance(node, _Var):
-        return _ONE
+def _is_linear(node):
     if isinstance(node, _Add):
-        return _add(*[_diff(t) for t in node.terms])
-    if isinstance(node, _Mul):
-        pieces = []
-        factors = node.factors
-        for i, (base, expo) in enumerate(factors):
-            db = _diff(base)
-            if db is _ZERO:
-                continue
-            rest = [(b, e) for j, (b, e) in enumerate(factors) if j != i]
-            rest.append((base, expo - 1.0))
-            pieces.append(
-                _mul(_Num(node.coeff * expo), db, _mul_from(1.0, tuple(rest)))
-            )
-        return _add(*pieces) if pieces else _ZERO
-    if isinstance(node, _Pow):
-        db = _diff(node.base)
-        if db is _ZERO:
-            return _ZERO
-        return _mul(_Num(node.expo), _pow(node.base, node.expo - 1.0), db)
-    if isinstance(node, _Fn):
-        da = _diff(node.arg)
-        if da is _ZERO:
-            return _ZERO
-        return _mul(_FN_DERIV[node.name](node.arg), da)
-    raise TypeError(f"unknown node {node!r}")
+        return all(_is_linear(t) for t in node.terms)
+    return isinstance(node, (_Num, _Var)) or (
+        isinstance(node, _Mul) and node.factors == ((_VAR, 1.0),))
+
+
+def _is_wave(base, expo):
+    return isinstance(base, _Fn) and expo > 0 and _is_int(expo)
+
+
+def _jet(node, x, n):
+    if isinstance(node, _Var):
+        out = np.zeros((n + 1, len(x)))
+        out[0] = x
+        out[1:2] = 1.0
+        return out
+    if isinstance(node, _Add):
+        return sum((_jet(t, x, n) for t in node.terms[1:]),
+                   _jet(node.terms[0], x, n))
+    coeff, factors = _as_factors(node)
+    waves = [(b, int(round(e))) for b, e in factors if _is_wave(b, e)]
+    out = _wave_jet(waves, x, n) if waves else None
+    for base, expo in factors:
+        if not _is_wave(base, expo):
+            factor = _power_jet(base, expo, x, n)
+            out = factor if out is None else _cauchy(factor, out)
+    if out is None:
+        out = np.zeros((n + 1, len(x)))
+        out[0] = 1.0
+    return coeff * out
+
+
+def _wave_jet(waves, x, n):
+    """Jet of a product of positive integer powers of exp, sin, cos, sinh
+    and cosh: the real part of a sum of exponentials of argument jets."""
+    args = list(dict.fromkeys(fn.arg for fn, _ in waves))
+    terms = {(0,) * len(args): 1.0}  # multipliers of the args: coefficient
+    for fn, power in waves:
+        slot = args.index(fn.arg)
+        for _ in range(power):
+            grown = {}
+            for mult, c in terms.items():
+                for wc, wm in _WAVES[fn.name]:
+                    key = mult[:slot] + (mult[slot] + wm,) + mult[slot + 1:]
+                    grown[key] = grown.get(key, 0) + c * wc
+            terms = grown
+    jets = [_jet(a, x, n) for a in args]
+    linear = all(map(_is_linear, args))
+    total, done = 0.0, set()
+    for mult, c in terms.items():
+        # the terms pair up with their conjugates: take one of each, twice
+        partner = tuple(complex(m).conjugate() for m in mult)
+        if c == 0 or partner in done:
+            continue
+        done.add(mult)
+        expo = sum((m * jet for m, jet in zip(mult, jets) if m != 0),
+                   np.zeros((n + 1, len(x))))
+        weight = c if partner == mult else 2 * c
+        total = total + weight * _exp_jet(expo, linear)
+    return np.real(total)
+
+
+def _exp_jet(a, linear):
+    """Jet of exp(a) from the jet of a."""
+    if linear:
+        # e^{a0 + a1 h} = e^{a0} sum (a1 h)^k / k!
+        out = np.empty_like(a)
+        out[0] = np.exp(a[0])
+        out[1:] = a[1:2] / np.arange(1, len(a))[:, None]
+        return np.cumprod(out, axis=0)
+    return _recurrence(a, np.exp(a[0]), lambda j, k: j, 1.0)
+
+
+def _power_jet(base, expo, x, n):
+    """Jet of base**expo."""
+    if expo > 0 and _is_int(expo):
+        # the power recurrence cancels badly for positive integer powers
+        a = out = _jet(base, x, n)
+        for _ in range(int(round(expo)) - 1):
+            out = _cauchy(a, out)
+        return out
+    if _is_linear(base):
+        # (a0 + a1 h)^expo: b_k = b_{k-1} (expo - k + 1) / k * a1 / a0
+        a = _jet(base, x, 1)
+        k = np.arange(1, n + 1)[:, None]
+        out = np.empty((n + 1, len(x)))
+        out[0] = a[0] ** expo
+        out[1:] = (expo - k + 1) / k * (a[1] / a[0])
+        return np.cumprod(out, axis=0)
+    a = _jet(base, x, n)
+    return _recurrence(a, a[0] ** expo, lambda j, k: (expo + 1) * j - k, a[0])
+
+
+def _recurrence(a, b0, weight, scale):
+    """The jet b with b_0 = b0 and k scale b_k = sum_{j=1}^{k} weight(j, k)
+    a_j b_{k-j}; each sum gathers its terms as the b_m become known."""
+    n = len(a) - 1
+    top = np.flatnonzero(a[1:].any(axis=1)).max(initial=-1) + 1
+    out = np.empty(a.shape, np.result_type(a, b0))
+    out[0] = b0
+    acc = np.zeros_like(out[1:])
+    for m in range(n):
+        hi = min(n, m + top)
+        k = np.arange(m + 1, hi + 1)[:, None]
+        acc[m:hi] += weight(k - m, k) * a[1:hi - m + 1] * out[m]
+        out[m + 1] = acc[m] / ((m + 1) * scale)
+    return out
+
+
+def _cauchy(a, b):
+    """Truncated product of two jets: entry k sums a_j b_{k-j} over
+    j = 0, 1, ..., k in turn (past the last nonzero a_j only zeros), and
+    reads no entry of a or b past k."""
+    n, points = b.shape
+    terms = np.flatnonzero(a.any(axis=1)).max(initial=0) + 1
+    padded = np.concatenate([np.zeros((terms - 1, points)), b])
+    # shifted[j, k, p] = b[k - j, p] where k >= j
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n, axis=0)
+    shifted = shifted[::-1].transpose(0, 2, 1)
+    lower = (np.arange(n) >= np.arange(terms)[:, None])[:, :, None]
+    out = np.empty_like(b)
+    step = max(1, (1 << 18) // (terms * n))  # a block stays under 2 MB
+    for lo in range(0, points, step):
+        part = slice(lo, min(points, lo + step))
+        block = np.zeros((terms, n, part.stop - lo))
+        np.multiply(a[:terms, None, part], shifted[:, :, part], out=block,
+                    where=lower)
+        # a reduction over the leading axis adds whole rows in turn
+        out[:, part] = np.add.reduce(block.reshape(terms, -1),
+                                     axis=0).reshape(n, -1)
+    return out
+
+
+def _taylor(node, x, n):
+    """The jet of node at the 1-D points x to order n."""
+    with np.errstate(all="ignore"):
+        return _jet(node, np.asarray(x, dtype=float), n)
+
+
+def _from_taylor(coeff, n):
+    """n! * coeff: the n-th derivative from its Taylor coefficient."""
+    for m in range(171, n + 1):  # 170! is the last factorial in range
+        coeff = coeff * m
+    return coeff * float(math.factorial(min(n, 170)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +441,7 @@ def _eval(node, x):
     if isinstance(node, _Pow):
         return _pow_eval(_eval(node.base, x), node.expo)
     if isinstance(node, _Fn):
-        return _NUMPY_FN[node.name](_eval(node.arg, x))
+        return getattr(np, node.name)(_eval(node.arg, x))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -369,58 +463,45 @@ def _check_finite(value):
     return value
 
 
-def _contains_var(node):
-    if isinstance(node, _Var):
-        return True
-    if isinstance(node, _Add):
-        return any(_contains_var(t) for t in node.terms)
-    if isinstance(node, _Mul):
-        return any(_contains_var(b) for b, _ in node.factors)
-    if isinstance(node, _Pow):
-        return _contains_var(node.base)
-    if isinstance(node, _Fn):
-        return _contains_var(node.arg)
-    return False
-
-
 def _complex_safe(node):
     """True when evaluation at complex points is single-valued (no fractional
     powers of variable quantities, whose principal branch would be ambiguous)."""
-    if isinstance(node, (_Num, _Var)):
-        return True
     if isinstance(node, _Add):
-        return all(_complex_safe(t) for t in node.terms)
-    if isinstance(node, _Mul):
-        return all(_is_int(e) and _complex_safe(b) for b, e in node.factors)
-    if isinstance(node, _Pow):
-        return _is_int(node.expo) and _complex_safe(node.base)
+        return all(map(_complex_safe, node.terms))
     if isinstance(node, _Fn):
         return _complex_safe(node.arg)
-    return False
+    if isinstance(node, (_Mul, _Pow)):
+        return all(_is_int(e) and _complex_safe(b)
+                   for b, e in _as_factors(node)[1])
+    return True
 
 
 # ---------------------------------------------------------------------------
-# Compilation to a single numpy callable (hot-loop evaluation)
+# Compilation to a single numpy callable (hot-loop evaluation) and text
 # ---------------------------------------------------------------------------
 
 
-def _emit(node):
+def _emit(node, var="x", fn="np."):
+    """Fully parenthesized text of a node: numpy code by default, and with
+    ``fn=""`` expression text that reparses to a pointwise-equal
+    expression."""
     if isinstance(node, _Num):
         return repr(node.value)
     if isinstance(node, _Var):
-        return "x"
+        return var
     if isinstance(node, _Add):
-        return "(" + "+".join(_emit(t) for t in node.terms) + ")"
+        return "(" + "+".join(_emit(t, var, fn) for t in node.terms) + ")"
     if isinstance(node, _Mul):
         parts = [] if node.coeff == 1.0 else [repr(node.coeff)]
         for base, expo in node.factors:
-            parts.append(_emit(_Pow(base, expo) if expo != 1.0 else base))
+            parts.append(_emit(_Pow(base, expo) if expo != 1.0 else base,
+                               var, fn))
         return "(" + "*".join(parts) + ")"
     if isinstance(node, _Pow):
         e = int(round(node.expo)) if _is_int(node.expo) else node.expo
-        return f"({_emit(node.base)}**{repr(e)})"
+        return f"({_emit(node.base, var, fn)}**{repr(e)})"
     if isinstance(node, _Fn):
-        return f"np.{node.name}({_emit(node.arg)})"
+        return f"{fn}{node.name}({_emit(node.arg, var, fn)})"
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -436,49 +517,6 @@ def _compile(node):
         return out
 
     return call
-
-
-# ---------------------------------------------------------------------------
-# Printing (canonical text that reparses to a pointwise-equal expression)
-# ---------------------------------------------------------------------------
-
-
-def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _print(node, var, prec=0):
-    # prec levels: 0 sum, 1 product, 2 power/atom
-    if isinstance(node, _Num):
-        s = _fmt_num(node.value)
-        return f"({s})" if node.value < 0 and prec > 0 else s
-    if isinstance(node, _Var):
-        return var
-    if isinstance(node, _Fn):
-        return f"{node.name}({_print(node.arg, var)})"
-    if isinstance(node, _Pow):
-        if node.expo == 0.5:
-            return f"sqrt({_print(node.base, var)})"
-        base = _print(node.base, var, 2)
-        if not isinstance(node.base, (_Var, _Fn)):
-            base = f"({_print(node.base, var)})"
-        e = node.expo
-        es = _fmt_num(e) if e >= 0 else f"({_fmt_num(e)})"
-        return f"{base}^{es}"
-    if isinstance(node, _Mul):
-        pieces = []
-        if node.coeff != 1.0:
-            pieces.append(_fmt_num(node.coeff) if node.coeff > 0 else f"({_fmt_num(node.coeff)})")
-        for base, expo in node.factors:
-            pieces.append(_print(_pow(base, expo) if expo != 1.0 else base, var, 1))
-        s = "*".join(pieces)
-        return f"({s})" if prec > 1 else s
-    if isinstance(node, _Add):
-        s = " + ".join(_print(t, var) for t in node.terms)
-        return f"({s})" if prec > 0 else s
-    raise TypeError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +540,6 @@ class _Parser:
     def peek(self):
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected '{ch}'")
-        self.pos += 1
 
     def parse(self):
         node = self.sum()
@@ -569,10 +602,8 @@ class _Parser:
             return base
         start = self.pos
         expo = self.unary()  # right-assoc through recursion in unary/power
-        if _contains_var(expo):
-            self.error("exponent must be constant", start)
         if not isinstance(expo, _Num):
-            self.error("exponent must fold to a constant", start)
+            self.error("exponent must be constant", start)
         return _pow(base, expo.value)
 
     def atom(self):
@@ -654,10 +685,6 @@ class Expression:
         self._node = node
         self.var_name = var_name
 
-    @classmethod
-    def constant(cls, value, var_name="x"):
-        return cls(_Num(value), var_name)
-
     @property
     def is_zero(self):
         return isinstance(self._node, _Num) and self._node.value == 0.0
@@ -665,8 +692,6 @@ class Expression:
     def eval(self, x):
         """Evaluate at a real point or numpy array of points."""
         return _check_finite(_eval(self._node, x))
-
-    __call__ = eval
 
     def compiled(self):
         """Fast unchecked numpy callable of this expression (internal hot
@@ -686,27 +711,8 @@ class Expression:
             )
         return _check_finite(_eval(self._node, np.asarray(z, dtype=complex) + 0j))
 
-    def diff(self, order=1):
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        if order > MAX_DERIVATIVE_ORDER:
-            raise DerivativeOrderError(
-                f"order {order} exceeds maximum {MAX_DERIVATIVE_ORDER}"
-            )
-        node = self._node
-        for _ in range(order):
-            node = _diff(node)
-        return Expression(node, self.var_name)
-
     def to_text(self):
-        return _print(self._node, self.var_name)
-
-    def __add__(self, other):
-        if isinstance(other, Expression):
-            return Expression(_add(self._node, other._node), self.var_name)
-        return Expression(_add(self._node, _Num(other)), self.var_name)
-
-    __radd__ = __add__
+        return _emit(self._node, self.var_name, "")
 
     def __mul__(self, other):
         if isinstance(other, Expression):
@@ -715,32 +721,37 @@ class Expression:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        if isinstance(other, Expression):
-            return Expression(
-                _add(self._node, _mul(_Num(-1.0), other._node)), self.var_name
-            )
-        return Expression(_add(self._node, _Num(-other)), self.var_name)
-
-    def __neg__(self):
-        return Expression(_mul(_Num(-1.0), self._node), self.var_name)
-
     def __repr__(self):
         return f"Expression({self.to_text()!r})"
 
-    def key(self):
-        return self._node.key()
 
-    @property
-    def complex_safe(self):
-        return _complex_safe(self._node)
+class _Derivative:
+    """The ``order``-th derivative of an expression, evaluated from its jet
+    at a point or an array of points."""
+
+    def __init__(self, expression, order):
+        self._node, self.order = expression._node, order
+
+    def compiled(self):
+        """Unchecked numpy callable."""
+        return self._at
+
+    def _at(self, x):
+        xs = np.asarray(x, dtype=float)
+        jet = _taylor(self._node, xs.ravel(), self.order)
+        return _from_taylor(jet[self.order], self.order).reshape(xs.shape)[()]
+
+    def eval(self, x):
+        return _check_finite(self._at(x))
 
 
 class DerivativeCache:
-    """Memoized derivative ladder of one expression.
+    """Derivatives of one expression, computed from its Taylor jets.
 
-    Entry ``k`` is the exact k-th derivative expression.  A cache belongs to
-    one worker; the underlying expressions may be shared freely.
+    ``derivative(k)`` is the k-th derivative (entry 0 is the expression
+    itself).  ``value`` memoizes derivatives at scalar points: a request of
+    order k computes one jet to order max(2k, 16) and keeps all of it, so a
+    ladder read in increasing order costs a few jets, not one per order.
     """
 
     def __init__(self, expression, max_order=MAX_DERIVATIVE_ORDER):
@@ -755,29 +766,27 @@ class DerivativeCache:
                 f"order {order} exceeds maximum {self.max_order}"
             )
         while len(self._ladder) <= order:
-            self._ladder.append(
-                Expression(_diff(self._ladder[-1]._node), self.base.var_name)
-            )
+            self._ladder.append(_Derivative(self.base, len(self._ladder)))
         return self._ladder[order]
 
     def value(self, order, x):
-        """Derivative value at a point; scalar values are memoized (the
-        boundary formulas reuse f^(p)(0) and f^(p)(T) heavily)."""
-        if np.ndim(x) == 0:
-            key = (order, float(x))
-            hit = self._values.get(key)
-            if hit is None:
-                hit = float(self.derivative(order).eval(float(x)))
-                self._values[key] = hit
-            return hit
-        return self.derivative(order).eval(x)
-
-    def compiled(self, order):
-        return self.derivative(order).compiled()
-
-    def values_up_to(self, order, x):
-        """Array of derivative values [f(x), f'(x), ..., f^(order)(x)]."""
-        return np.array([self.value(p, x) for p in range(order + 1)], dtype=float)
+        """Derivative value at a point or an array of points; scalar values
+        are memoized (the boundary formulas reuse f^(p)(0) and f^(p)(T)
+        heavily)."""
+        entry = self.derivative(order)
+        if np.ndim(x) != 0:
+            return entry.eval(x)
+        key = (order, float(x))
+        if key not in self._values:
+            if order == 0:
+                self._values[key] = float(entry.eval(key[1]))
+            else:
+                top = min(self.max_order, max(2 * order, 16))
+                jet = _taylor(self.base._node, [key[1]], top)[:, 0]
+                for k in range(1, top + 1):
+                    self._values.setdefault((k, key[1]),
+                                            _from_taylor(float(jet[k]), k))
+        return _check_finite(self._values[key])
 
 
 def parse(text, var_name=None):

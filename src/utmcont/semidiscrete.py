@@ -126,7 +126,7 @@ def _theta_grid(spec, n_max, full_period=False):
 def _datum_convolution(spec, theta_nodes):
     """C(theta) = int_0^T e^{-W(theta) (T-t)} datum(t) dt on the grid."""
     T, h = spec.T, spec.h
-    fc = spec.deriv.compiled(0)
+    fc = spec.datum.compiled()
     # geometric panels in the lag resolve the stiffest mode W = 4/h^2
     edges = [0.0]
     step = h * h / 8.0
@@ -228,7 +228,7 @@ def sd_bessel_kernel_form(spec, n, tol=1e-10):
         raise ValueError("the Bessel kernel form carries an n prefactor; "
                          "n = 0 is the boundary convention")
     h, T = spec.h, spec.T
-    fc = spec.deriv.compiled(0)
+    fc = spec.datum.compiled()
     n_abs = abs(int(n))
 
     def integrand(tau):

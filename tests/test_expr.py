@@ -1,15 +1,18 @@
-"""Parser, exact differentiation, and evaluation of data expressions."""
+"""Parser, evaluation and Taylor-jet derivatives of data expressions."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+import sympy
 
 from utmcont.expr import (
     DerivativeCache,
     DerivativeOrderError,
     ExprDomainError,
     ExprSyntaxError,
+    _cauchy,
     parse,
 )
 
@@ -83,7 +86,7 @@ def test_eval_sqrt_of_negative_is_domain_error():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 20])
 def test_te_derivative_closed_form(n):
     # n-th derivative of t*exp(-t) is (-1)^n e^{-t} (t-n)
-    d = parse("t*exp(-t)").diff(n)
+    d = DerivativeCache(parse("t*exp(-t)")).derivative(n)
     for t in (0.0, 0.3, 1.7):
         assert d.eval(t) == pytest.approx(
             (-1) ** n * math.exp(-t) * (t - n), rel=1e-12, abs=1e-12
@@ -92,13 +95,13 @@ def test_te_derivative_closed_form(n):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 11])
 def test_te_derivative_at_zero(n):
-    assert parse("t*exp(-t)").diff(n).eval(0.0) == pytest.approx(
+    assert DerivativeCache(parse("t*exp(-t)")).value(n, 0.0) == pytest.approx(
         -((-1.0) ** n) * n, rel=1e-13
     )
 
 
 def test_chain_rule_sin():
-    d = parse("sin(4*pi*t)").diff(1)
+    d = DerivativeCache(parse("sin(4*pi*t)")).derivative(1)
     for t in (0.0, 0.2, 0.9):
         assert d.eval(t) == pytest.approx(4 * math.pi * math.cos(4 * math.pi * t), rel=1e-13)
 
@@ -114,11 +117,16 @@ def test_derivative_matches_finite_differences(text, point):
 
 @pytest.mark.parametrize("text,point", CORPUS)
 def test_derivative_composition(text, point):
+    # the jet's order j + k equals sympy's k-th derivative of the j-th
     e = parse(text)
+    var = sympy.Symbol(e.var_name)
+    sym = sympy.sympify(text.replace("^", "**"), locals={e.var_name: var})
+    cache = DerivativeCache(e)
     for j, k in [(1, 1), (2, 1), (1, 3), (2, 2)]:
-        a = e.diff(j + k).eval(point)
-        b = e.diff(j).diff(k).eval(point)
-        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        want = sympy.diff(sympy.diff(sym, var, j), var, k)
+        want = float(want.subs(var, point).evalf(30))
+        assert cache.value(j + k, point) == pytest.approx(want, rel=1e-12,
+                                                          abs=1e-12)
 
 
 @pytest.mark.parametrize("text,point", CORPUS)
@@ -142,21 +150,65 @@ def test_derivative_cache_extends_lazily():
     cache = DerivativeCache(parse("sin(4*pi*t)"))
     v10 = cache.value(10, 0.2)
     assert cache.value(10, 0.2) == v10
-    assert len(cache.values_up_to(6, 0.2)) == 7
+
+
+@pytest.mark.parametrize("text", [
+    "2*exp(-2*t)*cos(2*t)",
+    "sin(2*t)^2",
+    "exp(t/4)*exp(-t^2/(4*t+1))/sqrt(4*t+1)",
+    "1/(1+t)",
+    "t*exp(-t)",
+])
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.9])
+def test_value_independent_of_evaluation_order(text, t):
+    # the same bits on a fresh cache, after a higher order at the same
+    # point, and as one entry of an array evaluation
+    e = parse(text)
+    warm = DerivativeCache(e)
+    warm.value(60, t)
+    for n in range(61):
+        fresh = DerivativeCache(e).value(n, t)
+        assert warm.value(n, t) == fresh, n
+        pair = DerivativeCache(e).value(n, np.array([t, t + 0.1]))
+        assert pair[0] == fresh, n
+
+
+@pytest.mark.parametrize("n,points,degree", [(1, 1, None), (9, 1, 2),
+                                              (41, 2, None), (201, 60, None),
+                                              (201, 3, 1)])
+def test_cauchy_product_matches_loop(n, points, degree):
+    # entry k is sum_j a_j b_{k-j} added in the order j = 0..k, bit for bit,
+    # and an overflow past order k does not reach entry k
+    rng = np.random.default_rng(n + points)
+    a, b = rng.standard_normal((2, n, points))
+    if degree is not None:
+        a[degree + 1:] = 0.0
+    a[-1], b[-1] = np.inf, np.inf
+    want = np.empty((n, points))
+    with np.errstate(invalid="ignore"):  # inf - inf in the last entry
+        for k in range(n):
+            total = a[0] * b[k]
+            for j in range(1, k + 1):
+                total = total + a[j] * b[k - j]
+            want[k] = total
+        got = _cauchy(a, b)
+    np.testing.assert_array_equal(got[:-1], want[:-1])
 
 
 def test_order_limit():
     with pytest.raises(DerivativeOrderError):
-        parse("t*exp(-t)").diff(201)
+        DerivativeCache(parse("t*exp(-t)")).derivative(201)
     with pytest.raises(DerivativeOrderError):
         DerivativeCache(parse("t*exp(-t)"), max_order=5).derivative(6)
 
 
 def test_high_order_stays_compact():
-    # the supported data class must not blow up under repeated differentiation
-    d = parse("exp(-1/(4*t+1))/sqrt(4*t+1)").diff(40)
-    assert len(d.to_text()) < 40_000
-    assert np.isfinite(d.eval(1.0))
+    # order 40 of a Gaussian-type trace against 40-digit mpmath
+    d = DerivativeCache(parse("exp(-1/(4*t+1))/sqrt(4*t+1)")).derivative(40)
+    with mp.workdps(40):
+        want = mp.diff(lambda t: mp.exp(-1 / (4 * t + 1)) / mp.sqrt(4 * t + 1),
+                       mp.mpf(1), 40)
+    assert d.eval(1.0) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_complex_evaluation_entire():

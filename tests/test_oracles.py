@@ -1,10 +1,11 @@
 """Oracles that share no code with utmcont.
 
-Derivatives are checked against sympy on random expressions of the data
-grammar.  The Taylor-coefficient families are checked against their defining
-integrals evaluated by mpmath at 30 digits: mpmath quadrature and gamma,
-sympy derivatives of the data, and none of utmcont's quadrature, gamma or
-transform code.
+Jet derivatives are checked against sympy on random expressions of the
+data grammar, and against 50-digit mpmath on data whose exponential factors
+cancel when multiplied as series.  The Taylor-coefficient families are
+checked against their defining integrals evaluated by mpmath at 30 digits:
+mpmath quadrature and gamma, sympy derivatives of the data, and none of
+utmcont's quadrature, gamma or transform code.
 """
 
 import mpmath as mp
@@ -14,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utmcont.continuous import ProblemSpec, advected, finite_interval, kdv
-from utmcont.expr import parse
+from utmcont.expr import DerivativeCache, parse
 
 # ---------------------------------------------------------------------------
-# Expression.diff against sympy.diff
+# DerivativeCache.value against sympy.diff
 # ---------------------------------------------------------------------------
 
 _X = sympy.Symbol("x")
@@ -82,9 +83,53 @@ _EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=6)
 @given(_EXPRESSIONS, st.integers(0, 3), st.sampled_from([-0.6, 0.3, 1.3]))
 def test_diff_matches_sympy(pair, order, x0):
     text, sym = pair
-    got = float(parse(text, var_name="x").diff(order).eval(x0))
+    got = DerivativeCache(parse(text, var_name="x")).value(order, x0)
     want = float(sympy.diff(sym, _X, order).subs(_X, x0).evalf(30))
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9), text
+
+
+# ---------------------------------------------------------------------------
+# Derivative ladders whose series products cancel, against 50-digit mpmath
+# ---------------------------------------------------------------------------
+
+# (text, exponential components (coefficient, rate) with
+# f = sum coefficient * exp(rate * t), top order).  Multiplied as series,
+# e^{-2t} and cos 2t cancel terms of size 4^n/n! down to (2 sqrt 2)^n/n!.
+_G, _D, _P, _Q = -0.75, 2.5, 1.0, 2.0
+_WAVE_DATA = [
+    ("2*exp(-2*t)*cos(2*t)", [(1, -2 + 2j), (1, -2 - 2j)], 67),
+    ("sin(2*t)^2", [(0.5, 0), (-0.25, 4j), (-0.25, -4j)], 40),
+    (f"2*exp({_G}*t)*(-{_P}*cos({_D}*t)-{_Q}*sin({_D}*t))",
+     [(-_P + 1j * _Q, _G + 1j * _D), (-_P - 1j * _Q, _G - 1j * _D)], 60),
+]
+
+
+@pytest.mark.parametrize("text,components,top", _WAVE_DATA,
+                         ids=[d[0] for d in _WAVE_DATA])
+@pytest.mark.parametrize("t", [0.3, 0.9])
+def test_wave_ladders_do_not_cancel(text, components, top, t):
+    cache = DerivativeCache(parse(text))
+    with mp.workdps(50):
+        terms = [(mp.mpc(c), mp.mpc(r)) for c, r in components]
+        for n in range(top + 1):
+            want = sum(c * r**n * mp.exp(r * t) for c, r in terms).real
+            # order-n envelope of the exponential components
+            envelope = sum(abs(c * r**n * mp.exp(r * t)) for c, r in terms)
+            error = abs(cache.value(n, t) - want)
+            assert error <= 1e-13 * envelope, (n, float(error / envelope))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.9])
+def test_gauged_gaussian_trace_ladder(t):
+    # e^{t/4} times the adv_plus datum: the gauged advected boundary datum
+    cache = DerivativeCache(
+        parse("exp(t/4)*exp(-t^2/(4*t+1))/sqrt(4*t+1)"))
+    with mp.workdps(50):
+        want = mp.taylor(lambda s: mp.exp(s / 4 - s**2 / (4 * s + 1))
+                         / mp.sqrt(4 * s + 1), mp.mpf(t), 60)
+        want = [c * mp.factorial(n) for n, c in enumerate(want)]
+    for n in range(61):
+        assert cache.value(n, t) == pytest.approx(float(want[n]), rel=1e-12), n
 
 
 # ---------------------------------------------------------------------------

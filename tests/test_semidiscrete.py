@@ -72,7 +72,7 @@ def test_seam_identity(lattice):
     h, T = lattice.h, lattice.T
     u1 = sd_heat_dirichlet(lattice, 1)
     um1 = sd_heat_dirichlet_continued(lattice, -1, u_pos=u1)
-    want = 2 * lattice.datum.eval(T) + h * h * lattice.datum.diff(1).eval(T) \
+    want = 2 * lattice.datum.eval(T) + h * h * lattice.deriv.value(1, T) \
         - u1
     assert um1 == pytest.approx(want, abs=1e-14)
 
