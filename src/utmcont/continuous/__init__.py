@@ -240,8 +240,10 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     doubled-odd for derivative data); "all" gives the full series where
     available; "odd-center" the finite-interval series about x = L.
     Structural zeros are stored as omitted orders.  No coefficient past
-    order N is computed; ``stop_reason`` is "cap" when the series carries
-    orders up to N that the order cap (200) cuts off.
+    order N is computed (the fractional families integrate whole blocks of
+    derivative orders, see ``_common.fractional_family``); ``stop_reason``
+    is "cap" when the series carries orders up to N that the order cap
+    (200) cuts off.
     """
     if t <= 0:
         raise ValueError("taylor coefficients require t > 0")

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from ..expr import MAX_DERIVATIVE_ORDER
-from ..quad import SingularKernel, singular_time_convolution
+from ..expr import MAX_DERIVATIVE_ORDER, ExprDomainError
+from ..quad import QuadratureError, SingularKernel, singular_time_convolution
 from ..specfun import gamma
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
 
 # Tolerance of the Taylor coefficients behind every continued solution.
 COEFF_TOL = 1e-11
+
+# Orders per block of the fractional coefficient families.
+FRACTIONAL_BLOCK = 16
 
 
 class ResidualWarning(RuntimeError):
@@ -92,23 +95,76 @@ def datum_coefficient(cache, order, t, stride=2, offset=0, sign=1.0):
     return over_factorial(sign**i * cache.value(i, t), order)
 
 
-def fractional_family(cache, m, t, beta, tol):
+def fractional_family(spec, datum, m, t, beta, tol):
     """sum_{r=1}^{m} (-1)^{m-r} G(m-r+beta) t^{-(m-r+beta)} f^(r-1)(0)
-    + G(beta) int_0^t f^(m)(s) (t-s)^{-beta} ds: the boundary-derivative sum
-    plus endpoint-singular time convolution behind every fractional
-    coefficient family (heat Dirichlet odd orders with beta = 1/2, the KdV
-    families with beta = 1/3 and 2/3)."""
-    total = 0.0
-    for r in range(1, m + 1):
-        total += (
-            (-1.0) ** (m - r)
-            * gamma(m - r + beta)
-            * t ** -(m - r + beta)
-            * cache.value(r - 1, 0.0)
-        )
-    conv = singular_time_convolution(
-        SingularKernel(beta, cache.derivative(m).eval), t, tol=tol)
-    return total + gamma(beta) * conv
+    + G(beta) int_0^t f^(m)(s) (t-s)^{-beta} ds for the datum f: the
+    boundary-derivative sum plus endpoint-singular time convolution behind
+    every fractional coefficient family (heat Dirichlet odd orders with
+    beta = 1/2, the KdV families with beta = 1/3 and 2/3).
+
+    The orders come in fixed blocks b of FRACTIONAL_BLOCK = 16, m = 16b + 1
+    ... 16b + 16, each computed once and kept on the spec per (datum, beta,
+    t, tol, b), so a value depends on no other request.  An order raises
+    what its own terms raise: QuadratureError when its convolution misses
+    its budget, ExprDomainError when a derivative it reads is not finite,
+    OverflowError when one of its boundary weights leaves the float range.
+    """
+    block, row = divmod(m - 1, FRACTIONAL_BLOCK)
+    key = (datum, beta, t, tol, block)
+    if key not in spec.fractional:
+        spec.fractional[key] = _fractional_block(
+            spec.deriv(datum), block, t, beta, tol)
+    value = spec.fractional[key][row]
+    if isinstance(value, Exception):
+        raise type(value)(*value.args)
+    return value
+
+
+def _fractional_block(cache, block, t, beta, tol):
+    """One entry per order m of block ``block``: its fractional family, or
+    the exception its request raises.  The time convolutions are one vector
+    integrand (one row per order, one jet per node), and the boundary sums
+    read one list of weights and one of f^(j)(0), in the order of r."""
+    lo = FRACTIONAL_BLOCK * block + 1
+    hi = lo + FRACTIONAL_BLOCK - 1
+    finite = np.ones(FRACTIONAL_BLOCK, dtype=bool)
+
+    def smooth(s):
+        # a row with a non-finite value fails alone, and integrates zeros
+        rows = cache.derivatives(lo, hi, s)
+        ok = np.isfinite(rows).all(axis=1)
+        np.logical_and(finite, ok, out=finite)
+        rows[~ok] = 0.0
+        return rows
+
+    conv = singular_time_convolution(SingularKernel(beta, smooth), t, tol=tol)
+    # the boundary terms up to the first j that raises; an order m reads
+    # j < m, so it raises that error when m > len(at_zero)
+    weights, at_zero, failed = [], [], None
+    try:
+        for j in range(hi):
+            weights.append((-1.0) ** j * gamma(j + beta) * t ** -(j + beta))
+            at_zero.append(cache.value(j, 0.0))
+    except (OverflowError, ExprDomainError) as err:
+        failed = err
+    scale = gamma(beta)
+    entries = []
+    for row, (integral, warning) in enumerate(zip(conv.value,
+                                                  conv.warnings)):
+        m = lo + row
+        if m > len(at_zero):
+            entries.append(failed)
+        elif not finite[row]:
+            entries.append(ExprDomainError(
+                "evaluation produced a non-finite value"))
+        elif warning:
+            entries.append(QuadratureError(warning))
+        else:
+            total = 0.0
+            for r in range(1, m + 1):
+                total += weights[m - r] * at_zero[r - 1]
+            entries.append(total + scale * float(integral))
+    return entries
 
 
 class CoeffLadder:

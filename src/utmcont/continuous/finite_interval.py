@@ -29,6 +29,9 @@ SQRT_PI = math.sqrt(math.pi)
 # The tiled extensions reach |x| <= TILE_DEPTH * L.
 TILE_DEPTH = 5
 
+# Images (2j + 1) L, j < CENTER_IMAGES, in the odd-center coefficients.
+CENTER_IMAGES = 8
+
 
 def i0(spec, x, t, tol=1e-10):
     """Initial-condition part, entire in x (t > 0), at a point or a 1-D
@@ -284,7 +287,7 @@ def boundary_to_initial(spec, x):
 # ---------------------------------------------------------------------------
 
 
-def odd_center_coefficient(spec, n, t, tol=1e-11, images=8):
+def odd_center_coefficient(spec, n, t, tol=1e-11):
     """A_{2n-1}(t): the (2n-1)-st coefficient of the left boundary integral
     about x = L, via the image expansion of its contour kernel (Hermite
     moments of the heat kernel at odd multiples of L)."""
@@ -297,7 +300,7 @@ def odd_center_coefficient(spec, n, t, tol=1e-11, images=8):
         sigma = np.maximum(np.real(np.asarray(sigma)), 1e-300)
         tau = sigma * sigma
         out = np.zeros_like(sigma)
-        for j in range(images):
+        for j in range(CENTER_IMAGES):
             y = (2 * j + 1) * L
             # support cutoff: the factors overflow individually where the
             # product (2 z^2 / y)^{2n} e^{-z^2} has already vanished

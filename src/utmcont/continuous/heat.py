@@ -117,7 +117,7 @@ def dirichlet_odd_coefficient(spec, n, t, tol=1e-11):
     (boundary-derivative sum plus square-root-singular time convolution)."""
     if n < 1:
         raise ValueError("odd coefficients start at n = 1")
-    total = fractional_family(spec.deriv("f0"), n, t, 0.5, tol)
+    total = fractional_family(spec, "f0", n, t, 0.5, tol)
     return over_factorial(-total, 2 * n - 1, math.pi)
 
 

@@ -161,7 +161,7 @@ def kdv1_coefficient(spec, order, t, tol=1e-11):
         m, beta, front_sign = (order + 2) // 3, 1.0 / 3.0, 1.0
     else:  # order = 3m - 1
         m, beta, front_sign = (order + 1) // 3, 2.0 / 3.0, -1.0
-    total = (-1.0) ** m * fractional_family(cache, m, t, beta, tol)
+    total = (-1.0) ** m * fractional_family(spec, "f0", m, t, beta, tol)
     return over_factorial(front_sign * SQRT3 / (2.0 * math.pi) * total,
                           order)
 
@@ -376,7 +376,7 @@ def kdv2_coefficient(spec, which, order, t, tol=1e-11):
     if order % 3 != 2:  # a_{3m-2} = 0, b_{3m} = 0
         return 0.0
     m = (order + 1) // 3  # a_{3m-1}, b_{3m-1}
-    total = fractional_family(cache, m, t, beta, tol)
+    total = fractional_family(spec, which, m, t, beta, tol)
     return over_factorial(-SQRT3, order, 2 * math.pi, total)
 
 

@@ -72,7 +72,8 @@ class ProblemSpec:
     u0_decay: tuple = ("auto",)
     # caches: derivative ladders per datum, the resolved decay class, the
     # gauged heat-Dirichlet spec of an advected spec, u0 transforms per
-    # (max_im, tol), and Taylor ladders per (datum, parity, t, tol)
+    # (max_im, tol), Taylor ladders per (datum, parity, t, tol), and
+    # blocks of fractional coefficients per (datum, beta, t, tol, block)
     derivs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     resolved_decay: tuple | None = field(default=None, init=False,
@@ -83,6 +84,8 @@ class ProblemSpec:
                              compare=False)
     ladders: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    fractional: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -769,6 +769,16 @@ class DerivativeCache:
             self._ladder.append(_Derivative(self.base, len(self._ladder)))
         return self._ladder[order]
 
+    def derivatives(self, lo, hi, x):
+        """The derivatives of orders lo..hi at the 1-D points x, one row per
+        order, from one jet to order hi, unchecked: row k - lo has the bits
+        of ``derivative(k).compiled()(x)``."""
+        self.derivative(hi)  # the order cap
+        jet = _taylor(self.base._node, x, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array([_from_taylor(jet[k], k)
+                             for k in range(lo, hi + 1)])
+
     def value(self, order, x):
         """Derivative value at a point or an array of points; scalar values
         are memoized (the boundary formulas reuse f^(p)(0) and f^(p)(T)
@@ -786,7 +796,10 @@ class DerivativeCache:
                 for k in range(1, top + 1):
                     self._values.setdefault((k, key[1]),
                                             _from_taylor(float(jet[k]), k))
-        return _check_finite(self._values[key])
+        value = self._values[key]
+        if not math.isfinite(value):
+            raise ExprDomainError("evaluation produced a non-finite value")
+        return value
 
 
 def parse(text, var_name=None):

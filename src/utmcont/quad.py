@@ -8,7 +8,8 @@ the resulting segments to :func:`integrate_segment`: adaptive Gauss-Kronrod
 
 Also provides the data-transform integrals (half-line and finite-interval
 Fourier-type transforms of initial data) and the endpoint-singular time
-convolutions appearing in the odd/fractional Taylor-coefficient formulas.
+convolutions appearing in the odd/fractional Taylor-coefficient formulas:
+one convolution, or a block of them (one row each) on one shared rule.
 """
 
 from __future__ import annotations
@@ -314,6 +315,13 @@ def singular_time_convolution(kernel, t, tol=1e-12):
     The substitution tau = (t-s)^(1-beta) removes the endpoint singularity:
     the integral becomes (1/(1-beta)) * integral of g(t - tau^(1/(1-beta)))
     over (0, t^(1-beta)), which is smooth for analytic g.
+
+    A smooth part with one value per node gives a scalar convolution, and
+    QuadratureError when its budget is missed.  A real smooth part of shape
+    (rows, nodes) gives one convolution per row on one shared rule, each row
+    with its own budget, and never raises for a missed one: the result is
+    the QuadratureResult of the rule, with the real row values and one
+    warning per row.
     """
     if t <= 0:
         raise ValueError("time convolution requires t > 0")
@@ -326,10 +334,13 @@ def singular_time_convolution(kernel, t, tol=1e-12):
         s = t - np.minimum(tau, upper) ** gamma_exp
         s = np.clip(s, 0.0, t)
         out = np.asarray(kernel.smooth(s), dtype=complex)
-        return np.broadcast_to(out, s.shape)
+        return out if out.ndim == 2 else np.broadcast_to(out, s.shape)
 
     res = integrate_segment(integrand, 0.0, upper, tol=tol * (1 - beta),
                             rel_tol=tol)
+    if np.ndim(res.value):
+        res.value = res.value.real / (1.0 - beta)
+        return res
     if res.warning:
         raise QuadratureError(res.warning)
     value = res.value / (1.0 - beta)

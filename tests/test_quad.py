@@ -258,6 +258,29 @@ def test_singular_convolution_beta_third():
     )
 
 
+def test_vector_singular_convolution_rows_match_closed_forms():
+    # rows 1, s and e^s against (1-s)^{-1/2} on (0, 1): 2, B(2, 1/2) = 4/3
+    # and the frozen oracle above
+    kern = SingularKernel(0.5, lambda s: np.array([np.ones_like(s), s,
+                                                   np.exp(s)]))
+    res = singular_time_convolution(kern, 1.0)
+    assert res.warnings == (None, None, None)
+    want = [2.0, 4.0 / 3.0, 4.06015693855741]
+    for got, exact in zip(res.value, want):
+        assert got == pytest.approx(exact, rel=1e-12)
+
+
+def test_vector_singular_convolution_reports_the_missed_row_only():
+    def rows(s):
+        return np.array([np.ones_like(s), np.abs(s - 0.37) ** -0.95])
+
+    res = singular_time_convolution(SingularKernel(0.5, rows), 1.0,
+                                    tol=1e-13)
+    assert res.warnings[0] is None
+    assert "subinterval" in res.warnings[1]
+    assert res.value[0] == pytest.approx(2.0, rel=1e-12)
+
+
 def test_singular_kernel_rejects_nonintegrable():
     with pytest.raises(ValueError):
         SingularKernel(1.0, lambda s: s)

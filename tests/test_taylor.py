@@ -7,9 +7,12 @@ import pytest
 
 from utmcont.continuous import (
     OutsideWindowError,
+    ProblemSpec,
+    _common,
     evaluate_boundary_integral,
     taylor_coefficients,
 )
+from utmcont.expr import ExprDomainError, parse
 
 
 def test_coefficients_do_not_depend_on_an_earlier_tol(fresh_spec):
@@ -20,6 +23,63 @@ def test_coefficients_do_not_depend_on_an_earlier_tol(fresh_spec):
                                tol=1e-12)
     assert got.orders == want.orders
     assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("kind,which,parity", [
+    ("heat-dirichlet", "f0", "all"),
+    ("advected-heat", "f0", "even"),
+    ("advected-heat", "f0", "all"),
+    ("kdv-one-bc", "f0", "even"),
+    ("kdv-one-bc", "f0", "all"),
+    ("kdv-two-bc", "f0", "even"),
+    ("kdv-two-bc", "f1", "odd"),
+    ("kdv-two-bc", "f0", "all"),
+    ("kdv-two-bc", "f1", "all"),
+])
+def test_fractional_coefficients_do_not_depend_on_n(fresh_spec, kind, which,
+                                                    parity):
+    # the fractional orders come in fixed blocks: a request for N = 41 or
+    # 200, on a fresh spec or after one for another N, computes the same
+    # blocks as one for N = 168
+    t = 0.9
+    base = taylor_coefficients(fresh_spec(kind), which, t, 168,
+                               parity=parity)
+    want = dict(zip(base.orders, base.coeffs))
+    used = fresh_spec(kind)
+    taylor_coefficients(used, which, t, 41, parity=parity)
+    for spec, n in ((fresh_spec(kind), 41), (fresh_spec(kind), 200),
+                    (used, 200)):
+        ext = taylor_coefficients(spec, which, t, n, parity=parity)
+        got = {o: c for o, c in zip(ext.orders, ext.coeffs) if o <= 168}
+        assert got == {o: c for o, c in want.items() if o <= n}
+
+
+def test_fractional_orders_share_time_convolutions(fresh_spec, monkeypatch):
+    # 84 odd orders to 167, in blocks of 16 orders: 6 vector convolutions
+    calls = []
+    convolve = _common.singular_time_convolution
+    monkeypatch.setattr(_common, "singular_time_convolution",
+                        lambda *a, **k: calls.append(a) or convolve(*a, **k))
+    taylor_coefficients(fresh_spec("heat-dirichlet"), "f0", 1.0, 168,
+                        parity="all")
+    assert 0 < len(calls) <= 6
+
+
+@pytest.mark.parametrize("f0,t,last,error", [
+    # the boundary weight t^-(j + 1/2) leaves the float range from j = 77:
+    # order 155 (m = 78) needs it, order 153 does not; block m = 65 ... 80
+    ("t*exp(-t)", 1e-4, 153, OverflowError),
+    # f0^(m) = (-1)^m m! / (t + 0.01)^(m + 1) overflows at t = 0 from
+    # m = 87, order 173; block m = 81 ... 96
+    ("1/(t+0.01)", 1.0, 171, ExprDomainError),
+])
+def test_fractional_order_fails_alone(f0, t, last, error):
+    spec = ProblemSpec("heat-dirichlet", u0=parse("exp(-(x-1)^2)"),
+                       f0=parse(f0))
+    ext = taylor_coefficients(spec, "f0", t, last, parity="all")
+    assert ext.orders[-1] == last
+    with pytest.raises(error):
+        taylor_coefficients(spec, "f0", t, last + 2, parity="all")
 
 
 @pytest.mark.parametrize("kind,which,x", [
