@@ -284,21 +284,20 @@ def cmd_map_initial(cfg, args):
                      int(grid["n_points"]))
     started = time.perf_counter()
     rows = []
-    for x in xs:
-        w0 = cont.boundary_to_initial(spec, float(x))
+    for x, w0 in zip(xs.tolist(),
+                     cont.boundary_to_initial(spec, xs).tolist()):
         try:
-            u0c = float(spec.u0.eval(float(x)))
+            u0c = float(spec.u0.eval(x))
         except ExprDomainError:
             u0c = None
-        rows.append({"x": float(x), "w0": w0,
-                     "u0_analytic_continuation": u0c})
+        rows.append({"x": x, "w0": w0, "u0_analytic_continuation": u0c})
     # one-sided limits with the linear variation extrapolated away, so a
     # continuous w0 reports a vanishing jump
     delta = 1e-5
-    w = {s: cont.boundary_to_initial(spec, s * delta)
-         for s in (-1.0, -0.5, 0.5, 1.0)}
-    left = 2 * w[-0.5] - w[-1.0]
-    right = 2 * w[0.5] - w[1.0]
+    far_left, near_left, near_right, far_right = cont.boundary_to_initial(
+        spec, np.array([-1.0, -0.5, 0.5, 1.0]) * delta).tolist()
+    left = 2 * near_left - far_left
+    right = 2 * near_right - far_right
     csv_lines = ["x,w0,u0_analytic_continuation"]
     for row in rows:
         csv_lines.append(",".join(_fmt(row[k]) for k in

@@ -4,7 +4,8 @@ Public surface: problem descriptions, the four evaluation operations
 (initial part, boundary integrals, Taylor data, extended solution), the
 boundary-to-initial map, compatibility checks, and the reference-solution
 library.  Every operation dispatches through one table of per-kind
-:class:`Solver` entries, keyed by ``ProblemSpec.kind``.
+:class:`Solver` entries, keyed by ``ProblemSpec.kind``; only the public
+functions turn a point into an array.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ class Solver:
     up through the module at call time, so a rebinding of a module
     attribute (a tracer, a test double) sees every call.
 
-    ``i0(spec, x, t, tol)`` and ``boundary[datum](spec, x, t, tol)`` (on
-    the datum's native window) take a point or a 1-D array of points;
-    ``extended(spec, xs, t, tol)`` a 1-D array; ``w0(spec, x)`` a point;
-    ``ladders[(datum, parity)](spec, t, tol)`` is the Taylor ladder, with
-    ``parity[datum]`` the default parity.
+    ``i0(spec, xs, t, tol)``, ``boundary[datum](spec, xs, t, tol)`` (on
+    the datum's native window), ``extended(spec, xs, t, tol)`` and
+    ``w0(spec, xs)`` take a nonempty 1-D array of points and return one
+    value per point; the public functions below turn a point into such an
+    array and back.  ``ladders[(datum, parity)](spec, t, tol)`` is the
+    Taylor ladder, with ``parity[datum]`` the default parity.
     """
 
     extended: Callable
@@ -89,9 +91,9 @@ def _odd_center_ladder(spec, t, tol):
 
 
 _HEAT = dict(
-    i0=lambda spec, x, t, tol: heat.i0(spec, x, t, tol),
+    i0=lambda spec, xs, t, tol: heat.i0(spec, xs, t, tol),
     extended=lambda spec, xs, t, tol: heat.extended(spec, xs, t, tol),
-    w0=lambda spec, x: heat.boundary_to_initial(spec, x),
+    w0=lambda spec, xs: heat.boundary_to_initial(spec, xs),
 )
 
 _SOLVERS = {
@@ -99,8 +101,8 @@ _SOLVERS = {
         extended=lambda spec, xs, t, tol: transport_solution(spec, xs, t)),
     "heat-dirichlet": Solver(
         **_HEAT,
-        boundary={"f0": lambda spec, x, t, tol: heat.boundary_integral(
-            spec, x, t, tol)},
+        boundary={"f0": lambda spec, xs, t, tol: heat.boundary_integral(
+            spec, xs, t, tol)},
         ladders={
             ("f0", "even"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
             ("f0", "all"): _full_ladder(
@@ -109,18 +111,18 @@ _SOLVERS = {
         parity={"f0": "even"}),
     "heat-neumann": Solver(
         **_HEAT,
-        boundary={"f1": lambda spec, x, t, tol: heat.boundary_integral(
-            spec, x, t, tol)},
+        boundary={"f1": lambda spec, xs, t, tol: heat.boundary_integral(
+            spec, xs, t, tol)},
         ladders={
             ("f1", "odd"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
         },
         parity={"f1": "odd"}),
     "advected-heat": Solver(
-        i0=lambda spec, x, t, tol: advected.i0(spec, x, t, tol),
-        boundary={"f0": lambda spec, x, t, tol: advected.boundary_integral(
-            spec, x, t, tol)},
+        i0=lambda spec, xs, t, tol: advected.i0(spec, xs, t, tol),
+        boundary={"f0": lambda spec, xs, t, tol: advected.boundary_integral(
+            spec, xs, t, tol)},
         extended=lambda spec, xs, t, tol: advected.extended(spec, xs, t, tol),
-        w0=lambda spec, x: advected.boundary_to_initial(spec, x),
+        w0=lambda spec, xs: advected.boundary_to_initial(spec, xs),
         ladders={
             ("f0", "even"): lambda spec, t, tol: advected.tilde_ladder(
                 spec, t, tol),
@@ -129,12 +131,12 @@ _SOLVERS = {
         },
         parity={"f0": "even"}),
     "kdv-one-bc": Solver(
-        i0=lambda spec, x, t, tol: kdv.i0_one_bc(spec, x, t, tol),
-        boundary={"f0": lambda spec, x, t, tol: kdv.if0_one_bc(
-            spec, x, t, tol)},
+        i0=lambda spec, xs, t, tol: kdv.i0_one_bc(spec, xs, t, tol),
+        boundary={"f0": lambda spec, xs, t, tol: kdv.if0_one_bc(
+            spec, xs, t, tol)},
         extended=lambda spec, xs, t, tol: kdv.extended_one_bc(
             spec, xs, t, tol),
-        w0=lambda spec, x: kdv.w0_one_bc(spec, x),
+        w0=lambda spec, xs: kdv.w0_one_bc(spec, xs),
         ladders={
             ("f0", "even"): lambda spec, t, tol: kdv.kdv1_tilde_ladder(
                 spec, t, tol),
@@ -143,15 +145,15 @@ _SOLVERS = {
         },
         parity={"f0": "even"}),
     "kdv-two-bc": Solver(
-        i0=lambda spec, x, t, tol: kdv.i0_two_bc(spec, x, t, tol),
+        i0=lambda spec, xs, t, tol: kdv.i0_two_bc(spec, xs, t, tol),
         boundary={
-            which: lambda spec, x, t, tol, which=which: kdv._kdv2_boundary(
-                spec, which, x, t, tol)
+            which: lambda spec, xs, t, tol, which=which: kdv._kdv2_boundary(
+                spec, which, xs, t, tol)
             for which in ("f0", "f1")
         },
         extended=lambda spec, xs, t, tol: kdv.extended_two_bc(
             spec, xs, t, tol),
-        w0=lambda spec, x: kdv.w0_two_bc(spec, x),
+        w0=lambda spec, xs: kdv.w0_two_bc(spec, xs),
         ladders={
             ("f0", "even"): lambda spec, t, tol: kdv.kdv2_tilde_ladder(
                 spec, "f0", t, tol),
@@ -164,16 +166,16 @@ _SOLVERS = {
         },
         parity={"f0": "even", "f1": "odd"}),
     "heat-finite-interval": Solver(
-        i0=lambda spec, x, t, tol: finite_interval.i0(spec, x, t, tol),
+        i0=lambda spec, xs, t, tol: finite_interval.i0(spec, xs, t, tol),
         boundary={
-            "f0": lambda spec, x, t, tol:
-                finite_interval.left_boundary_integral(spec, x, t, tol),
-            "g0": lambda spec, x, t, tol:
-                finite_interval.right_boundary_integral(spec, x, t, tol),
+            "f0": lambda spec, xs, t, tol:
+                finite_interval.left_boundary_integral(spec, xs, t, tol),
+            "g0": lambda spec, xs, t, tol:
+                finite_interval.right_boundary_integral(spec, xs, t, tol),
         },
         extended=lambda spec, xs, t, tol: finite_interval.extended(
             spec, xs, t, tol),
-        w0=lambda spec, x: finite_interval.boundary_to_initial(spec, x),
+        w0=lambda spec, xs: finite_interval.boundary_to_initial(spec, xs),
         ladders={
             ("f0", "even"): lambda spec, t, tol:
                 finite_interval.tilde_ladders(spec, t)[0],
@@ -194,16 +196,24 @@ def _solver(spec, op, part):
     return found
 
 
+def _at_points(part, spec, x, *args):
+    """part(spec, xs, *args) on x as a 1-D array xs, shaped like x; an
+    empty array gives an empty array without a call."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1:
+        raise ValueError("x must be a point or a 1-D array of points")
+    if xs.size == 0:
+        return xs
+    return like_input(part(spec, xs, *args), x)
+
+
 def evaluate_I0(spec, x, t, tol=1e-10):
     """Initial-condition contribution at a point or a 1-D array of points
     (an empty array gives an empty array); entire in x, t > 0."""
     if t <= 0:
         raise ValueError("evaluate_I0 requires t > 0 (use boundary_to_initial "
                          "for the t = 0 profile)")
-    i0 = _solver(spec, "evaluate_I0", "i0")
-    if np.size(x) == 0:
-        return np.zeros(0)
-    return i0(spec, x, t, tol)
+    return _at_points(_solver(spec, "evaluate_I0", "i0"), spec, x, t, tol)
 
 
 def evaluate_boundary_integral(spec, which, x, t, tol=1e-10):
@@ -218,9 +228,7 @@ def evaluate_boundary_integral(spec, which, x, t, tol=1e-10):
     boundary = _solver(spec, "evaluate_boundary_integral", "boundary")
     if which not in boundary:
         raise ProblemSpecError(f"kind {spec.kind} has data {tuple(boundary)}")
-    if np.size(x) == 0:
-        return np.zeros(0)
-    return boundary[which](spec, x, t, tol)
+    return _at_points(boundary[which], spec, x, t, tol)
 
 
 def fourier_boundary_integral(spec, x, t, tol=1e-10):
@@ -278,18 +286,16 @@ def evaluate_extended(spec, x, t, tol=1e-10):
     Taylor series that continue the boundary parts are summed point by
     point.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1:
-        raise ValueError("evaluate_extended takes a point or a 1-D array")
-    if xs.size == 0:
-        return xs
     solver = _SOLVERS[spec.kind]
     if solver.i0 is not None and t <= 0:
         raise ValueError("evaluate_extended requires t > 0")
-    return like_input(solver.extended(spec, xs, t, tol), x)
+    return _at_points(solver.extended, spec, x, t, tol)
 
 
 def boundary_to_initial(spec, x):
     """w0(x): initial condition of the whole-line problem the extension
-    solves.  Refuses incompatible two-condition KdV data."""
-    return _solver(spec, "boundary_to_initial", "w0")(spec, x)
+    solves, at a point or a 1-D array of points; each kind continues u0
+    with the reflection or tiling rule of its extension, at t = 0.
+    Refuses incompatible two-condition KdV data when a point lies behind
+    the boundary."""
+    return _at_points(_solver(spec, "boundary_to_initial", "w0"), spec, x)

@@ -14,7 +14,7 @@ from ..specfun import gamma
 __all__ = [
     "real_part",
     "like_input",
-    "half_line_points",
+    "require_half_line",
     "over_factorial",
     "datum_coefficient",
     "fractional_family",
@@ -65,14 +65,12 @@ def like_input(values, x):
     return float(values[0]) if np.ndim(x) == 0 else values
 
 
-def half_line_points(x, where):
-    """x as a 1-D array of points x >= 0; OutsideWindowError names
-    ``where`` if a point lies behind the boundary."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+def require_half_line(xs, where):
+    """OutsideWindowError naming ``where`` if a point of the 1-D array xs
+    lies behind the boundary."""
     if np.any(xs < 0):
         raise OutsideWindowError(f"{where} needs x >= 0; use the extension "
                                  "for x < 0")
-    return xs
 
 
 def over_factorial(value, n, weight=1.0, times=1.0):
@@ -107,7 +105,8 @@ def fractional_family(spec, datum, m, t, beta, tol):
     t, tol, b), so a value depends on no other request.  An order raises
     what its own terms raise: QuadratureError when its convolution misses
     its budget, ExprDomainError when a derivative it reads is not finite,
-    OverflowError when one of its boundary weights leaves the float range.
+    OverflowError when one of its boundary weights, or their sum, leaves
+    the float range.
     """
     block, row = divmod(m - 1, FRACTIONAL_BLOCK)
     key = (datum, beta, t, tol, block)
@@ -163,7 +162,10 @@ def _fractional_block(cache, block, t, beta, tol):
             total = 0.0
             for r in range(1, m + 1):
                 total += weights[m - r] * at_zero[r - 1]
-            entries.append(total + scale * float(integral))
+            # a weight past the float range makes the sum inf or nan
+            entries.append(total + scale * float(integral)
+                           if math.isfinite(total) else OverflowError(
+                               f"boundary sum of order {m} overflows"))
     return entries
 
 
@@ -261,12 +263,12 @@ def reflected(xs, boundary, ladder, sign, tol):
     return out
 
 
-def adaptive_series(ladder, dx, tol, min_entries=3, quiet_needed=3):
+def adaptive_series(ladder, dx, tol):
     """Sum coefficient * dx^order adaptively.
 
-    Stops once ``quiet_needed`` consecutive terms are below tol relative to
-    the running magnitude, or at the ladder's order cap.  Returns (value,
-    last_order, stop_reason).
+    Past the first three entries, stops once three consecutive terms are
+    below tol relative to the running magnitude, or at the ladder's order
+    cap.  Returns (value, last_order, stop_reason).
     """
     total = 0.0
     scale = 0.0
@@ -282,9 +284,9 @@ def adaptive_series(ladder, dx, tol, min_entries=3, quiet_needed=3):
         total += term
         scale = max(scale, abs(total), 1e-300)
         last_order = order
-        if i >= min_entries and abs(term) <= 0.5 * tol * max(scale, 1.0):
+        if i >= 3 and abs(term) <= 0.5 * tol * max(scale, 1.0):
             quiet += 1
-            if quiet >= quiet_needed:
+            if quiet >= 3:
                 return total, last_order, "converged"
         else:
             quiet = 0

@@ -4,7 +4,8 @@ The gauge u = E v, E(x, t) = e^{-cx/2 - c^2 t/4}, maps the problem onto
 heat-Dirichlet for v with boundary datum g(t) = e^{c^2 t/4} f0(t) (k' = k -
 ic/2 turns the dispersion k^2 - ick into k'^2 + c^2/4).  E is entire and
 never zero, so the boundary part, its continuation, its Taylor data and w0
-are the heat-Dirichlet ones of the gauged spec times E.  The initial part
+are the heat-Dirichlet ones of the gauged spec times E (for w0, with the
+datum e^{cx/2} u0).  Every function of x takes a 1-D array.  The initial part
 keeps its shifted contour: e^{cx/2} u0 need not have a half-line transform.
 
 That contour is the line Im k = eta with eta = max(c, 0) + SHIFT_MARGIN:
@@ -25,9 +26,8 @@ import numpy as np
 from ..expr import parse
 from ..quad import integrate_segment
 from . import _common, heat
-from ._common import (COEFF_TOL, cached_ladder, doubled_series,
-                      growth_radius, half_line_points, like_input,
-                      over_factorial, real_part)
+from ._common import (COEFF_TOL, cached_ladder, growth_radius,
+                      over_factorial, real_part, require_half_line)
 from .problems import ProblemSpec
 
 # Height of the shifted initial-part contour above Im k = max(c, 0), the
@@ -37,17 +37,16 @@ from .problems import ProblemSpec
 SHIFT_MARGIN = 0.25
 
 
-def i0(spec, x, t, tol=1e-10):
-    """Initial-condition part at a point or a 1-D array of points: real-line
+def i0(spec, xs, t, tol=1e-10):
+    """Initial-condition part at each point of the 1-D array xs: real-line
     integral minus the reflected-argument transform integrated over the
     horizontal contour Im k = max(c, 0) + SHIFT_MARGIN: the lowest height
     at which u0_hat(-k + ic) is defined, plus a margin, since a higher
     contour only raises the integrand's size at x < 0 and with it the
     rounding floor of the error estimate.  The points share one adaptive
     k-rule per piece, sized for the largest |x|."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
-        return like_input(np.zeros(xs.shape), x)
+        return np.zeros(xs.shape)
     c = spec.c
     tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
     log_target = math.log(40.0 / tol) + 5.0
@@ -79,7 +78,7 @@ def i0(spec, x, t, tol=1e-10):
     p2 = integrate_segment(lambda z: shifted_part(np.real(z)), -kappa, kappa,
                            tol=tol / 4, initial_panels=panels)
     value = (p1.value - p2.value) / (2 * math.pi)
-    return like_input(real_part(value, tol, "advected i0"), x)
+    return real_part(value, tol, "advected i0")
 
 
 def _gauged(spec):
@@ -100,14 +99,14 @@ def _gauge(c, x, t):
     return np.exp(-c * x / 2.0 - c * c * t / 4.0)
 
 
-def boundary_integral(spec, x, t, tol=1e-10):
-    """E(x, t) times the heat single-layer potential of g, at a point or a
-    1-D array of points x >= 0; the datum value f0(t) at x = 0."""
-    xs = half_line_points(x, "advected boundary integral")
+def boundary_integral(spec, xs, t, tol=1e-10):
+    """E(x, t) times the heat single-layer potential of g, at each point
+    x >= 0 of the 1-D array xs; the datum value f0(t) at x = 0."""
+    require_half_line(xs, "advected boundary integral")
     out = _gauge(spec.c, xs, t) * heat.single_layer(_gauged(spec).f0, xs, t,
                                                     tol)
     out[xs == 0] = float(spec.f0.eval(t))
-    return like_input(out, x)
+    return out
 
 
 def boundary_coefficient(spec, order, t, tol=1e-11):
@@ -136,20 +135,20 @@ def tilde_ladder(spec, t, tol=COEFF_TOL):
 # ---------------------------------------------------------------------------
 
 
-def extended(spec, x, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array x: i0 plus E(x, t) times
+def extended(spec, xs, t, tol=1e-10):
+    """u_ac(x, t) at each point of the 1-D array xs: i0 plus E(x, t) times
     the continued heat-Dirichlet boundary part of the gauged spec."""
     g = _gauged(spec)
     part = _common.reflected(
-        x, lambda dist: heat.boundary_integral(g, dist, t, tol),
+        xs, lambda dist: heat.boundary_integral(g, dist, t, tol),
         heat.tilde_ladder(g, t), -1.0, tol)
-    return i0(spec, x, t, tol) + _gauge(spec.c, x, t) * part
+    return i0(spec, xs, t, tol) + _gauge(spec.c, xs, t) * part
 
 
-def boundary_to_initial(spec, x):
-    """w0(x): E(x, 0) times the heat-Dirichlet w0 of the gauged spec."""
-    if x >= 0:
-        return float(spec.u0.eval(x))
-    series = doubled_series(heat.tilde_ladder(_gauged(spec), 0.0), x, 1e-13)
-    return _gauge(spec.c, x, 0.0) * series - math.exp(
-        -spec.c * x) * float(spec.u0.eval(-x))
+def boundary_to_initial(spec, xs):
+    """w0 at each point of the 1-D array xs: E(x, 0) times the
+    heat-Dirichlet w0 of the gauged spec with initial datum e^{cx/2} u0."""
+    part = _common.reflected(
+        xs, lambda dist: np.exp(spec.c * dist / 2.0) * spec.u0.eval(dist),
+        heat.tilde_ladder(_gauged(spec), 0.0), -1.0, 1e-13)
+    return _gauge(spec.c, xs, 0.0) * part

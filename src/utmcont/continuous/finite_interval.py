@@ -8,7 +8,9 @@ is one single-layer call for a whole array of x.  Outside the native windows
 the extensions tile in steps of 2L, accumulating doubled Taylor series of the
 data, and evaluate the window images of all points in one call.  The same
 boundary integral also has the classical Fourier-sine-series form; both
-evaluators are exposed and must agree inside the common window.
+evaluators are exposed and must agree inside the common window.  w0 tiles
+the odd-periodic u0 by the same rules.  Functions of x take a 1-D array,
+except the Fourier form, which takes a point.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ..quad import finite_interval_transform, integrate_segment
+from ..quad import (finite_interval_transform, gauss_panels, geometric_edges,
+                    integrate_segment)
 from . import _common
 from ._common import (OutsideWindowError, datum_ladder, doubled_series,
-                      like_input, over_factorial, real_part)
+                      over_factorial, real_part)
 from .heat import single_layer
 
 SQRT_PI = math.sqrt(math.pi)
@@ -33,14 +36,13 @@ TILE_DEPTH = 5
 CENTER_IMAGES = 8
 
 
-def i0(spec, x, t, tol=1e-10):
-    """Initial-condition part, entire in x (t > 0), at a point or a 1-D
-    array of points sharing one adaptive k-rule per piece.  The pole piece's
-    sin(kx) and sin(k(L - x)) are split into e^{+ikx} and e^{-ikx} terms, so
-    its x-free factors are computed once per k-node."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+def i0(spec, xs, t, tol=1e-10):
+    """Initial-condition part, entire in x (t > 0), at each point of the
+    1-D array xs, the points sharing one adaptive k-rule per piece.  The
+    pole piece's sin(kx) and sin(k(L - x)) are split into e^{+ikx} and
+    e^{-ikx} terms, so its x-free factors are computed once per k-node."""
     if spec.u0.is_zero:
-        return like_input(np.zeros(xs.shape), x)
+        return np.zeros(xs.shape)
     L = spec.L
     x_max = float(np.max(np.abs(xs)))
     eps = min(1.0, 0.75 / L)
@@ -72,18 +74,19 @@ def i0(spec, x, t, tol=1e-10):
     p2 = integrate_segment(pole_part, -radius + anchor, radius + anchor,
                            tol=tol / 4, initial_panels=panels)
     value = (p1.value - p2.value) / (2 * math.pi)
-    return like_input(real_part(value, tol, "interval i0"), x)
+    return real_part(value, tol, "interval i0")
 
 
-def i0_at_zero(spec, x):
-    """Closed odd-periodic tiling of u0 (the t -> 0 limit of i0); u0 itself
-    on the closed interval [0, L]."""
+def i0_at_zero(spec, xs):
+    """Closed odd-periodic tiling of u0 (the t -> 0 limit of i0) at each
+    point of the 1-D array xs; u0 itself on the closed interval [0, L]."""
     L = spec.L
-    n = math.floor(x / (2 * L))
-    base = x - 2 * n * L
-    if base < L or x == L:
-        return float(spec.u0.eval(base))
-    return -float(spec.u0.eval(2 * L - base))
+    base = xs - 2 * np.floor(xs / (2 * L)) * L
+    mirrored = (base >= L) & (xs != L)
+    out = np.empty(xs.shape)
+    out[~mirrored] = spec.u0.eval(base[~mirrored])
+    out[mirrored] = -spec.u0.eval(2 * L - base[mirrored])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +115,16 @@ def _image_sum(spec, datum, y, t, tol):
     return total
 
 
-def left_boundary_integral(spec, x, t, tol=1e-10):
-    """I_{f0}(x, t) at a point or a 1-D array of points in [0, 2L): image
-    sum of single-layer potentials."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return like_input(_image_sum(spec, spec.f0, xs, t, tol), x)
+def left_boundary_integral(spec, xs, t, tol=1e-10):
+    """I_{f0}(x, t) at each point of the 1-D array xs in [0, 2L): image sum
+    of single-layer potentials."""
+    return _image_sum(spec, spec.f0, xs, t, tol)
 
 
-def right_boundary_integral(spec, x, t, tol=1e-10):
-    """I_{g0}(x, t) at a point or a 1-D array of points in (-L, L]: the
-    image sum of g0 at the distance L - x from the right end."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return like_input(_image_sum(spec, spec.g0, spec.L - xs, t, tol), x)
+def right_boundary_integral(spec, xs, t, tol=1e-10):
+    """I_{g0}(x, t) at each point of the 1-D array xs in (-L, L]: the image
+    sum of g0 at the distance L - x from the right end."""
+    return _image_sum(spec, spec.g0, spec.L - xs, t, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +149,15 @@ def _sine_tail(order, theta):
     raise ValueError("closed sine tails available for orders 1, 3, 5")
 
 
-def _mode_coefficient(spec, w, t, tol):
+def _mode_coefficient(spec, w, t):
     """e_n(t) = int_0^t e^{-w (t-s)} f0(s) ds by short geometric panels."""
     f0c = spec.f0.compiled()
     upper = min(t, 45.0 / w) if w > 0 else t
-    edges = [0.0]
-    step = min(upper, 1.0 / max(w, 1.0 / t))
-    pos = 0.0
-    while pos < upper:
-        pos = min(pos + step, upper)
-        edges.append(pos)
-        step *= 1.7
-    xg, wg = np.polynomial.legendre.leggauss(12)
+    nodes, weights = gauss_panels(
+        geometric_edges(upper, min(upper, 1.0 / max(w, 1.0 / t)), 1.7), 12)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        tau = mid + half * xg
-        total += float(np.sum(half * wg * np.exp(-w * tau) * f0c(t - tau)))
+    for tau, wt in zip(nodes, weights):
+        total += float(np.sum(wt * np.exp(-w * tau) * f0c(t - tau)))
     return total
 
 
@@ -179,7 +172,7 @@ def left_boundary_fourier(spec, x, t, tol=1e-10):
     total = 0.0
     for n in range(1, n0 + 1):
         w = (n * math.pi / L) ** 2
-        total += 2 * n * math.pi / L**2 * _mode_coefficient(spec, w, t, tol) \
+        total += 2 * n * math.pi / L**2 * _mode_coefficient(spec, w, t) \
             * math.sin(n * theta)
     # Watson layers e_n ~ sum_r (-1)^r f0^{(r)}(t)/w^{r+1} turn the slowly
     # decaying tail into closed Bernoulli-polynomial sine sums
@@ -204,22 +197,22 @@ def tilde_ladders(spec, t):
             datum_ladder(spec, "g0", "even", t, center=spec.L))
 
 
-def _tile_points(spec, x):
-    """x as a 1-D array, refused past the supported tiling depth."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+def _require_tile_depth(spec, xs):
+    """ValueError if a point of the 1-D array xs lies past the supported
+    tiling depth."""
     far = float(np.max(np.abs(xs)))
     if far > TILE_DEPTH * spec.L:
         raise ValueError(
             f"|x| = {far:g} beyond the supported tiling depth "
             f"{TILE_DEPTH} L = {TILE_DEPTH * spec.L:g}"
         )
-    return xs
 
 
 def _tile_left(spec, xs, at_base, series):
     """2L-periodic tiling of the left window [0, 2L) at each point of xs:
     at_base(b) at the images b of the points in the window (one call), plus
     the doubled series accumulated on the way from each b to its x."""
+    _require_tile_depth(spec, xs)
     L = spec.L
     n = np.floor(xs / (2 * L)).astype(int)
     value = at_base(xs - 2 * n * L)
@@ -233,6 +226,7 @@ def _tile_left(spec, xs, at_base, series):
 
 def _tile_right(spec, xs, at_base, series):
     """2L-periodic tiling of the right window (-L, L], as _tile_left."""
+    _require_tile_depth(spec, xs)
     L = spec.L
     n = np.ceil((xs - L) / (2 * L)).astype(int)
     value = at_base(xs - 2 * n * L)
@@ -244,42 +238,40 @@ def _tile_right(spec, xs, at_base, series):
     return value
 
 
-def left_extension(spec, x, t, tol=1e-10):
-    """I_{f0}^ext at a point or a 1-D array of points: 2L-periodic tiling
+def left_extension(spec, xs, t, tol=1e-10):
+    """I_{f0}^ext at each point of the 1-D array xs: 2L-periodic tiling
     with accumulated doubled series."""
     ladder = tilde_ladders(spec, t)[0]
-    values = _tile_left(spec, _tile_points(spec, x),
-                        lambda b: left_boundary_integral(spec, b, t, tol),
-                        lambda y: doubled_series(ladder, y, tol))
-    return like_input(values, x)
+    return _tile_left(spec, xs,
+                      lambda b: left_boundary_integral(spec, b, t, tol),
+                      lambda y: doubled_series(ladder, y, tol))
 
 
-def right_extension(spec, x, t, tol=1e-10):
+def right_extension(spec, xs, t, tol=1e-10):
     """I_{g0}^ext: tiling of the (-L, L] window, as left_extension."""
     ladder = tilde_ladders(spec, t)[1]
-    values = _tile_right(spec, _tile_points(spec, x),
-                         lambda b: right_boundary_integral(spec, b, t, tol),
-                         lambda y: doubled_series(ladder, y, tol))
-    return like_input(values, x)
+    return _tile_right(spec, xs,
+                       lambda b: right_boundary_integral(spec, b, t, tol),
+                       lambda y: doubled_series(ladder, y, tol))
 
 
-def extended(spec, x, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array x; i0 is integrated for the
-    whole array at once, after the tilings have checked the depth."""
-    left = left_extension(spec, x, t, tol)
-    right = right_extension(spec, x, t, tol)
-    return i0(spec, x, t, tol) + left + right
+def extended(spec, xs, t, tol=1e-10):
+    """u_ac(x, t) at each point of the 1-D array xs; i0 is integrated for
+    the whole array at once, after the tilings have checked the depth."""
+    left = left_extension(spec, xs, t, tol)
+    right = right_extension(spec, xs, t, tol)
+    return i0(spec, xs, t, tol) + left + right
 
 
-def boundary_to_initial(spec, x):
-    """w0(x): odd-tiled u0 plus the t -> 0 limits of both extensions."""
-    xs = _tile_points(spec, x)
+def boundary_to_initial(spec, xs):
+    """w0 at each point of the 1-D array xs: the odd-periodic u0 plus the
+    series both tilings accumulate at t = 0.  That u0 is 2L-periodic, so
+    its values at xs are its values at their window images."""
     f0_ladder, g0_ladder = tilde_ladders(spec, 0.0)
-    value = _tile_left(spec, xs, lambda b: np.array([i0_at_zero(spec, x)]),
+    value = _tile_left(spec, xs, lambda b: i0_at_zero(spec, xs),
                        lambda y: doubled_series(f0_ladder, y, 1e-13))
-    value = _tile_right(spec, xs, lambda b: value,
-                        lambda y: doubled_series(g0_ladder, y, 1e-13))
-    return float(value[0])
+    return _tile_right(spec, xs, lambda b: value,
+                       lambda y: doubled_series(g0_ladder, y, 1e-13))
 
 
 # ---------------------------------------------------------------------------

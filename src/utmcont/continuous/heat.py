@@ -5,7 +5,8 @@ contour deforms there, and the Gaussian kernel makes every x reachable).  The
 boundary part uses the closed heat-kernel convolution for x >= 0, one shared
 time rule for a whole array of x, and the reflection-plus-doubled-Taylor-
 series extension for x < 0.  Dirichlet doubles the even series (the datum
-pins the even derivatives), Neumann the odd one.
+pins the even derivatives), Neumann the odd one; w0 is that rule applied
+to u0 at t = 0.  Every function of x takes a 1-D array.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import numpy as np
 
 from ..quad import integrate_segment
 from . import _common
-from ._common import (datum_coefficient, datum_ladder, doubled_series,
-                      fractional_family, half_line_points, like_input,
-                      over_factorial, real_part)
+from ._common import (datum_coefficient, datum_ladder, fractional_family,
+                      over_factorial, real_part, require_half_line)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -28,13 +28,12 @@ def _reflection_sign(kind):
     return -1.0 if kind == "heat-dirichlet" else 1.0
 
 
-def i0(spec, x, t, tol=1e-10):
-    """Initial-condition part, entire in x, at a point or a 1-D array of
-    points.  The points share one adaptive k-rule, sized for the largest
-    |x|, and each meets its own error budget."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+def i0(spec, xs, t, tol=1e-10):
+    """Initial-condition part, entire in x, at each point of the 1-D array
+    xs.  The points share one adaptive k-rule, sized for the largest |x|,
+    and each meets its own error budget."""
     if spec.u0.is_zero:
-        return like_input(np.zeros(xs.shape), x)
+        return np.zeros(xs.shape)
     sign = _reflection_sign(spec.kind)
     tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
     radius = math.sqrt((math.log(40.0 / tol) + 5.0) / t)
@@ -46,29 +45,28 @@ def i0(spec, x, t, tol=1e-10):
     panels = _common.oscillation_panels(2 * radius, np.max(np.abs(xs)), base=4)
     res = integrate_segment(integrand, -radius, radius, tol=tol / 2,
                             initial_panels=panels)
-    return like_input(real_part(res.value / (2 * math.pi), tol, "heat i0"), x)
+    return real_part(res.value / (2 * math.pi), tol, "heat i0")
 
 
-def boundary_integral(spec, x, t, tol=1e-10):
-    """Boundary part on its native side, at a point or a 1-D array of
-    points x >= 0: the Dirichlet single layer (datum value at x = 0 by
+def boundary_integral(spec, xs, t, tol=1e-10):
+    """Boundary part on its native side, at each point x >= 0 of the 1-D
+    array xs: the Dirichlet single layer (datum value at x = 0 by
     convention) or the Neumann kernel convolution (continuous there)."""
-    half_line_points(x, "heat boundary integral")
+    require_half_line(xs, "heat boundary integral")
     if spec.kind == "heat-dirichlet":
-        return single_layer(spec.f0, x, t, tol)
-    return _neumann_kernel_convolution(spec.f1, x, t, tol)
+        return single_layer(spec.f0, xs, t, tol)
+    return _neumann_kernel_convolution(spec.f1, xs, t, tol)
 
 
-def single_layer(f0, x, t, tol=1e-10):
+def single_layer(f0, xs, t, tol=1e-10):
     """int_0^t f0(s) G(x, t-s) ds with the first-derivative heat kernel G
-    (classical single-layer potential), at a point or a 1-D array of points
-    x >= 0; f0(t) at x = 0, its limit as x -> 0+.
+    (classical single-layer potential), at each point x >= 0 of the 1-D
+    array xs; f0(t) at x = 0, its limit as x -> 0+.
 
     The substitution z = x/(2 sqrt(t-s)) yields a Gaussian-weighted smooth
     integrand on [z0, inf), z0 = x/(2 sqrt(t)); over u = z - z0 the span
     does not depend on x, so the points share one adaptive rule.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     z0 = xs[:, None] / (2.0 * math.sqrt(t))
 
     def integrand(u):
@@ -80,14 +78,13 @@ def single_layer(f0, x, t, tol=1e-10):
     res = integrate_segment(integrand, 0.0, span, tol=tol / 2)
     out = real_part(res.value * 2.0 / SQRT_PI, tol, "dirichlet boundary")
     out[xs == 0] = float(f0.eval(t))
-    return like_input(out, x)
+    return out
 
 
-def _neumann_kernel_convolution(f1, x, t, tol):
+def _neumann_kernel_convolution(f1, xs, t, tol):
     # -(1/sqrt(pi)) int_0^t f1(s) e^{-x^2/4(t-s)} / sqrt(t-s) ds, with
     # sigma = sqrt(t-s) removing the endpoint singularity; one row of
     # e^{-x^2/4 sigma^2} per x on the shared sigma-nodes
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
 
     def integrand(sigma):
         sigma = np.real(sigma)
@@ -95,8 +92,7 @@ def _neumann_kernel_convolution(f1, x, t, tol):
         return f1.eval(s) * np.exp(-(xs * xs)[:, None] / (4.0 * sigma * sigma))
 
     res = integrate_segment(integrand, 0.0, math.sqrt(t), tol=tol / 2)
-    return like_input(real_part(-res.value * 2.0 / SQRT_PI, tol,
-                                "neumann boundary"), x)
+    return real_part(-res.value * 2.0 / SQRT_PI, tol, "neumann boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +129,19 @@ def full_series_coefficient(spec, order, t, tol=1e-11):
 # ---------------------------------------------------------------------------
 
 
-def extended(spec, x, t, tol=1e-10):
-    """u_ac(x, t) = i0 + boundary part at each point of the 1-D array x,
+def extended(spec, xs, t, tol=1e-10):
+    """u_ac(x, t) = i0 + boundary part at each point of the 1-D array xs,
     continued to x < 0 by reflection plus the doubled series: odd
     reflection and even series for Dirichlet, even reflection and odd
     series for Neumann."""
-    return i0(spec, x, t, tol) + _common.reflected(
-        x, lambda dist: boundary_integral(spec, dist, t, tol),
+    return i0(spec, xs, t, tol) + _common.reflected(
+        xs, lambda dist: boundary_integral(spec, dist, t, tol),
         tilde_ladder(spec, t), _reflection_sign(spec.kind), tol)
 
 
-def boundary_to_initial(spec, x):
-    """w0(x): the whole-line initial condition of the extended solution."""
-    if x >= 0:
-        return float(spec.u0.eval(x))
-    series = doubled_series(tilde_ladder(spec, 0.0), x, 1e-13)
-    return series + _reflection_sign(spec.kind) * float(spec.u0.eval(-x))
+def boundary_to_initial(spec, xs):
+    """w0 at each point of the 1-D array xs, the t -> 0 limit of
+    ``extended``: its reflection rule with u0 in place of the boundary part
+    and the doubled series at t = 0."""
+    return _common.reflected(xs, spec.u0.eval, tilde_ladder(spec, 0.0),
+                             _reflection_sign(spec.kind), 1e-13)

@@ -24,7 +24,8 @@ vector integrand (one row per x, each meeting its own budget), and the data
 transform is computed once per k-node for every x.  ``if0_one_bc`` takes
 the array too: shifted by its x-dependent lower limit, its Airy integral
 runs over one span for every x.  Both kinds continue their boundary parts
-to x < 0 by ``_common.reflected``.
+to x < 0 by ``_common.reflected``.  Every function that takes x, w0
+included, takes a 1-D array.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ..quad import integrate_segment
+from ..quad import gauss_panels, integrate_segment
 from .problems import DecayClassError, check_compatibility
 from ._common import (COEFF_TOL, cached_ladder, datum_coefficient,
                       datum_ladder, doubled_series, fractional_family,
-                      half_line_points, like_input, over_factorial,
-                      real_part, reflected)
+                      over_factorial, real_part, reflected,
+                      require_half_line)
 
 ALPHA = cmath.exp(2j * math.pi / 3)
 SQRT3 = math.sqrt(3.0)
@@ -70,13 +71,12 @@ def _kdv1_epsilon(spec):
     return min(0.45 * rest[0], 0.75)
 
 
-def i0_one_bc(spec, x, t, tol=1e-10):
+def i0_one_bc(spec, xs, t, tol=1e-10):
     """Initial-condition part of the one-condition problem, entire in x, at
-    a point or a 1-D array of points.  The points share one contour per
+    each point of the 1-D array xs.  The points share one contour per
     piece, sized for the largest |x|, and each meets its own budget."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
-        return like_input(np.zeros(xs.shape), x)
+        return np.zeros(xs.shape)
     kind = spec.decay()[0]
     if kind not in ("gaussian", "exponential"):
         raise DecayClassError("one-condition KdV requires exponential decay")
@@ -122,18 +122,18 @@ def i0_one_bc(spec, x, t, tol=1e-10):
     total = sum(integrate_segment(f, a, b, tol=tol / 6,
                                   initial_panels=count).value
                 for f, a, b, count in pieces)
-    return like_input(real_part(total / (2 * math.pi), tol, "kdv1 i0"), x)
+    return real_part(total / (2 * math.pi), tol, "kdv1 i0")
 
 
-def if0_one_bc(spec, x, t, tol=1e-10):
-    """Airy-kernel convolution at a point or a 1-D array of points x >= 0
+def if0_one_bc(spec, xs, t, tol=1e-10):
+    """Airy-kernel convolution at each point x >= 0 of the 1-D array xs
     (datum value at x = 0).
 
     Over w = x/(3(t-s))^{1/3} the integrand is f0(s) Ai(w) on [w_low, inf),
     w_low = x/(3t)^{1/3}; over u = w - w_low the span does not depend on x,
     so the points share one adaptive rule.
     """
-    xs = half_line_points(x, "one-condition boundary integral")
+    require_half_line(xs, "one-condition boundary integral")
     rows = xs[:, None]
     w_low = rows / (3.0 * t) ** (1.0 / 3.0)
     f0c = spec.f0.compiled()
@@ -147,7 +147,7 @@ def if0_one_bc(spec, x, t, tol=1e-10):
     res = integrate_segment(integrand, 0.0, span, tol=tol / 3)
     out = real_part(3.0 * res.value, tol, "kdv1 boundary")
     out[xs == 0] = float(spec.f0.eval(t))
-    return like_input(out, x)
+    return out
 
 
 def kdv1_coefficient(spec, order, t, tol=1e-11):
@@ -173,24 +173,29 @@ def kdv1_tilde_ladder(spec, t, tol=COEFF_TOL):
         lambda order: kdv1_coefficient(spec, order, t, tol))
 
 
-def extended_one_bc(spec, x, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array x: the Airy convolution,
+def extended_one_bc(spec, xs, t, tol=1e-10):
+    """u_ac(x, t) at each point of the 1-D array xs: the Airy convolution,
     continued to x < 0 by the doubled series less the reflected
     convolution."""
-    return i0_one_bc(spec, x, t, tol) + reflected(
-        x, lambda dist: if0_one_bc(spec, dist, t, tol),
+    return i0_one_bc(spec, xs, t, tol) + reflected(
+        xs, lambda dist: if0_one_bc(spec, dist, t, tol),
         kdv1_tilde_ladder(spec, t), -1.0, tol)
 
 
-def w0_one_bc(spec, x):
-    if x >= 0:
-        return float(spec.u0.eval(x))
-    # closed small-time limit of the doubled series:
-    # 3 sum (-1)^m x^{3m} f0^{(m)}(0) / (3m)!
-    series = doubled_series(datum_ladder(spec, "f0", "cubic", 0.0), x, 1e-12,
-                            factor=3.0)
-    rotated = spec.u0.eval_complex(ALPHA * x)
-    return series - 2.0 * float(np.real(rotated))
+def w0_one_bc(spec, xs):
+    """w0 at each point of the 1-D array xs: u0 for x >= 0; for x < 0 the
+    small-time limit of the doubled series, 3 sum (-1)^m x^{3m}
+    f0^{(m)}(0) / (3m)!, less 2 Re u0(alpha x)."""
+    out = np.empty(xs.shape)
+    ahead = xs >= 0
+    out[ahead] = spec.u0.eval(xs[ahead])
+    behind = xs[~ahead]
+    ladder = datum_ladder(spec, "f0", "cubic", 0.0)
+    series = np.array([doubled_series(ladder, x, 1e-12, factor=3.0)
+                       for x in behind.tolist()])
+    rotated = spec.u0.eval_complex(ALPHA * behind)
+    out[~ahead] = series - 2.0 * np.real(rotated)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ _RAW1_ANGLES = (math.pi / 3, 0.0)  # undeformed sector edges (in, out)
 _RAW2_ANGLES = (math.pi, 2 * math.pi / 3)
 
 
-def _ray_pair_value(f, angles, t, x_max, tol, dodge=0.0, panels_extra=0):
+def _ray_pair_value(f, angles, t, x_max, tol, dodge=0.0):
     """Integrate f over the (inbound, outbound) ray pair, truncating each ray
     where the cubic decay of e^{-i k^3 t} beats the |e^{ikx}| growth for
     every |x| <= x_max.  f may be a vector integrand (one row per x); each
@@ -219,24 +224,23 @@ def _ray_pair_value(f, angles, t, x_max, tol, dodge=0.0, panels_extra=0):
         radius = _cubic_radius(max(decay, 1e-12), growth, log_target)
         d = cmath.exp(1j * angle)
         a, b = (radius * d, dodge * d) if inbound else (dodge * d, radius * d)
-        panels = 2 + panels_extra + int(radius * (x_max + 1.0) / (2 * math.pi))
+        panels = 2 + int(radius * (x_max + 1.0) / (2 * math.pi))
         total += integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
                                    initial_panels=panels).value
     if dodge > 0.0:
         a = dodge * cmath.exp(1j * ain)
         b = dodge * cmath.exp(1j * aout)
         total += integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
-                                   initial_panels=2 + panels_extra).value
+                                   initial_panels=2).value
     return total
 
 
-def i0_two_bc(spec, x, t, tol=1e-10):
+def i0_two_bc(spec, xs, t, tol=1e-10):
     """Initial-condition part of the two-condition problem, entire in x, at
-    a point or a 1-D array of points.  The points share one ray pair per
+    each point of the 1-D array xs.  The points share one ray pair per
     piece, sized for the largest |x|, and each meets its own budget."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if spec.u0.is_zero:
-        return like_input(np.zeros(xs.shape), x)
+        return np.zeros(xs.shape)
     tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
     x_max = float(np.max(np.abs(xs)))
 
@@ -250,7 +254,7 @@ def i0_two_bc(spec, x, t, tol=1e-10):
                              t, x_max, tol)
     total -= _ray_pair_value(piece(lambda k: tf(ALPHA * k)), _D2_ANGLES,
                              t, x_max, tol)
-    return like_input(real_part(total / (2 * math.pi), tol, "kdv2 i0"), x)
+    return real_part(total / (2 * math.pi), tol, "kdv2 i0")
 
 
 def _growth_rate(cache, t, depth):
@@ -267,8 +271,8 @@ def _growth_rate(cache, t, depth):
 _N_IBP = 6
 
 
-def _kdv2_boundary(spec, which, x, t, tol=1e-10):
-    """I_{f0} or I_{f1} at a point or a 1-D array of points x >= 0, via
+def _kdv2_boundary(spec, which, xs, t, tol=1e-10):
+    """I_{f0} or I_{f1} at each point x >= 0 of the 1-D array xs, via
     n-fold integration by parts in time; I_{f0} at x = 0 is the datum value
     by convention.
 
@@ -277,13 +281,13 @@ def _kdv2_boundary(spec, which, x, t, tol=1e-10):
     boundary, absolutely and uniformly in the time lag.  The points share
     every contour, sized for the largest x.
     """
-    xs = half_line_points(x, "two-condition boundary integral")
+    require_half_line(xs, "two-condition boundary integral")
     out = np.empty(xs.shape)
     inside = xs > 0 if which == "f0" else xs >= 0
     if not inside.all():
         out[~inside] = float(spec.f0.eval(t))
         if not inside.any():
-            return like_input(out, x)
+            return out
     rows = xs[inside]
     cache = spec.deriv(which)
     n = _N_IBP
@@ -319,7 +323,7 @@ def _kdv2_boundary(spec, which, x, t, tol=1e-10):
         total += coef * _kdv2_remainder(cache, weight, raw, r0, rate, n,
                                         rows, t, tol)
     out[inside] = real_part(total, tol, f"kdv2 {which} boundary")
-    return like_input(out, x)
+    return out
 
 
 def _kdv2_remainder(cache, weight, angles, r0, rate, n, xs, t, tol):
@@ -333,28 +337,20 @@ def _kdv2_remainder(cache, weight, angles, r0, rate, n, xs, t, tol):
         (r0 * din, r0 * dout),
         (r0 * dout, radius * dout),
     ]
-    xg, wg = np.polynomial.legendre.leggauss(16)
     x_max = float(np.max(xs))
     knodes, kweights = [], []
     for a, b in pieces:
-        length = abs(b - a)
-        panels = 2 + int(length * (x_max + r0**2) / (2 * math.pi))
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        tpar = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
-        knodes.append(a + tpar * (b - a))
-        kweights.append((halves[:, None] * wg[None, :]).ravel() * (b - a))
+        panels = 2 + int(abs(b - a) * (x_max + r0**2) / (2 * math.pi))
+        tpar, wpar = gauss_panels(np.linspace(0.0, 1.0, panels + 1), 16)
+        knodes.append(a + tpar.ravel() * (b - a))
+        kweights.append(wpar.ravel() * (b - a))
     k = np.concatenate(knodes)
     wk = np.concatenate(kweights) * weight(k) / (-1j * k**3) ** n
 
     # s-panels resolve the data oscillation
     spanels = max(8, int(rate * t / 1.5))
-    edges = np.linspace(0.0, t, spanels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    snodes = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
-    sweights = (halves[:, None] * wg[None, :]).ravel()
+    snodes, sweights = gauss_panels(np.linspace(0.0, t, spanels + 1), 16)
+    snodes, sweights = snodes.ravel(), sweights.ravel()
     fvals = cache.derivative(n).compiled()(snodes)
 
     # e^{ikx - ik^3(t-s)} = e^{ikx} e^{-ik^3(t-s)}: the s-sum is done once
@@ -389,30 +385,32 @@ def kdv2_tilde_ladder(spec, which, t, tol=COEFF_TOL):
         lambda order: kdv2_coefficient(spec, which, order, t, tol))
 
 
-def extended_two_bc(spec, x, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array x: i0 plus both boundary
+def extended_two_bc(spec, xs, t, tol=1e-10):
+    """u_ac(x, t) at each point of the 1-D array xs: i0 plus both boundary
     integrals, continued to x < 0 by the doubled series less (f0) or plus
     (f1) the reflected integral."""
     def part(which, sign):
         return reflected(
-            x, lambda dist: _kdv2_boundary(spec, which, dist, t, tol),
+            xs, lambda dist: _kdv2_boundary(spec, which, dist, t, tol),
             kdv2_tilde_ladder(spec, which, t), sign, tol)
 
-    return i0_two_bc(spec, x, t, tol) + part("f0", -1.0) + part("f1", 1.0)
+    return i0_two_bc(spec, xs, t, tol) + part("f0", -1.0) + part("f1", 1.0)
 
 
 class IncompatibleDataError(ValueError):
     """Two-condition KdV data admit no boundary-to-initial map."""
 
 
-def w0_two_bc(spec, x, order=3, tol=1e-9):
-    if x >= 0:
-        return float(spec.u0.eval(x))
-    residuals = check_compatibility(spec, order)
-    if any(r > tol for r in residuals):
-        raise IncompatibleDataError(
-            "boundary and initial data are incompatible (residuals "
-            f"{[f'{r:.2e}' for r in residuals]}); the extended solution blows "
-            "up as t -> 0+ and no boundary-to-initial map exists"
-        )
-    return float(spec.u0.eval(x))
+def w0_two_bc(spec, xs):
+    """w0 at each point of the 1-D array xs: u0 itself.  A point x < 0
+    needs data compatible to order 3 (each residual within 1e-9), checked
+    once per call; incompatible data raise IncompatibleDataError."""
+    if np.any(xs < 0):
+        residuals = check_compatibility(spec, 3)
+        if any(r > 1e-9 for r in residuals):
+            raise IncompatibleDataError(
+                "boundary and initial data are incompatible (residuals "
+                f"{[f'{r:.2e}' for r in residuals]}); the extended solution "
+                "blows up as t -> 0+ and no boundary-to-initial map exists"
+            )
+    return spec.u0.eval(xs)

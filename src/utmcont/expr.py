@@ -457,6 +457,13 @@ def _pow_eval(base, expo):
         return np.power(np.asarray(base, dtype=float), expo)
 
 
+def _shaped_like(value, x):
+    """value, repeated over the shape of x if it is a constant's."""
+    if np.ndim(value) == 0 and np.ndim(x) > 0:
+        return np.full(np.shape(x), value)
+    return value
+
+
 def _check_finite(value):
     if not np.all(np.isfinite(value)):
         raise ExprDomainError("evaluation produced a non-finite value")
@@ -512,9 +519,7 @@ def _compile(node):
     def call(x):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             out = eval(code, consts, {"x": x})
-        if np.ndim(out) == 0 and np.ndim(x) > 0:
-            out = np.full(np.shape(x), out)
-        return out
+        return _shaped_like(out, x)
 
     return call
 
@@ -690,8 +695,8 @@ class Expression:
         return isinstance(self._node, _Num) and self._node.value == 0.0
 
     def eval(self, x):
-        """Evaluate at a real point or numpy array of points."""
-        return _check_finite(_eval(self._node, x))
+        """Evaluate at a real point or numpy array of points (x's shape)."""
+        return _check_finite(_shaped_like(_eval(self._node, x), x))
 
     def compiled(self):
         """Fast unchecked numpy callable of this expression (internal hot
@@ -709,7 +714,8 @@ class Expression:
                 "expression has fractional powers; complex evaluation is "
                 "branch-ambiguous and refused"
             )
-        return _check_finite(_eval(self._node, np.asarray(z, dtype=complex) + 0j))
+        z = np.asarray(z, dtype=complex) + 0j
+        return _check_finite(_shaped_like(_eval(self._node, z), z))
 
     def to_text(self):
         return _emit(self._node, self.var_name, "")

@@ -5,6 +5,7 @@ over piecewise paths in the complex k-plane.  Each solver truncates its own
 infinite pieces at a radius derived from its integrand's decay and passes
 the resulting segments to :func:`integrate_segment`: adaptive Gauss-Kronrod
 (G7/K15) with interval bisection, vectorized over the active intervals.
+Every fixed rule of the package comes from :func:`gauss_panels`.
 
 Also provides the data-transform integrals (half-line and finite-interval
 Fourier-type transforms of initial data) and the endpoint-singular time
@@ -14,6 +15,7 @@ one convolution, or a block of them (one row each) on one shared rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +27,8 @@ __all__ = [
     "QuadratureError",
     "DecayError",
     "integrate_segment",
+    "gauss_panels",
+    "geometric_edges",
     "HalfLineTransform",
     "finite_interval_transform",
     "singular_time_convolution",
@@ -181,6 +185,33 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(order):
+    # leggauss solves an eigenproblem (about 0.5 ms at order 24): once each
+    return np.polynomial.legendre.leggauss(order)
+
+
+def gauss_panels(edges, order):
+    """Composite ``order``-point Gauss-Legendre rule over the panels
+    [edges[i], edges[i+1]]: (nodes, weights), one row per panel."""
+    x, w = _legendre(order)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return mid + half * x, half * w
+
+
+def geometric_edges(upper, first, ratio):
+    """Panel edges 0 = e_0 < e_1 < ... = upper whose widths start at
+    ``first`` and grow by ``ratio``; the last panel is cut at ``upper``."""
+    edges = [0.0]
+    step = first
+    while edges[-1] < upper:
+        edges.append(min(edges[-1] + step, upper))
+        step *= ratio
+    return np.array(edges)
+
+
 def _row_sums(phases, wvals):
     """phases @ wvals, one row at a time: unlike a matrix-vector product,
     whose blocking sums a row differently with different companions, each
@@ -236,22 +267,10 @@ class HalfLineTransform:
         upper = _decay_truncation_point(
             self.u0, self.decay_kind, self.rate, growth, self.tol
         )
-        nodes_list, weights_list = [], []
-        x, w = np.polynomial.legendre.leggauss(24)
         # geometric panels resolve both the origin region and the slow tail
-        edges = [0.0]
-        step = min(1.0, upper / 8)
-        pos = 0.0
-        while pos < upper:
-            pos = min(pos + step, upper)
-            edges.append(pos)
-            step *= 1.6
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            nodes_list.append(mid + half * x)
-            weights_list.append(half * w)
-        nodes = np.concatenate(nodes_list)
-        weights = np.concatenate(weights_list)
+        nodes, weights = gauss_panels(
+            geometric_edges(upper, min(1.0, upper / 8), 1.6), 24)
+        nodes, weights = nodes.ravel(), weights.ravel()
         self._grid = (nodes, weights * self.u0.compiled()(nodes))
 
     def __call__(self, k):
@@ -283,7 +302,7 @@ class HalfLineTransform:
         return out
 
 
-def finite_interval_transform(u0, L, k, tol=1e-12):
+def finite_interval_transform(u0, L, k):
     """u0_hat(k) = integral over (0, L) of e^{-iky} u0(y) dy (entire in k).
 
     24-point Gauss-Legendre panels on [0, L], max(4, |k| L / 6) of them,
@@ -292,15 +311,12 @@ def finite_interval_transform(u0, L, k, tol=1e-12):
     if L <= 0:
         raise ValueError("interval length L must be positive")
     k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
-    x, w = np.polynomial.legendre.leggauss(24)
     panels = np.maximum(4, (np.abs(k_arr) * L / 6.0).astype(int))
     out = np.empty(k_arr.shape, dtype=complex)
     for count in np.unique(panels):
-        edges = np.linspace(0.0, L, count + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wvals = (half[:, None] * w[None, :]).ravel() * u0.eval(nodes)
+        nodes, weights = gauss_panels(np.linspace(0.0, L, count + 1), 24)
+        nodes = nodes.ravel()
+        wvals = weights.ravel() * u0.eval(nodes)
         group = panels == count
         out[group] = _row_sums(np.exp(-1j * np.outer(k_arr[group], nodes)),
                                wvals)

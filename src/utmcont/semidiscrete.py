@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import DerivativeCache, Expression
+from .quad import gauss_panels, geometric_edges, integrate_segment
 from .specfun import bessel_i_scaled
 from .continuous._common import real_part
 
@@ -113,12 +114,8 @@ def _theta_grid(spec, n_max, full_period=False):
     if key not in spec._grids:
         lo, hi = (-math.pi, math.pi) if full_period else (0.0, math.pi)
         panels = max(24, int(1.5 * n_max) + 8)
-        xg, wg = np.polynomial.legendre.leggauss(12)
-        edges = np.linspace(lo, hi, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
-        weights = (halves[:, None] * wg[None, :]).ravel()
+        nodes, weights = gauss_panels(np.linspace(lo, hi, panels + 1), 12)
+        nodes, weights = nodes.ravel(), weights.ravel()
         spec._grids[key] = (nodes, weights, _datum_convolution(spec, nodes))
     return spec._grids[key]
 
@@ -128,19 +125,11 @@ def _datum_convolution(spec, theta_nodes):
     T, h = spec.T, spec.h
     fc = spec.datum.compiled()
     # geometric panels in the lag resolve the stiffest mode W = 4/h^2
-    edges = [0.0]
-    step = h * h / 8.0
-    while edges[-1] < T:
-        edges.append(min(T, edges[-1] + step))
-        step *= 1.5
-    xg, wg = np.polynomial.legendre.leggauss(12)
+    nodes, weights = gauss_panels(geometric_edges(T, h * h / 8.0, 1.5), 12)
     total = np.zeros_like(theta_nodes)
     w_disp = spec.dispersion(theta_nodes)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        tau = mid + half * xg
-        fv = fc(T - tau)
-        total += (half * wg * fv) @ np.exp(-np.outer(tau, w_disp))
+    for tau, wt in zip(nodes, weights):
+        total += (wt * fc(T - tau)) @ np.exp(-np.outer(tau, w_disp))
     return total
 
 
@@ -241,13 +230,7 @@ def sd_bessel_kernel_form(spec, n, tol=1e-10):
 
     # the integrand extends continuously to tau -> 0 (value n-dependent);
     # geometric panels near zero resolve the h^2-scale transition
-    from .quad import integrate_segment
-
-    edges = [0.0]
-    step = h * h / 4.0
-    while edges[-1] < T:
-        edges.append(min(T, edges[-1] + step))
-        step *= 1.6
+    edges = geometric_edges(T, h * h / 4.0, 1.6)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         total += integrate_segment(integrand, lo, hi,

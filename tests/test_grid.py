@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from utmcont import cli, quad
-from utmcont.continuous import (ProblemSpec, evaluate_boundary_integral,
-                                evaluate_extended, evaluate_I0)
+from utmcont.continuous import (IncompatibleDataError, ProblemSpec,
+                                boundary_to_initial,
+                                evaluate_boundary_integral, evaluate_extended,
+                                evaluate_I0)
 from utmcont.expr import parse
 
 
@@ -72,6 +74,66 @@ def test_empty_array_gives_empty_array(fresh_spec, kind):
                 *(evaluate_boundary_integral(spec, which, empty, 0.5)
                   for k, which, _, _ in BOUNDARY_CASES if k == kind)):
         assert got.shape == (0,) and got.dtype == float
+
+
+# every kind with a w0, and points on both sides of its boundaries (the
+# finite-interval points cover both tiling directions)
+W0_CASES = [
+    ("heat-dirichlet", [-1.5, -0.4, 0.0, 0.7, 1.8]),
+    ("heat-neumann", [-1.5, -0.4, 0.0, 0.7, 1.8]),
+    ("advected-heat", [-1.5, -0.4, 0.0, 0.7, 1.8]),
+    ("kdv-one-bc", [-1.5, -0.4, 0.0, 0.7, 1.8]),
+    ("kdv-two-bc", [-1.5, -0.4, 0.0, 0.7, 1.8]),
+    ("heat-finite-interval", [-2.6, -0.4, 0.0, 0.5, 1.0, 1.7, 3.2]),
+]
+W0_KINDS = [kind for kind, _ in W0_CASES]
+
+
+@pytest.mark.parametrize("kind, xs", W0_CASES, ids=W0_KINDS)
+def test_w0_array_matches_points(fresh_spec, kind, xs):
+    spec = fresh_spec(kind)
+    xs = np.array(xs)
+    grid = boundary_to_initial(spec, xs)
+    assert grid.shape == xs.shape
+    points = [boundary_to_initial(spec, x) for x in xs]
+    assert all(isinstance(p, float) for p in points)
+    np.testing.assert_allclose(grid, points, rtol=0, atol=1e-15)
+    # a value depends only on its own x, not on its companions' order
+    reverse = boundary_to_initial(spec, xs[::-1])
+    assert reverse[::-1].tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("kind", W0_KINDS)
+def test_w0_empty_array_gives_empty_array(fresh_spec, kind):
+    got = boundary_to_initial(fresh_spec(kind), np.array([]))
+    assert got.shape == (0,) and got.dtype == float
+
+
+@pytest.mark.parametrize("kind, xs", W0_CASES, ids=W0_KINDS)
+def test_w0_of_constant_u0_has_grid_shape(kind, xs):
+    data = {"heat-dirichlet": dict(f0="t"), "heat-neumann": dict(f1="t"),
+            "advected-heat": dict(f0="t", c=1.0),
+            "kdv-one-bc": dict(f0="t", u0_decay=("exponential", 1.0)),
+            # compatible with u0 = 0, so x < 0 is allowed
+            "kdv-two-bc": dict(f0="0*t", f1="0*t"),
+            "heat-finite-interval": dict(f0="t", g0="t", L=1.0)}[kind]
+    spec = ProblemSpec(kind, u0=parse("0"),
+                       **{k: parse(v) if isinstance(v, str) else v
+                          for k, v in data.items()})
+    xs = np.array(xs)
+    got = boundary_to_initial(spec, xs)
+    assert got.shape == xs.shape and np.all(np.isfinite(got))
+
+
+def test_w0_refuses_incompatible_data_only_behind_the_boundary():
+    # u0(0) = 2 but f0 = 0: the corner conditions fail
+    spec = ProblemSpec("kdv-two-bc", u0=parse("2*exp(-sqrt(3)*x)*cos(x)"),
+                       f0=parse("0*t"), f1=parse("0*t"))
+    with pytest.raises(IncompatibleDataError):
+        boundary_to_initial(spec, np.array([0.3, -0.2, 1.0]))
+    ahead = np.array([0.0, 0.3, 1.0])
+    np.testing.assert_array_equal(boundary_to_initial(spec, ahead),
+                                  spec.u0.eval(ahead))
 
 
 def test_fi_te_inv_boundary_quadratures_stay_batched(tmp_path, monkeypatch):

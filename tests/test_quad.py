@@ -12,6 +12,8 @@ from utmcont.quad import (
     DecayError,
     SingularKernel,
     finite_interval_transform,
+    gauss_panels,
+    geometric_edges,
     HalfLineTransform,
     integrate_segment,
     singular_time_convolution,
@@ -320,3 +322,33 @@ def test_nonconvergence_reports_worst_subinterval():
     kernel = SingularKernel(0.5, lambda s: nasty(np.asarray(s)))
     with pytest.raises(QuadratureError, match="subinterval"):
         singular_time_convolution(kernel, 1.0, tol=1e-13)
+
+
+@pytest.mark.parametrize("edges", [
+    np.linspace(-1.0, 2.0, 5),
+    geometric_edges(3.0, 0.05, 1.6),
+], ids=["uniform", "geometric"])
+@pytest.mark.parametrize("order", [1, 4, 12])
+def test_gauss_panels_exact_to_degree_2n_minus_1(edges, order):
+    nodes, weights = gauss_panels(edges, order)
+    assert nodes.shape == weights.shape == (len(edges) - 1, order)
+    lo, hi = edges[0], edges[-1]
+    for degree in range(2 * order):
+        want = (hi ** (degree + 1) - lo ** (degree + 1)) / (degree + 1)
+        got = float(np.sum(weights * nodes**degree))
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13), degree
+    # each row stays inside its own panel
+    assert np.all((nodes > edges[:-1, None]) & (nodes < edges[1:, None]))
+
+
+@pytest.mark.parametrize("upper, first, ratio", [
+    (10.0, 0.1, 1.6), (1.0, 1.0, 1.7), (2.5, 0.001, 1.5)])
+def test_geometric_edges_grow_by_ratio(upper, first, ratio):
+    edges = geometric_edges(upper, first, ratio)
+    assert edges[0] == 0.0 and edges[-1] == upper
+    widths = np.diff(edges)
+    assert np.all(widths > 0)
+    assert widths[0] == pytest.approx(min(first, upper))
+    # every width but the last (cut at upper) is ratio times the one before
+    np.testing.assert_allclose(widths[1:-1] / widths[:-2], ratio, rtol=1e-9)
+    assert widths[-1] <= first * ratio ** (len(widths) - 1) * (1 + 1e-12)

@@ -2,7 +2,8 @@
 recorded one.
 
 ``scenario_outputs/`` holds the ``solve`` CSV of every built-in scenario
-and the ``map-initial`` CSV of the finite-interval scenarios.  A change
+and the ``map-initial`` CSV of every one whose kind has a w0 and whose data
+admit it.  A change
 that is meant to move these values re-records them with
 
     PYTHONPATH=src python tests/test_scenarios.py --record
@@ -23,9 +24,12 @@ from utmcont.cli import main, scenario_names
 
 RECORDED = Path(__file__).resolve().parent / "scenario_outputs"
 
+# map-initial of every built-in scenario that has a w0
+MAP_INITIAL = ("adv_minus", "adv_plus", "adv_te", "fi_gaussian", "fi_te_inv",
+               "heat_gaussian", "heat_te", "kdv1_cos", "kdv1_te", "kdv2_cos")
+
 CASES = sorted([("solve", name[:-5]) for name in scenario_names()]
-               + [("map-initial", "fi_gaussian"),
-                  ("map-initial", "fi_te_inv")])
+               + [("map-initial", name) for name in MAP_INITIAL])
 
 
 def _tol(scenario):

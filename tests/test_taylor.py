@@ -66,9 +66,10 @@ def test_fractional_orders_share_time_convolutions(fresh_spec, monkeypatch):
 
 
 @pytest.mark.parametrize("f0,t,last,error", [
-    # the boundary weight t^-(j + 1/2) leaves the float range from j = 77:
-    # order 155 (m = 78) needs it, order 153 does not; block m = 65 ... 80
-    ("t*exp(-t)", 1e-4, 153, OverflowError),
+    # the boundary weight G(j + 1/2) t^-(j + 1/2) leaves the float range
+    # from j = 58: order 117 (m = 59) needs it, order 115 does not; block
+    # m = 49 ... 64
+    ("t*exp(-t)", 1e-4, 115, OverflowError),
     # f0^(m) = (-1)^m m! / (t + 0.01)^(m + 1) overflows at t = 0 from
     # m = 87, order 173; block m = 81 ... 96
     ("1/(t+0.01)", 1.0, 171, ExprDomainError),
@@ -80,6 +81,21 @@ def test_fractional_order_fails_alone(f0, t, last, error):
     assert ext.orders[-1] == last
     with pytest.raises(error):
         taylor_coefficients(spec, "f0", t, last + 2, parity="all")
+
+
+def test_boundary_sum_past_float_range_raises(fresh_spec):
+    # f0 = t e^{-t} at t = 1e-3: the boundary sums of orders 141 on are
+    # inf or nan, and come back as OverflowError, not as coefficients
+    with pytest.raises(OverflowError):
+        taylor_coefficients(fresh_spec("heat-dirichlet"), "f0", 1e-3, 168,
+                            parity="all")
+    ext = taylor_coefficients(fresh_spec("heat-dirichlet"), "f0", 1e-3, 139,
+                              parity="all")
+    assert ext.orders[-1] == 139 and ext.stop_reason == "requested"
+    assert all(math.isfinite(c) for c in ext.coeffs)
+    # values recorded before the overflowing orders were refused
+    assert ext.coeffs[-3:] == [8.930514295950136e+60, 9.96417506681179e-236,
+                               -3.142578700789877e+61]
 
 
 @pytest.mark.parametrize("kind,which,x", [
