@@ -150,7 +150,9 @@ def build_problem(cfg):
     return ("continuous", spec)
 
 
-def build_reference(ref_cfg, times):
+def build_reference(ref_cfg, times, problem):
+    """The reference u(x, t) of a config; ``problem`` is the built problem,
+    whose data the transport reference reads."""
     if ref_cfg is None:
         return None
     if "name" in ref_cfg:
@@ -158,6 +160,14 @@ def build_reference(ref_cfg, times):
         c = float(ref_cfg.get("c", 1.0))
         if name not in cont.REFERENCE_NAMES:
             raise ConfigError(f"unknown reference {name!r}")
+        if name == "transport-dalembert":
+            if problem[0] != "continuous" or problem[1].kind != "transport":
+                raise ConfigError(f"reference {name!r} needs a transport "
+                                  "problem")
+            if "c" in ref_cfg:
+                raise ConfigError(f"reference {name!r} takes c from the "
+                                  "problem, not from the reference")
+            return lambda x, t: cont.transport_solution(problem[1], x, t)
         return lambda x, t: cont.reference_whole_line(name, x, t, c=c)
     if "expr" in ref_cfg:
         if len(times) != 1:
@@ -205,8 +215,8 @@ def cmd_solve(cfg, args):
     tol = float(args.tol if args.tol is not None
                 else cfg.get("numerics", {}).get("tol", 1e-10))
     times = [float(t) for t in cfg["grid"]["times"]]
-    reference = build_reference(cfg.get("reference"), times)
     problem = build_problem(cfg["problem"])
+    reference = build_reference(cfg.get("reference"), times, problem)
     started = time.perf_counter()
     rows = []
 
@@ -332,7 +342,10 @@ def cmd_converge(cfg, args):
     else:
         raise ConfigError("converge needs an x window (x_min/x_max) or "
                           "lattice indices (n_min/n_max)")
-    T = float(cfg["grid"]["times"][0])
+    if len(grid["times"]) != 1:
+        raise ConfigError("converge runs at a single time; grid.times has "
+                          f"{len(grid['times'])}")
+    T = float(grid["times"][0])
     condition = "dirichlet" if kind.endswith("dirichlet") else "neumann"
 
     cont_kind = ("heat-dirichlet" if condition == "dirichlet"
@@ -352,7 +365,7 @@ def cmd_converge(cfg, args):
     result = continuum_limit_check(
         lambda h: LatticeSpec(h=h, u0=u0, datum=datum, T=T,
                               condition=condition),
-        h_values, window, T, ref.__getitem__, tol,
+        h_values, window, ref.__getitem__, tol,
     )
     csv_lines = ["h,max_err,observed_order"]
     orders = [None] + result["orders"]

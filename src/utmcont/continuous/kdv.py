@@ -351,7 +351,7 @@ def _kdv2_remainder(cache, weight, angles, r0, rate, n, xs, t, tol):
     spanels = max(8, int(rate * t / 1.5))
     snodes, sweights = gauss_panels(np.linspace(0.0, t, spanels + 1), 16)
     snodes, sweights = snodes.ravel(), sweights.ravel()
-    fvals = cache.derivative(n).compiled()(snodes)
+    fvals = cache.derivatives(n, n, snodes)[0]
 
     # e^{ikx - ik^3(t-s)} = e^{ikx} e^{-ik^3(t-s)}: the s-sum is done once
     # for every x, and only the sum over k depends on x (one row at a time,

@@ -213,20 +213,17 @@ REFERENCE_NAMES = (
 )
 
 
-def reference_whole_line(name, x, t, c=1.0, u0=None, f0=None):
+def reference_whole_line(name, x, t, c=1.0):
     """Evaluate a named exact whole-line solution.
 
     ``gaussian-drift-advected`` is the drifting Gaussian in the advected frame
-    u(x + c t + 1, t); ``transport-dalembert`` needs the transport data (u0,
-    f0, c).
+    u(x + c t + 1, t).  ``transport-dalembert`` is not evaluated here: it is
+    ``transport_solution`` of a transport problem's own data.
     """
     if name in _REFERENCES:
         return _REFERENCES[name](x, t)
     if name == "gaussian-drift-advected":
         return _gaussian_drift(x + c * t + 1.0, t)
-    if name == "transport-dalembert":
-        spec = ProblemSpec("transport", u0=u0, f0=f0, c=c)
-        return transport_solution(spec, x, t)
     raise KeyError(f"unknown reference solution {name!r}")
 
 

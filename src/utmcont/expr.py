@@ -7,10 +7,10 @@ constant exponents, and ``exp, sin, cos, sinh, cosh, sqrt``.
 
 Trees are canonicalized on construction: constants fold, products flatten,
 merge repeated bases into powers and their exponentials into one, and
-distribute over sums; sums flatten and collect like terms.  Values are
-evaluated from the tree; derivatives of any order come from truncated
-Taylor series (jets) propagated over it, f^(k)(x)/k! for k up to the
-requested order at every point at once.
+distribute over sums; sums flatten and collect like terms.  Values come
+from one evaluator, the tree compiled once to numpy code; derivatives of
+any order come from truncated Taylor series (jets) propagated over the
+tree, f^(k)(x)/k! for k up to the requested order at every point at once.
 """
 
 from __future__ import annotations
@@ -419,42 +419,8 @@ def _from_taylor(coeff, n):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: the tree compiled once to numpy code, and its text
 # ---------------------------------------------------------------------------
-
-
-def _eval(node, x):
-    if isinstance(node, _Num):
-        return node.value
-    if isinstance(node, _Var):
-        return x
-    if isinstance(node, _Add):
-        total = _eval(node.terms[0], x)
-        for t in node.terms[1:]:
-            total = total + _eval(t, x)
-        return total
-    if isinstance(node, _Mul):
-        out = node.coeff
-        for base, expo in node.factors:
-            out = out * _pow_eval(_eval(base, x), expo)
-        return out
-    if isinstance(node, _Pow):
-        return _pow_eval(_eval(node.base, x), node.expo)
-    if isinstance(node, _Fn):
-        return getattr(np, node.name)(_eval(node.arg, x))
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _pow_eval(base, expo):
-    if _is_int(expo):
-        try:
-            return base ** int(round(expo))
-        except ZeroDivisionError:
-            raise ExprDomainError("division by zero") from None
-    if np.iscomplexobj(base):
-        return base**expo
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.power(np.asarray(base, dtype=float), expo)
 
 
 def _shaped_like(value, x):
@@ -483,11 +449,6 @@ def _complex_safe(node):
     return True
 
 
-# ---------------------------------------------------------------------------
-# Compilation to a single numpy callable (hot-loop evaluation) and text
-# ---------------------------------------------------------------------------
-
-
 def _emit(node, var="x", fn="np."):
     """Fully parenthesized text of a node: numpy code by default, and with
     ``fn=""`` expression text that reparses to a pointwise-equal
@@ -505,8 +466,12 @@ def _emit(node, var="x", fn="np."):
                                var, fn))
         return "(" + "*".join(parts) + ")"
     if isinstance(node, _Pow):
-        e = int(round(node.expo)) if _is_int(node.expo) else node.expo
-        return f"({_emit(node.base, var, fn)}**{repr(e)})"
+        base = _emit(node.base, var, fn)
+        if _is_int(node.expo):
+            return f"({base}**{int(round(node.expo))})"
+        # numpy's power: nan, not a complex number, for a negative float
+        return (f"np.power({base}, {node.expo!r})" if fn
+                else f"({base}**{node.expo!r})")
     if isinstance(node, _Fn):
         return f"{fn}{node.name}({_emit(node.arg, var, fn)})"
     raise TypeError(f"unknown node {node!r}")
@@ -696,11 +661,16 @@ class Expression:
 
     def eval(self, x):
         """Evaluate at a real point or numpy array of points (x's shape)."""
-        return _check_finite(_shaped_like(_eval(self._node, x), x))
+        try:
+            return _check_finite(self.compiled()(x))
+        except ZeroDivisionError:
+            raise ExprDomainError("division by zero") from None
+        except OverflowError:  # a Python float's power past the float range
+            raise ExprDomainError("evaluation overflowed") from None
 
     def compiled(self):
-        """Fast unchecked numpy callable of this expression (internal hot
-        loops; domains are the caller's responsibility)."""
+        """Unchecked numpy callable of this expression, built once: what
+        ``eval`` runs, for hot loops that check domains themselves."""
         fn = getattr(self, "_compiled", None)
         if fn is None:
             fn = _compile(self._node)
@@ -714,8 +684,7 @@ class Expression:
                 "expression has fractional powers; complex evaluation is "
                 "branch-ambiguous and refused"
             )
-        z = np.asarray(z, dtype=complex) + 0j
-        return _check_finite(_shaped_like(_eval(self._node, z), z))
+        return self.eval(np.asarray(z, dtype=complex) + 0j)
 
     def to_text(self):
         return _emit(self._node, self.var_name, "")
@@ -738,17 +707,11 @@ class _Derivative:
     def __init__(self, expression, order):
         self._node, self.order = expression._node, order
 
-    def compiled(self):
-        """Unchecked numpy callable."""
-        return self._at
-
-    def _at(self, x):
+    def eval(self, x):
         xs = np.asarray(x, dtype=float)
         jet = _taylor(self._node, xs.ravel(), self.order)
-        return _from_taylor(jet[self.order], self.order).reshape(xs.shape)[()]
-
-    def eval(self, x):
-        return _check_finite(self._at(x))
+        return _check_finite(
+            _from_taylor(jet[self.order], self.order).reshape(xs.shape)[()])
 
 
 class DerivativeCache:
@@ -778,7 +741,7 @@ class DerivativeCache:
     def derivatives(self, lo, hi, x):
         """The derivatives of orders lo..hi at the 1-D points x, one row per
         order, from one jet to order hi, unchecked: row k - lo has the bits
-        of ``derivative(k).compiled()(x)``."""
+        of ``derivative(k).eval(x)`` wherever that is finite."""
         self.derivative(hi)  # the order cap
         jet = _taylor(self.base._node, x, hi)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -5,9 +5,11 @@ dispersion relation W(k) = (2 - 2 cos kh)/h^2; the substitution theta = k h
 makes the oscillation e^{i n theta} uniform in the lattice index.  For
 indices behind the boundary the solution continues through an exact finite
 sum over boundary-datum derivatives weighted by pole-free gamma-ratio
-products, plus the reflected interior value.  A scaled-Bessel kernel form of
-the boundary term provides an independent cross-check of the integral
-representation.
+products, plus the reflected interior value.  A profile over a window is
+one range call over every interior index the window reads, its own and
+those its continued values reflect to, so all share one theta grid.  A
+scaled-Bessel kernel form of the boundary term provides an independent
+cross-check of the integral representation.
 
 The initial-data transform sum_m u0(m h) e^{-+i m theta} runs over thousands
 of samples at every theta node.  Since the phase is uniform in m, it factors
@@ -22,7 +24,7 @@ matrix is ever formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,11 +36,9 @@ from .continuous._common import real_part
 
 __all__ = [
     "LatticeSpec",
-    "sd_heat_dirichlet",
     "sd_heat_dirichlet_range",
     "sd_heat_dirichlet_continued",
     "sd_bessel_kernel_form",
-    "sd_heat_neumann",
     "sd_heat_neumann_range",
     "sd_heat_neumann_continued",
     "continuum_limit_check",
@@ -60,10 +60,6 @@ class LatticeSpec:
     datum: Expression
     T: float
     condition: str = "dirichlet"
-    # theta grids by (full_period, n_max), each held with its datum
-    # convolution: see _theta_grid
-    _grids: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         if self.h <= 0:
@@ -110,14 +106,11 @@ class LatticeSpec:
 def _theta_grid(spec, n_max, full_period=False):
     """Gauss panels over [0, pi] (or [-pi, pi]) resolving e^{i n theta}, with
     the datum convolution on the nodes: (nodes, weights, convolution)."""
-    key = (bool(full_period), int(n_max))
-    if key not in spec._grids:
-        lo, hi = (-math.pi, math.pi) if full_period else (0.0, math.pi)
-        panels = max(24, int(1.5 * n_max) + 8)
-        nodes, weights = gauss_panels(np.linspace(lo, hi, panels + 1), 12)
-        nodes, weights = nodes.ravel(), weights.ravel()
-        spec._grids[key] = (nodes, weights, _datum_convolution(spec, nodes))
-    return spec._grids[key]
+    lo, hi = (-math.pi, math.pi) if full_period else (0.0, math.pi)
+    panels = max(24, int(1.5 * n_max) + 8)
+    nodes, weights = gauss_panels(np.linspace(lo, hi, panels + 1), 12)
+    nodes, weights = nodes.ravel(), weights.ravel()
+    return nodes, weights, _datum_convolution(spec, nodes)
 
 
 def _datum_convolution(spec, theta_nodes):
@@ -159,11 +152,12 @@ def _phase_sum(start, values, theta, sign):
 # ---------------------------------------------------------------------------
 
 
-def sd_heat_dirichlet_range(spec, ns, tol=1e-10):
-    """Lattice solution at the indices ``ns`` (all >= 0), sharing grids."""
+def sd_heat_dirichlet_range(spec, ns):
+    """Lattice solution u_n(T) at the indices ``ns`` (all >= 0) on one theta
+    grid; n = 0 gives the boundary datum by convention."""
     ns = np.asarray(ns, dtype=int)
     if np.any(ns < 0):
-        raise ValueError("sd_heat_dirichlet evaluates n >= 0")
+        raise ValueError("sd_heat_dirichlet_range evaluates n >= 0")
     if spec.condition != "dirichlet":
         raise ValueError("spec has a Neumann datum")
     n_max = int(np.max(ns)) if len(ns) else 0
@@ -177,12 +171,6 @@ def sd_heat_dirichlet_range(spec, ns, tol=1e-10):
     f0_T = float(spec.datum.eval(spec.T))
     out[ns == 0] = f0_T
     return out
-
-
-def sd_heat_dirichlet(spec, n, tol=1e-10):
-    """Lattice solution u_n(T) for one index n >= 0 (n = 0 returns the
-    boundary datum by convention)."""
-    return float(sd_heat_dirichlet_range(spec, [n], tol)[0])
 
 
 def dirichlet_reflection_sum(spec, nu):
@@ -200,14 +188,12 @@ def dirichlet_reflection_sum(spec, nu):
     return 2.0 * total
 
 
-def sd_heat_dirichlet_continued(spec, n, u_pos=None, tol=1e-10):
-    """Continued value u_n(T) for n <= 0: exact finite sum minus u_{-n}(T)."""
+def sd_heat_dirichlet_continued(spec, n, u_pos):
+    """Continued value u_n(T) for n <= 0: exact finite sum minus the
+    interior value u_pos = u_{-n}(T)."""
     if n > 0:
         raise ValueError("the continuation evaluates n <= 0")
-    nu = -int(n)
-    if u_pos is None:
-        u_pos = sd_heat_dirichlet(spec, nu, tol)
-    return dirichlet_reflection_sum(spec, nu) - u_pos
+    return dirichlet_reflection_sum(spec, -int(n)) - u_pos
 
 
 def sd_bessel_kernel_form(spec, n, tol=1e-10):
@@ -244,10 +230,10 @@ def sd_bessel_kernel_form(spec, n, tol=1e-10):
 
 
 def sd_heat_neumann_range(spec, ns, tol=1e-10):
-    """Lattice solution q_n(T) at indices ns >= 0."""
+    """Lattice solution q_n(T) at indices ns >= 0 on one theta grid."""
     ns = np.asarray(ns, dtype=int)
     if np.any(ns < 0):
-        raise ValueError("sd_heat_neumann evaluates n >= 0; use the "
+        raise ValueError("sd_heat_neumann_range evaluates n >= 0; use the "
                          "continuation for n < 0")
     if spec.condition != "neumann":
         raise ValueError("spec has a Dirichlet datum")
@@ -263,10 +249,6 @@ def sd_heat_neumann_range(spec, ns, tol=1e-10):
     waves = np.exp(1j * np.outer(ns, theta))
     vals = waves @ (wq * integrand)
     return np.array([real_part(v, tol, "lattice neumann") for v in vals])
-
-
-def sd_heat_neumann(spec, n, tol=1e-10):
-    return float(sd_heat_neumann_range(spec, [n], tol)[0])
 
 
 def neumann_reflection_sum(spec, n):
@@ -285,13 +267,12 @@ def neumann_reflection_sum(spec, n):
     return (1 - 2 * n) * total
 
 
-def sd_heat_neumann_continued(spec, n, q_prev=None, tol=1e-10):
-    """Continued value q_{-n}(T) for n >= 1: finite sum plus q_{n-1}(T)."""
+def sd_heat_neumann_continued(spec, n, q_prev):
+    """Continued value q_{-n}(T) for n >= 1: finite sum plus the interior
+    value q_prev = q_{n-1}(T)."""
     n = int(n)
     if n < 1:
         raise ValueError("the Neumann continuation evaluates q_{-n}, n >= 1")
-    if q_prev is None:
-        q_prev = sd_heat_neumann(spec, n - 1, tol)
     return neumann_reflection_sum(spec, n) + q_prev
 
 
@@ -302,25 +283,24 @@ def sd_heat_neumann_continued(spec, n, q_prev=None, tol=1e-10):
 
 def lattice_profile(spec, n_lo, n_hi, tol=1e-10):
     """Values at n in [n_lo, n_hi], integral representation ahead of the
-    boundary and exact continuation behind it."""
-    ns = np.arange(n_lo, n_hi + 1)
-    pos = ns[ns >= 0]
-    out = {}
+    boundary and exact continuation behind it.  One range call over
+    max(n_lo, 0) .. max(n_hi, -n_lo) gives the window's interior values and
+    every interior value its continued ones reflect to, on one theta grid
+    sized for the largest of them.  Neumann reads only up to -n_lo - 1; the
+    range is the same for both conditions, so that a window's values have
+    the bits of the symmetric window (n_lo, -n_lo)."""
+    first = max(n_lo, 0)
+    ns = np.arange(first, max(n_hi, -n_lo) + 1)
+    behind = range(n_lo, min(n_hi, -1) + 1)  # nonempty only when first = 0
     if spec.condition == "dirichlet":
-        vals = sd_heat_dirichlet_range(spec, pos, tol)
-        out.update(dict(zip(pos.tolist(), vals.tolist())))
-        for n in ns[ns < 0]:
-            out[int(n)] = sd_heat_dirichlet_continued(
-                spec, int(n), u_pos=out.get(-int(n)), tol=tol
-            )
+        interior = sd_heat_dirichlet_range(spec, ns).tolist()
+        continued = [sd_heat_dirichlet_continued(spec, n, interior[-n])
+                     for n in behind]
     else:
-        vals = sd_heat_neumann_range(spec, pos, tol)
-        out.update(dict(zip(pos.tolist(), vals.tolist())))
-        for n in ns[ns < 0]:
-            out[int(n)] = sd_heat_neumann_continued(
-                spec, -int(n), q_prev=out.get(-int(n) - 1), tol=tol
-            )
-    return np.array([out[int(n)] for n in ns])
+        interior = sd_heat_neumann_range(spec, ns, tol).tolist()
+        continued = [sd_heat_neumann_continued(spec, -n, interior[-n - 1])
+                     for n in behind]
+    return np.array(continued + interior[:max(n_hi + 1 - first, 0)])
 
 
 def window_nodes(x_window, h):
@@ -329,13 +309,14 @@ def window_nodes(x_window, h):
     return ns, ns * h
 
 
-def continuum_limit_check(make_spec, h_values, x_window, T, reference,
+def continuum_limit_check(make_spec, h_values, x_window, reference,
                           tol=1e-10):
     """Refinement study: per-h max error against the continuum solution over
     the window (including x < 0), plus observed log-ratio orders.
 
     ``make_spec(h)`` builds the lattice problem, ``reference(x)`` evaluates
-    the continuum solution at time T at one node of ``window_nodes``.
+    the continuum solution at the spec's time T at one node of
+    ``window_nodes``.
     """
     if len(h_values) < 3:
         raise ValueError("need at least three h values for a refinement study")

@@ -20,10 +20,8 @@ from utmcont.semidiscrete import (
     continuum_limit_check,
     dirichlet_reflection_sum,
     lattice_profile,
-    sd_heat_dirichlet,
     sd_heat_dirichlet_continued,
     sd_heat_dirichlet_range,
-    sd_heat_neumann,
     sd_heat_neumann_continued,
     sd_heat_neumann_range,
 )
@@ -158,13 +156,13 @@ def test_criterion_8_semidiscrete_dirichlet():
 
     rep = continuum_limit_check(
         lambda h: LatticeSpec(h=h, u0=u0, datum=f0, T=T),
-        [1 / 20, 1 / 40, 1 / 100], (-1.0, 1.0), T, ref,
+        [1 / 20, 1 / 40, 1 / 100], (-1.0, 1.0), ref,
     )
     ratio = rep["errors"][0][1] / rep["errors"][2][1]
 
     spec = LatticeSpec(h=1 / 20, u0=u0, datum=f0, T=T)
     boundary = abs(
-        dirichlet_reflection_sum(spec, 0) - sd_heat_dirichlet(spec, 0)
+        dirichlet_reflection_sum(spec, 0) - sd_heat_dirichlet_range(spec, [0])[0]
         - float(f0.eval(T))
     )
 
@@ -208,7 +206,7 @@ def test_criterion_9_semidiscrete_neumann():
     u = parse("-sin(4*pi*t)/(4*pi)")
     spec = LatticeSpec(h=1 / 150, u0=phi, datum=u, T=0.01,
                        condition="neumann")
-    q0 = sd_heat_neumann(spec, 0)
+    q0 = sd_heat_neumann_range(spec, [0])[0]
     qm1 = sd_heat_neumann_continued(spec, 1, q_prev=q0)
     identity = abs(qm1 - (q0 - spec.h * float(u.eval(spec.T))))
 

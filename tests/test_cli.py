@@ -84,6 +84,31 @@ def test_solve_reference_errors(tmp_path):
     assert max(float(r["abs_err"]) for r in rows) < 1e-6
 
 
+def test_transport_reference_reads_the_problem(tmp_path, monkeypatch):
+    from utmcont import cli
+    from utmcont.cli import scenario_path
+
+    cfg = json.loads(scenario_path("transport").read_text())
+    cfg["reference"] = {"name": "transport-dalembert"}
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == 0
+    rows = list(csv.DictReader((tmp_path / "o.csv").read_text().splitlines()))
+    assert len(rows) == 51
+    assert max(float(r["abs_err"]) for r in rows) <= 1e-12
+
+    # any other kind is a config error, found before the solve runs
+    solves = []
+    monkeypatch.setattr(cli.cont, "evaluate_extended",
+                        lambda *args: solves.append(args))
+    other = json.loads(json.dumps(MINIMAL))
+    other["reference"] = {"name": "transport-dalembert"}
+    assert main(["solve", "--config", _write(tmp_path, other)]) == EXIT_CONFIG
+    # the speed is the problem's; a c of the reference's own is refused
+    cfg["reference"] = {"name": "transport-dalembert", "c": 2.0}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert solves == []
+
+
 def test_csv_round_trip_precision(tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     out = tmp_path / "o.csv"
@@ -196,6 +221,16 @@ def test_converge_single_h_rejected(tmp_path):
                     "f0": "sin(4*pi*t)", "h": 0.05},
         "grid": {"x_min": -1.0, "x_max": 1.0, "times": [0.5]},
         "refinement": {"h_values": [0.05]},
+    }
+    assert main(["converge", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+
+
+def test_converge_needs_one_time(tmp_path):
+    cfg = {
+        "problem": {"kind": "sd-heat-dirichlet", "u0": "3*x*exp(-x)",
+                    "f0": "sin(4*pi*t)", "h": 0.05},
+        "grid": {"x_min": -1.0, "x_max": 1.0, "times": [0.5, 2.0]},
+        "refinement": {"h_values": [0.1, 0.05, 0.025]},
     }
     assert main(["converge", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
 

@@ -76,6 +76,12 @@ def test_eval_reference_gaussian_at_minus_one():
 def test_eval_pole_is_domain_error():
     with pytest.raises(ExprDomainError):
         parse("1/(1+t)").eval(-1.0)
+    with pytest.raises(ExprDomainError, match="division by zero"):
+        parse("1/t").eval(0.0)  # a Python float raises ZeroDivisionError
+    with pytest.raises(ExprDomainError, match="overflowed"):
+        parse("x^2").eval(1e200)  # a Python float raises OverflowError
+    with pytest.raises(ExprDomainError):
+        parse("1/(1+z)").eval_complex(-1.0)
 
 
 def test_eval_sqrt_of_negative_is_domain_error():

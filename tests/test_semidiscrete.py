@@ -10,6 +10,7 @@ import pytest
 from utmcont.expr import parse
 from utmcont.specfun import reflection_product_neumann
 from utmcont import continuous as cont
+from utmcont import semidiscrete
 from utmcont.semidiscrete import (
     LatticeSpec,
     _phase_sum,
@@ -18,10 +19,8 @@ from utmcont.semidiscrete import (
     lattice_profile,
     neumann_reflection_sum,
     sd_bessel_kernel_form,
-    sd_heat_dirichlet,
     sd_heat_dirichlet_continued,
     sd_heat_dirichlet_range,
-    sd_heat_neumann,
     sd_heat_neumann_continued,
     sd_heat_neumann_range,
 )
@@ -48,14 +47,16 @@ def neumann_lattice():
 
 
 def test_boundary_convention(lattice):
-    assert sd_heat_dirichlet(lattice, 0) == float(lattice.datum.eval(0.5))
+    assert sd_heat_dirichlet_range(lattice, [0])[0] == float(
+        lattice.datum.eval(0.5))
 
 
 def test_zero_data_is_zero():
     spec = LatticeSpec(h=0.1, u0=parse("0*x"), datum=parse("0*t"), T=0.3)
-    assert sd_heat_dirichlet(spec, 3) == pytest.approx(0.0, abs=1e-14)
-    assert sd_heat_dirichlet_continued(spec, -3) == pytest.approx(0.0,
-                                                                  abs=1e-14)
+    u3 = sd_heat_dirichlet_range(spec, [3])[0]
+    assert u3 == pytest.approx(0.0, abs=1e-14)
+    assert sd_heat_dirichlet_continued(spec, -3, u3) == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_homogeneous_antisymmetry(lattice_zero_datum):
@@ -70,7 +71,7 @@ def test_homogeneous_antisymmetry(lattice_zero_datum):
 def test_seam_identity(lattice):
     # u_{-1} = 2 f0(T) + h^2 f0'(T) - u_1 exactly (p <= 1 terms of the sum)
     h, T = lattice.h, lattice.T
-    u1 = sd_heat_dirichlet(lattice, 1)
+    u1 = sd_heat_dirichlet_range(lattice, [1])[0]
     um1 = sd_heat_dirichlet_continued(lattice, -1, u_pos=u1)
     want = 2 * lattice.datum.eval(T) + h * h * lattice.deriv.value(1, T) \
         - u1
@@ -128,7 +129,8 @@ def test_bessel_kernel_fine_quadrature_oracle():
 def test_boundary_identity_as_integral_limit(lattice):
     # the n = 0 limit of the continued representation reproduces the datum:
     # 2 f0(T) + (finite sum with nu = 0) - u_0 = f0(T)
-    val = dirichlet_reflection_sum(lattice, 0) - sd_heat_dirichlet(lattice, 0)
+    val = (dirichlet_reflection_sum(lattice, 0)
+           - sd_heat_dirichlet_range(lattice, [0])[0])
     assert val == pytest.approx(float(lattice.datum.eval(lattice.T)),
                                 abs=1e-8)
 
@@ -147,14 +149,14 @@ def test_continuum_limit_dirichlet():
 
     rep = continuum_limit_check(
         lambda h: LatticeSpec(h=h, u0=u0, datum=f0, T=T),
-        [0.1, 0.05, 0.025], (-1.0, 1.0), T, ref,
+        [0.1, 0.05, 0.025], (-1.0, 1.0), ref,
     )
     assert all(1.7 < order < 2.3 for order in rep["orders"])
 
 
 def test_continuum_limit_requires_three_spacings():
     with pytest.raises(ValueError):
-        continuum_limit_check(lambda h: None, [0.1, 0.05], (-1, 1), 0.5,
+        continuum_limit_check(lambda h: None, [0.1, 0.05], (-1, 1),
                               lambda x: 0.0)
 
 
@@ -165,7 +167,7 @@ def test_images_case_error_is_purely_spatial(lattice_zero_datum):
     cspec = cont.ProblemSpec("heat-dirichlet", u0=u0, f0=parse("0*t"))
     rep = continuum_limit_check(
         lambda h: LatticeSpec(h=h, u0=u0, datum=parse("0*t"), T=0.5),
-        [0.1, 0.05, 0.025], (-0.8, 0.8), 0.5,
+        [0.1, 0.05, 0.025], (-0.8, 0.8),
         lambda x: cont.evaluate_extended(cspec, x, 0.5, 1e-11),
     )
     assert all(1.8 < order < 2.2 for order in rep["orders"])
@@ -177,7 +179,7 @@ def test_images_case_error_is_purely_spatial(lattice_zero_datum):
 
 
 def test_neumann_backward_stencil_identity(neumann_lattice):
-    q0 = sd_heat_neumann(neumann_lattice, 0)
+    q0 = sd_heat_neumann_range(neumann_lattice, [0])[0]
     qm1 = sd_heat_neumann_continued(neumann_lattice, 1, q_prev=q0)
     h = neumann_lattice.h
     datum = float(neumann_lattice.datum.eval(neumann_lattice.T))
@@ -223,7 +225,7 @@ def test_neumann_continuum_order_is_one():
     rep = continuum_limit_check(
         lambda h: LatticeSpec(h=h, u0=u0, datum=datum, T=0.1,
                               condition="neumann"),
-        [0.04, 0.02, 0.01], (-0.4, 0.8), 0.1, ref,
+        [0.04, 0.02, 0.01], (-0.4, 0.8), ref,
     )
     assert all(0.8 < order < 1.2 for order in rep["orders"])
 
@@ -294,6 +296,28 @@ def test_exact_lattice_mode(condition, inv_h):
     spec, exact = _mode_spec(1.0 / inv_h, condition)
     vals = lattice_profile(spec, -60, 120)
     assert np.max(np.abs(vals - exact(np.arange(-60, 121)))) < 1e-8
+
+
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+def test_profile_reaching_behind_is_one_range_call(condition, monkeypatch):
+    # a window reaching further behind the boundary than ahead of it reads
+    # every interior value it reflects to from one range call, and so has
+    # the bits of the window that covers those values itself
+    spec, _ = _mode_spec(1.0 / 50, condition)
+    name = f"sd_heat_{condition}_range"
+    original = getattr(semidiscrete, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(semidiscrete, name, counted)
+    vals = lattice_profile(spec, -60, 5)
+    assert len(calls) == 1
+    full = lattice_profile(spec, -60, 60)
+    assert vals.tobytes() == full[:66].tobytes()
+    assert lattice_profile(spec, -60, -5).tobytes() == full[:56].tobytes()
 
 
 def test_neumann_range_memory_stays_small():
