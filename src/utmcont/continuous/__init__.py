@@ -283,8 +283,9 @@ def evaluate_extended(spec, x, t, tol=1e-10):
     parts on one shared k-rule per contour piece, the boundary integrals on
     one shared rule per integral (on the distinct values of |x|, or per
     finite-interval image), each point meeting its own budget.  The doubled
-    Taylor series that continue the boundary parts are summed point by
-    point.
+    Taylor series that continue the boundary parts are summed for every
+    point behind a boundary in one call, each point by its own stopping
+    rule.
     """
     solver = _SOLVERS[spec.kind]
     if solver.i0 is not None and t <= 0:

@@ -243,10 +243,11 @@ def datum_ladder(spec, datum, parity, t, center=0.0):
     )
 
 
-def doubled_series(ladder, x, tol, factor=2.0):
-    """factor * sum coefficient * (x - center)^order, summed adaptively: the
-    reflected series the extensions add across a boundary."""
-    value, _, _ = adaptive_series(ladder, x - ladder.center, tol)
+def doubled_series(ladder, xs, tol, factor=2.0):
+    """factor * sum coefficient * (x - center)^order at each point of the
+    1-D array xs, summed adaptively: the reflected series the extensions add
+    across a boundary."""
+    value, _, _ = adaptive_series(ladder, xs - ladder.center, tol)
     return factor * value
 
 
@@ -254,43 +255,50 @@ def reflected(xs, boundary, ladder, sign, tol):
     """A half-line boundary part at each point of the 1-D array xs,
     continued across x = 0 by its reflection identity: boundary(x) for
     x >= 0, and the doubled series of ``ladder`` plus sign * boundary(-x)
-    for x < 0.  ``boundary`` is called once, on the distinct values of |x|.
+    for x < 0.  ``boundary`` is called once, on the distinct values of |x|,
+    and the series once, on the points behind the boundary.
     """
     dist, back = np.unique(np.abs(xs), return_inverse=True)
     out = boundary(dist)[back]
-    for i in np.flatnonzero(xs < 0):
-        out[i] = doubled_series(ladder, float(xs[i]), tol) + sign * out[i]
+    neg = xs < 0
+    out[neg] = doubled_series(ladder, xs[neg], tol) + sign * out[neg]
     return out
 
 
 def adaptive_series(ladder, dx, tol):
-    """Sum coefficient * dx^order adaptively.
+    """Sum coefficient * dx^order adaptively at each offset of the 1-D
+    array dx, reading each ladder entry once for all of them.
 
-    Past the first three entries, stops once three consecutive terms are
-    below tol relative to the running magnitude, or at the ladder's order
-    cap.  Returns (value, last_order, stop_reason).
+    Past the first three entries, a point stops once three consecutive
+    terms are below tol relative to its running magnitude, and its sum is
+    frozen; the series stops when every point has, or at the ladder's order
+    cap.  Returns (values, last order read, stop_reason), where stop_reason
+    is "cap" when a point reached the cap and "converged" otherwise.
     """
-    total = 0.0
-    scale = 0.0
-    quiet = 0
-    i = 0
-    last_order = 0
-    while True:
+    total = np.zeros(dx.shape)
+    # the points still summing, compacted: positions, offsets, partial
+    # sums, max(1, largest |partial sum|) and quiet-term counts
+    live, x, part, scale, quiet = (np.arange(dx.size), dx, np.zeros(dx.size),
+                                   np.ones(dx.size), 0)
+    i = order = 0
+    while live.size:
         entry = ladder.get(i)
         if entry is None:
-            return total, last_order, "cap"
+            total[live] = part
+            return total, order, "cap"
         order, coeff = entry
-        term = coeff * dx**order
-        total += term
-        scale = max(scale, abs(total), 1e-300)
-        last_order = order
-        if i >= 3 and abs(term) <= 0.5 * tol * max(scale, 1.0):
-            quiet += 1
-            if quiet >= 3:
-                return total, last_order, "converged"
-        else:
-            quiet = 0
+        term = coeff * x ** order
+        part = part + term
+        scale = np.maximum(scale, np.abs(part))
+        if i >= 3:
+            quiet = (quiet + 1) * (np.abs(term) <= 0.5 * tol * scale)
+            if quiet.max() >= 3:
+                done = quiet >= 3
+                total[live[done]] = part[done]
+                live, x, part, scale, quiet = (
+                    a[~done] for a in (live, x, part, scale, quiet))
         i += 1
+    return total, order, "converged"
 
 
 def growth_radius(decay_rate, growth_rate, log_target):

@@ -6,11 +6,12 @@ geometric expansion of 1/sin(kL), to an image sum of half-line single-layer
 potentials, which converges like a Gaussian in the image index; each image
 is one single-layer call for a whole array of x.  Outside the native windows
 the extensions tile in steps of 2L, accumulating doubled Taylor series of the
-data, and evaluate the window images of all points in one call.  The same
-boundary integral also has the classical Fourier-sine-series form; both
-evaluators are exposed and must agree inside the common window.  w0 tiles
-the odd-periodic u0 by the same rules.  Functions of x take a 1-D array,
-except the Fourier form, which takes a point.
+data, one series call per step for every point that takes it, and evaluate
+the window images of all points in one call.  The same boundary integral
+also has the classical Fourier-sine-series form; both evaluators are exposed
+and must agree inside the common window.  w0 tiles the odd-periodic u0 by
+the same rules.  Functions of x take a 1-D array, except the Fourier form,
+which takes a point.
 """
 
 from __future__ import annotations
@@ -197,62 +198,44 @@ def tilde_ladders(spec, t):
             datum_ladder(spec, "g0", "even", t, center=spec.L))
 
 
-def _require_tile_depth(spec, xs):
-    """ValueError if a point of the 1-D array xs lies past the supported
-    tiling depth."""
-    far = float(np.max(np.abs(xs)))
-    if far > TILE_DEPTH * spec.L:
-        raise ValueError(
-            f"|x| = {far:g} beyond the supported tiling depth "
-            f"{TILE_DEPTH} L = {TILE_DEPTH * spec.L:g}"
-        )
-
-
-def _tile_left(spec, xs, at_base, series):
-    """2L-periodic tiling of the left window [0, 2L) at each point of xs:
-    at_base(b) at the images b of the points in the window (one call), plus
-    the doubled series accumulated on the way from each b to its x."""
-    _require_tile_depth(spec, xs)
+def _tile(spec, xs, right, at_base, ladder, tol):
+    """2L-periodic tiling of the left window [0, 2L), or of the right one
+    (-L, L], at each point of the 1-D array xs: at_base(b) at the images b
+    of the points in the window (one call), plus the doubled series of
+    ``ladder`` accumulated on the way from each b out to its x, one series
+    call per step of 2L.  ValueError for a point past the tiling depth."""
     L = spec.L
-    n = np.floor(xs / (2 * L)).astype(int)
+    reach = float(np.max(np.abs(xs)))
+    if reach > TILE_DEPTH * L:
+        raise ValueError(f"|x| = {reach:g} beyond the supported tiling depth "
+                         f"{TILE_DEPTH} L = {TILE_DEPTH * L:g}")
+    n = (np.ceil((xs - L) / (2 * L)) if right
+         else np.floor(xs / (2 * L))).astype(int)
     value = at_base(xs - 2 * n * L)
-    for i, (x, k) in enumerate(zip(xs.tolist(), n.tolist())):
-        for j in range(1, k + 1):
-            value[i] -= series(x - 2 * j * L)
-        for j in range(0, -k):
-            value[i] += series(x + 2 * j * L)
-    return value
-
-
-def _tile_right(spec, xs, at_base, series):
-    """2L-periodic tiling of the right window (-L, L], as _tile_left."""
-    _require_tile_depth(spec, xs)
-    L = spec.L
-    n = np.ceil((xs - L) / (2 * L)).astype(int)
-    value = at_base(xs - 2 * n * L)
-    for i, (x, k) in enumerate(zip(xs.tolist(), n.tolist())):
-        for j in range(0, k):
-            value[i] += series(x - 2 * j * L)
-        for j in range(1, -k + 1):
-            value[i] -= series(x + 2 * j * L)
+    for step in range(1, int(np.max(np.abs(n), initial=0)) + 1):
+        far = np.abs(n) >= step
+        k = n[far]
+        # the step crosses the image 2 j L of the left boundary, or
+        # (2 j + 1) L of the right one, and adds its series signed
+        j = np.where(k > 0, step, 1 - step) - right
+        sign = np.sign(k) if right else -np.sign(k)
+        value[far] += sign * doubled_series(ladder, xs[far] - 2 * j * L, tol)
     return value
 
 
 def left_extension(spec, xs, t, tol=1e-10):
     """I_{f0}^ext at each point of the 1-D array xs: 2L-periodic tiling
     with accumulated doubled series."""
-    ladder = tilde_ladders(spec, t)[0]
-    return _tile_left(spec, xs,
-                      lambda b: left_boundary_integral(spec, b, t, tol),
-                      lambda y: doubled_series(ladder, y, tol))
+    return _tile(spec, xs, False,
+                 lambda b: left_boundary_integral(spec, b, t, tol),
+                 tilde_ladders(spec, t)[0], tol)
 
 
 def right_extension(spec, xs, t, tol=1e-10):
     """I_{g0}^ext: tiling of the (-L, L] window, as left_extension."""
-    ladder = tilde_ladders(spec, t)[1]
-    return _tile_right(spec, xs,
-                       lambda b: right_boundary_integral(spec, b, t, tol),
-                       lambda y: doubled_series(ladder, y, tol))
+    return _tile(spec, xs, True,
+                 lambda b: right_boundary_integral(spec, b, t, tol),
+                 tilde_ladders(spec, t)[1], tol)
 
 
 def extended(spec, xs, t, tol=1e-10):
@@ -268,10 +251,9 @@ def boundary_to_initial(spec, xs):
     series both tilings accumulate at t = 0.  That u0 is 2L-periodic, so
     its values at xs are its values at their window images."""
     f0_ladder, g0_ladder = tilde_ladders(spec, 0.0)
-    value = _tile_left(spec, xs, lambda b: i0_at_zero(spec, xs),
-                       lambda y: doubled_series(f0_ladder, y, 1e-13))
-    return _tile_right(spec, xs, lambda b: value,
-                       lambda y: doubled_series(g0_ladder, y, 1e-13))
+    value = _tile(spec, xs, False, lambda b: i0_at_zero(spec, xs), f0_ladder,
+                  1e-13)
+    return _tile(spec, xs, True, lambda b: value, g0_ladder, 1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -190,11 +190,9 @@ def w0_one_bc(spec, xs):
     ahead = xs >= 0
     out[ahead] = spec.u0.eval(xs[ahead])
     behind = xs[~ahead]
-    ladder = datum_ladder(spec, "f0", "cubic", 0.0)
-    series = np.array([doubled_series(ladder, x, 1e-12, factor=3.0)
-                       for x in behind.tolist()])
-    rotated = spec.u0.eval_complex(ALPHA * behind)
-    out[~ahead] = series - 2.0 * np.real(rotated)
+    series = doubled_series(datum_ladder(spec, "f0", "cubic", 0.0), behind,
+                            1e-12, factor=3.0)
+    out[~ahead] = series - 2.0 * np.real(spec.u0.eval_complex(ALPHA * behind))
     return out
 
 

@@ -86,7 +86,7 @@ class SingularKernel:
     """(t-s)^{-beta} endpoint weight with a smooth part g(s)."""
 
     beta: float
-    smooth: object  # callable s -> value (vectorized)
+    smooth: object  # callable: nodes s -> array of shape (rows, len(s))
 
     def __post_init__(self):
         if not 0 < self.beta < 1:
@@ -326,18 +326,15 @@ def finite_interval_transform(u0, L, k):
 
 
 def singular_time_convolution(kernel, t, tol=1e-12):
-    """integral over (0, t) of g(s)/(t-s)^beta ds by desingularization.
+    """integral over (0, t) of g(s)/(t-s)^beta ds by desingularization, for
+    each row of a real smooth part g of shape (rows, nodes).
 
     The substitution tau = (t-s)^(1-beta) removes the endpoint singularity:
     the integral becomes (1/(1-beta)) * integral of g(t - tau^(1/(1-beta)))
-    over (0, t^(1-beta)), which is smooth for analytic g.
-
-    A smooth part with one value per node gives a scalar convolution, and
-    QuadratureError when its budget is missed.  A real smooth part of shape
-    (rows, nodes) gives one convolution per row on one shared rule, each row
-    with its own budget, and never raises for a missed one: the result is
-    the QuadratureResult of the rule, with the real row values and one
-    warning per row.
+    over (0, t^(1-beta)), which is smooth for analytic g.  The rows share
+    one rule, each with its own budget, and a missed budget never raises:
+    the result is the QuadratureResult of the rule, with the real row values
+    and one warning per row.
     """
     if t <= 0:
         raise ValueError("time convolution requires t > 0")
@@ -348,16 +345,9 @@ def singular_time_convolution(kernel, t, tol=1e-12):
     def integrand(tau):
         tau = np.real(np.asarray(tau))
         s = t - np.minimum(tau, upper) ** gamma_exp
-        s = np.clip(s, 0.0, t)
-        out = np.asarray(kernel.smooth(s), dtype=complex)
-        return out if out.ndim == 2 else np.broadcast_to(out, s.shape)
+        return np.asarray(kernel.smooth(np.clip(s, 0.0, t)), dtype=complex)
 
     res = integrate_segment(integrand, 0.0, upper, tol=tol * (1 - beta),
                             rel_tol=tol)
-    if np.ndim(res.value):
-        res.value = res.value.real / (1.0 - beta)
-        return res
-    if res.warning:
-        raise QuadratureError(res.warning)
-    value = res.value / (1.0 - beta)
-    return value.real if abs(value.imag) < 1e-10 * (1 + abs(value)) else value
+    res.value = res.value.real / (1.0 - beta)
+    return res

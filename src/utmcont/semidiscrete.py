@@ -7,7 +7,9 @@ indices behind the boundary the solution continues through an exact finite
 sum over boundary-datum derivatives weighted by pole-free gamma-ratio
 products, plus the reflected interior value.  A profile over a window is
 one range call over every interior index the window reads, its own and
-those its continued values reflect to, so all share one theta grid.  A
+those its continued values reflect to, so all share one theta grid, and
+one continued call over its indices behind the boundary, whose weights
+form one table summed in the order p with one derivative read per p.  A
 scaled-Bessel kernel form of the boundary term provides an independent
 cross-check of the integral representation.
 
@@ -173,27 +175,38 @@ def sd_heat_dirichlet_range(spec, ns):
     return out
 
 
-def dirichlet_reflection_sum(spec, nu):
-    """The exact finite sum 2 sum_p f0^{(p)}(T) h^{2p} f(nu,p) / (2p)!."""
-    cache = spec.deriv
-    h, T = spec.h, spec.T
-    total = 0.0
-    bracket = 1.0  # h^{2p} * product / (2p)!
-    for p in range(0, nu + 1):
-        if p > 0:
-            bracket *= h * h * (nu - p + 1) * (nu + p - 1) / ((2 * p) * (2 * p - 1))
-            if bracket == 0.0:
-                break
-        total += cache.value(p, T) * bracket
-    return 2.0 * total
+def _datum_sum(spec, weights):
+    """sum_p datum^{(p)}(T) weights[p] over the rows p in order, each index
+    adding only its nonzero weights; one derivative read per row that has
+    any, none past the last."""
+    total = np.zeros(weights.shape[1:])
+    for p, row in enumerate(weights):
+        live = row != 0.0
+        if live.any():
+            total = np.where(live, total + spec.deriv.value(p, spec.T) * row,
+                             total)
+    return total
 
 
-def sd_heat_dirichlet_continued(spec, n, u_pos):
-    """Continued value u_n(T) for n <= 0: exact finite sum minus the
-    interior value u_pos = u_{-n}(T)."""
-    if n > 0:
+def dirichlet_reflection_sum(spec, nus):
+    """The exact finite sum 2 sum_p f0^{(p)}(T) h^{2p} f(nu,p) / (2p)! at
+    each index of the array nus >= 0; the bracket h^{2p} f(nu,p) / (2p)! is
+    the running product of its ratios, zero from p = nu + 1 on."""
+    nus = np.asarray(nus)
+    p = np.arange(1, int(np.max(nus, initial=0)) + 1)[:, None]
+    ratios = (spec.h * spec.h * (nus - p + 1) * (nus + p - 1)
+              / ((2 * p) * (2 * p - 1)))
+    return 2.0 * _datum_sum(spec, np.cumprod(
+        np.vstack([np.ones(len(nus)), ratios]), axis=0))
+
+
+def sd_heat_dirichlet_continued(spec, ns, u_pos):
+    """Continued values u_n(T) at the indices ns <= 0: exact finite sum minus
+    the interior values u_pos = u_{-n}(T)."""
+    ns = np.asarray(ns)
+    if np.any(ns > 0):
         raise ValueError("the continuation evaluates n <= 0")
-    return dirichlet_reflection_sum(spec, -int(n)) - u_pos
+    return dirichlet_reflection_sum(spec, -ns) - u_pos
 
 
 def sd_bessel_kernel_form(spec, n, tol=1e-10):
@@ -248,32 +261,41 @@ def sd_heat_neumann_range(spec, ns, tol=1e-10):
     )
     waves = np.exp(1j * np.outer(ns, theta))
     vals = waves @ (wq * integrand)
-    return np.array([real_part(v, tol, "lattice neumann") for v in vals])
+    return real_part(vals, tol, "lattice neumann")
 
 
-def neumann_reflection_sum(spec, n):
-    """(1-2n) h sum_p u^{(p)}(T) h^{2p} G(p+n)/G(n-p) / (2p+1)!."""
-    cache = spec.deriv
-    h, T = spec.h, spec.T
-    total = 0.0
-    prod = 1.0  # specfun.reflection_product_neumann(n, p), factor by factor
-    for p in range(0, n):
-        if p > 0:
-            prod *= (n + p - 1) * (n - p)
-        weight = h ** (2 * p + 1) * prod / math.factorial(2 * p + 1)
-        if weight == 0.0:
-            continue
-        total += cache.value(p, T) * weight
-    return (1 - 2 * n) * total
+def neumann_reflection_sum(spec, ns):
+    """(1-2n) h sum_{p<n} u^{(p)}(T) h^{2p} G(p+n)/G(n-p) / (2p+1)! at each
+    index of the array ns >= 1.  The weight of p is h^{2p+1} times the
+    running gamma-ratio product, over (2p+1)!; where that is no finite float
+    (2p+1 > 170, or the product overflows) it continues by the ratio
+    w_p = w_{p-1} h^2 (n+p-1)(n-p) / ((2p)(2p+1))."""
+    ns = np.asarray(ns)
+    h = spec.h
+    weights = np.zeros((int(np.max(ns, initial=0)), *ns.shape))
+    weights[:1] = h  # p = 0
+    prod = np.ones(ns.shape)  # specfun.reflection_product_neumann(n, p)
+    # inf and nan (an overflowed product, its zero factor at p = n) are
+    # replaced by the ratio or the mask
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, len(weights)):
+            factor = (ns + p - 1) * (ns - p)
+            prod = prod * factor
+            w = (h ** (2 * p + 1) * prod / float(math.factorial(2 * p + 1))
+                 if 2 * p + 1 <= 170 else np.inf)
+            ratio = weights[p - 1] * (h * h * factor / ((2 * p) * (2 * p + 1)))
+            weights[p] = np.where(p < ns, np.where(np.isfinite(w), w, ratio),
+                                  0.0)
+    return (1 - 2 * ns) * _datum_sum(spec, weights)
 
 
-def sd_heat_neumann_continued(spec, n, q_prev):
-    """Continued value q_{-n}(T) for n >= 1: finite sum plus the interior
-    value q_prev = q_{n-1}(T)."""
-    n = int(n)
-    if n < 1:
+def sd_heat_neumann_continued(spec, ns, q_prev):
+    """Continued values q_{-n}(T) at the indices ns >= 1: finite sum plus
+    the interior values q_prev = q_{n-1}(T)."""
+    ns = np.asarray(ns)
+    if np.any(ns < 1):
         raise ValueError("the Neumann continuation evaluates q_{-n}, n >= 1")
-    return neumann_reflection_sum(spec, n) + q_prev
+    return neumann_reflection_sum(spec, ns) + q_prev
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +313,14 @@ def lattice_profile(spec, n_lo, n_hi, tol=1e-10):
     the bits of the symmetric window (n_lo, -n_lo)."""
     first = max(n_lo, 0)
     ns = np.arange(first, max(n_hi, -n_lo) + 1)
-    behind = range(n_lo, min(n_hi, -1) + 1)  # nonempty only when first = 0
+    back = np.arange(n_lo, min(n_hi, -1) + 1)  # nonempty only when first = 0
     if spec.condition == "dirichlet":
-        interior = sd_heat_dirichlet_range(spec, ns).tolist()
-        continued = [sd_heat_dirichlet_continued(spec, n, interior[-n])
-                     for n in behind]
+        interior = sd_heat_dirichlet_range(spec, ns)
+        continued = sd_heat_dirichlet_continued(spec, back, interior[-back])
     else:
-        interior = sd_heat_neumann_range(spec, ns, tol).tolist()
-        continued = [sd_heat_neumann_continued(spec, -n, interior[-n - 1])
-                     for n in behind]
-    return np.array(continued + interior[:max(n_hi + 1 - first, 0)])
+        interior = sd_heat_neumann_range(spec, ns, tol)
+        continued = sd_heat_neumann_continued(spec, -back, interior[-back - 1])
+    return np.concatenate([continued, interior[:max(n_hi + 1 - first, 0)]])
 
 
 def window_nodes(x_window, h):

@@ -54,8 +54,8 @@ def test_criterion_2_tilde_closed_form(heat_te):
     worst = 0.0
     for t in (0.1, 1.0):
         for x in np.linspace(-5.0, 5.0, 41):
-            got = doubled_series(heat_mod.tilde_ladder(heat_te, t), float(x),
-                                 1e-12)
+            got = doubled_series(heat_mod.tilde_ladder(heat_te, t),
+                                 np.array([x]), 1e-12)[0]
             want = math.exp(-t) * (2 * t * math.cos(x) + x * math.sin(x))
             worst = max(worst, abs(got - want))
     _report(2, worst <= 1e-10,
@@ -72,7 +72,7 @@ def test_criterion_3_kdv_one_bc(kdv1_cos, kdv1_te):
     tilde_worst = 0.0
     for x in np.linspace(-3.0, 1.0, 41):
         got = doubled_series(datum_ladder(kdv1_te, "f0", "cubic", 0.0),
-                             float(x), 1e-12, factor=3.0)
+                             np.array([x]), 1e-12, factor=3.0)[0]
         want = -x * math.exp(x) / 3.0 + (2.0 / 3.0) * x * math.exp(-x / 2) \
             * math.sin(math.sqrt(3) * x / 2 + math.pi / 6)
         tilde_worst = max(tilde_worst, abs(got - want))
@@ -162,17 +162,16 @@ def test_criterion_8_semidiscrete_dirichlet():
 
     spec = LatticeSpec(h=1 / 20, u0=u0, datum=f0, T=T)
     boundary = abs(
-        dirichlet_reflection_sum(spec, 0) - sd_heat_dirichlet_range(spec, [0])[0]
+        dirichlet_reflection_sum(spec, [0])[0]
+        - sd_heat_dirichlet_range(spec, [0])[0]
         - float(f0.eval(T))
     )
 
     zspec = LatticeSpec(h=1 / 20, u0=u0, datum=parse("0*t"), T=T)
     ns = np.arange(1, 21)
     pos = sd_heat_dirichlet_range(zspec, ns)
-    antisym = max(
-        abs(sd_heat_dirichlet_continued(zspec, -int(n), u_pos=float(up)) + up)
-        for n, up in zip(ns, pos)
-    )
+    antisym = float(np.max(np.abs(
+        sd_heat_dirichlet_continued(zspec, -ns, u_pos=pos) + pos)))
 
     h, dT = spec.h, 2e-3
     profiles = {
@@ -207,17 +206,14 @@ def test_criterion_9_semidiscrete_neumann():
     spec = LatticeSpec(h=1 / 150, u0=phi, datum=u, T=0.01,
                        condition="neumann")
     q0 = sd_heat_neumann_range(spec, [0])[0]
-    qm1 = sd_heat_neumann_continued(spec, 1, q_prev=q0)
+    qm1 = sd_heat_neumann_continued(spec, [1], q_prev=[q0])[0]
     identity = abs(qm1 - (q0 - spec.h * float(u.eval(spec.T))))
 
     zspec = LatticeSpec(h=1 / 50, u0=phi, datum=parse("0*t"), T=0.1,
                         condition="neumann")
     qs = sd_heat_neumann_range(zspec, np.arange(0, 15))
-    reflection = max(
-        abs(sd_heat_neumann_continued(zspec, n, q_prev=float(qs[n - 1]))
-            - qs[n - 1])
-        for n in range(1, 16)
-    )
+    reflection = float(np.max(np.abs(
+        sd_heat_neumann_continued(zspec, np.arange(1, 16), q_prev=qs) - qs)))
 
     # smoke: continuum agreement within the first-order stencil budget
     cspec = cont.ProblemSpec("heat-neumann", u0=phi, f1=u)

@@ -85,8 +85,8 @@ def test_tilde_closed_form(heat_te):
     # f0 = t e^-t gives tilde = e^-t (2t cos x + x sin x)
     for t in (0.1, 1.0):
         for x in np.linspace(-5.0, 5.0, 21):
-            got = doubled_series(heat.tilde_ladder(heat_te, t), float(x),
-                                 1e-12)
+            got = doubled_series(heat.tilde_ladder(heat_te, t),
+                                 np.array([x]), 1e-12)[0]
             want = math.exp(-t) * (2 * t * math.cos(x) + x * math.sin(x))
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -97,8 +97,8 @@ def test_tilde_constant_datum():
     ext = taylor_coefficients(spec, "f0", 0.5, 12)
     assert ext.coeffs[0] == pytest.approx(3.0)
     assert all(abs(c) < 1e-15 for c in ext.coeffs[1:])
-    assert doubled_series(heat.tilde_ladder(spec, 0.5), 1.7, 1e-10) == \
-        pytest.approx(6.0, rel=1e-12)
+    assert doubled_series(heat.tilde_ladder(spec, 0.5), np.array([1.7]),
+                          1e-10)[0] == pytest.approx(6.0, rel=1e-12)
 
 
 def test_full_series_matches_kernel(heat_gaussian):
@@ -118,8 +118,8 @@ def test_full_series_gives_extension_at_negative_args(heat_gaussian):
     ext = taylor_coefficients(heat_gaussian, "f0", t, 30, parity="all")
     for x in (-0.2, -0.6):
         series = ext.series(x)
-        extension = doubled_series(heat.tilde_ladder(heat_gaussian, t), x,
-                                   1e-12) - \
+        extension = doubled_series(heat.tilde_ladder(heat_gaussian, t),
+                                   np.array([x]), 1e-12)[0] - \
             evaluate_boundary_integral(heat_gaussian, "f0", -x, t, 1e-12)
         assert series == pytest.approx(extension, abs=1e-10)
 

@@ -25,8 +25,8 @@ from utmcont.continuous._common import datum_ladder, doubled_series
 def _tilde_at_zero(spec, x):
     """Small-time limit of the doubled series, 3 sum (-1)^m x^{3m}
     f0^(m)(0) / (3m)!."""
-    return doubled_series(datum_ladder(spec, "f0", "cubic", 0.0), x, 1e-12,
-                          factor=3.0)
+    return doubled_series(datum_ladder(spec, "f0", "cubic", 0.0),
+                          np.array([x]), 1e-12, factor=3.0)[0]
 
 
 def test_one_bc_recovery(kdv1_cos):

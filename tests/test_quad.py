@@ -8,7 +8,6 @@ import pytest
 
 from utmcont.expr import parse
 from utmcont.quad import (
-    QuadratureError,
     DecayError,
     SingularKernel,
     finite_interval_transform,
@@ -234,30 +233,36 @@ def test_transform_value_depends_only_on_its_own_k():
 # ---------------------------------------------------------------------------
 
 
+def _one_row_convolution(beta, t, row):
+    # the vector convolution on a single row, which must converge
+    res = singular_time_convolution(
+        SingularKernel(beta, lambda s: np.array([row(s)])), t)
+    assert res.warnings == (None,)
+    return res.value[0]
+
+
 def test_singular_convolution_constant_half():
-    kern = SingularKernel(0.5, lambda s: np.ones_like(np.asarray(s, dtype=float)))
-    assert singular_time_convolution(kern, 1.0) == pytest.approx(2.0, rel=1e-12)
+    value = _one_row_convolution(0.5, 1.0, np.ones_like)
+    assert value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_singular_convolution_constant_two_thirds():
-    kern = SingularKernel(2 / 3, lambda s: np.ones_like(np.asarray(s, dtype=float)))
-    assert singular_time_convolution(kern, 1.0) == pytest.approx(3.0, rel=1e-12)
+    value = _one_row_convolution(2 / 3, 1.0, np.ones_like)
+    assert value == pytest.approx(3.0, rel=1e-12)
 
 
 def test_singular_convolution_exponential_oracle():
     # frozen 30-digit oracle of int_0^1 e^s (1-s)^{-1/2} ds
     oracle = 4.06015693855741
-    kern = SingularKernel(0.5, lambda s: np.exp(np.asarray(s, dtype=float)))
-    assert singular_time_convolution(kern, 1.0) == pytest.approx(oracle, rel=1e-12)
+    value = _one_row_convolution(0.5, 1.0, np.exp)
+    assert value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_singular_convolution_beta_third():
     # int_0^t s (t-s)^{-1/3} ds = t^{5/3} * 9/10 at t = 2
-    kern = SingularKernel(1 / 3, lambda s: np.asarray(s, dtype=float))
     t = 2.0
-    assert singular_time_convolution(kern, t) == pytest.approx(
-        0.9 * t ** (5 / 3), rel=1e-12
-    )
+    value = _one_row_convolution(1 / 3, t, lambda s: s)
+    assert value == pytest.approx(0.9 * t ** (5 / 3), rel=1e-12)
 
 
 def test_vector_singular_convolution_rows_match_closed_forms():
@@ -289,7 +294,7 @@ def test_singular_kernel_rejects_nonintegrable():
 
 
 def test_singular_convolution_requires_positive_time():
-    kern = SingularKernel(0.5, lambda s: np.ones_like(np.asarray(s, dtype=float)))
+    kern = SingularKernel(0.5, lambda s: np.array([np.ones_like(s)]))
     with pytest.raises(ValueError):
         singular_time_convolution(kern, 0.0)
 
@@ -319,9 +324,9 @@ def test_nonconvergence_reports_worst_subinterval():
 
     res = integrate_segment(nasty, 0.0, 1.0, tol=1e-13, max_intervals=32)
     assert res.warning is not None and "subinterval" in res.warning
-    kernel = SingularKernel(0.5, lambda s: nasty(np.asarray(s)))
-    with pytest.raises(QuadratureError, match="subinterval"):
-        singular_time_convolution(kernel, 1.0, tol=1e-13)
+    kernel = SingularKernel(0.5, lambda s: np.array([nasty(s)]))
+    res = singular_time_convolution(kernel, 1.0, tol=1e-13)
+    assert "subinterval" in res.warnings[0]
 
 
 @pytest.mark.parametrize("edges", [

@@ -55,24 +55,22 @@ def test_zero_data_is_zero():
     spec = LatticeSpec(h=0.1, u0=parse("0*x"), datum=parse("0*t"), T=0.3)
     u3 = sd_heat_dirichlet_range(spec, [3])[0]
     assert u3 == pytest.approx(0.0, abs=1e-14)
-    assert sd_heat_dirichlet_continued(spec, -3, u3) == pytest.approx(
+    assert sd_heat_dirichlet_continued(spec, [-3], [u3])[0] == pytest.approx(
         0.0, abs=1e-14)
 
 
 def test_homogeneous_antisymmetry(lattice_zero_datum):
     ns = np.arange(1, 21)
     pos = sd_heat_dirichlet_range(lattice_zero_datum, ns)
-    for n, up in zip(ns, pos):
-        un = sd_heat_dirichlet_continued(lattice_zero_datum, -int(n),
-                                         u_pos=float(up))
-        assert abs(un + up) < 1e-10
+    un = sd_heat_dirichlet_continued(lattice_zero_datum, -ns, u_pos=pos)
+    assert np.all(np.abs(un + pos) < 1e-10)
 
 
 def test_seam_identity(lattice):
     # u_{-1} = 2 f0(T) + h^2 f0'(T) - u_1 exactly (p <= 1 terms of the sum)
     h, T = lattice.h, lattice.T
     u1 = sd_heat_dirichlet_range(lattice, [1])[0]
-    um1 = sd_heat_dirichlet_continued(lattice, -1, u_pos=u1)
+    um1 = sd_heat_dirichlet_continued(lattice, [-1], u_pos=[u1])[0]
     want = 2 * lattice.datum.eval(T) + h * h * lattice.deriv.value(1, T) \
         - u1
     assert um1 == pytest.approx(want, abs=1e-14)
@@ -80,7 +78,7 @@ def test_seam_identity(lattice):
 
 def test_reflection_sum_boundary_term(lattice):
     # p = 0 term alone doubles the datum: the nu = 0 sum is 2 f0(T)
-    assert dirichlet_reflection_sum(lattice, 0) == pytest.approx(
+    assert dirichlet_reflection_sum(lattice, [0])[0] == pytest.approx(
         2 * float(lattice.datum.eval(lattice.T)), rel=1e-14
     )
 
@@ -129,7 +127,7 @@ def test_bessel_kernel_fine_quadrature_oracle():
 def test_boundary_identity_as_integral_limit(lattice):
     # the n = 0 limit of the continued representation reproduces the datum:
     # 2 f0(T) + (finite sum with nu = 0) - u_0 = f0(T)
-    val = (dirichlet_reflection_sum(lattice, 0)
+    val = (dirichlet_reflection_sum(lattice, [0])[0]
            - sd_heat_dirichlet_range(lattice, [0])[0])
     assert val == pytest.approx(float(lattice.datum.eval(lattice.T)),
                                 abs=1e-8)
@@ -180,7 +178,7 @@ def test_images_case_error_is_purely_spatial(lattice_zero_datum):
 
 def test_neumann_backward_stencil_identity(neumann_lattice):
     q0 = sd_heat_neumann_range(neumann_lattice, [0])[0]
-    qm1 = sd_heat_neumann_continued(neumann_lattice, 1, q_prev=q0)
+    qm1 = sd_heat_neumann_continued(neumann_lattice, [1], q_prev=[q0])[0]
     h = neumann_lattice.h
     datum = float(neumann_lattice.datum.eval(neumann_lattice.T))
     assert (q0 - qm1) / h == pytest.approx(datum, abs=1e-10)
@@ -191,10 +189,8 @@ def test_neumann_homogeneous_reflection():
                        datum=parse("0*t"), T=0.1, condition="neumann")
     ns = np.arange(0, 15)
     qs = sd_heat_neumann_range(spec, ns)
-    for n in range(1, 16):
-        q_neg = sd_heat_neumann_continued(spec, n,
-                                          q_prev=float(qs[n - 1]))
-        assert abs(q_neg - qs[n - 1]) < 1e-10
+    q_neg = sd_heat_neumann_continued(spec, np.arange(1, 16), q_prev=qs)
+    assert np.all(np.abs(q_neg - qs) < 1e-10)
 
 
 def test_neumann_smoke_continuum_agreement(neumann_lattice):
@@ -303,21 +299,34 @@ def test_profile_reaching_behind_is_one_range_call(condition, monkeypatch):
     # a window reaching further behind the boundary than ahead of it reads
     # every interior value it reflects to from one range call, and so has
     # the bits of the window that covers those values itself
+    # every value behind it from one continued call
     spec, _ = _mode_spec(1.0 / 50, condition)
-    name = f"sd_heat_{condition}_range"
-    original = getattr(semidiscrete, name)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name):
+        original = getattr(semidiscrete, name)
 
-    monkeypatch.setattr(semidiscrete, name, counted)
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    names = [f"sd_heat_{condition}_{part}" for part in ("range", "continued")]
+    for name in names:
+        monkeypatch.setattr(semidiscrete, name, counting(name))
     vals = lattice_profile(spec, -60, 5)
-    assert len(calls) == 1
+    assert sorted(calls) == sorted(names)
     full = lattice_profile(spec, -60, 60)
     assert vals.tobytes() == full[:66].tobytes()
     assert lattice_profile(spec, -60, -5).tobytes() == full[:56].tobytes()
+
+
+def test_neumann_continuation_past_the_factorial_range():
+    # from n = 86 on the weights reach 2p + 1 > 170, where (2p+1)! is no
+    # float; they continue by their ratio
+    spec, exact = _mode_spec(1.0 / 50, "neumann")
+    vals = lattice_profile(spec, -120, 10)
+    assert np.max(np.abs(vals - exact(np.arange(-120, 11)))) < 1e-8
 
 
 def test_neumann_range_memory_stays_small():

@@ -3,6 +3,7 @@ do not depend on earlier calls, the order cap, and window errors."""
 
 import math
 
+import numpy as np
 import pytest
 
 from utmcont.continuous import (
@@ -12,7 +13,7 @@ from utmcont.continuous import (
     evaluate_boundary_integral,
     taylor_coefficients,
 )
-from utmcont.expr import ExprDomainError, parse
+from utmcont.expr import MAX_DERIVATIVE_ORDER, ExprDomainError, parse
 
 
 def test_coefficients_do_not_depend_on_an_earlier_tol(fresh_spec):
@@ -146,3 +147,33 @@ def test_g0_series_is_about_the_right_end(interval_gaussian):
     assert ext.expansion_point == interval_gaussian.L
     assert ext.tilde(interval_gaussian.L) == pytest.approx(
         2.0 * float(interval_gaussian.g0.eval(1.0)), rel=1e-14)
+
+
+def test_doubled_series_of_an_array_has_the_bits_of_each_point(heat_te):
+    # each point stops by its own rule (x = 0 after a few orders, x = -4
+    # after many), so an array call has the bytes of every point alone and
+    # of the reversed array
+    ladder = _common.datum_ladder(heat_te, "f0", "even", 0.7)
+    xs = np.linspace(-4.0, 0.0, 17)
+    got = _common.doubled_series(ladder, xs, 1e-12)
+    alone = [_common.doubled_series(ladder, xs[i:i + 1], 1e-12)
+             for i in range(len(xs))]
+    assert got.tobytes() == np.concatenate(alone).tobytes()
+    assert got[::-1].tobytes() == _common.doubled_series(
+        ladder, xs[::-1], 1e-12).tobytes()
+
+
+def test_series_cap_leaves_the_converged_points_alone():
+    # coefficient 1 at every order: dx = 1 never falls below tol and reaches
+    # the order cap, dx = 0.5 and -0.25 converge
+    ladder = _common.CoeffLadder(1, (0,), lambda order: 1.0)
+    dx = np.array([0.5, 1.0, -0.25])
+    values, last, reason = _common.adaptive_series(ladder, dx, 1e-12)
+    assert (reason, last) == ("cap", MAX_DERIVATIVE_ORDER)
+    assert values[1] == MAX_DERIVATIVE_ORDER + 1
+    for i in (0, 2):
+        alone, alone_last, alone_reason = _common.adaptive_series(
+            ladder, dx[i:i + 1], 1e-12)
+        assert alone_reason == "converged"
+        assert values[i] == alone[0]
+        assert alone_last < MAX_DERIVATIVE_ORDER
