@@ -24,7 +24,6 @@ __all__ = [
     "doubled_series",
     "reflected",
     "adaptive_series",
-    "growth_radius",
     "ResidualWarning",
     "OutsideWindowError",
     "COEFF_TOL",
@@ -299,15 +298,6 @@ def adaptive_series(ladder, dx, tol):
                     a[~done] for a in (live, x, part, scale, quiet))
         i += 1
     return total, order, "converged"
-
-
-def growth_radius(decay_rate, growth_rate, log_target):
-    """Radius R with decay_rate*R^2 - growth_rate*R >= log_target (tail cut
-    for Gaussian-decaying integrands with exponential growth factors)."""
-    a = decay_rate
-    b = growth_rate
-    disc = b * b + 4.0 * a * log_target
-    return (b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
 
 
 def oscillation_panels(length, frequency, base=1):

@@ -5,16 +5,15 @@ heat-Dirichlet for v with boundary datum g(t) = e^{c^2 t/4} f0(t) (k' = k -
 ic/2 turns the dispersion k^2 - ick into k'^2 + c^2/4).  E is entire and
 never zero, so the boundary part, its continuation, its Taylor data and w0
 are the heat-Dirichlet ones of the gauged spec times E (for w0, with the
-datum e^{cx/2} u0).  Every function of x takes a 1-D array.  The initial part
-keeps its shifted contour: e^{cx/2} u0 need not have a half-line transform.
+datum e^{cx/2} u0).  Every function of x takes a 1-D array.
 
-That contour is the line Im k = eta with eta = max(c, 0) + SHIFT_MARGIN:
-the lowest height the data transform allows, plus a margin.  Its integrand
-e^{ikx - W t} u0_hat(-k + ic) divides by nothing, so no zero of W has to be
-stepped over; u0_hat is the half-line transform, defined for
-Im(-k + ic) <= 0, i.e. eta >= c.  On the line the integrand grows like
-e^{eta max(-x, 0) + eta (eta - c) t}, so a higher eta only raises the
-rounding floor of the quadrature error estimate at x < 0.
+The initial part is not gauged: e^{cx/2} u0 need not have a half-line
+transform.  It is (1/2pi) int_R e^{ikx - W t} u0_hat(k) dk, W = k^2 - ick,
+minus the same integral of u0_hat(-k + ic) over a line Im k = eta >= c, on
+which that transform is defined.  u0_hat is the finite sum of the data
+rule, so each node's term of either integrand is entire and Gaussian in k:
+its line moves to Im k = c, and each integral is a heat kernel.  No
+k-contour is integrated.
 """
 
 from __future__ import annotations
@@ -24,61 +23,30 @@ import math
 import numpy as np
 
 from ..expr import parse
-from ..quad import integrate_segment
+from ..quad import row_sums
 from . import _common, heat
-from ._common import (COEFF_TOL, cached_ladder, growth_radius,
-                      over_factorial, real_part, require_half_line)
+from ._common import (COEFF_TOL, cached_ladder, over_factorial,
+                      require_half_line)
 from .problems import ProblemSpec
-
-# Height of the shifted initial-part contour above Im k = max(c, 0), the
-# lowest the data transform allows; it keeps Im(-k + ic) < 0, so the
-# transform's integrand gains a factor e^{-SHIFT_MARGIN y} on top of u0's
-# own decay.
-SHIFT_MARGIN = 0.25
 
 
 def i0(spec, xs, t, tol=1e-10):
-    """Initial-condition part at each point of the 1-D array xs: real-line
-    integral minus the reflected-argument transform integrated over the
-    horizontal contour Im k = max(c, 0) + SHIFT_MARGIN: the lowest height
-    at which u0_hat(-k + ic) is defined, plus a margin, since a higher
-    contour only raises the integrand's size at x < 0 and with it the
-    rounding floor of the error estimate.  The points share one adaptive
-    k-rule per piece, sized for the largest |x|."""
+    """Initial-condition part at each point of the 1-D array xs, taken term
+    by term over the finite sum of the data rule (``heat.data_rule``): the
+    real-line piece of node y_n is c_n G(x + ct - y_n, t), and the shifted
+    piece, entire in k for each node and so moved to Im k = c, is
+    c_n e^{-cx} G(x - ct + y_n, t), with the heat kernel G.  The factor and
+    the Gaussian of the second term are one exponential, so that a large
+    e^{-cx} cannot overflow before the Gaussian damps it.  Each x is summed
+    alone."""
     if spec.u0.is_zero:
         return np.zeros(xs.shape)
     c = spec.c
-    tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
-    log_target = math.log(40.0 / tol) + 5.0
-    x_max = float(np.max(np.abs(xs)))
-
-    # piece 1: (1/2pi) int_R e^{ikx - W t} u0_hat(k) dk, W = k^2 - ick
-    radius = math.sqrt(log_target / t)
-
-    def line_part(k):
-        w = k * k - 1j * c * k
-        spectral = np.exp(-w * t) * tf(k)
-        return np.exp(1j * np.outer(xs, k)) * spectral
-
-    panels = _common.oscillation_panels(2 * radius, x_max + abs(c) * t, base=4)
-    p1 = integrate_segment(line_part, -radius, radius, tol=tol / 4,
-                           initial_panels=panels)
-
-    # piece 2: -(1/2pi) int_{Im k = eta} e^{ikx - W t} u0_hat(-k + ic) dk
-    eta = max(c, 0.0) + SHIFT_MARGIN
-    kappa = growth_radius(t, x_max + 2 * eta * t + abs(c) * t,
-                          log_target + eta * (x_max + eta * t))
-
-    def shifted_part(kappa_arr):
-        k = kappa_arr + 1j * eta
-        w = k * k - 1j * c * k
-        spectral = np.exp(-w * t) * tf(-k + 1j * c)
-        return np.exp(1j * np.outer(xs, k)) * spectral
-
-    p2 = integrate_segment(lambda z: shifted_part(np.real(z)), -kappa, kappa,
-                           tol=tol / 4, initial_panels=panels)
-    value = (p1.value - p2.value) / (2 * math.pi)
-    return real_part(value, tol, "advected i0")
+    y, weighted = heat.data_rule(spec, tol)
+    x = xs[:, None]
+    kernels = (np.exp(-(x + c * t - y) ** 2 / (4.0 * t))
+               - np.exp(-c * x - (x - c * t + y) ** 2 / (4.0 * t)))
+    return row_sums(kernels, weighted) / math.sqrt(4.0 * math.pi * t)
 
 
 def _gauged(spec):

@@ -1,12 +1,14 @@
 """Heat equation on the half-line: Dirichlet and Neumann boundary data.
 
-The initial-condition part is integrated over the real k-line (the sector
-contour deforms there, and the Gaussian kernel makes every x reachable).  The
-boundary part uses the closed heat-kernel convolution for x >= 0, one shared
-time rule for a whole array of x, and the reflection-plus-doubled-Taylor-
-series extension for x < 0.  Dirichlet doubles the even series (the datum
-pins the even derivatives), Neumann the odd one; w0 is that rule applied
-to u0 at t = 0.  Every function of x takes a 1-D array.
+The initial-condition part is the real-line k-integral of the data
+transform, which is the finite sum of its rule (``data_rule``); term by
+term that integral is a heat kernel, so i0 is the method-of-images sum over
+the rule's nodes, with no k-quadrature.  The boundary part uses the closed
+heat-kernel convolution for x >= 0, one shared time rule for a whole array
+of x, and the reflection-plus-doubled-Taylor-series extension for x < 0.
+Dirichlet doubles the even series (the datum pins the even derivatives),
+Neumann the odd one; w0 is that rule applied to u0 at t = 0.  Every
+function of x takes a 1-D array.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..quad import integrate_segment
+from ..quad import integrate_segment, row_sums
 from . import _common
 from ._common import (datum_coefficient, datum_ladder, fractional_family,
                       over_factorial, real_part, require_half_line)
@@ -28,24 +30,27 @@ def _reflection_sign(kind):
     return -1.0 if kind == "heat-dirichlet" else 1.0
 
 
+def data_rule(spec, tol):
+    """(nodes y_n, weighted values c_n) of the rule of the u0 transform
+    behind an i0 of tolerance tol: u0_hat(k) = sum_n c_n e^{-iky_n}."""
+    return spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2).rule()
+
+
 def i0(spec, xs, t, tol=1e-10):
     """Initial-condition part, entire in x, at each point of the 1-D array
-    xs.  The points share one adaptive k-rule, sized for the largest |x|,
-    and each meets its own error budget."""
+    xs: (1/2pi) int_R e^{ikx - k^2 t} (u0_hat(k) + s u0_hat(-k)) dk, s = -1
+    for Dirichlet and +1 for Neumann, taken term by term over the finite
+    sum of the data rule.  Each term is a heat kernel, so the value is the
+    image sum sum_n c_n [G(x - y_n, t) + s G(x + y_n, t)], summed for each
+    x alone."""
     if spec.u0.is_zero:
         return np.zeros(xs.shape)
     sign = _reflection_sign(spec.kind)
-    tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
-    radius = math.sqrt((math.log(40.0 / tol) + 5.0) / t)
-
-    def integrand(k):
-        spectral = np.exp(-k * k * t) * (tf(k) + sign * tf(-k))
-        return np.exp(1j * np.outer(xs, k)) * spectral
-
-    panels = _common.oscillation_panels(2 * radius, np.max(np.abs(xs)), base=4)
-    res = integrate_segment(integrand, -radius, radius, tol=tol / 2,
-                            initial_panels=panels)
-    return real_part(res.value / (2 * math.pi), tol, "heat i0")
+    y, weighted = data_rule(spec, tol)
+    x = xs[:, None]
+    kernels = (np.exp(-(x - y) ** 2 / (4.0 * t))
+               + sign * np.exp(-(x + y) ** 2 / (4.0 * t)))
+    return row_sums(kernels, weighted) / math.sqrt(4.0 * math.pi * t)
 
 
 def boundary_integral(spec, xs, t, tol=1e-10):

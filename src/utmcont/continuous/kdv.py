@@ -36,7 +36,7 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ..quad import gauss_panels, integrate_segment
+from ..quad import QuadratureError, gauss_panels, integrate_segment
 from .problems import DecayClassError, check_compatibility
 from ._common import (COEFF_TOL, cached_ladder, datum_coefficient,
                       datum_ladder, doubled_series, fractional_family,
@@ -119,10 +119,19 @@ def i0_one_bc(spec, xs, t, tol=1e-10):
               (left, -r_wing + anchor, anchor, panels),
               (right, anchor, r_wing + anchor, panels),
               (connector, 0j, anchor, 1))
-    total = sum(integrate_segment(f, a, b, tol=tol / 6,
-                                  initial_panels=count).value
-                for f, a, b, count in pieces)
-    return real_part(total / (2 * math.pi), tol, "kdv1 i0")
+    results = [integrate_segment(f, a, b, tol=tol / 6, initial_panels=count)
+               for f, a, b, count in pieces]
+    value = sum(r.value for r in results) / (2 * math.pi)
+    error = sum(r.error for r in results) / (2 * math.pi)
+    # a row whose estimate exceeds max(1, |value|) (or is not a number) has
+    # no digit left to return
+    lost = ~(error <= np.maximum(1.0, np.abs(value)))
+    if np.any(lost):
+        row = int(np.argmax(lost))
+        raise QuadratureError(
+            f"kdv1 i0 at x = {xs[row]:g}: error estimate {error[row]:.3e} "
+            "exceeds max(1, |value|)")
+    return real_part(value, tol, "kdv1 i0")
 
 
 def if0_one_bc(spec, xs, t, tol=1e-10):

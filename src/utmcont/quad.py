@@ -29,6 +29,7 @@ __all__ = [
     "integrate_segment",
     "gauss_panels",
     "geometric_edges",
+    "row_sums",
     "HalfLineTransform",
     "finite_interval_transform",
     "singular_time_convolution",
@@ -212,11 +213,11 @@ def geometric_edges(upper, first, ratio):
     return np.array(edges)
 
 
-def _row_sums(phases, wvals):
-    """phases @ wvals, one row at a time: unlike a matrix-vector product,
+def row_sums(matrix, wvals):
+    """matrix @ wvals, one row at a time: unlike a matrix-vector product,
     whose blocking sums a row differently with different companions, each
     value depends only on its own row."""
-    return np.einsum("kn,n->k", phases, wvals)
+    return np.einsum("kn,n->k", matrix, wvals)
 
 
 def _decay_truncation_point(u0, decay_kind, rate, growth, tol):
@@ -244,11 +245,14 @@ def _decay_truncation_point(u0, decay_kind, rate, growth, tol):
 class HalfLineTransform:
     """u0_hat(k) = integral over (0, inf) of e^{-iky} u0(y) dy, cached per k.
 
-    Evaluation uses one fixed rule: 24-point Gauss-Legendre panels on
-    (0, Y), geometrically growing from the origin (ratio 1.6), with Y chosen
-    from the declared decay class so the discarded tail is below tol.  The
-    rule does not adapt to k.  Each value is a row-wise sum over that rule,
-    so it depends only on its own k, never on the other k of a call.
+    Evaluation uses one fixed rule, the one :meth:`rule` returns: 24-point
+    Gauss-Legendre panels on (0, Y), geometrically growing from the origin
+    (ratio 1.6), with Y chosen from the declared decay class so the
+    discarded tail is below tol.  The rule does not adapt to k, so the
+    transform is the finite sum u0_hat(k) = sum_n c_n e^{-iky_n}, c_n = w_n
+    u0(y_n); a solver whose k-integral of that sum has a closed form reads
+    the rule instead of the values.  Each value is a row-wise sum over the
+    rule, so it depends only on its own k, never on the other k of a call.
     Values are cached per k for repeated contour nodes.
     """
 
@@ -260,18 +264,22 @@ class HalfLineTransform:
         self.tol = tol
         self.max_im = max_im
         self._cache = {}
-        self._grid = None
+        self._rule = None
 
-    def _build_grid(self):
-        growth = max(self.max_im, 0.0)
-        upper = _decay_truncation_point(
-            self.u0, self.decay_kind, self.rate, growth, self.tol
-        )
-        # geometric panels resolve both the origin region and the slow tail
-        nodes, weights = gauss_panels(
-            geometric_edges(upper, min(1.0, upper / 8), 1.6), 24)
-        nodes, weights = nodes.ravel(), weights.ravel()
-        self._grid = (nodes, weights * self.u0.compiled()(nodes))
+    def rule(self):
+        """(nodes y_n, weighted values c_n = w_n u0(y_n)) of the rule, as
+        1-D arrays; built on first use."""
+        if self._rule is None:
+            upper = _decay_truncation_point(
+                self.u0, self.decay_kind, self.rate, max(self.max_im, 0.0),
+                self.tol)
+            # geometric panels resolve both the origin region and the slow
+            # tail
+            nodes, weights = gauss_panels(
+                geometric_edges(upper, min(1.0, upper / 8), 1.6), 24)
+            nodes, weights = nodes.ravel(), weights.ravel()
+            self._rule = (nodes, weights * self.u0.compiled()(nodes))
+        return self._rule
 
     def __call__(self, k):
         k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
@@ -284,16 +292,14 @@ class HalfLineTransform:
             else:
                 out[i] = hit
         if missing:
-            if self._grid is None:
-                self._build_grid()
-            nodes, wvals = self._grid
+            nodes, wvals = self.rule()
             ks = k_arr[missing]
             if np.any(ks.imag > self.max_im + 1e-12):
                 raise DecayError(
                     "transform requested above the declared decay margin "
                     f"(Im k = {float(np.max(ks.imag)):g} > {self.max_im:g})"
                 )
-            vals = _row_sums(np.exp(-1j * np.outer(ks, nodes)), wvals)
+            vals = row_sums(np.exp(-1j * np.outer(ks, nodes)), wvals)
             for i, v in zip(missing, vals):
                 self._cache[k_arr[i]] = complex(v)
                 out[i] = v
@@ -318,8 +324,8 @@ def finite_interval_transform(u0, L, k):
         nodes = nodes.ravel()
         wvals = weights.ravel() * u0.eval(nodes)
         group = panels == count
-        out[group] = _row_sums(np.exp(-1j * np.outer(k_arr[group], nodes)),
-                               wvals)
+        out[group] = row_sums(np.exp(-1j * np.outer(k_arr[group], nodes)),
+                              wvals)
     if np.ndim(k) == 0:
         return complex(out[0])
     return out

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from utmcont import quad
 from utmcont.expr import parse
+from utmcont.quad import integrate_segment
 from utmcont.continuous import (
     ProblemSpec,
     boundary_to_initial,
@@ -15,7 +17,7 @@ from utmcont.continuous import (
     reference_whole_line,
     taylor_coefficients,
 )
-from utmcont.continuous import advected
+from utmcont.continuous import advected, heat
 
 
 @pytest.mark.parametrize("fixture", ["advected_plus", "advected_minus"])
@@ -147,37 +149,58 @@ def _drifting_gaussian(c, a=0.3):
     return spec, exact
 
 
-def _recording(monkeypatch):
-    """The results of every integrate_segment call advected.i0 makes, in
-    call order: the line piece, then the shifted piece."""
-    results = []
-    real = advected.integrate_segment
+def test_i0_makes_no_k_quadrature(fresh_spec, monkeypatch):
+    # heat and advected i0 are image sums over the data rule's nodes: no
+    # k-contour, and no value of the transform itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("k-quadrature in a closed-form i0")
 
-    def recording(*args, **kwargs):
-        result = real(*args, **kwargs)
-        results.append(result)
-        return result
+    for module in (quad, heat, advected):
+        if hasattr(module, "integrate_segment"):
+            monkeypatch.setattr(module, "integrate_segment", refuse)
+    monkeypatch.setattr(quad.HalfLineTransform, "__call__", refuse)
+    xs = np.linspace(-3.0, 5.0, 9)
+    for kind in ("heat-dirichlet", "heat-neumann", "advected-heat"):
+        for t in (1e-3, 1.0):
+            assert np.all(np.isfinite(evaluate_I0(fresh_spec(kind), xs, t)))
 
-    monkeypatch.setattr(advected, "integrate_segment", recording)
-    return results
 
-
-@pytest.mark.parametrize("c", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-def test_i0_shifted_contour_meets_every_budget(c, monkeypatch):
-    # On the contour Im k = eta the integrand grows like
-    # e^{eta max(-x, 0) + eta (eta - c) t}: a contour higher than the data
-    # transform needs puts the rounding floor of the rows at x < 0 above
-    # their budget, and the shared rule then refines every row to
-    # max_intervals (127k-163k evaluations at eta = |c| + 1).
-    results = _recording(monkeypatch)
-    spec, _ = _drifting_gaussian(c)
+@pytest.mark.parametrize("c", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 4.0])
+def test_drift_matches_exact(c):
+    # At c >= 3 the shifted k-contour this part used to integrate had a
+    # rounding floor above its budget: 1.0-2.2 s a call, and 1.4e-11 off at
+    # c = 4, t = 2.
+    spec, exact = _drifting_gaussian(c)
     xs = np.linspace(-3.0, 5.0, 81)
-    for t in (0.1, 0.5, 1.0, 2.0):
-        results.clear()
-        values = evaluate_I0(spec, xs, t, 1e-10)
-        assert values.shape == xs.shape and np.all(np.isfinite(values))
-        assert all(w is None for r in results for w in r.warnings), (c, t)
-        assert sum(r.evaluations for r in results) < 5_000, (c, t)
+    for t in (1.0, 2.0):
+        got = evaluate_extended(spec, xs, t, 1e-10)
+        np.testing.assert_allclose(got, exact(xs, t), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("c", [-2.0, 1.0, 4.0])
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_i0_matches_k_integral_of_the_data_rule(c, t):
+    # The oracle integrates the UTM initial part in k over the same
+    # transform: the real-line piece, and the shifted piece on Im k = c
+    # (each node's term is entire), where e^{ikx - W t} u0_hat(-k + ic) is
+    # e^{-cx} e^{i kappa (x - ct) - kappa^2 t} u0_hat(-kappa), k = kappa + ic
+    spec, _ = _drifting_gaussian(c)
+    tf = spec.transform(max_im=0.0, tol=1e-14)
+    xs = np.linspace(-1.0, 2.0, 7)
+    r = math.sqrt(40.0 / t)
+
+    def k_integral(phase, shift, data):
+        res = integrate_segment(
+            lambda k: np.exp(1j * np.outer(xs + shift, k.real) + phase(k.real))
+            * data(k.real), -r, r, tol=1e-13, initial_panels=4 + int(r))
+        assert res.warning is None
+        return res.value.real / (2 * math.pi)
+
+    line = k_integral(lambda k: -(k * k - 1j * c * k) * t, 0.0, tf)
+    shifted = k_integral(lambda k: -k * k * t, -c * t, lambda k: tf(-k))
+    oracle = line - np.exp(-c * xs) * shifted
+    np.testing.assert_allclose(evaluate_I0(spec, xs, t, 1e-10), oracle,
+                               rtol=0, atol=1e-12)
 
 
 def test_negative_drift_matches_exact_behind_boundary():
@@ -188,15 +211,3 @@ def test_negative_drift_matches_exact_behind_boundary():
     xs = np.array([0.0, -0.5, -1.0, -1.5, -2.0])
     got = evaluate_extended(spec, xs, 1.0, 1e-10)
     np.testing.assert_allclose(got, exact(xs, 1.0), rtol=0, atol=1e-10)
-
-
-def test_adv_minus_shifted_piece_stays_cheap(advected_minus, monkeypatch):
-    # The adv_minus data on x in [-2, -1.5] at t = 1: with the contour at
-    # Im k = |c| + 1 the shifted piece makes 142,605 evaluations and misses
-    # its budget on every row.  A count, so the guard is free of timing
-    # noise.
-    results = _recording(monkeypatch)
-    evaluate_I0(advected_minus, np.linspace(-2.0, -1.5, 11), 1.0, 1e-10)
-    assert len(results) == 2
-    assert all(w is None for r in results for w in r.warnings)
-    assert results[1].evaluations < 0.05 * 142_605

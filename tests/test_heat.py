@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from utmcont.expr import parse
+from utmcont.quad import integrate_segment
 from utmcont.continuous import (
     ProblemSpec,
     boundary_to_initial,
@@ -54,6 +55,43 @@ def test_i0_against_method_of_images():
     val = evaluate_extended(spec, x, t, 1e-11)
     assert val == pytest.approx(oracle, abs=2e-9)
     assert evaluate_I0(spec, x, t, 1e-11) == pytest.approx(oracle, abs=2e-9)
+
+
+@pytest.mark.parametrize("kind", ["heat-dirichlet", "heat-neumann"])
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0])
+def test_i0_matches_k_integral_of_the_data_rule(fresh_spec, kind, t):
+    # The oracle integrates (1/2pi) int e^{ikx - k^2 t} (u0_hat(k) +
+    # s u0_hat(-k)) dk in k over the same transform that i0 sums in closed
+    # form
+    spec = fresh_spec(kind)
+    tf = spec.transform(max_im=0.0, tol=1e-14)
+    sign = -1.0 if kind == "heat-dirichlet" else 1.0
+    xs = np.linspace(-1.0, 3.0, 9)
+    r = math.sqrt(40.0 / t)
+
+    def integrand(k):
+        k = k.real
+        return (np.exp(1j * np.outer(xs, k) - k * k * t)
+                * (tf(k) + sign * tf(-k)))
+
+    res = integrate_segment(integrand, -r, r, tol=1e-13,
+                            initial_panels=4 + int(r))
+    assert res.warning is None
+    np.testing.assert_allclose(evaluate_I0(spec, xs, t, 1e-10),
+                               res.value.real / (2 * math.pi),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["heat-dirichlet", "heat-neumann",
+                                  "advected-heat"])
+def test_i0_value_depends_on_its_own_x_alone(fresh_spec, kind):
+    spec = fresh_spec(kind)
+    xs = np.linspace(-2.0, 3.0, 11)
+    for t in (1e-3, 0.5):
+        grid = evaluate_I0(spec, xs, t)
+        assert evaluate_I0(spec, xs[::-1], t)[::-1].tobytes() == grid.tobytes()
+        points = np.array([evaluate_I0(spec, x, t) for x in xs])
+        assert points.tobytes() == grid.tobytes()
 
 
 def test_boundary_recovery(heat_gaussian):

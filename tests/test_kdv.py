@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from utmcont.expr import parse
+from utmcont.quad import QuadratureError
 from utmcont.continuous import (
     DecayClassError,
     IncompatibleDataError,
@@ -92,6 +93,20 @@ def test_one_bc_requires_decay():
     slow = ProblemSpec("kdv-one-bc", u0=parse("1/(1+x)^2"), f0=parse("t"))
     with pytest.raises(DecayClassError):
         evaluate_I0(slow, 0.5, 1.0)
+
+
+def test_one_bc_i0_refuses_a_lost_row(fresh_spec, monkeypatch):
+    # At x = -2, t = 1e-3 the wing integrands grow like e^{sqrt(3)|x|k/2}
+    # faster than the Airy kernel decays: every row's error estimate runs
+    # to ~1e241, or to nan once the phase overflows, and i0 used to return
+    # that value.  A small max_intervals keeps the refinement short.
+    real = kdv.integrate_segment
+    monkeypatch.setattr(kdv, "integrate_segment", lambda *args, **kwargs:
+                        real(*args, **kwargs, max_intervals=64))
+    spec = fresh_spec("kdv-one-bc")
+    with np.errstate(all="ignore"), pytest.raises(
+            QuadratureError, match=r"x = -2: error estimate"):
+        evaluate_I0(spec, -2.0, 1e-3, 1e-9)
 
 
 def test_one_bc_coefficient_families(kdv1_cos):
