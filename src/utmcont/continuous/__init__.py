@@ -279,9 +279,9 @@ def evaluate_extended(spec, x, t, tol=1e-10):
     """Full analytically-continued solution u_ac(x, t).
 
     ``x`` is a point or a 1-D array of points; a scalar gives a float, an
-    array an array.  Every kind takes the whole array.  The heat and
-    advected initial parts are heat-kernel sums over the data rule's nodes,
-    one per point; the KdV and finite-interval ones run on one shared
+    array an array.  Every kind takes the whole array.  The heat, advected
+    and finite-interval initial parts are heat-kernel sums over the nodes
+    of a fixed rule of u0, one per point; the KdV ones run on one shared
     k-rule per contour piece, and the boundary integrals on one shared rule
     per integral (on the distinct values of |x|, or per finite-interval
     image), each point meeting its own budget.  The doubled

@@ -45,16 +45,18 @@ class OutsideWindowError(ValueError):
 
 
 def real_part(value, tol, where=""):
-    """Real part of an assembled integral, or of an array of them; every
-    imaginary part must be noise."""
+    """Real part of an assembled integral, or of a 1-D array of them;
+    ResidualWarning names the first row whose imaginary part is not within
+    its budget or whose real part is not finite (a NaN fits no budget)."""
     v = np.asarray(value, dtype=complex)
-    bad = np.abs(v.imag) > 100 * tol * np.maximum(1.0, np.abs(v.real))
-    if np.any(bad):
-        residual = float(v.imag[bad][0])
+    rows = np.atleast_1d(v)
+    ok = np.isfinite(rows.real) & (
+        np.abs(rows.imag) <= 100 * tol * np.maximum(1.0, np.abs(rows.real)))
+    if not ok.all():
+        row = int(np.argmin(ok))
         raise ResidualWarning(
-            f"imaginary residual {residual:.3e} exceeds budget near "
-            f"{where or 'assembly'}"
-        )
+            f"{where or 'assembly'} row {row}: value {rows[row]:.3e} is not "
+            "a finite real within its imaginary-residual budget")
     return float(v.real) if v.ndim == 0 else v.real
 
 
@@ -298,7 +300,3 @@ def adaptive_series(ladder, dx, tol):
                     a[~done] for a in (live, x, part, scale, quiet))
         i += 1
     return total, order, "converged"
-
-
-def oscillation_panels(length, frequency, base=1):
-    return base + int(abs(length) * abs(frequency) / (2.0 * math.pi))

@@ -1,7 +1,9 @@
 """Heat equation on a finite interval with two Dirichlet data.
 
-The initial part integrates over the real line plus a horizontal contour
-above the real zeros of sin(kL).  Each boundary integral collapses, via the
+The initial part is the solution with zero boundary data: the heat
+evolution of the odd, 2L-periodic continuation of u0, entire in x.  Over
+one fixed rule of u0 on [0, L] it is a method-of-images sum of heat
+kernels, with no k-integral.  Each boundary integral collapses, via the
 geometric expansion of 1/sin(kL), to an image sum of half-line single-layer
 potentials, which converges like a Gaussian in the image index; each image
 is one single-layer call for a whole array of x.  Outside the native windows
@@ -21,14 +23,10 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ..quad import (finite_interval_transform, gauss_panels, geometric_edges,
-                    integrate_segment)
-from . import _common
+from ..quad import gauss_panels, geometric_edges, integrate_segment, row_sums
 from ._common import (OutsideWindowError, datum_ladder, doubled_series,
-                      over_factorial, real_part)
+                      over_factorial)
 from .heat import single_layer
-
-SQRT_PI = math.sqrt(math.pi)
 
 # The tiled extensions reach |x| <= TILE_DEPTH * L.
 TILE_DEPTH = 5
@@ -38,44 +36,27 @@ CENTER_IMAGES = 8
 
 
 def i0(spec, xs, t, tol=1e-10):
-    """Initial-condition part, entire in x (t > 0), at each point of the
-    1-D array xs, the points sharing one adaptive k-rule per piece.  The
-    pole piece's sin(kx) and sin(k(L - x)) are split into e^{+ikx} and
-    e^{-ikx} terms, so its x-free factors are computed once per k-node."""
+    """Initial-condition part, entire, odd and 2L-periodic in x (t > 0), at
+    each point of the 1-D array xs: the heat evolution of the odd-periodic
+    u0, taken term by term over one fixed rule of u0 on [0, L].  Each term
+    is a method-of-images sum of heat kernels, so the value is
+    sum_n c_n sum_j [G(b - y_n - 2jL, t) - G(b + y_n - 2jL, t)] at the
+    window image b of x in [0, 2L), summed for each x alone."""
     if spec.u0.is_zero:
         return np.zeros(xs.shape)
     L = spec.L
-    x_max = float(np.max(np.abs(xs)))
-    eps = min(1.0, 0.75 / L)
-    radius = math.sqrt((math.log(400.0 / tol) + 6.0 + eps * (x_max + L)) / t)
-    panels = _common.oscillation_panels(2 * radius, x_max + L, base=4)
-
-    def line_part(k):
-        spectral = np.exp(-k * k * t) * finite_interval_transform(
-            spec.u0, L, k)
-        return np.exp(1j * np.outer(xs, k)) * spectral
-
-    def pole_part(z):
-        k = np.asarray(z)
-        f_plus = finite_interval_transform(spec.u0, L, k)
-        f_minus = finite_interval_transform(spec.u0, L, -k)
-        e_l = np.exp(1j * k * L)
-        scale = np.exp(-k * k * t) / (2j * np.sin(k * L))
-        # e^{ikL} sin(kx) F(k) + sin(k(L - x)) F(-k)
-        #   = [e^{ikx} (e^{ikL} F(k) - e^{-ikL} F(-k))
-        #      + e^{-ikx} e^{ikL} (F(-k) - F(k))] / 2i
-        up = scale * (e_l * f_plus - f_minus / e_l)
-        down = scale * e_l * (f_minus - f_plus)
-        phase = np.exp(1j * np.outer(xs, k))
-        return phase * up + down / phase
-
-    p1 = integrate_segment(line_part, -radius, radius, tol=tol / 4,
-                           initial_panels=panels)
-    anchor = 1j * eps
-    p2 = integrate_segment(pole_part, -radius + anchor, radius + anchor,
-                           tol=tol / 4, initial_panels=panels)
-    value = (p1.value - p2.value) / (2 * math.pi)
-    return real_part(value, tol, "interval i0")
+    # 24-point Gauss-Legendre on equal panels no wider than 2 sqrt(t)
+    panels = max(4, math.ceil(L / (2.0 * math.sqrt(t))))
+    y, weights = gauss_panels(np.linspace(0.0, L, panels + 1), 24)
+    y = y.ravel()
+    weighted = weights.ravel() * spec.u0.eval(y)
+    b = (xs - 2 * np.floor(xs / (2 * L)) * L)[:, None]
+    budget = _image_budget(L, t, tol)
+    kernels = np.zeros((xs.size, y.size))
+    for j in range(-budget, budget + 2):
+        kernels += (np.exp(-(b - y - 2 * j * L) ** 2 / (4.0 * t))
+                    - np.exp(-(b + y - 2 * j * L) ** 2 / (4.0 * t)))
+    return row_sums(kernels, weighted) / math.sqrt(4.0 * math.pi * t)
 
 
 def i0_at_zero(spec, xs):
@@ -239,8 +220,8 @@ def right_extension(spec, xs, t, tol=1e-10):
 
 
 def extended(spec, xs, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array xs; i0 is integrated for
-    the whole array at once, after the tilings have checked the depth."""
+    """u_ac(x, t) at each point of the 1-D array xs: i0 plus the two tiled
+    extensions, which check the tiling depth."""
     left = left_extension(spec, xs, t, tol)
     right = right_extension(spec, xs, t, tol)
     return i0(spec, xs, t, tol) + left + right

@@ -7,10 +7,12 @@ the resulting segments to :func:`integrate_segment`: adaptive Gauss-Kronrod
 (G7/K15) with interval bisection, vectorized over the active intervals.
 Every fixed rule of the package comes from :func:`gauss_panels`.
 
-Also provides the data-transform integrals (half-line and finite-interval
-Fourier-type transforms of initial data) and the endpoint-singular time
-convolutions appearing in the odd/fractional Taylor-coefficient formulas:
-one convolution, or a block of them (one row each) on one shared rule.
+Also provides the half-line transform of initial data (whose fixed rule
+the heat-type initial parts read as a finite sum), the finite-interval
+transform (no solver calls it; tests use it as an oracle), and the
+endpoint-singular time convolutions appearing in the odd/fractional
+Taylor-coefficient formulas: one convolution, or a block of them (one row
+each) on one shared rule.
 """
 
 from __future__ import annotations
@@ -312,7 +314,9 @@ def finite_interval_transform(u0, L, k):
     """u0_hat(k) = integral over (0, L) of e^{-iky} u0(y) dy (entire in k).
 
     24-point Gauss-Legendre panels on [0, L], max(4, |k| L / 6) of them,
-    sized for each k separately: a value depends only on its own k.
+    sized for each k separately: a value depends only on its own k.  No
+    solver calls it: finite-interval i0 is an image sum over its own rule
+    of u0.  It stays as the oracle of that sum's eigenfunction series.
     """
     if L <= 0:
         raise ValueError("interval length L must be positive")

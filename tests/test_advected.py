@@ -17,7 +17,7 @@ from utmcont.continuous import (
     reference_whole_line,
     taylor_coefficients,
 )
-from utmcont.continuous import advected, heat
+from utmcont.continuous import advected, finite_interval, heat
 
 
 @pytest.mark.parametrize("fixture", ["advected_plus", "advected_minus"])
@@ -150,17 +150,20 @@ def _drifting_gaussian(c, a=0.3):
 
 
 def test_i0_makes_no_k_quadrature(fresh_spec, monkeypatch):
-    # heat and advected i0 are image sums over the data rule's nodes: no
-    # k-contour, and no value of the transform itself
+    # heat, advected and finite-interval i0 are image sums over the nodes of
+    # a fixed rule of u0: no k-contour, and no value of a transform itself
     def refuse(*args, **kwargs):
         raise AssertionError("k-quadrature in a closed-form i0")
 
-    for module in (quad, heat, advected):
+    for module in (quad, heat, advected, finite_interval):
         if hasattr(module, "integrate_segment"):
             monkeypatch.setattr(module, "integrate_segment", refuse)
     monkeypatch.setattr(quad.HalfLineTransform, "__call__", refuse)
+    monkeypatch.setattr(quad, "finite_interval_transform", refuse)
+    assert not hasattr(finite_interval, "finite_interval_transform")
     xs = np.linspace(-3.0, 5.0, 9)
-    for kind in ("heat-dirichlet", "heat-neumann", "advected-heat"):
+    for kind in ("heat-dirichlet", "heat-neumann", "advected-heat",
+                 "heat-finite-interval"):
         for t in (1e-3, 1.0):
             assert np.all(np.isfinite(evaluate_I0(fresh_spec(kind), xs, t)))
 

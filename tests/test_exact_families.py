@@ -6,9 +6,11 @@ an exact whole-line solution, the drifting Gaussian
     u(x, t) = e^{-(x + ct - 1)^2 / (1 + 4t)} / sqrt(1 + 4t),
 
 and compares ``evaluate_extended`` with it on x in [-2, 3], continued
-region included.  The exact values come from numpy alone, so the check
-shares no code path with the solvers.  A cell that fails is a strict xfail
-naming the ROADMAP item that fixes it, so the fix flips it.
+region included; the finite-interval row solves c = 0 on [0, L] with the
+traces at both ends, on x in [-1, 2].  The exact values come from numpy
+alone, so the check shares no code path with the solvers.  A cell that
+fails is a strict xfail naming the ROADMAP item that fixes it, so the fix
+flips it.
 """
 
 import math
@@ -56,3 +58,19 @@ def test_matches_exact_solution(name, t):
     exact = np.exp(-(XS + c * t - 1) ** 2 / (1 + 4 * t)) / math.sqrt(1 + 4 * t)
     np.testing.assert_allclose(evaluate_extended(spec, XS, t, TOL), exact,
                                rtol=0, atol=TOL)
+
+
+INTERVAL_XS = np.linspace(-1.0, 2.0, 31)
+
+
+@pytest.mark.parametrize("t", TIMES, ids=[f"t={t:g}" for t in TIMES])
+@pytest.mark.parametrize("L", [1.0, 1.2], ids=["L=1", "L=1.2"])
+def test_finite_interval_matches_exact_solution(L, t):
+    spec = ProblemSpec(
+        "heat-finite-interval", L=L, u0=parse("exp(-(x-1)^2)"),
+        f0=parse("exp(-1/(1+4*t))/sqrt(1+4*t)"),
+        g0=parse(f"exp(-({L}-1)^2/(1+4*t))/sqrt(1+4*t)"))
+    exact = (np.exp(-(INTERVAL_XS - 1) ** 2 / (1 + 4 * t))
+             / math.sqrt(1 + 4 * t))
+    np.testing.assert_allclose(evaluate_extended(spec, INTERVAL_XS, t, TOL),
+                               exact, rtol=0, atol=TOL)

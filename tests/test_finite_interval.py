@@ -1,8 +1,12 @@
 """Finite-interval heat: recovery, dual boundary evaluators, tilings, w0."""
 
+import math
+
+import numpy as np
 import pytest
 
 from utmcont.expr import parse
+from utmcont.quad import finite_interval_transform
 from utmcont.continuous import (
     ProblemSpec,
     boundary_to_initial,
@@ -125,6 +129,29 @@ def test_i0_zero_data():
     spec = ProblemSpec("heat-finite-interval", L=1.0, u0=parse("0*x"),
                        f0=parse("t"), g0=parse("t"))
     assert evaluate_I0(spec, 0.5, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("L", [0.9, 1.0, 1.2])
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 4.0])
+def test_i0_matches_eigenfunction_series(L, t):
+    # i0 solves the heat equation with zero boundary data, so it is the sine
+    # series sum_n b_n e^{-(n pi/L)^2 t} sin(n pi x/L), with b_n = (2/L)
+    # int_0^L u0(y) sin(n pi y/L) dy = -(2/L) Im u0_hat(n pi/L): the modes
+    # come from the finite-interval transform, on its own rule, and the
+    # last one kept is below e^{-40}
+    spec = ProblemSpec("heat-finite-interval", L=L, u0=parse("exp(-(x-1)^2)"),
+                       f0=parse("t*exp(-t)"), g0=parse("exp(-t)"))
+    k = np.arange(1, int(L / math.pi * math.sqrt(40.0 / t)) + 6) * math.pi / L
+    b = -(2.0 / L) * finite_interval_transform(spec.u0, L, k).imag
+    xs = np.linspace(-5.0 * L, 5.0 * L, 41)
+    oracle = np.sin(np.outer(xs, k)) @ (b * np.exp(-k * k * t))
+    got = evaluate_I0(spec, xs, t, 1e-10)
+    np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+    # each x is summed alone
+    alone = np.array([evaluate_I0(spec, x, t, 1e-10) for x in xs])
+    assert alone.tobytes() == got.tobytes()
+    assert evaluate_I0(spec, xs[::-1], t, 1e-10)[::-1].tobytes() == \
+        got.tobytes()
 
 
 def test_pde_residual_off_domain(interval_gaussian):

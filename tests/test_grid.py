@@ -11,6 +11,7 @@ from utmcont.continuous import (IncompatibleDataError, ProblemSpec,
                                 boundary_to_initial,
                                 evaluate_boundary_integral, evaluate_extended,
                                 evaluate_I0)
+from utmcont.continuous._common import ResidualWarning, real_part
 from utmcont.expr import parse
 
 
@@ -231,12 +232,22 @@ def _solve_recording_spec(name, tmp_path, monkeypatch):
     return spec
 
 
-def test_heat_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
-    # Per-point evaluation computed the u0 transform at 495,245 distinct
-    # k-nodes for heat_te; the shared k-rule needs a small fraction of that.
-    # A count, not a time, so the guard is free of timing noise.
-    spec = _solve_recording_spec("heat_te", tmp_path, monkeypatch)
-    assert len(spec.transform()._cache) < 0.05 * 495_245
+@pytest.mark.parametrize("values", [
+    np.array([1 + 0j, np.nan + 0j]),
+    np.array([complex(1.0, np.nan)]),
+    np.array([np.inf + 0j]),
+    np.array([0.5 + 0j, 1 + 1e-3j]),
+])
+def test_real_part_refuses_nan_and_residuals(values):
+    # a NaN compares false against any budget, so it is refused explicitly
+    with pytest.raises(ResidualWarning, match=f"row {len(values) - 1}"):
+        real_part(values, 1e-10, "probe")
+
+
+def test_real_part_keeps_finite_bytes():
+    values = np.array([1.5 + 1e-13j, -2.25 - 1e-12j, 3e-300 + 0j])
+    assert real_part(values, 1e-10).tobytes() == values.real.tobytes()
+    assert real_part(values[0], 1e-10) == 1.5
 
 
 def test_kdv1_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
