@@ -13,6 +13,7 @@ map.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -411,7 +412,10 @@ def scenario_path(name):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="utmcont",
         description="Evaluate analytically continued IBVP solutions and "

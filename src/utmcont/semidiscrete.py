@@ -13,14 +13,14 @@ form one table summed in the order p with one derivative read per p.  A
 scaled-Bessel kernel form of the boundary term provides an independent
 cross-check of the integral representation.
 
-The initial-data transform sum_m u0(m h) e^{-+i m theta} runs over thousands
-of samples at every theta node.  Since the phase is uniform in m, it factors
-exactly: writing m = m0 + b B + j with B about the square root of the sample
-count, e^{i m theta} = e^{i (m0 + b B) theta} e^{i j theta}.  The sample sums
-within each block are two real matrix products against cos(j theta) and
-sin(j theta), and the block sums are combined with the block phases, so each
-node costs about 2 sqrt(M) exponentials instead of M, and no M-by-nodes
-matrix is ever formed.
+The theta rule has equal panels of 12 Gauss nodes: node i of panel p is
+c_i + 2 pi p / L, with L the panel count over [-pi, pi] and twice it over
+[0, pi].  So e^{i m theta} = e^{i m c_i} e^{2 pi i m p / L} exactly, and
+each theta-sum is one length-L FFT over the panel index per offset c_i:
+the data transform sum_m u0(m h) e^{-+i m theta} transforms the samples
+weighted by e^{-+i m c_i} and folded mod L in blocks m = q L + r, at
+12 (Q + L) exponentials for M = Q L samples, and the interior sum of
+e^{i n theta} against the integrand reads its FFTs at n mod L.
 """
 
 from __future__ import annotations
@@ -80,21 +80,21 @@ class LatticeSpec:
     def samples(self):
         """(m0, values): the initial samples u0(m h), m = m0, m0 + 1, ...,
         read in blocks of 4096 until the last 256 of a block fall below
-        1e-17 max|u0|.
+        1e-17 max|u0|, and a ValueError if they have not by m = 2,000,000.
         The Dirichlet sum starts at m0 = 1, the Neumann sum at m0 = 0."""
         u0c = self.u0.compiled()
         start = 1 if self.condition == "dirichlet" else 0
-        block, m0, keep = 4096, start, []
-        scale = 1.0
-        while m0 < 2_000_000:
+        block, keep, scale = 4096, [], 1.0
+        for m0 in range(start, 2_000_000, block):
             vals = np.asarray(u0c(np.arange(m0, m0 + block) * self.h),
                               dtype=float)
             keep.append(vals)
             scale = max(scale, float(np.max(np.abs(vals))))
-            if np.all(np.abs(vals[-256:]) < 1e-17 * scale):
-                break
-            m0 += block
-        return start, np.concatenate(keep)
+            tail = float(np.max(np.abs(vals[-256:])))
+            if tail < 1e-17 * scale:
+                return start, np.concatenate(keep)
+        raise ValueError(f"u0 samples do not decay: |u0(m h)| is still "
+                         f"{tail:.3g} at m = {m0 + block - 1}")
 
     def dispersion(self, theta):
         return (2.0 - 2.0 * np.cos(theta)) / (self.h * self.h)
@@ -106,13 +106,13 @@ class LatticeSpec:
 
 
 def _theta_grid(spec, n_max, full_period=False):
-    """Gauss panels over [0, pi] (or [-pi, pi]) resolving e^{i n theta}, with
-    the datum convolution on the nodes: (nodes, weights, convolution)."""
+    """Gauss panels over [0, pi] (or [-pi, pi]) resolving e^{i n theta}:
+    (nodes, weights, datum convolution) in rows of 12, and the DFT period."""
     lo, hi = (-math.pi, math.pi) if full_period else (0.0, math.pi)
     panels = max(24, int(1.5 * n_max) + 8)
     nodes, weights = gauss_panels(np.linspace(lo, hi, panels + 1), 12)
-    nodes, weights = nodes.ravel(), weights.ravel()
-    return nodes, weights, _datum_convolution(spec, nodes)
+    conv = _datum_convolution(spec, nodes.ravel()).reshape(nodes.shape)
+    return nodes, weights, conv, panels if full_period else 2 * panels
 
 
 def _datum_convolution(spec, theta_nodes):
@@ -128,25 +128,28 @@ def _datum_convolution(spec, theta_nodes):
     return total
 
 
-def _phase_sum(start, values, theta, sign):
-    """sum_m values[m - start] e^{sign i m theta} at every theta node.
+def _data_sum(theta, period, start, values, sign):
+    """sum_m values[m - start] e^{sign i m theta} on the rule's nodes: with
+    m = q L + r, the samples times e^{sign i m c_i} fold onto r, and one FFT
+    over r per offset c_i gives every panel."""
+    blocks = -(-(start + len(values)) // period)
+    folded = np.zeros(blocks * period)
+    folded[start:start + len(values)] = values
+    offsets = theta[0][:, None]
+    heads = np.exp((sign * 1j) * offsets * (period * np.arange(blocks)))
+    folded = (heads @ folded.reshape(blocks, period)
+              * np.exp((sign * 1j) * offsets * np.arange(period)))
+    panels = (-sign * np.arange(len(theta))) % period
+    return np.fft.fft(folded, axis=1)[:, panels].T
 
-    With m = start + b B + j, 0 <= j < B, the block sums over j are two real
-    matrix products against cos(j theta) and sin(j theta), and each block
-    enters through one phase e^{sign i (start + b B) theta}: (B + blocks)
-    exponentials per node instead of one per sample.
-    """
-    size = len(values)
-    width = math.isqrt(max(size - 1, 0)) + 1  # B = ceil(sqrt(size))
-    blocks = -(-size // width)
-    padded = np.zeros(blocks * width)
-    padded[:size] = values
-    padded = padded.reshape(blocks, width)
-    inner = np.outer(np.arange(width), theta)
-    sums = padded @ np.cos(inner) + (sign * 1j) * (padded @ np.sin(inner))
-    heads = np.exp((sign * 1j)
-                   * np.outer(start + width * np.arange(blocks), theta))
-    return np.einsum("bt,bt->t", heads, sums)
+
+def _wave_sum(theta, period, ns, values):
+    """sum of e^{i n theta} values over the rule's nodes at each index n:
+    per offset c_i, e^{i n c_i} times an FFT over the panels read at -n mod
+    L, added in order of i, so that each value is a sum over its own n."""
+    spectra = np.fft.fft(values.T, n=period, axis=1)[:, (-ns) % period]
+    phases = np.exp(1j * theta[0][:, None] * ns)
+    return sum(phase * spectrum for phase, spectrum in zip(phases, spectra))
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +166,13 @@ def sd_heat_dirichlet_range(spec, ns):
     if spec.condition != "dirichlet":
         raise ValueError("spec has a Neumann datum")
     n_max = int(np.max(ns)) if len(ns) else 0
-    theta, wq, conv = _theta_grid(spec, n_max)
+    theta, wq, conv, period = _theta_grid(spec, n_max)
     decay = np.exp(-spec.dispersion(theta) * spec.T)
-    dsum = _phase_sum(*spec.samples, theta, 1).imag
+    dsum = _data_sum(theta, period, *spec.samples, 1).imag
     base = wq * (2.0 / math.pi) * (decay * dsum
                                    + np.sin(theta) * conv / (spec.h**2))
-    sines = np.sin(np.outer(ns, theta))
-    out = sines @ base
-    f0_T = float(spec.datum.eval(spec.T))
-    out[ns == 0] = f0_T
+    out = _wave_sum(theta, period, ns, base).imag
+    out[ns == 0] = float(spec.datum.eval(spec.T))
     return out
 
 
@@ -251,17 +252,16 @@ def sd_heat_neumann_range(spec, ns, tol=1e-10):
     if spec.condition != "neumann":
         raise ValueError("spec has a Dirichlet datum")
     n_max = int(np.max(ns)) if len(ns) else 0
-    theta, wq, conv = _theta_grid(spec, n_max, full_period=True)
+    theta, wq, conv, period = _theta_grid(spec, n_max, full_period=True)
     decay = np.exp(-spec.dispersion(theta) * spec.T)
-    trans = _phase_sum(*spec.samples, theta, -1)
+    trans = _data_sum(theta, period, *spec.samples, -1)
     phase = np.exp(1j * theta)
     integrand = (
         decay * (trans + phase * np.conj(trans)) / (2 * math.pi)
         - (1.0 + phase) * conv / (2 * math.pi * spec.h)
     )
-    waves = np.exp(1j * np.outer(ns, theta))
-    vals = waves @ (wq * integrand)
-    return real_part(vals, tol, "lattice neumann")
+    return real_part(_wave_sum(theta, period, ns, wq * integrand), tol,
+                     "lattice neumann")
 
 
 def neumann_reflection_sum(spec, ns):

@@ -6,8 +6,10 @@ import math
 
 import pytest
 
+from utmcont import cli
 from utmcont.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICS,
     EXIT_REFUSED,
     ConfigError,
     main,
@@ -261,6 +263,57 @@ def test_lattice_solve_antisymmetry(tmp_path):
     vals = {round(float(r["x"]) / 0.05): float(r["u_ac"]) for r in rows}
     for n in range(1, 11):
         assert vals[-n] == pytest.approx(-vals[n], abs=1e-10)
+
+
+def test_lattice_samples_that_do_not_decay_are_a_numerical_failure(
+        tmp_path, capsys):
+    # 1/(1+x) never falls below the sample budget: the data transform would
+    # be truncated, so the solve fails rather than exiting 0
+    cfg = {
+        "problem": {"kind": "sd-heat-dirichlet", "u0": "1/(1+x)",
+                    "f0": "sin(4*pi*t)", "h": 0.05},
+        "grid": {"n_min": -5, "n_max": 5, "times": [0.5]},
+        "outputs": {"csv": str(tmp_path / "o.csv")},
+    }
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: u0 samples do not decay")
+    assert "at m = 2002944" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(monkeypatch):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsed = []
+    parse_args = parser.parse_args
+
+    def recording(argv):
+        args = parse_args(argv)
+        parsed.append(vars(args))
+        return args
+    monkeypatch.setattr(parser, "parse_args", recording)
+    calls = [
+        (["solve", "--scenario", "no_such", "--tol", "1e-9",
+          "--out", "a.csv"],
+         {"command": "solve", "config": None, "scenario": "no_such",
+          "out": "a.csv", "tol": 1e-9, "fn": cli.cmd_solve}),
+        (["map-initial", "--config", "/nonexistent.json"],
+         {"command": "map-initial", "config": "/nonexistent.json",
+          "scenario": None, "out": None, "fn": cli.cmd_map_initial}),
+        (["list-scenarios"],
+         {"command": "list-scenarios", "fn": cli.cmd_list_scenarios}),
+        (["converge", "--scenario", "no_such"],
+         {"command": "converge", "config": None, "scenario": "no_such",
+          "out": None, "tol": None, "fn": cli.cmd_converge}),
+        (["solve", "--config", "/nonexistent.json"],
+         {"command": "solve", "config": "/nonexistent.json",
+          "scenario": None, "out": None, "tol": None, "fn": cli.cmd_solve}),
+    ]
+    for argv, want in calls:
+        code = main(argv)
+        assert code == (0 if argv[0] == "list-scenarios" else EXIT_CONFIG)
+        assert parsed[-1] == want
+    assert len(parsed) == len(calls)
 
 
 def test_builtin_scenarios_validate():

@@ -13,7 +13,9 @@ from utmcont import continuous as cont
 from utmcont import semidiscrete
 from utmcont.semidiscrete import (
     LatticeSpec,
-    _phase_sum,
+    _data_sum,
+    _theta_grid,
+    _wave_sum,
     continuum_limit_check,
     dirichlet_reflection_sum,
     lattice_profile,
@@ -238,21 +240,105 @@ def test_dispersion_properties(lattice):
 
 
 # ---------------------------------------------------------------------------
-# blocked sample transform, exact lattice modes, memory
+# theta-sums as panel FFTs, exact lattice modes, memory
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def theta_rules(lattice):
+    """(nodes, period) of the half-period (Dirichlet) and full-period
+    (Neumann) rules for n_max = 20."""
+    return {full: _theta_grid(lattice, 20, full)[::3] for full in (False, True)}
+
+
+def _check_data_sum(rule, start, size, sign):
+    theta, period = rule
+    rng = np.random.default_rng(size + 10 * start)
+    values = rng.standard_normal(size) * np.exp(-0.002 * np.arange(size))
+    ms = np.arange(start, start + size)
+    direct = values @ np.exp(sign * 1j * np.outer(ms, theta.ravel()))
+    got = _data_sum(theta, period, start, values, sign)
+    assert got.shape == theta.shape
+    assert (np.max(np.abs(got.ravel() - direct))
+            <= 1e-13 * np.sum(np.abs(values)))
 
 
 @pytest.mark.parametrize("start", [0, 1])
 @pytest.mark.parametrize("size", [1, 7, 64, 1000, 4097])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_phase_sum_matches_direct_sum(start, size, sign):
-    rng = np.random.default_rng(size + 10 * start)
-    values = rng.standard_normal(size) * np.exp(-0.002 * np.arange(size))
-    theta = np.linspace(-math.pi, math.pi, 53)
-    ms = np.arange(start, start + size)
-    direct = values @ np.exp(sign * 1j * np.outer(ms, theta))
-    got = _phase_sum(start, values, theta, sign)
+def test_phase_sum_matches_direct_sum(theta_rules, start, size, sign):
+    # the FFT data sum against e^{sign i m theta} summed node by node, on
+    # both rules
+    for rule in theta_rules.values():
+        _check_data_sum(rule, start, size, sign)
+
+
+@pytest.mark.parametrize("full_period", [False, True])
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_data_sum_folds_across_the_period(theta_rules, full_period, start,
+                                          sign):
+    # one sample short of a whole period, and one sample into the next block
+    rule = theta_rules[full_period]
+    for size in (rule[1] - 1, rule[1] + 1):
+        _check_data_sum(rule, start, size, sign)
+
+
+@pytest.mark.parametrize("full_period", [False, True])
+def test_wave_sum_matches_direct_sum(theta_rules, full_period):
+    theta, period = theta_rules[full_period]
+    rng = np.random.default_rng(5)
+    values = (rng.standard_normal(theta.shape)
+              + 1j * rng.standard_normal(theta.shape))
+    ns = np.arange(0, 21)
+    direct = np.exp(1j * np.outer(ns, theta.ravel())) @ values.ravel()
+    got = _wave_sum(theta, period, ns, values)
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(values))
+    # each value is a sum over its own index alone
+    for n in (0, 20):
+        assert _wave_sum(theta, period, np.array([n]), values)[0] == got[n]
+
+
+def _direct_range(spec, ns):
+    """The range values as dense theta-sums over the same rule: the data
+    transform and the interior sum each node by node."""
+    neumann = spec.condition == "neumann"
+    theta, wq, conv, _ = _theta_grid(spec, int(np.max(ns)), neumann)
+    theta, wq, conv = theta.ravel(), wq.ravel(), conv.ravel()
+    start, values = spec.samples
+    trans = np.zeros(len(theta), dtype=complex)
+    for m0 in range(0, len(values), 512):
+        ms = np.arange(start + m0, start + min(m0 + 512, len(values)))
+        trans += values[m0:m0 + 512] @ np.exp(
+            (-1j if neumann else 1j) * np.outer(ms, theta))
+    decay = np.exp(-spec.dispersion(theta) * spec.T)
+    if not neumann:
+        base = wq * (2.0 / math.pi) * (decay * trans.imag
+                                       + np.sin(theta) * conv / spec.h**2)
+        out = np.sin(np.outer(ns, theta)) @ base
+        out[ns == 0] = float(spec.datum.eval(spec.T))
+        return out
+    phase = np.exp(1j * theta)
+    integrand = (decay * (trans + phase * np.conj(trans)) / (2 * math.pi)
+                 - (1.0 + phase) * conv / (2 * math.pi * spec.h))
+    return (np.exp(1j * np.outer(ns, theta)) @ (wq * integrand)).real
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+def test_range_matches_direct_theta_sums(h, condition):
+    # the sd_heat refinement spacings over its window's interior indices;
+    # the observed orders of its study move by about 100x any change here
+    if condition == "dirichlet":
+        spec = LatticeSpec(h=h, u0=parse(U0), datum=parse(F0), T=0.5)
+        fn = sd_heat_dirichlet_range
+    else:
+        spec = LatticeSpec(h=h, u0=parse("exp(-x)*cos(3*pi*x)"),
+                           datum=parse("-sin(4*pi*t)/(4*pi)"), T=0.1,
+                           condition="neumann")
+        fn = sd_heat_neumann_range
+    ns = np.arange(0, round(1.0 / h) + 1)
+    assert np.max(np.abs(fn(spec, ns) - _direct_range(spec, ns))) <= 1e-13
 
 
 def test_neumann_reflection_sum_keeps_reference_bits(neumann_lattice):
