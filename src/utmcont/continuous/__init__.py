@@ -279,12 +279,13 @@ def evaluate_extended(spec, x, t, tol=1e-10):
     """Full analytically-continued solution u_ac(x, t).
 
     ``x`` is a point or a 1-D array of points; a scalar gives a float, an
-    array an array.  Every kind takes the whole array.  The heat, advected
-    and finite-interval initial parts are heat-kernel sums over the nodes
-    of a fixed rule of u0, one per point; the KdV ones run on one shared
-    k-rule per contour piece, and the boundary integrals on one shared rule
-    per integral (on the distinct values of |x|, or per finite-interval
-    image), each point meeting its own budget.  The doubled
+    array an array.  Every kind takes the whole array.  No initial part
+    integrates in k: the heat, advected and finite-interval ones are
+    heat-kernel sums and the KdV ones Airy sums over the nodes of a fixed
+    rule of u0, each point summed alone (a KdV row that rule cannot resolve
+    raises QuadratureError naming x).  The boundary integrals run on one
+    shared rule per integral (on the distinct values of |x|, or per
+    finite-interval image), each point meeting its own budget.  The doubled
     Taylor series that continue the boundary parts are summed for every
     point behind a boundary in one call, each point by its own stopping
     rule.

@@ -33,7 +33,7 @@ def _reflection_sign(kind):
 def data_rule(spec, tol):
     """(nodes y_n, weighted values c_n) of the rule of the u0 transform
     behind an i0 of tolerance tol: u0_hat(k) = sum_n c_n e^{-iky_n}."""
-    return spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2).rule()
+    return spec.transform(tol=min(tol, 1e-12) * 1e-2).rule()
 
 
 def i0(spec, xs, t, tol=1e-10):

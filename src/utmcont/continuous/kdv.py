@@ -1,30 +1,32 @@
 """Linear KdV on the half-line: one and two boundary conditions.
 
-One boundary condition (u_t + u_xxx = 0): the initial-condition part is
-rewritten over horizontal contours just above the real axis (the rotated
-transform arguments stay in the lower half-plane, where the data transform
-converges), which makes it entire in x provided the datum decays
-exponentially.  The boundary part for x > 0 collapses to an Airy-kernel time
-convolution; its Taylor families carry third-root gamma factors and
-(t-s)^{-1/3}, (t-s)^{-2/3} convolutions.
+Both initial-condition parts are Airy sums over the nodes of one fixed
+rule of u0 (``_data_rule``), with no k-contour: the data transform is the
+finite sum u0_hat(k) = sum_n c_n e^{-iky_n}, and term by term the UTM
+k-integral of each node is Ai at a real argument plus alpha Ai and
+alpha^2 Ai at rotated ones, alpha = e^{2 pi i/3}, the last term the
+conjugate of the second (``i0_one_bc``, ``i0_two_bc``).  Both are entire in
+x.  The two-condition kernel decays super-exponentially in y.  For x < 0
+the one-condition alpha term grows like e^{C|x| sqrt(y)/tau^{3/2}},
+tau = (3t)^{1/3}, so at small t the rule, which ends where u0 has decayed,
+can end before the kernel is damped.  The sums have no error estimate: a
+row whose last panel or rounding floor exceeds its budget raises
+QuadratureError naming x.
 
-Two boundary conditions (u_t - u_xxx = 0): the initial part integrates over
-one contour below the real axis and two rotated sector contours; the
-boundary parts are evaluated by repeated integration by parts in time, which
-trades the oscillatory kernel for derivative data at the corners plus one
-smooth remainder convolution over a short dodged contour.  The corner terms
-are linear in the data, so the n of them share one integrand
+The one-condition boundary part for x > 0 collapses to an Airy-kernel time
+convolution; its Taylor families carry third-root gamma factors and
+(t-s)^{-1/3}, (t-s)^{-2/3} convolutions.  The two-condition boundary parts
+are evaluated by repeated integration by parts in time, which trades the
+oscillatory kernel for derivative data at the corners plus one smooth
+remainder convolution over a short dodged contour.  The corner terms are
+linear in the data, so the n of them share one integrand
 weight(k) e^{ikx - ik^3 t} sum_m f^(m-1)(0) / (-ik^3)^m; the remainder
 factors its kernel as e^{ikx} e^{-ik^3(t-s)}, so its time sum is done once.
-
-Every integrand depends on x only through e^{ikx} or e^{i alpha k x}, so
-``i0_one_bc``, ``i0_two_bc`` and ``_kdv2_boundary`` take a 1-D array of x:
-each contour piece is sized for the largest |x| and integrated once as a
-vector integrand (one row per x, each meeting its own budget), and the data
-transform is computed once per k-node for every x.  ``if0_one_bc`` takes
-the array too: shifted by its x-dependent lower limit, its Airy integral
-runs over one span for every x.  Both kinds continue their boundary parts
-to x < 0 by ``_common.reflected``.  Every function that takes x, w0
+``_kdv2_boundary`` runs each contour piece once for a whole array of x, as
+a vector integrand (one row per x, each meeting its own budget);
+``if0_one_bc``, shifted by its x-dependent lower limit, runs its Airy
+integral over one span for every x.  Both kinds continue their boundary
+parts to x < 0 by ``_common.reflected``.  Every function that takes x, w0
 included, takes a 1-D array.
 """
 
@@ -36,8 +38,8 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from ..quad import QuadratureError, gauss_panels, integrate_segment
-from .problems import DecayClassError, check_compatibility
+from ..quad import QuadratureError, gauss_panels, integrate_segment, row_sums
+from .problems import check_compatibility
 from ._common import (COEFF_TOL, cached_ladder, datum_coefficient,
                       datum_ladder, doubled_series, fractional_family,
                       over_factorial, real_part, reflected,
@@ -60,78 +62,70 @@ def _cubic_radius(decay, growth, log_target):
 
 
 # ---------------------------------------------------------------------------
+# initial parts: Airy sums over one rule of u0
+# ---------------------------------------------------------------------------
+
+
+def _data_rule(spec, t, tol):
+    """(nodes y, weighted values c = w u0(y)) of the u0 rule behind a KdV
+    i0 at time t, one row per panel: the half-line rule's geometric panels,
+    each [a, b] split into equal panels no wider than 32 tau^{3/2}/sqrt(b),
+    about five local wavelengths of Ai((x - y)/tau) at y = b.  From t = 1
+    on no panel splits.  Built once per (tol, t), so a rule built for one t
+    never serves another."""
+    key = (tol, t)
+    if key not in spec.rules:
+        edges = spec.transform(tol=min(tol, 1e-12) * 1e-2).edges()
+        splits = np.ceil(np.diff(edges) * np.sqrt(edges[1:])
+                         / (32.0 * math.sqrt(3.0 * t))).astype(int)
+        fine = np.concatenate(
+            [np.linspace(lo, hi, n, endpoint=False)
+             for lo, hi, n in zip(edges[:-1], edges[1:], splits)]
+            + [edges[-1:]])
+        y, w = gauss_panels(fine, 24)
+        spec.rules[key] = (y, w * spec.u0.compiled()(y))
+    return spec.rules[key]
+
+
+def _airy_sum(spec, xs, t, tol, kernel, label):
+    """tau^{-1} sum_n c_n kernel(x/tau, y_n/tau) over the data rule, for
+    each x of the 1-D array xs alone.  The sum has no error estimate, so a
+    row raises QuadratureError naming x when a term of its last panel, or
+    its rounding floor eps sum_n |term_n|, exceeds tol max(1, |value|), or
+    when a term is not finite."""
+    if spec.u0.is_zero:
+        return np.zeros(xs.shape)
+    tau = (3.0 * t) ** (1.0 / 3.0)
+    y, weighted = _data_rule(spec, t, tol)
+    c = weighted.ravel() / tau
+    last = -y.shape[1]
+    with np.errstate(all="ignore"):
+        kernels = kernel(xs[:, None] / tau, y.ravel() / tau)
+        value = row_sums(kernels, c)
+        size = row_sums(np.abs(kernels), np.abs(c))
+        tail = np.max(np.abs(kernels[:, last:] * c[last:]), axis=1)
+    budget = tol * np.maximum(1.0, np.abs(value))
+    floor = np.finfo(float).eps * size
+    kept = np.isfinite(size) & (tail <= budget) & (floor <= budget)
+    if not kept.all():
+        row = int(np.argmin(kept))
+        raise QuadratureError(
+            f"{label} at x = {xs[row]:g}: last-panel term {tail[row]:.3e}, "
+            f"rounding floor {floor[row]:.3e}, budget {budget[row]:.3e}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # one boundary condition
 # ---------------------------------------------------------------------------
 
 
-def _kdv1_epsilon(spec):
-    kind, *rest = spec.decay()
-    if kind == "gaussian":
-        return 0.75
-    return min(0.45 * rest[0], 0.75)
-
-
 def i0_one_bc(spec, xs, t, tol=1e-10):
     """Initial-condition part of the one-condition problem, entire in x, at
-    each point of the 1-D array xs.  The points share one contour per
-    piece, sized for the largest |x|, and each meets its own budget."""
-    if spec.u0.is_zero:
-        return np.zeros(xs.shape)
-    kind = spec.decay()[0]
-    if kind not in ("gaussian", "exponential"):
-        raise DecayClassError("one-condition KdV requires exponential decay")
-    eps = _kdv1_epsilon(spec)
-    tf = spec.transform(max_im=eps, tol=min(tol, 1e-12) * 1e-2)
-    x_max = float(np.max(np.abs(xs)))
-    a3 = 3.0 * eps * t
-    log_target = math.log(400.0 / tol) + eps * x_max + eps**3 * t
-
-    # on a horizontal contour the kernel decays like e^{-3 eps kappa^2 t};
-    # the wing pieces add rotated-phase growth ~ e^{sqrt(3)|x| kappa / 2}
-    growth = SQRT3 * x_max / 2.0
-    r_mid = math.sqrt(log_target / a3)
-    r_wing = (growth + math.sqrt(growth * growth + 4 * a3 * log_target)) / (2 * a3)
-
-    def phase(k, rotation=1.0):
-        # rows = x, columns = k
-        return np.exp(1j * np.outer(xs, rotation * k) + 1j * k**3 * t)
-
-    def center(k):
-        return phase(k) * tf(k)
-
-    def left(k):
-        return phase(k) * (ALPHA * tf(ALPHA * k)) - phase(k, ALPHA**2) * tf(k)
-
-    def right(k):
-        return phase(k) * (ALPHA**2 * tf(ALPHA**2 * k)) - phase(k, ALPHA) * tf(k)
-
-    def connector(k):
-        # vertical seam 0 -> i eps: difference between the two wing
-        # deformations, which end at i eps while the sector corner sits at 0
-        return (
-            phase(k) * (ALPHA**2 * tf(ALPHA**2 * k) - ALPHA * tf(ALPHA * k))
-            + (phase(k, ALPHA**2) - phase(k, ALPHA)) * tf(k)
-        )
-
-    panels = 4 + int((x_max + 3 * t) * max(r_mid, r_wing) / (2 * math.pi))
-    anchor = 1j * eps
-    pieces = ((center, -r_mid + anchor, r_mid + anchor, panels),
-              (left, -r_wing + anchor, anchor, panels),
-              (right, anchor, r_wing + anchor, panels),
-              (connector, 0j, anchor, 1))
-    results = [integrate_segment(f, a, b, tol=tol / 6, initial_panels=count)
-               for f, a, b, count in pieces]
-    value = sum(r.value for r in results) / (2 * math.pi)
-    error = sum(r.error for r in results) / (2 * math.pi)
-    # a row whose estimate exceeds max(1, |value|) (or is not a number) has
-    # no digit left to return
-    lost = ~(error <= np.maximum(1.0, np.abs(value)))
-    if np.any(lost):
-        row = int(np.argmax(lost))
-        raise QuadratureError(
-            f"kdv1 i0 at x = {xs[row]:g}: error estimate {error[row]:.3e} "
-            "exceeds max(1, |value|)")
-    return real_part(value, tol, "kdv1 i0")
+    each point of the 1-D array xs: tau^{-1} sum_n c_n [Ai((x - y_n)/tau)
+    + 2 Re(alpha Ai((x - alpha y_n)/tau))] over the data rule."""
+    return _airy_sum(spec, xs, t, tol, lambda x, y: _airy(x - y) + 2.0 * (
+        np.real(ALPHA * _airy(x - ALPHA * y))), "kdv1 i0")
 
 
 def if0_one_bc(spec, xs, t, tol=1e-10):
@@ -210,7 +204,6 @@ def w0_one_bc(spec, xs):
 # ---------------------------------------------------------------------------
 
 # contour angle systems: (inbound angle, outbound angle) per piece
-_G0_ANGLES = (-5 * math.pi / 6, -math.pi / 6)
 _D1_ANGLES = (math.pi / 2, -math.pi / 6)
 _D2_ANGLES = (13 * math.pi / 12, 7 * math.pi / 12)
 _RAW1_ANGLES = (math.pi / 3, 0.0)  # undeformed sector edges (in, out)
@@ -244,24 +237,10 @@ def _ray_pair_value(f, angles, t, x_max, tol, dodge=0.0):
 
 def i0_two_bc(spec, xs, t, tol=1e-10):
     """Initial-condition part of the two-condition problem, entire in x, at
-    each point of the 1-D array xs.  The points share one ray pair per
-    piece, sized for the largest |x|, and each meets its own budget."""
-    if spec.u0.is_zero:
-        return np.zeros(xs.shape)
-    tf = spec.transform(max_im=0.0, tol=min(tol, 1e-12) * 1e-2)
-    x_max = float(np.max(np.abs(xs)))
-
-    def piece(transform):
-        # rows = x, columns = k
-        return lambda k: (np.exp(1j * np.outer(xs, k) - 1j * k**3 * t)
-                          * transform(k))
-
-    total = _ray_pair_value(piece(tf), _G0_ANGLES, t, x_max, tol)
-    total -= _ray_pair_value(piece(lambda k: tf(ALPHA**2 * k)), _D1_ANGLES,
-                             t, x_max, tol)
-    total -= _ray_pair_value(piece(lambda k: tf(ALPHA * k)), _D2_ANGLES,
-                             t, x_max, tol)
-    return real_part(total / (2 * math.pi), tol, "kdv2 i0")
+    each point of the 1-D array xs: tau^{-1} sum_n c_n [Ai((y_n - x)/tau)
+    + 2 Re(alpha Ai((y_n - alpha x)/tau))] over the data rule."""
+    return _airy_sum(spec, xs, t, tol, lambda x, y: _airy(y - x) + 2.0 * (
+        np.real(ALPHA * _airy(y - ALPHA * x))), "kdv2 i0")
 
 
 def _growth_rate(cache, t, depth):

@@ -58,8 +58,9 @@ class ProblemSpec:
     """Tagged IBVP description.
 
     ``u0_decay`` declares the decay class of the initial datum on the
-    half-line: ("gaussian",), ("exponential", rate), or ("auto",) to probe
-    numerically.  The finite interval ignores it.
+    half-line: ("gaussian",), ("exponential", rate) with a finite rate > 0,
+    or ("auto",) to probe numerically; any other form raises
+    ProblemSpecError.  The finite interval ignores it.
     """
 
     kind: str
@@ -72,8 +73,9 @@ class ProblemSpec:
     u0_decay: tuple = ("auto",)
     # caches: derivative ladders per datum, the resolved decay class, the
     # gauged heat-Dirichlet spec of an advected spec, u0 transforms per
-    # (max_im, tol), Taylor ladders per (datum, parity, t, tol), and
-    # blocks of fractional coefficients per (datum, beta, t, tol, block)
+    # tol, KdV data rules per (tol, t), Taylor ladders per (datum, parity,
+    # t, tol), and blocks of fractional coefficients per (datum, beta, t,
+    # tol, block)
     derivs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     resolved_decay: tuple | None = field(default=None, init=False,
@@ -82,6 +84,8 @@ class ProblemSpec:
                                        compare=False)
     transforms: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
+    rules: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
     ladders: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
     fractional: dict = field(default_factory=dict, init=False, repr=False,
@@ -102,6 +106,14 @@ class ProblemSpec:
                 raise ProblemSpecError("transport with c > 0 requires f0")
         if self.kind == "heat-finite-interval" and self.L <= 0:
             raise ProblemSpecError("finite interval requires L > 0")
+        decay = tuple(self.u0_decay)
+        rate = decay[1] if len(decay) == 2 else None
+        if decay not in (("auto",), ("gaussian",)) and not (
+                decay[:1] == ("exponential",) and isinstance(rate, (int, float))
+                and 0 < rate < math.inf):
+            raise ProblemSpecError(
+                f"u0_decay must be ('auto',), ('gaussian',) or ('exponential', "
+                f"rate) with a finite rate > 0, not {self.u0_decay!r}")
 
     # -- caches --------------------------------------------------------
 
@@ -116,20 +128,16 @@ class ProblemSpec:
             self.resolved_decay = _resolve_decay(self.u0, self.u0_decay)
         return self.resolved_decay
 
-    def transform(self, max_im=0.0, tol=1e-13):
-        """Cached half-line transform of u0 valid for Im k <= max_im."""
-        key = (max_im, tol)
-        if key not in self.transforms:
-            kind, *rest = self.decay()
-            rate = rest[0] if rest else 1.0
-            self.transforms[key] = HalfLineTransform(
-                self.u0, kind, rate, tol=tol, max_im=max_im
-            )
-        return self.transforms[key]
+    def transform(self, tol=1e-13):
+        """Cached half-line transform of u0 (valid for Im k <= 0)."""
+        if tol not in self.transforms:
+            self.transforms[tol] = HalfLineTransform(self.u0, *self.decay(),
+                                                     tol=tol)
+        return self.transforms[tol]
 
 
 def _resolve_decay(u0, declared):
-    if declared and declared[0] != "auto":
+    if declared[0] != "auto":
         return tuple(declared)
     # probe |u0| at growing y; superexponential decay shows an accelerating
     # log-slope, exponential a stable one

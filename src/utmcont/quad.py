@@ -7,9 +7,11 @@ the resulting segments to :func:`integrate_segment`: adaptive Gauss-Kronrod
 (G7/K15) with interval bisection, vectorized over the active intervals.
 Every fixed rule of the package comes from :func:`gauss_panels`.
 
-Also provides the half-line transform of initial data (whose fixed rule
-the heat-type initial parts read as a finite sum), the finite-interval
-transform (no solver calls it; tests use it as an oracle), and the
+Also provides the half-line transform of initial data, whose fixed rule
+every half-line initial part reads as a finite sum (the heat-type kinds
+over its panels, the KdV kinds over its panels split to the Airy kernel's
+wavelength); no solver evaluates the transform or the finite-interval
+transform at any k, and tests use both as oracles.  Last come the
 endpoint-singular time convolutions appearing in the odd/fractional
 Taylor-coefficient formulas: one convolution, or a block of them (one row
 each) on one shared rule.
@@ -249,13 +251,15 @@ class HalfLineTransform:
 
     Evaluation uses one fixed rule, the one :meth:`rule` returns: 24-point
     Gauss-Legendre panels on (0, Y), geometrically growing from the origin
-    (ratio 1.6), with Y chosen from the declared decay class so the
-    discarded tail is below tol.  The rule does not adapt to k, so the
-    transform is the finite sum u0_hat(k) = sum_n c_n e^{-iky_n}, c_n = w_n
-    u0(y_n); a solver whose k-integral of that sum has a closed form reads
-    the rule instead of the values.  Each value is a row-wise sum over the
+    (ratio 1.6, :meth:`edges`), with Y chosen from the declared decay class
+    so the discarded tail is below tol.  The rule does not adapt to k, so
+    the transform is the finite sum u0_hat(k) = sum_n c_n e^{-iky_n},
+    c_n = w_n u0(y_n).  Every solver's k-integral of that sum has a closed
+    form, so the solvers read the rule (or split its panels) and no solver
+    calls the transform itself; tests use its values as the k-integral
+    oracle of those closed forms.  Each value is a row-wise sum over the
     rule, so it depends only on its own k, never on the other k of a call.
-    Values are cached per k for repeated contour nodes.
+    Values are cached per k.
     """
 
     def __init__(self, u0, decay_kind="exponential", rate=1.0, tol=1e-12,
@@ -268,17 +272,19 @@ class HalfLineTransform:
         self._cache = {}
         self._rule = None
 
+    def edges(self):
+        """Edges of the rule's panels on (0, Y): geometric, so that they
+        resolve both the origin region and the slow tail."""
+        upper = _decay_truncation_point(
+            self.u0, self.decay_kind, self.rate, max(self.max_im, 0.0),
+            self.tol)
+        return geometric_edges(upper, min(1.0, upper / 8), 1.6)
+
     def rule(self):
         """(nodes y_n, weighted values c_n = w_n u0(y_n)) of the rule, as
         1-D arrays; built on first use."""
         if self._rule is None:
-            upper = _decay_truncation_point(
-                self.u0, self.decay_kind, self.rate, max(self.max_im, 0.0),
-                self.tol)
-            # geometric panels resolve both the origin region and the slow
-            # tail
-            nodes, weights = gauss_panels(
-                geometric_edges(upper, min(1.0, upper / 8), 1.6), 24)
+            nodes, weights = gauss_panels(self.edges(), 24)
             nodes, weights = nodes.ravel(), weights.ravel()
             self._rule = (nodes, weights * self.u0.compiled()(nodes))
         return self._rule

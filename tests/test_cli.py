@@ -52,6 +52,30 @@ def test_bad_expression_rejected(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_malformed_decay_is_config_error(tmp_path, capsys):
+    cfg = {"problem": {"kind": "kdv-one-bc", "u0": "2*exp(-x)*cos(x)",
+                       "f0": "t", "u0_decay": {"type": "algebraic"}},
+           "grid": {"x_min": 0.0, "x_max": 1.0, "n_points": 3,
+                    "times": [1.0]}}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "u0_decay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-2])
+def test_unresolved_kdv1_row_is_a_numerical_failure(tmp_path, capsys, t):
+    # at small t the data rule of u0 ends before the one-condition Airy
+    # kernel's growth at x = -2 is damped; the row is refused, not returned
+    cfg = {"problem": {"kind": "kdv-one-bc", "u0": "2*exp(-x)*cos(x)",
+                       "f0": "2*exp(-2*t)*cos(2*t)",
+                       "u0_decay": {"type": "exponential", "rate": 1.0}},
+           "grid": {"x_min": -2.0, "x_max": 1.0, "n_points": 4,
+                    "times": [t]},
+           "numerics": {"tol": 1e-9}}
+    code = main(["solve", "--config", _write(tmp_path, cfg)])
+    assert code == EXIT_NUMERICS
+    assert "x = -2" in capsys.readouterr().err
+
+
 def test_missing_config_is_config_error(capsys):
     assert main(["solve", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 

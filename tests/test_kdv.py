@@ -2,9 +2,11 @@
 structural zeros, blow-up, boundary-to-initial maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from utmcont.expr import parse
 from utmcont.quad import QuadratureError
@@ -21,6 +23,7 @@ from utmcont.continuous import (
 )
 from utmcont.continuous import kdv
 from utmcont.continuous._common import datum_ladder, doubled_series
+from test_exact_families import accepted_rows
 
 
 def _tilde_at_zero(spec, x):
@@ -95,18 +98,104 @@ def test_one_bc_requires_decay():
         evaluate_I0(slow, 0.5, 1.0)
 
 
-def test_one_bc_i0_refuses_a_lost_row(fresh_spec, monkeypatch):
-    # At x = -2, t = 1e-3 the wing integrands grow like e^{sqrt(3)|x|k/2}
-    # faster than the Airy kernel decays: every row's error estimate runs
-    # to ~1e241, or to nan once the phase overflows, and i0 used to return
-    # that value.  A small max_intervals keeps the refinement short.
-    real = kdv.integrate_segment
-    monkeypatch.setattr(kdv, "integrate_segment", lambda *args, **kwargs:
-                        real(*args, **kwargs, max_intervals=64))
+def test_one_bc_i0_refuses_a_lost_row(fresh_spec):
+    # At x = -2, t = 1e-3 the alpha term of the Airy kernel grows like
+    # e^{C|x| sqrt(y)/tau^{3/2}} faster than u0 decays: the data rule ends
+    # with terms of ~1e62, and the sum it would return is off by ~1e90
     spec = fresh_spec("kdv-one-bc")
-    with np.errstate(all="ignore"), pytest.raises(
-            QuadratureError, match=r"x = -2: error estimate"):
+    with pytest.raises(QuadratureError, match=r"x = -2: last-panel term"):
         evaluate_I0(spec, -2.0, 1e-3, 1e-9)
+
+
+def _kernel(kind, x, y, t):
+    """The Airy kernel of each KdV i0 at one (x, y), from scipy alone."""
+    tau = (3.0 * t) ** (1.0 / 3.0)
+    a, b = ((x - y) / tau, (x - kdv.ALPHA * y) / tau) if kind == "kdv-one-bc" \
+        else ((y - x) / tau, (y - kdv.ALPHA * x) / tau)
+    return (special.airy(a)[0]
+            + 2.0 * (kdv.ALPHA * special.airy(b)[0]).real) / tau
+
+
+_U0 = {"kdv-one-bc": lambda y: 2.0 * math.exp(-y) * math.cos(y),
+       "kdv-two-bc": lambda y: 2.0 * math.exp(-math.sqrt(3.0) * y)
+       * math.cos(y)}
+
+
+@pytest.mark.parametrize("kind", ["kdv-one-bc", "kdv-two-bc"])
+def test_i0_matches_the_exact_integral_over_y(fresh_spec, kind):
+    # The exact u0 against the Airy kernel by adaptive quadrature in y on
+    # unit intervals to y = 60: no node of the data rule, and no truncation
+    # where the rule ends (y = 34.5).  The contour this closed form
+    # replaced was 1.4e-6 off at t = 0.1, x = -1.
+    spec = fresh_spec(kind)
+    xs = np.array([-1.0, 0.0, 0.5, 2.0])
+    for t in (0.1, 0.5, 1.0):
+        want = []
+        for x in xs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                want.append(sum(integrate.quad(
+                    lambda y: _U0[kind](y) * _kernel(kind, x, y, t), a, a + 1,
+                    epsabs=1e-16, epsrel=1e-14, limit=200)[0]
+                    for a in range(60)))
+        np.testing.assert_allclose(evaluate_I0(spec, xs, t), want, rtol=0,
+                                   atol=1e-12)
+
+
+def test_one_bc_i0_matches_mpmath_at_one_point(fresh_spec):
+    # scipy's complex Airy against mpmath's at 20 digits, through the
+    # whole y-integral at one (x, t) where the alpha term carries weight
+    mpmath = pytest.importorskip("mpmath")
+    x, t = -1.0, 0.5
+    with mpmath.workdps(20):
+        tau = mpmath.cbrt(3 * mpmath.mpf(t))
+        alpha = mpmath.exp(2j * mpmath.pi / 3)
+        want = mpmath.quad(
+            lambda y: 2 * mpmath.exp(-y) * mpmath.cos(y) * (
+                mpmath.airyai((x - y) / tau)
+                + 2 * mpmath.re(alpha * mpmath.airyai((x - alpha * y) / tau))
+            ) / tau, mpmath.linspace(0, 40, 9))
+    assert evaluate_I0(fresh_spec("kdv-one-bc"), x, t) == pytest.approx(
+        float(want), rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["kdv-one-bc", "kdv-two-bc"])
+def test_i0_moves_by_rounding_when_every_panel_halves(fresh_spec, kind,
+                                                      monkeypatch):
+    xs = np.linspace(-2.0, 3.0, 21)
+    for t in (1e-3, 1e-2, 0.1, 1.0):
+        rows = accepted_rows(fresh_spec(kind), xs, t, 1e-10)
+        assert rows.size >= 9
+        base = evaluate_I0(fresh_spec(kind), rows, t)
+        with monkeypatch.context() as patch:
+            real = kdv.gauss_panels
+            patch.setattr(kdv, "gauss_panels", lambda edges, order: real(
+                np.sort(np.concatenate([edges, (edges[1:] + edges[:-1]) / 2])),
+                order))
+            halved = evaluate_I0(fresh_spec(kind), rows, t)
+        # within the guard's own scale, 1e-12 max(1, |i0|): behind the
+        # boundary at small t the two-condition i0 reaches 1e14
+        assert np.all(np.abs(halved - base)
+                      <= 1e-12 * np.maximum(1.0, np.abs(base)))
+
+
+def test_one_bc_i0_vanishes_at_the_boundary(fresh_spec):
+    # Ai(z) + alpha Ai(alpha z) + alpha^2 Ai(alpha^2 z) = 0 term by term
+    spec = fresh_spec("kdv-one-bc")
+    for t in (1e-3, 1e-2, 0.1, 1.0, 2.0):
+        assert abs(evaluate_I0(spec, 0.0, t)) <= 1e-14
+
+
+def test_one_bc_i0_refuses_only_rows_its_rule_cannot_resolve(fresh_spec):
+    # against the y-integral run on to y = 100, the rule (which ends at
+    # y = 34.5) is 1.5e-9 off at t = 0.1, x = -2 and 5e8 off at t = 1e-2,
+    # x = -2; the rows it keeps are within 6e-11 at tol 1e-9
+    spec = fresh_spec("kdv-one-bc")
+    xs = np.array([-2.0, -1.0, -0.5, -0.25, 0.0, 1.0])
+    assert accepted_rows(spec, xs, 1e-3).tolist() == [0.0, 1.0]
+    assert accepted_rows(spec, xs, 1e-2).tolist() == [-0.5, -0.25, 0.0, 1.0]
+    assert accepted_rows(spec, xs, 0.1).tolist() == xs[1:].tolist()
+    assert accepted_rows(spec, xs, 1.0).tolist() == xs.tolist()
 
 
 def test_one_bc_coefficient_families(kdv1_cos):

@@ -25,6 +25,32 @@ def test_kind_data_consistency():
         ProblemSpec("not-a-kind", u0=parse("exp(-x)"))
 
 
+@pytest.mark.parametrize("decay", [
+    ("algebraic",),
+    ("exponential",),
+    ("gaussian", 3.0),
+    ("exponential", 0.0),
+    ("exponential", math.inf),
+    ("exponential", "fast"),
+], ids=["unknown-type", "exponential-without-rate", "gaussian-with-rate",
+        "zero-rate", "infinite-rate", "rate-not-a-number"])
+def test_malformed_decay_is_refused(decay):
+    # each was accepted once: ("algebraic",) was scanned as Gaussian,
+    # ("exponential",) took rate 1 in silence, and the Gaussian ignored
+    # its rate
+    with pytest.raises(ProblemSpecError, match="u0_decay"):
+        ProblemSpec("kdv-one-bc", u0=parse("exp(-x)"), f0=parse("t"),
+                    u0_decay=decay)
+
+
+@pytest.mark.parametrize("decay", [("auto",), ("gaussian",),
+                                   ("exponential", 0.5), ["exponential", 2]])
+def test_wellformed_decay_is_kept(decay):
+    spec = ProblemSpec("kdv-one-bc", u0=parse("exp(-x)"), f0=parse("t"),
+                       u0_decay=decay)
+    assert spec.u0_decay == decay
+
+
 def test_reference_values():
     assert reference_whole_line("gaussian-drift", 1.0, 0.0) == pytest.approx(1.0)
     assert reference_whole_line("kdv-decaying-cos", 0.0, 0.0) == pytest.approx(2.0)
