@@ -1,5 +1,6 @@
 """Grid evaluation: one call for an array of x against per-point calls."""
 
+import json
 import sys
 
 import numpy as np
@@ -210,6 +211,27 @@ def test_scalar_calls_reproduce_point_values():
         assert got == pytest.approx(value, rel=0, abs=1e-14), (name, x, t)
 
 
+def _solve_recording_spec(name, tmp_path, monkeypatch):
+    """Run the built-in scenario ``name`` through ``cli.main`` and return
+    the spec it solved."""
+    specs = []
+    build = cli.build_problem
+
+    def recording(cfg):
+        problem = build(cfg)
+        specs.append(problem[1])
+        return problem
+
+    monkeypatch.setattr(cli, "build_problem", recording)
+    cfg = json.loads(cli.scenario_path(name).read_text())
+    cfg["outputs"] = {"csv": str(tmp_path / f"{name}.csv")}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    (spec,) = specs
+    return spec
+
+
 @pytest.mark.parametrize("values", [
     np.array([1 + 0j, np.nan + 0j]),
     np.array([complex(1.0, np.nan)]),
@@ -226,3 +248,14 @@ def test_real_part_keeps_finite_bytes():
     values = np.array([1.5 + 1e-13j, -2.25 - 1e-12j, 3e-300 + 0j])
     assert real_part(values, 1e-10).tobytes() == values.real.tobytes()
     assert real_part(values[0], 1e-10) == 1.5
+
+
+def test_kdv1_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
+    # Per-point evaluation left 51,870 transform cache entries for kdv1_te
+    # (one transform, at the contour's height above the real axis).  Its
+    # i0 is now an Airy sum over one data rule: the solve evaluates the
+    # transform at no k, and every point of the one time reads the same rule.
+    spec = _solve_recording_spec("kdv1_te", tmp_path, monkeypatch)
+    assert spec.transforms
+    assert sum(len(tf._cache) for tf in spec.transforms.values()) == 0
+    assert [t for _, t in spec.rules] == [1.0]
