@@ -62,6 +62,16 @@ _TOP_KEYS = {"description", "problem", "grid", "numerics", "reference",
              "outputs", "refinement"}
 _REFINEMENT_KEYS = {"h_values"}
 _DECAY_KEYS = {"type", "rate"}
+# the keys whose values must be numbers, per section, and those of them
+# that must be positive
+_NUMBER_KEYS = {"problem": ("c", "L", "h"),
+                "grid": ("x_min", "x_max", "n_points", "n_min", "n_max"),
+                "numerics": ("tol",)}
+_POSITIVE_KEYS = ("n_points", "tol")
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _reject_unknown(block, allowed, where):
@@ -100,10 +110,39 @@ def validate_config(raw):
     kind = raw["problem"].get("kind")
     if kind not in cont.KINDS and kind not in LATTICE_KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
+    for section, keys in _NUMBER_KEYS.items():
+        block = raw.get(section, {})
+        for key in keys:
+            if key not in block:
+                continue
+            value = block[key]
+            if not _is_number(value):
+                raise ConfigError(f"{section}.{key} must be a number, not "
+                                  f"{value!r}")
+            if key in _POSITIVE_KEYS and value <= 0:
+                raise ConfigError(f"{section}.{key} must be positive, not "
+                                  f"{value!r}")
     times = raw["grid"].get("times")
-    if not times or not all(isinstance(t, (int, float)) for t in times):
+    if not times or not all(_is_number(t) for t in times):
         raise ConfigError("grid.times must be a nonempty list of numbers")
     return raw
+
+
+def _positive_times(grid):
+    """grid.times as floats; solve and converge evaluate at t > 0 only."""
+    times = [float(t) for t in grid["times"]]
+    if min(times) <= 0:
+        raise ConfigError(f"grid.times must be positive, not {grid['times']}")
+    return times
+
+
+def _x_grid(grid):
+    """The x grid of a continuous problem."""
+    try:
+        return np.linspace(float(grid["x_min"]), float(grid["x_max"]),
+                           int(grid["n_points"]))
+    except KeyError as err:
+        raise ConfigError(f"grid requires {err} for continuous problems")
 
 
 def _parse_datum(cfg, name, var):
@@ -215,7 +254,7 @@ def _write_outputs(csv_lines, report, cfg, out_override):
 def cmd_solve(cfg, args):
     tol = float(args.tol if args.tol is not None
                 else cfg.get("numerics", {}).get("tol", 1e-10))
-    times = [float(t) for t in cfg["grid"]["times"]]
+    times = _positive_times(cfg["grid"])
     problem = build_problem(cfg["problem"])
     reference = build_reference(cfg.get("reference"), times, problem)
     started = time.perf_counter()
@@ -238,12 +277,7 @@ def cmd_solve(cfg, args):
                                       "continued" if n < 0 else "interior"))
     else:
         spec = problem[1]
-        grid = cfg["grid"]
-        try:
-            xs = np.linspace(float(grid["x_min"]), float(grid["x_max"]),
-                             int(grid["n_points"]))
-        except KeyError as err:
-            raise ConfigError(f"grid requires {err} for continuous problems")
+        xs = _x_grid(cfg["grid"])
         interior = _interior_test(spec)
         for T in times:
             vals = cont.evaluate_extended(spec, xs, T, tol)
@@ -290,9 +324,7 @@ def cmd_map_initial(cfg, args):
     if problem[0] == "lattice":
         raise ConfigError("map-initial applies to continuous problems")
     spec = problem[1]
-    grid = cfg["grid"]
-    xs = np.linspace(float(grid["x_min"]), float(grid["x_max"]),
-                     int(grid["n_points"]))
+    xs = _x_grid(cfg["grid"])
     started = time.perf_counter()
     rows = []
     for x, w0 in zip(xs.tolist(),
@@ -346,7 +378,7 @@ def cmd_converge(cfg, args):
     if len(grid["times"]) != 1:
         raise ConfigError("converge runs at a single time; grid.times has "
                           f"{len(grid['times'])}")
-    T = float(grid["times"][0])
+    (T,) = _positive_times(grid)
     condition = "dirichlet" if kind.endswith("dirichlet") else "neumann"
 
     cont_kind = ("heat-dirichlet" if condition == "dirichlet"

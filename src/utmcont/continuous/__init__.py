@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import advected, finite_interval, heat, kdv
-from ._common import OutsideWindowError, cached_ladder, like_input
+from ._common import CoeffLadder, OutsideWindowError, like_input
 from .kdv import IncompatibleDataError
 from .problems import (
     KINDS,
@@ -75,17 +75,15 @@ class Solver:
     parity: dict = field(default_factory=dict)
 
 
-def _full_ladder(datum, coefficient):
+def _full_ladder(coefficient):
     """The "all" ladder: every order of coefficient(spec, order, t, tol)."""
-    return lambda spec, t, tol: cached_ladder(
-        spec, (datum, "all", t, tol), 1, (0,),
-        lambda order: coefficient(spec, order, t, tol))
+    return lambda spec, t, tol: CoeffLadder(
+        1, (0,), lambda order: coefficient(spec, order, t, tol))
 
 
 def _odd_center_ladder(spec, t, tol):
-    return cached_ladder(
-        spec, ("f0", "odd-center", t, tol), 2, (1,),
-        lambda order: finite_interval.odd_center_coefficient(
+    return CoeffLadder(
+        2, (1,), lambda order: finite_interval.odd_center_coefficient(
             spec, (order + 1) // 2, t, tol),
         center=spec.L)
 
@@ -106,7 +104,7 @@ _SOLVERS = {
         ladders={
             ("f0", "even"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
             ("f0", "all"): _full_ladder(
-                "f0", lambda *a: heat.full_series_coefficient(*a)),
+                lambda *a: heat.full_series_coefficient(*a)),
         },
         parity={"f0": "even"}),
     "heat-neumann": Solver(
@@ -124,10 +122,10 @@ _SOLVERS = {
         extended=lambda spec, xs, t, tol: advected.extended(spec, xs, t, tol),
         w0=lambda spec, xs: advected.boundary_to_initial(spec, xs),
         ladders={
-            ("f0", "even"): lambda spec, t, tol: advected.tilde_ladder(
-                spec, t, tol),
-            ("f0", "all"): _full_ladder(
-                "f0", lambda *a: advected.boundary_coefficient(*a)),
+            ("f0", "even"): lambda spec, t, tol: advected.coefficient_ladder(
+                spec, 2, t, tol),
+            ("f0", "all"): lambda spec, t, tol: advected.coefficient_ladder(
+                spec, 1, t, tol),
         },
         parity={"f0": "even"}),
     "kdv-one-bc": Solver(
@@ -141,7 +139,7 @@ _SOLVERS = {
             ("f0", "even"): lambda spec, t, tol: kdv.kdv1_tilde_ladder(
                 spec, t, tol),
             ("f0", "all"): _full_ladder(
-                "f0", lambda *a: kdv.kdv1_coefficient(*a)),
+                lambda *a: kdv.kdv1_coefficient(*a)),
         },
         parity={"f0": "even"}),
     "kdv-two-bc": Solver(
@@ -160,7 +158,7 @@ _SOLVERS = {
             ("f1", "odd"): lambda spec, t, tol: kdv.kdv2_tilde_ladder(
                 spec, "f1", t, tol),
             **{(which, "all"): _full_ladder(
-                which, lambda spec, order, t, tol, which=which:
+                lambda spec, order, t, tol, which=which:
                     kdv.kdv2_coefficient(spec, which, order, t, tol))
                for which in ("f0", "f1")},
         },
@@ -177,10 +175,9 @@ _SOLVERS = {
             spec, xs, t, tol),
         w0=lambda spec, xs: finite_interval.boundary_to_initial(spec, xs),
         ladders={
-            ("f0", "even"): lambda spec, t, tol:
-                finite_interval.tilde_ladders(spec, t)[0],
-            ("g0", "even"): lambda spec, t, tol:
-                finite_interval.tilde_ladders(spec, t)[1],
+            **{(which, "even"): lambda spec, t, tol, which=which:
+                finite_interval.tilde_ladder(spec, which, t)
+               for which in ("f0", "g0")},
             ("f0", "odd-center"): _odd_center_ladder,
         },
         parity={"f0": "even", "g0": "even"}),

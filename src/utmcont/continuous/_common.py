@@ -8,18 +8,19 @@ import math
 import numpy as np
 
 from ..expr import MAX_DERIVATIVE_ORDER, ExprDomainError
-from ..quad import QuadratureError, SingularKernel, singular_time_convolution
+from ..quad import (QuadratureError, SingularKernel, gauss_panels,
+                    singular_time_convolution)
 from ..specfun import gamma
 
 __all__ = [
     "real_part",
     "like_input",
     "require_half_line",
+    "data_rule",
     "over_factorial",
     "datum_coefficient",
     "fractional_family",
     "CoeffLadder",
-    "cached_ladder",
     "datum_ladder",
     "doubled_series",
     "reflected",
@@ -72,6 +73,23 @@ def require_half_line(xs, where):
     if np.any(xs < 0):
         raise OutsideWindowError(f"{where} needs x >= 0; use the extension "
                                  "for x < 0")
+
+
+def data_rule(spec, tol, width=None):
+    """(nodes y, weighted values c = w u0(y)) of the rule of u0 behind a
+    half-line i0 of tolerance tol, one row per panel, so that
+    u0_hat(k) = sum_n c_n e^{-iky_n}.  The panels are those of the half-line
+    transform's rule, each [a, b] split into equal panels no wider than
+    width(b) when ``width`` is given."""
+    edges = spec.transform(tol=min(tol, 1e-12) * 1e-2).edges()
+    if width is not None:
+        splits = np.ceil(np.diff(edges) / width(edges[1:])).astype(int)
+        edges = np.concatenate(
+            [np.linspace(lo, hi, n, endpoint=False)
+             for lo, hi, n in zip(edges[:-1], edges[1:], splits)]
+            + [edges[-1:]])
+    y, w = gauss_panels(edges, 24)
+    return y, w * spec.u0.compiled()(y)
 
 
 def over_factorial(value, n, weight=1.0, times=1.0):
@@ -215,15 +233,6 @@ class CoeffLadder:
             self.entries.append((order, self.coefficient(order)))
 
 
-def cached_ladder(spec, key, stride, offsets, coefficient, center=0.0):
-    """The ladder cached on ``spec`` under ``key`` = (datum, parity, t,
-    tol), built on first use; tol is None when no coefficient depends on
-    it."""
-    if key not in spec.ladders:
-        spec.ladders[key] = CoeffLadder(stride, offsets, coefficient, center)
-    return spec.ladders[key]
-
-
 _DATUM_PARITIES = {
     # parity: (stride, offset, sign)
     "even": (2, 0, 1.0),
@@ -237,11 +246,10 @@ def datum_ladder(spec, datum, parity, t, center=0.0):
     f^(i)(t)/(2i)!, "odd" f^(i)(t)/(2i+1)!, "cubic" (-1)^i f^(i)(t)/(3i)!."""
     stride, offset, sign = _DATUM_PARITIES[parity]
     cache = spec.deriv(datum)
-    return cached_ladder(
-        spec, (datum, parity, t, None), stride, (offset,),
+    return CoeffLadder(
+        stride, (offset,),
         lambda order: datum_coefficient(cache, order, t, stride, offset, sign),
-        center,
-    )
+        center)
 
 
 def doubled_series(ladder, xs, tol, factor=2.0):

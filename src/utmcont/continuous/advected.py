@@ -25,14 +25,14 @@ import numpy as np
 from ..expr import parse
 from ..quad import row_sums
 from . import _common, heat
-from ._common import (COEFF_TOL, cached_ladder, over_factorial,
+from ._common import (COEFF_TOL, CoeffLadder, data_rule, over_factorial,
                       require_half_line)
 from .problems import ProblemSpec
 
 
 def i0(spec, xs, t, tol=1e-10):
     """Initial-condition part at each point of the 1-D array xs, taken term
-    by term over the finite sum of the data rule (``heat.data_rule``): the
+    by term over the finite sum of the data rule (``data_rule``): the
     real-line piece of node y_n is c_n G(x + ct - y_n, t), and the shifted
     piece, entire in k for each node and so moved to Im k = c, is
     c_n e^{-cx} G(x - ct + y_n, t), with the heat kernel G.  The factor and
@@ -42,7 +42,7 @@ def i0(spec, xs, t, tol=1e-10):
     if spec.u0.is_zero:
         return np.zeros(xs.shape)
     c = spec.c
-    y, weighted = heat.data_rule(spec, tol)
+    y, weighted = (a.ravel() for a in data_rule(spec, tol))
     x = xs[:, None]
     kernels = (np.exp(-(x + c * t - y) ** 2 / (4.0 * t))
                - np.exp(-c * x - (x - c * t + y) ** 2 / (4.0 * t)))
@@ -77,25 +77,33 @@ def boundary_integral(spec, xs, t, tol=1e-10):
     return out
 
 
-def boundary_coefficient(spec, order, t, tol=1e-11):
+def boundary_coefficient(spec, order, t, tol=1e-11, heat_ladder=None):
     """Taylor coefficient a_order(t) of the boundary part about x = 0: the
     Cauchy product of the series of E(., t) with the full heat-Dirichlet
-    series of the gauged spec."""
+    series of the gauged spec, read from ``heat_ladder`` (a new one when
+    None)."""
     c = spec.c
-    g = _gauged(spec)
-    heat_ladder = cached_ladder(
-        g, ("f0", "all", t, tol), 1, (0,),
-        lambda j: heat.full_series_coefficient(g, j, t, tol))
+    if heat_ladder is None:
+        heat_ladder = _heat_ladder(spec, t, tol)
     total = sum(over_factorial((-c / 2.0) ** (order - j), order - j) * h
                 for j, h in heat_ladder.through(order))
     return _gauge(c, 0.0, t) * total
 
 
-def tilde_ladder(spec, t, tol=COEFF_TOL):
-    """Ladder of the even boundary coefficients a_2n(t)."""
-    return cached_ladder(
-        spec, ("f0", "even", t, tol), 2, (0,),
-        lambda order: boundary_coefficient(spec, order, t, tol))
+def _heat_ladder(spec, t, tol):
+    """The "all" ladder of the gauged heat-Dirichlet boundary part."""
+    g = _gauged(spec)
+    return CoeffLadder(1, (0,), lambda j: heat.full_series_coefficient(
+        g, j, t, tol))
+
+
+def coefficient_ladder(spec, stride, t, tol=COEFF_TOL):
+    """Ladder of the boundary coefficients a_order(t) of the orders
+    divisible by ``stride`` (1 for the full series, 2 for the even one
+    doubled across x = 0), all of them read from one inner heat ladder."""
+    inner = _heat_ladder(spec, t, tol)
+    return CoeffLadder(stride, (0,), lambda order: boundary_coefficient(
+        spec, order, t, tol, inner))
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,11 @@ def left_boundary_fourier(spec, x, t, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def tilde_ladders(spec, t):
-    """Ladders of the doubled even series of f0 about x = 0 and of g0 about
+def tilde_ladder(spec, datum, t):
+    """Ladder of the doubled even series of f0 about x = 0, or of g0 about
     x = L."""
-    return (datum_ladder(spec, "f0", "even", t),
-            datum_ladder(spec, "g0", "even", t, center=spec.L))
+    return datum_ladder(spec, datum, "even", t,
+                        center=spec.L if datum == "g0" else 0.0)
 
 
 def _tile(spec, xs, right, at_base, ladder, tol):
@@ -209,14 +209,14 @@ def left_extension(spec, xs, t, tol=1e-10):
     with accumulated doubled series."""
     return _tile(spec, xs, False,
                  lambda b: left_boundary_integral(spec, b, t, tol),
-                 tilde_ladders(spec, t)[0], tol)
+                 tilde_ladder(spec, "f0", t), tol)
 
 
 def right_extension(spec, xs, t, tol=1e-10):
     """I_{g0}^ext: tiling of the (-L, L] window, as left_extension."""
     return _tile(spec, xs, True,
                  lambda b: right_boundary_integral(spec, b, t, tol),
-                 tilde_ladders(spec, t)[1], tol)
+                 tilde_ladder(spec, "g0", t), tol)
 
 
 def extended(spec, xs, t, tol=1e-10):
@@ -231,10 +231,10 @@ def boundary_to_initial(spec, xs):
     """w0 at each point of the 1-D array xs: the odd-periodic u0 plus the
     series both tilings accumulate at t = 0.  That u0 is 2L-periodic, so
     its values at xs are its values at their window images."""
-    f0_ladder, g0_ladder = tilde_ladders(spec, 0.0)
-    value = _tile(spec, xs, False, lambda b: i0_at_zero(spec, xs), f0_ladder,
-                  1e-13)
-    return _tile(spec, xs, True, lambda b: value, g0_ladder, 1e-13)
+    value = _tile(spec, xs, False, lambda b: i0_at_zero(spec, xs),
+                  tilde_ladder(spec, "f0", 0.0), 1e-13)
+    return _tile(spec, xs, True, lambda b: value,
+                 tilde_ladder(spec, "g0", 0.0), 1e-13)
 
 
 # ---------------------------------------------------------------------------

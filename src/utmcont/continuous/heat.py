@@ -1,7 +1,8 @@
 """Heat equation on the half-line: Dirichlet and Neumann boundary data.
 
 The initial-condition part is the real-line k-integral of the data
-transform, which is the finite sum of its rule (``data_rule``); term by
+transform, which is the finite sum of its rule (``_common.data_rule``,
+its panels unsplit); term by
 term that integral is a heat kernel, so i0 is the method-of-images sum over
 the rule's nodes, with no k-quadrature.  The boundary part uses the closed
 heat-kernel convolution for x >= 0, one shared time rule for a whole array
@@ -19,8 +20,9 @@ import numpy as np
 
 from ..quad import integrate_segment, row_sums
 from . import _common
-from ._common import (datum_coefficient, datum_ladder, fractional_family,
-                      over_factorial, real_part, require_half_line)
+from ._common import (data_rule, datum_coefficient, datum_ladder,
+                      fractional_family, over_factorial, real_part,
+                      require_half_line)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -28,12 +30,6 @@ SQRT_PI = math.sqrt(math.pi)
 def _reflection_sign(kind):
     """-1 (odd reflection) for Dirichlet, +1 (even) for Neumann."""
     return -1.0 if kind == "heat-dirichlet" else 1.0
-
-
-def data_rule(spec, tol):
-    """(nodes y_n, weighted values c_n) of the rule of the u0 transform
-    behind an i0 of tolerance tol: u0_hat(k) = sum_n c_n e^{-iky_n}."""
-    return spec.transform(tol=min(tol, 1e-12) * 1e-2).rule()
 
 
 def i0(spec, xs, t, tol=1e-10):
@@ -46,7 +42,7 @@ def i0(spec, xs, t, tol=1e-10):
     if spec.u0.is_zero:
         return np.zeros(xs.shape)
     sign = _reflection_sign(spec.kind)
-    y, weighted = data_rule(spec, tol)
+    y, weighted = (a.ravel() for a in data_rule(spec, tol))
     x = xs[:, None]
     kernels = (np.exp(-(x - y) ** 2 / (4.0 * t))
                + sign * np.exp(-(x + y) ** 2 / (4.0 * t)))

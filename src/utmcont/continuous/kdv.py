@@ -1,7 +1,8 @@
 """Linear KdV on the half-line: one and two boundary conditions.
 
 Both initial-condition parts are Airy sums over the nodes of one fixed
-rule of u0 (``_data_rule``), with no k-contour: the data transform is the
+rule of u0 (``_common.data_rule``, its panels split to the Airy kernel's
+wavelength), with no k-contour: the data transform is the
 finite sum u0_hat(k) = sum_n c_n e^{-iky_n}, and term by term the UTM
 k-integral of each node is Ai at a real argument plus alpha Ai and
 alpha^2 Ai at rotated ones, alpha = e^{2 pi i/3}, the last term the
@@ -40,7 +41,7 @@ from scipy import special as _sp
 
 from ..quad import QuadratureError, gauss_panels, integrate_segment, row_sums
 from .problems import check_compatibility
-from ._common import (COEFF_TOL, cached_ladder, datum_coefficient,
+from ._common import (COEFF_TOL, CoeffLadder, data_rule, datum_coefficient,
                       datum_ladder, doubled_series, fractional_family,
                       over_factorial, real_part, reflected,
                       require_half_line)
@@ -66,27 +67,6 @@ def _cubic_radius(decay, growth, log_target):
 # ---------------------------------------------------------------------------
 
 
-def _data_rule(spec, t, tol):
-    """(nodes y, weighted values c = w u0(y)) of the u0 rule behind a KdV
-    i0 at time t, one row per panel: the half-line rule's geometric panels,
-    each [a, b] split into equal panels no wider than 32 tau^{3/2}/sqrt(b),
-    about five local wavelengths of Ai((x - y)/tau) at y = b.  From t = 1
-    on no panel splits.  Built once per (tol, t), so a rule built for one t
-    never serves another."""
-    key = (tol, t)
-    if key not in spec.rules:
-        edges = spec.transform(tol=min(tol, 1e-12) * 1e-2).edges()
-        splits = np.ceil(np.diff(edges) * np.sqrt(edges[1:])
-                         / (32.0 * math.sqrt(3.0 * t))).astype(int)
-        fine = np.concatenate(
-            [np.linspace(lo, hi, n, endpoint=False)
-             for lo, hi, n in zip(edges[:-1], edges[1:], splits)]
-            + [edges[-1:]])
-        y, w = gauss_panels(fine, 24)
-        spec.rules[key] = (y, w * spec.u0.compiled()(y))
-    return spec.rules[key]
-
-
 def _airy_sum(spec, xs, t, tol, kernel, label):
     """tau^{-1} sum_n c_n kernel(x/tau, y_n/tau) over the data rule, for
     each x of the 1-D array xs alone.  The sum has no error estimate, so a
@@ -96,7 +76,11 @@ def _airy_sum(spec, xs, t, tol, kernel, label):
     if spec.u0.is_zero:
         return np.zeros(xs.shape)
     tau = (3.0 * t) ** (1.0 / 3.0)
-    y, weighted = _data_rule(spec, t, tol)
+    # panels no wider than 32 tau^{3/2}/sqrt(b) at their right end b, about
+    # five local wavelengths of Ai((x - y)/tau) at y = b; from t = 1 on no
+    # panel splits
+    y, weighted = data_rule(
+        spec, tol, lambda b: 32.0 * math.sqrt(3.0 * t) / np.sqrt(b))
     c = weighted.ravel() / tau
     last = -y.shape[1]
     with np.errstate(all="ignore"):
@@ -171,9 +155,8 @@ def kdv1_coefficient(spec, order, t, tol=1e-11):
 
 def kdv1_tilde_ladder(spec, t, tol=COEFF_TOL):
     """Ladder of the even boundary coefficients, doubled across x = 0."""
-    return cached_ladder(
-        spec, ("f0", "even", t, tol), 2, (0,),
-        lambda order: kdv1_coefficient(spec, order, t, tol))
+    return CoeffLadder(2, (0,), lambda order: kdv1_coefficient(
+        spec, order, t, tol))
 
 
 def extended_one_bc(spec, xs, t, tol=1e-10):
@@ -365,10 +348,9 @@ def kdv2_coefficient(spec, which, order, t, tol=1e-11):
 def kdv2_tilde_ladder(spec, which, t, tol=COEFF_TOL):
     """Ladder of the coefficients doubled across x = 0: even orders of the
     a-family, odd orders of the b-family, structural zeros skipped."""
-    parity, offsets = ("even", (0, 2)) if which == "f0" else ("odd", (1, 5))
-    return cached_ladder(
-        spec, (which, parity, t, tol), 6, offsets,
-        lambda order: kdv2_coefficient(spec, which, order, t, tol))
+    offsets = (0, 2) if which == "f0" else (1, 5)
+    return CoeffLadder(6, offsets, lambda order: kdv2_coefficient(
+        spec, which, order, t, tol))
 
 
 def extended_two_bc(spec, xs, t, tol=1e-10):

@@ -71,23 +71,14 @@ class ProblemSpec:
     c: float = 0.0
     L: float = 0.0
     u0_decay: tuple = ("auto",)
-    # caches: derivative ladders per datum, the resolved decay class, the
-    # gauged heat-Dirichlet spec of an advected spec, u0 transforms per
-    # tol, KdV data rules per (tol, t), Taylor ladders per (datum, parity,
-    # t, tol), and blocks of fractional coefficients per (datum, beta, t,
-    # tol, block)
+    # caches of costly work only: derivative jets per datum, the gauged
+    # heat-Dirichlet spec of an advected spec, and blocks of fractional
+    # coefficients per (datum, beta, t, tol, block).  Data rules and Taylor
+    # ladders are built inside each call that reads them.
     derivs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
-    resolved_decay: tuple | None = field(default=None, init=False,
-                                         repr=False, compare=False)
     gauged: ProblemSpec | None = field(default=None, init=False, repr=False,
                                        compare=False)
-    transforms: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
-    rules: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
-    ladders: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
     fractional: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -115,8 +106,6 @@ class ProblemSpec:
                 f"u0_decay must be ('auto',), ('gaussian',) or ('exponential', "
                 f"rate) with a finite rate > 0, not {self.u0_decay!r}")
 
-    # -- caches --------------------------------------------------------
-
     def deriv(self, which):
         if which not in self.derivs:
             self.derivs[which] = DerivativeCache(getattr(self, which))
@@ -124,16 +113,11 @@ class ProblemSpec:
 
     def decay(self):
         """Resolved decay class of u0: ("gaussian",) or ("exponential", rate)."""
-        if self.resolved_decay is None:
-            self.resolved_decay = _resolve_decay(self.u0, self.u0_decay)
-        return self.resolved_decay
+        return _resolve_decay(self.u0, self.u0_decay)
 
     def transform(self, tol=1e-13):
-        """Cached half-line transform of u0 (valid for Im k <= 0)."""
-        if tol not in self.transforms:
-            self.transforms[tol] = HalfLineTransform(self.u0, *self.decay(),
-                                                     tol=tol)
-        return self.transforms[tol]
+        """A new half-line transform of u0 (valid for Im k <= 0)."""
+        return HalfLineTransform(self.u0, *self.decay(), tol=tol)
 
 
 def _resolve_decay(u0, declared):

@@ -1,11 +1,11 @@
-"""Complex contour quadrature over straight segments.
+"""Quadrature over straight segments.
 
-The spectral representations integrate entire or sector-analytic functions
-over piecewise paths in the complex k-plane.  Each solver truncates its own
-infinite pieces at a radius derived from its integrand's decay and passes
-the resulting segments to :func:`integrate_segment`: adaptive Gauss-Kronrod
-(G7/K15) with interval bisection, vectorized over the active intervals.
-Every fixed rule of the package comes from :func:`gauss_panels`.
+:func:`integrate_segment` is adaptive Gauss-Kronrod (G7/K15) with interval
+bisection, vectorized over the active intervals.  Its callers integrate
+over real segments (boundary potentials, time convolutions), except the
+two-condition KdV corner terms, which still integrate on complex rays in
+the k-plane.  Every fixed rule of the package comes from
+:func:`gauss_panels`.
 
 Also provides the half-line transform of initial data, whose fixed rule
 every half-line initial part reads as a finite sum (the heat-type kinds
@@ -224,23 +224,16 @@ def row_sums(matrix, wvals):
     return np.einsum("kn,n->k", matrix, wvals)
 
 
-def _decay_truncation_point(u0, decay_kind, rate, growth, tol):
-    """Upper limit Y with |u0(Y)| e^{growth*Y} below tol."""
+def _decay_truncation_point(u0, decay_kind, rate, tol):
+    """Upper limit Y with |u0(Y)| below tol."""
     if decay_kind == "exponential":
-        margin = rate - growth
-        if margin <= 1e-9:
-            raise DecayError(
-                f"declared decay rate {rate} cannot dominate kernel growth "
-                f"{growth} in the data transform"
-            )
-        return math.log(10.0 / tol) / margin
+        return math.log(10.0 / tol) / rate
     # gaussian / superexponential: scan geometrically in log space
     log_target = math.log(tol) - 5.0
     y = 4.0
     for _ in range(60):
         val = abs(float(u0.eval(y)))
-        log_tail = (math.log(val) if val > 0 else -1e9) + growth * y
-        if log_tail < log_target:
+        if (math.log(val) if val > 0 else -1e9) < log_target:
             return y
         y *= 1.3
     raise DecayError("could not find a truncation point for the data transform")
@@ -262,22 +255,19 @@ class HalfLineTransform:
     Values are cached per k.
     """
 
-    def __init__(self, u0, decay_kind="exponential", rate=1.0, tol=1e-12,
-                 max_im=0.0):
+    def __init__(self, u0, decay_kind="exponential", rate=1.0, tol=1e-12):
         self.u0 = u0
         self.decay_kind = decay_kind
         self.rate = rate
         self.tol = tol
-        self.max_im = max_im
         self._cache = {}
         self._rule = None
 
     def edges(self):
         """Edges of the rule's panels on (0, Y): geometric, so that they
         resolve both the origin region and the slow tail."""
-        upper = _decay_truncation_point(
-            self.u0, self.decay_kind, self.rate, max(self.max_im, 0.0),
-            self.tol)
+        upper = _decay_truncation_point(self.u0, self.decay_kind, self.rate,
+                                        self.tol)
         return geometric_edges(upper, min(1.0, upper / 8), 1.6)
 
     def rule(self):
@@ -302,11 +292,10 @@ class HalfLineTransform:
         if missing:
             nodes, wvals = self.rule()
             ks = k_arr[missing]
-            if np.any(ks.imag > self.max_im + 1e-12):
+            if np.any(ks.imag > 1e-12):
                 raise DecayError(
-                    "transform requested above the declared decay margin "
-                    f"(Im k = {float(np.max(ks.imag)):g} > {self.max_im:g})"
-                )
+                    "transform requested above the real axis (Im k = "
+                    f"{float(np.max(ks.imag)):g} > 0)")
             vals = row_sums(np.exp(-1j * np.outer(ks, nodes)), wvals)
             for i, v in zip(missing, vals):
                 self._cache[k_arr[i]] = complex(v)

@@ -1,4 +1,4 @@
-"""Shared problem fixtures (session-scoped so transform caches persist)."""
+"""Shared problem fixtures (session-scoped so derivative jets persist)."""
 
 import pytest
 

@@ -76,6 +76,45 @@ def test_unresolved_kdv1_row_is_a_numerical_failure(tmp_path, capsys, t):
     assert "x = -2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "map-initial"])
+@pytest.mark.parametrize("key", ["x_min", "x_max", "n_points"])
+def test_continuous_grid_without_x_window_is_config_error(tmp_path, capsys,
+                                                          command, key):
+    cfg = json.loads(json.dumps(MINIMAL))
+    del cfg["grid"][key]
+    assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"grid requires '{key}'" in capsys.readouterr().err
+
+
+LATTICE = {"problem": {"kind": "sd-heat-dirichlet", "u0": "3*x*exp(-x)",
+                       "f0": "sin(4*pi*t)", "h": 0.05},
+           "grid": {"n_min": -5, "n_max": 5, "times": [0.5]}}
+
+
+@pytest.mark.parametrize("base,section,key,value,message", [
+    (LATTICE, "problem", "h", "0.05", "problem.h must be a number"),
+    (MINIMAL, "problem", "c", "fast", "problem.c must be a number"),
+    (MINIMAL, "grid", "times", [0.0], "grid.times must be positive"),
+    (LATTICE, "grid", "times", [-1.0], "grid.times must be positive"),
+    (MINIMAL, "grid", "n_points", -3, "grid.n_points must be positive"),
+    (MINIMAL, "numerics", "tol", -1.0, "numerics.tol must be positive"),
+], ids=["lattice-h-text", "c-text", "time-zero", "lattice-time-negative",
+        "n-points-negative", "tol-negative"])
+def test_malformed_number_is_config_error(tmp_path, capsys, base, section,
+                                          key, value, message):
+    cfg = json.loads(json.dumps(base))
+    cfg.setdefault(section, {})[key] = value
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_map_initial_reads_no_times(tmp_path):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["grid"]["times"] = [0.0]
+    cfg["outputs"] = {"csv": str(tmp_path / "w0.csv")}
+    assert main(["map-initial", "--config", _write(tmp_path, cfg)]) == 0
+
+
 def test_missing_config_is_config_error(capsys):
     assert main(["solve", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from utmcont import cli, quad
-from utmcont.continuous import (IncompatibleDataError, ProblemSpec,
+from utmcont.continuous import (IncompatibleDataError, ProblemSpec, kdv,
                                 boundary_to_initial,
                                 evaluate_boundary_integral, evaluate_extended,
                                 evaluate_I0)
@@ -254,8 +254,18 @@ def test_kdv1_te_transform_nodes_stay_shared(tmp_path, monkeypatch):
     # Per-point evaluation left 51,870 transform cache entries for kdv1_te
     # (one transform, at the contour's height above the real axis).  Its
     # i0 is now an Airy sum over one data rule: the solve evaluates the
-    # transform at no k, and every point of the one time reads the same rule.
+    # transform at no k, and the 41 points of its one time read one rule,
+    # built once.
+    builds, evaluated = [], []
+    build = kdv.data_rule
+
+    def recording(spec, *args):
+        builds.append(spec)
+        return build(spec, *args)
+
+    monkeypatch.setattr(kdv, "data_rule", recording)
+    monkeypatch.setattr(quad.HalfLineTransform, "__call__",
+                        lambda self, k: evaluated.append(k))
     spec = _solve_recording_spec("kdv1_te", tmp_path, monkeypatch)
-    assert spec.transforms
-    assert sum(len(tf._cache) for tf in spec.transforms.values()) == 0
-    assert [t for _, t in spec.rules] == [1.0]
+    assert len(builds) == 1 and builds[0] is spec
+    assert evaluated == []

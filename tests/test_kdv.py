@@ -21,7 +21,7 @@ from utmcont.continuous import (
     reference_whole_line,
     taylor_coefficients,
 )
-from utmcont.continuous import kdv
+from utmcont.continuous import _common, kdv
 from utmcont.continuous._common import datum_ladder, doubled_series
 from test_exact_families import accepted_rows
 
@@ -168,8 +168,8 @@ def test_i0_moves_by_rounding_when_every_panel_halves(fresh_spec, kind,
         assert rows.size >= 9
         base = evaluate_I0(fresh_spec(kind), rows, t)
         with monkeypatch.context() as patch:
-            real = kdv.gauss_panels
-            patch.setattr(kdv, "gauss_panels", lambda edges, order: real(
+            real = _common.gauss_panels
+            patch.setattr(_common, "gauss_panels", lambda edges, order: real(
                 np.sort(np.concatenate([edges, (edges[1:] + edges[:-1]) / 2])),
                 order))
             halved = evaluate_I0(fresh_spec(kind), rows, t)

@@ -190,7 +190,7 @@ def test_half_line_transform_cache_and_vector():
 
 
 def test_half_line_transform_decay_violation():
-    tf = HalfLineTransform(parse("exp(-y)"), "exponential", 1.0, max_im=0.0)
+    tf = HalfLineTransform(parse("exp(-y)"), "exponential", 1.0)
     with pytest.raises(DecayError):
         tf(0.5 + 2.0j)
 

@@ -10,7 +10,9 @@ from utmcont.continuous import (
     OutsideWindowError,
     ProblemSpec,
     _common,
+    boundary_to_initial,
     evaluate_boundary_integral,
+    evaluate_extended,
     taylor_coefficients,
 )
 from utmcont.expr import MAX_DERIVATIVE_ORDER, ExprDomainError, parse
@@ -24,6 +26,39 @@ def test_coefficients_do_not_depend_on_an_earlier_tol(fresh_spec):
                                tol=1e-12)
     assert got.orders == want.orders
     assert got.coeffs == want.coeffs
+
+
+_FAMILIES = {
+    "heat-dirichlet": (("f0", "even"), ("f0", "all")),
+    "heat-neumann": (("f1", "odd"),),
+    "advected-heat": (("f0", "even"), ("f0", "all")),
+    "kdv-one-bc": (("f0", "even"), ("f0", "all")),
+    "kdv-two-bc": (("f0", "even"), ("f1", "odd"), ("f1", "all")),
+    "heat-finite-interval": (("f0", "even"), ("g0", "even"),
+                             ("f0", "odd-center")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FAMILIES))
+def test_reused_spec_gives_the_bytes_of_fresh_ones(fresh_spec, kind):
+    # one spec solved at t1, t2, t1, asked for Taylor data at two tols and
+    # mapped to t = 0 twice: each result has the bytes of a fresh spec's
+    xs = np.linspace(-1.5, 2.5, 9)
+    used = fresh_spec(kind)
+    for t in (0.5, 1.0, 0.5):
+        assert (evaluate_extended(used, xs, t).tobytes()
+                == evaluate_extended(fresh_spec(kind), xs, t).tobytes())
+    for which, parity in _FAMILIES[kind]:
+        for tol in (1e-8, 1e-11):
+            got, want = (taylor_coefficients(spec, which, 0.5, 24, tol,
+                                             parity=parity)
+                         for spec in (used, fresh_spec(kind)))
+            assert got.orders == want.orders
+            assert (np.array(got.coeffs).tobytes()
+                    == np.array(want.coeffs).tobytes())
+    want = boundary_to_initial(fresh_spec(kind), xs).tobytes()
+    for _ in range(2):
+        assert boundary_to_initial(used, xs).tobytes() == want
 
 
 @pytest.mark.parametrize("kind,which,parity", [
