@@ -270,7 +270,7 @@ def cmd_solve(cfg, args):
         for T in times:
             spec = LatticeSpec(h=h, u0=u0, datum=datum, T=T,
                                condition=condition)
-            vals = lattice_profile(spec, n_lo, n_hi, tol)
+            vals = lattice_profile(spec, n_lo, n_hi)
             for n, val in zip(range(n_lo, n_hi + 1), vals):
                 x = n * h
                 rows.append(_make_row(x, T, float(val), reference,
@@ -326,19 +326,20 @@ def cmd_map_initial(cfg, args):
     spec = problem[1]
     xs = _x_grid(cfg["grid"])
     started = time.perf_counter()
+    # one call over the grid and, for the one-sided limits, four points
+    # about 0; the linear variation is extrapolated away, so a continuous
+    # w0 reports a vanishing jump
+    delta = 1e-5
+    w0s = cont.boundary_to_initial(spec, np.concatenate(
+        [xs, np.array([-1.0, -0.5, 0.5, 1.0]) * delta])).tolist()
+    far_left, near_left, near_right, far_right = w0s[len(xs):]
     rows = []
-    for x, w0 in zip(xs.tolist(),
-                     cont.boundary_to_initial(spec, xs).tolist()):
+    for x, w0 in zip(xs.tolist(), w0s):
         try:
             u0c = float(spec.u0.eval(x))
         except ExprDomainError:
             u0c = None
         rows.append({"x": x, "w0": w0, "u0_analytic_continuation": u0c})
-    # one-sided limits with the linear variation extrapolated away, so a
-    # continuous w0 reports a vanishing jump
-    delta = 1e-5
-    far_left, near_left, near_right, far_right = cont.boundary_to_initial(
-        spec, np.array([-1.0, -0.5, 0.5, 1.0]) * delta).tolist()
     left = 2 * near_left - far_left
     right = 2 * near_right - far_right
     csv_lines = ["x,w0,u0_analytic_continuation"]
@@ -398,8 +399,7 @@ def cmd_converge(cfg, args):
     result = continuum_limit_check(
         lambda h: LatticeSpec(h=h, u0=u0, datum=datum, T=T,
                               condition=condition),
-        h_values, window, ref.__getitem__, tol,
-    )
+        h_values, window, ref.__getitem__)
     csv_lines = ["h,max_err,observed_order"]
     orders = [None] + result["orders"]
     for (h, err), order in zip(result["errors"], orders):

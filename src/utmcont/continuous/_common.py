@@ -89,7 +89,7 @@ def data_rule(spec, tol, width=None):
              for lo, hi, n in zip(edges[:-1], edges[1:], splits)]
             + [edges[-1:]])
     y, w = gauss_panels(edges, 24)
-    return y, w * spec.u0.compiled()(y)
+    return y, w * spec.u0.eval(y)
 
 
 def over_factorial(value, n, weight=1.0, times=1.0):

@@ -249,7 +249,6 @@ def odd_center_coefficient(spec, n, t, tol=1e-11):
     if n < 1:
         raise ValueError("odd center coefficients start at n = 1")
     L = spec.L
-    f0c = spec.f0.compiled()
 
     def kernel(sigma):
         sigma = np.maximum(np.real(np.asarray(sigma)), 1e-300)
@@ -274,7 +273,7 @@ def odd_center_coefficient(spec, n, t, tol=1e-11):
 
     def integrand(sigma):
         sigma = np.real(np.asarray(sigma))
-        return f0c(t - sigma * sigma) * kernel(sigma) * 2.0 * sigma
+        return spec.f0.eval(t - sigma * sigma) * kernel(sigma) * 2.0 * sigma
 
     res = integrate_segment(integrand, 0.0, math.sqrt(t), tol=tol, rel_tol=tol)
     return over_factorial(-2.0, 2 * n - 1, math.pi, float(np.real(res.value)))

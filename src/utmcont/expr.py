@@ -670,7 +670,8 @@ class Expression:
 
     def compiled(self):
         """Unchecked numpy callable of this expression, built once: what
-        ``eval`` runs, for hot loops that check domains themselves."""
+        ``eval`` checks, for integrands whose sums are checked (one-condition
+        KdV's boundary integral), transforms and cross-checks."""
         fn = getattr(self, "_compiled", None)
         if fn is None:
             fn = _compile(self._node)

@@ -13,13 +13,14 @@ form one table summed in the order p with one derivative read per p.  A
 scaled-Bessel kernel form of the boundary term provides an independent
 cross-check of the integral representation.
 
-The theta rule has equal panels of 12 Gauss nodes: node i of panel p is
-c_i + 2 pi p / L, with L the panel count over [-pi, pi] and twice it over
-[0, pi].  So e^{i m theta} = e^{i m c_i} e^{2 pi i m p / L} exactly, and
-each theta-sum is one length-L FFT over the panel index per offset c_i:
-the data transform sum_m u0(m h) e^{-+i m theta} transforms the samples
-weighted by e^{-+i m c_i} and folded mod L in blocks m = q L + r, at
-12 (Q + L) exponentials for M = Q L samples, and the interior sum of
+Both conditions read one theta rule over [0, pi], the Dirichlet integrand
+being odd in theta and the Neumann one conjugate at -theta: equal panels
+of 12 Gauss nodes, node i of panel p at c_i + 2 pi p / L, L twice the
+panel count.  So e^{i m theta} = e^{i m c_i} e^{2 pi i m p / L} exactly,
+and each theta-sum is one length-L FFT over the panel index per offset
+c_i: the data transform sum_m u0(m h) e^{-+i m theta} transforms the
+samples weighted by e^{-+i m c_i} and folded mod L in blocks m = q L + r,
+at 12 (Q + L) exponentials for M = Q L samples, and the interior sum of
 e^{i n theta} against the integrand reads its FFTs at n mod L.
 """
 
@@ -34,7 +35,6 @@ import numpy as np
 from .expr import DerivativeCache, Expression
 from .quad import gauss_panels, geometric_edges, integrate_segment
 from .specfun import bessel_i_scaled
-from .continuous._common import real_part
 
 __all__ = [
     "LatticeSpec",
@@ -79,15 +79,14 @@ class LatticeSpec:
     @cached_property
     def samples(self):
         """(m0, values): the initial samples u0(m h), m = m0, m0 + 1, ...,
-        read in blocks of 4096 until the last 256 of a block fall below
-        1e-17 max|u0|, and a ValueError if they have not by m = 2,000,000.
-        The Dirichlet sum starts at m0 = 1, the Neumann sum at m0 = 0."""
-        u0c = self.u0.compiled()
+        read (checked) in blocks of 4096 until the last 256 of a block fall
+        below 1e-17 max|u0|, and a ValueError if they have not by
+        m = 2,000,000.  The Dirichlet sum starts at m0 = 1, Neumann at 0."""
         start = 1 if self.condition == "dirichlet" else 0
         block, keep, scale = 4096, [], 1.0
         for m0 in range(start, 2_000_000, block):
-            vals = np.asarray(u0c(np.arange(m0, m0 + block) * self.h),
-                              dtype=float)
+            vals = np.asarray(self.u0.eval(np.arange(m0, m0 + block)
+                                           * self.h), dtype=float)
             keep.append(vals)
             scale = max(scale, float(np.max(np.abs(vals))))
             tail = float(np.max(np.abs(vals[-256:])))
@@ -105,33 +104,34 @@ class LatticeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _theta_grid(spec, n_max, full_period=False):
-    """Gauss panels over [0, pi] (or [-pi, pi]) resolving e^{i n theta}:
-    (nodes, weights, datum convolution) in rows of 12, and the DFT period."""
-    lo, hi = (-math.pi, math.pi) if full_period else (0.0, math.pi)
+def _theta_grid(spec, n_max):
+    """Equal Gauss panels over [0, pi] resolving e^{i n theta}: (nodes,
+    weights, datum convolution) in rows of 12, one row per panel."""
     panels = max(24, int(1.5 * n_max) + 8)
-    nodes, weights = gauss_panels(np.linspace(lo, hi, panels + 1), 12)
+    nodes, weights = gauss_panels(np.linspace(0.0, math.pi, panels + 1), 12)
     conv = _datum_convolution(spec, nodes.ravel()).reshape(nodes.shape)
-    return nodes, weights, conv, panels if full_period else 2 * panels
+    return nodes, weights, conv
 
 
 def _datum_convolution(spec, theta_nodes):
-    """C(theta) = int_0^T e^{-W(theta) (T-t)} datum(t) dt on the grid."""
+    """C(theta) = int_0^T e^{-W(theta) (T-t)} datum(t) dt on the grid, the
+    datum read once through the checked ``eval``."""
     T, h = spec.T, spec.h
-    fc = spec.datum.compiled()
     # geometric panels in the lag resolve the stiffest mode W = 4/h^2
     nodes, weights = gauss_panels(geometric_edges(T, h * h / 8.0, 1.5), 12)
+    weighted = weights * spec.datum.eval(T - nodes)
     total = np.zeros_like(theta_nodes)
     w_disp = spec.dispersion(theta_nodes)
-    for tau, wt in zip(nodes, weights):
-        total += (wt * fc(T - tau)) @ np.exp(-np.outer(tau, w_disp))
+    for tau, wt in zip(nodes, weighted):
+        total += wt @ np.exp(-np.outer(tau, w_disp))
     return total
 
 
-def _data_sum(theta, period, start, values, sign):
+def _data_sum(theta, start, values, sign):
     """sum_m values[m - start] e^{sign i m theta} on the rule's nodes: with
     m = q L + r, the samples times e^{sign i m c_i} fold onto r, and one FFT
     over r per offset c_i gives every panel."""
+    period = 2 * len(theta)
     blocks = -(-(start + len(values)) // period)
     folded = np.zeros(blocks * period)
     folded[start:start + len(values)] = values
@@ -143,10 +143,11 @@ def _data_sum(theta, period, start, values, sign):
     return np.fft.fft(folded, axis=1)[:, panels].T
 
 
-def _wave_sum(theta, period, ns, values):
+def _wave_sum(theta, ns, values):
     """sum of e^{i n theta} values over the rule's nodes at each index n:
     per offset c_i, e^{i n c_i} times an FFT over the panels read at -n mod
     L, added in order of i, so that each value is a sum over its own n."""
+    period = 2 * len(theta)
     spectra = np.fft.fft(values.T, n=period, axis=1)[:, (-ns) % period]
     phases = np.exp(1j * theta[0][:, None] * ns)
     return sum(phase * spectrum for phase, spectrum in zip(phases, spectra))
@@ -166,12 +167,12 @@ def sd_heat_dirichlet_range(spec, ns):
     if spec.condition != "dirichlet":
         raise ValueError("spec has a Neumann datum")
     n_max = int(np.max(ns)) if len(ns) else 0
-    theta, wq, conv, period = _theta_grid(spec, n_max)
+    theta, wq, conv = _theta_grid(spec, n_max)
     decay = np.exp(-spec.dispersion(theta) * spec.T)
-    dsum = _data_sum(theta, period, *spec.samples, 1).imag
+    dsum = _data_sum(theta, *spec.samples, 1).imag
     base = wq * (2.0 / math.pi) * (decay * dsum
                                    + np.sin(theta) * conv / (spec.h**2))
-    out = _wave_sum(theta, period, ns, base).imag
+    out = _wave_sum(theta, ns, base).imag
     out[ns == 0] = float(spec.datum.eval(spec.T))
     return out
 
@@ -243,8 +244,9 @@ def sd_bessel_kernel_form(spec, n, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def sd_heat_neumann_range(spec, ns, tol=1e-10):
-    """Lattice solution q_n(T) at indices ns >= 0 on one theta grid."""
+def sd_heat_neumann_range(spec, ns):
+    """Lattice solution q_n(T) at indices ns >= 0 on one theta grid, as
+    twice the real part of the integral over the half period [0, pi]."""
     ns = np.asarray(ns, dtype=int)
     if np.any(ns < 0):
         raise ValueError("sd_heat_neumann_range evaluates n >= 0; use the "
@@ -252,16 +254,13 @@ def sd_heat_neumann_range(spec, ns, tol=1e-10):
     if spec.condition != "neumann":
         raise ValueError("spec has a Dirichlet datum")
     n_max = int(np.max(ns)) if len(ns) else 0
-    theta, wq, conv, period = _theta_grid(spec, n_max, full_period=True)
+    theta, wq, conv = _theta_grid(spec, n_max)
     decay = np.exp(-spec.dispersion(theta) * spec.T)
-    trans = _data_sum(theta, period, *spec.samples, -1)
+    trans = _data_sum(theta, *spec.samples, -1)
     phase = np.exp(1j * theta)
-    integrand = (
-        decay * (trans + phase * np.conj(trans)) / (2 * math.pi)
-        - (1.0 + phase) * conv / (2 * math.pi * spec.h)
-    )
-    return real_part(_wave_sum(theta, period, ns, wq * integrand), tol,
-                     "lattice neumann")
+    base = wq / math.pi * (decay * (trans + phase * np.conj(trans))
+                           - (1.0 + phase) * conv / spec.h)
+    return _wave_sum(theta, ns, base).real
 
 
 def neumann_reflection_sum(spec, ns):
@@ -303,7 +302,7 @@ def sd_heat_neumann_continued(spec, ns, q_prev):
 # ---------------------------------------------------------------------------
 
 
-def lattice_profile(spec, n_lo, n_hi, tol=1e-10):
+def lattice_profile(spec, n_lo, n_hi):
     """Values at n in [n_lo, n_hi], integral representation ahead of the
     boundary and exact continuation behind it.  One range call over
     max(n_lo, 0) .. max(n_hi, -n_lo) gives the window's interior values and
@@ -318,7 +317,7 @@ def lattice_profile(spec, n_lo, n_hi, tol=1e-10):
         interior = sd_heat_dirichlet_range(spec, ns)
         continued = sd_heat_dirichlet_continued(spec, back, interior[-back])
     else:
-        interior = sd_heat_neumann_range(spec, ns, tol)
+        interior = sd_heat_neumann_range(spec, ns)
         continued = sd_heat_neumann_continued(spec, -back, interior[-back - 1])
     return np.concatenate([continued, interior[:max(n_hi + 1 - first, 0)]])
 
@@ -329,8 +328,7 @@ def window_nodes(x_window, h):
     return ns, ns * h
 
 
-def continuum_limit_check(make_spec, h_values, x_window, reference,
-                          tol=1e-10):
+def continuum_limit_check(make_spec, h_values, x_window, reference):
     """Refinement study: per-h max error against the continuum solution over
     the window (including x < 0), plus observed log-ratio orders.
 
@@ -344,7 +342,7 @@ def continuum_limit_check(make_spec, h_values, x_window, reference,
     for h in h_values:
         spec = make_spec(h)
         ns, xs = window_nodes(x_window, h)
-        vals = lattice_profile(spec, ns[0], ns[-1], tol)
+        vals = lattice_profile(spec, ns[0], ns[-1])
         ref = np.array([reference(float(x)) for x in xs])
         rows.append((h, float(np.max(np.abs(vals - ref)))))
     orders = []

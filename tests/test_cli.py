@@ -252,6 +252,24 @@ def test_map_initial_te_jump(tmp_path):
     )
 
 
+@pytest.mark.parametrize("scenario", ["heat_te", "fi_te_inv", "kdv1_te"])
+def test_map_initial_makes_one_boundary_to_initial_call(scenario, tmp_path,
+                                                        monkeypatch):
+    # the grid and the four points of the jump estimate share one call
+    calls = []
+    original = cli.cont.boundary_to_initial
+
+    def counted(spec, xs):
+        calls.append(len(xs))
+        return original(spec, xs)
+    monkeypatch.setattr(cli.cont, "boundary_to_initial", counted)
+    out = tmp_path / "w.csv"
+    assert main(["map-initial", "--scenario", scenario, "--out",
+                 str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert calls == [len(rows) + 4]
+
+
 def test_map_initial_refusal_exit_code(tmp_path, capsys):
     cfg = {
         "problem": {"kind": "kdv-two-bc", "u0": "2*exp(-sqrt(3)*x)*cos(x)",
@@ -342,6 +360,40 @@ def test_lattice_samples_that_do_not_decay_are_a_numerical_failure(
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: u0 samples do not decay")
     assert "at m = 2002944" in err
+
+
+@pytest.mark.parametrize("kind,extra", [("heat-dirichlet", {}),
+                                        ("advected-heat", {"c": 1.0})])
+def test_non_finite_initial_data_is_a_numerical_failure(tmp_path, capsys,
+                                                        kind, extra):
+    # u0 is NaN on [0, 0.5): its data rule refuses it rather than carrying
+    # NaN into every row
+    cfg = {"problem": {"kind": kind, "u0": "exp(-x)*sqrt(x-0.5)",
+                       "f0": "t*exp(-t)", **extra,
+                       "u0_decay": {"type": "exponential", "rate": 0.5}},
+           "grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 5,
+                    "times": [1.0]},
+           "outputs": {"csv": str(tmp_path / "o.csv")}}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_NUMERICS
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    # the datum is NaN on [0, 0.05) of [0, T]: its convolution refuses it
+    ("sd-heat-dirichlet", "f0", "sqrt(t-0.05)"),
+    ("sd-heat-neumann", "f1", "sqrt(t-0.05)"),
+    # u0 is NaN at the samples m h < 0.5: they are refused as read
+    ("sd-heat-dirichlet", "u0", "exp(-x)*sqrt(x-0.5)"),
+], ids=["dirichlet-datum", "neumann-datum", "dirichlet-u0"])
+def test_lattice_non_finite_data_are_a_numerical_failure(tmp_path, capsys,
+                                                         kind, key, value):
+    data = {"u0": "3*x*exp(-x)",
+            "f0" if kind == "sd-heat-dirichlet" else "f1": "sin(4*pi*t)"}
+    cfg = {"problem": {"kind": kind, **data, key: value, "h": 0.05},
+           "grid": {"n_min": -2, "n_max": 3, "times": [0.1]},
+           "outputs": {"csv": str(tmp_path / "o.csv")}}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_NUMERICS
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_keeps_no_state(monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from utmcont.expr import parse
+from utmcont.expr import ExprDomainError, parse
 from utmcont.quad import finite_interval_transform
 from utmcont.continuous import (
     ProblemSpec,
@@ -72,6 +72,15 @@ def test_center_series_matches_integral(interval_gaussian):
         integral = evaluate_boundary_integral(interval_gaussian, "f0", x, t,
                                               1e-11)
         assert series == pytest.approx(integral, abs=1e-9)
+
+
+def test_odd_center_refuses_a_non_finite_datum():
+    # f0 = sqrt(t - 0.5) is NaN on [0, 0.5) of [0, t]
+    spec = ProblemSpec("heat-finite-interval", u0=parse("exp(-(x-1)^2)"),
+                       f0=parse("sqrt(t-0.5)", var_name="t"),
+                       g0=parse("1/(1+t)", var_name="t"), L=1.0)
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        taylor_coefficients(spec, "f0", 1.0, 3, parity="odd-center")
 
 
 def test_tiling_depth_guard(interval_gaussian):

@@ -246,18 +246,19 @@ def test_dispersion_properties(lattice):
 
 @pytest.fixture(scope="module")
 def theta_rules(lattice):
-    """(nodes, period) of the half-period (Dirichlet) and full-period
-    (Neumann) rules for n_max = 20."""
-    return {full: _theta_grid(lattice, 20, full)[::3] for full in (False, True)}
+    """(nodes, DFT period) of the rule over [0, pi] for n_max = 20, keyed by
+    full_period = False: the period is twice its panel count."""
+    theta = _theta_grid(lattice, 20)[0]
+    return {False: (theta, 2 * len(theta))}
 
 
 def _check_data_sum(rule, start, size, sign):
-    theta, period = rule
+    theta, _ = rule
     rng = np.random.default_rng(size + 10 * start)
     values = rng.standard_normal(size) * np.exp(-0.002 * np.arange(size))
     ms = np.arange(start, start + size)
     direct = values @ np.exp(sign * 1j * np.outer(ms, theta.ravel()))
-    got = _data_sum(theta, period, start, values, sign)
+    got = _data_sum(theta, start, values, sign)
     assert got.shape == theta.shape
     assert (np.max(np.abs(got.ravel() - direct))
             <= 1e-13 * np.sum(np.abs(values)))
@@ -267,13 +268,12 @@ def _check_data_sum(rule, start, size, sign):
 @pytest.mark.parametrize("size", [1, 7, 64, 1000, 4097])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_phase_sum_matches_direct_sum(theta_rules, start, size, sign):
-    # the FFT data sum against e^{sign i m theta} summed node by node, on
-    # both rules
+    # the FFT data sum against e^{sign i m theta} summed node by node
     for rule in theta_rules.values():
         _check_data_sum(rule, start, size, sign)
 
 
-@pytest.mark.parametrize("full_period", [False, True])
+@pytest.mark.parametrize("full_period", [False])
 @pytest.mark.parametrize("start", [0, 1])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_data_sum_folds_across_the_period(theta_rules, full_period, start,
@@ -284,27 +284,31 @@ def test_data_sum_folds_across_the_period(theta_rules, full_period, start,
         _check_data_sum(rule, start, size, sign)
 
 
-@pytest.mark.parametrize("full_period", [False, True])
+@pytest.mark.parametrize("full_period", [False])
 def test_wave_sum_matches_direct_sum(theta_rules, full_period):
-    theta, period = theta_rules[full_period]
+    theta, _ = theta_rules[full_period]
     rng = np.random.default_rng(5)
     values = (rng.standard_normal(theta.shape)
               + 1j * rng.standard_normal(theta.shape))
     ns = np.arange(0, 21)
     direct = np.exp(1j * np.outer(ns, theta.ravel())) @ values.ravel()
-    got = _wave_sum(theta, period, ns, values)
+    got = _wave_sum(theta, ns, values)
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(values))
     # each value is a sum over its own index alone
     for n in (0, 20):
-        assert _wave_sum(theta, period, np.array([n]), values)[0] == got[n]
+        assert _wave_sum(theta, np.array([n]), values)[0] == got[n]
 
 
 def _direct_range(spec, ns):
-    """The range values as dense theta-sums over the same rule: the data
-    transform and the interior sum each node by node."""
+    """The range values as dense theta-sums, the data transform and the
+    interior sum each node by node: Dirichlet over the rule on [0, pi],
+    Neumann over the whole period on that rule mirrored to -theta (its
+    weights too, and its datum convolution, since W is even)."""
     neumann = spec.condition == "neumann"
-    theta, wq, conv, _ = _theta_grid(spec, int(np.max(ns)), neumann)
-    theta, wq, conv = theta.ravel(), wq.ravel(), conv.ravel()
+    theta, wq, conv = (a.ravel() for a in _theta_grid(spec, int(np.max(ns))))
+    if neumann:
+        theta, wq, conv = (np.concatenate([sign * a[::-1], a])
+                           for sign, a in ((-1, theta), (1, wq), (1, conv)))
     start, values = spec.samples
     trans = np.zeros(len(theta), dtype=complex)
     for m0 in range(0, len(values), 512):
@@ -378,6 +382,14 @@ def test_exact_lattice_mode(condition, inv_h):
     spec, exact = _mode_spec(1.0 / inv_h, condition)
     vals = lattice_profile(spec, -60, 120)
     assert np.max(np.abs(vals - exact(np.arange(-60, 121)))) < 1e-8
+
+
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+def test_exact_lattice_mode_at_fine_spacing(condition):
+    # both conditions read one theta rule, and so resolve the mode alike
+    spec, exact = _mode_spec(1.0 / 100, condition)
+    vals = lattice_profile(spec, -60, 120)
+    assert np.max(np.abs(vals - exact(np.arange(-60, 121)))) < 1e-11
 
 
 @pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
