@@ -132,14 +132,14 @@ def _sine_tail(order, theta):
 
 
 def _mode_coefficient(spec, w, t):
-    """e_n(t) = int_0^t e^{-w (t-s)} f0(s) ds by short geometric panels."""
-    f0c = spec.f0.compiled()
+    """e_n(t) = int_0^t e^{-w (t-s)} f0(s) ds by short geometric panels.
+    ExprDomainError where f0 is not finite at a node."""
     upper = min(t, 45.0 / w) if w > 0 else t
     nodes, weights = gauss_panels(
         geometric_edges(upper, min(upper, 1.0 / max(w, 1.0 / t)), 1.7), 12)
     total = 0.0
     for tau, wt in zip(nodes, weights):
-        total += float(np.sum(wt * np.exp(-w * tau) * f0c(t - tau)))
+        total += float(np.sum(wt * np.exp(-w * tau) * spec.f0.eval(t - tau)))
     return total
 
 

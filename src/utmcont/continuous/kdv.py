@@ -6,9 +6,13 @@ wavelength), with no k-contour: the data transform is the
 finite sum u0_hat(k) = sum_n c_n e^{-iky_n}, and term by term the UTM
 k-integral of each node is Ai at a real argument plus alpha Ai and
 alpha^2 Ai at rotated ones, alpha = e^{2 pi i/3}, the last term the
-conjugate of the second (``i0_one_bc``, ``i0_two_bc``).  Both are entire in
-x.  The two-condition kernel decays super-exponentially in y.  For x < 0
-the one-condition alpha term grows like e^{C|x| sqrt(y)/tau^{3/2}},
+conjugate of the second (``i0_one_bc``, ``i0_two_bc``).  The real term
+is scipy's airy.  The rotated Ai is K_{1/3}, with the connection formula
+Ai(z) = -alpha Ai(alpha z) - alpha^2 Ai(alpha^2 z) for |arg z| >= 2 pi/3
+(``_airy``): a complex airy would also compute Ai', Bi and Bi' through
+four AMOS routines, at about six times the cost.  Both parts are entire
+in x.  The two-condition kernel decays super-exponentially in y.  For
+x < 0 the one-condition alpha term grows like e^{C|x| sqrt(y)/tau^{3/2}},
 tau = (3t)^{1/3}, so at small t the rule, which ends where u0 has decayed,
 can end before the kernel is damped.  The sums have no error estimate: a
 row whose last panel or rounding floor exceeds its budget raises
@@ -51,7 +55,30 @@ SQRT3 = math.sqrt(3.0)
 
 
 def _airy(z):
-    return _sp.airy(z)[0]
+    """Ai on an array.  A real z goes through scipy's airy, a complex one
+    through K_{1/3} (DLMF 9.6.1): Ai(z) = sqrt(z/3) K_{1/3}(zeta)/pi with
+    zeta = (2/3) z sqrt(z), for |arg z| < 2 pi/3.  For |arg z| >= 2 pi/3
+    the computed zeta lies across the cut from z: it is (2/3)(alpha z)^{3/2}
+    in the upper half-plane (conjugates in the lower), and -zeta is
+    (2/3)(alpha^2 z)^{3/2}, so Ai(z) = -alpha Ai(alpha z) - alpha^2
+    Ai(alpha^2 z) (DLMF 9.2.12) reads sqrt(z/3) [K_{1/3}(-zeta) -
+    K_{1/3}(zeta)]/pi.  The side of the cut that zeta lands on picks the
+    formula, so it always matches the K that kv evaluates; zeta as z sqrt(z)
+    is accurate to Ai's own conditioning at large |z|, where z**1.5 is
+    not."""
+    if not np.iscomplexobj(z):
+        return _sp.airy(z)[0]
+    root = np.sqrt(z)
+    zeta = (2.0 / 3.0) * z * root
+    k = _sp.kv(1.0 / 3.0, zeta)
+    past = np.signbit(zeta.imag) != np.signbit(z.imag)
+    k[past] = _sp.kv(1.0 / 3.0, -zeta[past]) - k[past]
+    with np.errstate(invalid="ignore"):
+        ai = root * k / (math.pi * SQRT3)
+    # zeta underflows near z = 0, where K_{1/3} is singular
+    near = np.abs(z) < 1e-100
+    ai[near] = _sp.airy(z[near])[0]
+    return ai
 
 
 def _cubic_radius(decay, growth, log_target):

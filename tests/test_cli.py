@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +211,25 @@ def test_determinism(tmp_path):
         assert run("b", -1.0, 1.0) == first
         reverse = run("r", 1.0, -1.0)
         assert [reverse[0]] + reverse[:0:-1] == first
+
+
+def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the lattice, heat and kdv2 sums run through BLAS (@); each scenario
+    # runs in its own process under one and two OpenBLAS threads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for name in ("kdv2_te", "heat_te", "sd_heat"):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "utmcont.cli", "solve",
+                            "--scenario", name, "--out", str(out)],
+                           env=env, check=True, timeout=120,
+                           capture_output=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1], name
 
 
 def test_zero_datum_row_symmetry(tmp_path):

@@ -83,6 +83,18 @@ def test_odd_center_refuses_a_non_finite_datum():
         taylor_coefficients(spec, "f0", 1.0, 3, parity="odd-center")
 
 
+def test_fourier_refuses_a_non_finite_datum():
+    # the same datum: the Fourier cross-check refuses it as the solver does,
+    # instead of returning NaN
+    spec = ProblemSpec("heat-finite-interval", u0=parse("exp(-(x-1)^2)"),
+                       f0=parse("sqrt(t-0.5)", var_name="t"),
+                       g0=parse("1/(1+t)", var_name="t"), L=1.0)
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        evaluate_extended(spec, 0.3, 1.0)
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        fourier_boundary_integral(spec, 0.3, 1.0)
+
+
 def test_tiling_depth_guard(interval_gaussian):
     with pytest.raises(ValueError, match="tiling depth"):
         evaluate_extended(interval_gaussian, 5.5, 1.0, 1e-9)

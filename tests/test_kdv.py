@@ -23,7 +23,7 @@ from utmcont.continuous import (
 )
 from utmcont.continuous import _common, kdv
 from utmcont.continuous._common import datum_ladder, doubled_series
-from test_exact_families import accepted_rows
+from test_exact_families import KDV_FAMILIES, KDV_TOL, _kdv_spec, accepted_rows
 
 
 def _tilde_at_zero(spec, x):
@@ -143,7 +143,7 @@ def test_i0_matches_the_exact_integral_over_y(fresh_spec, kind):
 
 
 def test_one_bc_i0_matches_mpmath_at_one_point(fresh_spec):
-    # scipy's complex Airy against mpmath's at 20 digits, through the
+    # the K_{1/3} Airy kernel against mpmath's Ai at 20 digits, through the
     # whole y-integral at one (x, t) where the alpha term carries weight
     mpmath = pytest.importorskip("mpmath")
     x, t = -1.0, 0.5
@@ -157,6 +157,81 @@ def test_one_bc_i0_matches_mpmath_at_one_point(fresh_spec):
             ) / tau, mpmath.linspace(0, 40, 9))
     assert evaluate_I0(fresh_spec("kdv-one-bc"), x, t) == pytest.approx(
         float(want), rel=0, abs=1e-13)
+
+
+def _rotated_arguments(t):
+    """The rotated Airy arguments (x - alpha y)/tau and (y - alpha x)/tau
+    of both kinds' alpha terms, x in [-2, 3], y in (0, 40]."""
+    tau = (3.0 * t) ** (1.0 / 3.0)
+    x = np.linspace(-2.0, 3.0, 26)[:, None]
+    y = np.linspace(0.0, 40.0, 161)[1:]
+    return np.concatenate([((x - kdv.ALPHA * y) / tau).ravel(),
+                           ((y - kdv.ALPHA * x) / tau).ravel()])
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0])
+def test_rotated_airy_kernel_matches_mpmath_and_airy(t):
+    mpmath = pytest.importorskip("mpmath")
+    z = _rotated_arguments(t)
+    got, airy = kdv._airy(z), special.airy(z)[0]
+    assert np.array_equal(np.isfinite(got), np.isfinite(airy))
+    small = np.abs(z) <= 30.0
+    np.testing.assert_allclose(got[small], airy[small], rtol=1e-13, atol=0)
+    # 120 random arguments, and the 12 nearest |arg z| = 2 pi/3 on each
+    # side, where the connection formula takes over
+    edge = np.abs(np.angle(z)) - 2.0 * math.pi / 3.0
+    inside, past = np.flatnonzero(edge < 0), np.flatnonzero(edge >= 0)
+    picks = np.concatenate([
+        np.random.default_rng(1).choice(z.size, 120, replace=False),
+        inside[np.argsort(-edge[inside])[:12]],
+        past[np.argsort(edge[past])[:12]]])
+    assert past.size >= 12
+    checked = 0
+    with mpmath.workdps(30):
+        for i in picks:
+            want = mpmath.airyai(mpmath.mpc(z[i].real, z[i].imag))
+            if not 1e-290 < abs(want) < 1e300:
+                continue
+            bound = max(2e-13, 4 * np.finfo(float).eps * abs(z[i]) ** 1.5)
+            assert abs(mpmath.mpc(got[i]) - want) <= bound * abs(want), z[i]
+            checked += 1
+    assert checked >= 100
+
+
+def test_rotated_airy_kernel_at_the_extremes():
+    # near z = 0, where zeta underflows, and on rings where Ai under- and
+    # overflows: non-finite wherever airy is, and finite wherever airy is
+    # finite and nonzero.  Just below overflow (|Ai| ~ 1e302) airy returns
+    # 0 and the kernel NaN, which the i0 guard refuses.
+    theta = np.linspace(-math.pi, math.pi, 721)
+    for r in (0.0, 1e-300, 1e-120, 1e-20):
+        z = r * np.exp(1j * theta)
+        np.testing.assert_allclose(kdv._airy(z), special.airy(z)[0],
+                                   rtol=1e-13, atol=0)
+    for r in (200.0, 1000.0):
+        z = r * np.exp(1j * theta)
+        with np.errstate(all="ignore"):
+            got, airy = kdv._airy(z), special.airy(z)[0]
+        assert not np.isfinite(got[~np.isfinite(airy)]).any()
+        assert np.isfinite(got[np.isfinite(airy) & (airy != 0)]).all()
+
+
+@pytest.mark.parametrize("kind", ["kdv-one-bc", "kdv-two-bc"])
+def test_i0_guard_and_values_keep_to_scipy_airy(kind, monkeypatch):
+    # the guard accepts the same rows of the exact-family grid whether the
+    # rotated Ai is K_{1/3} or scipy's airy, and the values agree within the
+    # panel-halving scale
+    spec = _kdv_spec(kind)
+    xs = KDV_FAMILIES[kind][2]
+    for t in (1e-3, 1e-2, 0.1, 1.0):
+        rows = accepted_rows(spec, xs, t)
+        base = evaluate_I0(spec, rows, t, KDV_TOL)
+        with monkeypatch.context() as patch:
+            patch.setattr(kdv, "_airy", lambda z: special.airy(z)[0])
+            assert np.array_equal(accepted_rows(spec, xs, t), rows)
+            airy = evaluate_I0(spec, rows, t, KDV_TOL)
+        assert np.all(np.abs(airy - base)
+                      <= 1e-12 * np.maximum(1.0, np.abs(base)))
 
 
 @pytest.mark.parametrize("kind", ["kdv-one-bc", "kdv-two-bc"])
