@@ -2,8 +2,9 @@
 
 Configs are single JSON documents with expression-valued data fields; the
 schema is validated strictly (unknown keys are rejected) before any
-computation.  Outputs are CSV with 17-significant-digit floats (exact double
-round-trip) plus a JSON run report with per-row provenance tags.
+computation, and so are output paths whose directory does not exist.
+Outputs are CSV with 17-significant-digit floats (exact double round-trip)
+plus a one-line JSON run report with per-row provenance tags.
 
 Exit codes: 0 success, 2 config error (including a command the problem
 kind does not support), 3 numerical failure, 4 refused boundary-to-initial
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -68,6 +70,8 @@ _NUMBER_KEYS = {"problem": ("c", "L", "h"),
                 "grid": ("x_min", "x_max", "n_points", "n_min", "n_max"),
                 "numerics": ("tol",)}
 _POSITIVE_KEYS = ("n_points", "tol")
+# grid counts and lattice indices, which must be whole numbers
+_WHOLE_KEYS = ("n_points", "n_min", "n_max")
 
 
 def _is_number(value):
@@ -122,6 +126,10 @@ def validate_config(raw):
             if key in _POSITIVE_KEYS and value <= 0:
                 raise ConfigError(f"{section}.{key} must be positive, not "
                                   f"{value!r}")
+            if (key in _WHOLE_KEYS and isinstance(value, float)
+                    and not value.is_integer()):
+                raise ConfigError(f"{section}.{key} must be a whole number, "
+                                  f"not {value!r}")
     times = raw["grid"].get("times")
     if not times or not all(_is_number(t) for t in times):
         raise ConfigError("grid.times must be a nonempty list of numbers")
@@ -228,10 +236,32 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
-def _write_outputs(csv_lines, report, cfg, out_override):
+def _output_paths(cfg, out_override):
+    """The outputs section with ``--out`` as its csv path.  A path that is
+    not text, that is a directory, or whose directory does not exist, is a
+    config error, which ``main`` raises before any solving."""
     outputs = dict(cfg.get("outputs", {}))
     if out_override:
         outputs["csv"] = out_override
+    for key, path in outputs.items():
+        if not path:
+            continue
+        if not isinstance(path, str):
+            raise ConfigError(f"outputs.{key} must be a path, not {path!r}")
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"outputs.{key}: directory {folder!r} does "
+                              "not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"outputs.{key}: {path!r} is a directory")
+    return outputs
+
+
+def _write_outputs(csv_lines, report, cfg, out_override):
+    """The CSV (stdout when no path is set) and, when outputs.json is set,
+    the run report as one line of compact JSON (``json.dumps`` without
+    ``indent`` is the C encoder; ``json.dump`` and any indent are not)."""
+    outputs = _output_paths(cfg, out_override)
     csv_path = outputs.get("csv")
     text = "\n".join(csv_lines) + "\n"
     if csv_path:
@@ -242,7 +272,7 @@ def _write_outputs(csv_lines, report, cfg, out_override):
     json_path = outputs.get("json")
     if json_path:
         with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
+            fh.write(json.dumps(report))
     return 0
 
 
@@ -480,6 +510,7 @@ def main(argv=None):
                 args.scenario).read_text()))
         else:
             raise ConfigError("supply --config PATH or --scenario NAME")
+        _output_paths(cfg, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

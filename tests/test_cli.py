@@ -112,6 +112,77 @@ def test_malformed_number_is_config_error(tmp_path, capsys, base, section,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,base,key,value", [
+    ("solve", MINIMAL, "n_points", 0.5),
+    ("map-initial", MINIMAL, "n_points", 4.5),
+    ("solve", LATTICE, "n_min", -2.7),
+    ("solve", LATTICE, "n_max", 3.9),
+    ("converge", LATTICE, "n_max", 3.9),
+], ids=["n-points", "map-initial-n-points", "n-min", "n-max",
+        "converge-n-max"])
+def test_fractional_grid_count_is_config_error(tmp_path, capsys, command,
+                                               base, key, value):
+    # int() would truncate it: n_points 0.5 wrote a header-only CSV, and
+    # n_min -2.7 solved from n = -2
+    cfg = json.loads(json.dumps(base))
+    cfg["grid"][key] = value
+    cfg["refinement"] = {"h_values": [0.1, 0.05, 0.025]}
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"grid.{key} must be a whole number" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_whole_float_grid_count_is_accepted(tmp_path):
+    cfg = json.loads(json.dumps(LATTICE))
+    cfg["grid"].update(n_min=-5.0, n_max=5.0)
+    cfg["outputs"] = {"csv": str(tmp_path / "float.csv")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == 0
+    cfg["grid"].update(n_min=-5, n_max=5)
+    cfg["outputs"] = {"csv": str(tmp_path / "int.csv")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == 0
+    assert ((tmp_path / "float.csv").read_bytes()
+            == (tmp_path / "int.csv").read_bytes())
+
+
+@pytest.mark.parametrize("where", ["out", "csv", "json"])
+def test_missing_output_directory_is_config_error(tmp_path, capsys,
+                                                  monkeypatch, where):
+    # refused before any solving, so nothing is written
+    monkeypatch.setattr(cli, "lattice_profile",
+                        lambda *args: pytest.fail("solved"))
+    missing = str(tmp_path / "no_such_dir" / "x")
+    cfg = json.loads(json.dumps(LATTICE))
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv"),
+                      "json": str(tmp_path / "r.json")}
+    argv = ["solve", "--config"]
+    if where == "out":
+        argv += [_write(tmp_path, cfg), "--out", missing]
+    else:
+        cfg["outputs"][where] = missing
+        argv.append(_write(tmp_path, cfg))
+    assert main(argv) == EXIT_CONFIG
+    key = "csv" if where == "out" else where
+    assert (f"outputs.{key}: directory {os.path.dirname(missing)!r} does not "
+            "exist") in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("value,message", [
+    # open() would take the number for a file descriptor
+    (5, "outputs.json must be a path, not 5"),
+    # open() would fail on it after the solve
+    (".", "outputs.json: '.' is a directory"),
+], ids=["number", "directory"])
+def test_output_path_that_is_no_file_path_is_config_error(tmp_path, capsys,
+                                                          value, message):
+    cfg = json.loads(json.dumps(LATTICE))
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv"), "json": value}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
 def test_map_initial_reads_no_times(tmp_path):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["grid"]["times"] = [0.0]
@@ -188,6 +259,83 @@ def test_csv_round_trip_precision(tmp_path):
     for row, sample in zip(rows, report["samples"]):
         assert abs(float(row["u_ac"]) - sample["u_ac"]) == 0.0
 
+
+
+def _csv_float(text):
+    return None if text == "" else float(text)
+
+
+def _same_bits(csv_text, value):
+    want = _csv_float(csv_text)
+    return (want is None and value is None) or (
+        isinstance(value, float) and want.hex() == value.hex())
+
+
+def _run_with_report(tmp_path, command, cfg):
+    cfg = json.loads(json.dumps(cfg))
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv"),
+                      "json": str(tmp_path / "r.json")}
+    assert main([command, "--config", _write(tmp_path, cfg)]) == 0
+    rows = list(csv.reader((tmp_path / "o.csv").read_text().splitlines()))
+    text = (tmp_path / "r.json").read_text()
+    report = json.loads(text)
+    # compact: one line, as json.dumps writes it
+    assert text == json.dumps(report)
+    return rows[0], rows[1:], report
+
+
+@pytest.mark.parametrize("kind,datum", [("sd-heat-dirichlet", "f0"),
+                                        ("sd-heat-neumann", "f1")])
+def test_lattice_solve_report_round_trips_the_csv(tmp_path, kind, datum):
+    cfg = {"problem": {"kind": kind, "u0": "3*x*exp(-x)",
+                       datum: "sin(4*pi*t)", "h": 0.05},
+           "grid": {"n_min": -6, "n_max": 6, "times": [0.5]},
+           "reference": {"expr": "0*x"}}
+    header, rows, report = _run_with_report(tmp_path, "solve", cfg)
+    assert set(report) == {"samples", "summary"}
+    assert set(report["summary"]) == {"max_abs_err", "wall_time_s",
+                                      "n_samples"}
+    assert report["summary"]["n_samples"] == len(rows) == 13
+    assert header == ["x", "t", "u_ac", "u_ref", "abs_err"]
+    for row, sample in zip(rows, report["samples"]):
+        assert set(sample) == set(header) | {"provenance"}
+        assert all(_same_bits(text, sample[key])
+                   for key, text in zip(header, row))
+        assert sample["provenance"] == ("continued" if sample["x"] < 0
+                                        else "interior")
+    assert report["summary"]["max_abs_err"] == max(
+        float(row[4]) for row in rows)
+
+
+def test_converge_report_round_trips_the_csv(tmp_path):
+    cfg = {"problem": {"kind": "sd-heat-neumann", "u0": "3*x*exp(-x)",
+                       "f1": "sin(4*pi*t)", "h": 0.05},
+           "grid": {"x_min": -0.5, "x_max": 0.5, "times": [0.5]},
+           "refinement": {"h_values": [0.1, 0.05, 0.025]}}
+    header, rows, report = _run_with_report(tmp_path, "converge", cfg)
+    assert set(report) == {"errors", "observed_orders", "wall_time_s"}
+    assert header == ["h", "max_err", "observed_order"]
+    assert len(rows) == len(report["errors"]) == 3
+    assert rows[0][2] == ""
+    for row, entry, order in zip(rows, report["errors"],
+                                 [None] + report["observed_orders"]):
+        assert set(entry) == {"h", "max_err"}
+        assert _same_bits(row[0], entry["h"])
+        assert _same_bits(row[1], entry["max_err"])
+        assert _same_bits(row[2], order)
+
+
+def test_map_initial_report_round_trips_the_csv(tmp_path):
+    header, rows, report = _run_with_report(tmp_path, "map-initial", MINIMAL)
+    assert set(report) == {"samples", "summary"}
+    assert set(report["summary"]) == {"left_limit", "right_limit", "jump",
+                                      "wall_time_s"}
+    assert header == ["x", "w0", "u0_analytic_continuation"]
+    assert len(rows) == len(report["samples"]) == 5
+    for row, sample in zip(rows, report["samples"]):
+        assert set(sample) == set(header)
+        assert all(_same_bits(text, sample[key])
+                   for key, text in zip(header, row))
 
 def test_determinism(tmp_path):
     # repeat runs and a run over the reversed grid give the same bytes,

@@ -358,6 +358,42 @@ def test_neumann_reflection_sum_keeps_reference_bits(neumann_lattice):
         assert neumann_reflection_sum(neumann_lattice, n) == (1 - 2 * n) * total
 
 
+
+def _loop_reflection_sum(spec, n):
+    """The Neumann finite sum at one index, p by p in Python floats: the
+    running product, its ratio continuation where the direct weight is no
+    finite float, and the nonzero weights added in order of p."""
+    h, T = spec.h, spec.T
+    weight, prod, total = h, 1.0, 0.0
+    for p in range(n):
+        if p:
+            factor = (n + p - 1) * (n - p)
+            prod = prod * factor
+            direct = (h ** (2 * p + 1) * prod / float(math.factorial(2 * p + 1))
+                      if 2 * p + 1 <= 170 else math.inf)
+            weight = (direct if math.isfinite(direct)
+                      else weight * (h * h * factor / ((2 * p) * (2 * p + 1))))
+        if weight != 0.0:
+            total = total + spec.deriv.value(p, T) * weight
+    return (1 - 2 * n) * total
+
+
+@pytest.mark.parametrize("h", [0.02, 0.1, 0.5])
+def test_neumann_weight_table_keeps_the_loop_bits(neumann_lattice, h):
+    # up to n = 199 the weights of p >= 85 (2p+1 > 170) and of overflowed
+    # products come from the ratio continuation
+    spec = LatticeSpec(h=h, u0=neumann_lattice.u0,
+                       datum=neumann_lattice.datum, T=neumann_lattice.T,
+                       condition="neumann")
+    ns = np.arange(1, 200)
+    want = np.array([_loop_reflection_sum(spec, int(n)) for n in ns])
+    assert np.all(np.isfinite(want))
+    assert neumann_reflection_sum(spec, ns).tobytes() == want.tobytes()
+    # a subset in another order reads its own columns of the table
+    part = ns[::-13]
+    assert (neumann_reflection_sum(spec, part).tobytes()
+            == want[part - 1].tobytes())
+
 def _mode_spec(h, condition, p=1.2, q=4.0, T=0.1):
     """u_n(t) = Re 2 exp(kappa n h + omega t), kappa = -p + i q, solves the
     lattice heat equation on the whole lattice when
