@@ -1,8 +1,9 @@
 """Scenario-driven command line: solve, map-initial, converge, list-scenarios.
 
 Configs are single JSON documents with expression-valued data fields; the
-schema is validated strictly (unknown keys are rejected) before any
-computation, and so are output paths whose directory does not exist.
+schema is validated strictly (unknown keys and NaN or infinite numbers are
+rejected, ``--tol`` standing in for numerics.tol) before any computation,
+and so are output paths whose directory does not exist.
 Outputs are CSV with 17-significant-digit floats (exact double round-trip)
 plus a one-line JSON run report with per-row provenance tags.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -78,6 +80,18 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _reject_non_finite(value, where):
+    """ConfigError naming a NaN or infinite number under ``value``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, not {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]")
+
+
 def _reject_unknown(block, allowed, where):
     if not isinstance(block, dict):
         raise ConfigError(f"config section {where!r} must be an object")
@@ -86,7 +100,8 @@ def _reject_unknown(block, allowed, where):
             raise ConfigError(f"unknown key {key!r} in config section {where!r}")
 
 
-def load_config(path):
+def load_config(path, tol=None):
+    """The validated config at ``path``, with ``--tol`` as numerics.tol."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -94,6 +109,9 @@ def load_config(path):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
+    numerics = raw.get("numerics", {}) if isinstance(raw, dict) else None
+    if tol is not None and isinstance(numerics, dict):
+        raw["numerics"] = {**numerics, "tol": tol}
     return validate_config(raw)
 
 
@@ -114,6 +132,7 @@ def validate_config(raw):
     kind = raw["problem"].get("kind")
     if kind not in cont.KINDS and kind not in LATTICE_KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
+    _reject_non_finite(raw, "")
     for section, keys in _NUMBER_KEYS.items():
         block = raw.get(section, {})
         for key in keys:
@@ -282,8 +301,7 @@ def _write_outputs(csv_lines, report, cfg, out_override):
 
 
 def cmd_solve(cfg, args):
-    tol = float(args.tol if args.tol is not None
-                else cfg.get("numerics", {}).get("tol", 1e-10))
+    tol = float(cfg.get("numerics", {}).get("tol", 1e-10))
     times = _positive_times(cfg["grid"])
     problem = build_problem(cfg["problem"])
     reference = build_reference(cfg.get("reference"), times, problem)
@@ -396,8 +414,7 @@ def cmd_converge(cfg, args):
     h_values = cfg.get("refinement", {}).get("h_values")
     if not h_values or len(h_values) < 3:
         raise ConfigError("refinement.h_values needs at least three spacings")
-    tol = float(args.tol if args.tol is not None
-                else cfg.get("numerics", {}).get("tol", 1e-10))
+    tol = float(cfg.get("numerics", {}).get("tol", 1e-10))
     grid = cfg["grid"]
     if "x_min" in grid and "x_max" in grid:
         window = (float(grid["x_min"]), float(grid["x_max"]))
@@ -502,12 +519,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.fn is cmd_list_scenarios:
         return args.fn(None, args)
+    tol = getattr(args, "tol", None)  # map-initial has no --tol
     try:
         if args.config:
-            cfg = load_config(args.config)
+            cfg = load_config(args.config, tol)
         elif args.scenario:
-            cfg = validate_config(json.loads(scenario_path(
-                args.scenario).read_text()))
+            cfg = load_config(scenario_path(args.scenario), tol)
         else:
             raise ConfigError("supply --config PATH or --scenario NAME")
         _output_paths(cfg, args.out)

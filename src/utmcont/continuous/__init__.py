@@ -26,7 +26,6 @@ from .problems import (
     ProblemSpecError,
     TaylorExtension,
     check_compatibility,
-    compatible_to_order,
     reference_whole_line,
     transport_solution,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "evaluate_extended",
     "boundary_to_initial",
     "check_compatibility",
-    "compatible_to_order",
     "reference_whole_line",
     "transport_solution",
 ]

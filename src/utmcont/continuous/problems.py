@@ -20,7 +20,6 @@ __all__ = [
     "reference_whole_line",
     "REFERENCE_NAMES",
     "check_compatibility",
-    "compatible_to_order",
     "transport_solution",
 ]
 
@@ -149,8 +148,7 @@ class TaylorExtension:
     """Computed Taylor data of a boundary integral about ``expansion_point``.
 
     ``orders`` are the global exponents carried (structural zeros omitted);
-    ``parity`` records which sub-series this is.  ``tilde(x)`` evaluates the
-    doubled series 2 * sum c_m (x - x0)^m used by the reflection extensions.
+    ``parity`` records which sub-series this is.
     """
 
     which: str
@@ -161,16 +159,6 @@ class TaylorExtension:
     coeffs: list
     truncation_order: int
     stop_reason: str
-
-    def tilde(self, x):
-        return 2.0 * self.series(x)
-
-    def series(self, x):
-        dx = x - self.expansion_point
-        total = 0.0
-        for m, c in zip(self.orders, self.coeffs):
-            total += c * dx**m
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +240,10 @@ _GENERATORS = {
 }
 
 
-def check_compatibility(spec, orders, detail=False):
+def check_compatibility(spec, orders):
     """Per-order residuals |d^n/dt^n(datum)(0) - A^n u0 at the boundary|,
-    with A^n u0 read from one jet of u0 at each boundary point.
-
-    Returns the per-order maximum over the kind's conditions; with
-    ``detail=True`` returns a dict of per-datum residual lists instead.
-    """
+    with A^n u0 read from one jet of u0 at each boundary point: the maximum
+    over the kind's conditions at each order 0..orders."""
     if spec.kind not in _GENERATORS:
         raise ProblemSpecError(
             f"no compatibility conditions for kind {spec.kind!r}")
@@ -276,10 +261,4 @@ def check_compatibility(spec, orders, detail=False):
                 math.comb(n, j) * c ** (n - j) * du[a * n + j + extra]
                 for j in range(n + 1)))
             for n in range(orders + 1)]
-    if detail:
-        return per_datum
     return [max(col) for col in zip(*per_datum.values())]
-
-
-def compatible_to_order(spec, order, tol=1e-9):
-    return all(r < tol for r in check_compatibility(spec, order))

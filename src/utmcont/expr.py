@@ -783,5 +783,8 @@ def parse(text, var_name=None):
     p = _Parser(text)
     if var_name is not None:
         p.var_name = var_name
-    node = p.parse()
+    try:
+        node = p.parse()
+    except RecursionError:  # nested deeper than Python's stack allows
+        raise ExprSyntaxError("expression nested too deeply", p.pos) from None
     return Expression(node, p.var_name or var_name or "x")

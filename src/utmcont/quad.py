@@ -82,9 +82,6 @@ class QuadratureResult:
     warning: str | None = None
     warnings: tuple = ()
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 @dataclass
 class SingularKernel:
@@ -242,17 +239,17 @@ def _decay_truncation_point(u0, decay_kind, rate, tol):
 class HalfLineTransform:
     """u0_hat(k) = integral over (0, inf) of e^{-iky} u0(y) dy, cached per k.
 
-    Evaluation uses one fixed rule, the one :meth:`rule` returns: 24-point
-    Gauss-Legendre panels on (0, Y), geometrically growing from the origin
-    (ratio 1.6, :meth:`edges`), with Y chosen from the declared decay class
-    so the discarded tail is below tol.  The rule does not adapt to k, so
-    the transform is the finite sum u0_hat(k) = sum_n c_n e^{-iky_n},
-    c_n = w_n u0(y_n).  Every solver's k-integral of that sum has a closed
-    form, so the solvers read the rule (or split its panels) and no solver
-    calls the transform itself; tests use its values as the k-integral
-    oracle of those closed forms.  Each value is a row-wise sum over the
-    rule, so it depends only on its own k, never on the other k of a call.
-    Values are cached per k.
+    Evaluation uses one fixed rule: 24-point Gauss-Legendre panels on (0, Y),
+    geometrically growing from the origin (ratio 1.6, :meth:`edges`), with Y
+    chosen from the declared decay class so the discarded tail is below tol.
+    The rule does not adapt to k, so the transform is the finite sum
+    u0_hat(k) = sum_n c_n e^{-iky_n}, c_n = w_n u0(y_n).  Every solver's
+    k-integral of that sum has a closed form, so the solvers read the rule
+    (``continuous._common.data_rule`` builds it from :meth:`edges`) and no
+    solver calls the transform itself; tests use its values as the
+    k-integral oracle of those closed forms.  Each value is a row-wise sum
+    over the rule, so it depends only on its own k, never on the other k of
+    a call.  Values are cached per k.
     """
 
     def __init__(self, u0, decay_kind="exponential", rate=1.0, tol=1e-12):
@@ -261,7 +258,6 @@ class HalfLineTransform:
         self.rate = rate
         self.tol = tol
         self._cache = {}
-        self._rule = None
 
     def edges(self):
         """Edges of the rule's panels on (0, Y): geometric, so that they
@@ -269,15 +265,6 @@ class HalfLineTransform:
         upper = _decay_truncation_point(self.u0, self.decay_kind, self.rate,
                                         self.tol)
         return geometric_edges(upper, min(1.0, upper / 8), 1.6)
-
-    def rule(self):
-        """(nodes y_n, weighted values c_n = w_n u0(y_n)) of the rule, as
-        1-D arrays; built on first use."""
-        if self._rule is None:
-            nodes, weights = gauss_panels(self.edges(), 24)
-            nodes, weights = nodes.ravel(), weights.ravel()
-            self._rule = (nodes, weights * self.u0.compiled()(nodes))
-        return self._rule
 
     def __call__(self, k):
         k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
@@ -290,12 +277,13 @@ class HalfLineTransform:
             else:
                 out[i] = hit
         if missing:
-            nodes, wvals = self.rule()
             ks = k_arr[missing]
             if np.any(ks.imag > 1e-12):
                 raise DecayError(
                     "transform requested above the real axis (Im k = "
                     f"{float(np.max(ks.imag)):g} > 0)")
+            nodes, weights = (a.ravel() for a in gauss_panels(self.edges(), 24))
+            wvals = weights * self.u0.compiled()(nodes)
             vals = row_sums(np.exp(-1j * np.outer(ks, nodes)), wvals)
             for i, v in zip(missing, vals):
                 self._cache[k_arr[i]] = complex(v)

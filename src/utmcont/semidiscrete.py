@@ -12,8 +12,7 @@ one continued call over its indices behind the boundary, whose weights
 form one table, a row per derivative order p and a column per index: the
 gamma-ratio products are cumulative products down its columns, and the
 table is summed row by row in the order p with one derivative read per
-row.  A scaled-Bessel kernel form of the boundary term provides an
-independent cross-check of the integral representation.
+row.
 
 Both conditions read one theta rule over [0, pi], the Dirichlet integrand
 being odd in theta and the Neumann one conjugate at -theta: equal panels
@@ -35,14 +34,12 @@ from functools import cached_property
 import numpy as np
 
 from .expr import DerivativeCache, Expression
-from .quad import gauss_panels, geometric_edges, integrate_segment
-from .specfun import bessel_i_scaled
+from .quad import gauss_panels, geometric_edges
 
 __all__ = [
     "LatticeSpec",
     "sd_heat_dirichlet_range",
     "sd_heat_dirichlet_continued",
-    "sd_bessel_kernel_form",
     "sd_heat_neumann_range",
     "sd_heat_neumann_continued",
     "continuum_limit_check",
@@ -211,34 +208,6 @@ def sd_heat_dirichlet_continued(spec, ns, u_pos):
     if np.any(ns > 0):
         raise ValueError("the continuation evaluates n <= 0")
     return dirichlet_reflection_sum(spec, -ns) - u_pos
-
-
-def sd_bessel_kernel_form(spec, n, tol=1e-10):
-    """Boundary term K(n,T) via the scaled-Bessel kernel (cross-check of the
-    second integral of the lattice representation)."""
-    if n == 0:
-        raise ValueError("the Bessel kernel form carries an n prefactor; "
-                         "n = 0 is the boundary convention")
-    h, T = spec.h, spec.T
-    fc = spec.datum.compiled()
-    n_abs = abs(int(n))
-
-    def integrand(tau):
-        tau = np.maximum(np.real(np.asarray(tau)), 1e-300)
-        a = 2.0 * tau / (h * h)
-        kern = np.where(
-            a > 0, bessel_i_scaled(n_abs, a) / tau, 0.0
-        )
-        return fc(T - tau) * kern
-
-    # the integrand extends continuously to tau -> 0 (value n-dependent);
-    # geometric panels near zero resolve the h^2-scale transition
-    edges = geometric_edges(T, h * h / 4.0, 1.6)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += integrate_segment(integrand, lo, hi,
-                                   tol=tol / len(edges)).value.real
-    return int(n) * total
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared problem fixtures (session-scoped so derivative jets persist)."""
+"""Shared problem fixtures (session-scoped so derivative jets persist) and
+the Taylor-sum helper of the series tests."""
 
 import pytest
 
@@ -7,6 +8,14 @@ from utmcont.continuous import ProblemSpec
 
 GAUSS_U0 = "exp(-(x-1)^2)"
 GAUSS_F0 = "exp(-1/(4*t+1))/sqrt(4*t+1)"
+
+
+def taylor_sum(ext, x):
+    """sum c_m (x - x0)^m over the orders a TaylorExtension carries, term by
+    term at one point: the tests' own sum, independent of the solvers'
+    doubled-series evaluator."""
+    dx = x - ext.expansion_point
+    return sum(c * dx**m for m, c in zip(ext.orders, ext.coeffs))
 
 
 @pytest.fixture(scope="session")

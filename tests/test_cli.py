@@ -112,6 +112,82 @@ def test_malformed_number_is_config_error(tmp_path, capsys, base, section,
     assert message in capsys.readouterr().err
 
 
+INTERVAL = {"problem": {"kind": "heat-finite-interval", "L": 1.0,
+                        "u0": "exp(-(x-1)^2)", "f0": "t*exp(-t)",
+                        "g0": "1/(1+t)"},
+            "grid": {"x_min": -1.0, "x_max": 2.0, "n_points": 4,
+                     "times": [1.0]}}
+ADVECTED = {"problem": {"kind": "advected-heat", "c": -1.0,
+                        "u0": "exp(-x^2)", "f0": "exp(-t/2)"},
+            "grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 4,
+                     "times": [1.0]}}
+
+
+@pytest.mark.parametrize("base,section,key,value,where", [
+    (MINIMAL, "grid", "times", [math.inf], "grid.times[0]"),
+    (MINIMAL, "grid", "times", [0.5, math.nan], "grid.times[1]"),
+    (LATTICE, "problem", "h", math.inf, "problem.h"),
+    (MINIMAL, "numerics", "tol", math.nan, "numerics.tol"),
+    (MINIMAL, "numerics", "tol", math.inf, "numerics.tol"),
+    (MINIMAL, "grid", "x_min", math.nan, "grid.x_min"),
+    (INTERVAL, "problem", "L", math.inf, "problem.L"),
+    (ADVECTED, "problem", "c", math.nan, "problem.c"),
+    (ADVECTED, "reference", "c", math.nan, "reference.c"),
+    (LATTICE, "refinement", "h_values", [0.1, math.inf, 0.025],
+     "refinement.h_values[1]"),
+], ids=["times-inf", "times-nan", "lattice-h-inf", "tol-nan", "tol-inf",
+        "x-min-nan", "interval-L-inf", "advected-c-nan", "reference-c-nan",
+        "h-values-inf"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, base, section,
+                                           key, value, where):
+    # json reads NaN and Infinity; they are refused by name before any
+    # solving, not carried into rows or failed on as numerics
+    cfg = json.loads(json.dumps(base))
+    cfg.setdefault(section, {})[key] = value
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv"),
+                      "json": str(tmp_path / "o.json")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"{where} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command,scenario", [("solve", "heat_te"),
+                                              ("converge", "sd_heat")])
+@pytest.mark.parametrize("tol", ["-1", "0", "inf"])
+def test_bad_tol_option_is_config_error(tmp_path, capsys, command, scenario,
+                                        tol):
+    # --tol gets the check numerics.tol gets, before any solving
+    out = tmp_path / "o.csv"
+    code = main([command, "--scenario", scenario, f"--tol={tol}",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "numerics.tol must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tol_option_overrides_the_config_tol(tmp_path):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["numerics"] = {"tol": 1e-6}
+    path = _write(tmp_path, cfg)
+    for argv, name in ((["--tol", "1e-10"], "a.csv"), ([], "b.csv")):
+        assert main(["solve", "--config", path, "--out",
+                     str(tmp_path / name)] + argv) == 0
+    cfg["numerics"] = {"tol": 1e-10}
+    assert main(["solve", "--config", _write(tmp_path, cfg, "c.json"),
+                 "--out", str(tmp_path / "c.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
+def test_deeply_nested_expression_is_config_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["problem"]["u0"] = "(" * 210 + "x" + ")" * 210
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "nested too deeply" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("command,base,key,value", [
     ("solve", MINIMAL, "n_points", 0.5),
     ("map-initial", MINIMAL, "n_points", 4.5),

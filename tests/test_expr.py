@@ -53,6 +53,16 @@ def test_parse_empty():
         parse("   ")
 
 
+@pytest.mark.parametrize("text", ["(" * 210 + "x" + ")" * 210,
+                                  "sin(" * 170 + "x" + ")" * 170],
+                         ids=["parentheses", "sin"])
+def test_parse_deep_nesting_is_a_syntax_error(text):
+    # the recursive-descent parser runs out of stack, which is reported as
+    # malformed text, not as a RecursionError
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse(text)
+
+
 def test_parse_variable_exponent_rejected():
     with pytest.raises(ExprSyntaxError, match="constant"):
         parse("2^x")

@@ -9,7 +9,6 @@ from utmcont.continuous import (
     ProblemSpec,
     ProblemSpecError,
     check_compatibility,
-    compatible_to_order,
     reference_whole_line,
     transport_solution,
 )
@@ -126,7 +125,6 @@ def test_transport_dalembert():
 def test_compatibility_trace_data(heat_gaussian):
     residuals = check_compatibility(heat_gaussian, 4)
     assert all(r < 1e-9 for r in residuals)
-    assert compatible_to_order(heat_gaussian, 4)
 
 
 def test_compatibility_te_data_fails_at_order_one(heat_te):
@@ -138,13 +136,14 @@ def test_compatibility_te_data_fails_at_order_one(heat_te):
 
 
 def test_compatibility_kdv2_zero_data(kdv2_zero_data):
-    detail = check_compatibility(kdv2_zero_data, 0, detail=True)
-    assert detail["f0"][0] == pytest.approx(2.0, rel=1e-12)  # |u0(0)|
-    assert check_compatibility(kdv2_zero_data, 0)[0] >= 2.0
+    # the order-0 residuals are |u0(0)| = 2 for f0 and |u0'(0)| = 2 sqrt(3)
+    # for f1, and the larger is reported
+    assert check_compatibility(kdv2_zero_data, 0)[0] == pytest.approx(
+        2.0 * math.sqrt(3.0), rel=1e-12)
 
 
 def test_compatibility_kdv2_trace(kdv2_cos):
-    assert compatible_to_order(kdv2_cos, 3)
+    assert all(r < 1e-9 for r in check_compatibility(kdv2_cos, 3))
 
 
 def test_decay_probing():

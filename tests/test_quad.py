@@ -1,6 +1,7 @@
 """Contour quadrature, data transforms, and singular time convolutions."""
 
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -357,3 +358,11 @@ def test_geometric_edges_grow_by_ratio(upper, first, ratio):
     # every width but the last (cut at upper) is ratio times the one before
     np.testing.assert_allclose(widths[1:-1] / widths[:-2], ratio, rtol=1e-9)
     assert widths[-1] <= first * ratio ** (len(widths) - 1) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("module", ["utmcont.quad", "utmcont.semidiscrete",
+                                    "utmcont.continuous"])
+def test_every_exported_name_resolves(module):
+    # no deletion leaves a name in __all__ that the module no longer has
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

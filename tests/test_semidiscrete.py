@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from utmcont.expr import parse
-from utmcont.specfun import reflection_product_neumann
+from utmcont.quad import geometric_edges, integrate_segment
+from utmcont.specfun import bessel_i_scaled, reflection_product_neumann
 from utmcont import continuous as cont
 from utmcont import semidiscrete
 from utmcont.semidiscrete import (
@@ -20,7 +21,6 @@ from utmcont.semidiscrete import (
     dirichlet_reflection_sum,
     lattice_profile,
     neumann_reflection_sum,
-    sd_bessel_kernel_form,
     sd_heat_dirichlet_continued,
     sd_heat_dirichlet_range,
     sd_heat_neumann_continued,
@@ -106,6 +106,34 @@ def test_lattice_ode_at_seam(lattice):
         assert abs(dudt[idx] - lap) < 1e-6 * scale
 
 
+def sd_bessel_kernel_form(spec, n, tol=1e-10):
+    """Boundary term K(n,T) via the scaled-Bessel kernel: the oracle of the
+    theta-integral boundary term of the lattice representation."""
+    if n == 0:
+        raise ValueError("the Bessel kernel form carries an n prefactor; "
+                         "n = 0 is the boundary convention")
+    h, T = spec.h, spec.T
+    fc = spec.datum.compiled()
+    n_abs = abs(int(n))
+
+    def integrand(tau):
+        tau = np.maximum(np.real(np.asarray(tau)), 1e-300)
+        a = 2.0 * tau / (h * h)
+        kern = np.where(
+            a > 0, bessel_i_scaled(n_abs, a) / tau, 0.0
+        )
+        return fc(T - tau) * kern
+
+    # the integrand extends continuously to tau -> 0 (value n-dependent);
+    # geometric panels near zero resolve the h^2-scale transition
+    edges = geometric_edges(T, h * h / 4.0, 1.6)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += integrate_segment(integrand, lo, hi,
+                                   tol=tol / len(edges)).value.real
+    return int(n) * total
+
+
 def test_bessel_kernel_matches_boundary_term(lattice, lattice_zero_datum):
     ns = np.arange(1, 11)
     full = sd_heat_dirichlet_range(lattice, ns)
@@ -117,8 +145,6 @@ def test_bessel_kernel_matches_boundary_term(lattice, lattice_zero_datum):
 
 def test_bessel_kernel_fine_quadrature_oracle():
     spec = LatticeSpec(h=0.25, u0=parse("0*x"), datum=parse(F0), T=0.5)
-    from utmcont.specfun import bessel_i_scaled
-
     taus = np.linspace(1e-12, 0.5, 100_001)
     f0c = spec.datum.compiled()
     kern = bessel_i_scaled(2, 2 * taus / 0.0625) / taus

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import taylor_sum
 from utmcont.continuous import (
     OutsideWindowError,
     ProblemSpec,
@@ -180,7 +181,7 @@ def test_g0_series_is_about_the_right_end(interval_gaussian):
     # the doubled g0 series reflects about x = L, where its data sit
     ext = taylor_coefficients(interval_gaussian, "g0", 1.0, 30)
     assert ext.expansion_point == interval_gaussian.L
-    assert ext.tilde(interval_gaussian.L) == pytest.approx(
+    assert 2.0 * taylor_sum(ext, interval_gaussian.L) == pytest.approx(
         2.0 * float(interval_gaussian.g0.eval(1.0)), rel=1e-14)
 
 
