@@ -4,12 +4,16 @@ Configs are single JSON documents with expression-valued data fields; the
 schema is validated strictly (unknown keys and NaN or infinite numbers are
 rejected, ``--tol`` standing in for numerics.tol) before any computation,
 and so are output paths whose directory does not exist.
-Outputs are CSV with 17-significant-digit floats (exact double round-trip)
-plus a one-line JSON run report with per-row provenance tags.
+``build_problem`` turns the problem section into the one problem value
+every command reads: a ``ProblemSpec`` for a continuous kind, a
+``LatticeSpec`` still to be given its time (and spacing) for a lattice kind.
+Each command builds its rows once; ``_csv`` writes them as CSV with
+17-significant-digit floats (exact double round-trip), next to a one-line
+JSON run report with per-row provenance tags.
 
-Exit codes: 0 success, 2 config error (including a command the problem
-kind does not support), 3 numerical failure, 4 refused boundary-to-initial
-map.
+Exit codes: 0 success, 2 config error (including malformed expression text,
+a config nested too deeply to read, and a command the problem kind does
+not support), 3 numerical failure, 4 refused boundary-to-initial map.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import continuous as cont
 from .expr import ExprDomainError, ExprSyntaxError, parse
-from .quad import DecayError, QuadratureError
+from .quad import QuadratureError
 from .continuous._common import ResidualWarning
 from .semidiscrete import (LatticeSpec, continuum_limit_check, lattice_profile,
                            window_nodes)
@@ -36,17 +40,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_REFUSED = 4
 
-LATTICE_KINDS = ("sd-heat-dirichlet", "sd-heat-neumann")
+# lattice kind: the datum that carries its boundary condition
+LATTICE_KINDS = {"sd-heat-dirichlet": "f0", "sd-heat-neumann": "f1"}
 
-_NUMERIC_ERRORS = (
-    QuadratureError,
-    ResidualWarning,
-    DecayError,
-    ExprDomainError,
-    cont.DecayClassError,
-    ArithmeticError,
-    ValueError,
-)
+# ExprDomainError is an ArithmeticError; DecayError and DecayClassError
+# are ValueErrors
+_NUMERIC_ERRORS = (QuadratureError, ResidualWarning, ArithmeticError,
+                   ValueError)
 
 
 class ConfigError(ValueError):
@@ -57,15 +57,20 @@ class ConfigError(ValueError):
 # schema validation
 # ---------------------------------------------------------------------------
 
-_PROBLEM_KEYS = {"kind", "u0", "f0", "f1", "g0", "c", "L", "h", "u0_decay"}
-_GRID_KEYS = {"x_min", "x_max", "n_points", "times", "n_min", "n_max"}
-_NUMERICS_KEYS = {"tol"}
-_REFERENCE_KEYS = {"name", "expr", "c"}
-_OUTPUT_KEYS = {"csv", "json"}
-_TOP_KEYS = {"description", "problem", "grid", "numerics", "reference",
-             "outputs", "refinement"}
-_REFINEMENT_KEYS = {"h_values"}
-_DECAY_KEYS = {"type", "rate"}
+# the keys of each config section, in the order the sections are checked
+# (description is free text; a null reference or u0_decay means none)
+_SECTIONS = {
+    "<top>": {"description", "problem", "grid", "numerics", "reference",
+              "outputs", "refinement"},
+    "problem": {"kind", "u0", "f0", "f1", "g0", "c", "L", "h", "u0_decay"},
+    "grid": {"x_min", "x_max", "n_points", "times", "n_min", "n_max"},
+    "numerics": {"tol"},
+    "outputs": {"csv", "json"},
+    "refinement": {"h_values"},
+    "reference": {"name", "expr", "c"},
+    "problem.u0_decay": {"type", "rate"},
+}
+_NULLABLE = ("reference", "problem.u0_decay")
 # the keys whose values must be numbers, per section, and those of them
 # that must be positive
 _NUMBER_KEYS = {"problem": ("c", "L", "h"),
@@ -92,14 +97,6 @@ def _reject_non_finite(value, where):
             _reject_non_finite(item, f"{where}[{i}]")
 
 
-def _reject_unknown(block, allowed, where):
-    if not isinstance(block, dict):
-        raise ConfigError(f"config section {where!r} must be an object")
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in config section {where!r}")
-
-
 def load_config(path, tol=None):
     """The validated config at ``path``, with ``--tol`` as numerics.tol."""
     try:
@@ -109,6 +106,8 @@ def load_config(path, tol=None):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
+    except RecursionError:
+        raise ConfigError("config is nested too deeply")
     numerics = raw.get("numerics", {}) if isinstance(raw, dict) else None
     if tol is not None and isinstance(numerics, dict):
         raw["numerics"] = {**numerics, "tol": tol}
@@ -116,19 +115,21 @@ def load_config(path, tol=None):
 
 
 def validate_config(raw):
-    _reject_unknown(raw, _TOP_KEYS, "<top>")
-    if "problem" not in raw or "grid" not in raw:
-        raise ConfigError("config requires 'problem' and 'grid' sections")
-    _reject_unknown(raw["problem"], _PROBLEM_KEYS, "problem")
-    _reject_unknown(raw["grid"], _GRID_KEYS, "grid")
-    _reject_unknown(raw.get("numerics", {}), _NUMERICS_KEYS, "numerics")
-    _reject_unknown(raw.get("outputs", {}), _OUTPUT_KEYS, "outputs")
-    _reject_unknown(raw.get("refinement", {}), _REFINEMENT_KEYS, "refinement")
-    if raw.get("reference") is not None:
-        _reject_unknown(raw["reference"], _REFERENCE_KEYS, "reference")
-    if raw["problem"].get("u0_decay") is not None:
-        _reject_unknown(raw["problem"]["u0_decay"], _DECAY_KEYS,
-                        "problem.u0_decay")
+    for where, allowed in _SECTIONS.items():
+        block = raw
+        if where != "<top>":
+            for key in where.split("."):
+                block = block.get(key, {})
+        if block is None and where in _NULLABLE:
+            continue
+        if not isinstance(block, dict):
+            raise ConfigError(f"config section {where!r} must be an object")
+        for key in block:
+            if key not in allowed:
+                raise ConfigError(f"unknown key {key!r} in config section "
+                                  f"{where!r}")
+        if where == "<top>" and ("problem" not in raw or "grid" not in raw):
+            raise ConfigError("config requires 'problem' and 'grid' sections")
     kind = raw["problem"].get("kind")
     if kind not in cont.KINDS and kind not in LATTICE_KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
@@ -172,54 +173,45 @@ def _x_grid(grid):
         raise ConfigError(f"grid requires {err} for continuous problems")
 
 
-def _parse_datum(cfg, name, var):
-    text = cfg.get(name)
-    if text is None:
-        return None
+def _parse_expr(text, where, var):
     try:
         return parse(text, var_name=var)
     except ExprSyntaxError as err:
-        raise ConfigError(f"problem.{name}: {err}")
+        raise ConfigError(f"{where}: {err}")
 
 
 def build_problem(cfg):
+    """The problem of a config's problem section: the ``ProblemSpec`` of a
+    continuous kind, or for a lattice kind the ``LatticeSpec`` still to be
+    called with its time T (and, under converge, its spacing h)."""
     kind = cfg["kind"]
     decay = ("auto",)
     if cfg.get("u0_decay"):
         d = cfg["u0_decay"]
         decay = (d["type"],) if d.get("rate") is None else (d["type"], d["rate"])
-    u0 = _parse_datum(cfg, "u0", "x")
-    f0 = _parse_datum(cfg, "f0", "t")
-    f1 = _parse_datum(cfg, "f1", "t")
-    g0 = _parse_datum(cfg, "g0", "t")
+    data = {name: _parse_expr(cfg[name], f"problem.{name}", var)
+            for name, var in (("u0", "x"), ("f0", "t"), ("f1", "t"),
+                              ("g0", "t"))
+            if cfg.get(name) is not None}
     if kind in LATTICE_KINDS:
         h = cfg.get("h")
         if not h or h <= 0:
             raise ConfigError("lattice problems require spacing h > 0")
-        datum = f0 if kind == "sd-heat-dirichlet" else f1
-        if u0 is None or datum is None:
-            raise ConfigError(f"{kind} requires u0 and "
-                              f"{'f0' if kind.endswith('dirichlet') else 'f1'}")
-        return ("lattice", kind, u0, datum, float(h))
+        name = LATTICE_KINDS[kind]
+        if "u0" not in data or name not in data:
+            raise ConfigError(f"{kind} requires u0 and {name}")
+        return functools.partial(LatticeSpec, h=float(h), u0=data["u0"],
+                                 datum=data[name],
+                                 condition=kind.removeprefix("sd-heat-"))
     try:
-        spec = cont.ProblemSpec(
-            kind,
-            u0=u0,
-            f0=f0,
-            f1=f1,
-            g0=g0,
-            c=float(cfg.get("c", 0.0)),
-            L=float(cfg.get("L", 0.0)),
-            u0_decay=decay,
-        )
+        return cont.ProblemSpec(kind, **data, c=float(cfg.get("c", 0.0)),
+                                L=float(cfg.get("L", 0.0)), u0_decay=decay)
     except cont.ProblemSpecError as err:
         raise ConfigError(str(err))
-    return ("continuous", spec)
 
 
-def build_reference(ref_cfg, times, problem):
-    """The reference u(x, t) of a config; ``problem`` is the built problem,
-    whose data the transport reference reads."""
+def build_reference(ref_cfg, times):
+    """The reference u(x, t) of a config, or None."""
     if ref_cfg is None:
         return None
     if "name" in ref_cfg:
@@ -227,19 +219,11 @@ def build_reference(ref_cfg, times, problem):
         c = float(ref_cfg.get("c", 1.0))
         if name not in cont.REFERENCE_NAMES:
             raise ConfigError(f"unknown reference {name!r}")
-        if name == "transport-dalembert":
-            if problem[0] != "continuous" or problem[1].kind != "transport":
-                raise ConfigError(f"reference {name!r} needs a transport "
-                                  "problem")
-            if "c" in ref_cfg:
-                raise ConfigError(f"reference {name!r} takes c from the "
-                                  "problem, not from the reference")
-            return lambda x, t: cont.transport_solution(problem[1], x, t)
         return lambda x, t: cont.reference_whole_line(name, x, t, c=c)
     if "expr" in ref_cfg:
         if len(times) != 1:
             raise ConfigError("expression references support a single time")
-        expr = parse(ref_cfg["expr"], var_name="x")
+        expr = _parse_expr(ref_cfg["expr"], "reference.expr", "x")
         return lambda x, t: float(expr.eval(x))
     raise ConfigError("reference block needs 'name' or 'expr'")
 
@@ -253,6 +237,12 @@ def _fmt(v):
     if v is None:
         return ""
     return f"{v:.17g}"
+
+
+def _csv(columns, rows):
+    """The CSV lines of ``rows``: a header, then each row's ``columns``."""
+    return [",".join(columns)] + [",".join(_fmt(row[k]) for k in columns)
+                                  for row in rows]
 
 
 def _output_paths(cfg, out_override):
@@ -300,45 +290,43 @@ def _write_outputs(csv_lines, report, cfg, out_override):
 # ---------------------------------------------------------------------------
 
 
+def _profile(problem, grid, tol):
+    """The map T -> (x, u_ac, interior) of ``solve`` over the config's grid:
+    the x grid through ``evaluate_extended`` for a continuous problem, the
+    nodes n_min ... n_max (x = n h) through ``lattice_profile`` for a
+    lattice one."""
+    if isinstance(problem, cont.ProblemSpec):
+        xs = _x_grid(grid)
+        right = (problem.L if problem.kind == "heat-finite-interval"
+                 else math.inf)
+        inside = [0 <= x <= right for x in xs.tolist()]
+        return lambda T: (xs.tolist(), cont.evaluate_extended(
+            problem, xs, T, tol).tolist(), inside)
+    n_lo = int(grid.get("n_min", 0))
+    n_hi = int(grid.get("n_max", 0))
+    if n_hi <= n_lo:
+        raise ConfigError("lattice grids need n_min < n_max")
+    ns = range(n_lo, n_hi + 1)
+    h = problem.keywords["h"]
+    return lambda T: ([n * h for n in ns], lattice_profile(
+        problem(T=T), n_lo, n_hi).tolist(), [n >= 0 for n in ns])
+
+
 def cmd_solve(cfg, args):
     tol = float(cfg.get("numerics", {}).get("tol", 1e-10))
     times = _positive_times(cfg["grid"])
     problem = build_problem(cfg["problem"])
-    reference = build_reference(cfg.get("reference"), times, problem)
+    reference = build_reference(cfg.get("reference"), times)
+    profile = _profile(problem, cfg["grid"], tol)
     started = time.perf_counter()
     rows = []
-
-    if problem[0] == "lattice":
-        _, kind, u0, datum, h = problem
-        n_lo = int(cfg["grid"].get("n_min", 0))
-        n_hi = int(cfg["grid"].get("n_max", 0))
-        if n_hi <= n_lo:
-            raise ConfigError("lattice grids need n_min < n_max")
-        condition = "dirichlet" if kind.endswith("dirichlet") else "neumann"
-        for T in times:
-            spec = LatticeSpec(h=h, u0=u0, datum=datum, T=T,
-                               condition=condition)
-            vals = lattice_profile(spec, n_lo, n_hi)
-            for n, val in zip(range(n_lo, n_hi + 1), vals):
-                x = n * h
-                rows.append(_make_row(x, T, float(val), reference,
-                                      "continued" if n < 0 else "interior"))
-    else:
-        spec = problem[1]
-        xs = _x_grid(cfg["grid"])
-        interior = _interior_test(spec)
-        for T in times:
-            vals = cont.evaluate_extended(spec, xs, T, tol)
-            for x, val in zip(xs.tolist(), vals.tolist()):
-                rows.append(_make_row(x, T, val, reference,
-                                      "interior" if interior(x)
-                                      else "continued"))
-
+    for T in times:
+        for x, val, inside in zip(*profile(T)):
+            ref = None if reference is None else float(reference(x, T))
+            rows.append({"x": x, "t": T, "u_ac": val, "u_ref": ref,
+                         "abs_err": None if ref is None else abs(val - ref),
+                         "provenance": "interior" if inside else "continued"})
     wall = time.perf_counter() - started
-    csv_lines = ["x,t,u_ac,u_ref,abs_err"]
-    for row in rows:
-        csv_lines.append(",".join(_fmt(row[k]) for k in
-                                  ("x", "t", "u_ac", "u_ref", "abs_err")))
     errs = [row["abs_err"] for row in rows if row["abs_err"] is not None]
     report = {
         "samples": rows,
@@ -348,30 +336,14 @@ def cmd_solve(cfg, args):
             "n_samples": len(rows),
         },
     }
-    return _write_outputs(csv_lines, report, cfg, args.out)
-
-
-def _interior_test(spec):
-    if spec.kind == "heat-finite-interval":
-        return lambda x: 0 <= x <= spec.L
-    return lambda x: x >= 0
-
-
-def _make_row(x, t, val, reference, provenance):
-    ref = None
-    err = None
-    if reference is not None:
-        ref = float(reference(x, t))
-        err = abs(val - ref)
-    return {"x": x, "t": t, "u_ac": val, "u_ref": ref, "abs_err": err,
-            "provenance": provenance}
+    return _write_outputs(_csv(("x", "t", "u_ac", "u_ref", "abs_err"), rows),
+                          report, cfg, args.out)
 
 
 def cmd_map_initial(cfg, args):
-    problem = build_problem(cfg["problem"])
-    if problem[0] == "lattice":
+    spec = build_problem(cfg["problem"])
+    if not isinstance(spec, cont.ProblemSpec):
         raise ConfigError("map-initial applies to continuous problems")
-    spec = problem[1]
     xs = _x_grid(cfg["grid"])
     started = time.perf_counter()
     # one call over the grid and, for the one-sided limits, four points
@@ -390,10 +362,6 @@ def cmd_map_initial(cfg, args):
         rows.append({"x": x, "w0": w0, "u0_analytic_continuation": u0c})
     left = 2 * near_left - far_left
     right = 2 * near_right - far_right
-    csv_lines = ["x,w0,u0_analytic_continuation"]
-    for row in rows:
-        csv_lines.append(",".join(_fmt(row[k]) for k in
-                                  ("x", "w0", "u0_analytic_continuation")))
     report = {
         "samples": rows,
         "summary": {
@@ -403,14 +371,14 @@ def cmd_map_initial(cfg, args):
             "wall_time_s": time.perf_counter() - started,
         },
     }
-    return _write_outputs(csv_lines, report, cfg, args.out)
+    return _write_outputs(_csv(("x", "w0", "u0_analytic_continuation"), rows),
+                          report, cfg, args.out)
 
 
 def cmd_converge(cfg, args):
     problem = build_problem(cfg["problem"])
-    if problem[0] != "lattice":
+    if isinstance(problem, cont.ProblemSpec):
         raise ConfigError("converge requires a lattice problem kind")
-    _, kind, u0, datum, _h = problem
     h_values = cfg.get("refinement", {}).get("h_values")
     if not h_values or len(h_values) < 3:
         raise ConfigError("refinement.h_values needs at least three spacings")
@@ -419,7 +387,8 @@ def cmd_converge(cfg, args):
     if "x_min" in grid and "x_max" in grid:
         window = (float(grid["x_min"]), float(grid["x_max"]))
     elif "n_min" in grid and "n_max" in grid:
-        window = (int(grid["n_min"]) * _h, int(grid["n_max"]) * _h)
+        h = problem.keywords["h"]
+        window = (int(grid["n_min"]) * h, int(grid["n_max"]) * h)
     else:
         raise ConfigError("converge needs an x window (x_min/x_max) or "
                           "lattice indices (n_min/n_max)")
@@ -427,15 +396,11 @@ def cmd_converge(cfg, args):
         raise ConfigError("converge runs at a single time; grid.times has "
                           f"{len(grid['times'])}")
     (T,) = _positive_times(grid)
-    condition = "dirichlet" if kind.endswith("dirichlet") else "neumann"
-
-    cont_kind = ("heat-dirichlet" if condition == "dirichlet"
-                 else "heat-neumann")
-    cspec = cont.ProblemSpec(
-        cont_kind, u0=u0,
-        f0=datum if condition == "dirichlet" else None,
-        f1=datum if condition == "neumann" else None,
-    )
+    # the continuum limit: the heat problem of the same kind and data
+    kind = cfg["problem"]["kind"]
+    lattice = problem.keywords
+    cspec = cont.ProblemSpec(kind.removeprefix("sd-"), u0=lattice["u0"],
+                             **{LATTICE_KINDS[kind]: lattice["datum"]})
     h_values = [float(h) for h in h_values]
     started = time.perf_counter()
     # one array evaluation of the reference over every level's nodes
@@ -443,20 +408,18 @@ def cmd_converge(cfg, args):
                                    for h in h_values]))
     ref = dict(zip(xs.tolist(),
                    cont.evaluate_extended(cspec, xs, T, tol).tolist()))
-    result = continuum_limit_check(
-        lambda h: LatticeSpec(h=h, u0=u0, datum=datum, T=T,
-                              condition=condition),
-        h_values, window, ref.__getitem__)
-    csv_lines = ["h,max_err,observed_order"]
-    orders = [None] + result["orders"]
-    for (h, err), order in zip(result["errors"], orders):
-        csv_lines.append(f"{_fmt(h)},{_fmt(err)},{_fmt(order)}")
+    result = continuum_limit_check(lambda h: problem(h=h, T=T), h_values,
+                                   window, ref.__getitem__)
+    rows = [{"h": h, "max_err": err, "observed_order": order}
+            for (h, err), order in zip(result["errors"],
+                                       [None] + result["orders"])]
     report = {
         "errors": [{"h": h, "max_err": e} for h, e in result["errors"]],
         "observed_orders": result["orders"],
         "wall_time_s": time.perf_counter() - started,
     }
-    return _write_outputs(csv_lines, report, cfg, args.out)
+    return _write_outputs(_csv(("h", "max_err", "observed_order"), rows),
+                          report, cfg, args.out)
 
 
 def cmd_list_scenarios(_cfg, _args):

@@ -220,11 +220,12 @@ _RAW1_ANGLES = (math.pi / 3, 0.0)  # undeformed sector edges (in, out)
 _RAW2_ANGLES = (math.pi, 2 * math.pi / 3)
 
 
-def _ray_pair_value(f, angles, t, x_max, tol, dodge=0.0):
+def _ray_pair_value(f, angles, t, x_max, tol, dodge):
     """Integrate f over the (inbound, outbound) ray pair, truncating each ray
     where the cubic decay of e^{-i k^3 t} beats the |e^{ikx}| growth for
-    every |x| <= x_max.  f may be a vector integrand (one row per x); each
-    row meets its own budget."""
+    every |x| <= x_max, and dodging the origin along the chord between the
+    rays at radius ``dodge``.  f may be a vector integrand (one row per x);
+    each row meets its own budget."""
     ain, aout = angles
     total = 0j
     log_target = math.log(600.0 / tol)
@@ -237,11 +238,10 @@ def _ray_pair_value(f, angles, t, x_max, tol, dodge=0.0):
         panels = 2 + int(radius * (x_max + 1.0) / (2 * math.pi))
         total += integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
                                    initial_panels=panels).value
-    if dodge > 0.0:
-        a = dodge * cmath.exp(1j * ain)
-        b = dodge * cmath.exp(1j * aout)
-        total += integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
-                                   initial_panels=2).value
+    a = dodge * cmath.exp(1j * ain)
+    b = dodge * cmath.exp(1j * aout)
+    total += integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
+                               initial_panels=2).value
     return total
 
 
@@ -314,7 +314,7 @@ def _kdv2_boundary(spec, which, xs, t, tol=1e-10):
         # corner terms at fixed t on the decaying contours
         if any(corner_data):
             total += coef * _ray_pair_value(corners, deformed, t, x_max, tol,
-                                            dodge=r0)
+                                            r0)
         # remainder convolution on the undeformed dodged boundary
         total += coef * _kdv2_remainder(cache, weight, raw, r0, rate, n,
                                         rows, t, tol)

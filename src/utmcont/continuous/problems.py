@@ -189,7 +189,6 @@ REFERENCE_NAMES = (
     "gaussian-drift-advected",
     "kdv-decaying-cos",
     "kdv2-exp-cos",
-    "transport-dalembert",
 )
 
 
@@ -197,8 +196,7 @@ def reference_whole_line(name, x, t, c=1.0):
     """Evaluate a named exact whole-line solution.
 
     ``gaussian-drift-advected`` is the drifting Gaussian in the advected frame
-    u(x + c t + 1, t).  ``transport-dalembert`` is not evaluated here: it is
-    ``transport_solution`` of a transport problem's own data.
+    u(x + c t + 1, t).
     """
     if name in _REFERENCES:
         return _REFERENCES[name](x, t)

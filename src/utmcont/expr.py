@@ -724,16 +724,15 @@ class DerivativeCache:
     ladder read in increasing order costs a few jets, not one per order.
     """
 
-    def __init__(self, expression, max_order=MAX_DERIVATIVE_ORDER):
+    def __init__(self, expression):
         self.base = expression
-        self.max_order = max_order
         self._ladder = [expression]
         self._values = {}
 
     def derivative(self, order):
-        if order > self.max_order:
+        if order > MAX_DERIVATIVE_ORDER:
             raise DerivativeOrderError(
-                f"order {order} exceeds maximum {self.max_order}"
+                f"order {order} exceeds maximum {MAX_DERIVATIVE_ORDER}"
             )
         while len(self._ladder) <= order:
             self._ladder.append(_Derivative(self.base, len(self._ladder)))
@@ -761,7 +760,7 @@ class DerivativeCache:
             if order == 0:
                 self._values[key] = float(entry.eval(key[1]))
             else:
-                top = min(self.max_order, max(2 * order, 16))
+                top = min(MAX_DERIVATIVE_ORDER, max(2 * order, 16))
                 jet = _taylor(self.base._node, [key[1]], top)[:, 0]
                 for k in range(1, top + 1):
                     self._values.setdefault((k, key[1]),

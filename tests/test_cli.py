@@ -188,6 +188,33 @@ def test_deeply_nested_expression_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("exp(-x", "unbalanced parenthesis"),
+    ("(" * 300 + "x" + ")" * 300, "nested too deeply"),
+], ids=["unbalanced", "nested"])
+def test_malformed_reference_expression_is_config_error(tmp_path, capsys,
+                                                        text, message):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["reference"] = {"expr": text}
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: reference.expr:" in err and message in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_nested_past_the_decoder_is_config_error(tmp_path, capsys):
+    # json.load recurses once per nested list
+    text = json.dumps(MINIMAL).replace("[0.5]", "[" * 100_000 + "]" * 100_000)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert "config is nested too deeply" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,base,key,value", [
     ("solve", MINIMAL, "n_points", 0.5),
     ("map-initial", MINIMAL, "n_points", 4.5),
@@ -298,31 +325,6 @@ def test_solve_reference_errors(tmp_path):
     assert main(["solve", "--config", _write(tmp_path, cfg)]) == 0
     rows = list(csv.DictReader((tmp_path / "o.csv").read_text().splitlines()))
     assert max(float(r["abs_err"]) for r in rows) < 1e-6
-
-
-def test_transport_reference_reads_the_problem(tmp_path, monkeypatch):
-    from utmcont import cli
-    from utmcont.cli import scenario_path
-
-    cfg = json.loads(scenario_path("transport").read_text())
-    cfg["reference"] = {"name": "transport-dalembert"}
-    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
-    assert main(["solve", "--config", _write(tmp_path, cfg)]) == 0
-    rows = list(csv.DictReader((tmp_path / "o.csv").read_text().splitlines()))
-    assert len(rows) == 51
-    assert max(float(r["abs_err"]) for r in rows) <= 1e-12
-
-    # any other kind is a config error, found before the solve runs
-    solves = []
-    monkeypatch.setattr(cli.cont, "evaluate_extended",
-                        lambda *args: solves.append(args))
-    other = json.loads(json.dumps(MINIMAL))
-    other["reference"] = {"name": "transport-dalembert"}
-    assert main(["solve", "--config", _write(tmp_path, other)]) == EXIT_CONFIG
-    # the speed is the problem's; a c of the reference's own is refused
-    cfg["reference"] = {"name": "transport-dalembert", "c": 2.0}
-    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
-    assert solves == []
 
 
 def test_csv_round_trip_precision(tmp_path):

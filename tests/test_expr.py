@@ -214,8 +214,6 @@ def test_cauchy_product_matches_loop(n, points, degree):
 def test_order_limit():
     with pytest.raises(DerivativeOrderError):
         DerivativeCache(parse("t*exp(-t)")).derivative(201)
-    with pytest.raises(DerivativeOrderError):
-        DerivativeCache(parse("t*exp(-t)"), max_order=5).derivative(6)
 
 
 def test_high_order_stays_compact():

@@ -219,7 +219,7 @@ def _solve_recording_spec(name, tmp_path, monkeypatch):
 
     def recording(cfg):
         problem = build(cfg)
-        specs.append(problem[1])
+        specs.append(problem)
         return problem
 
     monkeypatch.setattr(cli, "build_problem", recording)

@@ -1,10 +1,10 @@
 """Every built-in scenario's output stays within its configured tol of the
-recorded one.
+recorded one, and every built-in run that is refused keeps its exit code.
 
-``scenario_outputs/`` holds the ``solve`` CSV of every built-in scenario
-and the ``map-initial`` CSV of every one whose kind has a w0 and whose data
-admit it.  A change
-that is meant to move these values re-records them with
+``scenario_outputs/`` holds the ``solve`` CSV of every built-in scenario,
+the ``map-initial`` CSV of every one whose kind has a w0 and whose data
+admit it, and the ``converge`` CSV of the lattice ones.  A change that is
+meant to move these values re-records them with
 
     PYTHONPATH=src python tests/test_scenarios.py --record
 
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from utmcont.cli import main, scenario_names
+from utmcont.cli import EXIT_CONFIG, EXIT_REFUSED, main, scenario_names
 
 RECORDED = Path(__file__).resolve().parent / "scenario_outputs"
 
@@ -28,8 +28,23 @@ RECORDED = Path(__file__).resolve().parent / "scenario_outputs"
 MAP_INITIAL = ("adv_minus", "adv_plus", "adv_te", "fi_gaussian", "fi_te_inv",
                "heat_gaussian", "heat_te", "kdv1_cos", "kdv1_te", "kdv2_cos")
 
+# the lattice scenarios, the only ones converge runs
+LATTICE = ("sd_heat", "sd_heat_neumann")
+
 CASES = sorted([("solve", name[:-5]) for name in scenario_names()]
-               + [("map-initial", name) for name in MAP_INITIAL])
+               + [("map-initial", name) for name in MAP_INITIAL]
+               + [("converge", name) for name in LATTICE])
+
+# every other built-in run: converge of a continuous problem and
+# map-initial of a problem without a w0 are config errors, and map-initial
+# of incompatible two-condition KdV data is refused
+REFUSED = sorted(
+    [("converge", name[:-5], EXIT_CONFIG) for name in scenario_names()
+     if name[:-5] not in LATTICE]
+    + [("map-initial", name, EXIT_CONFIG)
+       for name in ("sd_heat", "sd_heat_neumann", "transport")]
+    + [("map-initial", name, EXIT_REFUSED)
+       for name in ("kdv2_incompatible", "kdv2_te")])
 
 
 def _tol(scenario):
@@ -64,6 +79,14 @@ def test_output_within_tol_of_recorded(command, scenario, tmp_path):
     live = ~np.isnan(want)
     diff = np.abs(values[live] - want[live])
     assert diff.max(initial=0.0) <= _tol(scenario)
+
+
+@pytest.mark.parametrize("command,scenario,code", REFUSED,
+                         ids=[f"{c}-{s}" for c, s, _ in REFUSED])
+def test_refused_run_keeps_its_exit_code(command, scenario, code, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", scenario, "--out", str(out)]) == code
+    assert not out.exists()
 
 
 if __name__ == "__main__":
