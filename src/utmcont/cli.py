@@ -188,6 +188,8 @@ def build_problem(cfg):
     decay = ("auto",)
     if cfg.get("u0_decay"):
         d = cfg["u0_decay"]
+        if "type" not in d:
+            raise ConfigError("problem.u0_decay requires a type")
         decay = (d["type"],) if d.get("rate") is None else (d["type"], d["rate"])
     data = {name: _parse_expr(cfg[name], f"problem.{name}", var)
             for name, var in (("u0", "x"), ("f0", "t"), ("f1", "t"),

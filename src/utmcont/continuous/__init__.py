@@ -10,6 +10,7 @@ functions turn a point into an array.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,9 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Solver:
-    """What a problem kind provides.  Every entry looks its solver function
-    up through the module at call time, so a rebinding of a module
-    attribute (a tracer, a test double) sees every call.
+    """What a problem kind provides.
 
     ``i0(spec, xs, t, tol)``, ``boundary[datum](spec, xs, t, tol)`` (on
     the datum's native window), ``extended(spec, xs, t, tol)`` and
@@ -73,6 +72,14 @@ class Solver:
     parity: dict = field(default_factory=dict)
 
 
+def _late(fn, *bound):
+    """fn(spec, *bound, *args), with fn looked up through its module at
+    call time, so that a rebinding of the module attribute (a tracer, a
+    test double) sees every call."""
+    module, name = sys.modules[fn.__module__], fn.__name__
+    return lambda spec, *args: getattr(module, name)(spec, *bound, *args)
+
+
 def _full_ladder(coefficient):
     """The "all" ladder: every order of coefficient(spec, order, t, tol)."""
     return lambda spec, t, tol: CoeffLadder(
@@ -86,98 +93,61 @@ def _odd_center_ladder(spec, t, tol):
         center=spec.L)
 
 
-_HEAT = dict(
-    i0=lambda spec, xs, t, tol: heat.i0(spec, xs, t, tol),
-    extended=lambda spec, xs, t, tol: heat.extended(spec, xs, t, tol),
-    w0=lambda spec, xs: heat.boundary_to_initial(spec, xs),
-)
+_HEAT = dict(i0=_late(heat.i0), extended=_late(heat.extended),
+             w0=_late(heat.boundary_to_initial))
 
 _SOLVERS = {
     "transport": Solver(
         extended=lambda spec, xs, t, tol: transport_solution(spec, xs, t)),
     "heat-dirichlet": Solver(
         **_HEAT,
-        boundary={"f0": lambda spec, xs, t, tol: heat.boundary_integral(
-            spec, xs, t, tol)},
+        boundary={"f0": _late(heat.boundary_integral)},
         ladders={
             ("f0", "even"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
-            ("f0", "all"): _full_ladder(
-                lambda *a: heat.full_series_coefficient(*a)),
-        },
+            ("f0", "all"): _full_ladder(_late(heat.full_series_coefficient))},
         parity={"f0": "even"}),
     "heat-neumann": Solver(
         **_HEAT,
-        boundary={"f1": lambda spec, xs, t, tol: heat.boundary_integral(
-            spec, xs, t, tol)},
+        boundary={"f1": _late(heat.boundary_integral)},
         ladders={
-            ("f1", "odd"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
-        },
+            ("f1", "odd"): lambda spec, t, tol: heat.tilde_ladder(spec, t)},
         parity={"f1": "odd"}),
     "advected-heat": Solver(
-        i0=lambda spec, xs, t, tol: advected.i0(spec, xs, t, tol),
-        boundary={"f0": lambda spec, xs, t, tol: advected.boundary_integral(
-            spec, xs, t, tol)},
-        extended=lambda spec, xs, t, tol: advected.extended(spec, xs, t, tol),
-        w0=lambda spec, xs: advected.boundary_to_initial(spec, xs),
-        ladders={
-            ("f0", "even"): lambda spec, t, tol: advected.coefficient_ladder(
-                spec, 2, t, tol),
-            ("f0", "all"): lambda spec, t, tol: advected.coefficient_ladder(
-                spec, 1, t, tol),
-        },
+        i0=_late(advected.i0),
+        boundary={"f0": _late(advected.boundary_integral)},
+        extended=_late(advected.extended),
+        w0=_late(advected.boundary_to_initial),
+        ladders={("f0", "even"): _late(advected.coefficient_ladder, 2),
+                 ("f0", "all"): _late(advected.coefficient_ladder, 1)},
         parity={"f0": "even"}),
     "kdv-one-bc": Solver(
-        i0=lambda spec, xs, t, tol: kdv.i0_one_bc(spec, xs, t, tol),
-        boundary={"f0": lambda spec, xs, t, tol: kdv.if0_one_bc(
-            spec, xs, t, tol)},
-        extended=lambda spec, xs, t, tol: kdv.extended_one_bc(
-            spec, xs, t, tol),
-        w0=lambda spec, xs: kdv.w0_one_bc(spec, xs),
-        ladders={
-            ("f0", "even"): lambda spec, t, tol: kdv.kdv1_tilde_ladder(
-                spec, t, tol),
-            ("f0", "all"): _full_ladder(
-                lambda *a: kdv.kdv1_coefficient(*a)),
-        },
+        i0=_late(kdv.i0_one_bc),
+        boundary={"f0": _late(kdv.if0_one_bc)},
+        extended=_late(kdv.extended_one_bc),
+        w0=_late(kdv.w0_one_bc),
+        ladders={("f0", "even"): _late(kdv.kdv1_tilde_ladder),
+                 ("f0", "all"): _full_ladder(_late(kdv.kdv1_coefficient))},
         parity={"f0": "even"}),
     "kdv-two-bc": Solver(
-        i0=lambda spec, xs, t, tol: kdv.i0_two_bc(spec, xs, t, tol),
-        boundary={
-            which: lambda spec, xs, t, tol, which=which: kdv._kdv2_boundary(
-                spec, which, xs, t, tol)
-            for which in ("f0", "f1")
-        },
-        extended=lambda spec, xs, t, tol: kdv.extended_two_bc(
-            spec, xs, t, tol),
-        w0=lambda spec, xs: kdv.w0_two_bc(spec, xs),
-        ladders={
-            ("f0", "even"): lambda spec, t, tol: kdv.kdv2_tilde_ladder(
-                spec, "f0", t, tol),
-            ("f1", "odd"): lambda spec, t, tol: kdv.kdv2_tilde_ladder(
-                spec, "f1", t, tol),
-            **{(which, "all"): _full_ladder(
-                lambda spec, order, t, tol, which=which:
-                    kdv.kdv2_coefficient(spec, which, order, t, tol))
-               for which in ("f0", "f1")},
-        },
+        i0=_late(kdv.i0_two_bc),
+        boundary={w: _late(kdv._kdv2_boundary, w) for w in ("f0", "f1")},
+        extended=_late(kdv.extended_two_bc),
+        w0=_late(kdv.w0_two_bc),
+        ladders={("f0", "even"): _late(kdv.kdv2_tilde_ladder, "f0"),
+                 ("f1", "odd"): _late(kdv.kdv2_tilde_ladder, "f1"),
+                 **{(w, "all"): _full_ladder(_late(kdv.kdv2_coefficient, w))
+                    for w in ("f0", "f1")}},
         parity={"f0": "even", "f1": "odd"}),
     "heat-finite-interval": Solver(
-        i0=lambda spec, xs, t, tol: finite_interval.i0(spec, xs, t, tol),
-        boundary={
-            "f0": lambda spec, xs, t, tol:
-                finite_interval.left_boundary_integral(spec, xs, t, tol),
-            "g0": lambda spec, xs, t, tol:
-                finite_interval.right_boundary_integral(spec, xs, t, tol),
-        },
-        extended=lambda spec, xs, t, tol: finite_interval.extended(
-            spec, xs, t, tol),
-        w0=lambda spec, xs: finite_interval.boundary_to_initial(spec, xs),
-        ladders={
-            **{(which, "even"): lambda spec, t, tol, which=which:
-                finite_interval.tilde_ladder(spec, which, t)
-               for which in ("f0", "g0")},
-            ("f0", "odd-center"): _odd_center_ladder,
-        },
+        i0=_late(finite_interval.i0),
+        boundary={"f0": _late(finite_interval.left_boundary_integral),
+                  "g0": _late(finite_interval.right_boundary_integral)},
+        extended=_late(finite_interval.extended),
+        w0=_late(finite_interval.boundary_to_initial),
+        ladders={**{(w, "even"): lambda spec, t, tol, w=w:
+                    finite_interval.tilde_ladder(spec, w, t)
+                    for w in ("f0", "g0")},
+                 ("f0", "odd-center"): _odd_center_ladder},
         parity={"f0": "even", "g0": "even"}),
 }
 
@@ -242,11 +212,12 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     reduction for the datum (doubled-even for Dirichlet-type data,
     doubled-odd for derivative data); "all" gives the full series where
     available; "odd-center" the finite-interval series about x = L.
-    Structural zeros are stored as omitted orders.  No coefficient past
-    order N is computed (the fractional families integrate whole blocks of
-    derivative orders, see ``_common.fractional_family``); ``stop_reason``
-    is "cap" when the series carries orders up to N that the order cap
-    (200) cuts off.
+    A doubled sub-series omits its structural zeros; kdv-two-bc's "all"
+    series carries every order, exact 0.0 at 3m - 2 (f0) or 3m (f1).  No
+    coefficient past order N is computed (the fractional families integrate
+    whole blocks of derivative orders, see ``_common.fractional_family``);
+    ``stop_reason`` is "cap" when the series carries orders up to N that
+    the order cap (200) cuts off.
     """
     if t <= 0:
         raise ValueError("taylor coefficients require t > 0")
@@ -259,15 +230,9 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     ladder = build(spec, t, tol)
     entries = ladder.through(N)
     return TaylorExtension(
-        which=which,
-        t=t,
-        expansion_point=ladder.center,
-        parity=parity,
-        orders=[o for o, _ in entries],
-        coeffs=[c for _, c in entries],
-        truncation_order=entries[-1][0] if entries else 0,
-        stop_reason="cap" if ladder.capped_below(N) else "requested",
-    )
+        which=which, t=t, expansion_point=ladder.center, parity=parity,
+        orders=[o for o, _ in entries], coeffs=[c for _, c in entries],
+        stop_reason="cap" if ladder.capped_below(N) else "requested")
 
 
 def evaluate_extended(spec, x, t, tol=1e-10):

@@ -193,7 +193,7 @@ class CoeffLadder:
     ``center``.
 
     The series carries the orders stride*q + r, r in ``offsets``, up to
-    MAX_DERIVATIVE_ORDER (structural zeros are never carried);
+    MAX_DERIVATIVE_ORDER (a stride-1 series carries its structural zeros);
     ``coefficient(order)`` computes one coefficient.  Entries are computed
     in order of the orders and kept in ``entries``.
     """

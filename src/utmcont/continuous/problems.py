@@ -23,16 +23,6 @@ __all__ = [
     "transport_solution",
 ]
 
-KINDS = (
-    "transport",
-    "heat-dirichlet",
-    "heat-neumann",
-    "heat-finite-interval",
-    "advected-heat",
-    "kdv-one-bc",
-    "kdv-two-bc",
-)
-
 _REQUIRED_DATA = {
     "transport": ("u0",),
     "heat-dirichlet": ("u0", "f0"),
@@ -42,6 +32,7 @@ _REQUIRED_DATA = {
     "kdv-one-bc": ("u0", "f0"),
     "kdv-two-bc": ("u0", "f0", "f1"),
 }
+KINDS = tuple(_REQUIRED_DATA)
 
 
 class ProblemSpecError(ValueError):
@@ -85,8 +76,6 @@ class ProblemSpec:
         if self.kind not in KINDS:
             raise ProblemSpecError(f"unknown problem kind {self.kind!r}")
         for name in _REQUIRED_DATA[self.kind]:
-            if name == "f0" and self.kind == "transport" and self.c <= 0:
-                continue
             if getattr(self, name) is None:
                 raise ProblemSpecError(f"{self.kind} requires datum {name!r}")
         if self.kind == "transport":
@@ -147,8 +136,9 @@ def _resolve_decay(u0, declared):
 class TaylorExtension:
     """Computed Taylor data of a boundary integral about ``expansion_point``.
 
-    ``orders`` are the global exponents carried (structural zeros omitted);
-    ``parity`` records which sub-series this is.
+    ``orders`` are the global exponents carried and ``parity`` records
+    which sub-series this is: a doubled sub-series omits its structural
+    zeros, kdv-two-bc's "all" series carries them as exact 0.0.
     """
 
     which: str
@@ -157,7 +147,6 @@ class TaylorExtension:
     parity: str
     orders: list
     coeffs: list
-    truncation_order: int
     stop_reason: str
 
 
@@ -170,26 +159,17 @@ def _gaussian_drift(x, t):
     return math.exp(-((x - 1.0) ** 2) / (4.0 * t + 1.0)) / math.sqrt(4.0 * t + 1.0)
 
 
-def _kdv_decaying_cos(x, t):
-    return 2.0 * math.exp(-(x + 2.0 * t)) * math.cos(x - 2.0 * t)
-
-
-def _kdv2_exp_cos(x, t):
-    return 2.0 * math.exp(-math.sqrt(3.0) * x) * math.cos(x + 8.0 * t)
-
-
+# name: u(x, t, c)
 _REFERENCES = {
-    "gaussian-drift": _gaussian_drift,
-    "kdv-decaying-cos": _kdv_decaying_cos,
-    "kdv2-exp-cos": _kdv2_exp_cos,
+    "gaussian-drift": lambda x, t, c: _gaussian_drift(x, t),
+    "gaussian-drift-advected": lambda x, t, c: _gaussian_drift(
+        x + c * t + 1.0, t),
+    "kdv-decaying-cos": lambda x, t, c: (
+        2.0 * math.exp(-(x + 2.0 * t)) * math.cos(x - 2.0 * t)),
+    "kdv2-exp-cos": lambda x, t, c: (
+        2.0 * math.exp(-math.sqrt(3.0) * x) * math.cos(x + 8.0 * t)),
 }
-
-REFERENCE_NAMES = (
-    "gaussian-drift",
-    "gaussian-drift-advected",
-    "kdv-decaying-cos",
-    "kdv2-exp-cos",
-)
+REFERENCE_NAMES = tuple(_REFERENCES)
 
 
 def reference_whole_line(name, x, t, c=1.0):
@@ -198,11 +178,9 @@ def reference_whole_line(name, x, t, c=1.0):
     ``gaussian-drift-advected`` is the drifting Gaussian in the advected frame
     u(x + c t + 1, t).
     """
-    if name in _REFERENCES:
-        return _REFERENCES[name](x, t)
-    if name == "gaussian-drift-advected":
-        return _gaussian_drift(x + c * t + 1.0, t)
-    raise KeyError(f"unknown reference solution {name!r}")
+    if name not in _REFERENCES:
+        raise KeyError(f"unknown reference solution {name!r}")
+    return _REFERENCES[name](x, t, c)
 
 
 def transport_solution(spec, x, t):

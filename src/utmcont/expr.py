@@ -783,7 +783,10 @@ def parse(text, var_name=None):
     if var_name is not None:
         p.var_name = var_name
     try:
-        node = p.parse()
-    except RecursionError:  # nested deeper than Python's stack allows
+        expr = Expression(p.parse(), p.var_name or var_name or "x")
+        # compiled here: its numpy code nests deeper than the text, and
+        # Python's compiler refuses past 200 parentheses
+        expr.compiled()
+    except (RecursionError, SyntaxError):
         raise ExprSyntaxError("expression nested too deeply", p.pos) from None
-    return Expression(node, p.var_name or var_name or "x")
+    return expr

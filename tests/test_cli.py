@@ -65,6 +65,20 @@ def test_malformed_decay_is_config_error(tmp_path, capsys):
     assert "u0_decay" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem", [
+    MINIMAL["problem"],
+    {"kind": "sd-heat-dirichlet", "u0": "exp(-x)", "f0": "t", "h": 0.1},
+], ids=["continuous", "lattice"])
+def test_decay_without_type_is_config_error(tmp_path, capsys, problem):
+    cfg = {"problem": {**problem, "u0_decay": {"rate": 1}},
+           "grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 3,
+                    "n_min": -2, "n_max": 3, "times": [0.5]},
+           "outputs": {"csv": str(tmp_path / "o.csv")}}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "problem.u0_decay" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("t", [1e-3, 1e-2])
 def test_unresolved_kdv1_row_is_a_numerical_failure(tmp_path, capsys, t):
     # at small t the data rule of u0 ends before the one-condition Airy
@@ -182,6 +196,16 @@ def test_tol_option_overrides_the_config_tol(tmp_path):
 def test_deeply_nested_expression_is_config_error(tmp_path, capsys):
     cfg = json.loads(json.dumps(MINIMAL))
     cfg["problem"]["u0"] = "(" * 210 + "x" + ")" * 210
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "nested too deeply" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_expression_too_deep_to_compile_is_config_error(tmp_path, capsys):
+    # parses, but its numpy code nests past Python's 200 parentheses
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["problem"]["u0"] = "sin(2*" * 120 + "x" + ")" * 120 + "*exp(-x^2)"
     cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
     assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
     assert "nested too deeply" in capsys.readouterr().err

@@ -235,3 +235,10 @@ def test_complex_evaluation_entire():
 def test_complex_evaluation_refuses_brancy_ambiguity():
     with pytest.raises(ExprDomainError, match="fractional"):
         parse("sqrt(1+x)").eval_complex(0.5j)
+
+
+def test_parse_refuses_text_too_deep_to_compile():
+    # the parser accepts 120 nested sin(2*...), but the numpy code written
+    # from it nests past the 200 parentheses Python's compiler allows
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse("sin(2*" * 120 + "x" + ")" * 120 + "*exp(-x^2)")

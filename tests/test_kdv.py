@@ -404,3 +404,21 @@ def test_two_bc_structural_zero_storage(kdv2_cos):
     assert 4 not in ext0.orders and 10 not in ext0.orders and 16 not in ext0.orders
     ext1 = taylor_coefficients(kdv2_cos, "f1", 1.0, 20, parity="odd")
     assert 3 not in ext1.orders and 9 not in ext1.orders and 15 not in ext1.orders
+
+
+@pytest.mark.parametrize("which, zeros, parity, doubled", [
+    ("f0", [1, 4, 7], "even", [0, 2, 6, 8]),
+    ("f1", [0, 3, 6], "odd", [1, 5, 7]),
+])
+def test_two_bc_all_series_carries_its_structural_zeros(kdv2_cos, which,
+                                                        zeros, parity,
+                                                        doubled):
+    # the "all" series carries every order, exact 0.0 at 3m - 2 (f0) or
+    # 3m (f1); the doubled sub-series omits them
+    full = taylor_coefficients(kdv2_cos, which, 1.0, 8, parity="all")
+    assert full.orders == list(range(9))
+    assert [o for o, c in zip(full.orders, full.coeffs) if c == 0.0] == zeros
+    assert all(type(full.coeffs[o]) is float for o in zeros)
+    half = taylor_coefficients(kdv2_cos, which, 1.0, 8, parity=parity)
+    assert half.orders == doubled
+    assert all(c != 0.0 for c in half.coeffs)
