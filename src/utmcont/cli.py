@@ -12,8 +12,9 @@ Each command builds its rows once; ``_csv`` writes them as CSV with
 JSON run report with per-row provenance tags.
 
 Exit codes: 0 success, 2 config error (including malformed expression text,
-a config nested too deeply to read, and a command the problem kind does
-not support), 3 numerical failure, 4 refused boundary-to-initial map.
+a config nested too deeply to read, a finite-interval grid past the tiling
+depth, and a command the problem kind does not support), 3 numerical
+failure, 4 refused boundary-to-initial map.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import continuous as cont
 from .expr import ExprDomainError, ExprSyntaxError, parse
 from .quad import QuadratureError
 from .continuous._common import ResidualWarning
+from .continuous.finite_interval import require_tiling_depth
 from .semidiscrete import (LatticeSpec, continuum_limit_check, lattice_profile,
                            window_nodes)
 
@@ -164,13 +166,20 @@ def _positive_times(grid):
     return times
 
 
-def _x_grid(grid):
-    """The x grid of a continuous problem."""
+def _x_grid(grid, spec):
+    """The x grid of the continuous problem ``spec``; a finite-interval grid
+    must lie within the tiling depth, which the grid and L decide alone."""
     try:
-        return np.linspace(float(grid["x_min"]), float(grid["x_max"]),
-                           int(grid["n_points"]))
+        xs = np.linspace(float(grid["x_min"]), float(grid["x_max"]),
+                         int(grid["n_points"]))
     except KeyError as err:
         raise ConfigError(f"grid requires {err} for continuous problems")
+    if spec.kind == "heat-finite-interval":
+        try:
+            require_tiling_depth(spec, xs)
+        except ValueError as err:
+            raise ConfigError(str(err))
+    return xs
 
 
 def _parse_expr(text, where, var):
@@ -298,7 +307,7 @@ def _profile(problem, grid, tol):
     nodes n_min ... n_max (x = n h) through ``lattice_profile`` for a
     lattice one."""
     if isinstance(problem, cont.ProblemSpec):
-        xs = _x_grid(grid)
+        xs = _x_grid(grid, problem)
         right = (problem.L if problem.kind == "heat-finite-interval"
                  else math.inf)
         inside = [0 <= x <= right for x in xs.tolist()]
@@ -346,7 +355,7 @@ def cmd_map_initial(cfg, args):
     spec = build_problem(cfg["problem"])
     if not isinstance(spec, cont.ProblemSpec):
         raise ConfigError("map-initial applies to continuous problems")
-    xs = _x_grid(cfg["grid"])
+    xs = _x_grid(cfg["grid"], spec)
     started = time.perf_counter()
     # one call over the grid and, for the one-sided limits, four points
     # about 0; the linear variation is extrapolated away, so a continuous

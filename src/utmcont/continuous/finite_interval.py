@@ -5,11 +5,14 @@ evolution of the odd, 2L-periodic continuation of u0, entire in x.  Over
 one fixed rule of u0 on [0, L] it is a method-of-images sum of heat
 kernels, with no k-integral.  Each boundary integral collapses, via the
 geometric expansion of 1/sin(kL), to an image sum of half-line single-layer
-potentials, which converges like a Gaussian in the image index; each image
-is one single-layer call for a whole array of x.  Outside the native windows
-the extensions tile in steps of 2L, accumulating doubled Taylor series of the
-data, one series call per step for every point that takes it, and evaluate
-the window images of all points in one call.  The same boundary integral
+potentials, which converges like a Gaussian in the image index.  For a
+whole array of x it takes two quadratures whatever the image budget: one
+single-layer call for the nearest image pair, and one rule in
+zeta = L/sqrt(t - s) that every far image reads at the same datum values.
+Outside the native windows the extensions tile in steps of 2L, accumulating
+doubled Taylor series of the data, one series call per step for every point
+that takes it, and evaluate the window images of all points in one call;
+the tiling reaches TILE_DEPTH * L.  The same boundary integral
 also has the classical Fourier-sine-series form; both evaluators are exposed
 and must agree inside the common window.  w0 tiles the odd-periodic u0 by
 the same rules.  Functions of x take a 1-D array, except the Fourier form,
@@ -25,8 +28,8 @@ from scipy import special as _sp
 
 from ..quad import gauss_panels, geometric_edges, integrate_segment, row_sums
 from ._common import (OutsideWindowError, datum_ladder, doubled_series,
-                      over_factorial)
-from .heat import single_layer
+                      over_factorial, real_part)
+from .heat import SQRT_PI, single_layer
 
 # The tiled extensions reach |x| <= TILE_DEPTH * L.
 TILE_DEPTH = 5
@@ -82,17 +85,39 @@ def _image_budget(L, t, tol):
 
 def _image_sum(spec, datum, y, t, tol):
     """sum_j [S(y + 2jL) - S(2(j+1)L - y)] for y in [0, 2L), S the
-    single-layer potential of ``datum``: one array call per image; the
-    datum value at y = 0."""
+    single-layer potential of ``datum``, in two quadratures whatever the
+    image budget; the datum value at y = 0.
+
+    The nearest pair, y and 2L - y, is one single-layer call over both
+    distances.  Every far image d >= 2L shares one rule over
+    zeta = L/sqrt(t - s) on [L/sqrt(t), L/sqrt(t) + span]: with
+    r = d/(2L) >= 1, S(d) = (2/sqrt(pi)) int f0(t - L^2/zeta^2)
+    r e^{-(r zeta)^2} dzeta, so each row sums its signed far-image kernels
+    at the same datum values, and single_layer's span bounds every tail.
+    """
     L = spec.L
     if np.any((y < 0) | (y >= 2 * L)):
         raise OutsideWindowError("finite-interval boundary integrals live on "
                                  "their windows; use the tiled extension "
                                  "outside")
-    total = np.zeros(y.shape)
-    for j in range(_image_budget(L, t, tol) + 1):
-        total += single_layer(datum, y + 2 * j * L, t, tol)
-        total -= single_layer(datum, 2 * (j + 1) * L - y, t, tol)
+    near = single_layer(datum, np.concatenate([y, 2 * L - y]), t, tol)
+    j = np.arange(1, _image_budget(L, t, tol) + 1)
+    a = y[:, None] / (2 * L)
+    # r of the images y + 2jL (sign +) and 2(j+1)L - y (sign -), per row
+    ratio = np.concatenate([a + j, 1 + j - a], axis=1)
+    weight = ratio * np.repeat([1.0, -1.0], j.size)
+    zeta0 = L / math.sqrt(t)
+
+    def integrand(u):
+        zeta = zeta0 + np.real(u)
+        s = np.clip(t - L * L / (zeta * zeta), 0.0, t)
+        kernels = np.exp(-(ratio[:, :, None] * zeta) ** 2)
+        return datum.eval(s) * (weight[:, :, None] * kernels).sum(axis=1)
+
+    span = math.sqrt(math.log(4.0 / tol) + 5.0)
+    far = integrate_segment(integrand, 0.0, span, tol=tol / 2)
+    total = (near[:y.size] - near[y.size:]
+             + real_part(far.value * 2.0 / SQRT_PI, tol, "far images"))
     total[y == 0] = float(datum.eval(t))
     return total
 
@@ -179,6 +204,15 @@ def tilde_ladder(spec, datum, t):
                         center=spec.L if datum == "g0" else 0.0)
 
 
+def require_tiling_depth(spec, xs):
+    """ValueError naming the reach of the 1-D array xs when a point lies
+    past the tiling depth TILE_DEPTH * L."""
+    reach = float(np.max(np.abs(xs), initial=0.0))
+    if reach > TILE_DEPTH * spec.L:
+        raise ValueError(f"|x| = {reach:g} beyond the supported tiling depth "
+                         f"{TILE_DEPTH} L = {TILE_DEPTH * spec.L:g}")
+
+
 def _tile(spec, xs, right, at_base, ladder, tol):
     """2L-periodic tiling of the left window [0, 2L), or of the right one
     (-L, L], at each point of the 1-D array xs: at_base(b) at the images b
@@ -186,12 +220,16 @@ def _tile(spec, xs, right, at_base, ladder, tol):
     ``ladder`` accumulated on the way from each b out to its x, one series
     call per step of 2L.  ValueError for a point past the tiling depth."""
     L = spec.L
-    reach = float(np.max(np.abs(xs)))
-    if reach > TILE_DEPTH * L:
-        raise ValueError(f"|x| = {reach:g} beyond the supported tiling depth "
-                         f"{TILE_DEPTH} L = {TILE_DEPTH * L:g}")
+    require_tiling_depth(spec, xs)
     n = (np.ceil((xs - L) / (2 * L)) if right
          else np.floor(xs / (2 * L))).astype(int)
+    base = xs - 2 * n * L
+    # the rounded quotient can leave an image just past its window (x =
+    # -3.5999999999999996 with L = 1.2 gave the right image -L): one period in
+    if right:
+        n += (base > L).astype(int) - (base <= -L)
+    else:
+        n += (base >= 2 * L).astype(int) - (base < 0)
     value = at_base(xs - 2 * n * L)
     for step in range(1, int(np.max(np.abs(n), initial=0)) + 1):
         far = np.abs(n) >= step

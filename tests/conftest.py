@@ -1,8 +1,11 @@
-"""Shared problem fixtures (session-scoped so derivative jets persist) and
-the Taylor-sum helper of the series tests."""
+"""Shared problem fixtures (session-scoped so derivative jets persist), the
+Taylor-sum helper of the series tests, and a quadrature call counter."""
+
+import sys
 
 import pytest
 
+from utmcont import quad
 from utmcont.expr import parse
 from utmcont.continuous import ProblemSpec
 
@@ -16,6 +19,24 @@ def taylor_sum(ext, x):
     doubled-series evaluator."""
     dx = x - ext.expansion_point
     return sum(c * dx**m for m, c in zip(ext.orders, ext.coeffs))
+
+
+@pytest.fixture
+def segment_calls(monkeypatch):
+    """A list that gains one entry per ``integrate_segment`` call, through
+    every utmcont module that bound it."""
+    calls = []
+    real = quad.integrate_segment
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("utmcont")
+                and getattr(module, "integrate_segment", None) is real):
+            monkeypatch.setattr(module, "integrate_segment", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

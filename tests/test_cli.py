@@ -543,6 +543,24 @@ def test_map_initial_makes_one_boundary_to_initial_call(scenario, tmp_path,
     assert calls == [len(rows) + 4]
 
 
+@pytest.mark.parametrize("command", ["solve", "map-initial"])
+def test_grid_past_the_tiling_depth_is_config_error(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # the grid and L alone decide it, so it is refused before any solving
+    for name in ("evaluate_extended", "boundary_to_initial"):
+        monkeypatch.setattr(cli.cont, name,
+                            lambda *args: pytest.fail("solved"))
+    cfg = {"problem": {"kind": "heat-finite-interval", "u0": "exp(-(x-1)^2)",
+                       "f0": "t", "g0": "t", "L": 1.0},
+           "grid": {"x_min": -1.0, "x_max": 6.0, "n_points": 8,
+                    "times": [1.0]},
+           "outputs": {"csv": str(tmp_path / "o.csv")}}
+    assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: |x| = 6 beyond the "
+                                       "supported tiling depth 5 L = 5\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_map_initial_refusal_exit_code(tmp_path, capsys):
     cfg = {
         "problem": {"kind": "kdv-two-bc", "u0": "2*exp(-sqrt(3)*x)*cos(x)",

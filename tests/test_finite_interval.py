@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import taylor_sum
+from conftest import GAUSS_F0, GAUSS_U0, taylor_sum
+from utmcont.continuous import finite_interval
+from utmcont.continuous.heat import single_layer
 from utmcont.expr import ExprDomainError, parse
 from utmcont.quad import finite_interval_transform
 from utmcont.continuous import (
@@ -109,6 +111,41 @@ def test_deep_tiles(interval_gaussian):
         assert ua == pytest.approx(ur, abs=1e-7)
 
 
+def test_a_rounded_window_image_moves_into_its_window():
+    # with L = 1.2, x = -3.5999999999999996 / 2.4 rounds so that the right
+    # tiling put its window image at -L, outside (-L, L], and the solve
+    # raised OutsideWindowError
+    spec = ProblemSpec("heat-finite-interval", L=1.2, u0=parse(GAUSS_U0),
+                       f0=parse(GAUSS_F0),
+                       g0=parse("exp(-0.04/(4*t+1))/sqrt(4*t+1)"))
+    x = -3.5999999999999996
+    ua = evaluate_extended(spec, x, 1.0, 1e-10)
+    assert ua == pytest.approx(reference_whole_line("gaussian-drift", x, 1.0),
+                               abs=1e-12)
+
+
+_SMALL_T_DEEP_DEFECT = pytest.mark.xfail(
+    strict=True, reason="the accumulated doubled series reads up to 138 "
+    "orders at |x - center| = 5 and its terms cancel: errors 2.7e-9 to "
+    "2.3e-3, exit 0")
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1])
+@pytest.mark.parametrize("x", [
+    -2.0, -1.0, 3.0,
+    pytest.param(-4.0, marks=_SMALL_T_DEEP_DEFECT),
+    pytest.param(-5.0, marks=_SMALL_T_DEEP_DEFECT),
+    pytest.param(5.0, marks=_SMALL_T_DEEP_DEFECT),
+])
+def test_tiles_at_small_t_match_the_whole_line_solution(interval_gaussian,
+                                                        x, t):
+    # inside the supported depth 5 L, each tile should meet the exact
+    # solution; the near tiles do, to 3.7e-13
+    ua = evaluate_extended(interval_gaussian, x, t, 1e-10)
+    ur = reference_whole_line("gaussian-drift", x, t)
+    assert abs(ua - ur) <= 1e-12
+
+
 def test_smooth_gluing_at_both_boundaries(interval_gaussian):
     from test_heat import one_sided_derivatives
 
@@ -186,3 +223,52 @@ def test_pde_residual_off_domain(interval_gaussian):
             res.append(abs(ut - uxx))
         assert res[1] < res[0] / 2.5
         assert res[1] < 5e-4
+
+
+def _per_image_sum(spec, datum, y, t, tol, quad_tol):
+    """The reference image sum: one single-layer call per image, each at
+    quad_tol, over the images the budget of tol keeps."""
+    L = spec.L
+    total = np.zeros(y.shape)
+    for j in range(finite_interval._image_budget(L, t, tol) + 1):
+        total += single_layer(datum, y + 2 * j * L, t, quad_tol)
+        total -= single_layer(datum, 2 * (j + 1) * L - y, t, quad_tol)
+    total[y == 0] = float(datum.eval(t))
+    return total
+
+
+@pytest.mark.parametrize("L", [0.9, 1.0, 1.2])
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 4.0])
+def test_boundary_integrals_match_the_per_image_sum(L, t):
+    # the nearest pair and the far images in two quadratures sum the same
+    # images as one single-layer call per image.  At the call's own tol the
+    # per-image sum is off by 3.6e-12 at t = 4 (the image at 15.95, against
+    # an independent quadrature), so its images run at 1e-12.  At t = 1e-3
+    # the budget is one image pair and the far integrand underflows to 0.
+    spec = ProblemSpec("heat-finite-interval", L=L, u0=parse(GAUSS_U0),
+                       f0=parse(GAUSS_F0), g0=parse("1/sqrt(4*t+1)"))
+    tol = 1e-10
+    y = np.concatenate([[0.0, L, 2 * L - 1e-9],
+                        np.linspace(0.0, 2 * L, 21, endpoint=False)[1:]])
+    for got, datum in (
+            (finite_interval.left_boundary_integral(spec, y, t, tol),
+             spec.f0),
+            (finite_interval.right_boundary_integral(spec, L - y, t, tol),
+             spec.g0)):
+        oracle = _per_image_sum(spec, datum, y, t, tol, 1e-12)
+        assert np.all(np.abs(got - oracle)
+                      <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
+
+
+@pytest.mark.parametrize("L", [0.9, 1.2])
+@pytest.mark.parametrize("t", [1e-3, 1.0, 4.0])
+def test_extended_makes_two_quadratures_per_datum(segment_calls, L, t):
+    # the nearest image pair and the far images, whatever the image budget
+    # (one call per image made 2 (budget + 1) per datum).  A count, not a
+    # time, so the guard is free of timing noise.
+    spec = ProblemSpec("heat-finite-interval", L=L, u0=parse(GAUSS_U0),
+                       f0=parse(GAUSS_F0), g0=parse("1/sqrt(4*t+1)"))
+    xs = np.linspace(-4.5 * L, 4.5 * L, 19)
+    values = evaluate_extended(spec, xs, t, 1e-10)
+    assert np.all(np.isfinite(values))
+    assert len(segment_calls) == 4
