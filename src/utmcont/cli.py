@@ -73,11 +73,16 @@ _SECTIONS = {
     "problem.u0_decay": {"type", "rate"},
 }
 _NULLABLE = ("reference", "problem.u0_decay")
+# the keys whose values must be strings (the kind, names and expression
+# text), per section
+_TEXT_KEYS = {"problem": ("kind", "u0", "f0", "f1", "g0"),
+              "reference": ("name", "expr")}
 # the keys whose values must be numbers, per section, and those of them
 # that must be positive
 _NUMBER_KEYS = {"problem": ("c", "L", "h"),
                 "grid": ("x_min", "x_max", "n_points", "n_min", "n_max"),
-                "numerics": ("tol",)}
+                "numerics": ("tol",),
+                "reference": ("c",)}
 _POSITIVE_KEYS = ("n_points", "tol")
 # grid counts and lattice indices, which must be whole numbers
 _WHOLE_KEYS = ("n_points", "n_min", "n_max")
@@ -132,12 +137,18 @@ def validate_config(raw):
                                   f"{where!r}")
         if where == "<top>" and ("problem" not in raw or "grid" not in raw):
             raise ConfigError("config requires 'problem' and 'grid' sections")
+    for section, keys in _TEXT_KEYS.items():
+        block = raw.get(section) or {}
+        for key in keys:
+            if key in block and not isinstance(block[key], str):
+                raise ConfigError(f"{section}.{key} must be a string, not "
+                                  f"{block[key]!r}")
     kind = raw["problem"].get("kind")
     if kind not in cont.KINDS and kind not in LATTICE_KINDS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     _reject_non_finite(raw, "")
     for section, keys in _NUMBER_KEYS.items():
-        block = raw.get(section, {})
+        block = raw.get(section) or {}
         for key in keys:
             if key not in block:
                 continue
@@ -153,8 +164,17 @@ def validate_config(raw):
                 raise ConfigError(f"{section}.{key} must be a whole number, "
                                   f"not {value!r}")
     times = raw["grid"].get("times")
-    if not times or not all(_is_number(t) for t in times):
+    if not (isinstance(times, list) and times
+            and all(_is_number(t) for t in times)):
         raise ConfigError("grid.times must be a nonempty list of numbers")
+    refinement = raw.get("refinement", {})
+    h_values = refinement.get("h_values")
+    if "h_values" in refinement and not (
+            isinstance(h_values, list)
+            and all(_is_number(h) and h > 0 for h in h_values)
+            and len(set(h_values)) == len(h_values) >= 3):
+        raise ConfigError("refinement.h_values must be a list of at least "
+                          f"three distinct positive numbers, not {h_values!r}")
     return raw
 
 
@@ -203,7 +223,7 @@ def build_problem(cfg):
     data = {name: _parse_expr(cfg[name], f"problem.{name}", var)
             for name, var in (("u0", "x"), ("f0", "t"), ("f1", "t"),
                               ("g0", "t"))
-            if cfg.get(name) is not None}
+            if name in cfg}
     if kind in LATTICE_KINDS:
         h = cfg.get("h")
         if not h or h <= 0:
@@ -391,7 +411,7 @@ def cmd_converge(cfg, args):
     if isinstance(problem, cont.ProblemSpec):
         raise ConfigError("converge requires a lattice problem kind")
     h_values = cfg.get("refinement", {}).get("h_values")
-    if not h_values or len(h_values) < 3:
+    if h_values is None:
         raise ConfigError("refinement.h_values needs at least three spacings")
     tol = float(cfg.get("numerics", {}).get("tol", 1e-10))
     grid = cfg["grid"]

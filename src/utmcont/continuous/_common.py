@@ -92,16 +92,10 @@ def data_rule(spec, tol, width=None):
     return y, w * spec.u0.eval(y)
 
 
-def over_factorial(value, n, weight=1.0, times=1.0):
-    """value / (weight * n!) * times.
-
-    Up to n = 170 this is that float expression, so those values keep their
-    bits.  Past it n! no longer converts to a float, and the quotient is
-    taken as value * times / weight / 170! / (171 * ... * n).
-    """
-    if n <= 170:
-        return value / (weight * math.factorial(n)) * times
-    return (value * times / weight / math.factorial(170)
+def over_factorial(value, n):
+    """value / n!, taken as value / min(n, 170)! / (171 * ... * n): past
+    n = 170, n! no longer converts to a float."""
+    return (value / math.factorial(min(n, 170))
             / math.prod(range(171, n + 1)))
 
 

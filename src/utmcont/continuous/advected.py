@@ -60,10 +60,8 @@ def _gauged(spec):
 
 
 def _gauge(c, x, t):
-    """E(x, t) at a point, or at each point of an array (math.exp at a
-    point, so the Taylor coefficients keep the bits of the libm exp)."""
-    if np.ndim(x) == 0:
-        return math.exp(-c * x / 2.0 - c * c * t / 4.0)
+    """E(x, t) = e^{-c x / 2 - c^2 t / 4} at a point or at each point of an
+    array."""
     return np.exp(-c * x / 2.0 - c * c * t / 4.0)
 
 
@@ -87,7 +85,7 @@ def boundary_coefficient(spec, order, t, tol=1e-11, heat_ladder=None):
         heat_ladder = _heat_ladder(spec, t, tol)
     total = sum(over_factorial((-c / 2.0) ** (order - j), order - j) * h
                 for j, h in heat_ladder.through(order))
-    return _gauge(c, 0.0, t) * total
+    return float(_gauge(c, 0.0, t) * total)
 
 
 def _heat_ladder(spec, t, tol):

@@ -314,4 +314,5 @@ def odd_center_coefficient(spec, n, t, tol=1e-11):
         return spec.f0.eval(t - sigma * sigma) * kernel(sigma) * 2.0 * sigma
 
     res = integrate_segment(integrand, 0.0, math.sqrt(t), tol=tol, rel_tol=tol)
-    return over_factorial(-2.0, 2 * n - 1, math.pi, float(np.real(res.value)))
+    return over_factorial(-2.0 / math.pi * float(np.real(res.value)),
+                          2 * n - 1)

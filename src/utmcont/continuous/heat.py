@@ -115,7 +115,7 @@ def dirichlet_odd_coefficient(spec, n, t, tol=1e-11):
     if n < 1:
         raise ValueError("odd coefficients start at n = 1")
     total = fractional_family(spec, "f0", n, t, 0.5, tol)
-    return over_factorial(-total, 2 * n - 1, math.pi)
+    return over_factorial(-total / math.pi, 2 * n - 1)
 
 
 def full_series_coefficient(spec, order, t, tol=1e-11):

@@ -369,7 +369,7 @@ def kdv2_coefficient(spec, which, order, t, tol=1e-11):
         return 0.0
     m = (order + 1) // 3  # a_{3m-1}, b_{3m-1}
     total = fractional_family(spec, which, m, t, beta, tol)
-    return over_factorial(-SQRT3, order, 2 * math.pi, total)
+    return over_factorial(-SQRT3 / (2.0 * math.pi) * total, order)
 
 
 def kdv2_tilde_ladder(spec, which, t, tol=COEFF_TOL):

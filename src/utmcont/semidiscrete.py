@@ -9,10 +9,10 @@ products, plus the reflected interior value.  A profile over a window is
 one range call over every interior index the window reads, its own and
 those its continued values reflect to, so all share one theta grid, and
 one continued call over its indices behind the boundary, whose weights
-form one table, a row per derivative order p and a column per index: the
-gamma-ratio products are cumulative products down its columns, and the
-table is summed row by row in the order p with one derivative read per
-row.
+form one table, a row per derivative order p and a column per index: each
+weight is the running product of its gamma ratios down its column, for
+either condition, and the table is summed row by row in the order p with
+one derivative read per row.
 
 Both conditions read one theta rule over [0, pi], the Dirichlet integrand
 being odd in theta and the Neumann one conjugate at -theta: equal panels
@@ -234,41 +234,16 @@ def sd_heat_neumann_range(spec, ns):
     return _wave_sum(theta, ns, base).real
 
 
-# float((2p+1)!) for p = 1 .. 84; from 2p+1 = 171 on it is no finite float
-_ODD_FACTORIALS = np.array([float(math.factorial(2 * p + 1))
-                            for p in range(1, 85)])
-
-
 def neumann_reflection_sum(spec, ns):
     """(1-2n) h sum_{p<n} u^{(p)}(T) h^{2p} G(p+n)/G(n-p) / (2p+1)! at each
-    index of the array ns >= 1.  The weights form one table, a row per p
-    and a column per index: the weight of p is h^{2p+1} times the gamma-ratio
-    product, the cumulative product over p of (n+p-1)(n-p), over (2p+1)!,
-    and zero from p = n on.  Where that is no finite float (2p+1 > 170, or
-    the product overflows) the weight continues, in order of p, by the ratio
-    w_p = w_{p-1} h^2 (n+p-1)(n-p) / ((2p)(2p+1))."""
+    index of the array ns >= 1; the weight h^{2p+1} G(p+n)/G(n-p) / (2p+1)!
+    is h times the running product of its ratios, zero from p = n on."""
     ns = np.asarray(ns)
     flat = ns.reshape(-1)
     h = spec.h
-    weights = np.zeros((int(np.max(ns, initial=0)), len(flat)))
-    weights[:1] = h  # p = 0
-    p = np.arange(1, len(weights))[:, None]
-    factor = ((flat + p - 1) * (flat - p)).astype(float)
-    direct = np.full(factor.shape, np.inf)
-    k = min(len(p), len(_ODD_FACTORIALS))
-    scale = np.array([h ** (2 * q + 1) for q in range(1, k + 1)])
-    # inf and nan (an overflowed product, its zero factor at p = n) are
-    # replaced by the ratio or the mask
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct[:k] = (scale[:, None] * np.cumprod(factor[:k], axis=0)
-                      / _ODD_FACTORIALS[:k, None])
-    live = p < flat
-    weights[1:] = np.where(live, direct, 0.0)
-    ratio = live & ~np.isfinite(direct)
-    for q in np.flatnonzero(ratio.any(axis=1)) + 1:
-        cols = ratio[q - 1]
-        weights[q, cols] = weights[q - 1, cols] * (
-            h * h * factor[q - 1, cols] / ((2 * q) * (2 * q + 1)))
+    p = np.arange(1, int(np.max(ns, initial=0)))[:, None]
+    ratios = h * h * (flat + p - 1) * (flat - p) / ((2 * p) * (2 * p + 1))
+    weights = np.cumprod(np.vstack([np.full(len(flat), h), ratios]), axis=0)
     return (1 - 2 * ns) * _datum_sum(spec, weights).reshape(ns.shape)
 
 

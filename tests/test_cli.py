@@ -166,6 +166,48 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, base, section,
     assert not (tmp_path / "o.json").exists()
 
 
+def _h_values(value):
+    return {"refinement": {"h_values": value}}
+
+
+@pytest.mark.parametrize("base,command,patch,where", [
+    (MINIMAL, "solve", {"problem": {"u0": 5}}, "problem.u0 must be a string"),
+    (MINIMAL, "solve", {"reference": {"expr": 3}},
+     "reference.expr must be a string"),
+    (MINIMAL, "solve", {"grid": {"times": 1.0}},
+     "grid.times must be a nonempty list"),
+    (MINIMAL, "solve", {"problem": {"kind": ["a"]}},
+     "problem.kind must be a string"),
+    (LATTICE, "converge", _h_values(3), "refinement.h_values must be a list"),
+    (LATTICE, "converge", _h_values(True),
+     "refinement.h_values must be a list"),
+    (LATTICE, "converge", _h_values([0.1, -0.05, 0.025]),
+     "refinement.h_values must be a list"),
+    (LATTICE, "converge", _h_values([0.1, "a", 0.025]),
+     "refinement.h_values must be a list"),
+    (LATTICE, "converge", _h_values([True, 0.05, 0.025]),
+     "refinement.h_values must be a list"),
+    (LATTICE, "converge", _h_values([0.1, 0.1, 0.05]),
+     "refinement.h_values must be a list"),
+    (ADVECTED, "solve", {"reference": {"name": "gaussian-drift", "c": "abc"}},
+     "reference.c must be a number"),
+], ids=["u0-number", "reference-expr-number", "times-number", "kind-list",
+        "h-values-number", "h-values-bool", "h-values-negative",
+        "h-values-text", "h-values-bool-entry", "h-values-repeated",
+        "reference-c-text"])
+def test_malformed_value_is_config_error(tmp_path, capsys, base, command,
+                                         patch, where):
+    # a value of the wrong type or shape is refused by its key before any
+    # solving, not met as a traceback or as a numerical failure
+    cfg = json.loads(json.dumps(base))
+    for section, items in patch.items():
+        cfg.setdefault(section, {}).update(items)
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("command,scenario", [("solve", "heat_te"),
                                               ("converge", "sd_heat")])
 @pytest.mark.parametrize("tol", ["-1", "0", "inf"])

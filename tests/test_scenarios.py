@@ -1,5 +1,6 @@
 """Every built-in scenario's output stays within its configured tol of the
-recorded one, and every built-in run that is refused keeps its exit code.
+recorded one, every one with a reference meets that tol against it, and
+every built-in run that is refused keeps its exit code.
 
 ``scenario_outputs/`` holds the ``solve`` CSV of every built-in scenario,
 the ``map-initial`` CSV of every one whose kind has a w0 and whose data
@@ -12,6 +13,7 @@ and says in its change notes why they moved.
 """
 
 import csv
+import functools
 import json
 import sys
 from importlib import resources
@@ -47,14 +49,41 @@ REFUSED = sorted(
        for name in ("kdv2_incompatible", "kdv2_te")])
 
 
+def _config(scenario):
+    return json.loads(resources.files("utmcont.scenarios")
+                      .joinpath(f"{scenario}.json").read_text())
+
+
 def _tol(scenario):
-    cfg = json.loads(resources.files("utmcont.scenarios")
-                     .joinpath(f"{scenario}.json").read_text())
-    return float(cfg.get("numerics", {}).get("tol", 1e-10))
+    return float(_config(scenario).get("numerics", {}).get("tol", 1e-10))
+
+
+# the scenarios whose solve rows carry abs_err against a reference, and
+# the defects that keep one from meeting its tol there
+WITH_REFERENCE = [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 5: the two-condition KdV boundary "
+        "parts miss tol (57 of 61 rows above 1e-9)"))
+    if name == "kdv2_cos" else name
+    for name in sorted(n[:-5] for n in scenario_names())
+    if _config(name).get("reference")]
 
 
 def _run(command, scenario, out):
     assert main([command, "--scenario", scenario, "--out", str(out)]) == 0
+
+
+@pytest.fixture(scope="module")
+def run_output(tmp_path_factory):
+    """The CSV path of a built-in run, each run made once per module."""
+    folder = tmp_path_factory.mktemp("runs")
+
+    @functools.cache
+    def output(command, scenario):
+        out = folder / f"{scenario}.{command}.csv"
+        _run(command, scenario, out)
+        return out
+    return output
 
 
 def _columns(path):
@@ -68,10 +97,8 @@ def _columns(path):
 
 @pytest.mark.parametrize("command,scenario", CASES,
                          ids=[f"{c}-{s}" for c, s in CASES])
-def test_output_within_tol_of_recorded(command, scenario, tmp_path):
-    out = tmp_path / "out.csv"
-    _run(command, scenario, out)
-    header, values = _columns(out)
+def test_output_within_tol_of_recorded(command, scenario, run_output):
+    header, values = _columns(run_output(command, scenario))
     want_header, want = _columns(RECORDED / f"{scenario}.{command}.csv")
     assert header == want_header
     assert values.shape == want.shape
@@ -79,6 +106,14 @@ def test_output_within_tol_of_recorded(command, scenario, tmp_path):
     live = ~np.isnan(want)
     diff = np.abs(values[live] - want[live])
     assert diff.max(initial=0.0) <= _tol(scenario)
+
+
+@pytest.mark.parametrize("scenario", WITH_REFERENCE)
+def test_solve_meets_its_tol_against_its_reference(scenario, run_output):
+    header, values = _columns(run_output("solve", scenario))
+    err = values[:, header.index("abs_err")]
+    assert not np.isnan(err).any()
+    assert err.max() <= _tol(scenario)
 
 
 @pytest.mark.parametrize("command,scenario,code", REFUSED,

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from utmcont.expr import parse
 from utmcont.quad import geometric_edges, integrate_segment
-from utmcont.specfun import bessel_i_scaled, reflection_product_neumann
+from utmcont.specfun import bessel_i_scaled
 from utmcont import continuous as cont
 from utmcont import semidiscrete
 from utmcont.semidiscrete import (
@@ -371,34 +372,59 @@ def test_range_matches_direct_theta_sums(h, condition):
     assert np.max(np.abs(fn(spec, ns) - _direct_range(spec, ns))) <= 1e-13
 
 
-def test_neumann_reflection_sum_keeps_reference_bits(neumann_lattice):
-    # the running product reproduces the per-p product value for value
-    h, T = neumann_lattice.h, neumann_lattice.T
-    for n in range(1, 41):
-        total = 0.0
-        for p in range(n):
-            weight = (h ** (2 * p + 1) * reflection_product_neumann(n, p)
-                      / math.factorial(2 * p + 1))
-            if weight != 0.0:
-                total += neumann_lattice.deriv.value(p, T) * weight
-        assert neumann_reflection_sum(neumann_lattice, n) == (1 - 2 * n) * total
+def _exact_reflection_sum(spec, n):
+    """(sum, sum of |terms|) of the reflection sum at index n in exact
+    rationals: the weights from the float h by their ratios, the float
+    derivatives as they are."""
+    h, T = Fraction(spec.h), spec.T
+    dirichlet = spec.condition == "dirichlet"
+    # 2 sum_{p<=n} from weight 1, or (1-2n) sum_{p<n} from weight h
+    scale, weight, last = ((2, Fraction(1), n + 1) if dirichlet
+                           else (1 - 2 * n, h, n))
+    total = size = Fraction(0)
+    for p in range(last):
+        if p and dirichlet:
+            weight *= (h * h * (n - p + 1) * (n + p - 1)
+                       / ((2 * p) * (2 * p - 1)))
+        elif p:
+            weight *= h * h * (n + p - 1) * (n - p) / ((2 * p) * (2 * p + 1))
+        term = scale * Fraction(spec.deriv.value(p, T)) * weight
+        total += term
+        size += abs(term)
+    return total, size
 
+
+@pytest.mark.parametrize("h", [0.02, 0.1, 0.5])
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+def test_reflection_sums_within_rounding_of_exact_weights(lattice,
+                                                          neumann_lattice,
+                                                          condition, h):
+    # both lattice reflection sums against the same sums in rationals,
+    # within 4 eps sum_p |term_p|: a bound of the arithmetic, not of a
+    # rounding order
+    base = lattice if condition == "dirichlet" else neumann_lattice
+    spec = LatticeSpec(h=h, u0=base.u0, datum=base.datum, T=base.T,
+                       condition=condition)
+    fn = (dirichlet_reflection_sum if condition == "dirichlet"
+          else neumann_reflection_sum)
+    ns = np.array(list(range(1, 61)) + [120, 199])
+    got = fn(spec, ns)
+    eps = Fraction(np.finfo(float).eps)
+    for n, value in zip(ns.tolist(), got.tolist()):
+        exact, size = _exact_reflection_sum(spec, n)
+        assert abs(Fraction(value) - exact) <= 4 * eps * size, n
 
 
 def _loop_reflection_sum(spec, n):
     """The Neumann finite sum at one index, p by p in Python floats: the
-    running product, its ratio continuation where the direct weight is no
-    finite float, and the nonzero weights added in order of p."""
+    weight h times the running product of its ratios, and the nonzero
+    weights added in order of p."""
     h, T = spec.h, spec.T
-    weight, prod, total = h, 1.0, 0.0
+    weight, total = h, 0.0
     for p in range(n):
         if p:
-            factor = (n + p - 1) * (n - p)
-            prod = prod * factor
-            direct = (h ** (2 * p + 1) * prod / float(math.factorial(2 * p + 1))
-                      if 2 * p + 1 <= 170 else math.inf)
-            weight = (direct if math.isfinite(direct)
-                      else weight * (h * h * factor / ((2 * p) * (2 * p + 1))))
+            weight = weight * (h * h * (n + p - 1) * (n - p)
+                               / ((2 * p) * (2 * p + 1)))
         if weight != 0.0:
             total = total + spec.deriv.value(p, T) * weight
     return (1 - 2 * n) * total
@@ -406,8 +432,8 @@ def _loop_reflection_sum(spec, n):
 
 @pytest.mark.parametrize("h", [0.02, 0.1, 0.5])
 def test_neumann_weight_table_keeps_the_loop_bits(neumann_lattice, h):
-    # up to n = 199 the weights of p >= 85 (2p+1 > 170) and of overflowed
-    # products come from the ratio continuation
+    # up to n = 199, where the weights reach orders p whose (2p+1)! is no
+    # finite float
     spec = LatticeSpec(h=h, u0=neumann_lattice.u0,
                        datum=neumann_lattice.datum, T=neumann_lattice.T,
                        condition="neumann")
@@ -419,6 +445,7 @@ def test_neumann_weight_table_keeps_the_loop_bits(neumann_lattice, h):
     part = ns[::-13]
     assert (neumann_reflection_sum(spec, part).tobytes()
             == want[part - 1].tobytes())
+
 
 def _mode_spec(h, condition, p=1.2, q=4.0, T=0.1):
     """u_n(t) = Re 2 exp(kappa n h + omega t), kappa = -p + i q, solves the

@@ -132,7 +132,7 @@ def test_boundary_sum_past_float_range_raises(fresh_spec):
     assert all(math.isfinite(c) for c in ext.coeffs)
     # values recorded before the overflowing orders were refused
     assert ext.coeffs[-3:] == [8.930514295950136e+60, 9.96417506681179e-236,
-                               -3.142578700789877e+61]
+                               -3.1425787007898777e+61]
 
 
 @pytest.mark.parametrize("kind,which,x", [
