@@ -1,9 +1,10 @@
 """Scenario-driven command line: solve, map-initial, converge, list-scenarios.
 
 Configs are single JSON documents with expression-valued data fields; the
-schema is validated strictly (unknown keys and NaN or infinite numbers are
-rejected, ``--tol`` standing in for numerics.tol) before any computation,
-and so are output paths whose directory does not exist.
+schema is validated strictly (unknown keys, problem keys the kind does not
+read, and NaN or infinite numbers are rejected, ``--tol`` standing in for
+numerics.tol) before any computation, and so are output paths whose
+directory does not exist.
 ``build_problem`` turns the problem section into the one problem value
 every command reads: a ``ProblemSpec`` for a continuous kind, a
 ``LatticeSpec`` still to be given its time (and spacing) for a lattice kind.
@@ -45,6 +46,22 @@ EXIT_REFUSED = 4
 # lattice kind: the datum that carries its boundary condition
 LATTICE_KINDS = {"sd-heat-dirichlet": "f0", "sd-heat-neumann": "f1"}
 
+# the problem keys each kind reads besides its kind: a config that gives
+# any other would have it dropped unread, so it is refused.  The
+# half-line data rule reads u0_decay; transport and the finite interval
+# never build it.
+_KIND_KEYS = {
+    "transport": ("u0", "f0", "c"),
+    "heat-dirichlet": ("u0", "f0", "u0_decay"),
+    "heat-neumann": ("u0", "f1", "u0_decay"),
+    "heat-finite-interval": ("u0", "f0", "g0", "L"),
+    "advected-heat": ("u0", "f0", "c", "u0_decay"),
+    "kdv-one-bc": ("u0", "f0", "u0_decay"),
+    "kdv-two-bc": ("u0", "f0", "f1", "u0_decay"),
+    "sd-heat-dirichlet": ("u0", "f0", "h"),
+    "sd-heat-neumann": ("u0", "f1", "h"),
+}
+
 # ExprDomainError is an ArithmeticError; DecayError and DecayClassError
 # are ValueErrors
 _NUMERIC_ERRORS = (QuadratureError, ResidualWarning, ArithmeticError,
@@ -64,7 +81,7 @@ class ConfigError(ValueError):
 _SECTIONS = {
     "<top>": {"description", "problem", "grid", "numerics", "reference",
               "outputs", "refinement"},
-    "problem": {"kind", "u0", "f0", "f1", "g0", "c", "L", "h", "u0_decay"},
+    "problem": {"kind"}.union(*_KIND_KEYS.values()),
     "grid": {"x_min", "x_max", "n_points", "times", "n_min", "n_max"},
     "numerics": {"tol"},
     "outputs": {"csv", "json"},
@@ -144,7 +161,7 @@ def validate_config(raw):
                 raise ConfigError(f"{section}.{key} must be a string, not "
                                   f"{block[key]!r}")
     kind = raw["problem"].get("kind")
-    if kind not in cont.KINDS and kind not in LATTICE_KINDS:
+    if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     _reject_non_finite(raw, "")
     for section, keys in _NUMBER_KEYS.items():
@@ -175,6 +192,11 @@ def validate_config(raw):
             and len(set(h_values)) == len(h_values) >= 3):
         raise ConfigError("refinement.h_values must be a list of at least "
                           f"three distinct positive numbers, not {h_values!r}")
+    reads = _KIND_KEYS[kind]
+    for key in raw["problem"]:
+        if key != "kind" and key not in reads:
+            raise ConfigError(f"problem.{key} is not read by {kind} problems "
+                              f"(they read {', '.join(reads)})")
     return raw
 
 

@@ -75,15 +75,21 @@ def boundary_integral(spec, xs, t, tol=1e-10):
     return out
 
 
-def boundary_coefficient(spec, order, t, tol=1e-11, heat_ladder=None):
+def boundary_coefficient(spec, order, t, tol=1e-11, heat_ladder=None,
+                         gauge_series=None):
     """Taylor coefficient a_order(t) of the boundary part about x = 0: the
-    Cauchy product of the series of E(., t) with the full heat-Dirichlet
-    series of the gauged spec, read from ``heat_ladder`` (a new one when
-    None)."""
+    Cauchy product of the series of E(., t), E(0, t) (-c/2)^k / k!, with the
+    full heat-Dirichlet series of the gauged spec.  The heat series is read
+    from ``heat_ladder``, and (-c/2)^k / k! from the list ``gauge_series``,
+    which is extended through k = order (new ones when None)."""
     c = spec.c
     if heat_ladder is None:
         heat_ladder = _heat_ladder(spec, t, tol)
-    total = sum(over_factorial((-c / 2.0) ** (order - j), order - j) * h
+    if gauge_series is None:
+        gauge_series = []
+    for k in range(len(gauge_series), order + 1):
+        gauge_series.append(over_factorial((-c / 2.0) ** k, k))
+    total = sum(gauge_series[order - j] * h
                 for j, h in heat_ladder.through(order))
     return float(_gauge(c, 0.0, t) * total)
 
@@ -98,10 +104,11 @@ def _heat_ladder(spec, t, tol):
 def coefficient_ladder(spec, stride, t, tol=COEFF_TOL):
     """Ladder of the boundary coefficients a_order(t) of the orders
     divisible by ``stride`` (1 for the full series, 2 for the even one
-    doubled across x = 0), all of them read from one inner heat ladder."""
-    inner = _heat_ladder(spec, t, tol)
+    doubled across x = 0), all of them read from one inner heat ladder and
+    one series of E."""
+    inner, gauge_series = _heat_ladder(spec, t, tol), []
     return CoeffLadder(stride, (0,), lambda order: boundary_coefficient(
-        spec, order, t, tol, inner))
+        spec, order, t, tol, inner, gauge_series))
 
 
 # ---------------------------------------------------------------------------

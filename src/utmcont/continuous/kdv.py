@@ -7,7 +7,10 @@ finite sum u0_hat(k) = sum_n c_n e^{-iky_n}, and term by term the UTM
 k-integral of each node is Ai at a real argument plus alpha Ai and
 alpha^2 Ai at rotated ones, alpha = e^{2 pi i/3}, the last term the
 conjugate of the second (``i0_one_bc``, ``i0_two_bc``).  The real term
-is scipy's airy.  The rotated Ai is K_{1/3}, with the connection formula
+is scipy's airy on |x| <= 2 and one K_{1/3} beyond, at a real argument
+for x > 2 and a purely imaginary one for x < -2 (``_real_airy``); the
+Airy-kernel convolution ``if0_one_bc`` reads the same real Ai.  The
+rotated Ai is K_{1/3}, with the connection formula
 Ai(z) = -alpha Ai(alpha z) - alpha^2 Ai(alpha^2 z) for |arg z| >= 2 pi/3
 (``_airy``): a complex airy would also compute Ai', Bi and Bi' through
 four AMOS routines, at about six times the cost.  Both parts are entire
@@ -54,8 +57,32 @@ ALPHA = cmath.exp(2j * math.pi / 3)
 SQRT3 = math.sqrt(3.0)
 
 
+def _real_airy(x):
+    """Ai on a real array, in three bands: scipy's airy on |x| <= 2 (its
+    power-series band; NaN lands here too), sqrt(x/3) K_{1/3}(eta)/pi for
+    x > 2, and (2/pi) sqrt(|x|/3) Im K_{1/3}(-i eta) for x < -2, with
+    eta = (2/3) |x|^{3/2} (DLMF 9.6.1, 9.6.6, and K_nu(-iz) =
+    (pi i/2) e^{i nu pi/2} H^(1)_nu(z)).  One kv per argument, where airy
+    would also compute Ai', Bi and Bi'; the imaginary argument of the left
+    band is exact, so its phase carries no rounding.  Past x = 104 Ai
+    underflows to 0, and +-inf give NaN, as in airy."""
+    ai = np.empty(x.shape)
+    middle = ~(np.abs(x) > 2.0)
+    ai[middle] = _sp.airy(x[middle])[0]
+    right, left = x > 2.0, x < -2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(x[right])
+        eta = (2.0 / 3.0) * x[right] * root
+        ai[right] = root * _sp.kv(1.0 / 3.0, eta) / (math.pi * SQRT3)
+        root = np.sqrt(-x[left])
+        eta = (2.0 / 3.0) * -x[left] * root
+        ai[left] = 2.0 * root * _sp.kv(1.0 / 3.0, -1j * eta).imag / (
+            math.pi * SQRT3)
+    return ai
+
+
 def _airy(z):
-    """Ai on an array.  A real z goes through scipy's airy, a complex one
+    """Ai on an array.  A real z goes through ``_real_airy``, a complex one
     through K_{1/3} (DLMF 9.6.1): Ai(z) = sqrt(z/3) K_{1/3}(zeta)/pi with
     zeta = (2/3) z sqrt(z), for |arg z| < 2 pi/3.  For |arg z| >= 2 pi/3
     the computed zeta lies across the cut from z: it is (2/3)(alpha z)^{3/2}
@@ -67,7 +94,7 @@ def _airy(z):
     is accurate to Ai's own conditioning at large |z|, where z**1.5 is
     not."""
     if not np.iscomplexobj(z):
-        return _sp.airy(z)[0]
+        return _real_airy(np.asarray(z, dtype=float))
     root = np.sqrt(z)
     zeta = (2.0 / 3.0) * z * root
     k = _sp.kv(1.0 / 3.0, zeta)

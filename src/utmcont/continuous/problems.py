@@ -83,6 +83,10 @@ class ProblemSpec:
                 raise ProblemSpecError("transport requires a nonzero speed c")
             if self.c > 0 and self.f0 is None:
                 raise ProblemSpecError("transport with c > 0 requires f0")
+            if self.c < 0 and self.f0 is not None:
+                # every characteristic leaves through the boundary
+                raise ProblemSpecError("f0 is not read by transport with "
+                                       "c < 0")
         if self.kind == "heat-finite-interval" and self.L <= 0:
             raise ProblemSpecError("finite interval requires L > 0")
         decay = tuple(self.u0_decay)

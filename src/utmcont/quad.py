@@ -322,25 +322,42 @@ def singular_time_convolution(kernel, t, tol=1e-12):
     """integral over (0, t) of g(s)/(t-s)^beta ds by desingularization, for
     each row of a real smooth part g of shape (rows, nodes).
 
-    The substitution tau = (t-s)^(1-beta) removes the endpoint singularity:
-    the integral becomes (1/(1-beta)) * integral of g(t - tau^(1/(1-beta)))
-    over (0, t^(1-beta)), which is smooth for analytic g.  The rows share
-    one rule, each with its own budget, and a missed budget never raises:
-    the result is the QuadratureResult of the rule, with the real row values
-    and one warning per row.
+    A substitution t - s = u^p removes the endpoint singularity, and is
+    chosen so that s is a polynomial in u, which keeps the integrand smooth
+    wherever g is:
+
+    - beta = 1/2 and 2/3: u = (t-s)^(1-beta), p = 1/(1-beta) = 2 and 3.
+      Then (t-s)^(-beta) ds = du/(1-beta), and the integral is
+      (1/(1-beta)) * integral of g(t - u^p) over (0, t^(1-beta)).
+    - beta = 1/3: that p would be 3/2, and g(t - u^(3/2)) has a u^(3/2)
+      term at u = 0 that the rule resolves only by bisecting toward it.
+      Here u = (t-s)^(1/3), p = 3, so (t-s)^(-1/3) ds = 3u du, and the
+      integral is the integral of 3u g(t - u^3) over (0, t^(1/3)).
+
+    Any other beta takes the first form; its integrand is smooth only
+    where 1/(1-beta) is a whole number.  Both forms meet a budget of
+    tol max(1, |value|) on each row.  The rows share one rule, each with
+    its own budget, and a missed budget never raises: the result is the
+    QuadratureResult of the rule, with the real row values and one warning
+    per row.
     """
     if t <= 0:
         raise ValueError("time convolution requires t > 0")
     beta = kernel.beta
-    gamma_exp = 1.0 / (1.0 - beta)
-    upper = t ** (1.0 - beta)
+    if beta == 1.0 / 3.0:
+        root, power, shrink, weight = 1.0 / 3.0, 3.0, 1.0, lambda u: 3.0 * u
+    else:
+        root, power, shrink, weight = (1.0 - beta, 1.0 / (1.0 - beta),
+                                       1.0 - beta, None)
+    upper = t ** root
 
-    def integrand(tau):
-        tau = np.real(np.asarray(tau))
-        s = t - np.minimum(tau, upper) ** gamma_exp
-        return np.asarray(kernel.smooth(np.clip(s, 0.0, t)), dtype=complex)
+    def integrand(u):
+        u = np.minimum(np.real(np.asarray(u)), upper)
+        rows = np.asarray(kernel.smooth(np.clip(t - u ** power, 0.0, t)),
+                          dtype=complex)
+        return rows if weight is None else rows * weight(u)
 
-    res = integrate_segment(integrand, 0.0, upper, tol=tol * (1 - beta),
+    res = integrate_segment(integrand, 0.0, upper, tol=tol * shrink,
                             rel_tol=tol)
-    res.value = res.value.real / (1.0 - beta)
+    res.value = res.value.real / shrink
     return res

@@ -36,6 +36,16 @@ def test_first_coefficient_is_datum(advected_plus):
         assert a0 == pytest.approx(float(advected_plus.f0.eval(t)), abs=1e-10)
 
 
+def test_ladder_coefficients_keep_the_bits_of_a_fresh_call(advected_plus):
+    # the ladder shares one heat ladder and one series (-c/2)^k/k! among
+    # its orders; each coefficient is the one computed alone
+    t = 1.0
+    ladder = advected.coefficient_ladder(advected_plus, 1, t)
+    for order, coeff in ladder.through(12):
+        assert coeff == advected.boundary_coefficient(advected_plus, order,
+                                                      t, 1e-11)
+
+
 def test_small_drift_matches_heat_structural():
     spec = ProblemSpec("advected-heat", c=1e-6, u0=parse("exp(-x^2)"),
                        f0=parse("exp(-t^2/(4*t+1))/sqrt(4*t+1)"))

@@ -109,6 +109,33 @@ LATTICE = {"problem": {"kind": "sd-heat-dirichlet", "u0": "3*x*exp(-x)",
            "grid": {"n_min": -5, "n_max": 5, "times": [0.5]}}
 
 
+@pytest.mark.parametrize("command", ["solve", "map-initial"])
+@pytest.mark.parametrize("problem,key", [
+    ({**MINIMAL["problem"], "c": 2}, "c"),
+    ({**MINIMAL["problem"], "f1": "t"}, "f1"),
+    ({**LATTICE["problem"], "c": 3}, "c"),
+    ({"kind": "kdv-two-bc", "u0": "2*exp(-sqrt(3)*x)*cos(x)", "f0": "t",
+      "f1": "t", "g0": "t"}, "g0"),
+    ({"kind": "transport", "u0": "exp(-x^2)", "f0": "t", "c": -1}, "f0"),
+], ids=["heat-c", "heat-f1", "lattice-c", "kdv2-g0", "transport-left-f0"])
+def test_unread_problem_key_is_config_error(tmp_path, capsys, command,
+                                            problem, key):
+    # a key the kind does not read would be dropped, and the run would
+    # answer another problem than the config states
+    cfg = {"problem": problem,
+           "grid": {"x_min": 0.0, "x_max": 1.0, "n_points": 3, "n_min": 0,
+                    "n_max": 2, "times": [1.0]},
+           "outputs": {"csv": str(tmp_path / "o.csv")}}
+    assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"{key} is not read by {problem['kind']}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_every_kind_states_the_problem_keys_it_reads():
+    assert set(cli._KIND_KEYS) == set(cli.cont.KINDS) | set(cli.LATTICE_KINDS)
+
+
 @pytest.mark.parametrize("base,section,key,value,message", [
     (LATTICE, "problem", "h", "0.05", "problem.h must be a number"),
     (MINIMAL, "problem", "c", "fast", "problem.c must be a number"),

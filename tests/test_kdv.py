@@ -217,6 +217,36 @@ def test_rotated_airy_kernel_at_the_extremes():
         assert np.isfinite(got[np.isfinite(airy) & (airy != 0)]).all()
 
 
+def test_real_airy_matches_mpmath_across_its_bands():
+    # the three bands of the real Ai (airy on |x| <= 2, a real K_{1/3}
+    # beyond 2, an imaginary one below -2), on a grid of [-60, 60] and on
+    # both sides of x = +-2, within rounding of Ai's envelope |x|^{-1/4},
+    # times e^{-(2/3) x^{3/2}} for x > 0
+    mpmath = pytest.importorskip("mpmath")
+    steps = np.array([1e-12, 1e-6, 1e-3, 0.05])
+    x = np.concatenate([np.linspace(-60.0, 60.0, 400), 2.0 + steps,
+                        2.0 - steps, -2.0 + steps, -2.0 - steps])
+    got = kdv._airy(x)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(30):
+        for xi, gi in zip(x, got):
+            envelope = abs(xi) ** -0.25 * math.exp(
+                -(2.0 / 3.0) * max(xi, 0.0) ** 1.5)
+            bound = max(2e-13, 4 * eps * abs(xi) ** 1.5) * envelope
+            assert abs(mpmath.mpf(gi) - mpmath.airyai(xi)) <= bound, xi
+
+
+def test_real_airy_at_the_extremes():
+    nan_in = np.array([math.nan, math.inf, -math.inf])
+    assert np.isnan(special.airy(nan_in)[0]).all()
+    assert np.isnan(kdv._airy(nan_in)).all()
+    # Ai(104) is 1e-307 in the subnormal range: from there on it is 0
+    assert (kdv._airy(np.array([104.0, 110.0, 1e3, 1e10, 1e300])) == 0).all()
+    near = np.array([0.0, 1e-300, -1e-300])
+    np.testing.assert_allclose(kdv._airy(near), special.airy(near)[0],
+                               rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("kind", ["kdv-one-bc", "kdv-two-bc"])
 def test_i0_guard_and_values_keep_to_scipy_airy(kind, monkeypatch):
     # the guard accepts the same rows of the exact-family grid whether the

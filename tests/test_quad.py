@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from utmcont.continuous import ProblemSpec
 from utmcont.expr import parse
 from utmcont.quad import (
     DecayError,
@@ -264,6 +265,33 @@ def test_singular_convolution_beta_third():
     t = 2.0
     value = _one_row_convolution(1 / 3, t, lambda s: s)
     assert value == pytest.approx(0.9 * t ** (5 / 3), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 2.0])
+def test_singular_convolution_beta_third_on_powers(t):
+    # int_0^t s^k (t-s)^{-1/3} ds = B(k+1, 2/3) t^{k+2/3}, k = 0...3: over
+    # t - s = u^3 the integrand 3u (t - u^3)^k is a polynomial in u
+    kern = SingularKernel(1 / 3, lambda s: np.array([s**k for k in range(4)]))
+    res = singular_time_convolution(kern, t)
+    assert res.warnings == (None,) * 4
+    for k, got in enumerate(res.value):
+        want = math.gamma(k + 1) * math.gamma(2 / 3) / math.gamma(k + 5 / 3)
+        assert got == pytest.approx(want * t ** (k + 2 / 3), rel=1e-12)
+
+
+def test_singular_convolution_beta_third_needs_no_bisection_at_the_end():
+    # the beta = 1/3 block of the kdv2_te datum f1 at t = 1: the first 16
+    # derivatives of -2 sqrt(3) cos 8t - 2 sin 8t against (1-s)^{-1/3}.
+    # Over u = (t-s)^{2/3} the integrand had a u^{3/2} term at u = 0 and
+    # took 645 evaluations; over u = (t-s)^{1/3} it is smooth.
+    f1 = parse("-2*sqrt(3)*cos(8*t) - 2*sin(8*t)", var_name="t")
+    cache = ProblemSpec("kdv-two-bc", u0=parse("exp(-x)"),
+                        f0=parse("0*t", var_name="t"), f1=f1).deriv("f1")
+    res = singular_time_convolution(
+        SingularKernel(1 / 3, lambda s: cache.derivatives(1, 16, s)), 1.0,
+        tol=1e-11)
+    assert res.warning is None
+    assert res.evaluations <= 200
 
 
 def test_vector_singular_convolution_rows_match_closed_forms():
