@@ -1,9 +1,10 @@
 """Closed-form data expressions: parsing, evaluation and Taylor jets.
 
 Boundary and initial data (f0, f1, g0, u0) enter every coefficient formula
-through their derivatives, often to high order.  The grammar covers
-constants (including ``pi``), one free variable, ``+ - * /``, powers with
-constant exponents, and ``exp, sin, cos, sinh, cosh, sqrt``.
+through their derivatives, often to high order.  The grammar is read by
+Python's own parser, with ``^`` as ``**``: constants (including ``pi``),
+one free variable, ``+ - * /``, powers with constant exponents, and
+``exp, sin, cos, sinh, cosh, sqrt``.
 
 Trees are canonicalized on construction: constants fold, products flatten,
 merge repeated bases into powers and their exponentials into one, and
@@ -15,7 +16,9 @@ tree, f^(k)(x)/k! for k up to the requested order at every point at once.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 
 import numpy as np
 
@@ -34,7 +37,7 @@ _FUNCTIONS = ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
 
 
 class ExprSyntaxError(ValueError):
-    """Malformed expression text; carries the byte offset of the problem."""
+    """Malformed expression text, with the character offset of the problem."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
@@ -64,11 +67,19 @@ class _Node:
         return hash(self._key)
 
 
+def _finite(value):
+    """value as a float, refused past the float range where it is built."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ExprDomainError(f"non-finite constant {value}")
+    return value
+
+
 class _Num(_Node):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = float(value)
+        self.value = _finite(value)
         self._key = ("num", self.value)
 
 
@@ -94,7 +105,7 @@ class _Pow(_Node):
 
     def __init__(self, base, expo):
         self.base = base
-        self.expo = float(expo)
+        self.expo = _finite(expo)
         self._key = ("pow", base._key, self.expo)
 
 
@@ -103,7 +114,7 @@ class _Mul(_Node):
     __slots__ = ("coeff", "factors")
 
     def __init__(self, coeff, factors):
-        self.coeff = float(coeff)
+        self.coeff = _finite(coeff)
         self.factors = tuple(factors)
         self._key = ("mul", self.coeff, tuple((b._key, e) for b, e in self.factors))
 
@@ -221,13 +232,8 @@ def _pow(base, expo):
         return _ONE
     if expo == 1.0:
         return base
-    if isinstance(base, _Num):
-        if base.value == 0.0 and expo < 0:
-            raise ExprDomainError("0 raised to a negative power")
-        val = base.value**expo
-        if isinstance(val, complex) or not math.isfinite(val):
-            raise ExprDomainError(f"cannot fold constant power {base.value}^{expo}")
-        return _Num(val)
+    if isinstance(base, _Num):  # ValueError for (-2)^0.5 and 0^-1
+        return _Num(math.pow(base.value, expo))
     if isinstance(base, _Pow):
         return _pow(base.base, base.expo * expo)
     if _is_exp(base):
@@ -490,156 +496,102 @@ def _compile(node):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: Python's own, with ^ read as **, and a whitelist walk of its tree
 # ---------------------------------------------------------------------------
 
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_STRAY = re.compile(r"[^\w\s+\-*/^().]")  # Python also reads , # : and more
+_UNBALANCED = ("'(' was never closed", "unmatched ')'")
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.var_name = None
 
-    def error(self, message, offset=None):
-        raise ExprSyntaxError(message, self.pos if offset is None else offset)
+class _Reader:
+    """Python's syntax tree of expression text, walked over a whitelist of
+    its nodes into the canonical tree by the smart constructors, in reading
+    order.  Offsets are character offsets into the caller's text."""
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self):
-        node = self.sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected trailing input {self.text[self.pos]!r}")
-        return node
-
-    def sum(self):
-        node = self.product()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                node = _add(node, self.product())
-            elif ch == "-":
-                self.pos += 1
-                node = _add(node, _mul(_Num(-1.0), self.product()))
-            else:
-                return node
-
-    def product(self):
-        node = self.unary()
-        while True:
-            ch = self.peek()
-            if ch == "*" and not self.text.startswith("**", self.pos):
-                self.pos += 1
-                node = _mul(node, self.unary())
-            elif ch == "/":
-                self.pos += 1
-                node = _mul(node, self._reciprocal(self.unary()))
-            else:
-                return node
-
-    def _reciprocal(self, node):
-        if isinstance(node, _Num):
-            if node.value == 0.0:
-                self.error("division by constant zero")
-            return _Num(1.0 / node.value)
-        return _pow(node, -1.0)
-
-    def unary(self):
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            return _mul(_Num(-1.0), self.unary())
-        if ch == "+":
-            self.pos += 1
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        self.skip_ws()
-        if self.text.startswith("**", self.pos):
-            self.pos += 2
-        elif self.peek() == "^":
-            self.pos += 1
-        else:
-            return base
-        start = self.pos
-        expo = self.unary()  # right-assoc through recursion in unary/power
-        if not isinstance(expo, _Num):
-            self.error("exponent must be constant", start)
-        return _pow(base, expo.value)
-
-    def atom(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of input")
-        ch = self.text[self.pos]
-        if ch == "(":
-            self.pos += 1
-            node = self.sum()
-            if self.peek() != ")":
-                self.error("unbalanced parenthesis")
-            self.pos += 1
-            return node
-        if ch.isdigit() or ch == ".":
-            return self.number()
-        if ch.isalpha() or ch == "_":
-            return self.identifier()
-        self.error(f"unexpected character {ch!r}")
-
-    def number(self):
-        start = self.pos
-        text = self.text
-        n = len(text)
-        while self.pos < n and (text[self.pos].isdigit() or text[self.pos] == "."):
-            self.pos += 1
-        if self.pos < n and text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < n and text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and text[self.pos].isdigit():
-                while self.pos < n and text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # 'e' was not an exponent marker
+    def __init__(self, text, var_name):
+        self.line = re.sub(r"\s", " ", text)  # one line: no newline ends it
+        self.lead = len(self.line) - len(self.line.lstrip(" "))
+        self.source = self.line[self.lead:].replace("^", "**").encode()
+        self.var_name = var_name
         try:
-            return _Num(float(text[start : self.pos]))
-        except ValueError:
-            self.error("malformed number", start)
+            self.body = ast.parse(self.source, mode="eval").body
+        except SyntaxError as err:
+            message = ("expression nested too deeply" if "nested" in err.msg
+                       else "unbalanced parenthesis" if err.msg in _UNBALANCED
+                       else err.msg)
+            self.error(message, max((err.offset or 1) - 1, 0))
 
-    def identifier(self):
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        name = text[start : self.pos]
-        if name in _FUNCTIONS:
-            if self.peek() != "(":
-                self.error(f"function '{name}' requires parentheses", start)
-            self.pos += 1
-            arg = self.sum()
-            if self.peek() != ")":
-                self.error("unbalanced parenthesis")
-            self.pos += 1
-            return _fn(name, arg)
-        if name == "pi":
+    def error(self, message, at):
+        """Refuse the text at ``at``: a node, or a byte offset into source."""
+        at = getattr(at, "col_offset", at)
+        # the index into text of each character of source
+        origin = [i for i, ch in enumerate(self.line) if i >= self.lead
+                  for _ in range(1 + (ch == "^"))] + [len(self.line)]
+        char = len(self.source[:at].decode(errors="ignore"))
+        raise ExprSyntaxError(message, origin[char])
+
+    def text(self, node):
+        return self.source[node.col_offset:node.end_col_offset].decode()
+
+    def walk(self, node):
+        spine = []  # a chain of binary operators, read without recursion
+        while isinstance(node, ast.BinOp):
+            spine.append(node)
+            node = node.left
+        try:
+            out = self.leaf(node)
+            for node in reversed(spine):
+                out = self.binary(node, out, self.walk(node.right))
+        except ExprSyntaxError:
+            raise
+        except (ArithmeticError, ValueError) as err:
+            # a constant that does not fold: an error of the text at node
+            self.error(str(err), node)
+        return out
+
+    def binary(self, node, left, right):
+        op = type(node.op)
+        if op is ast.Pow:
+            if not isinstance(right, _Num):
+                self.error("exponent must be constant", node.right)
+            return _pow(left, right.value)
+        if op is ast.Div:
+            if right == _ZERO:
+                self.error("division by constant zero", node.right)
+            right = (_Num(1.0 / right.value) if isinstance(right, _Num)
+                     else _pow(right, -1.0))
+        elif op is ast.Sub:
+            right = _mul(_Num(-1.0), right)
+        elif op not in (ast.Add, ast.Mult):
+            self.error(f"unsupported syntax {self.text(node)!r}", node)
+        return (_add if op in (ast.Add, ast.Sub) else _mul)(left, right)
+
+    def leaf(self, node):
+        kind = type(node)
+        if kind is ast.UnaryOp and type(node.op) in (ast.USub, ast.UAdd):
+            arg = self.walk(node.operand)
+            return _mul(_Num(-1.0), arg) if type(node.op) is ast.USub else arg
+        text = self.text(node)
+        if kind is ast.Constant and _NUMBER.fullmatch(text):
+            return _Num(float(text))
+        if (kind is ast.Call and type(node.func) is ast.Name
+                and node.func.col_offset == node.col_offset
+                and self.text(node.func) in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords):
+            return _fn(self.text(node.func), self.walk(node.args[0]))
+        # a name starts with a letter or _ (Python would also take Ⅻ)
+        if not (kind is ast.Name and (text[0].isalpha() or text[0] == "_")):
+            self.error(f"unsupported syntax {text!r}", node)
+        if text in _FUNCTIONS:
+            self.error(f"function '{text}' requires parentheses", node)
+        if text == "pi":
             return _Num(math.pi)
         if self.var_name is None:
-            self.var_name = name
-        elif name != self.var_name:
-            self.error(
-                f"unknown identifier '{name}' (variable already bound to "
-                f"'{self.var_name}')",
-                start,
-            )
+            self.var_name = text
+        elif text != self.var_name:
+            self.error(f"unknown identifier '{text}' (variable already bound "
+                       f"to '{self.var_name}')", node)
         return _VAR
 
 
@@ -779,14 +731,15 @@ def parse(text, var_name=None):
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    p = _Parser(text)
-    if var_name is not None:
-        p.var_name = var_name
+    if stray := _STRAY.search(text):
+        raise ExprSyntaxError(f"unexpected character {stray[0]!r}",
+                              stray.start())
     try:
-        expr = Expression(p.parse(), p.var_name or var_name or "x")
+        reader = _Reader(text, var_name)
+        expr = Expression(reader.walk(reader.body), reader.var_name or "x")
         # compiled here: its numpy code nests deeper than the text, and
         # Python's compiler refuses past 200 parentheses
         expr.compiled()
-    except (RecursionError, SyntaxError):
-        raise ExprSyntaxError("expression nested too deeply", p.pos) from None
+    except (RecursionError, MemoryError, SyntaxError):
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
     return expr

@@ -296,6 +296,25 @@ def test_malformed_reference_expression_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "sqrt(-1)*exp(-x)", "exp(1000)*exp(-x)", "0^-1*exp(-x)",
+    "(-2)^0.5*exp(-x)", "x^1e400", "1e400*exp(-x)", "exp(-x)^1e400",
+    "1e200*1e200*x",
+])
+@pytest.mark.parametrize("key", ["problem.u0", "reference.expr"])
+def test_constant_that_does_not_fold_is_config_error(tmp_path, capsys, text,
+                                                     key):
+    # a domain or range error of a constant, or a constant past the float
+    # range, is an error of the text, found while the config loads
+    cfg = json.loads(json.dumps(MINIMAL))
+    section, name = key.split(".")
+    cfg.setdefault(section, {})[name] = text
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_nested_past_the_decoder_is_config_error(tmp_path, capsys):
     # json.load recurses once per nested list
     text = json.dumps(MINIMAL).replace("[0.5]", "[" * 100_000 + "]" * 100_000)

@@ -54,13 +54,120 @@ def test_parse_empty():
 
 
 @pytest.mark.parametrize("text", ["(" * 210 + "x" + ")" * 210,
-                                  "sin(" * 170 + "x" + ")" * 170],
+                                  "sin(" * 210 + "x" + ")" * 210],
                          ids=["parentheses", "sin"])
 def test_parse_deep_nesting_is_a_syntax_error(text):
-    # the recursive-descent parser runs out of stack, which is reported as
-    # malformed text, not as a RecursionError
+    # past Python's limit of 200 nested brackets, which is reported as
+    # malformed text, not as a SyntaxError of Python's
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
         parse(text)
+
+
+# canonical text of each input, pinned: precedence, associativity, stacked
+# signs, number forms, whitespace and pi read the same under any parser
+PINNED = [
+    ("-x^2", "(-1.0*(x**2))"),
+    ("2^3^2", "512.0"),
+    ("x^2^-1", "(x**0.5)"),
+    ("x/2/4", "(0.125*x)"),
+    ("1/x/(1+x)", "(((x+1.0)**-1)*(x**-1))"),
+    ("x-1-x^2", "((-1.0*(x**2))+x+-1.0)"),
+    ("x**2", "(x**2)"),
+    ("x^2", "(x**2)"),
+    ("2^-1", "0.5"),
+    ("x^-0.5", "(x**-0.5)"),
+    ("-2^2", "-4.0"),
+    ("(-2)^2", "4.0"),
+    ("--x", "x"),
+    ("-+-x", "x"),
+    ("+x", "x"),
+    ("2*-x", "(-2.0*x)"),
+    ("x**-2**2", "(x**-4)"),
+    ("3.*x", "(3.0*x)"),
+    (".25*x", "(0.25*x)"),
+    ("2E+2*x", "(200.0*x)"),
+    ("1e-3*x", "(0.001*x)"),
+    ("1.5e2", "150.0"),
+    ("3.e2", "300.0"),
+    ("  x  *  2 ", "(2.0*x)"),
+    ("x\t+\n1", "(x+1.0)"),
+    ("pi", "3.141592653589793"),
+    ("2*pi*t", "(6.283185307179586*t)"),
+    ("sqrt(x)", "(x**0.5)"),
+    ("exp(2*x)*exp(-x)", "exp(x)"),
+    ("sin (x)^2+cos(x)^2", "((cos(x)**2)+(sin(x)**2))"),
+    ("cosh(y)-sinh(y)", "(cosh(y)+(-1.0*sinh(y)))"),
+    ("(-+2E+2/(2^(1/2))^(-2))", "-400.0000000000001"),
+    ("(x+1)^2", "((x**2)+(2.0*x)+1.0)"),
+    ("1/(1+x)^2", "(((x**2)+(2.0*x)+1.0)**-1)"),
+    ("x/(2*x)", "0.5"),
+    ("00*x+007.5", "7.5"),
+    ("\u03b1*exp(-\u03b1)", "(exp((-1.0*\u03b1))*\u03b1)"),
+]
+
+
+@pytest.mark.parametrize("text,canonical", PINNED)
+def test_parse_keeps_its_canonical_text(text, canonical):
+    assert parse(text).to_text() == canonical
+
+
+@pytest.mark.parametrize("text", [
+    "0x1F", "1_0", "2j", '"a"', "x.real", "x[0]", "x < 1", "x if x else x",
+    "lambda: x", "sin(x, 2)", "exp", "exp(x=1)", "sin(x,)", "(sin)(x)",
+    "sin(*x)", "x # 1", "x\0", "x // 2", "x % 2", "~x", "x @ x", "x := 1",
+    "[x]", "e\u0301*x", "x)", "(x", "1 + @",
+])
+def test_parse_refuses_text_outside_the_grammar(text):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert 0 <= err.value.offset <= len(text)
+
+
+@pytest.mark.parametrize("text", ["08*x", "True*exp(-True)", "if"])
+def test_parse_refuses_python_literals_and_keywords(text):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert 0 <= err.value.offset <= len(text)
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("x + y", 4), ("  2^x", 4), ("2^^x", 2), ("x/0", 2), ("\u03b1 + \u03b2", 4),
+    ("x^2 ^ x", 6), ("sqrt(-1)*x", 0), ("x + 1e400", 4), ("x +\n  y", 6),
+])
+def test_parse_offsets_count_characters_of_the_text(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert err.value.offset == offset
+
+
+def test_parse_a_long_flat_sum():
+    assert parse("+".join(["x"] * 2000)).to_text() == "(2000.0*x)"
+
+
+def test_parse_many_unary_signs_is_nested_too_deeply():
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse("-" * 10_000 + "x")
+
+
+def test_parse_takes_170_nested_functions():
+    value = 0.3
+    for _ in range(170):
+        value = math.sin(value)
+    assert parse("sin(" * 170 + "x" + ")" * 170).eval(0.3) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e400*exp(-x)", "exp(-x)^1e400", "1e200*1e200*x", "x^1e200^2",
+    "x/5e-324", "exp(1000)*x", "sqrt(-1)*x", "0^-1*x", "(-2)^0.5*x",
+])
+def test_parse_refuses_constants_that_do_not_fold(text):
+    with pytest.raises(ExprSyntaxError):
+        parse(text)
+
+
+def test_non_finite_factor_is_a_domain_error():
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        parse("exp(-x)") * math.inf
 
 
 def test_parse_variable_exponent_rejected():
