@@ -103,6 +103,9 @@ _NUMBER_KEYS = {"problem": ("c", "L", "h"),
 _POSITIVE_KEYS = ("n_points", "tol")
 # grid counts and lattice indices, which must be whole numbers
 _WHOLE_KEYS = ("n_points", "n_min", "n_max")
+# the largest advected-heat drift whose c^2 is finite: the gauge
+# e^{-c x/2 - c^2 t/4} reads c^2/4 as a float
+_MAX_DRIFT = math.sqrt(sys.float_info.max)
 
 
 def _is_number(value):
@@ -192,6 +195,10 @@ def validate_config(raw):
             and len(set(h_values)) == len(h_values) >= 3):
         raise ConfigError("refinement.h_values must be a list of at least "
                           f"three distinct positive numbers, not {h_values!r}")
+    c = raw["problem"].get("c", 0.0)
+    if kind == "advected-heat" and not abs(c) <= _MAX_DRIFT:
+        raise ConfigError(f"problem.c must be at most {_MAX_DRIFT:.5g} in "
+                          f"size, so that c^2/4 is a float, not {c!r}")
     reads = _KIND_KEYS[kind]
     for key in raw["problem"]:
         if key != "kind" and key not in reads:
@@ -212,10 +219,13 @@ def _x_grid(grid, spec):
     """The x grid of the continuous problem ``spec``; a finite-interval grid
     must lie within the tiling depth, which the grid and L decide alone."""
     try:
-        xs = np.linspace(float(grid["x_min"]), float(grid["x_max"]),
-                         int(grid["n_points"]))
+        x_min, x_max = float(grid["x_min"]), float(grid["x_max"])
+        n_points = int(grid["n_points"])
     except KeyError as err:
         raise ConfigError(f"grid requires {err} for continuous problems")
+    if n_points >= 2 and x_max <= x_min:
+        raise ConfigError("continuous grids need x_min < x_max")
+    xs = np.linspace(x_min, x_max, n_points)
     if spec.kind == "heat-finite-interval":
         try:
             require_tiling_depth(spec, xs)

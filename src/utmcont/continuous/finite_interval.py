@@ -16,7 +16,9 @@ the tiling reaches TILE_DEPTH * L.  The same boundary integral
 also has the classical Fourier-sine-series form; both evaluators are exposed
 and must agree inside the common window.  w0 tiles the odd-periodic u0 by
 the same rules.  Functions of x take a 1-D array, except the Fourier form,
-which takes a point.
+which takes a point.  The import of scipy.special (for the Hermite
+polynomials of ``odd_center_coefficient``) is deferred to that function,
+the only one here that reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from ..quad import gauss_panels, geometric_edges, integrate_segment, row_sums
 from ._common import (OutsideWindowError, datum_ladder, doubled_series,
@@ -286,6 +287,7 @@ def odd_center_coefficient(spec, n, t, tol=1e-11):
     moments of the heat kernel at odd multiples of L)."""
     if n < 1:
         raise ValueError("odd center coefficients start at n = 1")
+    from scipy import special
     L = spec.L
 
     def kernel(sigma):
@@ -305,7 +307,8 @@ def odd_center_coefficient(spec, n, t, tol=1e-11):
             if not np.any(live):
                 continue
             zl = z[live]
-            contrib = (4.0 * tau[live]) ** (-n) * _sp.eval_hermite(2 * n, zl)
+            contrib = (4.0 * tau[live]) ** (-n) * special.eval_hermite(
+                2 * n, zl)
             out[live] += contrib * np.exp(-zl * zl)
         return out * np.sqrt(math.pi) / sigma
 

@@ -35,7 +35,9 @@ a vector integrand (one row per x, each meeting its own budget);
 ``if0_one_bc``, shifted by its x-dependent lower limit, runs its Airy
 integral over one span for every x.  Both kinds continue their boundary
 parts to x < 0 by ``_common.reflected``.  Every function that takes x, w0
-included, takes a 1-D array.
+included, takes a 1-D array.  The import of scipy.special is deferred to
+``_real_airy`` and ``_airy``, so a KdV spec loads scipy at its first Airy
+evaluation, not with this module.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from ..quad import QuadratureError, gauss_panels, integrate_segment, row_sums
 from .problems import check_compatibility
@@ -66,17 +67,18 @@ def _real_airy(x):
     would also compute Ai', Bi and Bi'; the imaginary argument of the left
     band is exact, so its phase carries no rounding.  Past x = 104 Ai
     underflows to 0, and +-inf give NaN, as in airy."""
+    from scipy import special
     ai = np.empty(x.shape)
     middle = ~(np.abs(x) > 2.0)
-    ai[middle] = _sp.airy(x[middle])[0]
+    ai[middle] = special.airy(x[middle])[0]
     right, left = x > 2.0, x < -2.0
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.sqrt(x[right])
         eta = (2.0 / 3.0) * x[right] * root
-        ai[right] = root * _sp.kv(1.0 / 3.0, eta) / (math.pi * SQRT3)
+        ai[right] = root * special.kv(1.0 / 3.0, eta) / (math.pi * SQRT3)
         root = np.sqrt(-x[left])
         eta = (2.0 / 3.0) * -x[left] * root
-        ai[left] = 2.0 * root * _sp.kv(1.0 / 3.0, -1j * eta).imag / (
+        ai[left] = 2.0 * root * special.kv(1.0 / 3.0, -1j * eta).imag / (
             math.pi * SQRT3)
     return ai
 
@@ -95,16 +97,17 @@ def _airy(z):
     not."""
     if not np.iscomplexobj(z):
         return _real_airy(np.asarray(z, dtype=float))
+    from scipy import special
     root = np.sqrt(z)
     zeta = (2.0 / 3.0) * z * root
-    k = _sp.kv(1.0 / 3.0, zeta)
+    k = special.kv(1.0 / 3.0, zeta)
     past = np.signbit(zeta.imag) != np.signbit(z.imag)
-    k[past] = _sp.kv(1.0 / 3.0, -zeta[past]) - k[past]
+    k[past] = special.kv(1.0 / 3.0, -zeta[past]) - k[past]
     with np.errstate(invalid="ignore"):
         ai = root * k / (math.pi * SQRT3)
     # zeta underflows near z = 0, where K_{1/3} is singular
     near = np.abs(z) < 1e-100
-    ai[near] = _sp.airy(z[near])[0]
+    ai[near] = special.airy(z[near])[0]
     return ai
 
 

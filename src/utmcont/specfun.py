@@ -6,7 +6,9 @@ the solvers rely on.  The gamma-ratio weights of the lattice continuation
 formulas are evaluated through pole-free telescoping products instead of gamma
 quotients, so no limits at negative integers are ever taken numerically.
 
-All functions are pure and safe to call concurrently.
+The import of scipy.special is deferred: each wrapper imports it when
+called, so a process that evaluates none of them never loads scipy.  All
+functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "gamma",
@@ -48,7 +49,8 @@ def gamma(s):
     s = float(s)
     if s <= 0 and s == round(s):
         raise GammaPoleError(f"gamma pole at s={s}")
-    return float(_sp.gamma(s))
+    from scipy import special
+    return float(special.gamma(s))
 
 
 def log_gamma(s):
@@ -56,7 +58,8 @@ def log_gamma(s):
     s = float(s)
     if s <= 0 and s == round(s):
         raise GammaPoleError(f"gamma pole at s={s}")
-    return float(_sp.gammaln(s)), float(_sp.gammasgn(s))
+    from scipy import special
+    return float(special.gammaln(s)), float(special.gammasgn(s))
 
 
 def lower_incomplete_gamma(s, y):
@@ -67,7 +70,8 @@ def lower_incomplete_gamma(s, y):
         raise SpecfunDomainError(f"lower incomplete gamma requires s > 0, got {s}")
     if y < 0:
         raise SpecfunDomainError(f"lower incomplete gamma requires y >= 0, got {y}")
-    return float(_sp.gammainc(s, y)) * gamma(s)
+    from scipy import special
+    return float(special.gammainc(s, y)) * gamma(s)
 
 
 def regularized_lower_gamma(s, y):
@@ -78,7 +82,8 @@ def regularized_lower_gamma(s, y):
         raise SpecfunDomainError(f"regularized lower gamma requires s > 0, got {s}")
     if y < 0:
         raise SpecfunDomainError(f"regularized lower gamma requires y >= 0, got {y}")
-    return float(_sp.gammainc(s, y))
+    from scipy import special
+    return float(special.gammainc(s, y))
 
 
 def bessel_i_scaled(n, a):
@@ -91,7 +96,8 @@ def bessel_i_scaled(n, a):
     arr = np.asarray(a, dtype=float)
     if np.any(arr < 0):
         raise SpecfunDomainError("bessel_i_scaled requires a >= 0")
-    out = _sp.ive(n, arr)
+    from scipy import special
+    out = special.ive(n, arr)
     if np.ndim(a) == 0:
         return float(out)
     return out

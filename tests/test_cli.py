@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from utmcont import cli
@@ -102,6 +103,32 @@ def test_continuous_grid_without_x_window_is_config_error(tmp_path, capsys,
     del cfg["grid"][key]
     assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
     assert f"grid requires '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "map-initial"])
+@pytest.mark.parametrize("x_min,x_max", [(1.0, -1.0), (1.0, 1.0)])
+def test_reversed_or_empty_x_window_is_config_error(tmp_path, capsys,
+                                                    command, x_min, x_max):
+    # as n_max <= n_min is for a lattice grid: not rows in descending x, or
+    # the same row n_points times
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["grid"].update(x_min=x_min, x_max=x_max)
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: continuous grids need "
+                                       "x_min < x_max\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("x_max", [1.0, -1.0])
+def test_one_point_grid_takes_any_x_max(tmp_path, x_max):
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["grid"].update(x_min=1.0, x_max=x_max, n_points=1)
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    (row,) = list(csv.DictReader(out.open()))
+    assert float(row["x"]) == 1.0
 
 
 LATTICE = {"problem": {"kind": "sd-heat-dirichlet", "u0": "3*x*exp(-x)",
@@ -528,8 +555,9 @@ def test_map_initial_report_round_trips_the_csv(tmp_path):
                    for key, text in zip(header, row))
 
 def test_determinism(tmp_path):
-    # repeat runs and a run over the reversed grid give the same bytes,
-    # including the continued region x < 0
+    # repeat runs give the same bytes, and the solver over the reversed
+    # points gives the same values, including the continued region x < 0
+    # (a config grid itself must run up from x_min)
     from utmcont.cli import scenario_path
 
     for name in ("adv_plus", "kdv2_cos"):
@@ -547,8 +575,11 @@ def test_determinism(tmp_path):
 
         first = run("a", -1.0, 1.0)
         assert run("b", -1.0, 1.0) == first
-        reverse = run("r", 1.0, -1.0)
-        assert [reverse[0]] + reverse[:0:-1] == first
+        xs = [float(line.split(",")[0]) for line in first[1:]]
+        reverse = cli.cont.evaluate_extended(cli.build_problem(problem),
+                                             np.array(xs[::-1]), 1.0, 1e-10)
+        assert reverse.tolist()[::-1] == [float(line.split(",")[2])
+                                          for line in first[1:]]
 
 
 def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -629,6 +660,30 @@ def test_map_initial_makes_one_boundary_to_initial_call(scenario, tmp_path,
                  str(out)]) == 0
     rows = out.read_text().splitlines()[1:]
     assert calls == [len(rows) + 4]
+
+
+@pytest.mark.parametrize("c", [1e200, -1e200, 10 ** 400])
+def test_drift_whose_square_overflows_is_config_error(tmp_path, capsys, c):
+    # c^2/4 of the gauge must be a float; before, 1e200 reached the gauged
+    # datum as the text exp(inf*t) and failed as a numerical failure
+    cfg = json.loads(json.dumps(ADVECTED))
+    cfg["problem"]["c"] = c
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.c must be at most ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_large_representable_drift_still_solves(tmp_path):
+    cfg = json.loads(json.dumps(ADVECTED))
+    cfg["problem"]["c"] = 4.0
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 4
+    assert all(math.isfinite(float(row["u_ac"])) for row in rows)
 
 
 @pytest.mark.parametrize("command", ["solve", "map-initial"])
