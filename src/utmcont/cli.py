@@ -112,6 +112,11 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _in_float_range(value):
+    """Whether a finite number converts to a float (a JSON int may not)."""
+    return abs(value) <= sys.float_info.max
+
+
 def _reject_non_finite(value, where):
     """ConfigError naming a NaN or infinite number under ``value``."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -167,6 +172,10 @@ def validate_config(raw):
     if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     _reject_non_finite(raw, "")
+    c = raw["problem"].get("c", 0.0)
+    if kind == "advected-heat" and _is_number(c) and not abs(c) <= _MAX_DRIFT:
+        raise ConfigError(f"problem.c must be at most {_MAX_DRIFT:.5g} in "
+                          f"size, so that c^2/4 is a float, not {c!r}")
     for section, keys in _NUMBER_KEYS.items():
         block = raw.get(section) or {}
         for key in keys:
@@ -176,6 +185,10 @@ def validate_config(raw):
             if not _is_number(value):
                 raise ConfigError(f"{section}.{key} must be a number, not "
                                   f"{value!r}")
+            if not _in_float_range(value):
+                raise ConfigError(f"{section}.{key} must be within the float "
+                                  f"range, at most {sys.float_info.max:.5g} "
+                                  "in size")
             if key in _POSITIVE_KEYS and value <= 0:
                 raise ConfigError(f"{section}.{key} must be positive, not "
                                   f"{value!r}")
@@ -185,20 +198,17 @@ def validate_config(raw):
                                   f"not {value!r}")
     times = raw["grid"].get("times")
     if not (isinstance(times, list) and times
-            and all(_is_number(t) for t in times)):
+            and all(_is_number(t) and _in_float_range(t) for t in times)):
         raise ConfigError("grid.times must be a nonempty list of numbers")
     refinement = raw.get("refinement", {})
     h_values = refinement.get("h_values")
     if "h_values" in refinement and not (
             isinstance(h_values, list)
-            and all(_is_number(h) and h > 0 for h in h_values)
+            and all(_is_number(h) and h > 0 and _in_float_range(h)
+                    for h in h_values)
             and len(set(h_values)) == len(h_values) >= 3):
         raise ConfigError("refinement.h_values must be a list of at least "
                           f"three distinct positive numbers, not {h_values!r}")
-    c = raw["problem"].get("c", 0.0)
-    if kind == "advected-heat" and not abs(c) <= _MAX_DRIFT:
-        raise ConfigError(f"problem.c must be at most {_MAX_DRIFT:.5g} in "
-                          f"size, so that c^2/4 is a float, not {c!r}")
     reads = _KIND_KEYS[kind]
     for key in raw["problem"]:
         if key != "kind" and key not in reads:
@@ -465,10 +475,15 @@ def cmd_converge(cfg, args):
     cspec = cont.ProblemSpec(kind.removeprefix("sd-"), u0=lattice["u0"],
                              **{LATTICE_KINDS[kind]: lattice["datum"]})
     h_values = [float(h) for h in h_values]
+    levels = [window_nodes(window, h)[1] for h in h_values]
+    for h, nodes in zip(h_values, levels):
+        if not nodes.size:
+            raise ConfigError(f"converge window [{window[0]:g}, "
+                              f"{window[1]:g}] holds no lattice node at "
+                              f"spacing h = {h:g}")
     started = time.perf_counter()
     # one array evaluation of the reference over every level's nodes
-    xs = np.unique(np.concatenate([window_nodes(window, h)[1]
-                                   for h in h_values]))
+    xs = np.unique(np.concatenate(levels))
     ref = dict(zip(xs.tolist(),
                    cont.evaluate_extended(cspec, xs, T, tol).tolist()))
     result = continuum_limit_check(lambda h: problem(h=h, T=T), h_values,

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import advected, finite_interval, heat, kdv
-from ._common import CoeffLadder, OutsideWindowError, like_input
+from ._common import (COEFF_TOL, CoeffLadder, OutsideWindowError,
+                      like_input, reflected)
 from .kdv import IncompatibleDataError
 from .problems import (
     KINDS,
@@ -61,7 +62,7 @@ class Solver:
     ``w0(spec, xs)`` take a nonempty 1-D array of points and return one
     value per point; the public functions below turn a point into such an
     array and back.  ``ladders[(datum, parity)](spec, t, tol)`` is the
-    Taylor ladder, with ``parity[datum]`` the default parity.
+    Taylor ladder; a datum's first one listed has its default parity.
     """
 
     extended: Callable
@@ -69,7 +70,6 @@ class Solver:
     boundary: dict = field(default_factory=dict)
     w0: Callable | None = None
     ladders: dict = field(default_factory=dict)
-    parity: dict = field(default_factory=dict)
 
 
 def _late(fn, *bound):
@@ -80,10 +80,11 @@ def _late(fn, *bound):
     return lambda spec, *args: getattr(module, name)(spec, *bound, *args)
 
 
-def _full_ladder(coefficient):
-    """The "all" ladder: every order of coefficient(spec, order, t, tol)."""
+def _ladder(stride, offsets, coefficient):
+    """The ladder of the orders stride*q + r, r in ``offsets``, each
+    coefficient(spec, order, t, tol)."""
     return lambda spec, t, tol: CoeffLadder(
-        1, (0,), lambda order: coefficient(spec, order, t, tol))
+        stride, offsets, lambda order: coefficient(spec, order, t, tol))
 
 
 def _odd_center_ladder(spec, t, tol):
@@ -93,7 +94,29 @@ def _odd_center_ladder(spec, t, tol):
         center=spec.L)
 
 
-_HEAT = dict(i0=_late(heat.i0), extended=_late(heat.extended),
+def _default_parity(solver, which):
+    """The parity of the first ladder listed for ``which``, or None."""
+    return next((parity for datum, parity in solver.ladders
+                 if datum == which), None)
+
+
+def _continued(spec, xs, t, tol):
+    """u_ac(x, t) at each point of the 1-D array xs: i0 plus each datum's
+    boundary part continued across x = 0 by ``reflected`` with its default
+    ladder at COEFF_TOL, the sign -1 for an even ladder (a Dirichlet-type
+    datum) and +1 for an odd one (a derivative datum)."""
+    solver = _SOLVERS[spec.kind]
+    total = solver.i0(spec, xs, t, tol)
+    for which, boundary in solver.boundary.items():
+        parity = _default_parity(solver, which)
+        total = total + reflected(
+            xs, lambda dist: boundary(spec, dist, t, tol),
+            solver.ladders[(which, parity)](spec, t, COEFF_TOL),
+            -1.0 if parity == "even" else 1.0, tol)
+    return total
+
+
+_HEAT = dict(i0=_late(heat.i0), extended=_late(_continued),
              w0=_late(heat.boundary_to_initial))
 
 _SOLVERS = {
@@ -104,40 +127,42 @@ _SOLVERS = {
         boundary={"f0": _late(heat.boundary_integral)},
         ladders={
             ("f0", "even"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
-            ("f0", "all"): _full_ladder(_late(heat.full_series_coefficient))},
-        parity={"f0": "even"}),
+            ("f0", "all"): _ladder(1, (0,),
+                                   _late(heat.full_series_coefficient))}),
     "heat-neumann": Solver(
         **_HEAT,
         boundary={"f1": _late(heat.boundary_integral)},
         ladders={
-            ("f1", "odd"): lambda spec, t, tol: heat.tilde_ladder(spec, t)},
-        parity={"f1": "odd"}),
+            ("f1", "odd"): lambda spec, t, tol: heat.tilde_ladder(spec, t)}),
     "advected-heat": Solver(
         i0=_late(advected.i0),
         boundary={"f0": _late(advected.boundary_integral)},
         extended=_late(advected.extended),
         w0=_late(advected.boundary_to_initial),
         ladders={("f0", "even"): _late(advected.coefficient_ladder, 2),
-                 ("f0", "all"): _late(advected.coefficient_ladder, 1)},
-        parity={"f0": "even"}),
+                 ("f0", "all"): _late(advected.coefficient_ladder, 1)}),
     "kdv-one-bc": Solver(
         i0=_late(kdv.i0_one_bc),
         boundary={"f0": _late(kdv.if0_one_bc)},
-        extended=_late(kdv.extended_one_bc),
+        extended=_late(_continued),
         w0=_late(kdv.w0_one_bc),
-        ladders={("f0", "even"): _late(kdv.kdv1_tilde_ladder),
-                 ("f0", "all"): _full_ladder(_late(kdv.kdv1_coefficient))},
-        parity={"f0": "even"}),
+        ladders={("f0", "even"): _ladder(2, (0,),
+                                         _late(kdv.kdv1_coefficient)),
+                 ("f0", "all"): _ladder(1, (0,),
+                                        _late(kdv.kdv1_coefficient))}),
     "kdv-two-bc": Solver(
         i0=_late(kdv.i0_two_bc),
         boundary={w: _late(kdv._kdv2_boundary, w) for w in ("f0", "f1")},
-        extended=_late(kdv.extended_two_bc),
+        extended=_late(_continued),
         w0=_late(kdv.w0_two_bc),
-        ladders={("f0", "even"): _late(kdv.kdv2_tilde_ladder, "f0"),
-                 ("f1", "odd"): _late(kdv.kdv2_tilde_ladder, "f1"),
-                 **{(w, "all"): _full_ladder(_late(kdv.kdv2_coefficient, w))
-                    for w in ("f0", "f1")}},
-        parity={"f0": "even", "f1": "odd"}),
+        # even a-family and odd b-family orders, structural zeros skipped
+        ladders={("f0", "even"): _ladder(6, (0, 2),
+                                         _late(kdv.kdv2_coefficient, "f0")),
+                 ("f1", "odd"): _ladder(6, (1, 5),
+                                        _late(kdv.kdv2_coefficient, "f1")),
+                 **{(w, "all"): _ladder(1, (0,),
+                                        _late(kdv.kdv2_coefficient, w))
+                    for w in ("f0", "f1")}}),
     "heat-finite-interval": Solver(
         i0=_late(finite_interval.i0),
         boundary={"f0": _late(finite_interval.left_boundary_integral),
@@ -147,8 +172,7 @@ _SOLVERS = {
         ladders={**{(w, "even"): lambda spec, t, tol, w=w:
                     finite_interval.tilde_ladder(spec, w, t)
                     for w in ("f0", "g0")},
-                 ("f0", "odd-center"): _odd_center_ladder},
-        parity={"f0": "even", "g0": "even"}),
+                 ("f0", "odd-center"): _odd_center_ladder}),
 }
 
 
@@ -208,10 +232,11 @@ def fourier_boundary_integral(spec, x, t, tol=1e-10):
 def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     """Taylor data of the requested boundary integral through order N.
 
-    ``parity`` selects the sub-series: the default is the preferred
-    reduction for the datum (doubled-even for Dirichlet-type data,
-    doubled-odd for derivative data); "all" gives the full series where
-    available; "odd-center" the finite-interval series about x = L.
+    ``parity`` selects the sub-series: the default is the first ladder the
+    table lists for the datum, the doubled series its continuation reads
+    (even for Dirichlet-type data, odd for derivative data); "all" gives
+    the full series where available; "odd-center" the finite-interval
+    series about x = L.
     A doubled sub-series omits its structural zeros; kdv-two-bc's "all"
     series carries every order, exact 0.0 at 3m - 2 (f0) or 3m (f1).  No
     coefficient past order N is computed (the fractional families integrate
@@ -222,7 +247,7 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     if t <= 0:
         raise ValueError("taylor coefficients require t > 0")
     solver = _SOLVERS[spec.kind]
-    parity = parity or solver.parity.get(which)
+    parity = parity or _default_parity(solver, which)
     build = solver.ladders.get((which, parity))
     if build is None:
         raise ProblemSpecError(

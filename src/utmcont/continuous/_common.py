@@ -8,8 +8,7 @@ import math
 import numpy as np
 
 from ..expr import MAX_DERIVATIVE_ORDER, ExprDomainError
-from ..quad import (QuadratureError, SingularKernel, gauss_panels,
-                    singular_time_convolution)
+from ..quad import QuadratureError, gauss_panels, singular_time_convolution
 from ..specfun import gamma
 
 __all__ = [
@@ -45,10 +44,17 @@ class OutsideWindowError(ValueError):
     """Boundary integral requested outside its representation window."""
 
 
-def real_part(value, tol, where=""):
-    """Real part of an assembled integral, or of a 1-D array of them;
-    ResidualWarning names the first row whose imaginary part is not within
-    its budget or whose real part is not finite (a NaN fits no budget)."""
+def real_part(value, tol, where="", warnings=()):
+    """Real part of an assembled integral, or of a 1-D array of them.
+    QuadratureError names the first row whose quadrature missed its budget
+    (``warnings``, the per-row warnings of the ``integrate_segment`` result
+    the value was read from); ResidualWarning names the first row whose
+    imaginary part is not within its budget or whose real part is not
+    finite (a NaN fits no budget)."""
+    missed = next((row for row, w in enumerate(warnings) if w), None)
+    if missed is not None:
+        raise QuadratureError(f"{where or 'assembly'} row {missed}: "
+                              f"{warnings[missed]}")
     v = np.asarray(value, dtype=complex)
     rows = np.atleast_1d(v)
     ok = np.isfinite(rows.real) & (
@@ -149,7 +155,7 @@ def _fractional_block(cache, block, t, beta, tol):
         rows[~ok] = 0.0
         return rows
 
-    conv = singular_time_convolution(SingularKernel(beta, smooth), t, tol=tol)
+    conv = singular_time_convolution(beta, smooth, t, tol=tol)
     # the boundary terms up to the first j that raises; an order m reads
     # j < m, so it raises that error when m > len(at_zero)
     weights, at_zero, failed = [], [], None

@@ -118,7 +118,8 @@ def _image_sum(spec, datum, y, t, tol):
     span = math.sqrt(math.log(4.0 / tol) + 5.0)
     far = integrate_segment(integrand, 0.0, span, tol=tol / 2)
     total = (near[:y.size] - near[y.size:]
-             + real_part(far.value * 2.0 / SQRT_PI, tol, "far images"))
+             + real_part(far.value * 2.0 / SQRT_PI, tol, "far images",
+                         far.warnings))
     total[y == 0] = float(datum.eval(t))
     return total
 

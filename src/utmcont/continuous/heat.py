@@ -6,10 +6,10 @@ its panels unsplit); term by
 term that integral is a heat kernel, so i0 is the method-of-images sum over
 the rule's nodes, with no k-quadrature.  The boundary part uses the closed
 heat-kernel convolution for x >= 0, one shared time rule for a whole array
-of x, and the reflection-plus-doubled-Taylor-series extension for x < 0.
-Dirichlet doubles the even series (the datum pins the even derivatives),
-Neumann the odd one; w0 is that rule applied to u0 at t = 0.  Every
-function of x takes a 1-D array.
+of x; the solver table continues it to x < 0 by reflection plus the
+doubled series of ``tilde_ladder``.  Dirichlet doubles the even series
+(the datum pins the even derivatives), Neumann the odd one; w0 is that
+rule applied to u0 at t = 0.  Every function of x takes a 1-D array.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ def single_layer(f0, xs, t, tol=1e-10):
 
     span = math.sqrt(math.log(4.0 / tol) + 5.0)
     res = integrate_segment(integrand, 0.0, span, tol=tol / 2)
-    out = real_part(res.value * 2.0 / SQRT_PI, tol, "dirichlet boundary")
+    out = real_part(res.value * 2.0 / SQRT_PI, tol, "dirichlet boundary",
+                    res.warnings)
     out[xs == 0] = float(f0.eval(t))
     return out
 
@@ -93,7 +94,8 @@ def _neumann_kernel_convolution(f1, xs, t, tol):
         return f1.eval(s) * np.exp(-(xs * xs)[:, None] / (4.0 * sigma * sigma))
 
     res = integrate_segment(integrand, 0.0, math.sqrt(t), tol=tol / 2)
-    return real_part(-res.value * 2.0 / SQRT_PI, tol, "neumann boundary")
+    return real_part(-res.value * 2.0 / SQRT_PI, tol, "neumann boundary",
+                     res.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -125,24 +127,9 @@ def full_series_coefficient(spec, order, t, tol=1e-11):
     return dirichlet_odd_coefficient(spec, (order + 1) // 2, t, tol)
 
 
-# ---------------------------------------------------------------------------
-# Assembly
-# ---------------------------------------------------------------------------
-
-
-def extended(spec, xs, t, tol=1e-10):
-    """u_ac(x, t) = i0 + boundary part at each point of the 1-D array xs,
-    continued to x < 0 by reflection plus the doubled series: odd
-    reflection and even series for Dirichlet, even reflection and odd
-    series for Neumann."""
-    return i0(spec, xs, t, tol) + _common.reflected(
-        xs, lambda dist: boundary_integral(spec, dist, t, tol),
-        tilde_ladder(spec, t), _reflection_sign(spec.kind), tol)
-
-
 def boundary_to_initial(spec, xs):
-    """w0 at each point of the 1-D array xs, the t -> 0 limit of
-    ``extended``: its reflection rule with u0 in place of the boundary part
-    and the doubled series at t = 0."""
+    """w0 at each point of the 1-D array xs, the t -> 0 limit of the
+    continued solution: its reflection rule with u0 in place of the
+    boundary part and the doubled series at t = 0."""
     return _common.reflected(xs, spec.u0.eval, tilde_ladder(spec, 0.0),
                              _reflection_sign(spec.kind), 1e-13)

@@ -33,11 +33,12 @@ factors its kernel as e^{ikx} e^{-ik^3(t-s)}, so its time sum is done once.
 ``_kdv2_boundary`` runs each contour piece once for a whole array of x, as
 a vector integrand (one row per x, each meeting its own budget);
 ``if0_one_bc``, shifted by its x-dependent lower limit, runs its Airy
-integral over one span for every x.  Both kinds continue their boundary
-parts to x < 0 by ``_common.reflected``.  Every function that takes x, w0
-included, takes a 1-D array.  The import of scipy.special is deferred to
-``_real_airy`` and ``_airy``, so a KdV spec loads scipy at its first Airy
-evaluation, not with this module.
+integral over one span for every x.  The solver table of
+``utmcont.continuous`` continues both kinds' boundary parts to x < 0, with
+ladders of ``kdv1_coefficient`` and ``kdv2_coefficient``.  Every function
+that takes x, w0 included, takes a 1-D array.  The import of scipy.special
+is deferred to ``_real_airy`` and ``_airy``, so a KdV spec loads scipy at
+its first Airy evaluation, not with this module.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ import numpy as np
 
 from ..quad import QuadratureError, gauss_panels, integrate_segment, row_sums
 from .problems import check_compatibility
-from ._common import (COEFF_TOL, CoeffLadder, data_rule, datum_coefficient,
-                      datum_ladder, doubled_series, fractional_family,
-                      over_factorial, real_part, reflected,
-                      require_half_line)
+from ._common import (data_rule, datum_coefficient, datum_ladder,
+                      doubled_series, fractional_family, over_factorial,
+                      real_part, require_half_line)
 
 ALPHA = cmath.exp(2j * math.pi / 3)
 SQRT3 = math.sqrt(3.0)
@@ -189,7 +189,7 @@ def if0_one_bc(spec, xs, t, tol=1e-10):
 
     span = (1.5 * (math.log(4.0 / tol) + 5.0)) ** (2.0 / 3.0) + 2.0
     res = integrate_segment(integrand, 0.0, span, tol=tol / 3)
-    out = real_part(3.0 * res.value, tol, "kdv1 boundary")
+    out = real_part(3.0 * res.value, tol, "kdv1 boundary", res.warnings)
     out[xs == 0] = float(spec.f0.eval(t))
     return out
 
@@ -208,21 +208,6 @@ def kdv1_coefficient(spec, order, t, tol=1e-11):
     total = (-1.0) ** m * fractional_family(spec, "f0", m, t, beta, tol)
     return over_factorial(front_sign * SQRT3 / (2.0 * math.pi) * total,
                           order)
-
-
-def kdv1_tilde_ladder(spec, t, tol=COEFF_TOL):
-    """Ladder of the even boundary coefficients, doubled across x = 0."""
-    return CoeffLadder(2, (0,), lambda order: kdv1_coefficient(
-        spec, order, t, tol))
-
-
-def extended_one_bc(spec, xs, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array xs: the Airy convolution,
-    continued to x < 0 by the doubled series less the reflected
-    convolution."""
-    return i0_one_bc(spec, xs, t, tol) + reflected(
-        xs, lambda dist: if0_one_bc(spec, dist, t, tol),
-        kdv1_tilde_ladder(spec, t), -1.0, tol)
 
 
 def w0_one_bc(spec, xs):
@@ -400,26 +385,6 @@ def kdv2_coefficient(spec, which, order, t, tol=1e-11):
     m = (order + 1) // 3  # a_{3m-1}, b_{3m-1}
     total = fractional_family(spec, which, m, t, beta, tol)
     return over_factorial(-SQRT3 / (2.0 * math.pi) * total, order)
-
-
-def kdv2_tilde_ladder(spec, which, t, tol=COEFF_TOL):
-    """Ladder of the coefficients doubled across x = 0: even orders of the
-    a-family, odd orders of the b-family, structural zeros skipped."""
-    offsets = (0, 2) if which == "f0" else (1, 5)
-    return CoeffLadder(6, offsets, lambda order: kdv2_coefficient(
-        spec, which, order, t, tol))
-
-
-def extended_two_bc(spec, xs, t, tol=1e-10):
-    """u_ac(x, t) at each point of the 1-D array xs: i0 plus both boundary
-    integrals, continued to x < 0 by the doubled series less (f0) or plus
-    (f1) the reflected integral."""
-    def part(which, sign):
-        return reflected(
-            xs, lambda dist: _kdv2_boundary(spec, which, dist, t, tol),
-            kdv2_tilde_ladder(spec, which, t), sign, tol)
-
-    return i0_two_bc(spec, xs, t, tol) + part("f0", -1.0) + part("f1", 1.0)
 
 
 class IncompatibleDataError(ValueError):

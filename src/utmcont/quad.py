@@ -13,8 +13,8 @@ over its panels, the KdV kinds over its panels split to the Airy kernel's
 wavelength); no solver evaluates the transform or the finite-interval
 transform at any k, and tests use both as oracles.  Last come the
 endpoint-singular time convolutions appearing in the odd/fractional
-Taylor-coefficient formulas: one convolution, or a block of them (one row
-each) on one shared rule.
+Taylor-coefficient formulas (beta = 1/2, 1/3 and 2/3), a block of them
+(one row each) on one shared rule over one substitution u = (t-s)^{1/p}.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SingularKernel",
     "QuadratureResult",
     "QuadratureError",
     "DecayError",
@@ -81,18 +80,6 @@ class QuadratureResult:
     evaluations: int = 0
     warning: str | None = None
     warnings: tuple = ()
-
-
-@dataclass
-class SingularKernel:
-    """(t-s)^{-beta} endpoint weight with a smooth part g(s)."""
-
-    beta: float
-    smooth: object  # callable: nodes s -> array of shape (rows, len(s))
-
-    def __post_init__(self):
-        if not 0 < self.beta < 1:
-            raise ValueError("singular exponent beta must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -318,46 +305,38 @@ def finite_interval_transform(u0, L, k):
     return out
 
 
-def singular_time_convolution(kernel, t, tol=1e-12):
-    """integral over (0, t) of g(s)/(t-s)^beta ds by desingularization, for
-    each row of a real smooth part g of shape (rows, nodes).
+# beta -> p of the substitution u = (t - s)^{1/p}
+_ROOTS = {0.5: 2, 1.0 / 3.0: 3, 2.0 / 3.0: 3}
 
-    A substitution t - s = u^p removes the endpoint singularity, and is
-    chosen so that s is a polynomial in u, which keeps the integrand smooth
-    wherever g is:
 
-    - beta = 1/2 and 2/3: u = (t-s)^(1-beta), p = 1/(1-beta) = 2 and 3.
-      Then (t-s)^(-beta) ds = du/(1-beta), and the integral is
-      (1/(1-beta)) * integral of g(t - u^p) over (0, t^(1-beta)).
-    - beta = 1/3: that p would be 3/2, and g(t - u^(3/2)) has a u^(3/2)
-      term at u = 0 that the rule resolves only by bisecting toward it.
-      Here u = (t-s)^(1/3), p = 3, so (t-s)^(-1/3) ds = 3u du, and the
-      integral is the integral of 3u g(t - u^3) over (0, t^(1/3)).
+def singular_time_convolution(beta, smooth, t, tol=1e-12):
+    """integral over (0, t) of g(s)/(t-s)^beta ds, for each row of a real
+    smooth part g = smooth(s) of shape (rows, nodes).
 
-    Any other beta takes the first form; its integrand is smooth only
-    where 1/(1-beta) is a whole number.  Both forms meet a budget of
-    tol max(1, |value|) on each row.  The rows share one rule, each with
-    its own budget, and a missed budget never raises: the result is the
-    QuadratureResult of the rule, with the real row values and one warning
-    per row.
+    One substitution u = (t-s)^{1/p} removes the endpoint singularity, with
+    p = 2 for beta = 1/2 and p = 3 for beta = 1/3 and 2/3: then s is a
+    polynomial in u, (t-s)^{-beta} ds = p u^{p(1-beta)-1} du with a whole
+    exponent, and the integrand p u^{p(1-beta)-1} g(t - u^p) over
+    (0, t^{1/p}) is smooth wherever g is.  Any other beta raises
+    ValueError.  The rows share one rule, each with its own budget
+    tol max(1, |value|), and a missed budget never raises: the result is
+    the QuadratureResult of the rule, with the real row values and one
+    warning per row.
     """
+    if beta not in _ROOTS:
+        raise ValueError(f"singular exponent beta must be one of 1/2, 1/3 "
+                         f"and 2/3, not {beta!r}")
     if t <= 0:
         raise ValueError("time convolution requires t > 0")
-    beta = kernel.beta
-    if beta == 1.0 / 3.0:
-        root, power, shrink, weight = 1.0 / 3.0, 3.0, 1.0, lambda u: 3.0 * u
-    else:
-        root, power, shrink, weight = (1.0 - beta, 1.0 / (1.0 - beta),
-                                       1.0 - beta, None)
-    upper = t ** root
+    p = _ROOTS[beta]
+    power = round(p * (1.0 - beta)) - 1
+    upper = t ** (1.0 / p)
 
     def integrand(u):
         u = np.minimum(np.real(np.asarray(u)), upper)
-        rows = np.asarray(kernel.smooth(np.clip(t - u ** power, 0.0, t)),
-                          dtype=complex)
-        return rows if weight is None else rows * weight(u)
+        rows = np.asarray(smooth(np.clip(t - u ** p, 0.0, t)), dtype=complex)
+        return rows * (p * u ** power)
 
-    res = integrate_segment(integrand, 0.0, upper, tol=tol * shrink,
-                            rel_tol=tol)
-    res.value = res.value.real / shrink
+    res = integrate_segment(integrand, 0.0, upper, tol=tol, rel_tol=tol)
+    res.value = res.value.real
     return res

@@ -245,10 +245,26 @@ def _h_values(value):
      "refinement.h_values must be a list"),
     (ADVECTED, "solve", {"reference": {"name": "gaussian-drift", "c": "abc"}},
      "reference.c must be a number"),
+    # json reads any integer exactly, also one that no float holds
+    (INTERVAL, "solve", {"problem": {"L": 10**400}},
+     "problem.L must be within the float range"),
+    (MINIMAL, "solve", {"grid": {"x_max": 10**400}},
+     "grid.x_max must be within the float range"),
+    (MINIMAL, "solve", {"numerics": {"tol": 10**400}},
+     "numerics.tol must be within the float range"),
+    (ADVECTED, "solve", {"reference": {"name": "gaussian-drift",
+                                       "c": 10**400}},
+     "reference.c must be within the float range"),
+    (MINIMAL, "solve", {"grid": {"times": [10**400]}},
+     "grid.times must be a nonempty list"),
+    (LATTICE, "converge", _h_values([0.1, 10**400, 0.025]),
+     "refinement.h_values must be a list"),
 ], ids=["u0-number", "reference-expr-number", "times-number", "kind-list",
         "h-values-number", "h-values-bool", "h-values-negative",
         "h-values-text", "h-values-bool-entry", "h-values-repeated",
-        "reference-c-text"])
+        "reference-c-text", "problem-L-past-float", "x-max-past-float",
+        "tol-past-float", "reference-c-past-float", "times-past-float",
+        "h-values-past-float"])
 def test_malformed_value_is_config_error(tmp_path, capsys, base, command,
                                          patch, where):
     # a value of the wrong type or shape is refused by its key before any
@@ -740,6 +756,26 @@ def test_converge_single_h_rejected(tmp_path):
         "refinement": {"h_values": [0.05]},
     }
     assert main(["converge", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("grid,window,h", [
+    ({"x_min": 0.51, "x_max": 0.52}, "[0.51, 0.52]", "0.1"),
+    ({"x_min": 1.0, "x_max": -1.0}, "[1, -1]", "0.1"),
+    ({"n_min": 3, "n_max": -3}, "[0.15, -0.15]", "0.1"),
+], ids=["narrow", "reversed-x", "reversed-n"])
+def test_converge_window_without_a_node_is_config_error(
+        tmp_path, capsys, monkeypatch, grid, window, h):
+    # the window and the spacings alone decide it, before any solving
+    monkeypatch.setattr(cli.cont, "evaluate_extended",
+                        lambda *args: pytest.fail("solved"))
+    cfg = {"problem": {"kind": "sd-heat-dirichlet", "u0": "3*x*exp(-x)",
+                       "f0": "sin(4*pi*t)", "h": 0.05},
+           "grid": {**grid, "times": [0.5]},
+           "refinement": {"h_values": [0.1, 0.05, 0.025]}}
+    assert main(["converge", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: converge window {window} holds no lattice node at "
+        f"spacing h = {h}\n")
 
 
 def test_converge_needs_one_time(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import taylor_sum
 from utmcont.expr import parse
-from utmcont.quad import integrate_segment
+from utmcont.quad import QuadratureError, integrate_segment
 from utmcont.continuous import (
     ProblemSpec,
     boundary_to_initial,
@@ -283,3 +283,16 @@ def test_outside_window_error_half_line(heat_gaussian):
 
     with pytest.raises(OutsideWindowError):
         evaluate_boundary_integral(heat_gaussian, "f0", -0.5, 1.0)
+
+
+def test_single_layer_missed_budget_raises():
+    # at tol 1e-13 the rule shared by 41 rows runs to its interval cap
+    # without meeting the budget of the row x = 1e-9, which came back
+    # 1.2e-9 off its value computed alone; it now names that row
+    spec = ProblemSpec("heat-dirichlet", u0=parse("exp(-x^2)"),
+                       f0=parse("sin(3*t)", var_name="t"))
+    xs = np.concatenate([[1e-9], np.linspace(0.05, 2.0, 40)])
+    with pytest.raises(QuadratureError, match="dirichlet boundary row 0"):
+        evaluate_boundary_integral(spec, "f0", xs, 1.0, 1e-13)
+    alone = evaluate_boundary_integral(spec, "f0", 1e-9, 1.0, 1e-13)
+    assert alone == pytest.approx(math.sin(3.0), abs=1e-8)

@@ -11,7 +11,6 @@ from utmcont.continuous import ProblemSpec
 from utmcont.expr import parse
 from utmcont.quad import (
     DecayError,
-    SingularKernel,
     finite_interval_transform,
     gauss_panels,
     geometric_edges,
@@ -237,8 +236,7 @@ def test_transform_value_depends_only_on_its_own_k():
 
 def _one_row_convolution(beta, t, row):
     # the vector convolution on a single row, which must converge
-    res = singular_time_convolution(
-        SingularKernel(beta, lambda s: np.array([row(s)])), t)
+    res = singular_time_convolution(beta, lambda s: np.array([row(s)]), t)
     assert res.warnings == (None,)
     return res.value[0]
 
@@ -271,8 +269,8 @@ def test_singular_convolution_beta_third():
 def test_singular_convolution_beta_third_on_powers(t):
     # int_0^t s^k (t-s)^{-1/3} ds = B(k+1, 2/3) t^{k+2/3}, k = 0...3: over
     # t - s = u^3 the integrand 3u (t - u^3)^k is a polynomial in u
-    kern = SingularKernel(1 / 3, lambda s: np.array([s**k for k in range(4)]))
-    res = singular_time_convolution(kern, t)
+    res = singular_time_convolution(
+        1 / 3, lambda s: np.array([s**k for k in range(4)]), t)
     assert res.warnings == (None,) * 4
     for k, got in enumerate(res.value):
         want = math.gamma(k + 1) * math.gamma(2 / 3) / math.gamma(k + 5 / 3)
@@ -288,8 +286,7 @@ def test_singular_convolution_beta_third_needs_no_bisection_at_the_end():
     cache = ProblemSpec("kdv-two-bc", u0=parse("exp(-x)"),
                         f0=parse("0*t", var_name="t"), f1=f1).deriv("f1")
     res = singular_time_convolution(
-        SingularKernel(1 / 3, lambda s: cache.derivatives(1, 16, s)), 1.0,
-        tol=1e-11)
+        1 / 3, lambda s: cache.derivatives(1, 16, s), 1.0, tol=1e-11)
     assert res.warning is None
     assert res.evaluations <= 200
 
@@ -297,9 +294,8 @@ def test_singular_convolution_beta_third_needs_no_bisection_at_the_end():
 def test_vector_singular_convolution_rows_match_closed_forms():
     # rows 1, s and e^s against (1-s)^{-1/2} on (0, 1): 2, B(2, 1/2) = 4/3
     # and the frozen oracle above
-    kern = SingularKernel(0.5, lambda s: np.array([np.ones_like(s), s,
-                                                   np.exp(s)]))
-    res = singular_time_convolution(kern, 1.0)
+    res = singular_time_convolution(
+        0.5, lambda s: np.array([np.ones_like(s), s, np.exp(s)]), 1.0)
     assert res.warnings == (None, None, None)
     want = [2.0, 4.0 / 3.0, 4.06015693855741]
     for got, exact in zip(res.value, want):
@@ -310,8 +306,7 @@ def test_vector_singular_convolution_reports_the_missed_row_only():
     def rows(s):
         return np.array([np.ones_like(s), np.abs(s - 0.37) ** -0.95])
 
-    res = singular_time_convolution(SingularKernel(0.5, rows), 1.0,
-                                    tol=1e-13)
+    res = singular_time_convolution(0.5, rows, 1.0, tol=1e-13)
     assert res.warnings[0] is None
     assert "subinterval" in res.warnings[1]
     assert res.value[0] == pytest.approx(2.0, rel=1e-12)
@@ -319,13 +314,20 @@ def test_vector_singular_convolution_reports_the_missed_row_only():
 
 def test_singular_kernel_rejects_nonintegrable():
     with pytest.raises(ValueError):
-        SingularKernel(1.0, lambda s: s)
+        singular_time_convolution(1.0, lambda s: s, 1.0)
+
+
+def test_singular_convolution_rejects_other_exponents():
+    # one substitution u = (t-s)^{1/p} serves beta = 1/2, 1/3 and 2/3 only
+    with pytest.raises(ValueError, match="beta"):
+        singular_time_convolution(
+            0.25, lambda s: np.array([np.ones_like(s)]), 1.0)
 
 
 def test_singular_convolution_requires_positive_time():
-    kern = SingularKernel(0.5, lambda s: np.array([np.ones_like(s)]))
     with pytest.raises(ValueError):
-        singular_time_convolution(kern, 0.0)
+        singular_time_convolution(
+            0.5, lambda s: np.array([np.ones_like(s)]), 0.0)
 
 
 def test_ray_pair_dodge_independence():
@@ -353,8 +355,8 @@ def test_nonconvergence_reports_worst_subinterval():
 
     res = integrate_segment(nasty, 0.0, 1.0, tol=1e-13, max_intervals=32)
     assert res.warning is not None and "subinterval" in res.warning
-    kernel = SingularKernel(0.5, lambda s: np.array([nasty(s)]))
-    res = singular_time_convolution(kernel, 1.0, tol=1e-13)
+    res = singular_time_convolution(0.5, lambda s: np.array([nasty(s)]),
+                                    1.0, tol=1e-13)
     assert "subinterval" in res.warnings[0]
 
 

@@ -33,13 +33,13 @@ def _parts(i0, extended, w0, boundary, ladders):
 _TARGETS = {
     "transport": {"extended": (continuous, "transport_solution")},
     "heat-dirichlet": _parts(
-        (heat, "i0"), (heat, "extended"), (heat, "boundary_to_initial"),
-        {"f0": (heat, "boundary_integral")},
+        (heat, "i0"), (continuous, "_continued"),
+        (heat, "boundary_to_initial"), {"f0": (heat, "boundary_integral")},
         {("f0", "even"): (heat, "tilde_ladder"),
          ("f0", "all"): (heat, "full_series_coefficient")}),
     "heat-neumann": _parts(
-        (heat, "i0"), (heat, "extended"), (heat, "boundary_to_initial"),
-        {"f1": (heat, "boundary_integral")},
+        (heat, "i0"), (continuous, "_continued"),
+        (heat, "boundary_to_initial"), {"f1": (heat, "boundary_integral")},
         {("f1", "odd"): (heat, "tilde_ladder")}),
     "heat-finite-interval": _parts(
         (finite_interval, "i0"), (finite_interval, "extended"),
@@ -56,15 +56,15 @@ _TARGETS = {
         {("f0", "even"): (advected, "coefficient_ladder"),
          ("f0", "all"): (advected, "coefficient_ladder")}),
     "kdv-one-bc": _parts(
-        (kdv, "i0_one_bc"), (kdv, "extended_one_bc"), (kdv, "w0_one_bc"),
+        (kdv, "i0_one_bc"), (continuous, "_continued"), (kdv, "w0_one_bc"),
         {"f0": (kdv, "if0_one_bc")},
-        {("f0", "even"): (kdv, "kdv1_tilde_ladder"),
+        {("f0", "even"): (kdv, "kdv1_coefficient"),
          ("f0", "all"): (kdv, "kdv1_coefficient")}),
     "kdv-two-bc": _parts(
-        (kdv, "i0_two_bc"), (kdv, "extended_two_bc"), (kdv, "w0_two_bc"),
+        (kdv, "i0_two_bc"), (continuous, "_continued"), (kdv, "w0_two_bc"),
         {"f0": (kdv, "_kdv2_boundary"), "f1": (kdv, "_kdv2_boundary")},
-        {("f0", "even"): (kdv, "kdv2_tilde_ladder"),
-         ("f1", "odd"): (kdv, "kdv2_tilde_ladder"),
+        {("f0", "even"): (kdv, "kdv2_coefficient"),
+         ("f1", "odd"): (kdv, "kdv2_coefficient"),
          ("f0", "all"): (kdv, "kdv2_coefficient"),
          ("f1", "all"): (kdv, "kdv2_coefficient")}),
 }
