@@ -13,7 +13,8 @@ Each command builds its rows once; ``_csv`` writes them as CSV with
 JSON run report with per-row provenance tags.
 
 Exit codes: 0 success, 2 config error (including malformed expression text,
-a config nested too deeply to read, a finite-interval grid past the tiling
+a config nested too deeply to read, one that is not UTF-8 or holds an
+integer past Python's digit limit, a finite-interval grid past the tiling
 depth, and a command the problem kind does not support), 3 numerical
 failure, 4 refused boundary-to-initial map.
 """
@@ -132,12 +133,14 @@ def _reject_non_finite(value, where):
 def load_config(path, tol=None):
     """The validated config at ``path``, with ``--tol`` as numerics.tol."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
+    except ValueError as err:  # not UTF-8, or an integer past Python's limit
+        raise ConfigError(f"config is not readable: {err}")
     except RecursionError:
         raise ConfigError("config is nested too deeply")
     numerics = raw.get("numerics", {}) if isinstance(raw, dict) else None

@@ -1,4 +1,6 @@
-"""Shared machinery for the per-problem solvers."""
+"""Shared machinery for the per-problem solvers: Taylor data, continuation
+across the boundary, and ``layer_potential``, the one quadrature of every
+half-line boundary part that is a datum's time convolution with a kernel."""
 
 from __future__ import annotations
 
@@ -8,11 +10,13 @@ import math
 import numpy as np
 
 from ..expr import MAX_DERIVATIVE_ORDER, ExprDomainError
-from ..quad import QuadratureError, gauss_panels, singular_time_convolution
+from ..quad import (QuadratureError, gauss_panels, integrate_segment,
+                    singular_time_convolution)
 from ..specfun import gamma
 
 __all__ = [
     "real_part",
+    "layer_potential",
     "like_input",
     "require_half_line",
     "data_rule",
@@ -65,6 +69,25 @@ def real_part(value, tol, where="", warnings=()):
             f"{where or 'assembly'} row {row}: value {rows[row]:.3e} is not "
             "a finite real within its imaginary-residual budget")
     return float(v.real) if v.ndim == 0 else v.real
+
+
+def layer_potential(datum, reach, t, q, kernel, span, tol, where):
+    """int datum(t - (reach/w)^q) kernel(w) dw over [w0, w0 + span],
+    w0 = reach/t^{1/q}, for each row of the 1-D array reach >= 0, on one
+    ``integrate_segment`` rule in u = w - w0 shared by the rows, each with
+    budget tol/2.  The datum is read through its checked eval; a missed
+    budget raises QuadratureError naming the row and ``where``; a row with
+    reach 0 is datum(t), the limit as reach -> 0+."""
+    rows = reach[:, None]
+
+    def integrand(u):
+        w = rows / t ** (1.0 / q) + np.real(u)
+        return datum.eval(np.clip(t - (rows / w) ** q, 0.0, t)) * kernel(w)
+
+    res = integrate_segment(integrand, 0.0, span, tol=tol / 2)
+    out = real_part(res.value, tol, where, res.warnings)
+    out[reach == 0] = float(datum.eval(t))
+    return out
 
 
 def like_input(values, x):

@@ -7,8 +7,8 @@ kernels, with no k-integral.  Each boundary integral collapses, via the
 geometric expansion of 1/sin(kL), to an image sum of half-line single-layer
 potentials, which converges like a Gaussian in the image index.  For a
 whole array of x it takes two quadratures whatever the image budget: one
-single-layer call for the nearest image pair, and one rule in
-zeta = L/sqrt(t - s) that every far image reads at the same datum values.
+single-layer call for the nearest image pair, and one layer potential in
+zeta = L/sqrt(t - s) whose kernel sums every far image.
 Outside the native windows the extensions tile in steps of 2L, accumulating
 doubled Taylor series of the data, one series call per step for every point
 that takes it, and evaluate the window images of all points in one call;
@@ -29,7 +29,7 @@ import numpy as np
 
 from ..quad import gauss_panels, geometric_edges, integrate_segment, row_sums
 from ._common import (OutsideWindowError, datum_ladder, doubled_series,
-                      over_factorial, real_part)
+                      layer_potential, over_factorial)
 from .heat import SQRT_PI, single_layer
 
 # The tiled extensions reach |x| <= TILE_DEPTH * L.
@@ -90,11 +90,11 @@ def _image_sum(spec, datum, y, t, tol):
     image budget; the datum value at y = 0.
 
     The nearest pair, y and 2L - y, is one single-layer call over both
-    distances.  Every far image d >= 2L shares one rule over
-    zeta = L/sqrt(t - s) on [L/sqrt(t), L/sqrt(t) + span]: with
-    r = d/(2L) >= 1, S(d) = (2/sqrt(pi)) int f0(t - L^2/zeta^2)
-    r e^{-(r zeta)^2} dzeta, so each row sums its signed far-image kernels
-    at the same datum values, and single_layer's span bounds every tail.
+    distances.  Every far image d >= 2L shares one layer potential in
+    zeta = L/sqrt(t - s) (q = 2, reach L): with r = d/(2L) >= 1,
+    S(d) = (2/sqrt(pi)) int f0(t - L^2/zeta^2) r e^{-(r zeta)^2} dzeta, so
+    each row's kernel sums its signed far images at the same datum values,
+    and single_layer's span bounds every tail.
     """
     L = spec.L
     if np.any((y < 0) | (y >= 2 * L)):
@@ -105,21 +105,15 @@ def _image_sum(spec, datum, y, t, tol):
     j = np.arange(1, _image_budget(L, t, tol) + 1)
     a = y[:, None] / (2 * L)
     # r of the images y + 2jL (sign +) and 2(j+1)L - y (sign -), per row
-    ratio = np.concatenate([a + j, 1 + j - a], axis=1)
-    weight = ratio * np.repeat([1.0, -1.0], j.size)
-    zeta0 = L / math.sqrt(t)
+    ratio = np.concatenate([a + j, 1 + j - a], axis=1)[:, :, None]
+    weight = ratio * np.repeat([1.0, -1.0], j.size)[:, None] * (2 / SQRT_PI)
 
-    def integrand(u):
-        zeta = zeta0 + np.real(u)
-        s = np.clip(t - L * L / (zeta * zeta), 0.0, t)
-        kernels = np.exp(-(ratio[:, :, None] * zeta) ** 2)
-        return datum.eval(s) * (weight[:, :, None] * kernels).sum(axis=1)
+    def kernel(zeta):
+        return (weight * np.exp(-(ratio * zeta[:, None]) ** 2)).sum(axis=1)
 
-    span = math.sqrt(math.log(4.0 / tol) + 5.0)
-    far = integrate_segment(integrand, 0.0, span, tol=tol / 2)
-    total = (near[:y.size] - near[y.size:]
-             + real_part(far.value * 2.0 / SQRT_PI, tol, "far images",
-                         far.warnings))
+    total = near[:y.size] - near[y.size:] + layer_potential(
+        datum, np.full(y.size, L), t, 2, kernel,
+        math.sqrt(math.log(4.0 / tol) + 5.0), tol, "far images")
     total[y == 0] = float(datum.eval(t))
     return total
 

@@ -2,14 +2,14 @@
 
 The initial-condition part is the real-line k-integral of the data
 transform, which is the finite sum of its rule (``_common.data_rule``,
-its panels unsplit); term by
-term that integral is a heat kernel, so i0 is the method-of-images sum over
-the rule's nodes, with no k-quadrature.  The boundary part uses the closed
-heat-kernel convolution for x >= 0, one shared time rule for a whole array
-of x; the solver table continues it to x < 0 by reflection plus the
-doubled series of ``tilde_ladder``.  Dirichlet doubles the even series
-(the datum pins the even derivatives), Neumann the odd one; w0 is that
-rule applied to u0 at t = 0.  Every function of x takes a 1-D array.
+its panels unsplit); term by term that integral is a heat kernel, so i0
+is the method-of-images sum over the rule's nodes, with no k-quadrature.
+The boundary part for x >= 0 is one shared time rule for a whole array
+of x; the Dirichlet single layer is ``_common.layer_potential`` with a
+Gaussian kernel.  The solver table continues it to x < 0 by reflection
+plus the doubled series of ``tilde_ladder``.  Dirichlet doubles the even
+series (the datum pins the even derivatives), Neumann the odd one; w0 is
+that rule applied to u0 at t = 0.  Every function of x takes a 1-D array.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 from ..quad import integrate_segment, row_sums
 from . import _common
 from ._common import (data_rule, datum_coefficient, datum_ladder,
-                      fractional_family, over_factorial, real_part,
-                      require_half_line)
+                      fractional_family, layer_potential, over_factorial,
+                      real_part, require_half_line)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -62,25 +62,13 @@ def boundary_integral(spec, xs, t, tol=1e-10):
 def single_layer(f0, xs, t, tol=1e-10):
     """int_0^t f0(s) G(x, t-s) ds with the first-derivative heat kernel G
     (classical single-layer potential), at each point x >= 0 of the 1-D
-    array xs; f0(t) at x = 0, its limit as x -> 0+.
-
-    The substitution z = x/(2 sqrt(t-s)) yields a Gaussian-weighted smooth
-    integrand on [z0, inf), z0 = x/(2 sqrt(t)); over u = z - z0 the span
-    does not depend on x, so the points share one adaptive rule.
-    """
-    z0 = xs[:, None] / (2.0 * math.sqrt(t))
-
-    def integrand(u):
-        z = z0 + np.real(u)
-        s = t - (xs * xs)[:, None] / (4.0 * z * z)
-        return f0.eval(np.clip(s, 0.0, t)) * np.exp(-z * z)
-
-    span = math.sqrt(math.log(4.0 / tol) + 5.0)
-    res = integrate_segment(integrand, 0.0, span, tol=tol / 2)
-    out = real_part(res.value * 2.0 / SQRT_PI, tol, "dirichlet boundary",
-                    res.warnings)
-    out[xs == 0] = float(f0.eval(t))
-    return out
+    array xs; f0(t) at x = 0, its limit as x -> 0+.  Over
+    z = x/(2 sqrt(t-s)) it is the layer potential of f0 with q = 2, reach
+    x/2 and the Gaussian kernel (2/sqrt(pi)) e^{-z^2}, over a span past
+    which e^{-z^2} < e^{-5} tol/4."""
+    return layer_potential(
+        f0, xs / 2.0, t, 2, lambda z: np.exp(-z * z) * (2.0 / SQRT_PI),
+        math.sqrt(math.log(4.0 / tol) + 5.0), tol, "dirichlet boundary")
 
 
 def _neumann_kernel_convolution(f1, xs, t, tol):

@@ -32,13 +32,13 @@ weight(k) e^{ikx - ik^3 t} sum_m f^(m-1)(0) / (-ik^3)^m; the remainder
 factors its kernel as e^{ikx} e^{-ik^3(t-s)}, so its time sum is done once.
 ``_kdv2_boundary`` runs each contour piece once for a whole array of x, as
 a vector integrand (one row per x, each meeting its own budget);
-``if0_one_bc``, shifted by its x-dependent lower limit, runs its Airy
-integral over one span for every x.  The solver table of
-``utmcont.continuous`` continues both kinds' boundary parts to x < 0, with
-ladders of ``kdv1_coefficient`` and ``kdv2_coefficient``.  Every function
-that takes x, w0 included, takes a 1-D array.  The import of scipy.special
-is deferred to ``_real_airy`` and ``_airy``, so a KdV spec loads scipy at
-its first Airy evaluation, not with this module.
+``if0_one_bc`` is ``_common.layer_potential`` with the kernel 3 Ai(w), one
+span for every x.  The solver table of ``utmcont.continuous`` continues
+both kinds' boundary parts to x < 0, with ladders of ``kdv1_coefficient``
+and ``kdv2_coefficient``.  Every function that takes x, w0 included, takes
+a 1-D array.  The import of scipy.special is deferred to ``_real_airy`` and
+``_airy``, so a KdV spec loads scipy at its first Airy evaluation, not
+with this module.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ import numpy as np
 from ..quad import QuadratureError, gauss_panels, integrate_segment, row_sums
 from .problems import check_compatibility
 from ._common import (data_rule, datum_coefficient, datum_ladder,
-                      doubled_series, fractional_family, over_factorial,
-                      real_part, require_half_line)
+                      doubled_series, fractional_family, layer_potential,
+                      over_factorial, real_part, require_half_line)
 
 ALPHA = cmath.exp(2j * math.pi / 3)
 SQRT3 = math.sqrt(3.0)
@@ -171,27 +171,14 @@ def i0_one_bc(spec, xs, t, tol=1e-10):
 
 def if0_one_bc(spec, xs, t, tol=1e-10):
     """Airy-kernel convolution at each point x >= 0 of the 1-D array xs
-    (datum value at x = 0).
-
-    Over w = x/(3(t-s))^{1/3} the integrand is f0(s) Ai(w) on [w_low, inf),
-    w_low = x/(3t)^{1/3}; over u = w - w_low the span does not depend on x,
-    so the points share one adaptive rule.
-    """
+    (datum value at x = 0).  Over w = x/(3(t-s))^{1/3} it is the layer
+    potential of f0 with q = 3, reach x/3^{1/3} and the kernel 3 Ai(w),
+    over a span past which Ai(w) < e^{-5} tol/4."""
     require_half_line(xs, "one-condition boundary integral")
-    rows = xs[:, None]
-    w_low = rows / (3.0 * t) ** (1.0 / 3.0)
-    f0c = spec.f0.compiled()
-
-    def integrand(u):
-        w = w_low + np.real(u)
-        s = np.clip(t - rows**3 / (3.0 * w**3), 0.0, t)
-        return f0c(s) * _airy(w)
-
     span = (1.5 * (math.log(4.0 / tol) + 5.0)) ** (2.0 / 3.0) + 2.0
-    res = integrate_segment(integrand, 0.0, span, tol=tol / 3)
-    out = real_part(3.0 * res.value, tol, "kdv1 boundary", res.warnings)
-    out[xs == 0] = float(spec.f0.eval(t))
-    return out
+    return layer_potential(spec.f0, xs / 3.0 ** (1.0 / 3.0), t, 3,
+                           lambda w: 3.0 * _airy(w), span, tol,
+                           "kdv1 boundary")
 
 
 def kdv1_coefficient(spec, order, t, tol=1e-11):

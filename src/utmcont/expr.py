@@ -622,8 +622,7 @@ class Expression:
 
     def compiled(self):
         """Unchecked numpy callable of this expression, built once: what
-        ``eval`` checks, for integrands whose sums are checked (one-condition
-        KdV's boundary integral), transforms and cross-checks."""
+        ``eval`` checks, for transforms and cross-checks."""
         fn = getattr(self, "_compiled", None)
         if fn is None:
             fn = _compile(self._node)

@@ -105,7 +105,9 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
     (None when the budget was met).  A vector integrand gives arrays of
     values and errors, one warning per row in ``warnings``, and the first of
     those warnings (None when every row met its budget) in ``warning``.
-    The scalar form is the one-row case of the same computation.
+    The scalar form is the one-row case of the same computation.  A row
+    whose value or error is not finite gets a warning too; a NaN error is
+    never above its budget, so a row with one does not steer refinement.
     """
     a = complex(a)
     direction = complex(b) - a
@@ -161,6 +163,10 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
             f"tolerance {tol:g} not met (error {total_errs[row]:g}); worst "
             f"subinterval t in [{lo[worst]:.6f}, {hi[worst]:.6f}]"
         )
+    bad = ~(np.isfinite(totals) & np.isfinite(total_errs))
+    for row in np.flatnonzero(bad):
+        warnings[row] = (f"value {totals[row]:.3g} or error "
+                         f"{total_errs[row]:g} is not finite")
     if scalar:
         return QuadratureResult(complex(totals[0]), float(total_errs[0]),
                                 evaluations, warnings[0], tuple(warnings))

@@ -370,6 +370,25 @@ def test_config_nested_past_the_decoder_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old,new,message", [
+    (b'"x_max": 1.0', b'"x_max": 1' + b"0" * 5000, b"(4300 digits)"),
+    (b'"t*exp(-t)"', b'"t*exp(-t)\xff"', b"can't decode byte 0xff"),
+], ids=["integer-of-5001-digits", "not-utf-8"])
+def test_config_the_decoder_cannot_read_is_config_error(tmp_path, capsys,
+                                                        old, new, message):
+    # the JSON decoder raises a plain ValueError for an integer past
+    # Python's digit limit, and reading raises UnicodeDecodeError
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(MINIMAL).encode().replace(old, new))
+    out = tmp_path / "o.csv"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: config is not readable:" in err
+    assert message.decode() in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,base,key,value", [
     ("solve", MINIMAL, "n_points", 0.5),
     ("map-initial", MINIMAL, "n_points", 4.5),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import taylor_sum
-from utmcont.expr import parse
+from utmcont.expr import ExprDomainError, parse
 from utmcont.quad import QuadratureError, integrate_segment
 from utmcont.continuous import (
     ProblemSpec,
@@ -17,7 +17,7 @@ from utmcont.continuous import (
     reference_whole_line,
     taylor_coefficients,
 )
-from utmcont.continuous import heat
+from utmcont.continuous import _common, finite_interval, heat
 from utmcont.continuous._common import doubled_series
 
 
@@ -296,3 +296,37 @@ def test_single_layer_missed_budget_raises():
         evaluate_boundary_integral(spec, "f0", xs, 1.0, 1e-13)
     alone = evaluate_boundary_integral(spec, "f0", 1e-9, 1.0, 1e-13)
     assert alone == pytest.approx(math.sin(3.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("kind,label,xs", [
+    ("heat-dirichlet", "dirichlet boundary row 1", [100.0, 0.5]),
+    ("kdv-one-bc", "kdv1 boundary row 1", [100.0, 0.5]),
+    ("heat-finite-interval", "far images row 0", [0.5, 1.0]),
+], ids=["heat-dirichlet", "kdv-one-bc", "finite-interval-far-images"])
+def test_layer_potential_missed_budget_raises_in_every_caller(
+        monkeypatch, kind, label, xs):
+    # one interval misses every row's budget except where the kernel has
+    # underflowed (x = 100); the error names the row and the caller.  The
+    # finite interval's nearest images are single layers too, so they are
+    # replaced by zeros to reach its far-image rule
+    def capped(*args, **kwargs):
+        return integrate_segment(*args, **kwargs, max_intervals=1)
+
+    monkeypatch.setattr(_common, "integrate_segment", capped)
+    monkeypatch.setattr(finite_interval, "single_layer",
+                        lambda f0, d, t, tol: np.zeros(d.shape))
+    spec = ProblemSpec(kind, u0=parse("exp(-x^2)"),
+                       f0=parse("sin(3*t)", var_name="t"),
+                       g0=parse("t", var_name="t"), L=1.0)
+    with pytest.raises(QuadratureError, match=f"{label}: tolerance"):
+        evaluate_boundary_integral(spec, "f0", np.array(xs), 1.0, 1e-10)
+
+
+@pytest.mark.parametrize("kind", ["heat-dirichlet", "kdv-one-bc"])
+def test_layer_potential_refuses_a_non_finite_datum(kind):
+    # f0 = sqrt(t - 0.5) is NaN on [0, 0.5) of [0, t]: every layer
+    # potential reads it through the checked eval
+    spec = ProblemSpec(kind, u0=parse("exp(-x^2)"),
+                       f0=parse("sqrt(t-0.5)", var_name="t"))
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        evaluate_boundary_integral(spec, "f0", np.array([0.5, 1.0]), 1.0)

@@ -158,6 +158,31 @@ def test_scalar_segment_is_one_row_case():
     assert scalar.evaluations == vector.evaluations
 
 
+def test_non_finite_segment_warns():
+    # a NaN error is never above its budget, so the row used to pass
+    res = integrate_segment(lambda z: np.full(z.shape, np.nan), 0.0, 1.0,
+                            1e-10)
+    assert res.warning is not None and "not finite" in res.warning
+    assert res.warnings == (res.warning,)
+
+
+def test_vector_segment_non_finite_row_warns_alone():
+    def finite(z):
+        return np.exp(np.real(z)) * np.cos(5 * np.real(z))
+
+    def rows(z):
+        return np.array([finite(z), np.full(z.shape, np.inf)])
+
+    with np.errstate(invalid="ignore"):
+        res = integrate_segment(rows, 0.0, 2.0, 1e-12)
+    alone = integrate_segment(finite, 0.0, 2.0, 1e-12)
+    assert res.warnings[0] is None
+    assert res.warnings[1] is not None and "not finite" in res.warnings[1]
+    # the row of inf steers no refinement: the finite row keeps its bits
+    assert res.value[0] == alone.value
+    assert res.error[0] == alone.error
+
+
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from utmcont.continuous import (
     taylor_coefficients,
 )
 from utmcont.expr import MAX_DERIVATIVE_ORDER, ExprDomainError, parse
+from utmcont.quad import QuadratureError
 
 
 def test_coefficients_do_not_depend_on_an_earlier_tol(fresh_spec):
@@ -110,6 +111,9 @@ def test_fractional_orders_share_time_convolutions(fresh_spec, monkeypatch):
     # f0^(m) = (-1)^m m! / (t + 0.01)^(m + 1) overflows at t = 0 from
     # m = 87, order 173; block m = 81 ... 96
     ("1/(t+0.01)", 1.0, 171, ExprDomainError),
+    # f0' = -1.7e308 e^{-s} is finite, but the beta = 1/2 integrand 2 f0'
+    # is not near s = 0: order 1 (m = 1), whose error estimate is NaN
+    ("1.7e308*exp(-t)", 100.0, 0, QuadratureError),
 ])
 def test_fractional_order_fails_alone(f0, t, last, error):
     spec = ProblemSpec("heat-dirichlet", u0=parse("exp(-(x-1)^2)"),
