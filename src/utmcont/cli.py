@@ -48,19 +48,10 @@ EXIT_REFUSED = 4
 LATTICE_KINDS = {"sd-heat-dirichlet": "f0", "sd-heat-neumann": "f1"}
 
 # the problem keys each kind reads besides its kind: a config that gives
-# any other would have it dropped unread, so it is refused.  The
-# half-line data rule reads u0_decay; transport and the finite interval
-# never build it.
+# any other would have it dropped unread, so it is refused
 _KIND_KEYS = {
-    "transport": ("u0", "f0", "c"),
-    "heat-dirichlet": ("u0", "f0", "u0_decay"),
-    "heat-neumann": ("u0", "f1", "u0_decay"),
-    "heat-finite-interval": ("u0", "f0", "g0", "L"),
-    "advected-heat": ("u0", "f0", "c", "u0_decay"),
-    "kdv-one-bc": ("u0", "f0", "u0_decay"),
-    "kdv-two-bc": ("u0", "f0", "f1", "u0_decay"),
-    "sd-heat-dirichlet": ("u0", "f0", "h"),
-    "sd-heat-neumann": ("u0", "f1", "h"),
+    **{kind: data + keys for kind, (data, keys) in cont.KIND_KEYS.items()},
+    **{kind: ("u0", datum, "h") for kind, datum in LATTICE_KINDS.items()},
 }
 
 # ExprDomainError is an ArithmeticError; DecayError and DecayClassError
@@ -87,7 +78,7 @@ _SECTIONS = {
     "numerics": {"tol"},
     "outputs": {"csv", "json"},
     "refinement": {"h_values"},
-    "reference": {"name", "expr", "c"},
+    "reference": {"name", "expr"},
     "problem.u0_decay": {"type", "rate"},
 }
 _NULLABLE = ("reference", "problem.u0_decay")
@@ -99,8 +90,7 @@ _TEXT_KEYS = {"problem": ("kind", "u0", "f0", "f1", "g0"),
 # that must be positive
 _NUMBER_KEYS = {"problem": ("c", "L", "h"),
                 "grid": ("x_min", "x_max", "n_points", "n_min", "n_max"),
-                "numerics": ("tol",),
-                "reference": ("c",)}
+                "numerics": ("tol",)}
 _POSITIVE_KEYS = ("n_points", "tol")
 # grid counts and lattice indices, which must be whole numbers
 _WHOLE_KEYS = ("n_points", "n_min", "n_max")
@@ -171,6 +161,8 @@ def validate_config(raw):
             if key in block and not isinstance(block[key], str):
                 raise ConfigError(f"{section}.{key} must be a string, not "
                                   f"{block[key]!r}")
+    if {"name", "expr"} <= set(raw.get("reference") or {}):
+        raise ConfigError("reference gives both 'name' and 'expr'; give one")
     kind = raw["problem"].get("kind")
     if kind not in _KIND_KEYS:
         raise ConfigError(f"unknown problem kind {kind!r}")
@@ -286,13 +278,13 @@ def build_problem(cfg):
         raise ConfigError(str(err))
 
 
-def build_reference(ref_cfg, times):
-    """The reference u(x, t) of a config, or None."""
+def build_reference(ref_cfg, times, c):
+    """The reference u(x, t) of a config, or None: the named whole-line
+    solution, which reads the problem's c, or an expression in x."""
     if ref_cfg is None:
         return None
     if "name" in ref_cfg:
         name = ref_cfg["name"]
-        c = float(ref_cfg.get("c", 1.0))
         if name not in cont.REFERENCE_NAMES:
             raise ConfigError(f"unknown reference {name!r}")
         return lambda x, t: cont.reference_whole_line(name, x, t, c=c)
@@ -392,7 +384,8 @@ def cmd_solve(cfg, args):
     tol = float(cfg.get("numerics", {}).get("tol", 1e-10))
     times = _positive_times(cfg["grid"])
     problem = build_problem(cfg["problem"])
-    reference = build_reference(cfg.get("reference"), times)
+    reference = build_reference(cfg.get("reference"), times,
+                                float(cfg["problem"].get("c", 0.0)))
     profile = _profile(problem, cfg["grid"], tol)
     started = time.perf_counter()
     rows = []

@@ -18,9 +18,10 @@ import numpy as np
 
 from . import advected, finite_interval, heat, kdv
 from ._common import (COEFF_TOL, CoeffLadder, OutsideWindowError,
-                      like_input, reflected)
+                      datum_ladder, like_input, reflected)
 from .kdv import IncompatibleDataError
 from .problems import (
+    KIND_KEYS,
     KINDS,
     REFERENCE_NAMES,
     DecayClassError,
@@ -40,6 +41,7 @@ __all__ = [
     "IncompatibleDataError",
     "OutsideWindowError",
     "KINDS",
+    "KIND_KEYS",
     "REFERENCE_NAMES",
     "evaluate_I0",
     "evaluate_boundary_integral",
@@ -55,14 +57,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Solver:
-    """What a problem kind provides.
+    """What a problem kind provides, with the choices that differ by kind
+    (heat's image sign, the ladder and sign of each reflection) bound here.
 
     ``i0(spec, xs, t, tol)``, ``boundary[datum](spec, xs, t, tol)`` (on
     the datum's native window), ``extended(spec, xs, t, tol)`` and
     ``w0(spec, xs)`` take a nonempty 1-D array of points and return one
     value per point; the public functions below turn a point into such an
     array and back.  ``ladders[(datum, parity)](spec, t, tol)`` is the
-    Taylor ladder; a datum's first one listed has its default parity.
+    Taylor ladder; a datum's first one listed has its default parity, the
+    one its reflection reads.
     """
 
     extended: Callable
@@ -100,40 +104,58 @@ def _default_parity(solver, which):
                  if datum == which), None)
 
 
+def _reflected_part(spec, which, xs, boundary, t, tol):
+    """boundary(dist), a half-line part of datum ``which``, continued by
+    ``reflected`` with the datum's default ladder at time t (COEFF_TOL): the
+    sign -1 for an even ladder (Dirichlet-type data), +1 for an odd one."""
+    solver = _SOLVERS[spec.kind]
+    parity = _default_parity(solver, which)
+    return reflected(xs, boundary,
+                     solver.ladders[(which, parity)](spec, t, COEFF_TOL),
+                     -1.0 if parity == "even" else 1.0, tol)
+
+
 def _continued(spec, xs, t, tol):
     """u_ac(x, t) at each point of the 1-D array xs: i0 plus each datum's
-    boundary part continued across x = 0 by ``reflected`` with its default
-    ladder at COEFF_TOL, the sign -1 for an even ladder (a Dirichlet-type
-    datum) and +1 for an odd one (a derivative datum)."""
+    boundary part, continued by ``_reflected_part``."""
     solver = _SOLVERS[spec.kind]
     total = solver.i0(spec, xs, t, tol)
     for which, boundary in solver.boundary.items():
-        parity = _default_parity(solver, which)
-        total = total + reflected(
-            xs, lambda dist: boundary(spec, dist, t, tol),
-            solver.ladders[(which, parity)](spec, t, COEFF_TOL),
-            -1.0 if parity == "even" else 1.0, tol)
+        total = total + _reflected_part(
+            spec, which, xs, lambda dist: boundary(spec, dist, t, tol), t, tol)
     return total
 
 
-_HEAT = dict(i0=_late(heat.i0), extended=_late(_continued),
-             w0=_late(heat.boundary_to_initial))
+def _reflected_w0(spec, xs):
+    """w0 of a one-datum half-line kind, the t -> 0 limit of ``_continued``:
+    its reflection step at t = 0 with u0 in place of the boundary part."""
+    (which,) = _SOLVERS[spec.kind].boundary
+    return _reflected_part(spec, which, xs, spec.u0.eval, 0.0, 1e-13)
+
+
+def _datum_ladder(datum, parity):
+    """``datum_ladder`` as a ladder entry: its coefficients read no tol."""
+    ladder = _late(datum_ladder, datum, parity)
+    return lambda spec, t, tol: ladder(spec, t)
+
 
 _SOLVERS = {
     "transport": Solver(
         extended=lambda spec, xs, t, tol: transport_solution(spec, xs, t)),
     "heat-dirichlet": Solver(
-        **_HEAT,
+        i0=_late(heat.i0, -1.0),
         boundary={"f0": _late(heat.boundary_integral)},
-        ladders={
-            ("f0", "even"): lambda spec, t, tol: heat.tilde_ladder(spec, t),
-            ("f0", "all"): _ladder(1, (0,),
-                                   _late(heat.full_series_coefficient))}),
+        extended=_late(_continued),
+        w0=_late(_reflected_w0),
+        ladders={("f0", "even"): _datum_ladder("f0", "even"),
+                 ("f0", "all"): _ladder(1, (0,),
+                                        _late(heat.full_series_coefficient))}),
     "heat-neumann": Solver(
-        **_HEAT,
+        i0=_late(heat.i0, 1.0),
         boundary={"f1": _late(heat.boundary_integral)},
-        ladders={
-            ("f1", "odd"): lambda spec, t, tol: heat.tilde_ladder(spec, t)}),
+        extended=_late(_continued),
+        w0=_late(_reflected_w0),
+        ladders={("f1", "odd"): _datum_ladder("f1", "odd")}),
     "advected-heat": Solver(
         i0=_late(advected.i0),
         boundary={"f0": _late(advected.boundary_integral)},
@@ -169,8 +191,7 @@ _SOLVERS = {
                   "g0": _late(finite_interval.right_boundary_integral)},
         extended=_late(finite_interval.extended),
         w0=_late(finite_interval.boundary_to_initial),
-        ladders={**{(w, "even"): lambda spec, t, tol, w=w:
-                    finite_interval.tilde_ladder(spec, w, t)
+        ladders={**{(w, "even"): _datum_ladder(w, "even")
                     for w in ("f0", "g0")},
                  ("f0", "odd-center"): _odd_center_ladder}),
 }

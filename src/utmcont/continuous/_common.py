@@ -264,15 +264,17 @@ _DATUM_PARITIES = {
 }
 
 
-def datum_ladder(spec, datum, parity, t, center=0.0):
+def datum_ladder(spec, datum, parity, t):
     """Ladder of a datum's doubled series at time t: "even" carries
-    f^(i)(t)/(2i)!, "odd" f^(i)(t)/(2i+1)!, "cubic" (-1)^i f^(i)(t)/(3i)!."""
+    f^(i)(t)/(2i)!, "odd" f^(i)(t)/(2i+1)!, "cubic" (-1)^i f^(i)(t)/(3i)!.
+    The series is about the datum's boundary point: x = L for g0, the
+    right-end datum of the finite interval, and x = 0 for every other."""
     stride, offset, sign = _DATUM_PARITIES[parity]
     cache = spec.deriv(datum)
     return CoeffLadder(
         stride, (offset,),
         lambda order: datum_coefficient(cache, order, t, stride, offset, sign),
-        center)
+        spec.L if datum == "g0" else 0.0)
 
 
 def doubled_series(ladder, xs, tol, factor=2.0):

@@ -25,8 +25,8 @@ import numpy as np
 from ..expr import parse
 from ..quad import row_sums
 from . import _common, heat
-from ._common import (COEFF_TOL, CoeffLadder, data_rule, over_factorial,
-                      require_half_line)
+from ._common import (COEFF_TOL, CoeffLadder, data_rule, datum_ladder,
+                      over_factorial, require_half_line)
 from .problems import ProblemSpec
 
 
@@ -122,7 +122,7 @@ def extended(spec, xs, t, tol=1e-10):
     g = _gauged(spec)
     part = _common.reflected(
         xs, lambda dist: heat.boundary_integral(g, dist, t, tol),
-        heat.tilde_ladder(g, t), -1.0, tol)
+        datum_ladder(g, "f0", "even", t), -1.0, tol)
     return i0(spec, xs, t, tol) + _gauge(spec.c, xs, t) * part
 
 
@@ -131,5 +131,5 @@ def boundary_to_initial(spec, xs):
     heat-Dirichlet w0 of the gauged spec with initial datum e^{cx/2} u0."""
     part = _common.reflected(
         xs, lambda dist: np.exp(spec.c * dist / 2.0) * spec.u0.eval(dist),
-        heat.tilde_ladder(_gauged(spec), 0.0), -1.0, 1e-13)
+        datum_ladder(_gauged(spec), "f0", "even", 0.0), -1.0, 1e-13)
     return _gauge(spec.c, xs, 0.0) * part

@@ -10,7 +10,8 @@ whole array of x it takes two quadratures whatever the image budget: one
 single-layer call for the nearest image pair, and one layer potential in
 zeta = L/sqrt(t - s) whose kernel sums every far image.
 Outside the native windows the extensions tile in steps of 2L, accumulating
-doubled Taylor series of the data, one series call per step for every point
+the doubled even series of each datum (``_common.datum_ladder``, about
+x = 0 for f0 and x = L for g0), one series call per step for every point
 that takes it, and evaluate the window images of all points in one call;
 the tiling reaches TILE_DEPTH * L.  The same boundary integral
 also has the classical Fourier-sine-series form; both evaluators are exposed
@@ -193,13 +194,6 @@ def left_boundary_fourier(spec, x, t, tol=1e-10):
 # ---------------------------------------------------------------------------
 
 
-def tilde_ladder(spec, datum, t):
-    """Ladder of the doubled even series of f0 about x = 0, or of g0 about
-    x = L."""
-    return datum_ladder(spec, datum, "even", t,
-                        center=spec.L if datum == "g0" else 0.0)
-
-
 def require_tiling_depth(spec, xs):
     """ValueError naming the reach of the 1-D array xs when a point lies
     past the tiling depth TILE_DEPTH * L."""
@@ -209,14 +203,16 @@ def require_tiling_depth(spec, xs):
                          f"{TILE_DEPTH} L = {TILE_DEPTH * spec.L:g}")
 
 
-def _tile(spec, xs, right, at_base, ladder, tol):
-    """2L-periodic tiling of the left window [0, 2L), or of the right one
-    (-L, L], at each point of the 1-D array xs: at_base(b) at the images b
-    of the points in the window (one call), plus the doubled series of
-    ``ladder`` accumulated on the way from each b out to its x, one series
-    call per step of 2L.  ValueError for a point past the tiling depth."""
+def _tile(spec, xs, datum, at_base, t, tol):
+    """2L-periodic tiling of the left window [0, 2L) of f0, or of the right
+    one (-L, L] of g0, at each point of the 1-D array xs: at_base(b) at the
+    window images b of the points (one call), plus the datum's doubled even
+    series at time t accumulated out to each x, one series call per step of
+    2L.  ValueError for a point past the tiling depth."""
     L = spec.L
     require_tiling_depth(spec, xs)
+    right = datum == "g0"
+    ladder = datum_ladder(spec, datum, "even", t)
     n = (np.ceil((xs - L) / (2 * L)) if right
          else np.floor(xs / (2 * L))).astype(int)
     base = xs - 2 * n * L
@@ -241,16 +237,14 @@ def _tile(spec, xs, right, at_base, ladder, tol):
 def left_extension(spec, xs, t, tol=1e-10):
     """I_{f0}^ext at each point of the 1-D array xs: 2L-periodic tiling
     with accumulated doubled series."""
-    return _tile(spec, xs, False,
-                 lambda b: left_boundary_integral(spec, b, t, tol),
-                 tilde_ladder(spec, "f0", t), tol)
+    return _tile(spec, xs, "f0",
+                 lambda b: left_boundary_integral(spec, b, t, tol), t, tol)
 
 
 def right_extension(spec, xs, t, tol=1e-10):
     """I_{g0}^ext: tiling of the (-L, L] window, as left_extension."""
-    return _tile(spec, xs, True,
-                 lambda b: right_boundary_integral(spec, b, t, tol),
-                 tilde_ladder(spec, "g0", t), tol)
+    return _tile(spec, xs, "g0",
+                 lambda b: right_boundary_integral(spec, b, t, tol), t, tol)
 
 
 def extended(spec, xs, t, tol=1e-10):
@@ -265,10 +259,8 @@ def boundary_to_initial(spec, xs):
     """w0 at each point of the 1-D array xs: the odd-periodic u0 plus the
     series both tilings accumulate at t = 0.  That u0 is 2L-periodic, so
     its values at xs are its values at their window images."""
-    value = _tile(spec, xs, False, lambda b: i0_at_zero(spec, xs),
-                  tilde_ladder(spec, "f0", 0.0), 1e-13)
-    return _tile(spec, xs, True, lambda b: value,
-                 tilde_ladder(spec, "g0", 0.0), 1e-13)
+    value = _tile(spec, xs, "f0", lambda b: i0_at_zero(spec, xs), 0.0, 1e-13)
+    return _tile(spec, xs, "g0", lambda b: value, 0.0, 1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ its panels unsplit); term by term that integral is a heat kernel, so i0
 is the method-of-images sum over the rule's nodes, with no k-quadrature.
 The boundary part for x >= 0 is one shared time rule for a whole array
 of x; the Dirichlet single layer is ``_common.layer_potential`` with a
-Gaussian kernel.  The solver table continues it to x < 0 by reflection
-plus the doubled series of ``tilde_ladder``.  Dirichlet doubles the even
-series (the datum pins the even derivatives), Neumann the odd one; w0 is
-that rule applied to u0 at t = 0.  Every function of x takes a 1-D array.
+Gaussian kernel.  The solver table binds i0's image sign and continues
+the boundary part to x < 0 by reflection plus a doubled series,
+``_common.datum_ladder``: Dirichlet the even one of f0 (whose even
+derivatives the datum pins), Neumann the odd one of f1.  w0 is that
+reflection step at t = 0 with u0 in place of the boundary part.  Every
+function of x takes a 1-D array.
 """
 
 from __future__ import annotations
@@ -19,29 +21,22 @@ import math
 import numpy as np
 
 from ..quad import integrate_segment, row_sums
-from . import _common
-from ._common import (data_rule, datum_coefficient, datum_ladder,
-                      fractional_family, layer_potential, over_factorial,
-                      real_part, require_half_line)
+from ._common import (data_rule, datum_coefficient, fractional_family,
+                      layer_potential, over_factorial, real_part,
+                      require_half_line)
 
 SQRT_PI = math.sqrt(math.pi)
 
 
-def _reflection_sign(kind):
-    """-1 (odd reflection) for Dirichlet, +1 (even) for Neumann."""
-    return -1.0 if kind == "heat-dirichlet" else 1.0
-
-
-def i0(spec, xs, t, tol=1e-10):
+def i0(spec, sign, xs, t, tol=1e-10):
     """Initial-condition part, entire in x, at each point of the 1-D array
-    xs: (1/2pi) int_R e^{ikx - k^2 t} (u0_hat(k) + s u0_hat(-k)) dk, s = -1
-    for Dirichlet and +1 for Neumann, taken term by term over the finite
-    sum of the data rule.  Each term is a heat kernel, so the value is the
-    image sum sum_n c_n [G(x - y_n, t) + s G(x + y_n, t)], summed for each
-    x alone."""
+    xs: (1/2pi) int_R e^{ikx - k^2 t} (u0_hat(k) + s u0_hat(-k)) dk with
+    the image sign s (-1 for Dirichlet, +1 for Neumann), taken term by term
+    over the finite sum of the data rule.  Each term is a heat kernel, so
+    the value is the image sum sum_n c_n [G(x - y_n, t) + s G(x + y_n, t)],
+    summed for each x alone."""
     if spec.u0.is_zero:
         return np.zeros(xs.shape)
-    sign = _reflection_sign(spec.kind)
     y, weighted = (a.ravel() for a in data_rule(spec, tol))
     x = xs[:, None]
     kernels = (np.exp(-(x - y) ** 2 / (4.0 * t))
@@ -91,14 +86,6 @@ def _neumann_kernel_convolution(f1, xs, t, tol):
 # ---------------------------------------------------------------------------
 
 
-def tilde_ladder(spec, t):
-    """Ladder of the doubled series across x = 0: even f0^(n)(t)/(2n)! for
-    Dirichlet, odd f1^(p)(t)/(2p+1)! for Neumann."""
-    if spec.kind == "heat-dirichlet":
-        return datum_ladder(spec, "f0", "even", t)
-    return datum_ladder(spec, "f1", "odd", t)
-
-
 def dirichlet_odd_coefficient(spec, n, t, tol=1e-11):
     """Full-series odd coefficient a_{2n-1}(t) of the Dirichlet boundary part
     (boundary-derivative sum plus square-root-singular time convolution)."""
@@ -113,11 +100,3 @@ def full_series_coefficient(spec, order, t, tol=1e-11):
     if order % 2 == 0:
         return datum_coefficient(spec.deriv("f0"), order, t)
     return dirichlet_odd_coefficient(spec, (order + 1) // 2, t, tol)
-
-
-def boundary_to_initial(spec, xs):
-    """w0 at each point of the 1-D array xs, the t -> 0 limit of the
-    continued solution: its reflection rule with u0 in place of the
-    boundary part and the doubled series at t = 0."""
-    return _common.reflected(xs, spec.u0.eval, tilde_ladder(spec, 0.0),
-                             _reflection_sign(spec.kind), 1e-13)

@@ -1,4 +1,5 @@
-"""Problem descriptions, reference solutions, and compatibility checks."""
+"""Problem descriptions (``KIND_KEYS``: the data and keys each kind reads),
+reference solutions, and compatibility checks."""
 
 from __future__ import annotations
 
@@ -17,22 +18,25 @@ __all__ = [
     "ProblemSpecError",
     "DecayClassError",
     "KINDS",
+    "KIND_KEYS",
     "reference_whole_line",
     "REFERENCE_NAMES",
     "check_compatibility",
     "transport_solution",
 ]
 
-_REQUIRED_DATA = {
-    "transport": ("u0",),
-    "heat-dirichlet": ("u0", "f0"),
-    "heat-neumann": ("u0", "f1"),
-    "heat-finite-interval": ("u0", "f0", "g0"),
-    "advected-heat": ("u0", "f0"),
-    "kdv-one-bc": ("u0", "f0"),
-    "kdv-two-bc": ("u0", "f0", "f1"),
+# kind: (the data it requires, the other problem keys it reads); only the
+# half-line data rule reads u0_decay, and transport reads f0 when c > 0
+KIND_KEYS = {
+    "transport": (("u0",), ("f0", "c")),
+    "heat-dirichlet": (("u0", "f0"), ("u0_decay",)),
+    "heat-neumann": (("u0", "f1"), ("u0_decay",)),
+    "heat-finite-interval": (("u0", "f0", "g0"), ("L",)),
+    "advected-heat": (("u0", "f0"), ("c", "u0_decay")),
+    "kdv-one-bc": (("u0", "f0"), ("u0_decay",)),
+    "kdv-two-bc": (("u0", "f0", "f1"), ("u0_decay",)),
 }
-KINDS = tuple(_REQUIRED_DATA)
+KINDS = tuple(KIND_KEYS)
 
 
 class ProblemSpecError(ValueError):
@@ -75,7 +79,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ProblemSpecError(f"unknown problem kind {self.kind!r}")
-        for name in _REQUIRED_DATA[self.kind]:
+        for name in KIND_KEYS[self.kind][0]:
             if getattr(self, name) is None:
                 raise ProblemSpecError(f"{self.kind} requires datum {name!r}")
         if self.kind == "transport":
@@ -207,32 +211,35 @@ def transport_solution(spec, x, t):
 # ---------------------------------------------------------------------------
 
 
-# kind: (s, a, conditions (datum, extra x-derivative)).  The generator of
-# u_t = A u is A = s d^a (d + c) in d = d/dx, so that
-# A^n = s^n sum_j C(n, j) c^{n-j} d^{an+j}.
+# kind: (s, a).  The generator of u_t = A u is A = s d^a (d + c) in
+# d = d/dx, so that A^n = s^n sum_j C(n, j) c^{n-j} d^{an+j}; c is the
+# problem's drift where the kind reads one, else 0.
 _GENERATORS = {
-    "heat-dirichlet": (1.0, 1, (("f0", 0),)),
-    "heat-neumann": (1.0, 1, (("f1", 1),)),
-    "heat-finite-interval": (1.0, 1, (("f0", 0), ("g0", 0))),
-    "advected-heat": (1.0, 1, (("f0", 0),)),
-    "kdv-one-bc": (-1.0, 2, (("f0", 0),)),
-    "kdv-two-bc": (1.0, 2, (("f0", 0), ("f1", 1))),
+    "heat-dirichlet": (1.0, 1),
+    "heat-neumann": (1.0, 1),
+    "heat-finite-interval": (1.0, 1),
+    "advected-heat": (1.0, 1),
+    "kdv-one-bc": (-1.0, 2),
+    "kdv-two-bc": (1.0, 2),
 }
 
 
 def check_compatibility(spec, orders):
     """Per-order residuals |d^n/dt^n(datum)(0) - A^n u0 at the boundary|,
     with A^n u0 read from one jet of u0 at each boundary point: the maximum
-    over the kind's conditions at each order 0..orders."""
+    over the kind's boundary data (read at x = L for g0, with one extra
+    x-derivative of u0 for f1) at each order 0..orders."""
     if spec.kind not in _GENERATORS:
         raise ProblemSpecError(
             f"no compatibility conditions for kind {spec.kind!r}")
-    s, a, conditions = _GENERATORS[spec.kind]
-    c = spec.c if spec.kind == "advected-heat" else 0.0
+    s, a = _GENERATORS[spec.kind]
+    data, keys = KIND_KEYS[spec.kind]
+    c = spec.c if "c" in keys else 0.0
     u0 = spec.deriv("u0")
     per_datum = {}
-    for datum, extra in conditions:
+    for datum in data[1:]:  # every datum after u0
         point = spec.L if datum == "g0" else 0.0
+        extra = int(datum == "f1")
         # highest order first, so one jet serves every order
         du = [u0.value(k, point)
               for k in range((a + 1) * orders + extra, -1, -1)][::-1]

@@ -13,7 +13,6 @@ from utmcont import specfun as sf
 from utmcont.expr import parse
 from utmcont import continuous as cont
 from utmcont.continuous import kdv as kdv_mod
-from utmcont.continuous import heat as heat_mod
 from utmcont.continuous._common import datum_ladder, doubled_series
 from utmcont.semidiscrete import (
     LatticeSpec,
@@ -41,7 +40,7 @@ def test_criterion_1_heat_whole_line_recovery(heat_gaussian):
         ur = cont.reference_whole_line("gaussian-drift", float(x), 1.0)
         worst = max(worst, abs(ua - ur))
     elapsed = time.perf_counter() - started
-    ladder = heat_mod.tilde_ladder(heat_gaussian, 1.0)
+    ladder = datum_ladder(heat_gaussian, "f0", "even", 1.0)
     top_order = ladder.entries[-1][0] if ladder.entries else 0
     ok = worst <= 1e-6 and elapsed < 30.0 and top_order <= 60
     _report(1, ok,
@@ -54,7 +53,7 @@ def test_criterion_2_tilde_closed_form(heat_te):
     worst = 0.0
     for t in (0.1, 1.0):
         for x in np.linspace(-5.0, 5.0, 41):
-            got = doubled_series(heat_mod.tilde_ladder(heat_te, t),
+            got = doubled_series(datum_ladder(heat_te, "f0", "even", t),
                                  np.array([x]), 1e-12)[0]
             want = math.exp(-t) * (2 * t * math.cos(x) + x * math.sin(x))
             worst = max(worst, abs(got - want))

@@ -191,23 +191,26 @@ ADVECTED = {"problem": {"kind": "advected-heat", "c": -1.0,
                      "times": [1.0]}}
 
 
-@pytest.mark.parametrize("base,section,key,value,where", [
-    (MINIMAL, "grid", "times", [math.inf], "grid.times[0]"),
-    (MINIMAL, "grid", "times", [0.5, math.nan], "grid.times[1]"),
-    (LATTICE, "problem", "h", math.inf, "problem.h"),
-    (MINIMAL, "numerics", "tol", math.nan, "numerics.tol"),
-    (MINIMAL, "numerics", "tol", math.inf, "numerics.tol"),
-    (MINIMAL, "grid", "x_min", math.nan, "grid.x_min"),
-    (INTERVAL, "problem", "L", math.inf, "problem.L"),
-    (ADVECTED, "problem", "c", math.nan, "problem.c"),
-    (ADVECTED, "reference", "c", math.nan, "reference.c"),
+@pytest.mark.parametrize("base,section,key,value,message", [
+    (MINIMAL, "grid", "times", [math.inf], "grid.times[0] must be finite"),
+    (MINIMAL, "grid", "times", [0.5, math.nan],
+     "grid.times[1] must be finite"),
+    (LATTICE, "problem", "h", math.inf, "problem.h must be finite"),
+    (MINIMAL, "numerics", "tol", math.nan, "numerics.tol must be finite"),
+    (MINIMAL, "numerics", "tol", math.inf, "numerics.tol must be finite"),
+    (MINIMAL, "grid", "x_min", math.nan, "grid.x_min must be finite"),
+    (INTERVAL, "problem", "L", math.inf, "problem.L must be finite"),
+    (ADVECTED, "problem", "c", math.nan, "problem.c must be finite"),
+    # reference.c is no key: a named reference reads the problem's c
+    (ADVECTED, "reference", "c", math.nan,
+     "unknown key 'c' in config section 'reference'"),
     (LATTICE, "refinement", "h_values", [0.1, math.inf, 0.025],
-     "refinement.h_values[1]"),
+     "refinement.h_values[1] must be finite"),
 ], ids=["times-inf", "times-nan", "lattice-h-inf", "tol-nan", "tol-inf",
         "x-min-nan", "interval-L-inf", "advected-c-nan", "reference-c-nan",
         "h-values-inf"])
 def test_non_finite_number_is_config_error(tmp_path, capsys, base, section,
-                                           key, value, where):
+                                           key, value, message):
     # json reads NaN and Infinity; they are refused by name before any
     # solving, not carried into rows or failed on as numerics
     cfg = json.loads(json.dumps(base))
@@ -215,7 +218,7 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, base, section,
     cfg["outputs"] = {"csv": str(tmp_path / "o.csv"),
                       "json": str(tmp_path / "o.json")}
     assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
-    assert f"{where} must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
     assert not (tmp_path / "o.json").exists()
 
@@ -244,7 +247,7 @@ def _h_values(value):
     (LATTICE, "converge", _h_values([0.1, 0.1, 0.05]),
      "refinement.h_values must be a list"),
     (ADVECTED, "solve", {"reference": {"name": "gaussian-drift", "c": "abc"}},
-     "reference.c must be a number"),
+     "unknown key 'c' in config section 'reference'"),
     # json reads any integer exactly, also one that no float holds
     (INTERVAL, "solve", {"problem": {"L": 10**400}},
      "problem.L must be within the float range"),
@@ -254,17 +257,24 @@ def _h_values(value):
      "numerics.tol must be within the float range"),
     (ADVECTED, "solve", {"reference": {"name": "gaussian-drift",
                                        "c": 10**400}},
-     "reference.c must be within the float range"),
+     "unknown key 'c' in config section 'reference'"),
     (MINIMAL, "solve", {"grid": {"times": [10**400]}},
      "grid.times must be a nonempty list"),
     (LATTICE, "converge", _h_values([0.1, 10**400, 0.025]),
      "refinement.h_values must be a list"),
+    (MINIMAL, "solve", {"reference": {"name": "gaussian-drift",
+                                      "expr": "0*x"}},
+     "reference gives both 'name' and 'expr'"),
+    (MINIMAL, "map-initial", {"reference": {"name": "gaussian-drift",
+                                            "expr": "0*x"}},
+     "reference gives both 'name' and 'expr'"),
 ], ids=["u0-number", "reference-expr-number", "times-number", "kind-list",
         "h-values-number", "h-values-bool", "h-values-negative",
         "h-values-text", "h-values-bool-entry", "h-values-repeated",
         "reference-c-text", "problem-L-past-float", "x-max-past-float",
         "tol-past-float", "reference-c-past-float", "times-past-float",
-        "h-values-past-float"])
+        "h-values-past-float", "reference-name-and-expr",
+        "reference-name-and-expr-map-initial"])
 def test_malformed_value_is_config_error(tmp_path, capsys, base, command,
                                          patch, where):
     # a value of the wrong type or shape is refused by its key before any

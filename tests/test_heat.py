@@ -17,8 +17,8 @@ from utmcont.continuous import (
     reference_whole_line,
     taylor_coefficients,
 )
-from utmcont.continuous import _common, finite_interval, heat
-from utmcont.continuous._common import doubled_series
+from utmcont.continuous import _common, finite_interval
+from utmcont.continuous._common import datum_ladder, doubled_series
 
 
 def test_whole_line_recovery(heat_gaussian):
@@ -127,7 +127,7 @@ def test_tilde_closed_form(heat_te):
     # f0 = t e^-t gives tilde = e^-t (2t cos x + x sin x)
     for t in (0.1, 1.0):
         for x in np.linspace(-5.0, 5.0, 21):
-            got = doubled_series(heat.tilde_ladder(heat_te, t),
+            got = doubled_series(datum_ladder(heat_te, "f0", "even", t),
                                  np.array([x]), 1e-12)[0]
             want = math.exp(-t) * (2 * t * math.cos(x) + x * math.sin(x))
             assert got == pytest.approx(want, abs=1e-10)
@@ -139,8 +139,9 @@ def test_tilde_constant_datum():
     ext = taylor_coefficients(spec, "f0", 0.5, 12)
     assert ext.coeffs[0] == pytest.approx(3.0)
     assert all(abs(c) < 1e-15 for c in ext.coeffs[1:])
-    assert doubled_series(heat.tilde_ladder(spec, 0.5), np.array([1.7]),
-                          1e-10)[0] == pytest.approx(6.0, rel=1e-12)
+    assert doubled_series(datum_ladder(spec, "f0", "even", 0.5),
+                          np.array([1.7]), 1e-10)[0] == pytest.approx(
+        6.0, rel=1e-12)
 
 
 def test_full_series_matches_kernel(heat_gaussian):
@@ -160,8 +161,9 @@ def test_full_series_gives_extension_at_negative_args(heat_gaussian):
     ext = taylor_coefficients(heat_gaussian, "f0", t, 30, parity="all")
     for x in (-0.2, -0.6):
         series = taylor_sum(ext, x)
-        extension = doubled_series(heat.tilde_ladder(heat_gaussian, t),
-                                   np.array([x]), 1e-12)[0] - \
+        extension = doubled_series(
+            datum_ladder(heat_gaussian, "f0", "even", t),
+            np.array([x]), 1e-12)[0] - \
             evaluate_boundary_integral(heat_gaussian, "f0", -x, t, 1e-12)
         assert series == pytest.approx(extension, abs=1e-10)
 

@@ -1,8 +1,9 @@
 """Every built-in scenario's output stays within its configured tol of the
 recorded one, every one with a reference meets that tol against it, and
-every built-in run that is refused keeps its exit code.  heat_te, which
-has no reference, is checked at x >= 0 against the 30-digit mpmath values
-of ``heat_te_oracle.csv``, written by ``heat_te_oracle.py``.
+every built-in run that is refused keeps its exit code.  heat_te, adv_te
+and fi_te_inv, which have no reference, are checked inside their domains
+against the 30-digit mpmath values of ``scenario_oracle.csv``, written by
+``scenario_oracle.py``.
 
 ``scenario_outputs/`` holds the ``solve`` CSV of every built-in scenario,
 the ``map-initial`` CSV of every one whose kind has a w0 and whose data
@@ -27,7 +28,7 @@ import pytest
 from utmcont.cli import EXIT_CONFIG, EXIT_REFUSED, main, scenario_names
 
 RECORDED = Path(__file__).resolve().parent / "scenario_outputs"
-ORACLE = Path(__file__).resolve().parent / "heat_te_oracle.csv"
+ORACLE = Path(__file__).resolve().parent / "scenario_oracle.csv"
 
 # map-initial of every built-in scenario that has a w0
 MAP_INITIAL = ("adv_minus", "adv_plus", "adv_te", "fi_gaussian", "fi_te_inv",
@@ -119,21 +120,30 @@ def test_solve_meets_its_tol_against_its_reference(scenario, run_output):
     assert err.max() <= _tol(scenario)
 
 
-@pytest.mark.parametrize("t", [
-    pytest.param(0.001, marks=pytest.mark.xfail(
+# the mpmath oracle's rows (scenario, x, t, u), and each scenario and time
+# they cover, with the defect that keeps heat_te at t = 0.001 from its tol
+ORACLE_ROWS = [(row["scenario"], float(row["x"]), float(row["t"]),
+                float(row["u"]))
+               for row in csv.DictReader(ORACLE.read_text().splitlines())]
+ORACLE_CASES = [
+    pytest.param(name, t, marks=pytest.mark.xfail(
         strict=True, reason="ROADMAP item 1: the heat data rule is not sized "
-        "from sqrt(t); rows off by up to 2.1e-2")),
-    1.0,
-])
-def test_heat_te_meets_its_tol_against_the_mpmath_oracle(t, run_output):
-    header, values = _columns(run_output("solve", "heat_te"))
-    _, oracle = _columns(ORACLE)
-    oracle = oracle[oracle[:, 1] == t]
-    assert len(oracle) == 10
-    for x, _, u in oracle:
+        "from sqrt(t); rows off by up to 2.1e-2"))
+    if (name, t) == ("heat_te", 0.001) else (name, t)
+    for name, t in dict.fromkeys((name, t) for name, _, t, _ in ORACLE_ROWS)]
+
+
+@pytest.mark.parametrize("scenario,t", ORACLE_CASES)
+def test_solve_meets_its_tol_against_the_mpmath_oracle(scenario, t,
+                                                      run_output):
+    header, values = _columns(run_output("solve", scenario))
+    oracle = [(x, u) for name, x, time, u in ORACLE_ROWS
+              if (name, time) == (scenario, t)]
+    assert len(oracle) >= 5
+    for x, u in oracle:
         row = values[(values[:, 0] == x) & (values[:, 1] == t)]
         assert row.shape[0] == 1
-        assert abs(row[0, header.index("u_ac")] - u) <= _tol("heat_te")
+        assert abs(row[0, header.index("u_ac")] - u) <= _tol(scenario)
 
 
 @pytest.mark.parametrize("command,scenario,code", REFUSED,

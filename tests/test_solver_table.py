@@ -1,22 +1,27 @@
 """Every entry of the per-kind solver table looks its target up through the
 target's module at call time: a double bound to the module attribute sees
-the call that the matching public function makes."""
+the call that the matching public function makes.  The table's boundary
+parts and the compatibility conditions read the data of ``KIND_KEYS``."""
 
 import numpy as np
 import pytest
 
 import utmcont.continuous as continuous
 from utmcont.continuous import (
+    KIND_KEYS,
     KINDS,
     ProblemSpec,
+    _common,
     advected,
     boundary_to_initial,
+    check_compatibility,
     evaluate_boundary_integral,
     evaluate_extended,
     evaluate_I0,
     finite_interval,
     heat,
     kdv,
+    problems,
     taylor_coefficients,
 )
 from utmcont.expr import parse
@@ -34,20 +39,20 @@ _TARGETS = {
     "transport": {"extended": (continuous, "transport_solution")},
     "heat-dirichlet": _parts(
         (heat, "i0"), (continuous, "_continued"),
-        (heat, "boundary_to_initial"), {"f0": (heat, "boundary_integral")},
-        {("f0", "even"): (heat, "tilde_ladder"),
+        (continuous, "_reflected_w0"), {"f0": (heat, "boundary_integral")},
+        {("f0", "even"): (_common, "datum_ladder"),
          ("f0", "all"): (heat, "full_series_coefficient")}),
     "heat-neumann": _parts(
         (heat, "i0"), (continuous, "_continued"),
-        (heat, "boundary_to_initial"), {"f1": (heat, "boundary_integral")},
-        {("f1", "odd"): (heat, "tilde_ladder")}),
+        (continuous, "_reflected_w0"), {"f1": (heat, "boundary_integral")},
+        {("f1", "odd"): (_common, "datum_ladder")}),
     "heat-finite-interval": _parts(
         (finite_interval, "i0"), (finite_interval, "extended"),
         (finite_interval, "boundary_to_initial"),
         {"f0": (finite_interval, "left_boundary_integral"),
          "g0": (finite_interval, "right_boundary_integral")},
-        {("f0", "even"): (finite_interval, "tilde_ladder"),
-         ("g0", "even"): (finite_interval, "tilde_ladder"),
+        {("f0", "even"): (_common, "datum_ladder"),
+         ("g0", "even"): (_common, "datum_ladder"),
          ("f0", "odd-center"): (finite_interval, "odd_center_coefficient")}),
     "advected-heat": _parts(
         (advected, "i0"), (advected, "extended"),
@@ -114,3 +119,18 @@ def test_entry_looks_its_target_up_at_call_time(monkeypatch, fresh_spec,
             if kind == "transport" else fresh_spec(kind))
     _call(spec, part)
     assert calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_boundary_entries_and_conditions_read_the_kinds_data(fresh_spec,
+                                                             kind):
+    # the table's boundary parts are the kind's data past u0, and its
+    # compatibility conditions read those data; transport has neither
+    data, _ = KIND_KEYS[kind]
+    boundary = set(continuous._SOLVERS[kind].boundary)
+    assert boundary == set(data) - {"u0"}
+    assert (kind in problems._GENERATORS) == bool(boundary)
+    if boundary:
+        spec = fresh_spec(kind)
+        check_compatibility(spec, 2)
+        assert set(spec.derivs) == set(data)
