@@ -195,6 +195,17 @@ def validate_config(raw):
     if not (isinstance(times, list) and times
             and all(_is_number(t) and _in_float_range(t) for t in times)):
         raise ConfigError("grid.times must be a nonempty list of numbers")
+    # the reference, which only solve reads, is checked under every command
+    ref = raw.get("reference")
+    if ref is not None and "name" in ref:
+        if ref["name"] not in cont.REFERENCE_NAMES:
+            raise ConfigError(f"unknown reference {ref['name']!r}")
+    elif ref is not None and "expr" in ref:
+        if len(times) != 1:
+            raise ConfigError("expression references support a single time")
+        _parse_expr(ref["expr"], "reference.expr", "x")
+    elif ref is not None:
+        raise ConfigError("reference block needs 'name' or 'expr'")
     refinement = raw.get("refinement", {})
     h_values = refinement.get("h_values")
     if "h_values" in refinement and not (
@@ -278,22 +289,16 @@ def build_problem(cfg):
         raise ConfigError(str(err))
 
 
-def build_reference(ref_cfg, times, c):
-    """The reference u(x, t) of a config, or None: the named whole-line
-    solution, which reads the problem's c, or an expression in x."""
+def build_reference(ref_cfg, c):
+    """The reference u(x, t) of a checked config, or None: the named
+    whole-line solution, which reads the problem's c, or an expression in x."""
     if ref_cfg is None:
         return None
     if "name" in ref_cfg:
         name = ref_cfg["name"]
-        if name not in cont.REFERENCE_NAMES:
-            raise ConfigError(f"unknown reference {name!r}")
         return lambda x, t: cont.reference_whole_line(name, x, t, c=c)
-    if "expr" in ref_cfg:
-        if len(times) != 1:
-            raise ConfigError("expression references support a single time")
-        expr = _parse_expr(ref_cfg["expr"], "reference.expr", "x")
-        return lambda x, t: float(expr.eval(x))
-    raise ConfigError("reference block needs 'name' or 'expr'")
+    expr = parse(ref_cfg["expr"], var_name="x")
+    return lambda x, t: float(expr.eval(x))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +389,7 @@ def cmd_solve(cfg, args):
     tol = float(cfg.get("numerics", {}).get("tol", 1e-10))
     times = _positive_times(cfg["grid"])
     problem = build_problem(cfg["problem"])
-    reference = build_reference(cfg.get("reference"), times,
+    reference = build_reference(cfg.get("reference"),
                                 float(cfg["problem"].get("c", 0.0)))
     profile = _profile(problem, cfg["grid"], tol)
     started = time.perf_counter()

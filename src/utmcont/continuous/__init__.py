@@ -1,15 +1,16 @@
 """Per-problem UTM solvers and analytic continuation (continuous space).
 
-Public surface: problem descriptions, the four evaluation operations
-(initial part, boundary integrals, Taylor data, extended solution), the
+Public surface: problem descriptions, the evaluation operations, the
 boundary-to-initial map, compatibility checks, and the reference-solution
-library.  Every operation dispatches through one table of per-kind
-:class:`Solver` entries, keyed by ``ProblemSpec.kind``; only the public
-functions turn a point into an array.
+library.  The public functions are the one front door: each checks its
+request once (``_solver`` its t and tol, ``_at_points`` its points), only
+they turn a point into an array, and each dispatches through one table of
+per-kind :class:`Solver` entries, keyed by ``ProblemSpec.kind``.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import advected, finite_interval, heat, kdv
 from ._common import (COEFF_TOL, CoeffLadder, OutsideWindowError,
-                      datum_ladder, like_input, reflected)
+                      datum_ladder, reflected)
 from .kdv import IncompatibleDataError
 from .problems import (
     KIND_KEYS,
@@ -62,11 +63,11 @@ class Solver:
 
     ``i0(spec, xs, t, tol)``, ``boundary[datum](spec, xs, t, tol)`` (on
     the datum's native window), ``extended(spec, xs, t, tol)`` and
-    ``w0(spec, xs)`` take a nonempty 1-D array of points and return one
-    value per point; the public functions below turn a point into such an
-    array and back.  ``ladders[(datum, parity)](spec, t, tol)`` is the
-    Taylor ladder; a datum's first one listed has its default parity, the
-    one its reflection reads.
+    ``w0(spec, xs)`` take a nonempty 1-D array of finite points and return
+    one value per point; the public functions below check each request and
+    turn a point into such an array and back.  ``ladders[(datum,
+    parity)](spec, t, tol)`` is the Taylor ladder; a datum's first one
+    listed has its default parity, the one its reflection reads.
     """
 
     extended: Callable
@@ -197,33 +198,39 @@ _SOLVERS = {
 }
 
 
-def _solver(spec, op, part):
-    """The kind's ``part`` of the table; ProblemSpecError when the kind has
-    none."""
-    found = getattr(_SOLVERS[spec.kind], part)
+def _solver(spec, op, part, t=None, tol=None):
+    """The kind's ``part`` of the table, for the request ``op`` at t with
+    tolerance tol (None where ``op`` reads none).  ProblemSpecError when the
+    kind has no such part; ValueError naming ``op`` for a t or tol that is
+    not finite and > 0 (a kind with no initial part takes any finite t)."""
+    solver = _SOLVERS[spec.kind]
+    found = getattr(solver, part)
     if not found:
         raise ProblemSpecError(f"{op} is not defined for kind {spec.kind!r}")
+    if t is not None and not (math.isfinite(t) and (t > 0 or not solver.i0)):
+        raise ValueError(f"{op} requires a finite t > 0, not {t!r}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{op} requires a finite tol > 0, not {tol!r}")
     return found
 
 
-def _at_points(part, spec, x, *args):
-    """part(spec, xs, *args) on x as a 1-D array xs, shaped like x; an
-    empty array gives an empty array without a call."""
+def _at_points(op, part, spec, x, *args):
+    """part(spec, xs, *args) on x as a 1-D array xs, shaped like x: a float
+    for a point; an empty array gives an empty array without a call.
+    ValueError naming ``op`` unless x is a finite point or a 1-D array of
+    finite points."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1:
-        raise ValueError("x must be a point or a 1-D array of points")
-    if xs.size == 0:
-        return xs
-    return like_input(part(spec, xs, *args), x)
+    if xs.ndim != 1 or not np.isfinite(xs).all():
+        raise ValueError(f"{op} takes a finite point or a 1-D array of them")
+    values = part(spec, xs, *args) if xs.size else xs
+    return values if np.ndim(x) else float(values[0])
 
 
 def evaluate_I0(spec, x, t, tol=1e-10):
     """Initial-condition contribution at a point or a 1-D array of points
     (an empty array gives an empty array); entire in x, t > 0."""
-    if t <= 0:
-        raise ValueError("evaluate_I0 requires t > 0 (use boundary_to_initial "
-                         "for the t = 0 profile)")
-    return _at_points(_solver(spec, "evaluate_I0", "i0"), spec, x, t, tol)
+    op = "evaluate_I0"
+    return _at_points(op, _solver(spec, op, "i0", t, tol), spec, x, t, tol)
 
 
 def evaluate_boundary_integral(spec, which, x, t, tol=1e-10):
@@ -235,19 +242,22 @@ def evaluate_boundary_integral(spec, which, x, t, tol=1e-10):
     an :class:`OutsideWindowError` directs the caller to
     :func:`evaluate_extended`.
     """
-    boundary = _solver(spec, "evaluate_boundary_integral", "boundary")
+    op = "evaluate_boundary_integral"
+    boundary = _solver(spec, op, "boundary", t, tol)
     if which not in boundary:
         raise ProblemSpecError(f"kind {spec.kind} has data {tuple(boundary)}")
-    return _at_points(boundary[which], spec, x, t, tol)
+    return _at_points(op, boundary[which], spec, x, t, tol)
 
 
-def fourier_boundary_integral(spec, x, t, tol=1e-10):
+def fourier_boundary_integral(spec, x, t):
     """Residue/Fourier-series evaluation of the finite-interval left
-    boundary integral (cross-check path for the contour form)."""
+    boundary integral, at a point or a 1-D array of points (cross-check
+    path for the contour form)."""
+    op = "fourier_boundary_integral"
     if spec.kind != "heat-finite-interval":
-        raise ProblemSpecError("fourier_boundary_integral is not defined for "
-                               f"kind {spec.kind!r}")
-    return finite_interval.left_boundary_fourier(spec, x, t, tol)
+        raise ProblemSpecError(f"{op} is not defined for kind {spec.kind!r}")
+    _solver(spec, op, "i0", t)  # the request check
+    return _at_points(op, finite_interval.left_boundary_fourier, spec, x, t)
 
 
 def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
@@ -265,11 +275,9 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     ``stop_reason`` is "cap" when the series carries orders up to N that
     the order cap (200) cuts off.
     """
-    if t <= 0:
-        raise ValueError("taylor coefficients require t > 0")
-    solver = _SOLVERS[spec.kind]
-    parity = parity or _default_parity(solver, which)
-    build = solver.ladders.get((which, parity))
+    ladders = _solver(spec, "taylor_coefficients", "ladders", t, tol)
+    parity = parity or _default_parity(_SOLVERS[spec.kind], which)
+    build = ladders.get((which, parity))
     if build is None:
         raise ProblemSpecError(
             f"no Taylor data for ({spec.kind}, {which}, {parity})")
@@ -296,10 +304,9 @@ def evaluate_extended(spec, x, t, tol=1e-10):
     point behind a boundary in one call, each point by its own stopping
     rule.
     """
-    solver = _SOLVERS[spec.kind]
-    if solver.i0 is not None and t <= 0:
-        raise ValueError("evaluate_extended requires t > 0")
-    return _at_points(solver.extended, spec, x, t, tol)
+    op = "evaluate_extended"
+    return _at_points(op, _solver(spec, op, "extended", t, tol), spec, x, t,
+                      tol)
 
 
 def boundary_to_initial(spec, x):
@@ -308,4 +315,5 @@ def boundary_to_initial(spec, x):
     with the reflection or tiling rule of its extension, at t = 0.
     Refuses incompatible two-condition KdV data when a point lies behind
     the boundary."""
-    return _at_points(_solver(spec, "boundary_to_initial", "w0"), spec, x)
+    op = "boundary_to_initial"
+    return _at_points(op, _solver(spec, op, "w0"), spec, x)

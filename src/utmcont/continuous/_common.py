@@ -10,14 +10,13 @@ import math
 import numpy as np
 
 from ..expr import MAX_DERIVATIVE_ORDER, ExprDomainError
-from ..quad import (QuadratureError, gauss_panels, integrate_segment,
-                    singular_time_convolution)
+from ..quad import (HalfLineTransform, QuadratureError, gauss_panels,
+                    integrate_segment, singular_time_convolution)
 from ..specfun import gamma
 
 __all__ = [
     "real_part",
     "layer_potential",
-    "like_input",
     "require_half_line",
     "data_rule",
     "over_factorial",
@@ -90,12 +89,6 @@ def layer_potential(datum, reach, t, q, kernel, span, tol, where):
     return out
 
 
-def like_input(values, x):
-    """``values`` computed for np.atleast_1d(x), shaped like ``x``: a float
-    for a scalar x, the array itself otherwise."""
-    return float(values[0]) if np.ndim(x) == 0 else values
-
-
 def require_half_line(xs, where):
     """OutsideWindowError naming ``where`` if a point of the 1-D array xs
     lies behind the boundary."""
@@ -107,10 +100,12 @@ def require_half_line(xs, where):
 def data_rule(spec, tol, width=None):
     """(nodes y, weighted values c = w u0(y)) of the rule of u0 behind a
     half-line i0 of tolerance tol, one row per panel, so that
-    u0_hat(k) = sum_n c_n e^{-iky_n}.  The panels are those of the half-line
-    transform's rule, each [a, b] split into equal panels no wider than
+    u0_hat(k) = sum_n c_n e^{-iky_n}.  The panels are the edges of the
+    half-line transform of u0 at its resolved decay class and tolerance
+    min(tol, 1e-12)/100, each [a, b] split into equal panels no wider than
     width(b) when ``width`` is given."""
-    edges = spec.transform(tol=min(tol, 1e-12) * 1e-2).edges()
+    edges = HalfLineTransform(spec.u0, *spec.decay(),
+                              tol=min(tol, 1e-12) * 1e-2).edges()
     if width is not None:
         splits = np.ceil(np.diff(edges) / width(edges[1:])).astype(int)
         edges = np.concatenate(

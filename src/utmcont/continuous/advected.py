@@ -75,18 +75,14 @@ def boundary_integral(spec, xs, t, tol=1e-10):
     return out
 
 
-def boundary_coefficient(spec, order, t, tol=1e-11, heat_ladder=None,
-                         gauge_series=None):
+def boundary_coefficient(spec, order, t, heat_ladder, gauge_series):
     """Taylor coefficient a_order(t) of the boundary part about x = 0: the
     Cauchy product of the series of E(., t), E(0, t) (-c/2)^k / k!, with the
     full heat-Dirichlet series of the gauged spec.  The heat series is read
-    from ``heat_ladder``, and (-c/2)^k / k! from the list ``gauge_series``,
-    which is extended through k = order (new ones when None)."""
+    from ``heat_ladder`` (``coefficient_ladder`` builds it at t), and
+    (-c/2)^k / k! from the list ``gauge_series``, which is extended through
+    k = order."""
     c = spec.c
-    if heat_ladder is None:
-        heat_ladder = _heat_ladder(spec, t, tol)
-    if gauge_series is None:
-        gauge_series = []
     for k in range(len(gauge_series), order + 1):
         gauge_series.append(over_factorial((-c / 2.0) ** k, k))
     total = sum(gauge_series[order - j] * h
@@ -94,21 +90,17 @@ def boundary_coefficient(spec, order, t, tol=1e-11, heat_ladder=None,
     return float(_gauge(c, 0.0, t) * total)
 
 
-def _heat_ladder(spec, t, tol):
-    """The "all" ladder of the gauged heat-Dirichlet boundary part."""
-    g = _gauged(spec)
-    return CoeffLadder(1, (0,), lambda j: heat.full_series_coefficient(
-        g, j, t, tol))
-
-
 def coefficient_ladder(spec, stride, t, tol=COEFF_TOL):
     """Ladder of the boundary coefficients a_order(t) of the orders
     divisible by ``stride`` (1 for the full series, 2 for the even one
-    doubled across x = 0), all of them read from one inner heat ladder and
-    one series of E."""
-    inner, gauge_series = _heat_ladder(spec, t, tol), []
+    doubled across x = 0), all of them read from one inner ladder, the
+    "all" one of the gauged heat-Dirichlet boundary part at tolerance tol,
+    and one series of E."""
+    g, gauge_series = _gauged(spec), []
+    inner = CoeffLadder(1, (0,), lambda j: heat.full_series_coefficient(
+        g, j, t, tol))
     return CoeffLadder(stride, (0,), lambda order: boundary_coefficient(
-        spec, order, t, tol, inner, gauge_series))
+        spec, order, t, inner, gauge_series))
 
 
 # ---------------------------------------------------------------------------

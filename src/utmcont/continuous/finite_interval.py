@@ -137,20 +137,15 @@ def right_boundary_integral(spec, xs, t, tol=1e-10):
 
 
 def _sine_tail(order, theta):
-    """sum_{n>=1} sin(n theta)/n^order for odd order, theta in [0, 2 pi]."""
+    """sum_{n>=1} sin(n theta)/n^order for order 1, 3 or 5, at each angle
+    of the 1-D array theta (taken mod 2 pi)."""
     th = theta % (2 * math.pi)
     if order == 1:
-        return (math.pi - th) / 2.0 if th != 0.0 else 0.0
+        return np.where(th != 0.0, (math.pi - th) / 2.0, 0.0)
     if order == 3:
         return math.pi**2 * th / 6.0 - math.pi * th**2 / 4.0 + th**3 / 12.0
-    if order == 5:
-        return (
-            math.pi**4 * th / 90.0
-            - math.pi**2 * th**3 / 36.0
-            + math.pi * th**4 / 48.0
-            - th**5 / 240.0
-        )
-    raise ValueError("closed sine tails available for orders 1, 3, 5")
+    return (math.pi**4 * th / 90.0 - math.pi**2 * th**3 / 36.0
+            + math.pi * th**4 / 48.0 - th**5 / 240.0)
 
 
 def _mode_coefficient(spec, w, t):
@@ -165,24 +160,25 @@ def _mode_coefficient(spec, w, t):
     return total
 
 
-def left_boundary_fourier(spec, x, t, tol=1e-10):
-    """Classical Fourier-sine form of I_{f0}: residue series over the zeros
-    of sin(kL), with three layers of tail acceleration (the raw terms decay
-    like 1/n, so the smooth tail is summed in closed Bernoulli form)."""
+def left_boundary_fourier(spec, xs, t):
+    """Classical Fourier-sine form of I_{f0} at each point of the 1-D array
+    xs: residue series over the zeros of sin(kL), with three layers of tail
+    acceleration (the raw terms decay like 1/n, so the smooth tail is summed
+    in closed Bernoulli form)."""
     L = spec.L
     cache = spec.deriv("f0")
     n0 = max(12, math.ceil(L / math.pi * math.sqrt(45.0 / t)))
-    theta = math.pi * x / L
+    theta = math.pi * xs / L
     total = 0.0
     for n in range(1, n0 + 1):
         w = (n * math.pi / L) ** 2
         total += 2 * n * math.pi / L**2 * _mode_coefficient(spec, w, t) \
-            * math.sin(n * theta)
+            * np.sin(n * theta)
     # Watson layers e_n ~ sum_r (-1)^r f0^{(r)}(t)/w^{r+1} turn the slowly
     # decaying tail into closed Bernoulli-polynomial sine sums
     for r in range(3):
         tail = _sine_tail(2 * r + 1, theta) - sum(
-            math.sin(n * theta) / n ** (2 * r + 1) for n in range(1, n0 + 1)
+            np.sin(n * theta) / n ** (2 * r + 1) for n in range(1, n0 + 1)
         )
         layer = 2 * math.pi / L**2 * (L**2 / math.pi**2) ** (r + 1)
         total += (-1.0) ** r * cache.value(r, t) * layer * tail

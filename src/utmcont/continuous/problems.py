@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..expr import DerivativeCache, Expression
-from ..quad import HalfLineTransform
-from ._common import like_input
 
 __all__ = [
     "ProblemSpec",
@@ -111,10 +109,6 @@ class ProblemSpec:
         """Resolved decay class of u0: ("gaussian",) or ("exponential", rate)."""
         return _resolve_decay(self.u0, self.u0_decay)
 
-    def transform(self, tol=1e-13):
-        """A new half-line transform of u0 (valid for Im k <= 0)."""
-        return HalfLineTransform(self.u0, *self.decay(), tol=tol)
-
 
 def _resolve_decay(u0, declared):
     if declared[0] != "auto":
@@ -191,11 +185,11 @@ def reference_whole_line(name, x, t, c=1.0):
     return _REFERENCES[name](x, t, c)
 
 
-def transport_solution(spec, x, t):
+def transport_solution(spec, xs, t):
     """d'Alembert evaluation of the transport problem, extended off-domain,
-    at a point or a 1-D array of points.  Each datum is evaluated only on
-    its own points (f0 may be undefined at negative times)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    at each point of the 1-D array xs, like every kind's function (the
+    public ``evaluate_extended`` takes a point).  Each datum is evaluated
+    only on its own points (f0 may be undefined at negative times)."""
     c = spec.c
     behind = t > xs / c if c > 0 else np.zeros(xs.shape, dtype=bool)
     out = np.empty(xs.shape)
@@ -203,7 +197,7 @@ def transport_solution(spec, x, t):
         out[behind] = spec.f0.eval(t - xs[behind] / c)
     if not behind.all():
         out[~behind] = spec.u0.eval(xs[~behind] - c * t)
-    return like_input(out, x)
+    return out
 
 
 # ---------------------------------------------------------------------------

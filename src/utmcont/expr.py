@@ -690,9 +690,12 @@ class DerivativeCache:
         return self._ladder[order]
 
     def derivatives(self, lo, hi, x):
-        """The derivatives of orders lo..hi at the 1-D points x, one row per
-        order, from one jet to order hi, unchecked: row k - lo has the bits
-        of ``derivative(k).eval(x)`` wherever that is finite."""
+        """The derivatives of orders lo..hi, 1 <= lo, at the 1-D points x,
+        one row per order, from one jet to order hi, unchecked: row k - lo
+        has the bits of ``derivative(k).eval(x)`` wherever that is finite.
+        Order 0 is refused: the jet's value is not the compiled one."""
+        if lo < 1:
+            raise ValueError("derivatives start at order 1")
         self.derivative(hi)  # the order cap
         jet = _taylor(self.base._node, x, hi)
         with np.errstate(over="ignore", invalid="ignore"):

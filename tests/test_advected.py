@@ -32,18 +32,19 @@ def test_whole_line_recovery(fixture, request):
 def test_first_coefficient_is_datum(advected_plus):
     # a_0(t) = f0(t) pins the contour orientation and scaling
     for t in (0.3, 1.0):
-        a0 = advected.boundary_coefficient(advected_plus, 0, t)
+        a0 = taylor_coefficients(advected_plus, "f0", t, 0,
+                                 parity="all").coeffs[0]
         assert a0 == pytest.approx(float(advected_plus.f0.eval(t)), abs=1e-10)
 
 
 def test_ladder_coefficients_keep_the_bits_of_a_fresh_call(advected_plus):
     # the ladder shares one heat ladder and one series (-c/2)^k/k! among
-    # its orders; each coefficient is the one computed alone
+    # its orders; each coefficient is the one a fresh ladder computes last
     t = 1.0
     ladder = advected.coefficient_ladder(advected_plus, 1, t)
     for order, coeff in ladder.through(12):
-        assert coeff == advected.boundary_coefficient(advected_plus, order,
-                                                      t, 1e-11)
+        fresh = advected.coefficient_ladder(advected_plus, 1, t, 1e-11)
+        assert fresh.through(order)[-1] == (order, coeff)
 
 
 def test_small_drift_matches_heat_structural():
@@ -51,7 +52,8 @@ def test_small_drift_matches_heat_structural():
                        f0=parse("exp(-t^2/(4*t+1))/sqrt(4*t+1)"))
     cache = spec.deriv("f0")
     for n in (1, 2, 4):
-        adv = advected.boundary_coefficient(spec, 2 * n, 1.0)
+        adv = taylor_coefficients(spec, "f0", 1.0, 2 * n,
+                                  parity="all").coeffs[2 * n]
         structural = cache.value(n, 1.0) / math.factorial(2 * n)
         assert adv == pytest.approx(structural, abs=1e-7)
 
@@ -59,7 +61,7 @@ def test_small_drift_matches_heat_structural():
 def test_odd_coefficient_against_kernel_slope(advected_plus):
     # a_1(t) should equal the one-sided x-derivative of the boundary kernel
     t = 1.0
-    a1 = advected.boundary_coefficient(advected_plus, 1, t)
+    a1 = taylor_coefficients(advected_plus, "f0", t, 1, parity="all").coeffs[1]
     h = 1e-4
     vals = [evaluate_boundary_integral(advected_plus, "f0", x, t, 1e-12)
             for x in (h, 2 * h, 3 * h, 4 * h)]
@@ -203,7 +205,7 @@ def test_i0_matches_k_integral_of_the_data_rule(c, t):
     # (each node's term is entire), where e^{ikx - W t} u0_hat(-k + ic) is
     # e^{-cx} e^{i kappa (x - ct) - kappa^2 t} u0_hat(-kappa), k = kappa + ic
     spec, _ = _drifting_gaussian(c)
-    tf = spec.transform(tol=1e-14)
+    tf = quad.HalfLineTransform(spec.u0, *spec.decay(), tol=1e-14)
     xs = np.linspace(-1.0, 2.0, 7)
     r = math.sqrt(40.0 / t)
 

@@ -288,6 +288,30 @@ def test_malformed_value_is_config_error(tmp_path, capsys, base, command,
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "map-initial", "converge"])
+@pytest.mark.parametrize("reference,times,message", [
+    ({"name": "no-such-reference"}, [0.5], "unknown reference"),
+    ({"expr": "exp(-"}, [0.5], "reference.expr: "),
+    ({"expr": "exp(-x)"}, [0.5, 1.0],
+     "expression references support a single time"),
+    ({}, [0.5], "reference block needs 'name' or 'expr'"),
+], ids=["unknown-name", "expr-syntax", "expr-two-times", "empty"])
+def test_bad_reference_is_config_error_under_every_command(
+        tmp_path, capsys, command, reference, times, message):
+    # the reference section is checked while the config loads, also under
+    # the commands that do not read it
+    cfg = json.loads(json.dumps(LATTICE if command == "converge"
+                                else MINIMAL))
+    if command == "converge":
+        cfg.update(_h_values([0.1, 0.05, 0.025]))
+    cfg["grid"]["times"] = times
+    cfg["reference"] = reference
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("command,scenario", [("solve", "heat_te"),
                                               ("converge", "sd_heat")])
 @pytest.mark.parametrize("tol", ["-1", "0", "inf"])

@@ -296,6 +296,18 @@ def test_value_independent_of_evaluation_order(text, t):
         assert pair[0] == fresh, n
 
 
+def test_derivatives_rows_keep_the_bits_of_derivative_eval():
+    # each row is derivative(k).eval at the points; order 0 is refused, as
+    # the jet's order-0 entry is not the compiled value (for sin(2*t)^2 at
+    # t = 0.3 it differs in the last bit)
+    cache = DerivativeCache(parse("sin(2*t)^2"))
+    x = np.array([0.3, 0.9])
+    for k, row in enumerate(cache.derivatives(1, 8, x), 1):
+        assert row.tolist() == cache.derivative(k).eval(x).tolist(), k
+    with pytest.raises(ValueError, match="start at order 1"):
+        cache.derivatives(0, 8, x)
+
+
 @pytest.mark.parametrize("n,points,degree", [(1, 1, None), (9, 1, 2),
                                               (41, 2, None), (201, 60, None),
                                               (201, 3, 1)])

@@ -41,7 +41,7 @@ def test_fourier_matches_images(interval_gaussian):
     for t in (0.25, 1.0):
         for x in (0.1, 0.5, 1.0, 1.5, 1.9):
             a = evaluate_boundary_integral(interval_gaussian, "f0", x, t, 1e-11)
-            b = fourier_boundary_integral(interval_gaussian, x, t, 1e-11)
+            b = fourier_boundary_integral(interval_gaussian, x, t)
             assert a == pytest.approx(b, abs=1e-8)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from utmcont.expr import DerivativeCache, parse
@@ -110,15 +111,15 @@ def test_transport_dalembert():
     spec = ProblemSpec("transport", c=2.0, u0=parse("exp(-(x-1)^2)"),
                        f0=parse("exp(-(2*t+1)^2)"))
     # ahead of the characteristic: initial datum; behind: boundary datum
-    assert transport_solution(spec, 1.0, 0.1) == pytest.approx(
-        math.exp(-(0.8 - 1.0) ** 2)
+    assert transport_solution(spec, np.array([1.0]), 0.1) == pytest.approx(
+        [math.exp(-(0.8 - 1.0) ** 2)]
     )
-    assert transport_solution(spec, 0.2, 1.0) == pytest.approx(
-        math.exp(-(2 * (1.0 - 0.1) + 1.0) ** 2)
+    assert transport_solution(spec, np.array([0.2]), 1.0) == pytest.approx(
+        [math.exp(-(2 * (1.0 - 0.1) + 1.0) ** 2)]
     )
     left = ProblemSpec("transport", c=-1.0, u0=parse("exp(-(x-1)^2)"))
-    assert transport_solution(left, -0.5, 0.5) == pytest.approx(
-        math.exp(-(0.0 - 1.0) ** 2)
+    assert transport_solution(left, np.array([-0.5]), 0.5) == pytest.approx(
+        [math.exp(-(0.0 - 1.0) ** 2)]
     )
 
 
