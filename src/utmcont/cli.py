@@ -375,8 +375,10 @@ def _profile(problem, grid, tol):
         inside = [0 <= x <= right for x in xs.tolist()]
         return lambda T: (xs.tolist(), cont.evaluate_extended(
             problem, xs, T, tol).tolist(), inside)
-    n_lo = int(grid.get("n_min", 0))
-    n_hi = int(grid.get("n_max", 0))
+    try:
+        n_lo, n_hi = int(grid["n_min"]), int(grid["n_max"])
+    except KeyError as err:
+        raise ConfigError(f"grid requires {err} for lattice problems")
     if n_hi <= n_lo:
         raise ConfigError("lattice grids need n_min < n_max")
     ns = range(n_lo, n_hi + 1)

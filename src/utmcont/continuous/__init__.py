@@ -11,6 +11,7 @@ per-kind :class:`Solver` entries, keyed by ``ProblemSpec.kind``.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -261,7 +262,8 @@ def fourier_boundary_integral(spec, x, t):
 
 
 def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
-    """Taylor data of the requested boundary integral through order N.
+    """Taylor data of the requested boundary integral through order N, an
+    integer >= 0 (a bool or a float is refused, as a bad t or tol is).
 
     ``parity`` selects the sub-series: the default is the first ladder the
     table lists for the datum, the doubled series its continuation reads
@@ -275,7 +277,10 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     ``stop_reason`` is "cap" when the series carries orders up to N that
     the order cap (200) cuts off.
     """
-    ladders = _solver(spec, "taylor_coefficients", "ladders", t, tol)
+    op = "taylor_coefficients"
+    ladders = _solver(spec, op, "ladders", t, tol)
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
+        raise ValueError(f"{op} requires an integer N >= 0, not {N!r}")
     parity = parity or _default_parity(_SOLVERS[spec.kind], which)
     build = ladders.get((which, parity))
     if build is None:

@@ -47,27 +47,24 @@ class OutsideWindowError(ValueError):
     """Boundary integral requested outside its representation window."""
 
 
-def real_part(value, tol, where="", warnings=()):
-    """Real part of an assembled integral, or of a 1-D array of them.
-    QuadratureError names the first row whose quadrature missed its budget
-    (``warnings``, the per-row warnings of the ``integrate_segment`` result
-    the value was read from); ResidualWarning names the first row whose
-    imaginary part is not within its budget or whose real part is not
-    finite (a NaN fits no budget)."""
+def real_part(rows, tol, where, warnings=()):
+    """Real parts of the 1-D complex array ``rows`` of assembled integrals.
+    QuadratureError names ``where`` and the first row whose quadrature
+    missed its budget (``warnings``, the per-row warnings of the
+    ``integrate_segment`` result the rows were read from); ResidualWarning
+    names the first row whose imaginary part is not within its budget or
+    whose real part is not finite (a NaN fits no budget)."""
     missed = next((row for row, w in enumerate(warnings) if w), None)
     if missed is not None:
-        raise QuadratureError(f"{where or 'assembly'} row {missed}: "
-                              f"{warnings[missed]}")
-    v = np.asarray(value, dtype=complex)
-    rows = np.atleast_1d(v)
+        raise QuadratureError(f"{where} row {missed}: {warnings[missed]}")
     ok = np.isfinite(rows.real) & (
         np.abs(rows.imag) <= 100 * tol * np.maximum(1.0, np.abs(rows.real)))
     if not ok.all():
         row = int(np.argmin(ok))
         raise ResidualWarning(
-            f"{where or 'assembly'} row {row}: value {rows[row]:.3e} is not "
-            "a finite real within its imaginary-residual budget")
-    return float(v.real) if v.ndim == 0 else v.real
+            f"{where} row {row}: value {rows[row]:.3e} is not a finite real "
+            "within its imaginary-residual budget")
+    return rows.real
 
 
 def layer_potential(datum, reach, t, q, kernel, span, tol, where):

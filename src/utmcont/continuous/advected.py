@@ -25,12 +25,12 @@ import numpy as np
 from ..expr import parse
 from ..quad import row_sums
 from . import _common, heat
-from ._common import (COEFF_TOL, CoeffLadder, data_rule, datum_ladder,
-                      over_factorial, require_half_line)
+from ._common import (CoeffLadder, data_rule, datum_ladder, over_factorial,
+                      require_half_line)
 from .problems import ProblemSpec
 
 
-def i0(spec, xs, t, tol=1e-10):
+def i0(spec, xs, t, tol):
     """Initial-condition part at each point of the 1-D array xs, taken term
     by term over the finite sum of the data rule (``data_rule``): the
     real-line piece of node y_n is c_n G(x + ct - y_n, t), and the shifted
@@ -65,7 +65,7 @@ def _gauge(c, x, t):
     return np.exp(-c * x / 2.0 - c * c * t / 4.0)
 
 
-def boundary_integral(spec, xs, t, tol=1e-10):
+def boundary_integral(spec, xs, t, tol):
     """E(x, t) times the heat single-layer potential of g, at each point
     x >= 0 of the 1-D array xs; the datum value f0(t) at x = 0."""
     require_half_line(xs, "advected boundary integral")
@@ -90,7 +90,7 @@ def boundary_coefficient(spec, order, t, heat_ladder, gauge_series):
     return float(_gauge(c, 0.0, t) * total)
 
 
-def coefficient_ladder(spec, stride, t, tol=COEFF_TOL):
+def coefficient_ladder(spec, stride, t, tol):
     """Ladder of the boundary coefficients a_order(t) of the orders
     divisible by ``stride`` (1 for the full series, 2 for the even one
     doubled across x = 0), all of them read from one inner ladder, the
@@ -108,7 +108,7 @@ def coefficient_ladder(spec, stride, t, tol=COEFF_TOL):
 # ---------------------------------------------------------------------------
 
 
-def extended(spec, xs, t, tol=1e-10):
+def extended(spec, xs, t, tol):
     """u_ac(x, t) at each point of the 1-D array xs: i0 plus E(x, t) times
     the continued heat-Dirichlet boundary part of the gauged spec."""
     g = _gauged(spec)

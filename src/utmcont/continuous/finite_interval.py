@@ -16,10 +16,10 @@ that takes it, and evaluate the window images of all points in one call;
 the tiling reaches TILE_DEPTH * L.  The same boundary integral
 also has the classical Fourier-sine-series form; both evaluators are exposed
 and must agree inside the common window.  w0 tiles the odd-periodic u0 by
-the same rules.  Functions of x take a 1-D array, except the Fourier form,
-which takes a point.  The import of scipy.special (for the Hermite
-polynomials of ``odd_center_coefficient``) is deferred to that function,
-the only one here that reads it.
+the same rules.  Every function of x, the Fourier form included, takes a
+1-D array.  The import of scipy.special (for the Hermite polynomials of
+``odd_center_coefficient``) is deferred to that function, the only one
+here that reads it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ TILE_DEPTH = 5
 CENTER_IMAGES = 8
 
 
-def i0(spec, xs, t, tol=1e-10):
+def i0(spec, xs, t, tol):
     """Initial-condition part, entire, odd and 2L-periodic in x (t > 0), at
     each point of the 1-D array xs: the heat evolution of the odd-periodic
     u0, taken term by term over one fixed rule of u0 on [0, L].  Each term
@@ -119,13 +119,13 @@ def _image_sum(spec, datum, y, t, tol):
     return total
 
 
-def left_boundary_integral(spec, xs, t, tol=1e-10):
+def left_boundary_integral(spec, xs, t, tol):
     """I_{f0}(x, t) at each point of the 1-D array xs in [0, 2L): image sum
     of single-layer potentials."""
     return _image_sum(spec, spec.f0, xs, t, tol)
 
 
-def right_boundary_integral(spec, xs, t, tol=1e-10):
+def right_boundary_integral(spec, xs, t, tol):
     """I_{g0}(x, t) at each point of the 1-D array xs in (-L, L]: the image
     sum of g0 at the distance L - x from the right end."""
     return _image_sum(spec, spec.g0, spec.L - xs, t, tol)
@@ -230,20 +230,20 @@ def _tile(spec, xs, datum, at_base, t, tol):
     return value
 
 
-def left_extension(spec, xs, t, tol=1e-10):
+def left_extension(spec, xs, t, tol):
     """I_{f0}^ext at each point of the 1-D array xs: 2L-periodic tiling
     with accumulated doubled series."""
     return _tile(spec, xs, "f0",
                  lambda b: left_boundary_integral(spec, b, t, tol), t, tol)
 
 
-def right_extension(spec, xs, t, tol=1e-10):
+def right_extension(spec, xs, t, tol):
     """I_{g0}^ext: tiling of the (-L, L] window, as left_extension."""
     return _tile(spec, xs, "g0",
                  lambda b: right_boundary_integral(spec, b, t, tol), t, tol)
 
 
-def extended(spec, xs, t, tol=1e-10):
+def extended(spec, xs, t, tol):
     """u_ac(x, t) at each point of the 1-D array xs: i0 plus the two tiled
     extensions, which check the tiling depth."""
     left = left_extension(spec, xs, t, tol)
@@ -264,7 +264,7 @@ def boundary_to_initial(spec, xs):
 # ---------------------------------------------------------------------------
 
 
-def odd_center_coefficient(spec, n, t, tol=1e-11):
+def odd_center_coefficient(spec, n, t, tol):
     """A_{2n-1}(t): the (2n-1)-st coefficient of the left boundary integral
     about x = L, via the image expansion of its contour kernel (Hermite
     moments of the heat kernel at odd multiples of L)."""
@@ -300,5 +300,5 @@ def odd_center_coefficient(spec, n, t, tol=1e-11):
         return spec.f0.eval(t - sigma * sigma) * kernel(sigma) * 2.0 * sigma
 
     res = integrate_segment(integrand, 0.0, math.sqrt(t), tol=tol, rel_tol=tol)
-    return over_factorial(-2.0 / math.pi * float(np.real(res.value)),
+    return over_factorial(-2.0 / math.pi * float(res.value[0].real),
                           2 * n - 1)

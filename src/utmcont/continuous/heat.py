@@ -28,7 +28,7 @@ from ._common import (data_rule, datum_coefficient, fractional_family,
 SQRT_PI = math.sqrt(math.pi)
 
 
-def i0(spec, sign, xs, t, tol=1e-10):
+def i0(spec, sign, xs, t, tol):
     """Initial-condition part, entire in x, at each point of the 1-D array
     xs: (1/2pi) int_R e^{ikx - k^2 t} (u0_hat(k) + s u0_hat(-k)) dk with
     the image sign s (-1 for Dirichlet, +1 for Neumann), taken term by term
@@ -44,7 +44,7 @@ def i0(spec, sign, xs, t, tol=1e-10):
     return row_sums(kernels, weighted) / math.sqrt(4.0 * math.pi * t)
 
 
-def boundary_integral(spec, xs, t, tol=1e-10):
+def boundary_integral(spec, xs, t, tol):
     """Boundary part on its native side, at each point x >= 0 of the 1-D
     array xs: the Dirichlet single layer (datum value at x = 0 by
     convention) or the Neumann kernel convolution (continuous there)."""
@@ -54,7 +54,7 @@ def boundary_integral(spec, xs, t, tol=1e-10):
     return _neumann_kernel_convolution(spec.f1, xs, t, tol)
 
 
-def single_layer(f0, xs, t, tol=1e-10):
+def single_layer(f0, xs, t, tol):
     """int_0^t f0(s) G(x, t-s) ds with the first-derivative heat kernel G
     (classical single-layer potential), at each point x >= 0 of the 1-D
     array xs; f0(t) at x = 0, its limit as x -> 0+.  Over
@@ -86,7 +86,7 @@ def _neumann_kernel_convolution(f1, xs, t, tol):
 # ---------------------------------------------------------------------------
 
 
-def dirichlet_odd_coefficient(spec, n, t, tol=1e-11):
+def dirichlet_odd_coefficient(spec, n, t, tol):
     """Full-series odd coefficient a_{2n-1}(t) of the Dirichlet boundary part
     (boundary-derivative sum plus square-root-singular time convolution)."""
     if n < 1:
@@ -95,7 +95,7 @@ def dirichlet_odd_coefficient(spec, n, t, tol=1e-11):
     return over_factorial(-total / math.pi, 2 * n - 1)
 
 
-def full_series_coefficient(spec, order, t, tol=1e-11):
+def full_series_coefficient(spec, order, t, tol):
     """Coefficient of x^order in the full Dirichlet boundary Taylor series."""
     if order % 2 == 0:
         return datum_coefficient(spec.deriv("f0"), order, t)

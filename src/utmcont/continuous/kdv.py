@@ -84,8 +84,8 @@ def _real_airy(x):
 
 
 def _airy(z):
-    """Ai on an array.  A real z goes through ``_real_airy``, a complex one
-    through K_{1/3} (DLMF 9.6.1): Ai(z) = sqrt(z/3) K_{1/3}(zeta)/pi with
+    """Ai on a complex array (``_real_airy`` takes a real one), through
+    K_{1/3} (DLMF 9.6.1): Ai(z) = sqrt(z/3) K_{1/3}(zeta)/pi with
     zeta = (2/3) z sqrt(z), for |arg z| < 2 pi/3.  For |arg z| >= 2 pi/3
     the computed zeta lies across the cut from z: it is (2/3)(alpha z)^{3/2}
     in the upper half-plane (conjugates in the lower), and -zeta is
@@ -95,8 +95,6 @@ def _airy(z):
     formula, so it always matches the K that kv evaluates; zeta as z sqrt(z)
     is accurate to Ai's own conditioning at large |z|, where z**1.5 is
     not."""
-    if not np.iscomplexobj(z):
-        return _real_airy(np.asarray(z, dtype=float))
     from scipy import special
     root = np.sqrt(z)
     zeta = (2.0 / 3.0) * z * root
@@ -161,15 +159,15 @@ def _airy_sum(spec, xs, t, tol, kernel, label):
 # ---------------------------------------------------------------------------
 
 
-def i0_one_bc(spec, xs, t, tol=1e-10):
+def i0_one_bc(spec, xs, t, tol):
     """Initial-condition part of the one-condition problem, entire in x, at
     each point of the 1-D array xs: tau^{-1} sum_n c_n [Ai((x - y_n)/tau)
     + 2 Re(alpha Ai((x - alpha y_n)/tau))] over the data rule."""
-    return _airy_sum(spec, xs, t, tol, lambda x, y: _airy(x - y) + 2.0 * (
+    return _airy_sum(spec, xs, t, tol, lambda x, y: _real_airy(x - y) + 2.0 * (
         np.real(ALPHA * _airy(x - ALPHA * y))), "kdv1 i0")
 
 
-def if0_one_bc(spec, xs, t, tol=1e-10):
+def if0_one_bc(spec, xs, t, tol):
     """Airy-kernel convolution at each point x >= 0 of the 1-D array xs
     (datum value at x = 0).  Over w = x/(3(t-s))^{1/3} it is the layer
     potential of f0 with q = 3, reach x/3^{1/3} and the kernel 3 Ai(w),
@@ -177,11 +175,11 @@ def if0_one_bc(spec, xs, t, tol=1e-10):
     require_half_line(xs, "one-condition boundary integral")
     span = (1.5 * (math.log(4.0 / tol) + 5.0)) ** (2.0 / 3.0) + 2.0
     return layer_potential(spec.f0, xs / 3.0 ** (1.0 / 3.0), t, 3,
-                           lambda w: 3.0 * _airy(w), span, tol,
+                           lambda w: 3.0 * _real_airy(w), span, tol,
                            "kdv1 boundary")
 
 
-def kdv1_coefficient(spec, order, t, tol=1e-11):
+def kdv1_coefficient(spec, order, t, tol):
     """Taylor coefficient a_order(t) of the one-condition boundary part:
     (-1)^m times the fractional family, beta = 1/3 for order 3m - 2 and
     2/3 (negated) for order 3m - 1."""
@@ -247,11 +245,11 @@ def _ray_pair_value(f, angles, t, x_max, tol, dodge):
     return total
 
 
-def i0_two_bc(spec, xs, t, tol=1e-10):
+def i0_two_bc(spec, xs, t, tol):
     """Initial-condition part of the two-condition problem, entire in x, at
     each point of the 1-D array xs: tau^{-1} sum_n c_n [Ai((y_n - x)/tau)
     + 2 Re(alpha Ai((y_n - alpha x)/tau))] over the data rule."""
-    return _airy_sum(spec, xs, t, tol, lambda x, y: _airy(y - x) + 2.0 * (
+    return _airy_sum(spec, xs, t, tol, lambda x, y: _real_airy(y - x) + 2.0 * (
         np.real(ALPHA * _airy(y - ALPHA * x))), "kdv2 i0")
 
 
@@ -269,7 +267,7 @@ def _growth_rate(cache, t, depth):
 _N_IBP = 6
 
 
-def _kdv2_boundary(spec, which, xs, t, tol=1e-10):
+def _kdv2_boundary(spec, which, xs, t, tol):
     """I_{f0} or I_{f1} at each point x >= 0 of the 1-D array xs, via
     n-fold integration by parts in time; I_{f0} at x = 0 is the datum value
     by convention.
@@ -359,7 +357,7 @@ def _kdv2_remainder(cache, weight, angles, r0, rate, n, xs, t, tol):
     return np.einsum("xk,k->x", np.exp(1j * np.outer(xs, k)), lagged * wk)
 
 
-def kdv2_coefficient(spec, which, order, t, tol=1e-11):
+def kdv2_coefficient(spec, which, order, t, tol):
     """Taylor coefficients: a-family for f0, b-family for f1, their
     fractional orders from the fractional family (beta = 2/3 and 1/3).
     Structural zeros (a_{3m-2}, b_{3m}) return exactly 0."""

@@ -703,12 +703,11 @@ class DerivativeCache:
                              for k in range(lo, hi + 1)])
 
     def value(self, order, x):
-        """Derivative value at a point or an array of points; scalar values
-        are memoized (the boundary formulas reuse f^(p)(0) and f^(p)(T)
-        heavily)."""
+        """Derivative value at the point x, memoized (the boundary formulas
+        reuse f^(p)(0) and f^(p)(T) heavily); ExprDomainError where it is not
+        finite.  An array of points reads ``derivative(order).eval`` or
+        ``derivatives``."""
         entry = self.derivative(order)
-        if np.ndim(x) != 0:
-            return entry.eval(x)
         key = (order, float(x))
         if key not in self._values:
             if order == 0:

@@ -71,12 +71,11 @@ _WG15[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 @dataclass
 class QuadratureResult:
-    """Value, error estimate, evaluation count and tolerance warning of one
-    quadrature; for a vector integrand ``value`` and ``error`` are arrays
-    and ``warnings`` holds one entry per row."""
+    """One quadrature's values, error estimates and warnings, one per row of
+    its integrand, with its evaluation count and its first warning."""
 
-    value: complex
-    error: float
+    value: np.ndarray
+    error: np.ndarray
     evaluations: int = 0
     warning: str | None = None
     warnings: tuple = ()
@@ -91,23 +90,22 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
                       rel_tol=None):
     """Adaptive GK15 of a vectorized complex integrand along segment a->b.
 
-    ``f`` maps a 1-D array of nodes to an array of the same length (a
-    scalar integrand) or of shape (rows, len(nodes)) (a vector integrand:
-    one row per component, e.g. one per x of a grid, sharing the nodes).
-    Each row gets its own K15 value and |K15 - G7| error estimate on one
-    shared set of intervals, and its own budget: tol (absolute), or
+    ``f`` maps a 1-D array of nodes to an array of shape (rows,
+    len(nodes)), one row per component (e.g. one per x of a grid) sharing
+    the nodes; an array of the nodes' length is the one-row case.  Each row
+    gets its own K15 value and |K15 - G7| error estimate on one shared set
+    of intervals, and its own budget: tol (absolute), or
     rel_tol * |row integral| when ``rel_tol`` is given and larger.  Each
     round bisects the third of the intervals (at least one) carrying the
     largest share of the budget of any row still above it; refinement stops
     when every row meets its budget, or at ``max_intervals``.
 
-    A scalar integrand gives a complex value, a float error and a warning
-    (None when the budget was met).  A vector integrand gives arrays of
-    values and errors, one warning per row in ``warnings``, and the first of
-    those warnings (None when every row met its budget) in ``warning``.
-    The scalar form is the one-row case of the same computation.  A row
-    whose value or error is not finite gets a warning too; a NaN error is
-    never above its budget, so a row with one does not steer refinement.
+    The result holds arrays of values and errors, one warning per row in
+    ``warnings`` (None where the row met its budget), and the first of those
+    warnings in ``warning``.  A row whose value or error is not finite gets
+    a warning too, and the arithmetic that makes it raises no numpy warning;
+    a NaN error is never above its budget, so a row with one does not steer
+    refinement.
     """
     a = complex(a)
     direction = complex(b) - a
@@ -123,12 +121,13 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
         vals = np.asarray(f(z.ravel()), dtype=complex)
         # (rows, intervals, 15) @ (15,) is one product per row, so a row's
         # values do not depend on the other rows or their order
-        scaled = vals.reshape(-1, *z.shape) * direction
-        k15 = (scaled @ _WK) * half[:, 0]
-        g7 = (scaled @ _WG15) * half[:, 0]
-        return k15, np.abs(k15 - g7), vals.ndim == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = vals.reshape(-1, *z.shape) * direction
+            k15 = (scaled @ _WK) * half[:, 0]
+            g7 = (scaled @ _WG15) * half[:, 0]
+            return k15, np.abs(k15 - g7)
 
-    vals, errs, scalar = eval_intervals(lo, hi)
+    vals, errs = eval_intervals(lo, hi)
     evaluations = 15 * len(lo)
 
     limit = np.full(len(vals), float(tol))
@@ -147,7 +146,7 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[keep], lo[split], mid])
         new_hi = np.concatenate([hi[keep], mid, hi[split]])
-        new_vals, new_errs, _ = eval_intervals(
+        new_vals, new_errs = eval_intervals(
             np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         )
         evaluations += 15 * 2 * n_split
@@ -167,9 +166,6 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
     for row in np.flatnonzero(bad):
         warnings[row] = (f"value {totals[row]:.3g} or error "
                          f"{total_errs[row]:g} is not finite")
-    if scalar:
-        return QuadratureResult(complex(totals[0]), float(total_errs[0]),
-                                evaluations, warnings[0], tuple(warnings))
     first = next((w for w in warnings if w is not None), None)
     return QuadratureResult(totals, total_errs, evaluations, first,
                             tuple(warnings))
@@ -315,7 +311,7 @@ def finite_interval_transform(u0, L, k):
 _ROOTS = {0.5: 2, 1.0 / 3.0: 3, 2.0 / 3.0: 3}
 
 
-def singular_time_convolution(beta, smooth, t, tol=1e-12):
+def singular_time_convolution(beta, smooth, t, tol):
     """integral over (0, t) of g(s)/(t-s)^beta ds, for each row of a real
     smooth part g = smooth(s) of shape (rows, nodes).
 
@@ -341,7 +337,8 @@ def singular_time_convolution(beta, smooth, t, tol=1e-12):
     def integrand(u):
         u = np.minimum(np.real(np.asarray(u)), upper)
         rows = np.asarray(smooth(np.clip(t - u ** p, 0.0, t)), dtype=complex)
-        return rows * (p * u ** power)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rows * (p * u ** power)
 
     res = integrate_segment(integrand, 0.0, upper, tol=tol, rel_tol=tol)
     res.value = res.value.real

@@ -191,8 +191,8 @@ def _datum_sum(spec, weights):
 
 def dirichlet_reflection_sum(spec, nus):
     """The exact finite sum 2 sum_p f0^{(p)}(T) h^{2p} f(nu,p) / (2p)! at
-    each index of the array nus >= 0; the bracket h^{2p} f(nu,p) / (2p)! is
-    the running product of its ratios, zero from p = nu + 1 on."""
+    each index of the 1-D array nus >= 0; the bracket h^{2p} f(nu,p) /
+    (2p)! is the running product of its ratios, zero from p = nu + 1 on."""
     nus = np.asarray(nus)
     p = np.arange(1, int(np.max(nus, initial=0)) + 1)[:, None]
     ratios = (spec.h * spec.h * (nus - p + 1) * (nus + p - 1)
@@ -236,15 +236,14 @@ def sd_heat_neumann_range(spec, ns):
 
 def neumann_reflection_sum(spec, ns):
     """(1-2n) h sum_{p<n} u^{(p)}(T) h^{2p} G(p+n)/G(n-p) / (2p+1)! at each
-    index of the array ns >= 1; the weight h^{2p+1} G(p+n)/G(n-p) / (2p+1)!
-    is h times the running product of its ratios, zero from p = n on."""
+    index of the 1-D array ns >= 1; the weight h^{2p+1} G(p+n)/G(n-p) /
+    (2p+1)! is h times the running product of its ratios, 0 from p = n."""
     ns = np.asarray(ns)
-    flat = ns.reshape(-1)
     h = spec.h
     p = np.arange(1, int(np.max(ns, initial=0)))[:, None]
-    ratios = h * h * (flat + p - 1) * (flat - p) / ((2 * p) * (2 * p + 1))
-    weights = np.cumprod(np.vstack([np.full(len(flat), h), ratios]), axis=0)
-    return (1 - 2 * ns) * _datum_sum(spec, weights).reshape(ns.shape)
+    ratios = h * h * (ns + p - 1) * (ns - p) / ((2 * p) * (2 * p + 1))
+    weights = np.cumprod(np.vstack([np.full(len(ns), h), ratios]), axis=0)
+    return (1 - 2 * ns) * _datum_sum(spec, weights)
 
 
 def sd_heat_neumann_continued(spec, ns, q_prev):

@@ -93,10 +93,11 @@ def test_criterion_4_kdv_two_bc(kdv2_cos):
     zeros = 0.0
     for n in range(1, 11):
         zeros = max(zeros, abs(kdv_mod.kdv2_coefficient(
-            kdv2_cos, "f0", 3 * n - 2, 1.0)))
+            kdv2_cos, "f0", 3 * n - 2, 1.0, 1e-11)))
         zeros = max(zeros, abs(kdv_mod.kdv2_coefficient(
-            kdv2_cos, "f1", 3 * n, 1.0)))
-    zeros = max(zeros, abs(kdv_mod.kdv2_coefficient(kdv2_cos, "f1", 0, 1.0)))
+            kdv2_cos, "f1", 3 * n, 1.0, 1e-11)))
+    zeros = max(zeros, abs(kdv_mod.kdv2_coefficient(kdv2_cos, "f1", 0, 1.0,
+                                                    1e-11)))
     ok = worst <= 1e-3 and zeros <= 1e-12
     _report(4, ok,
             f"two-condition KdV: recovery max err {worst:.2e} (<=1e-3), "

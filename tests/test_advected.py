@@ -41,7 +41,7 @@ def test_ladder_coefficients_keep_the_bits_of_a_fresh_call(advected_plus):
     # the ladder shares one heat ladder and one series (-c/2)^k/k! among
     # its orders; each coefficient is the one a fresh ladder computes last
     t = 1.0
-    ladder = advected.coefficient_ladder(advected_plus, 1, t)
+    ladder = advected.coefficient_ladder(advected_plus, 1, t, 1e-11)
     for order, coeff in ladder.through(12):
         fresh = advected.coefficient_ladder(advected_plus, 1, t, 1e-11)
         assert fresh.through(order)[-1] == (order, coeff)

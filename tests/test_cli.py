@@ -105,6 +105,20 @@ def test_continuous_grid_without_x_window_is_config_error(tmp_path, capsys,
     assert f"grid requires '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["n_min", "n_max"])
+def test_lattice_grid_without_an_index_is_config_error(tmp_path, capsys, key):
+    # a missing index is refused, not read as 0 (rows up to or from x = 0)
+    cfg = {"problem": {"kind": "sd-heat-dirichlet", "u0": "3*x*exp(-x)",
+                       "f0": "sin(4*pi*t)", "h": 0.05},
+           "grid": {"n_min": -3, "n_max": 3, "times": [0.5]},
+           "outputs": {"csv": str(tmp_path / "o.csv")}}
+    del cfg["grid"][key]
+    assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: grid requires "
+                                       f"'{key}' for lattice problems\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "map-initial"])
 @pytest.mark.parametrize("x_min,x_max", [(1.0, -1.0), (1.0, 1.0)])
 def test_reversed_or_empty_x_window_is_config_error(tmp_path, capsys,
@@ -899,6 +913,25 @@ def test_non_finite_initial_data_is_a_numerical_failure(tmp_path, capsys,
            "outputs": {"csv": str(tmp_path / "o.csv")}}
     assert main(["solve", "--config", _write(tmp_path, cfg)]) == EXIT_NUMERICS
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_overflowing_datum_prints_only_the_refusal(tmp_path):
+    # 1.7e308 e^{-t} is finite, but the single layer's weighted sums of it
+    # are not: the row is refused, and stderr holds the refusal alone, no
+    # numpy overflow warning (its own process, where warnings print)
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["problem"]["f0"] = "1.7e308*exp(-t)"
+    cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "utmcont.cli", "solve",
+                          "--config", _write(tmp_path, cfg)], env=env,
+                         timeout=120, capture_output=True, text=True)
+    assert run.returncode == EXIT_NUMERICS
+    assert run.stderr == ("numerical failure: dirichlet boundary row 0: "
+                          "value nan+nanj or error nan is not finite\n")
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("kind,key,value", [

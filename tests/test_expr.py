@@ -292,7 +292,7 @@ def test_value_independent_of_evaluation_order(text, t):
     for n in range(61):
         fresh = DerivativeCache(e).value(n, t)
         assert warm.value(n, t) == fresh, n
-        pair = DerivativeCache(e).value(n, np.array([t, t + 0.1]))
+        pair = DerivativeCache(e).derivative(n).eval(np.array([t, t + 0.1]))
         assert pair[0] == fresh, n
 
 

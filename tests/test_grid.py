@@ -241,8 +241,7 @@ def test_real_part_refuses_nan_and_residuals(values):
 
 def test_real_part_keeps_finite_bytes():
     values = np.array([1.5 + 1e-13j, -2.25 - 1e-12j, 3e-300 + 0j])
-    assert real_part(values, 1e-10).tobytes() == values.real.tobytes()
-    assert real_part(values[0], 1e-10) == 1.5
+    assert real_part(values, 1e-10, "probe").tobytes() == values.real.tobytes()
 
 
 def test_kdv1_te_transform_nodes_stay_shared(tmp_path, monkeypatch):

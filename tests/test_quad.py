@@ -36,13 +36,13 @@ def _path(f, points, tol, oscillation=0.0):
         res = integrate_segment(f, a, b, tol=tol / len(pieces),
                                 initial_panels=min(panels, 256))
         assert res.warning is None, res.warning
-        total += res.value
+        total += res.value[0]
     return total
 
 
 def test_segment_constant():
     res = integrate_segment(lambda z: np.ones_like(z), 0.0, 1.0, 1e-13)
-    assert res.value == pytest.approx(1.0, abs=1e-13)
+    assert res.value[0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_rotated_gaussian_ray():
@@ -50,7 +50,7 @@ def test_rotated_gaussian_ray():
     far = _radius(1.0) * cmath.exp(1j * math.pi / 4)
     res = integrate_segment(lambda k: np.exp(1j * k**2), 0j, far, 1e-12)
     expected = (math.sqrt(math.pi) / 2) * cmath.exp(1j * math.pi / 4)
-    assert res.value == pytest.approx(expected, abs=1e-12)
+    assert res.value[0] == pytest.approx(expected, abs=1e-12)
 
 
 def _gamma_integrand(k):
@@ -99,7 +99,7 @@ def test_truncation_soundness():
     radius = _radius(1.0)
     short = integrate_segment(lambda k: np.exp(-(k**2)), 0.0, radius, 1e-13)
     long = integrate_segment(lambda k: np.exp(-(k**2)), 0.0, 2 * radius, 1e-13)
-    assert abs(short.value - long.value) < 1e-12
+    assert abs(short.value[0] - long.value[0]) < 1e-12
 
 
 def test_linearity():
@@ -110,7 +110,7 @@ def test_linearity():
         return k**2 * np.exp(-(k**2))
 
     def on_line(h):
-        return integrate_segment(h, -8.0, 8.0, 1e-13).value
+        return integrate_segment(h, -8.0, 8.0, 1e-13).value[0]
 
     combined = on_line(lambda k: 2 * f(k) + 3 * g(k))
     separate = 2 * on_line(f) + 3 * on_line(g)
@@ -147,14 +147,18 @@ def test_vector_segment_cap_warns_failing_row_only():
 
 
 def test_scalar_segment_is_one_row_case():
+    # a 1-D integrand gets the result of its one-row form: one value, error
+    # and warning per row
     def f(z):
         return np.exp(2j * z) / (1 + z * z)
 
     scalar = integrate_segment(f, -3.0, 4.0, 1e-12, initial_panels=3)
     vector = integrate_segment(lambda z: f(z)[None, :], -3.0, 4.0, 1e-12,
                                initial_panels=3)
-    assert scalar.value == vector.value[0]
-    assert scalar.error == vector.error[0]
+    assert scalar.value.shape == scalar.error.shape == (1,)
+    assert scalar.value.tobytes() == vector.value.tobytes()
+    assert scalar.error.tobytes() == vector.error.tobytes()
+    assert scalar.warnings == vector.warnings == (None,)
     assert scalar.evaluations == vector.evaluations
 
 
@@ -179,8 +183,8 @@ def test_vector_segment_non_finite_row_warns_alone():
     assert res.warnings[0] is None
     assert res.warnings[1] is not None and "not finite" in res.warnings[1]
     # the row of inf steers no refinement: the finite row keeps its bits
-    assert res.value[0] == alone.value
-    assert res.error[0] == alone.error
+    assert res.value[0] == alone.value[0]
+    assert res.error[0] == alone.error[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +265,8 @@ def test_transform_value_depends_only_on_its_own_k():
 
 def _one_row_convolution(beta, t, row):
     # the vector convolution on a single row, which must converge
-    res = singular_time_convolution(beta, lambda s: np.array([row(s)]), t)
+    res = singular_time_convolution(beta, lambda s: np.array([row(s)]), t,
+                                    1e-12)
     assert res.warnings == (None,)
     return res.value[0]
 
@@ -295,7 +300,7 @@ def test_singular_convolution_beta_third_on_powers(t):
     # int_0^t s^k (t-s)^{-1/3} ds = B(k+1, 2/3) t^{k+2/3}, k = 0...3: over
     # t - s = u^3 the integrand 3u (t - u^3)^k is a polynomial in u
     res = singular_time_convolution(
-        1 / 3, lambda s: np.array([s**k for k in range(4)]), t)
+        1 / 3, lambda s: np.array([s**k for k in range(4)]), t, 1e-12)
     assert res.warnings == (None,) * 4
     for k, got in enumerate(res.value):
         want = math.gamma(k + 1) * math.gamma(2 / 3) / math.gamma(k + 5 / 3)
@@ -320,7 +325,7 @@ def test_vector_singular_convolution_rows_match_closed_forms():
     # rows 1, s and e^s against (1-s)^{-1/2} on (0, 1): 2, B(2, 1/2) = 4/3
     # and the frozen oracle above
     res = singular_time_convolution(
-        0.5, lambda s: np.array([np.ones_like(s), s, np.exp(s)]), 1.0)
+        0.5, lambda s: np.array([np.ones_like(s), s, np.exp(s)]), 1.0, 1e-12)
     assert res.warnings == (None, None, None)
     want = [2.0, 4.0 / 3.0, 4.06015693855741]
     for got, exact in zip(res.value, want):
@@ -339,20 +344,20 @@ def test_vector_singular_convolution_reports_the_missed_row_only():
 
 def test_singular_kernel_rejects_nonintegrable():
     with pytest.raises(ValueError):
-        singular_time_convolution(1.0, lambda s: s, 1.0)
+        singular_time_convolution(1.0, lambda s: s, 1.0, 1e-12)
 
 
 def test_singular_convolution_rejects_other_exponents():
     # one substitution u = (t-s)^{1/p} serves beta = 1/2, 1/3 and 2/3 only
     with pytest.raises(ValueError, match="beta"):
         singular_time_convolution(
-            0.25, lambda s: np.array([np.ones_like(s)]), 1.0)
+            0.25, lambda s: np.array([np.ones_like(s)]), 1.0, 1e-12)
 
 
 def test_singular_convolution_requires_positive_time():
     with pytest.raises(ValueError):
         singular_time_convolution(
-            0.5, lambda s: np.array([np.ones_like(s)]), 0.0)
+            0.5, lambda s: np.array([np.ones_like(s)]), 0.0, 1e-12)
 
 
 def test_ray_pair_dodge_independence():

@@ -1,7 +1,8 @@
 """The public functions of ``utmcont.continuous`` check each request once,
-before any solving: a t or tol that is not finite and > 0, or a point that
-is not finite, raises ValueError naming the operation, for every continuous
-kind (transport takes any finite t: it has no initial part)."""
+before any solving: a t or tol that is not finite and > 0, a point that
+is not finite, or an order N that is not an integer >= 0, raises ValueError
+naming the operation, for every continuous kind (transport takes any finite
+t: it has no initial part)."""
 
 import math
 
@@ -80,3 +81,18 @@ def test_points_past_a_point_or_a_finite_1d_array_are_refused(heat_gaussian,
                                                               x):
     with pytest.raises(ValueError, match="^boundary_to_initial takes"):
         continuous.boundary_to_initial(heat_gaussian, x)
+
+
+@pytest.mark.parametrize("N", [12.0, 12.5, math.nan, -1, True, "3", None])
+def test_order_that_is_not_an_integer_from_0_is_refused(heat_gaussian, N):
+    # refused at the door, not as a TypeError deep in the ladder (a float),
+    # an empty series (-1) or order 1 (True)
+    with pytest.raises(ValueError, match="^taylor_coefficients requires an "
+                                         "integer N >= 0"):
+        continuous.taylor_coefficients(heat_gaussian, "f0", T, N, TOL)
+
+
+@pytest.mark.parametrize("N", [0, np.int64(3)])
+def test_integer_n_is_accepted(heat_gaussian, N):
+    ext = continuous.taylor_coefficients(heat_gaussian, "f0", T, N, TOL)
+    assert ext.orders == list(range(0, int(N) + 1, 2))

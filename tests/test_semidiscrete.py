@@ -131,7 +131,7 @@ def sd_bessel_kernel_form(spec, n, tol=1e-10):
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         total += integrate_segment(integrand, lo, hi,
-                                   tol=tol / len(edges)).value.real
+                                   tol=tol / len(edges)).value[0].real
     return int(n) * total
 
 
