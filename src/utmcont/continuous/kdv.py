@@ -31,7 +31,8 @@ linear in the data, so the n of them share one integrand
 weight(k) e^{ikx - ik^3 t} sum_m f^(m-1)(0) / (-ik^3)^m; the remainder
 factors its kernel as e^{ikx} e^{-ik^3(t-s)}, so its time sum is done once.
 ``_kdv2_boundary`` runs each contour piece once for a whole array of x, as
-a vector integrand (one row per x, each meeting its own budget);
+a vector integrand (one row per x, each meeting its own budget; a corner
+row that misses it raises QuadratureError naming the row);
 ``if0_one_bc`` is ``_common.layer_potential`` with the kernel 3 Ai(w), one
 span for every x.  The solver table of ``utmcont.continuous`` continues
 both kinds' boundary parts to x < 0, with ladders of ``kdv1_coefficient``
@@ -225,9 +226,10 @@ def _ray_pair_value(f, angles, t, x_max, tol, dodge):
     where the cubic decay of e^{-i k^3 t} beats the |e^{ikx}| growth for
     every |x| <= x_max, and dodging the origin along the chord between the
     rays at radius ``dodge``.  f may be a vector integrand (one row per x);
-    each row meets its own budget."""
+    each row meets its own budget.  Returns the integrals and each row's
+    first warning of its three pieces (None where all met their budgets)."""
     ain, aout = angles
-    total = 0j
+    pieces = []
     log_target = math.log(600.0 / tol)
     for angle, inbound in ((ain, True), (aout, False)):
         decay = abs(math.sin(3 * angle)) * t
@@ -236,13 +238,19 @@ def _ray_pair_value(f, angles, t, x_max, tol, dodge):
         d = cmath.exp(1j * angle)
         a, b = (radius * d, dodge * d) if inbound else (dodge * d, radius * d)
         panels = 2 + int(radius * (x_max + 1.0) / (2 * math.pi))
-        total += integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
-                                   initial_panels=panels).value
+        pieces.append(integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
+                                        initial_panels=panels))
     a = dodge * cmath.exp(1j * ain)
     b = dodge * cmath.exp(1j * aout)
-    total += integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
-                               initial_panels=2).value
-    return total
+    pieces.append(integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
+                                    initial_panels=2))
+    return (sum((piece.value for piece in pieces), 0j),
+            _first_warnings(piece.warnings for piece in pieces))
+
+
+def _first_warnings(warnings):
+    """Each row's first warning over the per-row warning tuples."""
+    return tuple(next(filter(None, row), None) for row in zip(*warnings))
 
 
 def i0_two_bc(spec, xs, t, tol):
@@ -307,18 +315,21 @@ def _kdv2_boundary(spec, which, xs, t, tol):
         return (np.exp(1j * np.outer(rows, k) - 1j * k**3 * t)
                 * (weight(k) * data))
 
-    total = 0j
+    total, warnings = 0j, []
     for coef, deformed, raw in zip(
         coefs, (_D1_ANGLES, _D2_ANGLES), (_RAW1_ANGLES, _RAW2_ANGLES)
     ):
         # corner terms at fixed t on the decaying contours
         if any(corner_data):
-            total += coef * _ray_pair_value(corners, deformed, t, x_max, tol,
+            value, missed = _ray_pair_value(corners, deformed, t, x_max, tol,
                                             r0)
+            total += coef * value
+            warnings.append(missed)
         # remainder convolution on the undeformed dodged boundary
         total += coef * _kdv2_remainder(cache, weight, raw, r0, rate, n,
                                         rows, t, tol)
-    out[inside] = real_part(total, tol, f"kdv2 {which} boundary")
+    out[inside] = real_part(total, tol, f"kdv2 {which} boundary",
+                            _first_warnings(warnings))
     return out
 
 

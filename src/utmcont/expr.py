@@ -417,6 +417,10 @@ def _taylor(node, x, n):
         return _jet(node, np.asarray(x, dtype=float), n)
 
 
+# k! for k <= 170, the last factorial in range
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)])
+
+
 def _from_taylor(coeff, n):
     """n! * coeff: the n-th derivative from its Taylor coefficient."""
     for m in range(171, n + 1):  # 170! is the last factorial in range
@@ -697,10 +701,14 @@ class DerivativeCache:
         if lo < 1:
             raise ValueError("derivatives start at order 1")
         self.derivative(hi)  # the order cap
-        jet = _taylor(self.base._node, x, hi)
+        rows = _taylor(self.base._node, x, hi)[lo:]
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.array([_from_taylor(jet[k], k)
-                             for k in range(lo, hi + 1)])
+            # each row times 171, ..., k in turn, then min(k, 170)!, the
+            # products ``_from_taylor`` takes
+            for m in range(171, hi + 1):
+                rows[max(m - lo, 0):] *= m
+            return rows * _FACTORIALS[np.minimum(np.arange(lo, hi + 1),
+                                                 170), None]
 
     def value(self, order, x):
         """Derivative value at the point x, memoized (the boundary formulas

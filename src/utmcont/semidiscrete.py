@@ -11,8 +11,8 @@ those its continued values reflect to, so all share one theta grid, and
 one continued call over its indices behind the boundary, whose weights
 form one table, a row per derivative order p and a column per index: each
 weight is the running product of its gamma ratios down its column, for
-either condition, and the table is summed row by row in the order p with
-one derivative read per row.
+either condition, and the table is summed row by row in the order p, its
+derivatives read from one jet of the datum at T.
 
 Both conditions read one theta rule over [0, pi], the Dirichlet integrand
 being odd in theta and the Neumann one conjugate at -theta: equal panels
@@ -23,6 +23,13 @@ c_i: the data transform sum_m u0(m h) e^{-+i m theta} transforms the
 samples weighted by e^{-+i m c_i} and folded mod L in blocks m = q L + r,
 at 12 (Q + L) exponentials for M = Q L samples, and the interior sum of
 e^{i n theta} against the integrand reads its FFTs at n mod L.
+
+The datum convolution C(theta) = int_0^T e^{-W(theta) tau} datum(T - tau)
+dtau is one lag rule of geometric Gauss panels, shared by every theta but
+cut per theta: the rule ends, at each theta, before the first lag panel
+whose first node has W tau > 40.  Every term it drops is below e^{-40} |w
+datum(T - tau)|, so any u_n moves by less than 1e-17 T max|datum| / h^2
+for Dirichlet and 1e-17 T max|datum| / h for Neumann.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import DerivativeCache, Expression
+from .expr import DerivativeCache, Expression, ExprDomainError
 from .quad import gauss_panels, geometric_edges
 
 __all__ = [
@@ -112,17 +119,34 @@ def _theta_grid(spec, n_max):
     return nodes, weights, conv
 
 
+# the lag rule ends, at each theta, before the first lag panel whose first
+# node has W tau past this: every term it drops is below e^{-40} |w datum|
+_LAG_CUT = 40.0
+
+
 def _datum_convolution(spec, theta_nodes):
-    """C(theta) = int_0^T e^{-W(theta) (T-t)} datum(t) dt on the grid, the
-    datum read once through the checked ``eval``."""
+    """C(theta) = int_0^T e^{-W(theta) tau} datum(T - tau) dtau at the
+    ascending nodes in [0, pi], the datum read once through the checked
+    ``eval``.  The lag rule is geometric panels of 12 Gauss nodes, which
+    resolve the stiffest mode W = 4/h^2; a panel whose first lag node is
+    tau_0 adds its terms only at the theta nodes where W tau_0 <= 40.  W
+    ascends with theta, so those nodes are a prefix, found by one search,
+    and each panel's exponentials fill the prefix of one buffer.  Every
+    dropped term is below e^{-40} |w datum(T - tau)|, so C moves by less
+    than e^{-40} T max|datum| and u_n by less than 1e-17 T max|datum| / h^2
+    (Dirichlet) or 1e-17 T max|datum| / h (Neumann)."""
     T, h = spec.T, spec.h
-    # geometric panels in the lag resolve the stiffest mode W = 4/h^2
     nodes, weights = gauss_panels(geometric_edges(T, h * h / 8.0, 1.5), 12)
     weighted = weights * spec.datum.eval(T - nodes)
-    total = np.zeros_like(theta_nodes)
     w_disp = spec.dispersion(theta_nodes)
+    total = np.zeros_like(theta_nodes)
+    block = np.empty((nodes.shape[1], len(theta_nodes)))
     for tau, wt in zip(nodes, weighted):
-        total += wt @ np.exp(-np.outer(tau, w_disp))
+        alive = np.searchsorted(w_disp, _LAG_CUT / tau[0], side="right")
+        part = block[:, :alive]
+        np.multiply.outer(-tau, w_disp[:alive], out=part)
+        np.exp(part, out=part)
+        total[:alive] += wt @ part
     return total
 
 
@@ -177,16 +201,27 @@ def sd_heat_dirichlet_range(spec, ns):
 
 
 def _datum_sum(spec, weights):
-    """sum_p datum^{(p)}(T) weights[p] over the rows p in order: one
-    derivative read per row that has a nonzero weight, none past the last,
-    and each such row added whole.  A zero weight adds a signed zero, which
-    leaves every partial sum as it is, since the derivatives are finite and
-    a sum that starts at +0.0 never reaches -0.0; the rows are added one by
-    one because a reduction over p (pairwise) would round differently."""
-    total = np.zeros(weights.shape[1:])
-    for p in np.flatnonzero(weights.any(axis=1)):
-        total = total + spec.deriv.value(int(p), spec.T) * weights[p]
-    return total
+    """sum_p datum^{(p)}(T) weights[p] over the rows p in order, up to the
+    last row with a nonzero weight: order 0 the checked value, orders 1 on
+    from one jet.  ExprDomainError when a row with a nonzero weight reads a
+    derivative that is not finite; the other rows are not read.  Those rows
+    are added whole in order of p onto +0.0 by one accumulation over axis
+    0, whose last row is the sum (a reduction over a single column would
+    sum pairwise).  A zero weight adds a signed zero, which leaves every
+    partial sum as it is, since a sum that starts at +0.0 never reaches
+    -0.0."""
+    live = np.flatnonzero(weights.any(axis=1))
+    top = int(live.max(initial=0))
+    derivs = np.zeros(top + 1)
+    if top:
+        derivs[1:] = spec.deriv.derivatives(1, top, np.array([spec.T]))[:, 0]
+    if weights[0].any():
+        derivs[0] = spec.deriv.value(0, spec.T)
+    if not np.isfinite(derivs[live]).all():
+        raise ExprDomainError("evaluation produced a non-finite value")
+    terms = np.zeros((len(live) + 1,) + weights.shape[1:])
+    np.multiply(derivs[live, None], weights[live], out=terms[1:])
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def dirichlet_reflection_sum(spec, nus):

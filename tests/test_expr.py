@@ -13,6 +13,8 @@ from utmcont.expr import (
     ExprDomainError,
     ExprSyntaxError,
     _cauchy,
+    _from_taylor,
+    _taylor,
     parse,
 )
 
@@ -306,6 +308,35 @@ def test_derivatives_rows_keep_the_bits_of_derivative_eval():
         assert row.tolist() == cache.derivative(k).eval(x).tolist(), k
     with pytest.raises(ValueError, match="start at order 1"):
         cache.derivatives(0, 8, x)
+
+
+@pytest.mark.parametrize("text", [
+    "t*exp(-t)",
+    "1/(1+t)",
+    "sin(4*pi*t)",
+    "sin(2*t)^2",
+    "(1+t)^(-1.5)",
+    "2*exp(-1.2*t)*cos(5.1*t)",
+    "exp(t/4)*exp(-t^2/(4*t+1))/sqrt(4*t+1)",
+    # the drifting-Gaussian boundary trace of a seeded benchmark problem
+    "1.0488088481701516*exp(-0.0009/(1.1+4*t))/sqrt(1.1+4*t)",
+])
+def test_derivatives_keep_the_bits_of_the_order_by_order_factorials(text):
+    # every order 1-199 at t in {0, 0.5, 1}: one call, four narrower calls
+    # (on both sides of 170, the last factorial in range) and value() all
+    # have the bits of each jet row times k! by _from_taylor, order by order
+    cache = DerivativeCache(parse(text, var_name="t"))
+    x = np.array([0.0, 0.5, 1.0])
+    jet = _taylor(cache.base._node, x, 199)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([_from_taylor(jet[k], k) for k in range(1, 200)])
+    assert cache.derivatives(1, 199, x).tobytes() == want.tobytes()
+    for lo, hi in ((1, 16), (17, 60), (100, 171), (150, 190)):
+        assert (cache.derivatives(lo, hi, x).tobytes()
+                == want[lo - 1:hi].tobytes()), (lo, hi)
+    for j, t in enumerate(x.tolist()):
+        for k in np.flatnonzero(np.isfinite(want[:, j])) + 1:
+            assert cache.value(int(k), t) == want[k - 1, j], (t, k)
 
 
 @pytest.mark.parametrize("n,points,degree", [(1, 1, None), (9, 1, 2),

@@ -10,7 +10,7 @@ from scipy import integrate, special
 
 from conftest import taylor_sum
 from utmcont.expr import parse
-from utmcont.quad import QuadratureError
+from utmcont.quad import QuadratureError, integrate_segment
 from utmcont.continuous import (
     DecayClassError,
     IncompatibleDataError,
@@ -380,6 +380,22 @@ def test_two_bc_series_matches_boundary_integrals(kdv2_cos):
         i_f1 = evaluate_boundary_integral(kdv2_cos, "f1", x, t, 1e-10)
         assert taylor_sum(ext0, x) == pytest.approx(i_f0, abs=1e-7)
         assert taylor_sum(ext1, x) == pytest.approx(i_f1, abs=1e-7)
+
+
+def test_two_bc_corner_terms_raise_on_a_missed_budget(monkeypatch):
+    # four intervals leave the corner-term rows over budget, which raise
+    # naming the part instead of returning values 5e-10 off
+    def capped(*args, **kwargs):
+        return integrate_segment(*args, **kwargs, max_intervals=4)
+
+    monkeypatch.setattr(kdv, "integrate_segment", capped)
+    spec = ProblemSpec("kdv-two-bc", u0=parse("exp(-x)"),
+                       f0=parse("exp(-t)*cos(t)", var_name="t"),
+                       f1=parse("sin(t)", var_name="t"))
+    with pytest.raises(QuadratureError,
+                       match=r"kdv2 f0 boundary row \d: tolerance"):
+        evaluate_boundary_integral(spec, "f0", np.array([0.5, 1.0, 2.0]),
+                                   1.0, 1e-10)
 
 
 def test_two_bc_incompatible_blowup(kdv2_zero_data):

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from utmcont.expr import parse
-from utmcont.quad import geometric_edges, integrate_segment
+from utmcont.expr import ExprDomainError, parse
+from utmcont.quad import gauss_panels, geometric_edges, integrate_segment
 from utmcont.specfun import bessel_i_scaled
 from utmcont import continuous as cont
 from utmcont import semidiscrete
@@ -445,6 +445,83 @@ def test_neumann_weight_table_keeps_the_loop_bits(neumann_lattice, h):
     part = ns[::-13]
     assert (neumann_reflection_sum(spec, part).tobytes()
             == want[part - 1].tobytes())
+
+
+def _value_loop_sum(spec, weights):
+    """The datum sum read order by order: value(p, T) for each row with a
+    nonzero weight, the rows added whole in order of p onto +0.0."""
+    total = np.zeros(weights.shape[1:])
+    for p in np.flatnonzero(weights.any(axis=1)):
+        total = total + spec.deriv.value(int(p), spec.T) * weights[p]
+    return total
+
+
+@pytest.mark.parametrize("inv_h", [40, 50, 60])
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+def test_reflection_sums_keep_the_bits_of_the_value_loop(condition, inv_h,
+                                                         monkeypatch):
+    # the window (-60, 120) of the lattice benchmark, and single indices
+    # (one column, where a reduction over the orders would sum pairwise)
+    def sums():
+        spec, _ = _mode_spec(1.0 / inv_h, condition)
+        fn = (dirichlet_reflection_sum if condition == "dirichlet"
+              else neumann_reflection_sum)
+        singles = [fn(spec, np.array([n])) for n in (1, 9, 60)]
+        return [lattice_profile(spec, -60, 120), fn(spec, np.arange(60, 0, -1))
+                ] + singles
+
+    got = sums()
+    monkeypatch.setattr(semidiscrete, "_datum_sum", _value_loop_sum)
+    want = sums()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+def test_reflection_sum_reads_only_rows_with_a_nonzero_weight(condition):
+    # sqrt(t - 1/2) is 0 at T = 1/2 and its first derivative is not finite:
+    # a sum whose orders past 0 all have zero weights does not read it
+    spec = LatticeSpec(h=0.05, u0=parse("exp(-x)"),
+                       datum=parse("sqrt(t-0.5)"), T=0.5, condition=condition)
+    fn, first = ((dirichlet_reflection_sum, 0)
+                 if condition == "dirichlet" else (neumann_reflection_sum, 1))
+    assert np.all(fn(spec, np.array([first])) == 0.0)
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        fn(spec, np.array([first, first + 1]))
+    # a row with a zero weight in one column and not in another is read
+    with pytest.raises(ExprDomainError, match="non-finite"):
+        semidiscrete._datum_sum(spec, np.array([[1.0, 1.0], [0.0, 1e-300]]))
+    assert semidiscrete._datum_sum(
+        spec, np.array([[1.0, 2.0], [0.0, 0.0]])).tolist() == [0.0, 0.0]
+
+
+def _full_lag_rule(spec, theta):
+    """The datum convolution with every lag node at every theta node, panel
+    by panel, and the sum of |w datum| over the lag rule."""
+    nodes, weights = gauss_panels(
+        geometric_edges(spec.T, spec.h**2 / 8.0, 1.5), 12)
+    weighted = weights * spec.datum.eval(spec.T - nodes)
+    w_disp = spec.dispersion(theta)
+    total = np.zeros_like(theta)
+    for tau, wt in zip(nodes, weighted):
+        total += wt @ np.exp(-np.outer(tau, w_disp))
+    return total, np.sum(np.abs(weighted))
+
+
+@pytest.mark.parametrize("datum", ["sin(4*pi*t)", "8*exp(-30*t)"])
+@pytest.mark.parametrize("inv_h", [40, 60, 200])
+@pytest.mark.parametrize("T", [0.05, 0.5])
+@pytest.mark.parametrize("n_max", [20, 120])
+def test_cut_lag_rule_within_its_bound_of_the_full_rule(datum, inv_h, T,
+                                                        n_max):
+    # the lag rule ends where W tau > 40 at a panel's first node: each
+    # dropped term is below e^{-40} |w datum|; 8 e^{-30 t} is largest at
+    # the longest lags, the terms the cut drops first
+    spec = LatticeSpec(h=1.0 / inv_h, u0=parse("exp(-x)"),
+                       datum=parse(datum), T=T)
+    theta, _, conv = _theta_grid(spec, n_max)
+    full, size = _full_lag_rule(spec, theta.ravel())
+    assert np.all(np.abs(conv.ravel() - full) <= math.exp(-40) * size)
 
 
 def _mode_spec(h, condition, p=1.2, q=4.0, T=0.1):
