@@ -554,9 +554,9 @@ def test_csv_rows_keep_the_bytes_of_cell_by_cell_formatting(columns):
     # every pattern of empty cells, in every order, next to signed zeros,
     # the ends of the float range, integers, numpy floats and non-finite
     # values, and keys the columns do not read
-    values = [None, -0.0, 0.0, 1e-300, 1e300, -1e-300, 5e-324, 1.7976931348623157e308,
-              0.1, -2.5, 1 / 3, 7, np.float64(0.02) * 3, math.inf, -math.inf,
-              math.nan]
+    values = [None, -0.0, 0.0, 1e-300, 1e300, -1e-300, 5e-324,
+              1.7976931348623157e308, 0.1, -2.5, 1 / 3, 7,
+              np.float64(0.02) * 3, math.inf, -math.inf, math.nan]
     rng = np.random.default_rng(len(columns))
     rows = [{k: values[int(i)] for k, i in
              zip(columns, rng.integers(0, len(values), len(columns)))}
