@@ -306,20 +306,16 @@ def build_reference(ref_cfg, c):
 # ---------------------------------------------------------------------------
 
 
+def _fmt(v):
+    if v is None:
+        return ""
+    return f"{v:.17g}"
+
+
 def _csv(columns, rows):
-    """The CSV lines of ``rows``: a header, then each row's ``columns``, a
-    number as ``%.17g`` and None as an empty cell, each row by one format
-    string over the row itself: the one for its pattern of empty cells."""
-    formats = {}
-    lines = [",".join(columns)]
-    for row in rows:
-        empty = tuple([row[k] is None for k in columns])
-        fmt = formats.get(empty)
-        if fmt is None:
-            fmt = formats[empty] = ",".join(
-                ["" if e else f"%({k}).17g" for k, e in zip(columns, empty)])
-        lines.append(fmt % row)
-    return lines
+    """The CSV lines of ``rows``: a header, then each row's ``columns``."""
+    return [",".join(columns)] + [",".join(_fmt(row[k]) for k in columns)
+                                  for row in rows]
 
 
 def _output_paths(cfg, out_override):

@@ -421,11 +421,16 @@ def _taylor(node, x, n):
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)])
 
 
-def _from_taylor(coeff, n):
-    """n! * coeff: the n-th derivative from its Taylor coefficient."""
-    for m in range(171, n + 1):  # 170! is the last factorial in range
-        coeff = coeff * m
-    return coeff * float(math.factorial(min(n, 170)))
+def _from_taylor(rows, lo):
+    """n! * coeff for the rows of Taylor coefficients of orders n = lo,
+    lo + 1, ...: the derivatives, one row per order, unchecked."""
+    rows = np.array(rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each row times 171, ..., n in turn, then min(n, 170)!
+        for m in range(171, lo + len(rows)):
+            rows[max(m - lo, 0):] *= m
+        return rows * _FACTORIALS[np.minimum(np.arange(lo, lo + len(rows)),
+                                             170), None]
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +671,8 @@ class _Derivative:
     def eval(self, x):
         xs = np.asarray(x, dtype=float)
         jet = _taylor(self._node, xs.ravel(), self.order)
-        return _check_finite(
-            _from_taylor(jet[self.order], self.order).reshape(xs.shape)[()])
+        return _check_finite(_from_taylor(jet[self.order:], self.order)[0]
+                             .reshape(xs.shape)[()])
 
 
 class DerivativeCache:
@@ -701,14 +706,7 @@ class DerivativeCache:
         if lo < 1:
             raise ValueError("derivatives start at order 1")
         self.derivative(hi)  # the order cap
-        rows = _taylor(self.base._node, x, hi)[lo:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # each row times 171, ..., k in turn, then min(k, 170)!, the
-            # products ``_from_taylor`` takes
-            for m in range(171, hi + 1):
-                rows[max(m - lo, 0):] *= m
-            return rows * _FACTORIALS[np.minimum(np.arange(lo, hi + 1),
-                                                 170), None]
+        return _from_taylor(_taylor(self.base._node, x, hi)[lo:], lo)
 
     def value(self, order, x):
         """Derivative value at the point x, memoized (the boundary formulas
@@ -722,10 +720,9 @@ class DerivativeCache:
                 self._values[key] = float(entry.eval(key[1]))
             else:
                 top = min(MAX_DERIVATIVE_ORDER, max(2 * order, 16))
-                jet = _taylor(self.base._node, [key[1]], top)[:, 0]
-                for k in range(1, top + 1):
-                    self._values.setdefault((k, key[1]),
-                                            _from_taylor(float(jet[k]), k))
+                rows = self.derivatives(1, top, [key[1]])[:, 0].tolist()
+                for k, v in enumerate(rows, start=1):
+                    self._values.setdefault((k, key[1]), v)
         value = self._values[key]
         if not math.isfinite(value):
             raise ExprDomainError("evaluation produced a non-finite value")
