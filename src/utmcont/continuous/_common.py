@@ -11,7 +11,8 @@ import numpy as np
 
 from ..expr import MAX_DERIVATIVE_ORDER, ExprDomainError
 from ..quad import (HalfLineTransform, QuadratureError, gauss_panels,
-                    integrate_segment, singular_time_convolution)
+                    graded_fractions, integrate_segment,
+                    singular_time_convolution)
 from ..specfun import gamma
 
 __all__ = [
@@ -73,14 +74,26 @@ def layer_potential(datum, reach, t, q, kernel, span, tol, where):
     ``integrate_segment`` rule in u = w - w0 shared by the rows, each with
     budget tol/2.  The datum is read through its checked eval; a missed
     budget raises QuadratureError naming the row and ``where``; a row with
-    reach 0 is datum(t), the limit as reach -> 0+."""
+    reach 0 is datum(t), the limit as reach -> 0+.
+
+    A row reads the datum at s = t(1 - (w0/(w0 + u))^q), which sweeps
+    three quarters of [0, t] or more within u <= w0, so its integrand
+    varies on the scale w0 near u = 0.  The rule therefore starts on panels
+    graded from the smallest positive w0 (at most 1), doubling in width
+    (``graded_fractions``): every row's layer is resolved from the first
+    round, where a single starting interval would bisect down to it one
+    interval per round, and for a tiny w0 would let the K15 and G7 nodes
+    miss the layer and agree on a wrong value."""
     rows = reach[:, None]
+    w0 = reach / t ** (1.0 / q)
+    first = min(1.0, np.min(w0[w0 > 0], initial=1.0))
 
     def integrand(u):
-        w = rows / t ** (1.0 / q) + np.real(u)
+        w = w0[:, None] + np.real(u)
         return datum.eval(np.clip(t - (rows / w) ** q, 0.0, t)) * kernel(w)
 
-    res = integrate_segment(integrand, 0.0, span, tol=tol / 2)
+    res = integrate_segment(integrand, 0.0, span, tol=tol / 2,
+                            edges=graded_fractions(span, first))
     out = real_part(res.value, tol, where, res.warnings)
     out[reach == 0] = float(datum.eval(t))
     return out

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..quad import integrate_segment, row_sums
+from ..quad import graded_fractions, integrate_segment, row_sums
 from ._common import (data_rule, datum_coefficient, fractional_family,
                       layer_potential, over_factorial, real_part,
                       require_half_line)
@@ -69,14 +69,21 @@ def single_layer(f0, xs, t, tol):
 def _neumann_kernel_convolution(f1, xs, t, tol):
     # -(1/sqrt(pi)) int_0^t f1(s) e^{-x^2/4(t-s)} / sqrt(t-s) ds, with
     # sigma = sqrt(t-s) removing the endpoint singularity; one row of
-    # e^{-x^2/4 sigma^2} per x on the shared sigma-nodes
+    # e^{-x^2/4 sigma^2} per x on the shared sigma-nodes.  That factor
+    # rises from 0 to e^{-1} over sigma <= x/2, so the rule starts on panels
+    # graded from the smallest positive x/2, doubling in width
+    # (graded_fractions): each row's rise is resolved from the first round,
+    # and a tiny x is not missed by every node
 
     def integrand(sigma):
         sigma = np.real(sigma)
         s = np.clip(t - sigma * sigma, 0.0, t)
         return f1.eval(s) * np.exp(-(xs * xs)[:, None] / (4.0 * sigma * sigma))
 
-    res = integrate_segment(integrand, 0.0, math.sqrt(t), tol=tol / 2)
+    upper = math.sqrt(t)
+    first = min(upper, np.min(xs[xs > 0], initial=2.0 * upper) / 2.0)
+    res = integrate_segment(integrand, 0.0, upper, tol=tol / 2,
+                            edges=graded_fractions(upper, first))
     return real_part(-res.value * 2.0 / SQRT_PI, tol, "neumann boundary",
                      res.warnings)
 

@@ -239,11 +239,11 @@ def _ray_pair_value(f, angles, t, x_max, tol, dodge):
         a, b = (radius * d, dodge * d) if inbound else (dodge * d, radius * d)
         panels = 2 + int(radius * (x_max + 1.0) / (2 * math.pi))
         pieces.append(integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
-                                        initial_panels=panels))
+                                        edges=np.linspace(0, 1, panels + 1)))
     a = dodge * cmath.exp(1j * ain)
     b = dodge * cmath.exp(1j * aout)
     pieces.append(integrate_segment(f, a, b, tol=tol / 6, rel_tol=tol / 6,
-                                    initial_panels=2))
+                                    edges=np.linspace(0, 1, 3)))
     return (sum((piece.value for piece in pieces), 0j),
             _first_warnings(piece.warnings for piece in pieces))
 

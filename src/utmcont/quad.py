@@ -1,7 +1,10 @@
 """Quadrature over straight segments.
 
 :func:`integrate_segment` is adaptive Gauss-Kronrod (G7/K15) with interval
-bisection, vectorized over the active intervals.  Its callers integrate
+bisection, vectorized over the active intervals, from starting panels
+that its caller may grade (``edges``) to where the integrand varies
+fastest, so that a layer near an endpoint is resolved in the first round
+rather than bisected down to one interval at a time.  Its callers integrate
 over real segments (boundary potentials, time convolutions), except the
 two-condition KdV corner terms, which still integrate on complex rays in
 the k-plane.  Every fixed rule of the package comes from
@@ -32,6 +35,7 @@ __all__ = [
     "integrate_segment",
     "gauss_panels",
     "geometric_edges",
+    "graded_fractions",
     "row_sums",
     "HalfLineTransform",
     "finite_interval_transform",
@@ -86,7 +90,7 @@ class QuadratureResult:
 # ---------------------------------------------------------------------------
 
 
-def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
+def integrate_segment(f, a, b, tol, max_intervals=4096, edges=(0.0, 1.0),
                       rel_tol=None):
     """Adaptive GK15 of a vectorized complex integrand along segment a->b.
 
@@ -95,7 +99,9 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
     the nodes; an array of the nodes' length is the one-row case.  Each row
     gets its own K15 value and |K15 - G7| error estimate on one shared set
     of intervals, and its own budget: tol (absolute), or
-    rel_tol * |row integral| when ``rel_tol`` is given and larger.  Each
+    rel_tol * |row integral| when ``rel_tol`` is given and larger.  The
+    intervals start as the panels between ``edges``, fractions
+    0 = e_0 < ... < e_m = 1 of the segment (one panel by default), and each
     round bisects the third of the intervals (at least one) carrying the
     largest share of the budget of any row still above it; refinement stops
     when every row meets its budget, or at ``max_intervals``.
@@ -109,8 +115,7 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
     """
     a = complex(a)
     direction = complex(b) - a
-    initial_panels = max(1, int(initial_panels))
-    edges = np.linspace(0.0, 1.0, initial_panels + 1)
+    edges = np.asarray(edges, dtype=float)
     lo = edges[:-1]
     hi = edges[1:]
 
@@ -160,7 +165,7 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, initial_panels=1,
         worst = int(np.argmax(errs[row]))
         warnings[row] = (
             f"tolerance {tol:g} not met (error {total_errs[row]:g}); worst "
-            f"subinterval t in [{lo[worst]:.6f}, {hi[worst]:.6f}]"
+            f"subinterval t in [{lo[worst]:.6g}, {hi[worst]:.6g}]"
         )
     bad = ~(np.isfinite(totals) & np.isfinite(total_errs))
     for row in np.flatnonzero(bad):
@@ -201,6 +206,16 @@ def geometric_edges(upper, first, ratio):
         edges.append(min(edges[-1] + step, upper))
         step *= ratio
     return np.array(edges)
+
+
+def graded_fractions(upper, first):
+    """``edges`` of :func:`integrate_segment` over [0, upper] for a layer of
+    width ``first`` at 0: the panels' widths start at ``first`` and double,
+    as fractions of upper.  A first width below eps * upper is raised to
+    it: a narrower layer moves the integral by less than the rounding of
+    the rule's own sum, about eps * upper * max|f|."""
+    floor = np.finfo(float).eps * upper
+    return geometric_edges(upper, max(first, floor), 2.0) / upper
 
 
 def row_sums(matrix, wvals):

@@ -212,7 +212,8 @@ def test_i0_matches_k_integral_of_the_data_rule(c, t):
     def k_integral(phase, shift, data):
         res = integrate_segment(
             lambda k: np.exp(1j * np.outer(xs + shift, k.real) + phase(k.real))
-            * data(k.real), -r, r, tol=1e-13, initial_panels=4 + int(r))
+            * data(k.real), -r, r, tol=1e-13,
+            edges=np.linspace(0, 1, 5 + int(r)))
         assert res.warning is None
         return res.value.real / (2 * math.pi)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from utmcont.continuous import (
     reference_whole_line,
     taylor_coefficients,
 )
-from utmcont.continuous import _common, finite_interval
+from utmcont.continuous import _common, finite_interval, heat
 from utmcont.continuous._common import datum_ladder, doubled_series
 
 
@@ -76,7 +77,7 @@ def test_i0_matches_k_integral_of_the_data_rule(fresh_spec, kind, t):
                 * (tf(k) + sign * tf(-k)))
 
     res = integrate_segment(integrand, -r, r, tol=1e-13,
-                            initial_panels=4 + int(r))
+                            edges=np.linspace(0, 1, 5 + int(r)))
     assert res.warning is None
     np.testing.assert_allclose(evaluate_I0(spec, xs, t, 1e-10),
                                res.value.real / (2 * math.pi),
@@ -287,17 +288,140 @@ def test_outside_window_error_half_line(heat_gaussian):
         evaluate_boundary_integral(heat_gaussian, "f0", -0.5, 1.0)
 
 
-def test_single_layer_missed_budget_raises():
-    # at tol 1e-13 the rule shared by 41 rows runs to its interval cap
-    # without meeting the budget of the row x = 1e-9, which came back
-    # 1.2e-9 off its value computed alone; it now names that row
+def test_single_layer_missed_budget_raises(monkeypatch):
+    # at tol 1e-13 the row x = 1e-9 of a 41-row grid meets its budget on
+    # the graded start: it is within tol of mpmath (30 digits) and keeps
+    # the bits of the row alone.  Capped at 16 intervals, fewer than the
+    # graded start has panels, the same grid still raises, naming the row
     spec = ProblemSpec("heat-dirichlet", u0=parse("exp(-x^2)"),
                        f0=parse("sin(3*t)", var_name="t"))
     xs = np.concatenate([[1e-9], np.linspace(0.05, 2.0, 40)])
+    row = evaluate_boundary_integral(spec, "f0", xs, 1.0, 1e-13)[0]
+    assert row == pytest.approx(0.14112000917431872, abs=1e-13)
+    alone = evaluate_boundary_integral(spec, "f0", 1e-9, 1.0, 1e-13)
+    assert row == alone
+
+    def capped(*args, **kwargs):
+        return integrate_segment(*args, **kwargs, max_intervals=16)
+
+    monkeypatch.setattr(_common, "integrate_segment", capped)
     with pytest.raises(QuadratureError, match="dirichlet boundary row 0"):
         evaluate_boundary_integral(spec, "f0", xs, 1.0, 1e-13)
-    alone = evaluate_boundary_integral(spec, "f0", 1e-9, 1.0, 1e-13)
-    assert alone == pytest.approx(math.sin(3.0), abs=1e-8)
+
+
+_SMALL_XS = (1e-9, 1e-7, 1e-5, 1e-3)
+
+
+def _sin3t_spec(kind):
+    """A spec of ``kind`` whose boundary datum is sin 3t, and its name."""
+    datum = "f1" if kind == "heat-neumann" else "f0"
+    u0 = "exp(-x)" if kind == "kdv-one-bc" else "exp(-x^2)"
+    return ProblemSpec(kind, u0=parse(u0),
+                       **{datum: parse("sin(3*t)", var_name="t")}), datum
+
+
+def _small_x_references(kind, t):
+    """mpmath values (20 digits) of the boundary part of ``kind`` with datum
+    sin 3s at each x of _SMALL_XS.  Dirichlet and KdV are the integrals
+    over w >= w0 of sin(3t(1 - (w0/w)^q)) times (2/sqrt(pi)) e^{-w^2}
+    (q = 2, w0 = x/(2 sqrt t)) or 3 Ai(w) (q = 3, w0 = x/(3t)^{1/3});
+    Neumann is -(2/sqrt(pi)) int_0^{sqrt t} sin(3(t - s^2)) e^{-(x/2s)^2}
+    ds.  Each is split at its row scale (w0, or x/2) times 10^k.  The x
+    are 100 apart, so their splits coincide, and Ai is read once a node."""
+    with mp.workdps(20):
+        t = mp.mpf(t)
+        x_min = mp.mpf(10) ** -9
+        if kind == "heat-neumann":
+            scale, upper = x_min / 2, mp.sqrt(t)
+        elif kind == "heat-dirichlet":
+            scale, upper = x_min / (2 * mp.sqrt(t)), mp.mpf(8)
+        else:
+            scale, upper = x_min / mp.cbrt(3 * t), mp.mpf(12)
+        splits = [scale]
+        while splits[-1] * 10 < upper:
+            splits.append(splits[-1] * 10)
+        airy = {}
+
+        def ai(w):
+            if w not in airy:
+                airy[w] = mp.airyai(w)
+            return airy[w]
+
+        out = []
+        for j in range(len(_SMALL_XS)):
+            w0 = splits[2 * j]
+            points = splits[2 * j:] + [upper]
+            if kind == "heat-neumann":
+                value = -2 / mp.sqrt(mp.pi) * mp.quad(
+                    lambda s: mp.sin(3 * (t - s * s)) * mp.exp(-(w0 / s) ** 2),
+                    [0] + points)
+            elif kind == "heat-dirichlet":
+                value = 2 / mp.sqrt(mp.pi) * mp.quad(
+                    lambda w: mp.sin(3 * t * (1 - (w0 / w) ** 2))
+                    * mp.exp(-w * w), points)
+            else:
+                value = 3 * mp.quad(
+                    lambda w: mp.sin(3 * t * (1 - (w0 / w) ** 3)) * ai(w),
+                    points)
+            out.append(float(value))
+        return out
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+@pytest.mark.parametrize("kind", ["heat-dirichlet", "heat-neumann",
+                                  "kdv-one-bc"])
+def test_boundary_part_at_small_x_meets_tol_against_mpmath(kind, t):
+    # the rows' layers (w <= 2 w0, or sigma <= x) start resolved on panels
+    # graded from the smallest row scale; from one starting interval the
+    # nodes missed the layer at x <= 1e-7, and the rows came back 1e-9 to
+    # 1.2e-7 off with no warning
+    spec, datum = _sin3t_spec(kind)
+    grid = np.linspace(0.05, 2.0, 40)
+    for x, ref in zip(_SMALL_XS, _small_x_references(kind, t)):
+        alone = evaluate_boundary_integral(spec, datum, x, t, 1e-10)
+        row = evaluate_boundary_integral(
+            spec, datum, np.concatenate([[x], grid]), t, 1e-10)[0]
+        assert alone == pytest.approx(ref, abs=1e-10), x
+        assert row == pytest.approx(ref, abs=1e-10), x
+
+
+@pytest.mark.parametrize("kind", ["heat-dirichlet", "heat-neumann",
+                                  "kdv-one-bc"])
+def test_boundary_part_at_vanishing_x_is_its_limit(kind):
+    # the graded start stops at eps times the segment: from the row scale
+    # itself it took 1,000 panels at x = 1e-300, its Neumann nodes squared
+    # to 0 (a NaN row at x = 1e-200), and x = 5e-324 never ended
+    spec, datum = _sin3t_spec(kind)
+    xs = np.array([0.0, 1e-30, 1e-200, 5e-324, 0.5])
+    got = evaluate_boundary_integral(spec, datum, xs, 1.0, 1e-10)
+    np.testing.assert_allclose(got[1:4], got[0], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind,xs,bound", [
+    ("heat-dirichlet", np.linspace(0.25, 4.0, 16), 210),
+    ("heat-neumann", np.linspace(0.25, 4.0, 16), 180),
+    ("kdv-one-bc", np.linspace(0.25, 4.0, 16), 255),
+    ("heat-dirichlet", np.concatenate([[1e-7], np.linspace(0.05, 2.0, 40)]),
+     405),
+], ids=["heat-dirichlet", "heat-neumann", "kdv-one-bc",
+        "heat-dirichlet-small-x"])
+def test_boundary_layer_quadrature_evaluation_count(monkeypatch, kind, xs,
+                                                    bound):
+    # a noise-free cost guard: integrand evaluations of the one boundary
+    # quadrature at t = 1, tol 1e-10.  From one starting interval they were
+    # 285, 225, 375 and 34,935
+    counts = []
+
+    def counting(*args, **kwargs):
+        res = integrate_segment(*args, **kwargs)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(_common, "integrate_segment", counting)
+    monkeypatch.setattr(heat, "integrate_segment", counting)
+    spec, datum = _sin3t_spec(kind)
+    evaluate_boundary_integral(spec, datum, xs, 1.0, 1e-10)
+    assert len(counts) == 1 and counts[0] <= bound
 
 
 @pytest.mark.parametrize("kind,label,xs", [
@@ -307,8 +431,9 @@ def test_single_layer_missed_budget_raises():
 ], ids=["heat-dirichlet", "kdv-one-bc", "finite-interval-far-images"])
 def test_layer_potential_missed_budget_raises_in_every_caller(
         monkeypatch, kind, label, xs):
-    # one interval misses every row's budget except where the kernel has
-    # underflowed (x = 100); the error names the row and the caller.  The
+    # the graded starting panels alone, with no bisection, miss every row's
+    # budget except where the kernel has underflowed (x = 100); the error
+    # names the row and the caller.  The
     # finite interval's nearest images are single layers too, so they are
     # replaced by zeros to reach its far-image rule
     def capped(*args, **kwargs):

@@ -3,6 +3,7 @@
 import cmath
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from utmcont.quad import (
     finite_interval_transform,
     gauss_panels,
     geometric_edges,
+    graded_fractions,
     HalfLineTransform,
     integrate_segment,
     singular_time_convolution,
@@ -34,7 +36,7 @@ def _path(f, points, tol, oscillation=0.0):
     for a, b in pieces:
         panels = 1 + int(abs(b - a) * oscillation / (2 * math.pi))
         res = integrate_segment(f, a, b, tol=tol / len(pieces),
-                                initial_panels=min(panels, 256))
+                                edges=np.linspace(0, 1, min(panels, 256) + 1))
         assert res.warning is None, res.warning
         total += res.value[0]
     return total
@@ -146,15 +148,27 @@ def test_vector_segment_cap_warns_failing_row_only():
     assert res.value[0] == pytest.approx(math.e - 1, abs=1e-13)
 
 
+def test_missed_budget_on_a_graded_start_names_a_nonzero_interval():
+    # the worst panel of a start graded from 1e-9 is [0, 1e-9], which a
+    # fixed-point format printed as [0.000000, 0.000000]
+    edges = geometric_edges(1.0, 1e-9, 2.0)
+    res = integrate_segment(lambda z: np.real(z) ** -0.9, 0.0, 1.0, 1e-13,
+                            max_intervals=len(edges) - 1, edges=edges)
+    assert res.warning is not None
+    lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", res.warning).groups())
+    assert (lo, hi) == (0.0, edges[1])
+
+
 def test_scalar_segment_is_one_row_case():
     # a 1-D integrand gets the result of its one-row form: one value, error
     # and warning per row
     def f(z):
         return np.exp(2j * z) / (1 + z * z)
 
-    scalar = integrate_segment(f, -3.0, 4.0, 1e-12, initial_panels=3)
+    scalar = integrate_segment(f, -3.0, 4.0, 1e-12,
+                               edges=np.linspace(0, 1, 4))
     vector = integrate_segment(lambda z: f(z)[None, :], -3.0, 4.0, 1e-12,
-                               initial_panels=3)
+                               edges=np.linspace(0, 1, 4))
     assert scalar.value.shape == scalar.error.shape == (1,)
     assert scalar.value.tobytes() == vector.value.tobytes()
     assert scalar.error.tobytes() == vector.error.tobytes()
@@ -418,6 +432,19 @@ def test_geometric_edges_grow_by_ratio(upper, first, ratio):
     # every width but the last (cut at upper) is ratio times the one before
     np.testing.assert_allclose(widths[1:-1] / widths[:-2], ratio, rtol=1e-9)
     assert widths[-1] <= first * ratio ** (len(widths) - 1) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("upper, first, width", [
+    (5.6, 0.3, 0.3), (0.5, 1.0, 0.5), (5.6, 1e-300, 5.6 * 2.0**-52),
+    (1.0, 0.0, 2.0**-52)])
+def test_graded_fractions_start_at_first_or_eps_of_the_segment(upper, first,
+                                                              width):
+    # a first width of 0 would never reach the end of the segment
+    edges = graded_fractions(upper, first)
+    assert edges[0] == 0.0 and edges[-1] == 1.0
+    assert edges[1] * upper == pytest.approx(width, rel=1e-15)
+    np.testing.assert_array_equal(
+        edges, geometric_edges(upper, width, 2.0) / upper)
 
 
 @pytest.mark.parametrize("module", ["utmcont.quad", "utmcont.semidiscrete",
