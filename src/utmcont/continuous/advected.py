@@ -10,43 +10,25 @@ datum e^{cx/2} u0).  Every function of x takes a 1-D array.
 The initial part is not gauged: e^{cx/2} u0 need not have a half-line
 transform.  It is (1/2pi) int_R e^{ikx - W t} u0_hat(k) dk, W = k^2 - ick,
 minus the same integral of u0_hat(-k + ic) over a line Im k = eta >= c, on
-which that transform is defined.  u0_hat is the finite sum of the data
-rule, so each node's term of either integrand is entire and Gaussian in k:
-its line moves to Im k = c, and each integral is a heat kernel.  No
-k-contour is integrated.
+which that transform is defined: heat's image sum with the drift c
+(``heat.i0``).  No k-contour is integrated.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..expr import parse
-from ..quad import row_sums
 from . import _common, heat
-from ._common import (CoeffLadder, data_rule, datum_ladder, over_factorial,
+from ._common import (CoeffLadder, datum_ladder, over_factorial,
                       require_half_line)
 from .problems import ProblemSpec
 
 
 def i0(spec, xs, t, tol):
-    """Initial-condition part at each point of the 1-D array xs, taken term
-    by term over the finite sum of the data rule (``data_rule``): the
-    real-line piece of node y_n is c_n G(x + ct - y_n, t), and the shifted
-    piece, entire in k for each node and so moved to Im k = c, is
-    c_n e^{-cx} G(x - ct + y_n, t), with the heat kernel G.  The factor and
-    the Gaussian of the second term are one exponential, so that a large
-    e^{-cx} cannot overflow before the Gaussian damps it.  Each x is summed
-    alone."""
-    if spec.u0.is_zero:
-        return np.zeros(xs.shape)
-    c = spec.c
-    y, weighted = (a.ravel() for a in data_rule(spec, tol))
-    x = xs[:, None]
-    kernels = (np.exp(-(x + c * t - y) ** 2 / (4.0 * t))
-               - np.exp(-c * x - (x - c * t + y) ** 2 / (4.0 * t)))
-    return row_sums(kernels, weighted) / math.sqrt(4.0 * math.pi * t)
+    """Initial-condition part at each point of the 1-D array xs: heat's
+    image sum with the drift c and the image sign -1 (``heat.i0``)."""
+    return heat.i0(spec, -1.0, xs, t, tol)
 
 
 def _gauged(spec):

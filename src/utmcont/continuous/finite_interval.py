@@ -47,8 +47,6 @@ def i0(spec, xs, t, tol):
     is a method-of-images sum of heat kernels, so the value is
     sum_n c_n sum_j [G(b - y_n - 2jL, t) - G(b + y_n - 2jL, t)] at the
     window image b of x in [0, 2L), summed for each x alone."""
-    if spec.u0.is_zero:
-        return np.zeros(xs.shape)
     L = spec.L
     # 24-point Gauss-Legendre on equal panels no wider than 2 sqrt(t)
     panels = max(4, math.ceil(L / (2.0 * math.sqrt(t))))

@@ -3,7 +3,8 @@
 The initial-condition part is the real-line k-integral of the data
 transform, which is the finite sum of its rule (``_common.data_rule``,
 its panels unsplit); term by term that integral is a heat kernel, so i0
-is the method-of-images sum over the rule's nodes, with no k-quadrature.
+is the method-of-images sum over the rule's nodes, with no k-quadrature,
+and with a drift c it is advected heat's initial part too.
 The boundary part for x >= 0 is one shared time rule for a whole array
 of x; the Dirichlet single layer is ``_common.layer_potential`` with a
 Gaussian kernel.  The solver table binds i0's image sign and continues
@@ -30,17 +31,21 @@ SQRT_PI = math.sqrt(math.pi)
 
 def i0(spec, sign, xs, t, tol):
     """Initial-condition part, entire in x, at each point of the 1-D array
-    xs: (1/2pi) int_R e^{ikx - k^2 t} (u0_hat(k) + s u0_hat(-k)) dk with
-    the image sign s (-1 for Dirichlet, +1 for Neumann), taken term by term
-    over the finite sum of the data rule.  Each term is a heat kernel, so
-    the value is the image sum sum_n c_n [G(x - y_n, t) + s G(x + y_n, t)],
-    summed for each x alone."""
-    if spec.u0.is_zero:
-        return np.zeros(xs.shape)
+    xs: (1/2pi) int_R e^{ikx - W t} u0_hat(k) dk, W = k^2 - ick with the
+    spec's drift c (0 but for advected heat), plus the image sign s (-1
+    for Dirichlet and advected heat, +1 for Neumann) times that integral
+    of u0_hat(-k + ic) on a line Im k >= c.  Over the finite sum of the
+    data rule each term is entire and Gaussian in k, so the image line
+    moves to Im k = c and the value is the image sum, each x summed alone,
+    of heat kernels
+    sum_n c_n [G(x + ct - y_n, t) + s e^{-cx} G(x - ct + y_n, t)]; e^{-cx}
+    sits in the image's exponential, so that it cannot overflow before the
+    Gaussian damps it.  At c = 0 every shift is an exact zero."""
+    c = spec.c
     y, weighted = (a.ravel() for a in data_rule(spec, tol))
     x = xs[:, None]
-    kernels = (np.exp(-(x - y) ** 2 / (4.0 * t))
-               + sign * np.exp(-(x + y) ** 2 / (4.0 * t)))
+    kernels = (np.exp(-(x + c * t - y) ** 2 / (4.0 * t))
+               + sign * np.exp(-c * x - (x - c * t + y) ** 2 / (4.0 * t)))
     return row_sums(kernels, weighted) / math.sqrt(4.0 * math.pi * t)
 
 

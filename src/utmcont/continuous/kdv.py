@@ -129,8 +129,6 @@ def _airy_sum(spec, xs, t, tol, kernel, label):
     row raises QuadratureError naming x when a term of its last panel, or
     its rounding floor eps sum_n |term_n|, exceeds tol max(1, |value|), or
     when a term is not finite."""
-    if spec.u0.is_zero:
-        return np.zeros(xs.shape)
     tau = (3.0 * t) ** (1.0 / 3.0)
     # panels no wider than 32 tau^{3/2}/sqrt(b) at their right end b, about
     # five local wavelengths of Ai((x - y)/tau) at y = b; from t = 1 on no

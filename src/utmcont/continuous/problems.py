@@ -52,7 +52,8 @@ class ProblemSpec:
     ``u0_decay`` declares the decay class of the initial datum on the
     half-line: ("gaussian",), ("exponential", rate) with a finite rate > 0,
     or ("auto",) to probe numerically; any other form raises
-    ProblemSpecError.  The finite interval ignores it.
+    ProblemSpecError, as does any other value than None, 0 or ("auto",) of a
+    field that the kind does not read (``KIND_KEYS``), a u0_decay included.
     """
 
     kind: str
@@ -77,9 +78,15 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ProblemSpecError(f"unknown problem kind {self.kind!r}")
-        for name in KIND_KEYS[self.kind][0]:
+        data, keys = KIND_KEYS[self.kind]
+        for name in data:
             if getattr(self, name) is None:
                 raise ProblemSpecError(f"{self.kind} requires datum {name!r}")
+        for name in ("f0", "f1", "g0", "c", "L", "u0_decay"):
+            if name not in data + keys and getattr(self, name) not in (
+                    None, 0, ("auto",)):  # a field the kind drops unread
+                raise ProblemSpecError(
+                    f"{name} is not read by {self.kind} problems")
         if self.kind == "transport":
             if self.c == 0:
                 raise ProblemSpecError("transport requires a nonzero speed c")

@@ -616,10 +616,6 @@ class Expression:
         self._node = node
         self.var_name = var_name
 
-    @property
-    def is_zero(self):
-        return isinstance(self._node, _Num) and self._node.value == 0.0
-
     def eval(self, x):
         """Evaluate at a real point or numpy array of points (x's shape)."""
         try:

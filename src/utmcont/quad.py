@@ -165,7 +165,8 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, edges=(0.0, 1.0),
         worst = int(np.argmax(errs[row]))
         warnings[row] = (
             f"tolerance {tol:g} not met (error {total_errs[row]:g}); worst "
-            f"subinterval t in [{lo[worst]:.6g}, {hi[worst]:.6g}]"
+            f"subinterval [{lo[worst]:.6g}, {hi[worst]:.6g}] in fractions "
+            "of the segment"
         )
     bad = ~(np.isfinite(totals) & np.isfinite(total_errs))
     for row in np.flatnonzero(bad):
@@ -241,7 +242,7 @@ def _decay_truncation_point(u0, decay_kind, rate, tol):
 
 
 class HalfLineTransform:
-    """u0_hat(k) = integral over (0, inf) of e^{-iky} u0(y) dy, cached per k.
+    """u0_hat(k) = integral over (0, inf) of e^{-iky} u0(y) dy.
 
     Evaluation uses one fixed rule: 24-point Gauss-Legendre panels on (0, Y),
     geometrically growing from the origin (ratio 1.6, :meth:`edges`), with Y
@@ -253,7 +254,7 @@ class HalfLineTransform:
     solver calls the transform itself; tests use its values as the
     k-integral oracle of those closed forms.  Each value is a row-wise sum
     over the rule, so it depends only on its own k, never on the other k of
-    a call.  Values are cached per k.
+    a call.
     """
 
     def __init__(self, u0, decay_kind="exponential", rate=1.0, tol=1e-12):
@@ -261,7 +262,6 @@ class HalfLineTransform:
         self.decay_kind = decay_kind
         self.rate = rate
         self.tol = tol
-        self._cache = {}
 
     def edges(self):
         """Edges of the rule's panels on (0, Y): geometric, so that they
@@ -272,26 +272,13 @@ class HalfLineTransform:
 
     def __call__(self, k):
         k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
-        out = np.empty(k_arr.shape, dtype=complex)
-        missing = []
-        for i, kv in enumerate(k_arr):
-            hit = self._cache.get(kv)
-            if hit is None:
-                missing.append(i)
-            else:
-                out[i] = hit
-        if missing:
-            ks = k_arr[missing]
-            if np.any(ks.imag > 1e-12):
-                raise DecayError(
-                    "transform requested above the real axis (Im k = "
-                    f"{float(np.max(ks.imag)):g} > 0)")
-            nodes, weights = (a.ravel() for a in gauss_panels(self.edges(), 24))
-            wvals = weights * self.u0.compiled()(nodes)
-            vals = row_sums(np.exp(-1j * np.outer(ks, nodes)), wvals)
-            for i, v in zip(missing, vals):
-                self._cache[k_arr[i]] = complex(v)
-                out[i] = v
+        if np.any(k_arr.imag > 1e-12):
+            raise DecayError(
+                "transform requested above the real axis (Im k = "
+                f"{float(np.max(k_arr.imag)):g} > 0)")
+        nodes, weights = (a.ravel() for a in gauss_panels(self.edges(), 24))
+        wvals = weights * self.u0.compiled()(nodes)
+        out = row_sums(np.exp(-1j * np.outer(k_arr, nodes)), wvals)
         if np.ndim(k) == 0:
             return complex(out[0])
         return out

@@ -1020,3 +1020,93 @@ def test_builtin_scenarios_validate():
 
     for name in names:
         validate_config(json.loads(scenario_path(name[:-5]).read_text()))
+
+
+def _without(section, key):
+    """A patch of a config: the key of the section removed."""
+    return lambda cfg: cfg[section].pop(key)
+
+
+def _setting(section, **items):
+    """A patch of a config: the section's items set."""
+    return lambda cfg: cfg[section].update(items)
+
+
+@pytest.mark.parametrize("command,base,patch,message", [
+    ("solve", MINIMAL, lambda cfg: cfg.update(problem=[1]),
+     "config section 'problem' must be an object"),
+    ("solve", MINIMAL, lambda cfg: cfg.update(grid=3),
+     "config section 'grid' must be an object"),
+    ("solve", MINIMAL, lambda cfg: cfg.pop("problem"),
+     "config requires 'problem' and 'grid' sections"),
+    ("solve", MINIMAL, lambda cfg: cfg.pop("grid"),
+     "config requires 'problem' and 'grid' sections"),
+    ("solve", MINIMAL, _setting("problem", kind="heat-robin"),
+     "unknown problem kind 'heat-robin'"),
+    ("solve", LATTICE, _setting("problem", h=0),
+     "lattice problems require spacing h > 0"),
+    ("solve", LATTICE, _setting("problem", h=-0.05),
+     "lattice problems require spacing h > 0"),
+    ("solve", LATTICE, _without("problem", "h"),
+     "lattice problems require spacing h > 0"),
+    ("solve", LATTICE, _without("problem", "f0"),
+     "sd-heat-dirichlet requires u0 and f0"),
+    ("solve", LATTICE, _setting("grid", n_min=5),
+     "lattice grids need n_min < n_max"),
+    ("solve", LATTICE, _setting("grid", n_min=6),
+     "lattice grids need n_min < n_max"),
+    ("converge", LATTICE, lambda cfg: None,
+     "refinement.h_values needs at least three spacings"),
+    ("converge", LATTICE,
+     lambda cfg: [cfg.update(_h_values([0.2, 0.1, 0.05])),
+                  cfg["grid"].pop("n_min")],
+     "converge needs an x window (x_min/x_max) or lattice indices "
+     "(n_min/n_max)"),
+], ids=["problem-not-object", "grid-not-object", "no-problem", "no-grid",
+        "unknown-kind", "lattice-h-zero", "lattice-h-negative",
+        "lattice-h-missing", "lattice-datum-missing", "n-min-equal-n-max",
+        "n-min-above-n-max", "converge-without-h-values",
+        "converge-without-window"])
+def test_config_error_branch_exits_2_with_its_message(tmp_path, capsys,
+                                                      command, base, patch,
+                                                      message):
+    cfg = json.loads(json.dumps(base))
+    patch(cfg)
+    assert main([command, "--config", _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_invalid_json_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{not json")
+    assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: config is not valid JSON: ")
+
+
+def test_neither_config_nor_scenario_is_config_error(capsys):
+    assert main(["solve"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: supply --config PATH or --scenario NAME\n")
+
+
+def test_csv_goes_to_stdout_without_a_path(tmp_path, capsys):
+    assert main(["solve", "--config", _write(tmp_path, MINIMAL)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    assert rows[0] == ["x", "t", "u_ac", "u_ref", "abs_err"]
+    assert len(rows) == 1 + MINIMAL["grid"]["n_points"]
+
+
+def test_map_initial_leaves_the_u0_cell_empty_at_a_pole(tmp_path):
+    # u0 has a pole at x = -1, where w0 reflects u0(1) and stays finite
+    cfg = json.loads(json.dumps(MINIMAL))
+    cfg["problem"]["u0"] = "exp(-x^2)*x/(x+1) + exp(-x^2)"
+    cfg["grid"].update(x_min=-2.0, x_max=0.0, n_points=3)
+    out = tmp_path / "w0.csv"
+    assert main(["map-initial", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [float(row["x"]) for row in rows] == [-2.0, -1.0, 0.0]
+    assert rows[1]["u0_analytic_continuation"] == ""
+    assert math.isfinite(float(rows[1]["w0"]))
+    assert rows[0]["u0_analytic_continuation"] != ""

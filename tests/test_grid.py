@@ -125,6 +125,23 @@ def test_w0_of_constant_u0_has_grid_shape(kind, xs):
     assert got.shape == xs.shape and np.all(np.isfinite(got))
 
 
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("kind", W0_KINDS)
+def test_i0_of_zero_u0_is_plus_zero(kind, t):
+    # no initial part special-cases zero data: its sum over zero weights is
+    # exactly +0.0 at every point, behind the boundary too
+    data = {"heat-dirichlet": dict(f0="t"), "heat-neumann": dict(f1="t"),
+            "advected-heat": dict(f0="t", c=1.0),
+            "kdv-one-bc": dict(f0="t"),
+            "kdv-two-bc": dict(f0="t", f1="t"),
+            "heat-finite-interval": dict(f0="t", g0="t", L=1.5)}[kind]
+    spec = ProblemSpec(kind, u0=parse("0"),
+                       **{k: parse(v, var_name="t") if isinstance(v, str)
+                          else v for k, v in data.items()})
+    got = evaluate_I0(spec, np.linspace(-4.0, 5.0, 37), t, 1e-10)
+    assert np.all(got == 0.0) and not np.signbit(got).any()
+
+
 def test_w0_refuses_incompatible_data_only_behind_the_boundary():
     # u0(0) = 2 but f0 = 0: the corner conditions fail
     spec = ProblemSpec("kdv-two-bc", u0=parse("2*exp(-sqrt(3)*x)*cos(x)"),

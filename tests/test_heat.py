@@ -1,6 +1,7 @@
 """Half-line heat: recovery, Taylor data, extensions, boundary-to-initial."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -309,6 +310,26 @@ def test_single_layer_missed_budget_raises(monkeypatch):
         evaluate_boundary_integral(spec, "f0", xs, 1.0, 1e-13)
 
 
+def test_capped_single_layer_names_its_subinterval_in_fractions(
+        monkeypatch):
+    # the single layer's quadrature variable is u/span, not a time: the
+    # missed budget names its worst subinterval as fractions of the segment
+    def capped(*args, **kwargs):
+        return integrate_segment(*args, **kwargs, max_intervals=16)
+
+    monkeypatch.setattr(_common, "integrate_segment", capped)
+    spec = ProblemSpec("heat-dirichlet", u0=parse("exp(-x^2)"),
+                       f0=parse("sin(3*t)", var_name="t"))
+    xs = np.concatenate([[1e-9], np.linspace(0.05, 2.0, 40)])
+    with pytest.raises(QuadratureError) as err:
+        evaluate_boundary_integral(spec, "f0", xs, 1.0, 1e-13)
+    assert "t in" not in str(err.value)
+    lo, hi = map(float, re.search(
+        r"subinterval \[(\S+), (\S+)\] in fractions of the segment",
+        str(err.value)).groups())
+    assert 0.0 <= lo < hi <= 1.0
+
+
 _SMALL_XS = (1e-9, 1e-7, 1e-5, 1e-3)
 
 
@@ -442,9 +463,10 @@ def test_layer_potential_missed_budget_raises_in_every_caller(
     monkeypatch.setattr(_common, "integrate_segment", capped)
     monkeypatch.setattr(finite_interval, "single_layer",
                         lambda f0, d, t, tol: np.zeros(d.shape))
+    right = ({"g0": parse("t", var_name="t"), "L": 1.0}
+             if kind == "heat-finite-interval" else {})
     spec = ProblemSpec(kind, u0=parse("exp(-x^2)"),
-                       f0=parse("sin(3*t)", var_name="t"),
-                       g0=parse("t", var_name="t"), L=1.0)
+                       f0=parse("sin(3*t)", var_name="t"), **right)
     with pytest.raises(QuadratureError, match=f"{label}: tolerance"):
         evaluate_boundary_integral(spec, "f0", np.array(xs), 1.0, 1e-10)
 

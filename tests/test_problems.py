@@ -7,6 +7,8 @@ import pytest
 
 from utmcont.expr import DerivativeCache, parse
 from utmcont.continuous import (
+    KIND_KEYS,
+    KINDS,
     ProblemSpec,
     ProblemSpecError,
     check_compatibility,
@@ -23,6 +25,58 @@ def test_kind_data_consistency():
                     f0=parse("t"), g0=parse("t"))  # missing L
     with pytest.raises(ProblemSpecError):
         ProblemSpec("not-a-kind", u0=parse("exp(-x)"))
+
+
+# what each kind needs to be built, and a value of each optional field
+# that a kind which does not read it must refuse
+_NEEDS = {
+    "transport": dict(f0="t", c=1.0),
+    "heat-dirichlet": dict(f0="t"),
+    "heat-neumann": dict(f1="t"),
+    "heat-finite-interval": dict(f0="t", g0="t", L=1.0),
+    "advected-heat": dict(f0="t", c=1.0),
+    "kdv-one-bc": dict(f0="t"),
+    "kdv-two-bc": dict(f0="t", f1="t"),
+}
+_UNREAD = {"f0": "t", "f1": "t", "g0": "t", "c": 2.0, "L": 1.0,
+           "u0_decay": ("gaussian",)}
+
+
+def _spec(kind, **fields):
+    fields = {**_NEEDS[kind], **fields}
+    return ProblemSpec(kind, u0=parse("exp(-x^2)"), **{
+        k: parse(v, var_name="t") if isinstance(v, str) else v
+        for k, v in fields.items()})
+
+
+@pytest.mark.parametrize("kind,name", [
+    (kind, name) for kind in KINDS for name in _UNREAD
+    if name not in sum(KIND_KEYS[kind], ())])
+def test_unread_field_is_refused(kind, name):
+    # a field the kind does not read would be dropped in silence
+    with pytest.raises(ProblemSpecError,
+                       match=f"^{name} is not read by {kind} problems$"):
+        _spec(kind, **{name: _UNREAD[name]})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_unread_fields_at_their_unset_values_are_accepted(kind):
+    # the command line passes c, L and u0_decay to every kind
+    reads = sum(KIND_KEYS[kind], ())
+    unset = {name: value for name, value in
+             (("c", 0.0), ("L", 0.0), ("u0_decay", ("auto",)))
+             if name not in reads}
+    assert _spec(kind, **unset).kind == kind
+
+
+def test_transport_refuses_zero_speed_and_inflow_without_f0():
+    u0 = parse("exp(-x^2)")
+    with pytest.raises(ProblemSpecError,
+                       match="^transport requires a nonzero speed c$"):
+        ProblemSpec("transport", u0=u0)
+    with pytest.raises(ProblemSpecError,
+                       match=r"^transport with c > 0 requires f0$"):
+        ProblemSpec("transport", u0=u0, c=1.0)
 
 
 @pytest.mark.parametrize("decay", [

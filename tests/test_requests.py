@@ -96,3 +96,25 @@ def test_order_that_is_not_an_integer_from_0_is_refused(heat_gaussian, N):
 def test_integer_n_is_accepted(heat_gaussian, N):
     ext = continuous.taylor_coefficients(heat_gaussian, "f0", T, N, TOL)
     assert ext.orders == list(range(0, int(N) + 1, 2))
+
+
+def test_unknown_datum_is_refused_naming_the_kind_s_data(heat_gaussian):
+    with pytest.raises(continuous.ProblemSpecError,
+                       match=r"^kind heat-dirichlet has data \('f0',\)$"):
+        continuous.evaluate_boundary_integral(heat_gaussian, "f1", X, T, TOL)
+
+
+def test_fourier_boundary_integral_is_only_for_the_finite_interval(
+        heat_gaussian):
+    with pytest.raises(continuous.ProblemSpecError,
+                       match="^fourier_boundary_integral is not defined for "
+                             "kind 'heat-dirichlet'$"):
+        continuous.fourier_boundary_integral(heat_gaussian, X, T)
+
+
+def test_unknown_parity_is_refused(heat_gaussian):
+    with pytest.raises(continuous.ProblemSpecError,
+                       match=r"^no Taylor data for \(heat-dirichlet, f0, "
+                             r"odd\)$"):
+        continuous.taylor_coefficients(heat_gaussian, "f0", T, 3, TOL,
+                                       parity="odd")

@@ -54,6 +54,42 @@ def test_boundary_convention(lattice):
         lattice.datum.eval(0.5))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("h", 0.0, "lattice spacing h must be positive"),
+    ("h", -0.1, "lattice spacing h must be positive"),
+    ("T", 0.0, "final time T must be positive"),
+    ("condition", "robin", "unknown boundary condition 'robin'"),
+])
+def test_lattice_spec_refuses_a_bad_field(field, value, message):
+    fields = dict(h=0.05, u0=parse(U0), datum=parse(F0), T=0.5,
+                  condition="dirichlet")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LatticeSpec(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("call,fixture,args,message", [
+    (sd_heat_dirichlet_range, "lattice", ([-1, 0],),
+     r"sd_heat_dirichlet_range evaluates n >= 0"),
+    (sd_heat_dirichlet_range, "neumann_lattice", ([0, 1],),
+     "spec has a Neumann datum"),
+    (sd_heat_dirichlet_continued, "lattice", ([1], [0.0]),
+     "the continuation evaluates n <= 0"),
+    (sd_heat_neumann_range, "neumann_lattice", ([-1, 0],),
+     "sd_heat_neumann_range evaluates n >= 0; use the continuation for "
+     "n < 0"),
+    (sd_heat_neumann_range, "lattice", ([0, 1],),
+     "spec has a Dirichlet datum"),
+    (sd_heat_neumann_continued, "neumann_lattice", ([0], [0.0]),
+     r"the Neumann continuation evaluates q_\{-n\}, n >= 1"),
+], ids=["dirichlet-range-index", "dirichlet-range-condition",
+        "dirichlet-continued-index", "neumann-range-index",
+        "neumann-range-condition", "neumann-continued-index"])
+def test_lattice_functions_refuse_outside_their_domain(request, call, fixture,
+                                                       args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(request.getfixturevalue(fixture), *args)
+
+
 def test_zero_data_is_zero():
     spec = LatticeSpec(h=0.1, u0=parse("0*x"), datum=parse("0*t"), T=0.3)
     u3 = sd_heat_dirichlet_range(spec, [3])[0]
