@@ -14,22 +14,37 @@ weight is the running product of its gamma ratios down its column, for
 either condition, and the table is summed row by row in the order p, its
 derivatives read from one jet of the datum at T.
 
-Both conditions read one theta rule over [0, pi], the Dirichlet integrand
-being odd in theta and the Neumann one conjugate at -theta: equal panels
-of 12 Gauss nodes, node i of panel p at c_i + 2 pi p / L, L twice the
-panel count.  So e^{i m theta} = e^{i m c_i} e^{2 pi i m p / L} exactly,
-and each theta-sum is one length-L FFT over the panel index per offset
-c_i: the data transform sum_m u0(m h) e^{-+i m theta} transforms the
-samples weighted by e^{-+i m c_i} and folded mod L in blocks m = q L + r,
-at 12 (Q + L) exponentials for M = Q L samples, and the interior sum of
-e^{i n theta} against the integrand reads its FFTs at n mod L.
+Both conditions read one theta rule over [0, pi] for their data part,
+the Dirichlet integrand being odd in theta and the Neumann one conjugate
+at -theta: equal panels of 12 Gauss nodes, node i of panel p at c_i + 2 pi
+p / L, L twice the panel count.  So e^{i m theta} = e^{i m c_i} e^{2 pi i
+m p / L} exactly, and each theta-sum is one length-L FFT over the panel
+index per offset c_i: the data transform sum_m u0(m h) e^{-+i m theta}
+transforms the samples weighted by e^{-+i m c_i} and folded mod L in
+blocks m = q L + r, at 12 (Q + L) exponentials for Q L samples, and
+the interior sum of e^{i n theta} against the integrand reads its FFTs at
+n mod L.
 
-The datum convolution C(theta) = int_0^T e^{-W(theta) tau} datum(T - tau)
-dtau is one lag rule of geometric Gauss panels, shared by every theta but
-cut per theta: the rule ends, at each theta, before the first lag panel
+The boundary part is read in closed form.  The datum convolution C(theta)
+= int_0^T e^{-W(theta) tau} datum(T - tau) dtau depends on theta through
+cos theta alone; by Jacobi-Anger, C = a_0 / 2 + sum_m a_m cos m theta with
+a_m = int_0^T datum(T - tau) 2 e^{-z} I_m(z) dtau, z = 2 tau / h^2.  Its
+theta-integrals against sin theta sin n theta and (1 + e^{i theta}) e^{i n
+theta} are (a_{n-1} - a_{n+1}) / 2 and (a_n + a_{n+1}) / 2, so the
+boundary part is (a_{n-1} - a_{n+1}) / (2 h^2) for Dirichlet and -(a_n +
+a_{n+1}) / (2 h) for Neumann.  The coefficients a_0 .. a_{n_max + 1} are
+one DCT-I of C at M + 1 equal angles, the trapezoid rule, whose aliases of
+a_m lie at the indices 2 j M -+ m.  M is sized so that these are all at
+least m_tail, where a Chernoff bound on the tail of e^{-z} I_m(z) puts the
+coefficients' sum below 2 e^{-40} T max|datum|; it grows as sqrt(T) / h,
+the scale of C near theta = 0.
+
+C is one lag rule of geometric Gauss panels, shared by every angle but
+cut per angle: the rule ends, at each angle, before the first lag panel
 whose first node has W tau > 40.  Every term it drops is below e^{-40} |w
-datum(T - tau)|, so any u_n moves by less than 1e-17 T max|datum| / h^2
-for Dirichlet and 1e-17 T max|datum| / h for Neumann.
+datum(T - tau)|, so each a_m moves by less than 2 e^{-40} T max|datum|,
+and the aliases add less than as much again: u_n moves by less than 2e-17
+T max|datum| / h^2 for Dirichlet and 2e-17 T max|datum| / h for Neumann.
 """
 
 from __future__ import annotations
@@ -110,31 +125,64 @@ class LatticeSpec:
 # ---------------------------------------------------------------------------
 
 
-def _theta_grid(spec, n_max):
+def _theta_grid(n_max):
     """Equal Gauss panels over [0, pi] resolving e^{i n theta}: (nodes,
-    weights, datum convolution) in rows of 12, one row per panel."""
+    weights) in rows of 12, one row per panel."""
     panels = max(24, int(1.5 * n_max) + 8)
-    nodes, weights = gauss_panels(np.linspace(0.0, math.pi, panels + 1), 12)
-    conv = _datum_convolution(spec, nodes.ravel()).reshape(nodes.shape)
-    return nodes, weights, conv
+    return gauss_panels(np.linspace(0.0, math.pi, panels + 1), 12)
 
 
-# the lag rule ends, at each theta, before the first lag panel whose first
-# node has W tau past this: every term it drops is below e^{-40} |w datum|
-_LAG_CUT = 40.0
+# the lag rule ends, at each angle, before the first lag panel whose first
+# node has W tau past this, and the cosine coefficients are cut where their
+# tail falls below e^{-_CUT}
+_CUT = 40.0
+
+
+def _tail_index(z):
+    """m_tail, an integer with sum_{m >= m_tail} e^{-z} I_m(z) <= e^{-40}.
+    e^{-z} I_m(z) is the law of a difference of two Poisson variables of
+    mean z / 2, whose tail from m on is at most e^{-phi(m)}, phi(m) = m
+    asinh(m / z) - sqrt(m^2 + z^2) + z (Chernoff).  phi is convex and
+    increasing, so a Newton step from any m > 0 lands at or above the root
+    of phi = 40, and the steps after it descend to the root: the ceiling
+    of the last step is an m_tail."""
+    m = math.sqrt(2.0 * _CUT * z) + 1.0
+    for _ in range(6):
+        phi = m * math.asinh(m / z) - m * m / (math.hypot(m, z) + z)
+        m += (_CUT - phi) / math.asinh(m / z)
+    return math.ceil(m)
+
+
+def _angle_count(spec, top):
+    """M for the DCT-I of C whose coefficients a_0 .. a_top keep their
+    aliases, at the indices 2 j M -+ m, past the tail: M > top and 2 M - top
+    >= m_tail at z = 2 T / h^2, the largest z the convolution reaches (the
+    tail bound grows with z)."""
+    tail = _tail_index(2.0 * spec.T / (spec.h * spec.h))
+    return max(top + 1, -(-(top + tail) // 2))
+
+
+def _cosine_coefficients(spec, top):
+    """a_0 .. a_top of C(theta) = a_0 / 2 + sum_m a_m cos m theta: C at the
+    M + 1 angles pi k / M, k = 0 .. M, and one rfft of its even extension,
+    the trapezoid rule (a DCT-I)."""
+    M = _angle_count(spec, top)
+    conv = _datum_convolution(spec, np.linspace(0.0, math.pi, M + 1))
+    spectrum = np.fft.rfft(np.concatenate([conv, conv[-2:0:-1]]))
+    return spectrum[:top + 1].real / M
 
 
 def _datum_convolution(spec, theta_nodes):
     """C(theta) = int_0^T e^{-W(theta) tau} datum(T - tau) dtau at the
-    ascending nodes in [0, pi], the datum read once through the checked
+    ascending angles in [0, pi], the datum read once through the checked
     ``eval``.  The lag rule is geometric panels of 12 Gauss nodes, which
     resolve the stiffest mode W = 4/h^2; a panel whose first lag node is
-    tau_0 adds its terms only at the theta nodes where W tau_0 <= 40.  W
-    ascends with theta, so those nodes are a prefix, found by one search,
+    tau_0 adds its terms only at the angles where W tau_0 <= 40.  W
+    ascends with theta, so those angles are a prefix, found by one search,
     and each panel's exponentials fill the prefix of one buffer.  Every
     dropped term is below e^{-40} |w datum(T - tau)|, so C moves by less
-    than e^{-40} T max|datum| and u_n by less than 1e-17 T max|datum| / h^2
-    (Dirichlet) or 1e-17 T max|datum| / h (Neumann)."""
+    than e^{-40} T max|datum| and each cosine coefficient by less than
+    twice that."""
     T, h = spec.T, spec.h
     nodes, weights = gauss_panels(geometric_edges(T, h * h / 8.0, 1.5), 12)
     weighted = weights * spec.datum.eval(T - nodes)
@@ -142,7 +190,7 @@ def _datum_convolution(spec, theta_nodes):
     total = np.zeros_like(theta_nodes)
     block = np.empty((nodes.shape[1], len(theta_nodes)))
     for tau, wt in zip(nodes, weighted):
-        alive = np.searchsorted(w_disp, _LAG_CUT / tau[0], side="right")
+        alive = np.searchsorted(w_disp, _CUT / tau[0], side="right")
         part = block[:, :alive]
         np.multiply.outer(-tau, w_disp[:alive], out=part)
         np.exp(part, out=part)
@@ -190,12 +238,14 @@ def sd_heat_dirichlet_range(spec, ns):
     if spec.condition != "dirichlet":
         raise ValueError("spec has a Neumann datum")
     n_max = int(np.max(ns)) if len(ns) else 0
-    theta, wq, conv = _theta_grid(spec, n_max)
+    theta, wq = _theta_grid(n_max)
     decay = np.exp(-spec.dispersion(theta) * spec.T)
     dsum = _data_sum(theta, *spec.samples, 1).imag
-    base = wq * (2.0 / math.pi) * (decay * dsum
-                                   + np.sin(theta) * conv / (spec.h**2))
-    out = _wave_sum(theta, ns, base).imag
+    base = wq * (2.0 / math.pi) * (decay * dsum)
+    coeffs = _cosine_coefficients(spec, n_max + 1)
+    # a_{-1} = a_1: the n = 0 boundary part is 0, then set by convention
+    out = (_wave_sum(theta, ns, base).imag
+           + (coeffs[np.abs(ns - 1)] - coeffs[ns + 1]) / (2.0 * spec.h**2))
     out[ns == 0] = float(spec.datum.eval(spec.T))
     return out
 
@@ -260,13 +310,14 @@ def sd_heat_neumann_range(spec, ns):
     if spec.condition != "neumann":
         raise ValueError("spec has a Dirichlet datum")
     n_max = int(np.max(ns)) if len(ns) else 0
-    theta, wq, conv = _theta_grid(spec, n_max)
+    theta, wq = _theta_grid(n_max)
     decay = np.exp(-spec.dispersion(theta) * spec.T)
     trans = _data_sum(theta, *spec.samples, -1)
     phase = np.exp(1j * theta)
-    base = wq / math.pi * (decay * (trans + phase * np.conj(trans))
-                           - (1.0 + phase) * conv / spec.h)
-    return _wave_sum(theta, ns, base).real
+    base = wq / math.pi * (decay * (trans + phase * np.conj(trans)))
+    coeffs = _cosine_coefficients(spec, n_max + 1)
+    return (_wave_sum(theta, ns, base).real
+            - (coeffs[ns] + coeffs[ns + 1]) / (2.0 * spec.h))
 
 
 def neumann_reflection_sum(spec, ns):
@@ -323,7 +374,8 @@ def window_nodes(x_window, h):
 
 def continuum_limit_check(make_spec, h_values, x_window, reference):
     """Refinement study: per-h max error against the continuum solution over
-    the window (including x < 0), plus observed log-ratio orders.
+    the window (including x < 0), plus observed log-ratio orders.  An order
+    between two levels where either error is 0 is undefined: None.
 
     ``make_spec(h)`` builds the lattice problem, ``reference(x)`` evaluates
     the continuum solution at the spec's time T at one node of
@@ -340,5 +392,6 @@ def continuum_limit_check(make_spec, h_values, x_window, reference):
         rows.append((h, float(np.max(np.abs(vals - ref)))))
     orders = []
     for (h1, e1), (h2, e2) in zip(rows[:-1], rows[1:]):
-        orders.append(math.log(e1 / e2) / math.log(h1 / h2))
+        orders.append(math.log(e1 / e2) / math.log(h1 / h2) if e1 and e2
+                      else None)
     return {"errors": rows, "orders": orders}

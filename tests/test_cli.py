@@ -651,6 +651,20 @@ def test_converge_report_round_trips_the_csv(tmp_path):
         assert _same_bits(row[2], order)
 
 
+def test_converge_with_an_exact_level_leaves_its_orders_empty(tmp_path):
+    # zero data: every level's error is 0, and an order between levels
+    # where either error is 0 is undefined, an empty cell like the first
+    cfg = {"problem": {"kind": "sd-heat-dirichlet", "u0": "0*x",
+                       "f0": "0*t", "h": 0.05},
+           "grid": {"n_min": -20, "n_max": 20, "times": [0.5]},
+           "refinement": {"h_values": [0.1, 0.05, 0.025]}}
+    header, rows, report = _run_with_report(tmp_path, "converge", cfg)
+    assert rows == [["0.10000000000000001", "0", ""],
+                    ["0.050000000000000003", "0", ""],
+                    ["0.025000000000000001", "0", ""]]
+    assert report["observed_orders"] == [None, None]
+
+
 def test_map_initial_report_round_trips_the_csv(tmp_path):
     header, rows, report = _run_with_report(tmp_path, "map-initial", MINIMAL)
     assert set(report) == {"samples", "summary"}

@@ -171,13 +171,61 @@ def sd_bessel_kernel_form(spec, n, tol=1e-10):
     return int(n) * total
 
 
-def test_bessel_kernel_matches_boundary_term(lattice, lattice_zero_datum):
-    ns = np.arange(1, 11)
-    full = sd_heat_dirichlet_range(lattice, ns)
-    ic_only = sd_heat_dirichlet_range(lattice_zero_datum, ns)
-    for n, f, i in zip(ns, full, ic_only):
-        K = sd_bessel_kernel_form(lattice, int(n), tol=1e-11)
-        assert K == pytest.approx(float(f - i), abs=1e-9)
+def _range(spec, ns):
+    """The range values of the spec's condition at the indices ns."""
+    fn = (sd_heat_dirichlet_range if spec.condition == "dirichlet"
+          else sd_heat_neumann_range)
+    return fn(spec, ns)
+
+
+def sd_neumann_bessel_kernel_form(spec, n, tol):
+    """Neumann boundary term -(1/h) int_0^T datum(T - tau) [e^{-z} I_n(z) +
+    e^{-z} I_{n+1}(z)] dtau, z = 2 tau / h^2: the oracle of the theta-integral
+    boundary term of the Neumann lattice representation, n >= 0."""
+    h, T = spec.h, spec.T
+    fc = spec.datum.compiled()
+
+    def integrand(tau):
+        z = 2.0 * np.maximum(np.real(np.asarray(tau)), 0.0) / (h * h)
+        return fc(T - tau) * (bessel_i_scaled(n, z)
+                              + bessel_i_scaled(n + 1, z))
+
+    edges = geometric_edges(T, h * h / 4.0, 1.6)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += integrate_segment(integrand, lo, hi,
+                                   tol=tol / len(edges)).value[0].real
+    return -total / h
+
+
+def _boundary_case(case):
+    """(spec, ns, bound, oracle) of a boundary-term check: the sd_heat
+    lattice at h = 0.05 with its initial data, or the boundary part alone
+    (u0 = 0) of the h = 1/200 lattice probe's mode at T = 0.1."""
+    if case == "dirichlet-h=0.05":
+        spec = LatticeSpec(h=0.05, u0=parse(U0), datum=parse(F0), T=0.5)
+        return spec, np.arange(1, 11), 1e-9, sd_bessel_kernel_form
+    condition = case.split("-")[0]
+    probe, _ = _mode_spec(1.0 / 200, condition, p=1.0, q=2.0)
+    spec = LatticeSpec(h=probe.h, u0=parse("0*x"), datum=probe.datum,
+                       T=probe.T, condition=condition)
+    if condition == "dirichlet":
+        return spec, np.arange(1, 21), 1e-12, sd_bessel_kernel_form
+    return spec, np.arange(0, 21), 1e-12, sd_neumann_bessel_kernel_form
+
+
+@pytest.mark.parametrize("case", ["dirichlet-h=0.05", "dirichlet-h=1/200",
+                                  "neumann-h=1/200"])
+def test_bessel_kernel_matches_boundary_term(case):
+    # the boundary part, the range values less those of the zero datum,
+    # against the Bessel kernel integrated in tau; at h = 1/200 it varies
+    # on the scale h / sqrt(T) near theta = 0
+    spec, ns, bound, oracle = _boundary_case(case)
+    quiet = LatticeSpec(h=spec.h, u0=spec.u0, datum=parse("0*t"), T=spec.T,
+                        condition=spec.condition)
+    got = _range(spec, ns) - _range(quiet, ns)
+    for n, value in zip(ns.tolist(), got.tolist()):
+        assert oracle(spec, n, tol=1e-13) == pytest.approx(value, abs=bound), n
 
 
 def test_bessel_kernel_fine_quadrature_oracle():
@@ -308,10 +356,10 @@ def test_dispersion_properties(lattice):
 
 
 @pytest.fixture(scope="module")
-def theta_rules(lattice):
+def theta_rules():
     """(nodes, DFT period) of the rule over [0, pi] for n_max = 20, keyed by
     full_period = False: the period is twice its panel count."""
-    theta = _theta_grid(lattice, 20)[0]
+    theta = _theta_grid(20)[0]
     return {False: (theta, 2 * len(theta))}
 
 
@@ -363,12 +411,15 @@ def test_wave_sum_matches_direct_sum(theta_rules, full_period):
 
 
 def _direct_range(spec, ns):
-    """The range values as dense theta-sums, the data transform and the
-    interior sum each node by node: Dirichlet over the rule on [0, pi],
-    Neumann over the whole period on that rule mirrored to -theta (its
-    weights too, and its datum convolution, since W is even)."""
+    """The range values as dense theta-sums, the data transform, the datum
+    convolution and the interior sum each node by node: Dirichlet over the
+    rule on [0, pi], Neumann over the whole period on that rule mirrored to
+    -theta (its weights too, and its datum convolution, since W is even).
+    The boundary part is the theta-integral of the datum convolution, not
+    its closed form in cosine coefficients."""
     neumann = spec.condition == "neumann"
-    theta, wq, conv = (a.ravel() for a in _theta_grid(spec, int(np.max(ns))))
+    theta, wq = (a.ravel() for a in _theta_grid(int(np.max(ns))))
+    conv = semidiscrete._datum_convolution(spec, theta)
     if neumann:
         theta, wq, conv = (np.concatenate([sign * a[::-1], a])
                            for sign, a in ((-1, theta), (1, wq), (1, conv)))
@@ -555,9 +606,85 @@ def test_cut_lag_rule_within_its_bound_of_the_full_rule(datum, inv_h, T,
     # the longest lags, the terms the cut drops first
     spec = LatticeSpec(h=1.0 / inv_h, u0=parse("exp(-x)"),
                        datum=parse(datum), T=T)
-    theta, _, conv = _theta_grid(spec, n_max)
-    full, size = _full_lag_rule(spec, theta.ravel())
-    assert np.all(np.abs(conv.ravel() - full) <= math.exp(-40) * size)
+    theta = _theta_grid(n_max)[0].ravel()
+    conv = semidiscrete._datum_convolution(spec, theta)
+    full, size = _full_lag_rule(spec, theta)
+    assert np.all(np.abs(conv - full) <= math.exp(-40) * size)
+
+
+@pytest.mark.parametrize("z", [1e-6, 0.8, 10.0, 500.0, 8000.0, 2e5])
+def test_tail_index_bounds_the_bessel_tail(z):
+    # sum_{m >= m_tail} e^{-z} I_m(z) against scipy's ive, summed until its
+    # terms underflow; and m_tail stays near the Gaussian sqrt(80 z)
+    m = semidiscrete._tail_index(z)
+    tail = sum(bessel_i_scaled(j, z) for j in range(m, m + 400 + m // 2))
+    assert tail <= math.exp(-40)
+    assert m <= math.sqrt(80.0 * z) + 20
+
+
+def _boundary_spec(inv_h, T, condition):
+    return LatticeSpec(h=1.0 / inv_h, u0=parse(U0), datum=parse(F0), T=T,
+                       condition=condition)
+
+
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("inv_h", [40, 60, 200])
+@pytest.mark.parametrize("T", [0.05, 0.15])
+def test_doubling_the_angles_moves_no_value(condition, inv_h, T,
+                                            monkeypatch):
+    # the cosine coefficients' aliases are past m_tail already: twice the
+    # angles moves each a_m by less than the bound of the cut, 2 e^{-40} T
+    # max|datum|, plus the rounding of the two FFTs, below eps log2(4 M) T
+    # max|datum| each, so u_n by less than that sum / h^2 or / h
+    spec = _boundary_spec(inv_h, T, condition)
+    ns = np.arange(0, 121)
+    once = _range(spec, ns)
+    angles = semidiscrete._angle_count
+    monkeypatch.setattr(semidiscrete, "_angle_count",
+                        lambda spec, top: 2 * angles(spec, top))
+    twice = _range(spec, ns)
+    datum = np.max(np.abs(spec.datum.eval(np.linspace(0.0, T, 1001))))
+    scale = spec.h**2 if condition == "dirichlet" else spec.h
+    rounding = 2 * np.finfo(float).eps * math.log2(4 * angles(spec, 121))
+    bound = (2 * math.exp(-40) + rounding) * T * datum / scale
+    assert np.max(np.abs(twice - once)) <= bound
+
+
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+def test_coefficients_past_the_tail_match_the_dense_rule(condition):
+    # z = 2 T / h^2 = 0.8: m_tail = 15, and the top coefficient 200 is far
+    # past it, so the angle count is set by the top alone
+    spec = LatticeSpec(h=0.5, u0=parse("exp(-x)"), datum=parse(F0), T=0.1,
+                       condition=condition)
+    assert semidiscrete._tail_index(0.8) < 200
+    assert semidiscrete._angle_count(spec, 200) == 201
+    ns = np.arange(0, 200)
+    assert np.max(np.abs(_range(spec, ns) - _direct_range(spec, ns))) <= 1e-13
+
+
+@pytest.mark.parametrize("condition", ["dirichlet", "neumann"])
+def test_range_call_reads_the_convolution_once_at_few_angles(condition,
+                                                             monkeypatch):
+    # the benchmark's window 0 .. 120 at h = 1/50, T = 0.1: one convolution
+    # at M + 1 = 163 angles, where the theta rule has 2,256 nodes; every
+    # alias of a_0 .. a_121 lies past 2 M - 121, where scipy's ive puts the
+    # tail below e^{-40}
+    spec = _boundary_spec(50, 0.1, condition)
+    sizes = []
+    convolution = semidiscrete._datum_convolution
+
+    def counted(spec, theta):
+        sizes.append(len(theta))
+        return convolution(spec, theta)
+
+    monkeypatch.setattr(semidiscrete, "_datum_convolution", counted)
+    _range(spec, np.arange(0, 121))
+    M = sizes[0] - 1
+    assert sizes == [163]
+    assert _theta_grid(120)[0].size == 2256
+    z = 2.0 * spec.T / spec.h**2
+    tail = sum(bessel_i_scaled(j, z) for j in range(2 * M - 121, 2 * M + 400))
+    assert M > 121 and tail <= math.exp(-40)
 
 
 def _mode_spec(h, condition, p=1.2, q=4.0, T=0.1):
