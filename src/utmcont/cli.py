@@ -4,25 +4,31 @@ Configs are single JSON documents with expression-valued data fields; the
 schema is validated strictly (unknown keys, problem keys the kind does not
 read, and NaN or infinite numbers are rejected, ``--tol`` standing in for
 numerics.tol) before any computation, and so are output paths whose
-directory does not exist.
+directory does not exist; ``main`` checks the output paths once and hands
+them to the command.
 ``build_problem`` turns the problem section into the one problem value
 every command reads: a ``ProblemSpec`` for a continuous kind, a
 ``LatticeSpec`` still to be given its time (and spacing) for a lattice kind.
-Each command builds its rows once; ``_csv`` writes them as CSV with
-17-significant-digit floats (exact double round-trip), next to a one-line
-JSON run report with per-row provenance tags.
+Each command hands its values over as columns, one list per column and one
+value for a column that is constant within a time block, and
+``_write_outputs`` formats each value once per format: as CSV with
+17-significant-digit floats (exact double round-trip), and as a one-line
+JSON run report with per-row provenance tags, assembled from per-column
+``json.dumps`` text and equal to ``json.dumps`` of the report.
 
 Exit codes: 0 success, 2 config error (including malformed expression text,
 a config nested too deeply to read, one that is not UTF-8 or holds an
 integer past Python's digit limit, a finite-interval grid past the tiling
-depth, and a command the problem kind does not support), 3 numerical
-failure, 4 refused boundary-to-initial map.
+depth, a CSV and a report that name the same file, and a command the
+problem kind does not support), 3 numerical failure, 4 refused
+boundary-to-initial map.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -58,6 +64,10 @@ _KIND_KEYS = {
 # are ValueErrors
 _NUMERIC_ERRORS = (QuadratureError, ResidualWarning, ArithmeticError,
                    ValueError)
+
+
+# a solve row's provenance, by whether it lies inside the domain
+_TAGS = {True: "interior", False: "continued"}
 
 
 class ConfigError(ValueError):
@@ -302,26 +312,15 @@ def build_reference(ref_cfg, c):
 
 
 # ---------------------------------------------------------------------------
-# formatting
+# outputs
 # ---------------------------------------------------------------------------
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    return f"{v:.17g}"
-
-
-def _csv(columns, rows):
-    """The CSV lines of ``rows``: a header, then each row's ``columns``."""
-    return [",".join(columns)] + [",".join(_fmt(row[k]) for k in columns)
-                                  for row in rows]
 
 
 def _output_paths(cfg, out_override):
     """The outputs section with ``--out`` as its csv path.  A path that is
-    not text, that is a directory, or whose directory does not exist, is a
-    config error, which ``main`` raises before any solving."""
+    not text, that is a directory, or whose directory does not exist, and a
+    CSV and a report that name the same file, are config errors, which
+    ``main`` raises before any solving."""
     outputs = dict(cfg.get("outputs", {}))
     if out_override:
         outputs["csv"] = out_override
@@ -336,16 +335,61 @@ def _output_paths(cfg, out_override):
                               "not exist")
         if os.path.isdir(path):
             raise ConfigError(f"outputs.{key}: {path!r} is a directory")
+    csv_path, json_path = outputs.get("csv"), outputs.get("json")
+    if (csv_path and json_path
+            and os.path.realpath(csv_path) == os.path.realpath(json_path)):
+        name = "--out" if out_override else "outputs.csv"
+        raise ConfigError(f"{name} and outputs.json name the same file "
+                          f"{json_path!r}")
     return outputs
 
 
-def _write_outputs(csv_lines, report, cfg, out_override):
-    """The CSV (stdout when no path is set) and, when outputs.json is set,
-    the run report as one line of compact JSON (``json.dumps`` without
-    ``indent`` is the C encoder; ``json.dump`` and any indent are not)."""
-    outputs = _output_paths(cfg, out_override)
+def _block_text(block, keys, as_json):
+    """The rows of one table block over the columns ``keys``: CSV lines,
+    each ending in a newline, or the JSON objects that ``json.dumps``
+    writes for them in a list, each followed by ", ".
+
+    A block maps a column to its list of values, one per row, or to one
+    value that every row of the block holds (the time of a solve), which
+    goes into the row template once; at least one column is a list.  A CSV cell is ``.17g`` (an exact
+    double round trip), empty for None.  A JSON cell is what ``json.dumps``
+    writes for the value inside a list, cut from one ``json.dumps`` of the
+    block's list columns (numbers, None and tags without ", ")."""
+    n_rows = len(next(v for v in block.values() if isinstance(v, list)))
+    fields, columns = [], []
+    for key in keys:
+        value = block[key]
+        if not isinstance(value, list):
+            text = (json.dumps(value) if as_json
+                    else "" if value is None else f"{value:.17g}")
+            fields.append(text.replace("%", "%%"))
+        elif not as_json and None in value:
+            fields.append("%s")
+            columns.append(["" if v is None else f"{v:.17g}" for v in value])
+        else:
+            fields.append("%s" if as_json else "%.17g")
+            columns.append(value)
+    cells = list(itertools.chain.from_iterable(zip(*columns)))
+    if as_json:
+        template = "{" + ", ".join(f"{json.dumps(key)}: {field}" for key, field
+                                   in zip(keys, fields)) + "}, "
+        cells = json.dumps(cells)[1:-1].split(", ") if cells else []
+    else:
+        template = ",".join(fields) + "\n"
+    return (template * n_rows) % tuple(cells)
+
+
+def _write_outputs(outputs, header, blocks, report):
+    """Write the table ``blocks`` (see ``_block_text``) as CSV over the
+    columns ``header``, to outputs.csv or stdout, and, when outputs.json is
+    set, the run report as one line of compact JSON.  The report's first
+    value names the columns of its row list: each row of the table becomes
+    one object over those columns.  The text equals ``json.dumps`` of the
+    report with those objects in place (``json.dumps`` without ``indent`` is
+    the C encoder; ``json.dump`` and any indent are not)."""
+    text = ",".join(header) + "\n" + "".join(
+        _block_text(block, header, False) for block in blocks)
     csv_path = outputs.get("csv")
-    text = "\n".join(csv_lines) + "\n"
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write(text)
@@ -353,8 +397,12 @@ def _write_outputs(csv_lines, report, cfg, out_override):
         sys.stdout.write(text)
     json_path = outputs.get("json")
     if json_path:
+        (rows_key, keys), *rest = report.items()
+        rows = "".join(_block_text(block, keys, True) for block in blocks)
+        skeleton = json.dumps({rows_key: [], **dict(rest)})
+        head = len(json.dumps({rows_key: []})) - 2  # through the list's "["
         with open(json_path, "w") as fh:
-            fh.write(json.dumps(report))
+            fh.write(skeleton[:head] + rows[:-2] + skeleton[head:])
     return 0
 
 
@@ -364,17 +412,19 @@ def _write_outputs(csv_lines, report, cfg, out_override):
 
 
 def _profile(problem, grid, tol):
-    """The map T -> (x, u_ac, interior) of ``solve`` over the config's grid:
-    the x grid through ``evaluate_extended`` for a continuous problem, the
-    nodes n_min ... n_max (x = n h) through ``lattice_profile`` for a
-    lattice one."""
+    """The map T -> (x, u_ac, provenance) of ``solve`` over the config's
+    grid: the x grid through ``evaluate_extended`` for a continuous problem,
+    the nodes n_min ... n_max (x = n h) through ``lattice_profile`` for a
+    lattice one.  A row's provenance is "interior" inside the domain and
+    "continued" past its boundary."""
     if isinstance(problem, cont.ProblemSpec):
         xs = _x_grid(grid, problem)
         right = (problem.L if problem.kind == "heat-finite-interval"
                  else math.inf)
-        inside = [0 <= x <= right for x in xs.tolist()]
-        return lambda T: (xs.tolist(), cont.evaluate_extended(
-            problem, xs, T, tol).tolist(), inside)
+        x_list = xs.tolist()
+        tags = [_TAGS[0 <= x <= right] for x in x_list]
+        return lambda T: (x_list, cont.evaluate_extended(
+            problem, xs, T, tol).tolist(), tags)
     try:
         n_lo, n_hi = int(grid["n_min"]), int(grid["n_max"])
     except KeyError as err:
@@ -383,11 +433,13 @@ def _profile(problem, grid, tol):
         raise ConfigError("lattice grids need n_min < n_max")
     ns = range(n_lo, n_hi + 1)
     h = problem.keywords["h"]
-    return lambda T: ([n * h for n in ns], lattice_profile(
-        problem(T=T), n_lo, n_hi).tolist(), [n >= 0 for n in ns])
+    x_list = [n * h for n in ns]
+    tags = [_TAGS[n >= 0] for n in ns]
+    return lambda T: (x_list, lattice_profile(
+        problem(T=T), n_lo, n_hi).tolist(), tags)
 
 
-def cmd_solve(cfg, args):
+def cmd_solve(cfg, outputs):
     tol = float(cfg.get("numerics", {}).get("tol", 1e-10))
     times = _positive_times(cfg["grid"])
     problem = build_problem(cfg["problem"])
@@ -395,28 +447,32 @@ def cmd_solve(cfg, args):
                                 float(cfg["problem"].get("c", 0.0)))
     profile = _profile(problem, cfg["grid"], tol)
     started = time.perf_counter()
-    rows = []
+    # one block per time, whose t and, without a reference, u_ref and
+    # abs_err hold one value for every row
+    blocks, errs = [], []
     for T in times:
-        for x, val, inside in zip(*profile(T)):
-            ref = None if reference is None else float(reference(x, T))
-            rows.append({"x": x, "t": T, "u_ac": val, "u_ref": ref,
-                         "abs_err": None if ref is None else abs(val - ref),
-                         "provenance": "interior" if inside else "continued"})
+        xs, values, tags = profile(T)
+        refs = err = None
+        if reference is not None:
+            refs = [float(reference(x, T)) for x in xs]
+            err = [abs(val - ref) for val, ref in zip(values, refs)]
+            errs += err
+        blocks.append({"x": xs, "t": T, "u_ac": values, "u_ref": refs,
+                       "abs_err": err, "provenance": tags})
     wall = time.perf_counter() - started
-    errs = [row["abs_err"] for row in rows if row["abs_err"] is not None]
+    header = ("x", "t", "u_ac", "u_ref", "abs_err")
     report = {
-        "samples": rows,
+        "samples": header + ("provenance",),
         "summary": {
             "max_abs_err": max(errs) if errs else None,
             "wall_time_s": wall,
-            "n_samples": len(rows),
+            "n_samples": sum(len(block["x"]) for block in blocks),
         },
     }
-    return _write_outputs(_csv(("x", "t", "u_ac", "u_ref", "abs_err"), rows),
-                          report, cfg, args.out)
+    return _write_outputs(outputs, header, blocks, report)
 
 
-def cmd_map_initial(cfg, args):
+def cmd_map_initial(cfg, outputs):
     spec = build_problem(cfg["problem"])
     if not isinstance(spec, cont.ProblemSpec):
         raise ConfigError("map-initial applies to continuous problems")
@@ -429,17 +485,20 @@ def cmd_map_initial(cfg, args):
     w0s = cont.boundary_to_initial(spec, np.concatenate(
         [xs, np.array([-1.0, -0.5, 0.5, 1.0]) * delta])).tolist()
     far_left, near_left, near_right, far_right = w0s[len(xs):]
-    rows = []
-    for x, w0 in zip(xs.tolist(), w0s):
+    x_list = xs.tolist()
+    u0c = []
+    for x in x_list:
         try:
-            u0c = float(spec.u0.eval(x))
+            u0c.append(float(spec.u0.eval(x)))
         except ExprDomainError:
-            u0c = None
-        rows.append({"x": x, "w0": w0, "u0_analytic_continuation": u0c})
+            u0c.append(None)
     left = 2 * near_left - far_left
     right = 2 * near_right - far_right
+    header = ("x", "w0", "u0_analytic_continuation")
+    block = {"x": x_list, "w0": w0s[:len(xs)],
+             "u0_analytic_continuation": u0c}
     report = {
-        "samples": rows,
+        "samples": header,
         "summary": {
             "left_limit": left,
             "right_limit": right,
@@ -447,11 +506,10 @@ def cmd_map_initial(cfg, args):
             "wall_time_s": time.perf_counter() - started,
         },
     }
-    return _write_outputs(_csv(("x", "w0", "u0_analytic_continuation"), rows),
-                          report, cfg, args.out)
+    return _write_outputs(outputs, header, [block], report)
 
 
-def cmd_converge(cfg, args):
+def cmd_converge(cfg, outputs):
     problem = build_problem(cfg["problem"])
     if isinstance(problem, cont.ProblemSpec):
         raise ConfigError("converge requires a lattice problem kind")
@@ -491,19 +549,19 @@ def cmd_converge(cfg, args):
                    cont.evaluate_extended(cspec, xs, T, tol).tolist()))
     result = continuum_limit_check(lambda h: problem(h=h, T=T), h_values,
                                    window, ref.__getitem__)
-    rows = [{"h": h, "max_err": err, "observed_order": order}
-            for (h, err), order in zip(result["errors"],
-                                       [None] + result["orders"])]
+    block = {"h": [h for h, _ in result["errors"]],
+             "max_err": [err for _, err in result["errors"]],
+             "observed_order": [None] + result["orders"]}
     report = {
-        "errors": [{"h": h, "max_err": e} for h, e in result["errors"]],
+        "errors": ("h", "max_err"),
         "observed_orders": result["orders"],
         "wall_time_s": time.perf_counter() - started,
     }
-    return _write_outputs(_csv(("h", "max_err", "observed_order"), rows),
-                          report, cfg, args.out)
+    return _write_outputs(outputs, ("h", "max_err", "observed_order"),
+                          [block], report)
 
 
-def cmd_list_scenarios(_cfg, _args):
+def cmd_list_scenarios(_cfg, _outputs):
     for name in sorted(scenario_names()):
         cfg = json.loads(
             resources.files("utmcont.scenarios").joinpath(name).read_text()
@@ -562,7 +620,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.fn is cmd_list_scenarios:
-        return args.fn(None, args)
+        return args.fn(None, None)
     tol = getattr(args, "tol", None)  # map-initial has no --tol
     try:
         if args.config:
@@ -571,12 +629,12 @@ def main(argv=None):
             cfg = load_config(scenario_path(args.scenario), tol)
         else:
             raise ConfigError("supply --config PATH or --scenario NAME")
-        _output_paths(cfg, args.out)
+        outputs = _output_paths(cfg, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.fn(cfg, args)
+        return args.fn(cfg, outputs)
     except (ConfigError, cont.ProblemSpecError) as err:
         # a ProblemSpecError here is a request the kind does not support
         # (e.g. map-initial of a transport problem), not a numerical failure

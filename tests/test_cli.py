@@ -536,30 +536,71 @@ def test_solve_csv_format(tmp_path):
                                                             "continued"}
 
 
-@pytest.mark.parametrize("columns", [
+# signed zeros, the ends of the float range, integers, numpy floats,
+# non-finite values and None, with their CSV cells
+_CELLS = [(None, ""), (-0.0, "-0"), (1e-300, "1e-300"),
+          (1e300, "1.0000000000000001e+300"),
+          (5e-324, "4.9406564584124654e-324"),
+          (0.1, "0.10000000000000001"), (7, "7"),
+          (np.float64(0.02) * 3, "0.059999999999999998"),
+          (math.nan, "nan"), (-math.inf, "-inf")]
+
+_TABLE_COLUMNS = pytest.mark.parametrize("columns", [
     ("x", "t", "u_ac", "u_ref", "abs_err"),
     ("x", "w0", "u0_analytic_continuation"),
     ("h", "max_err", "observed_order"),
 ], ids=["solve", "map-initial", "converge"])
-def test_csv_cells_are_17_significant_digits_or_empty(columns):
-    # signed zeros, the ends of the float range, integers, numpy floats,
-    # non-finite values and None, with keys the columns do not read
-    cells = [(None, ""), (-0.0, "-0"), (1e-300, "1e-300"),
-             (1e300, "1.0000000000000001e+300"),
-             (5e-324, "4.9406564584124654e-324"),
-             (0.1, "0.10000000000000001"), (7, "7"),
-             (np.float64(0.02) * 3, "0.059999999999999998"),
-             (math.nan, "nan"), (-math.inf, "-inf")]
-    rows, want = [], [",".join(columns)]
-    for i in range(len(cells)):
-        row = [cells[(i + j) % len(cells)] for j in range(len(columns))]
-        rows.append(dict(zip(columns, [v for v, _ in row]))
-                    | {"provenance": "interior"})
-        want.append(",".join(text for _, text in row))
-    rows.append(dict.fromkeys(columns))
-    want.append("," * (len(columns) - 1))
-    assert cli._csv(columns, rows) == want
-    assert cli._csv(columns, []) == [",".join(columns)]
+
+
+def _cell_table(columns):
+    """Blocks over ``columns`` (and a provenance tag no CSV column reads)
+    that hold every cell, with the table's rows as (value, CSV cell) pairs:
+    the cells rotated through list columns, each cell as the one value that
+    every row of a two-row block holds in all but its first column, and a
+    row of None."""
+    rows = [[_CELLS[(i + j) % len(_CELLS)] for j in range(len(columns))]
+            for i in range(len(_CELLS))]
+    blocks = [{key: [row[j][0] for row in rows]
+               for j, key in enumerate(columns)}
+              | {"provenance": ["interior"] * len(rows)}]
+    for cell in _CELLS:
+        blocks.append({columns[0]: [cell[0]] * 2, "provenance": "continued"}
+                      | dict.fromkeys(columns[1:], cell[0]))
+        rows += [[cell] * len(columns)] * 2
+    blocks.append(dict.fromkeys(columns, [None]) | {"provenance": ["interior"]})
+    rows.append([(None, "")] * len(columns))
+    tags = ["interior"] * len(_CELLS) + ["continued"] * 2 * len(_CELLS)
+    return blocks, rows, tags + ["interior"]
+
+
+@_TABLE_COLUMNS
+def test_csv_cells_are_17_significant_digits_or_empty(tmp_path, columns):
+    blocks, rows, _ = _cell_table(columns)
+    out = tmp_path / "o.csv"
+    cli._write_outputs({"csv": str(out)}, columns, blocks,
+                       {"samples": columns})
+    want = [",".join(columns)] + [",".join(text for _, text in row)
+                                  for row in rows]
+    assert out.read_text() == "\n".join(want) + "\n"
+    cli._write_outputs({"csv": str(out)}, columns, [], {"samples": columns})
+    assert out.read_text() == ",".join(columns) + "\n"
+
+
+@_TABLE_COLUMNS
+def test_json_cells_are_what_json_dumps_writes(tmp_path, columns):
+    blocks, rows, tags = _cell_table(columns)
+    outputs = {"csv": str(tmp_path / "o.csv"),
+               "json": str(tmp_path / "r.json")}
+    keys = columns + ("provenance",)
+    summary = {"max": math.inf, "least": -0.0, "n": len(rows), "none": None}
+    cli._write_outputs(outputs, columns, blocks,
+                       {"samples": keys, "summary": summary})
+    samples = [dict(zip(keys, [value for value, _ in row] + [tag]))
+               for row, tag in zip(rows, tags)]
+    assert (tmp_path / "r.json").read_text() == json.dumps(
+        {"samples": samples, "summary": summary})
+    cli._write_outputs(outputs, columns, [], {"samples": keys})
+    assert (tmp_path / "r.json").read_text() == json.dumps({"samples": []})
 
 
 def test_solve_reference_errors(tmp_path):
@@ -676,6 +717,84 @@ def test_map_initial_report_round_trips_the_csv(tmp_path):
         assert set(sample) == set(header)
         assert all(_same_bits(text, sample[key])
                    for key, text in zip(header, row))
+
+
+_REFERENCE = {
+    "problem": {"kind": "heat-dirichlet", "u0": "exp(-(x-1)^2)",
+                "f0": "exp(-1/(4*t+1))/sqrt(4*t+1)"},
+    "grid": {"x_min": -2.0, "x_max": 2.0, "n_points": 9,
+             "times": [0.5, 1.0]},
+    "reference": {"name": "gaussian-drift"}}
+
+
+def _old_report(command, rows, report):
+    """The report as row dicts built it, from the CSV's rows (whose cells
+    round-trip every double) and, for what no column carries, the written
+    report's values."""
+    rows = [[_csv_float(text) for text in row] for row in rows]
+    if command == "converge":
+        return {"errors": [{"h": h, "max_err": err} for h, err, _ in rows],
+                "observed_orders": [order for _, _, order in rows[1:]],
+                "wall_time_s": report["wall_time_s"]}
+    if command == "map-initial":
+        header = ("x", "w0", "u0_analytic_continuation")
+        return {"samples": [dict(zip(header, row)) for row in rows],
+                "summary": report["summary"]}
+    header = ("x", "t", "u_ac", "u_ref", "abs_err")
+    samples = [dict(zip(header, row))
+               | {"provenance": "interior" if row[0] >= 0 else "continued"}
+               for row in rows]
+    errs = [s["abs_err"] for s in samples if s["abs_err"] is not None]
+    return {"samples": samples,
+            "summary": {"max_abs_err": max(errs) if errs else None,
+                        "wall_time_s": report["summary"]["wall_time_s"],
+                        "n_samples": len(samples)}}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("solve", _REFERENCE),
+    ("solve", {**_REFERENCE, "reference": None}),
+    ("solve", {**LATTICE, "reference": {"expr": "0*x"}}),
+    ("map-initial", {
+        "problem": {**MINIMAL["problem"],
+                    "u0": "exp(-x^2)*x/(x+1) + exp(-x^2)"},
+        "grid": {"x_min": -2.0, "x_max": 0.0, "n_points": 3,
+                 "times": [0.5]}}),
+    ("converge", {"problem": {**LATTICE["problem"], "u0": "0*x",
+                              "f0": "0*t"},
+                  "grid": {"n_min": -20, "n_max": 20, "times": [0.5]},
+                  "refinement": {"h_values": [0.1, 0.05, 0.025]}}),
+], ids=["solve-reference-two-times", "solve-two-times", "lattice-solve",
+        "map-initial-pole", "converge-null-orders"])
+def test_report_text_is_json_dumps_of_the_row_dict_report(tmp_path, command,
+                                                          cfg):
+    _, rows, report = _run_with_report(tmp_path, command, cfg)
+    assert (tmp_path / "r.json").read_text() == json.dumps(
+        _old_report(command, rows, report))
+
+
+@pytest.mark.parametrize("form", ["csv", "out"])
+def test_csv_and_report_naming_one_file_is_config_error(tmp_path, capsys,
+                                                        monkeypatch, form):
+    # the report would overwrite the CSV; refused before any solving
+    monkeypatch.setattr(cli, "lattice_profile",
+                        lambda *args: pytest.fail("solved"))
+    target = tmp_path / "o.txt"
+    cfg = json.loads(json.dumps(LATTICE))
+    cfg["outputs"] = {"json": f"{tmp_path}/./o.txt"}
+    argv = ["solve", "--config"]
+    if form == "out":
+        argv += [_write(tmp_path, cfg), "--out", str(target)]
+    else:
+        cfg["outputs"]["csv"] = str(target)
+        argv.append(_write(tmp_path, cfg))
+    assert main(argv) == EXIT_CONFIG
+    name = "--out" if form == "out" else "outputs.csv"
+    assert capsys.readouterr().err == (
+        f"config error: {name} and outputs.json name the same file "
+        f"'{tmp_path}/./o.txt'\n")
+    assert not target.exists()
+
 
 def test_determinism(tmp_path):
     # repeat runs give the same bytes, and the solver over the reversed
