@@ -169,8 +169,11 @@ def fractional_family(spec, datum, m, t, beta, tol):
 def _fractional_block(cache, block, t, beta, tol):
     """One entry per order m of block ``block``: its fractional family, or
     the exception its request raises.  The time convolutions are one vector
-    integrand (one row per order, one jet per node), and the boundary sums
-    read one list of weights and one of f^(j)(0), in the order of r."""
+    integrand (one row per order, one jet per node) on the starting panels
+    of ``singular_time_convolution``, which computes the jets once per round
+    of its rule, and a smooth block meets its budget in the first round.
+    The boundary sums read one list of weights and one of f^(j)(0), in the
+    order of r."""
     lo = FRACTIONAL_BLOCK * block + 1
     hi = lo + FRACTIONAL_BLOCK - 1
     finite = np.ones(FRACTIONAL_BLOCK, dtype=bool)

@@ -28,7 +28,8 @@ import math
 
 import numpy as np
 
-from ..quad import gauss_panels, geometric_edges, integrate_segment, row_sums
+from ..quad import (QuadratureError, gauss_panels, geometric_edges,
+                    integrate_segment, row_sums)
 from ._common import (OutsideWindowError, datum_ladder, doubled_series,
                       layer_potential, over_factorial)
 from .heat import SQRT_PI, single_layer
@@ -265,7 +266,10 @@ def boundary_to_initial(spec, xs):
 def odd_center_coefficient(spec, n, t, tol):
     """A_{2n-1}(t): the (2n-1)-st coefficient of the left boundary integral
     about x = L, via the image expansion of its contour kernel (Hermite
-    moments of the heat kernel at odd multiples of L)."""
+    moments of the heat kernel at odd multiples of L).  QuadratureError
+    names the order when the quadrature value is not finite (at high
+    orders the kernel's factors overflow); a missed budget alone still
+    returns the value."""
     if n < 1:
         raise ValueError("odd center coefficients start at n = 1")
     from scipy import special
@@ -295,8 +299,15 @@ def odd_center_coefficient(spec, n, t, tol):
 
     def integrand(sigma):
         sigma = np.real(np.asarray(sigma))
-        return spec.f0.eval(t - sigma * sigma) * kernel(sigma) * 2.0 * sigma
+        datum = spec.f0.eval(t - sigma * sigma)
+        # a kernel factor that overflows makes the value inf or nan, which
+        # the check below refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return datum * kernel(sigma) * 2.0 * sigma
 
     res = integrate_segment(integrand, 0.0, math.sqrt(t), tol=tol, rel_tol=tol)
-    return over_factorial(-2.0 / math.pi * float(res.value[0].real),
-                          2 * n - 1)
+    value = res.value[0].real
+    if not math.isfinite(value):
+        raise QuadratureError(
+            f"odd center coefficient of order {2 * n - 1}: {res.warning}")
+    return over_factorial(-2.0 / math.pi * float(value), 2 * n - 1)

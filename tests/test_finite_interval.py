@@ -1,6 +1,7 @@
 """Finite-interval heat: recovery, dual boundary evaluators, tilings, w0."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import GAUSS_F0, GAUSS_U0, taylor_sum
 from utmcont.continuous import finite_interval
 from utmcont.continuous.heat import single_layer
 from utmcont.expr import ExprDomainError, parse
-from utmcont.quad import finite_interval_transform
+from utmcont.quad import QuadratureError, finite_interval_transform
 from utmcont.continuous import (
     ProblemSpec,
     boundary_to_initial,
@@ -84,6 +85,19 @@ def test_odd_center_refuses_a_non_finite_datum():
                        g0=parse("1/(1+t)", var_name="t"), L=1.0)
     with pytest.raises(ExprDomainError, match="non-finite"):
         taylor_coefficients(spec, "f0", 1.0, 3, parity="odd-center")
+
+
+def test_odd_center_past_the_float_range_raises_quietly():
+    # at n = 47 (order 93) the kernel's factors overflow and the quadrature
+    # value is NaN: QuadratureError names the order, and no numpy warning
+    # escapes
+    spec = ProblemSpec("heat-finite-interval", u0=parse("exp(-(x-1)^2)"),
+                       f0=parse("t*exp(-t)", var_name="t"),
+                       g0=parse("1/(1+t)", var_name="t"), L=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="order 93"):
+            finite_interval.odd_center_coefficient(spec, 47, 1.0, 1e-11)
 
 
 def test_fourier_refuses_a_non_finite_datum():

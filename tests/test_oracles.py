@@ -14,7 +14,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from utmcont.continuous import ProblemSpec, advected, finite_interval, kdv
+from utmcont.continuous import (ProblemSpec, advected, finite_interval, heat,
+                                kdv)
 from utmcont.expr import DerivativeCache, parse
 
 # ---------------------------------------------------------------------------
@@ -169,11 +170,12 @@ def _close(got, want):
     assert got == pytest.approx(float(want), rel=100 * TOL)
 
 
-@pytest.mark.parametrize("order", [1, 2, 4, 5])
+@pytest.mark.parametrize("order", [1, 2, 4, 5, 22, 23, 46, 47, 49, 50])
 def test_kdv1_family_oracle(kdv1_cos, order):
     # order 3m-2: +sqrt3/(2 pi) with beta = 1/3; order 3m-1: -sqrt3/(2 pi)
     # with beta = 2/3; bracket sum (-1)^r G(...) f^(r-1)(0) + (-1)^m G(beta)
-    # conv, over (3m-2)! or (3m-1)!
+    # conv, over (3m-2)! or (3m-1)!.  Orders 46 to 50 (m = 16 and 17) sit
+    # on both sides of the edge between the first two fractional blocks.
     f0, t = "2*exp(-2*t)*cos(2*t)", mp.mpf("0.8")
     if order % 3 == 1:
         m, beta, front = (order + 2) // 3, mp.mpf(1) / 3, 1
@@ -186,8 +188,8 @@ def test_kdv1_family_oracle(kdv1_cos, order):
     _close(kdv.kdv1_coefficient(kdv1_cos, order, float(t), TOL), want)
 
 
-@pytest.mark.parametrize("which,order", [("f0", 2), ("f0", 5),
-                                         ("f1", 2), ("f1", 5)])
+@pytest.mark.parametrize("which,order", [
+    (which, order) for which in ("f0", "f1") for order in (2, 5, 23, 47, 50)])
 def test_kdv2_family_oracle(kdv2_cos, which, order):
     # order 3m-1: -sqrt3/(2 pi (3m-1)!) [sum (-1)^(m-r) G(...) f^(r-1)(0)
     # + G(beta) conv], beta = 2/3 for the a-family (f0), 1/3 for the
@@ -200,6 +202,21 @@ def test_kdv2_family_oracle(kdv2_cos, which, order):
                                                         beta))
     want = -mp.sqrt(3) / (2 * mp.pi * mp.factorial(order)) * bracket
     _close(kdv.kdv2_coefficient(kdv2_cos, which, order, float(t), TOL), want)
+
+
+@pytest.mark.parametrize("order", [1, 15, 31, 33])
+def test_heat_dirichlet_odd_family_oracle(order):
+    # order 2n-1: -(1/pi) [sum (-1)^(n-r) G(...) f^(r-1)(0) + G(1/2) conv]
+    # / (2n-1)!, beta = 1/2; orders 31 and 33 (n = 16 and 17) sit on both
+    # sides of the edge between the first two fractional blocks
+    f0, t, n = "t*exp(-t)", mp.mpf("0.9"), (order + 1) // 2
+    half = mp.mpf(1) / 2
+    bracket = (_gamma_sum(f0, n, t, half, lambda r: (-1) ** (n - r))
+               + mp.gamma(half) * _singular_convolution(f0, n, t, half))
+    want = -bracket / (mp.pi * mp.factorial(order))
+    spec = ProblemSpec("heat-dirichlet", u0=parse("exp(-(x-1)^2)"),
+                       f0=parse(f0))
+    _close(heat.dirichlet_odd_coefficient(spec, n, float(t), TOL), want)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])

@@ -11,6 +11,7 @@ import pytest
 from utmcont.continuous import ProblemSpec
 from utmcont.expr import parse
 from utmcont.quad import (
+    CONVOLUTION_PANELS,
     DecayError,
     finite_interval_transform,
     gauss_panels,
@@ -321,18 +322,30 @@ def test_singular_convolution_beta_third_on_powers(t):
         assert got == pytest.approx(want * t ** (k + 2 / 3), rel=1e-12)
 
 
-def test_singular_convolution_beta_third_needs_no_bisection_at_the_end():
+def _kdv2_te_f1_block():
     # the beta = 1/3 block of the kdv2_te datum f1 at t = 1: the first 16
-    # derivatives of -2 sqrt(3) cos 8t - 2 sin 8t against (1-s)^{-1/3}.
-    # Over u = (t-s)^{2/3} the integrand had a u^{3/2} term at u = 0 and
-    # took 645 evaluations; over u = (t-s)^{1/3} it is smooth.
+    # derivatives of -2 sqrt(3) cos 8t - 2 sin 8t against (1-s)^{-1/3}
     f1 = parse("-2*sqrt(3)*cos(8*t) - 2*sin(8*t)", var_name="t")
     cache = ProblemSpec("kdv-two-bc", u0=parse("exp(-x)"),
                         f0=parse("0*t", var_name="t"), f1=f1).deriv("f1")
-    res = singular_time_convolution(
+    return singular_time_convolution(
         1 / 3, lambda s: cache.derivatives(1, 16, s), 1.0, tol=1e-11)
+
+
+def test_singular_convolution_beta_third_needs_no_bisection_at_the_end():
+    # Over u = (t-s)^{2/3} the integrand had a u^{3/2} term at u = 0 and
+    # took 645 evaluations; over u = (t-s)^{1/3} it is smooth.
+    res = _kdv2_te_f1_block()
     assert res.warning is None
     assert res.evaluations <= 200
+
+
+def test_singular_convolution_block_converges_on_its_starting_panels():
+    # the block meets its budget in the first round: one K15 rule on each
+    # starting panel, 8 x 15 evaluations
+    res = _kdv2_te_f1_block()
+    assert res.warning is None
+    assert res.evaluations == 15 * CONVOLUTION_PANELS == 120
 
 
 def test_vector_singular_convolution_rows_match_closed_forms():

@@ -103,6 +103,41 @@ def test_fractional_orders_share_time_convolutions(fresh_spec, monkeypatch):
     assert 0 < len(calls) <= 6
 
 
+_BENCHMARK_TAYLOR_DATA = {
+    "heat-dirichlet": dict(u0="exp(-(x-1)^2)", f0="t*exp(-t)"),
+    "kdv-one-bc": dict(u0="2*exp(-x)*cos(x)", f0="t*exp(-t)",
+                       u0_decay=("exponential", 1.0)),
+    "kdv-two-bc": dict(u0="2*exp(-sqrt(3)*x)*cos(x)", f0="t*exp(-t)",
+                       f1="-2*sqrt(3)*cos(8*t) - 2*sin(8*t)"),
+}
+
+
+@pytest.mark.parametrize("kind,which", [
+    ("heat-dirichlet", "f0"), ("kdv-one-bc", "f0"), ("kdv-two-bc", "f0"),
+    ("kdv-two-bc", "f1")])
+def test_fractional_blocks_read_their_jets_once(monkeypatch, kind, which):
+    # every block of the data of the Taylor benchmark meets its budget on
+    # the starting panels of the time convolution, so it computes its
+    # derivative jets in one call
+    reads = []
+    convolve = _common.singular_time_convolution
+
+    def counting(beta, smooth, t, tol):
+        reads.append(0)
+
+        def counted(s):
+            reads[-1] += 1
+            return smooth(s)
+        return convolve(beta, counted, t, tol)
+
+    monkeypatch.setattr(_common, "singular_time_convolution", counting)
+    spec = ProblemSpec(kind, **{
+        key: parse(value) if isinstance(value, str) else value
+        for key, value in _BENCHMARK_TAYLOR_DATA[kind].items()})
+    taylor_coefficients(spec, which, 1.0, 168, parity="all")
+    assert reads and reads == [1] * len(reads)
+
+
 @pytest.mark.parametrize("f0,t,last,error", [
     # the boundary weight G(j + 1/2) t^-(j + 1/2) leaves the float range
     # from j = 58: order 117 (m = 59) needs it, order 115 does not; block
