@@ -83,14 +83,16 @@ def _late(fn, *bound):
     call time, so that a rebinding of the module attribute (a tracer, a
     test double) sees every call."""
     module, name = sys.modules[fn.__module__], fn.__name__
-    return lambda spec, *args: getattr(module, name)(spec, *bound, *args)
+    return lambda spec, *args, **options: getattr(module, name)(
+        spec, *bound, *args, **options)
 
 
-def _ladder(stride, offsets, coefficient):
+def _ladder(stride, offsets, coefficient, **options):
     """The ladder of the orders stride*q + r, r in ``offsets``, each
-    coefficient(spec, order, t, tol)."""
+    coefficient(spec, order, t, tol, **options)."""
     return lambda spec, t, tol: CoeffLadder(
-        stride, offsets, lambda order: coefficient(spec, order, t, tol))
+        stride, offsets,
+        lambda order: coefficient(spec, order, t, tol, **options))
 
 
 def _odd_center_ladder(spec, t, tol):
@@ -171,7 +173,8 @@ _SOLVERS = {
         extended=_late(_continued),
         w0=_late(kdv.w0_one_bc),
         ladders={("f0", "even"): _ladder(2, (0,),
-                                         _late(kdv.kdv1_coefficient)),
+                                         _late(kdv.kdv1_coefficient),
+                                         step=2),
                  ("f0", "all"): _ladder(1, (0,),
                                         _late(kdv.kdv1_coefficient))}),
     "kdv-two-bc": Solver(
@@ -272,10 +275,13 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     series about x = L.
     A doubled sub-series omits its structural zeros; kdv-two-bc's "all"
     series carries every order, exact 0.0 at 3m - 2 (f0) or 3m (f1).  No
-    coefficient past order N is computed (the fractional families integrate
-    whole blocks of derivative orders, see ``_common.fractional_family``);
-    ``stop_reason`` is "cap" when the series carries orders up to N that
-    the order cap (200) cuts off.
+    derivative jet or quadrature past what order N needs is computed (a
+    datum ladder fills every entry of the jets it reads, and the
+    fractional families integrate whole blocks of derivative orders, see
+    ``_common.datum_ladder`` and ``_common.fractional_family``); an order
+    whose value is not finite raises when N reaches it.  ``stop_reason`` is
+    "cap" when the series carries orders up to N that the order cap (200)
+    cuts off.
     """
     op = "taylor_coefficients"
     ladders = _solver(spec, op, "ladders", t, tol)

@@ -133,6 +133,21 @@ def over_factorial(value, n):
             / math.prod(range(171, n + 1)))
 
 
+# the two divisors of over_factorial for each order n <= MAX_DERIVATIVE_ORDER,
+# each rounded to a float as Python rounds an integer divisor
+_FACTORIAL_HEAD = np.array([float(math.factorial(min(n, 170)))
+                            for n in range(MAX_DERIVATIVE_ORDER + 1)])
+_FACTORIAL_TAIL = np.array([float(math.prod(range(171, n + 1)))
+                            for n in range(MAX_DERIVATIVE_ORDER + 1)])
+
+
+def _checked(entry):
+    """entry, or a fresh raise of the exception kept in its place."""
+    if isinstance(entry, Exception):
+        raise type(entry)(*entry.args)
+    return entry
+
+
 def datum_coefficient(cache, order, t, stride=2, offset=0, sign=1.0):
     """sign^i f^(i)(t) / order! for order = stride*i + offset: one term of
     the doubled series a datum contributes across the boundary."""
@@ -140,7 +155,7 @@ def datum_coefficient(cache, order, t, stride=2, offset=0, sign=1.0):
     return over_factorial(sign**i * cache.value(i, t), order)
 
 
-def fractional_family(spec, datum, m, t, beta, tol):
+def fractional_family(spec, datum, m, t, beta, tol, step=1):
     """sum_{r=1}^{m} (-1)^{m-r} G(m-r+beta) t^{-(m-r+beta)} f^(r-1)(0)
     + G(beta) int_0^t f^(m)(s) (t-s)^{-beta} ds for the datum f: the
     boundary-derivative sum plus endpoint-singular time convolution behind
@@ -149,38 +164,40 @@ def fractional_family(spec, datum, m, t, beta, tol):
 
     The orders come in fixed blocks b of FRACTIONAL_BLOCK = 16, m = 16b + 1
     ... 16b + 16, each computed once and kept on the spec per (datum, beta,
-    t, tol, b), so a value depends on no other request.  An order raises
-    what its own terms raise: QuadratureError when its convolution misses
-    its budget, ExprDomainError when a derivative it reads is not finite,
-    OverflowError when one of its boundary weights, or their sum, leaves
-    the float range.
+    t, tol, b, step, m mod step), so a value depends on no other request.
+    A block integrates only its orders congruent to m modulo ``step``: 2
+    for a ladder that reads one parity of m (kdv-one-bc's even one).  An
+    order raises what its own terms raise: QuadratureError when its
+    convolution misses its budget, ExprDomainError when a derivative it
+    reads is not finite, OverflowError when one of its boundary weights, or
+    their sum, leaves the float range.
     """
     block, row = divmod(m - 1, FRACTIONAL_BLOCK)
-    key = (datum, beta, t, tol, block)
+    key = (datum, beta, t, tol, block, step, m % step)
     if key not in spec.fractional:
         spec.fractional[key] = _fractional_block(
-            spec.deriv(datum), block, t, beta, tol)
-    value = spec.fractional[key][row]
-    if isinstance(value, Exception):
-        raise type(value)(*value.args)
-    return value
+            spec.deriv(datum), block, t, beta, tol, step, m % step)
+    return _checked(spec.fractional[key][row])
 
 
-def _fractional_block(cache, block, t, beta, tol):
-    """One entry per order m of block ``block``: its fractional family, or
-    the exception its request raises.  The time convolutions are one vector
-    integrand (one row per order, one jet per node) on the starting panels
-    of ``singular_time_convolution``, which computes the jets once per round
-    of its rule, and a smooth block meets its budget in the first round.
-    The boundary sums read one list of weights and one of f^(j)(0), in the
-    order of r."""
+def _fractional_block(cache, block, t, beta, tol, step, phase):
+    """One entry per order m of block ``block``: for m = phase mod step its
+    fractional family, or the exception its request raises, and None for
+    the other orders.  The time convolutions are one vector integrand (one
+    row per order computed, one jet to the block's last order per node) on
+    the starting panels of ``singular_time_convolution``, which computes
+    the jets once per round of its rule, and a smooth block meets its
+    budget in the first round.  The boundary sums read one list of weights
+    and one of f^(j)(0), in the order of r."""
     lo = FRACTIONAL_BLOCK * block + 1
     hi = lo + FRACTIONAL_BLOCK - 1
-    finite = np.ones(FRACTIONAL_BLOCK, dtype=bool)
+    orders = [m for m in range(lo, hi + 1) if m % step == phase]
+    picked = np.array(orders) - lo
+    finite = np.ones(len(orders), dtype=bool)
 
     def smooth(s):
         # a row with a non-finite value fails alone, and integrates zeros
-        rows = cache.derivatives(lo, hi, s)
+        rows = cache.derivatives(lo, hi, s)[picked]
         ok = np.isfinite(rows).all(axis=1)
         np.logical_and(finite, ok, out=finite)
         rows[~ok] = 0.0
@@ -197,25 +214,23 @@ def _fractional_block(cache, block, t, beta, tol):
     except (OverflowError, ExprDomainError) as err:
         failed = err
     scale = gamma(beta)
-    entries = []
-    for row, (integral, warning) in enumerate(zip(conv.value,
-                                                  conv.warnings)):
-        m = lo + row
+    entries = [None] * FRACTIONAL_BLOCK
+    for row, (m, integral, warning) in enumerate(zip(orders, conv.value,
+                                                     conv.warnings)):
         if m > len(at_zero):
-            entries.append(failed)
+            entry = failed
         elif not finite[row]:
-            entries.append(ExprDomainError(
-                "evaluation produced a non-finite value"))
+            entry = ExprDomainError("evaluation produced a non-finite value")
         elif warning:
-            entries.append(QuadratureError(warning))
+            entry = QuadratureError(warning)
         else:
             total = 0.0
             for r in range(1, m + 1):
                 total += weights[m - r] * at_zero[r - 1]
             # a weight past the float range makes the sum inf or nan
-            entries.append(total + scale * float(integral)
-                           if math.isfinite(total) else OverflowError(
-                               f"boundary sum of order {m} overflows"))
+            entry = (total + scale * float(integral) if math.isfinite(total)
+                     else OverflowError(f"boundary sum of order {m} overflows"))
+        entries[m - lo] = entry
     return entries
 
 
@@ -225,8 +240,13 @@ class CoeffLadder:
 
     The series carries the orders stride*q + r, r in ``offsets``, up to
     MAX_DERIVATIVE_ORDER (a stride-1 series carries its structural zeros);
-    ``coefficient(order)`` computes one coefficient.  Entries are computed
-    in order of the orders and kept in ``entries``.
+    ``coefficient(order)`` computes one coefficient, which may cost a
+    quadrature or a fractional block.  The coefficients are computed in
+    order of the orders, one per entry requested past the last one held,
+    and kept in ``entries``.  A datum's ladder (``datum_ladder``) fills
+    every entry of a derivative jet at once instead, and keeps in the place
+    of an entry that is not finite its ExprDomainError, which a read of
+    that entry raises.
     """
 
     def __init__(self, stride, offsets, coefficient, center=0.0):
@@ -243,11 +263,24 @@ class CoeffLadder:
         if i >= len(self.orders):
             return None
         self._extend(i + 1)
-        return self.entries[i]
+        order, coeff = self.entries[i]
+        return order, _checked(coeff)
+
+    def block(self, i):
+        """The orders and the coefficients, two arrays, of the entries held
+        from i, which ``get(i)`` has read, up to the first one whose read
+        raises."""
+        orders, coeffs = [], []
+        for order, coeff in self.entries[i:]:
+            if isinstance(coeff, Exception):
+                break
+            orders.append(order)
+            coeffs.append(coeff)
+        return np.array(orders), np.array(coeffs)
 
     def through(self, order):
-        """The entries of every carried order <= ``order``; computes none
-        beyond it."""
+        """The entries of every carried order <= ``order``; computes no
+        coefficient, jet or quadrature that they do not need."""
         count = bisect.bisect_right(self.orders, order)
         self._extend(count)
         return self.entries[:count]
@@ -264,6 +297,47 @@ class CoeffLadder:
             self.entries.append((order, self.coefficient(order)))
 
 
+class _DatumLadder(CoeffLadder):
+    """The doubled series of a datum at time t: entry i is sign^i f^(i)(t)
+    / order!, order = stride*i + offset, read from the datum's derivative
+    cache.  An entry past the last one held reads f^(i)(t) through
+    ``DerivativeCache.value``, which computes the jet a per-entry read
+    computes there, and then fills every entry of that jet from i on
+    (``DerivativeCache.held``), in one vectorized step with
+    over_factorial's divisors."""
+
+    def __init__(self, cache, t, stride, offset, sign, center):
+        super().__init__(stride, (offset,), None, center)
+        self.cache, self.t, self.sign = cache, t, sign
+
+    def _extend(self, count):
+        while len(self.entries) < count:
+            i = len(self.entries)
+            try:
+                self.cache.value(i, self.t)
+            except ExprDomainError as err:
+                if i == 0:  # f(t) itself is not finite: nothing memoized
+                    self.entries.append((self.orders[0], err))
+                    continue
+            held = self.cache.held(i, self.t)[:len(self.orders) - i]
+            orders = self.orders[i:i + len(held)]
+            signs = np.where(np.arange(i, i + len(held)) % 2, self.sign, 1.0)
+            coeffs = (signs * np.array(held) / _FACTORIAL_HEAD[orders]
+                      / _FACTORIAL_TAIL[orders]).tolist()
+            self.entries.extend(
+                (o, c if math.isfinite(c) else ExprDomainError(
+                    "evaluation produced a non-finite value"))
+                for o, c in zip(orders, coeffs))
+
+    def through(self, order):
+        """The base ladder's entries, raising the first error kept among
+        them."""
+        entries = CoeffLadder.through(self, order)
+        for _, coeff in entries:
+            _checked(coeff)
+        return entries
+
+
 _DATUM_PARITIES = {
     # parity: (stride, offset, sign)
     "even": (2, 0, 1.0),
@@ -276,13 +350,13 @@ def datum_ladder(spec, datum, parity, t):
     """Ladder of a datum's doubled series at time t: "even" carries
     f^(i)(t)/(2i)!, "odd" f^(i)(t)/(2i+1)!, "cubic" (-1)^i f^(i)(t)/(3i)!.
     The series is about the datum's boundary point: x = L for g0, the
-    right-end datum of the finite interval, and x = 0 for every other."""
+    right-end datum of the finite interval, and x = 0 for every other.
+    Each derivative jet that a read computes fills every entry it covers
+    at once, with the bits of ``datum_coefficient``; an entry whose
+    derivative is not finite raises ExprDomainError when it is read."""
     stride, offset, sign = _DATUM_PARITIES[parity]
-    cache = spec.deriv(datum)
-    return CoeffLadder(
-        stride, (offset,),
-        lambda order: datum_coefficient(cache, order, t, stride, offset, sign),
-        spec.L if datum == "g0" else 0.0)
+    return _DatumLadder(spec.deriv(datum), t, stride, offset, sign,
+                        spec.L if datum == "g0" else 0.0)
 
 
 def doubled_series(ladder, xs, tol, factor=2.0):
@@ -307,6 +381,9 @@ def reflected(xs, boundary, ladder, sign, tol):
     return out
 
 
+# a row past a point's stop is summed too, and dropped: its overflow is no
+# error
+@np.errstate(over="ignore", invalid="ignore")
 def adaptive_series(ladder, dx, tol):
     """Sum coefficient * dx^order adaptively at each offset of the 1-D
     array dx, reading each ladder entry once for all of them.
@@ -314,30 +391,56 @@ def adaptive_series(ladder, dx, tol):
     Past the first three entries, a point stops once three consecutive
     terms are below tol relative to its running magnitude, and its sum is
     frozen; the series stops when every point has, or at the ladder's order
-    cap.  Returns (values, last order read, stop_reason), where stop_reason
-    is "cap" when a point reached the cap and "converged" otherwise.
+    cap.  Every entry the ladder holds is summed in one array pass, its
+    partial sums accumulated in turn, so that each point has the bits of
+    its term-by-term sum.  The ladder is asked for more entries only while
+    some point still needs one, and only for those that every point still
+    summing reads, so it computes none that a term-by-term sum would not.
+    Returns (values, last order read, stop_reason): the last order is that
+    of the last entry a point needed, and stop_reason is "cap" when a point
+    reached the cap and "converged" otherwise.
     """
     total = np.zeros(dx.shape)
     # the points still summing, compacted: positions, offsets, partial
     # sums, max(1, largest |partial sum|) and quiet-term counts
     live, x, part, scale, quiet = (np.arange(dx.size), dx, np.zeros(dx.size),
-                                   np.ones(dx.size), 0)
+                                   np.ones(dx.size), np.zeros(dx.size, int))
     i = order = 0
     while live.size:
-        entry = ladder.get(i)
-        if entry is None:
+        # every live point reads the first six entries, and three more after
+        # its last term that is not quiet: ask for those at once
+        need = max(6 - i, 3 - int(quiet.min()))
+        if ladder.get(max(i, min(i + need, len(ladder.orders)) - 1)) is None:
             total[live] = part
             return total, order, "cap"
-        order, coeff = entry
-        term = coeff * x ** order
-        part = part + term
-        scale = np.maximum(scale, np.abs(part))
-        if i >= 3:
-            quiet = (quiet + 1) * (np.abs(term) <= 0.5 * tol * scale)
-            if quiet.max() >= 3:
-                done = quiet >= 3
-                total[live[done]] = part[done]
-                live, x, part, scale, quiet = (
-                    a[~done] for a in (live, x, part, scale, quiet))
-        i += 1
+        orders, coeffs = ladder.block(i)
+        powers = x ** orders[:, None]
+        if orders[0] <= 2 <= orders[-1]:
+            # numpy's x ** 2 is a square, which its power can miss by an ulp
+            powers[orders == 2] = x * x
+        terms = coeffs[:, None] * powers
+        # one row per entry, after a first row of the sums so far
+        parts = np.add.accumulate(np.concatenate((part[None], terms)))
+        mags = np.abs(parts)
+        mags[0] = scale
+        scales = np.maximum.accumulate(mags)
+        # three quiet terms in a row, counting the run a point brings in;
+        # the first three terms are never quiet
+        runs = np.concatenate(((quiet >= 2)[None], (quiet >= 1)[None],
+                               np.abs(terms) <= 0.5 * tol * scales[1:]))
+        runs[2:2 + max(0, 3 - i)] = False
+        stops = runs[:-2] & runs[1:-1] & runs[2:]
+        part, scale = parts[-1], scales[-1]
+        quiet = runs[-1] * (1 + runs[-2])
+        if stops.any():
+            stop = np.argmax(stops, axis=0)
+            done = stops[stop, np.arange(x.size)]
+            total[live[done]] = parts[stop[done] + 1, done]
+            if done.all():
+                return total, int(orders[stop.max()]), "converged"
+            keep = ~done
+            live, x, part, scale, quiet = (
+                a[keep] for a in (live, x, part, scale, quiet))
+        i += len(orders)
+        order = int(orders[-1])
     return total, order, "converged"

@@ -178,10 +178,12 @@ def if0_one_bc(spec, xs, t, tol):
                            "kdv1 boundary")
 
 
-def kdv1_coefficient(spec, order, t, tol):
+def kdv1_coefficient(spec, order, t, tol, step=1):
     """Taylor coefficient a_order(t) of the one-condition boundary part:
     (-1)^m times the fractional family, beta = 1/3 for order 3m - 2 and
-    2/3 (negated) for order 3m - 1."""
+    2/3 (negated) for order 3m - 1.  The even ladder passes step 2: its
+    orders 3m - 2 have even m and its orders 3m - 1 odd m, and each
+    fractional block integrates only the rows of that parity."""
     cache = spec.deriv("f0")
     if order % 3 == 0:
         return datum_coefficient(cache, order, t, 3, 0, -1.0)
@@ -189,7 +191,8 @@ def kdv1_coefficient(spec, order, t, tol):
         m, beta, front_sign = (order + 2) // 3, 1.0 / 3.0, 1.0
     else:  # order = 3m - 1
         m, beta, front_sign = (order + 1) // 3, 2.0 / 3.0, -1.0
-    total = (-1.0) ** m * fractional_family(spec, "f0", m, t, beta, tol)
+    total = (-1.0) ** m * fractional_family(spec, "f0", m, t, beta, tol,
+                                            step)
     return over_factorial(front_sign * SQRT3 / (2.0 * math.pi) * total,
                           order)
 

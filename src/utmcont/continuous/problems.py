@@ -66,8 +66,8 @@ class ProblemSpec:
     u0_decay: tuple = ("auto",)
     # caches of costly work only: derivative jets per datum, the gauged
     # heat-Dirichlet spec of an advected spec, and blocks of fractional
-    # coefficients per (datum, beta, t, tol, block).  Data rules and Taylor
-    # ladders are built inside each call that reads them.
+    # coefficients per (datum, beta, t, tol, block, step, phase).  Data
+    # rules and Taylor ladders are built inside each call that reads them.
     derivs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     gauged: ProblemSpec | None = field(default=None, init=False, repr=False,

@@ -348,7 +348,7 @@ def _exp_jet(a, linear):
         out[0] = np.exp(a[0])
         out[1:] = a[1:2] / np.arange(1, len(a))[:, None]
         return np.cumprod(out, axis=0)
-    return _recurrence(a, np.exp(a[0]), lambda j, k: j, 1.0)
+    return _recurrence(a, np.exp(a[0]), 1.0)
 
 
 def _power_jet(base, expo, x, n):
@@ -368,21 +368,30 @@ def _power_jet(base, expo, x, n):
         out[1:] = (expo - k + 1) / k * (a[1] / a[0])
         return np.cumprod(out, axis=0)
     a = _jet(base, x, n)
-    return _recurrence(a, a[0] ** expo, lambda j, k: (expo + 1) * j - k, a[0])
+    return _recurrence(a, a[0] ** expo, a[0],
+                       lambda j, k: (expo + 1) * j - k)
 
 
-def _recurrence(a, b0, weight, scale):
+def _recurrence(a, b0, scale, weight=None):
     """The jet b with b_0 = b0 and k scale b_k = sum_{j=1}^{k} weight(j, k)
-    a_j b_{k-j}; each sum gathers its terms as the b_m become known."""
+    a_j b_{k-j}; each sum gathers its terms as the b_m become known.  With
+    no ``weight`` it is j (the exponential's), and the products j a_j come
+    from one table."""
     n = len(a) - 1
     top = np.flatnonzero(a[1:].any(axis=1)).max(initial=-1) + 1
     out = np.empty(a.shape, np.result_type(a, b0))
     out[0] = b0
     acc = np.zeros_like(out[1:])
+    if weight is None:
+        weighted = np.arange(1, top + 1)[:, None] * a[1:top + 1]
     for m in range(n):
         hi = min(n, m + top)
-        k = np.arange(m + 1, hi + 1)[:, None]
-        acc[m:hi] += weight(k - m, k) * a[1:hi - m + 1] * out[m]
+        if weight is None:
+            terms = weighted[:hi - m]
+        else:
+            k = np.arange(m + 1, hi + 1)[:, None]
+            terms = weight(k - m, k) * a[1:hi - m + 1]
+        acc[m:hi] += terms * out[m]
         out[m + 1] = acc[m] / ((m + 1) * scale)
     return out
 
@@ -677,7 +686,8 @@ class DerivativeCache:
     ``derivative(k)`` is the k-th derivative (entry 0 is the expression
     itself).  ``value`` memoizes derivatives at scalar points: a request of
     order k computes one jet to order max(2k, 16) and keeps all of it, so a
-    ladder read in increasing order costs a few jets, not one per order.
+    ladder read in increasing order costs a few jets, not one per order;
+    ``held`` reads what a jet left memoized as one block.
     """
 
     def __init__(self, expression):
@@ -715,14 +725,31 @@ class DerivativeCache:
             if order == 0:
                 self._values[key] = float(entry.eval(key[1]))
             else:
-                top = min(MAX_DERIVATIVE_ORDER, max(2 * order, 16))
-                rows = self.derivatives(1, top, [key[1]])[:, 0].tolist()
+                rows = self.derivatives(1, _jet_top(order),
+                                        [key[1]])[:, 0].tolist()
                 for k, v in enumerate(rows, start=1):
                     self._values.setdefault((k, key[1]), v)
         value = self._values[key]
         if not math.isfinite(value):
             raise ExprDomainError("evaluation produced a non-finite value")
         return value
+
+    def held(self, lo, x):
+        """The memoized values at the point x of the orders lo, lo + 1, ...
+        through the top of the jet that ``value(lo, x)`` computes when it
+        misses, up to the first one not held, in one list, unchecked: after
+        that read, the rest of its jet."""
+        x, top, out = float(x), _jet_top(lo), []
+        while lo + len(out) <= top and (
+                value := self._values.get((lo + len(out), x))) is not None:
+            out.append(value)
+        return out
+
+
+def _jet_top(order):
+    """The order of the jet that a memoized read of derivative ``order``
+    computes: max(2 order, 16), capped."""
+    return min(MAX_DERIVATIVE_ORDER, max(2 * order, 16))
 
 
 def parse(text, var_name=None):

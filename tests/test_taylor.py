@@ -103,6 +103,34 @@ def test_fractional_orders_share_time_convolutions(fresh_spec, monkeypatch):
     assert 0 < len(calls) <= 6
 
 
+def test_kdv1_even_ladder_integrates_only_the_rows_it_reads(monkeypatch):
+    # the even ladder reads beta = 1/3 at even m and beta = 2/3 at odd m:
+    # to N = 168 both ladders make 8 vector convolutions (m <= 56, four
+    # blocks per beta), the even one with half the rows, and its
+    # coefficients have the bits of the full series' even orders
+    rows = []
+    convolve = _common.singular_time_convolution
+
+    def counting(beta, smooth, t, tol):
+        res = convolve(beta, smooth, t, tol)
+        rows.append(len(res.value))
+        return res
+
+    monkeypatch.setattr(_common, "singular_time_convolution", counting)
+    spec = ProblemSpec("kdv-one-bc", **{
+        key: parse(value) if isinstance(value, str) else value
+        for key, value in _BENCHMARK_TAYLOR_DATA["kdv-one-bc"].items()})
+    even = taylor_coefficients(spec, "f0", 1.0, 168, parity="even")
+    assert rows == [8] * 8
+    rows.clear()
+    full = taylor_coefficients(spec, "f0", 1.0, 168, parity="all")
+    assert rows == [16] * 8
+    kept = dict(zip(full.orders, full.coeffs))
+    assert even.orders == list(range(0, 169, 2))
+    assert (np.array(even.coeffs).tobytes()
+            == np.array([kept[o] for o in even.orders]).tobytes())
+
+
 _BENCHMARK_TAYLOR_DATA = {
     "heat-dirichlet": dict(u0="exp(-(x-1)^2)", f0="t*exp(-t)"),
     "kdv-one-bc": dict(u0="2*exp(-x)*cos(x)", f0="t*exp(-t)",
