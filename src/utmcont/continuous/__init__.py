@@ -83,16 +83,14 @@ def _late(fn, *bound):
     call time, so that a rebinding of the module attribute (a tracer, a
     test double) sees every call."""
     module, name = sys.modules[fn.__module__], fn.__name__
-    return lambda spec, *args, **options: getattr(module, name)(
-        spec, *bound, *args, **options)
+    return lambda spec, *args: getattr(module, name)(spec, *bound, *args)
 
 
-def _ladder(stride, offsets, coefficient, **options):
+def _ladder(stride, offsets, coefficient):
     """The ladder of the orders stride*q + r, r in ``offsets``, each
-    coefficient(spec, order, t, tol, **options)."""
+    coefficient(spec, order, t, tol)."""
     return lambda spec, t, tol: CoeffLadder(
-        stride, offsets,
-        lambda order: coefficient(spec, order, t, tol, **options))
+        stride, offsets, lambda order: coefficient(spec, order, t, tol))
 
 
 def _odd_center_ladder(spec, t, tol):
@@ -173,8 +171,7 @@ _SOLVERS = {
         extended=_late(_continued),
         w0=_late(kdv.w0_one_bc),
         ladders={("f0", "even"): _ladder(2, (0,),
-                                         _late(kdv.kdv1_coefficient),
-                                         step=2),
+                                         _late(kdv.kdv1_coefficient)),
                  ("f0", "all"): _ladder(1, (0,),
                                         _late(kdv.kdv1_coefficient))}),
     "kdv-two-bc": Solver(
@@ -276,8 +273,9 @@ def taylor_coefficients(spec, which, t, N, tol=1e-11, parity=None):
     A doubled sub-series omits its structural zeros; kdv-two-bc's "all"
     series carries every order, exact 0.0 at 3m - 2 (f0) or 3m (f1).  No
     derivative jet or quadrature past what order N needs is computed (a
-    datum ladder fills every entry of the jets it reads, and the
-    fractional families integrate whole blocks of derivative orders, see
+    datum ladder fills every entry of the derivatives its datum holds at
+    t, and the fractional families integrate whole blocks of derivative
+    orders, shared by every ladder of the spec, see
     ``_common.datum_ladder`` and ``_common.fractional_family``); an order
     whose value is not finite raises when N reaches it.  ``stop_reason`` is
     "cap" when the series carries orders up to N that the order cap (200)

@@ -126,19 +126,18 @@ def data_rule(spec, tol, width=None):
     return y, w * spec.u0.eval(y)
 
 
-def over_factorial(value, n):
-    """value / n!, taken as value / min(n, 170)! / (171 * ... * n): past
-    n = 170, n! no longer converts to a float."""
-    return (value / math.factorial(min(n, 170))
-            / math.prod(range(171, n + 1)))
-
-
 # the two divisors of over_factorial for each order n <= MAX_DERIVATIVE_ORDER,
-# each rounded to a float as Python rounds an integer divisor
+# min(n, 170)! and 171 * ... * n (past n = 170, n! no longer converts to a
+# float), each rounded to a float as Python rounds an integer divisor
 _FACTORIAL_HEAD = np.array([float(math.factorial(min(n, 170)))
                             for n in range(MAX_DERIVATIVE_ORDER + 1)])
 _FACTORIAL_TAIL = np.array([float(math.prod(range(171, n + 1)))
                             for n in range(MAX_DERIVATIVE_ORDER + 1)])
+
+
+def over_factorial(value, n):
+    """value / n!, taken as value / min(n, 170)! / (171 * ... * n)."""
+    return float(value / _FACTORIAL_HEAD[n] / _FACTORIAL_TAIL[n])
 
 
 def _checked(entry):
@@ -155,7 +154,7 @@ def datum_coefficient(cache, order, t, stride=2, offset=0, sign=1.0):
     return over_factorial(sign**i * cache.value(i, t), order)
 
 
-def fractional_family(spec, datum, m, t, beta, tol, step=1):
+def fractional_family(spec, datum, m, t, beta, tol):
     """sum_{r=1}^{m} (-1)^{m-r} G(m-r+beta) t^{-(m-r+beta)} f^(r-1)(0)
     + G(beta) int_0^t f^(m)(s) (t-s)^{-beta} ds for the datum f: the
     boundary-derivative sum plus endpoint-singular time convolution behind
@@ -163,41 +162,37 @@ def fractional_family(spec, datum, m, t, beta, tol, step=1):
     beta = 1/2, the KdV families with beta = 1/3 and 2/3).
 
     The orders come in fixed blocks b of FRACTIONAL_BLOCK = 16, m = 16b + 1
-    ... 16b + 16, each computed once and kept on the spec per (datum, beta,
-    t, tol, b, step, m mod step), so a value depends on no other request.
-    A block integrates only its orders congruent to m modulo ``step``: 2
-    for a ladder that reads one parity of m (kdv-one-bc's even one).  An
-    order raises what its own terms raise: QuadratureError when its
-    convolution misses its budget, ExprDomainError when a derivative it
-    reads is not finite, OverflowError when one of its boundary weights, or
-    their sum, leaves the float range.
+    ... 16b + 16, each computed whole once and kept on the spec per (datum,
+    beta, t, tol, b), so a value depends on no other request, and every
+    ladder that reads the family shares its blocks.  An order raises what
+    its own terms raise: QuadratureError when its convolution misses its
+    budget, ExprDomainError when a derivative it reads is not finite,
+    OverflowError when one of its boundary weights, or their sum, leaves
+    the float range.
     """
     block, row = divmod(m - 1, FRACTIONAL_BLOCK)
-    key = (datum, beta, t, tol, block, step, m % step)
+    key = (datum, beta, t, tol, block)
     if key not in spec.fractional:
         spec.fractional[key] = _fractional_block(
-            spec.deriv(datum), block, t, beta, tol, step, m % step)
+            spec.deriv(datum), block, t, beta, tol)
     return _checked(spec.fractional[key][row])
 
 
-def _fractional_block(cache, block, t, beta, tol, step, phase):
-    """One entry per order m of block ``block``: for m = phase mod step its
-    fractional family, or the exception its request raises, and None for
-    the other orders.  The time convolutions are one vector integrand (one
-    row per order computed, one jet to the block's last order per node) on
-    the starting panels of ``singular_time_convolution``, which computes
-    the jets once per round of its rule, and a smooth block meets its
-    budget in the first round.  The boundary sums read one list of weights
-    and one of f^(j)(0), in the order of r."""
+def _fractional_block(cache, block, t, beta, tol):
+    """One entry per order m of block ``block``: its fractional family, or
+    the exception its request raises.  The time convolutions are one vector
+    integrand (one row per order, one jet to the block's last order per
+    node) on the starting panels of ``singular_time_convolution``, which
+    computes the jets once per round of its rule, and a smooth block meets
+    its budget in the first round.  The boundary sums read one list of
+    weights and one of f^(j)(0), in the order of r."""
     lo = FRACTIONAL_BLOCK * block + 1
     hi = lo + FRACTIONAL_BLOCK - 1
-    orders = [m for m in range(lo, hi + 1) if m % step == phase]
-    picked = np.array(orders) - lo
-    finite = np.ones(len(orders), dtype=bool)
+    finite = np.ones(FRACTIONAL_BLOCK, dtype=bool)
 
     def smooth(s):
         # a row with a non-finite value fails alone, and integrates zeros
-        rows = cache.derivatives(lo, hi, s)[picked]
+        rows = cache.derivatives(lo, hi, s)
         ok = np.isfinite(rows).all(axis=1)
         np.logical_and(finite, ok, out=finite)
         rows[~ok] = 0.0
@@ -214,23 +209,24 @@ def _fractional_block(cache, block, t, beta, tol, step, phase):
     except (OverflowError, ExprDomainError) as err:
         failed = err
     scale = gamma(beta)
-    entries = [None] * FRACTIONAL_BLOCK
-    for row, (m, integral, warning) in enumerate(zip(orders, conv.value,
-                                                     conv.warnings)):
+    entries = []
+    for m, ok, integral, warning in zip(range(lo, hi + 1), finite,
+                                        conv.value, conv.warnings):
         if m > len(at_zero):
-            entry = failed
-        elif not finite[row]:
-            entry = ExprDomainError("evaluation produced a non-finite value")
+            entries.append(failed)
+        elif not ok:
+            entries.append(ExprDomainError(
+                "evaluation produced a non-finite value"))
         elif warning:
-            entry = QuadratureError(warning)
+            entries.append(QuadratureError(warning))
         else:
             total = 0.0
             for r in range(1, m + 1):
                 total += weights[m - r] * at_zero[r - 1]
             # a weight past the float range makes the sum inf or nan
-            entry = (total + scale * float(integral) if math.isfinite(total)
-                     else OverflowError(f"boundary sum of order {m} overflows"))
-        entries[m - lo] = entry
+            entries.append(total + scale * float(integral)
+                           if math.isfinite(total) else OverflowError(
+                               f"boundary sum of order {m} overflows"))
     return entries
 
 
@@ -245,7 +241,7 @@ class CoeffLadder:
     order of the orders, one per entry requested past the last one held,
     and kept in ``entries``.  A datum's ladder (``datum_ladder``) fills
     every entry of a derivative jet at once instead, and keeps in the place
-    of an entry that is not finite its ExprDomainError, which a read of
+    of an entry that is not finite its ExprDomainError, which every read of
     that entry raises.
     """
 
@@ -279,11 +275,12 @@ class CoeffLadder:
         return np.array(orders), np.array(coeffs)
 
     def through(self, order):
-        """The entries of every carried order <= ``order``; computes no
-        coefficient, jet or quadrature that they do not need."""
+        """The entries of every carried order <= ``order``, raising the
+        first error kept among them; computes no coefficient, jet or
+        quadrature that they do not need."""
         count = bisect.bisect_right(self.orders, order)
         self._extend(count)
-        return self.entries[:count]
+        return [(o, _checked(coeff)) for o, coeff in self.entries[:count]]
 
     def capped_below(self, order):
         """Whether the series carries an order <= ``order`` that the cap
@@ -300,10 +297,10 @@ class CoeffLadder:
 class _DatumLadder(CoeffLadder):
     """The doubled series of a datum at time t: entry i is sign^i f^(i)(t)
     / order!, order = stride*i + offset, read from the datum's derivative
-    cache.  An entry past the last one held reads f^(i)(t) through
-    ``DerivativeCache.value``, which computes the jet a per-entry read
-    computes there, and then fills every entry of that jet from i on
-    (``DerivativeCache.held``), in one vectorized step with
+    cache.  Entry 0 reads f(t) through ``DerivativeCache.value``; an entry
+    i >= 1 past the last one held reads ``DerivativeCache.at(t, i)``, which
+    computes the jet a per-entry read computes there, and fills every
+    entry that array holds from i on, in one vectorized step with
     over_factorial's divisors."""
 
     def __init__(self, cache, t, stride, offset, sign, center):
@@ -313,29 +310,16 @@ class _DatumLadder(CoeffLadder):
     def _extend(self, count):
         while len(self.entries) < count:
             i = len(self.entries)
-            try:
-                self.cache.value(i, self.t)
-            except ExprDomainError as err:
-                if i == 0:  # f(t) itself is not finite: nothing memoized
-                    self.entries.append((self.orders[0], err))
-                    continue
-            held = self.cache.held(i, self.t)[:len(self.orders) - i]
+            held = (self.cache.at(self.t, i)[i - 1:len(self.orders) - 1] if i
+                    else [self.cache.value(0, self.t)])
             orders = self.orders[i:i + len(held)]
             signs = np.where(np.arange(i, i + len(held)) % 2, self.sign, 1.0)
-            coeffs = (signs * np.array(held) / _FACTORIAL_HEAD[orders]
+            coeffs = (signs * held / _FACTORIAL_HEAD[orders]
                       / _FACTORIAL_TAIL[orders]).tolist()
             self.entries.extend(
                 (o, c if math.isfinite(c) else ExprDomainError(
                     "evaluation produced a non-finite value"))
                 for o, c in zip(orders, coeffs))
-
-    def through(self, order):
-        """The base ladder's entries, raising the first error kept among
-        them."""
-        entries = CoeffLadder.through(self, order)
-        for _, coeff in entries:
-            _checked(coeff)
-        return entries
 
 
 _DATUM_PARITIES = {
@@ -351,9 +335,10 @@ def datum_ladder(spec, datum, parity, t):
     f^(i)(t)/(2i)!, "odd" f^(i)(t)/(2i+1)!, "cubic" (-1)^i f^(i)(t)/(3i)!.
     The series is about the datum's boundary point: x = L for g0, the
     right-end datum of the finite interval, and x = 0 for every other.
-    Each derivative jet that a read computes fills every entry it covers
-    at once, with the bits of ``datum_coefficient``; an entry whose
-    derivative is not finite raises ExprDomainError when it is read."""
+    A read past the entries held fills every entry that the datum's
+    derivatives at t (``DerivativeCache.at``) cover at once, with the bits
+    of ``datum_coefficient``; an entry whose derivative is not finite
+    raises ExprDomainError when it is read."""
     stride, offset, sign = _DATUM_PARITIES[parity]
     return _DatumLadder(spec.deriv(datum), t, stride, offset, sign,
                         spec.L if datum == "g0" else 0.0)

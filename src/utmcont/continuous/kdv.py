@@ -178,12 +178,10 @@ def if0_one_bc(spec, xs, t, tol):
                            "kdv1 boundary")
 
 
-def kdv1_coefficient(spec, order, t, tol, step=1):
+def kdv1_coefficient(spec, order, t, tol):
     """Taylor coefficient a_order(t) of the one-condition boundary part:
     (-1)^m times the fractional family, beta = 1/3 for order 3m - 2 and
-    2/3 (negated) for order 3m - 1.  The even ladder passes step 2: its
-    orders 3m - 2 have even m and its orders 3m - 1 odd m, and each
-    fractional block integrates only the rows of that parity."""
+    2/3 (negated) for order 3m - 1."""
     cache = spec.deriv("f0")
     if order % 3 == 0:
         return datum_coefficient(cache, order, t, 3, 0, -1.0)
@@ -191,8 +189,7 @@ def kdv1_coefficient(spec, order, t, tol, step=1):
         m, beta, front_sign = (order + 2) // 3, 1.0 / 3.0, 1.0
     else:  # order = 3m - 1
         m, beta, front_sign = (order + 1) // 3, 2.0 / 3.0, -1.0
-    total = (-1.0) ** m * fractional_family(spec, "f0", m, t, beta, tol,
-                                            step)
+    total = (-1.0) ** m * fractional_family(spec, "f0", m, t, beta, tol)
     return over_factorial(front_sign * SQRT3 / (2.0 * math.pi) * total,
                           order)
 
@@ -264,13 +261,8 @@ def i0_two_bc(spec, xs, t, tol):
 
 def _growth_rate(cache, t, depth):
     """Crude growth rate of the derivative ladder, for the dodge radius."""
-    prev = abs(cache.value(0, 0.0)) + abs(cache.value(0, t)) + 1e-30
-    rate = 1.0
-    for j in range(1, depth + 1):
-        cur = abs(cache.value(j, 0.0)) + abs(cache.value(j, t)) + 1e-30
-        rate = max(rate, cur / prev)
-        prev = cur
-    return rate
+    sizes = sum(np.abs(cache.through(x, depth)) for x in (0.0, t)) + 1e-30
+    return max(1.0, float(np.max(sizes[1:] / sizes[:-1])))
 
 
 _N_IBP = 6
@@ -306,7 +298,7 @@ def _kdv2_boundary(spec, which, xs, t, tol):
     else:
         weight = lambda k: k / (2j * math.pi)
         coefs = (1.0 - ALPHA**2, 1.0 - ALPHA)
-    corner_data = [cache.value(m - 1, 0.0) for m in range(1, n + 1)]
+    corner_data = cache.through(0.0, n - 1).tolist()
 
     def corners(k):
         # the n corner terms at fixed t are linear in the data, so they

@@ -66,8 +66,8 @@ class ProblemSpec:
     u0_decay: tuple = ("auto",)
     # caches of costly work only: derivative jets per datum, the gauged
     # heat-Dirichlet spec of an advected spec, and blocks of fractional
-    # coefficients per (datum, beta, t, tol, block, step, phase).  Data
-    # rules and Taylor ladders are built inside each call that reads them.
+    # coefficients per (datum, beta, t, tol, block).  Data rules and Taylor
+    # ladders are built inside each call that reads them.
     derivs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     gauged: ProblemSpec | None = field(default=None, init=False, repr=False,
@@ -241,11 +241,10 @@ def check_compatibility(spec, orders):
     for datum in data[1:]:  # every datum after u0
         point = spec.L if datum == "g0" else 0.0
         extra = int(datum == "f1")
-        # highest order first, so one jet serves every order
-        du = [u0.value(k, point)
-              for k in range((a + 1) * orders + extra, -1, -1)][::-1]
+        du = u0.through(point, (a + 1) * orders + extra).tolist()
+        df = spec.deriv(datum).through(0.0, orders).tolist()
         per_datum[datum] = [
-            abs(spec.deriv(datum).value(n, 0.0) - s**n * sum(
+            abs(df[n] - s**n * sum(
                 math.comb(n, j) * c ** (n - j) * du[a * n + j + extra]
                 for j in range(n + 1)))
             for n in range(orders + 1)]

@@ -684,10 +684,11 @@ class DerivativeCache:
     """Derivatives of one expression, computed from its Taylor jets.
 
     ``derivative(k)`` is the k-th derivative (entry 0 is the expression
-    itself).  ``value`` memoizes derivatives at scalar points: a request of
-    order k computes one jet to order max(2k, 16) and keeps all of it, so a
-    ladder read in increasing order costs a few jets, not one per order;
-    ``held`` reads what a jet left memoized as one block.
+    itself).  ``at`` memoizes the derivatives at a scalar point in one
+    array, which a read past its end extends by one jet to order
+    max(2k, 16), so a ladder read in increasing order costs a few jets, not
+    one per order; ``value`` reads one derivative from it, and ``through``
+    every order up to one, checked.
     """
 
     def __init__(self, expression):
@@ -714,42 +715,39 @@ class DerivativeCache:
         self.derivative(hi)  # the order cap
         return _from_taylor(_taylor(self.base._node, x, hi)[lo:], lo)
 
+    def at(self, x, order):
+        """The memoized derivatives f^(1)(x), f^(2)(x), ... at the point x,
+        one read-only array (entry k - 1 is order k), unchecked, through
+        order ``order`` at least: a read past its end first computes one jet
+        to order max(2 order, 16), capped, and appends the orders it adds."""
+        x = float(x)
+        held = self._values.get(x, ())
+        if len(held) < order:
+            self.derivative(order)  # the order cap
+            top = min(MAX_DERIVATIVE_ORDER, max(2 * order, 16))
+            held = np.concatenate(
+                (held, self.derivatives(len(held) + 1, top, [x])[:, 0]))
+            held.flags.writeable = False
+            self._values[x] = held
+        return held
+
     def value(self, order, x):
-        """Derivative value at the point x, memoized (the boundary formulas
-        reuse f^(p)(0) and f^(p)(T) heavily); ExprDomainError where it is not
-        finite.  An array of points reads ``derivative(order).eval`` or
-        ``derivatives``."""
-        entry = self.derivative(order)
-        key = (order, float(x))
-        if key not in self._values:
-            if order == 0:
-                self._values[key] = float(entry.eval(key[1]))
-            else:
-                rows = self.derivatives(1, _jet_top(order),
-                                        [key[1]])[:, 0].tolist()
-                for k, v in enumerate(rows, start=1):
-                    self._values.setdefault((k, key[1]), v)
-        value = self._values[key]
+        """Derivative value at the point x (the boundary formulas reuse
+        f^(p)(0) and f^(p)(T) heavily), read from ``at`` past order 0;
+        ExprDomainError where it is not finite.  An array of points reads
+        ``derivative(order).eval`` or ``derivatives``."""
+        if order == 0:
+            return float(self.base.eval(float(x)))
+        value = float(self.at(x, order)[order - 1])
         if not math.isfinite(value):
             raise ExprDomainError("evaluation produced a non-finite value")
         return value
 
-    def held(self, lo, x):
-        """The memoized values at the point x of the orders lo, lo + 1, ...
-        through the top of the jet that ``value(lo, x)`` computes when it
-        misses, up to the first one not held, in one list, unchecked: after
-        that read, the rest of its jet."""
-        x, top, out = float(x), _jet_top(lo), []
-        while lo + len(out) <= top and (
-                value := self._values.get((lo + len(out), x))) is not None:
-            out.append(value)
-        return out
-
-
-def _jet_top(order):
-    """The order of the jet that a memoized read of derivative ``order``
-    computes: max(2 order, 16), capped."""
-    return min(MAX_DERIVATIVE_ORDER, max(2 * order, 16))
+    def through(self, x, order):
+        """The values f(x), f'(x), ..., f^(order)(x), one array read from
+        ``value`` and ``at``; ExprDomainError where ``value`` raises it."""
+        out = np.concatenate(([self.value(0, x)], self.at(x, order)[:order]))
+        return _check_finite(out)
 
 
 def parse(text, var_name=None):

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate, special
 
 from conftest import taylor_sum
-from utmcont.expr import parse
+from utmcont.expr import ExprDomainError, parse
 from utmcont.quad import QuadratureError, integrate_segment
 from utmcont.continuous import (
     DecayClassError,
@@ -396,6 +396,18 @@ def test_two_bc_corner_terms_raise_on_a_missed_budget(monkeypatch):
                        match=r"kdv2 f0 boundary row \d: tolerance"):
         evaluate_boundary_integral(spec, "f0", np.array([0.5, 1.0, 2.0]),
                                    1.0, 1e-10)
+
+
+@pytest.mark.parametrize("which", ["f0", "f1"])
+def test_two_bc_boundary_raises_where_a_derivative_is_not_finite(which):
+    # the growth rate of the datum's derivatives at t = 0 reads the first
+    # derivative of sqrt(t) there
+    data = {"f0": parse("cos(t)"), "f1": parse("cos(t)"),
+            which: parse("sqrt(t)")}
+    spec = ProblemSpec("kdv-two-bc", u0=parse("2*exp(-sqrt(3)*x)*cos(x)"),
+                       **data)
+    with pytest.raises(ExprDomainError):
+        evaluate_boundary_integral(spec, which, 0.5, 1.0)
 
 
 def test_two_bc_incompatible_blowup(kdv2_zero_data):

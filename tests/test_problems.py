@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from utmcont.expr import DerivativeCache, parse
+from utmcont.expr import DerivativeCache, ExprDomainError, parse
 from utmcont.continuous import (
     KIND_KEYS,
     KINDS,
@@ -199,6 +199,16 @@ def test_compatibility_kdv2_zero_data(kdv2_zero_data):
 
 def test_compatibility_kdv2_trace(kdv2_cos):
     assert all(r < 1e-9 for r in check_compatibility(kdv2_cos, 3))
+
+
+@pytest.mark.parametrize("u0, f0", [("sqrt(x+0)", "exp(-t)"),
+                                    ("exp(-x^2)", "sqrt(t)")])
+def test_compatibility_raises_where_a_derivative_is_not_finite(u0, f0):
+    # the first derivative of the square root at 0, of u0 or of f0
+    spec = ProblemSpec("heat-dirichlet", u0=parse(u0), f0=parse(f0),
+                       u0_decay=("gaussian",))
+    with pytest.raises(ExprDomainError):
+        check_compatibility(spec, 1)
 
 
 def test_decay_probing():

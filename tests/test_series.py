@@ -17,7 +17,8 @@ from utmcont.continuous import (
     boundary_to_initial,
     taylor_coefficients,
 )
-from utmcont.expr import MAX_DERIVATIVE_ORDER, ExprDomainError, parse
+from utmcont.expr import (MAX_DERIVATIVE_ORDER, DerivativeOrderError,
+                          ExprDomainError, parse)
 
 
 def _term_by_term(ladder, dx, tol):
@@ -222,12 +223,25 @@ def test_block_read_reaches_the_order_cap(heat_te):
         assert got[-1][0] <= MAX_DERIVATIVE_ORDER
 
 
-def test_held_reads_the_span_of_one_jet(heat_te):
-    # a read of derivative k computes one jet to max(2k, 16): a block read
-    # from k stops there, or at the first order not memoized
+def test_at_extends_one_array_a_jet_at_a_time(monkeypatch, heat_te):
+    # a read past the end of the array at a point computes one jet to
+    # max(2k, 16), capped at the order cap, and appends what it adds
+    calls = []
+    taylor = expr._taylor
+    monkeypatch.setattr(expr, "_taylor", lambda node, x, n: calls.append(
+        (n, len(x))) or taylor(node, x, n))
     cache = expr.DerivativeCache(heat_te.f0)
-    cache.value(90, 0.3)  # one jet to order 180
-    assert [len(cache.held(k, 0.3)) for k in (1, 17, 91, 181)] == [
-        16, 18, 90, 0]
-    assert cache.held(17, 0.3) == [cache.value(k, 0.3) for k in range(17, 35)]
-    assert cache.held(0, 0.3) == []  # order 0 is read from the expression
+    short = cache.at(0.3, 5)
+    assert calls == [(16, 1)] and len(short) == 16
+    assert cache.at(0.3, 16) is short and cache.value(12, 0.3) == short[11]
+    assert calls == [(16, 1)]  # a read inside the array computes no jet
+    grown = cache.at(0.3, 90)
+    assert calls == [(16, 1), (180, 1)] and len(grown) == 180
+    assert grown[:16].tobytes() == short.tobytes()
+    assert len(cache.at(0.3, 181)) == MAX_DERIVATIVE_ORDER
+    assert calls[-1] == (MAX_DERIVATIVE_ORDER, 1)
+    for held in (short, grown):
+        with pytest.raises(ValueError):
+            held[0] = 0.0
+    with pytest.raises(DerivativeOrderError):
+        cache.at(0.3, MAX_DERIVATIVE_ORDER + 1)

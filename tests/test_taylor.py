@@ -103,11 +103,12 @@ def test_fractional_orders_share_time_convolutions(fresh_spec, monkeypatch):
     assert 0 < len(calls) <= 6
 
 
-def test_kdv1_even_ladder_integrates_only_the_rows_it_reads(monkeypatch):
+def test_kdv1_even_and_all_ladders_share_blocks(monkeypatch):
     # the even ladder reads beta = 1/3 at even m and beta = 2/3 at odd m:
-    # to N = 168 both ladders make 8 vector convolutions (m <= 56, four
-    # blocks per beta), the even one with half the rows, and its
-    # coefficients have the bits of the full series' even orders
+    # to N = 168 it makes 8 vector convolutions of whole blocks (m <= 56,
+    # four blocks per beta), the "all" ladder that follows on the same spec
+    # reads the same blocks and makes none, and the even coefficients have
+    # the bits of the full series' even orders
     rows = []
     convolve = _common.singular_time_convolution
 
@@ -121,10 +122,10 @@ def test_kdv1_even_ladder_integrates_only_the_rows_it_reads(monkeypatch):
         key: parse(value) if isinstance(value, str) else value
         for key, value in _BENCHMARK_TAYLOR_DATA["kdv-one-bc"].items()})
     even = taylor_coefficients(spec, "f0", 1.0, 168, parity="even")
-    assert rows == [8] * 8
+    assert rows == [16] * 8
     rows.clear()
     full = taylor_coefficients(spec, "f0", 1.0, 168, parity="all")
-    assert rows == [16] * 8
+    assert rows == []
     kept = dict(zip(full.orders, full.coeffs))
     assert even.orders == list(range(0, 169, 2))
     assert (np.array(even.coeffs).tobytes()
