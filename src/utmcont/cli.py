@@ -39,7 +39,7 @@ from importlib import resources
 import numpy as np
 
 from . import continuous as cont
-from .expr import ExprDomainError, ExprSyntaxError, parse
+from .expr import ExprSyntaxError, parse
 from .quad import QuadratureError
 from .continuous._common import ResidualWarning
 from .continuous.finite_interval import require_tiling_depth
@@ -486,12 +486,9 @@ def cmd_map_initial(cfg, outputs):
         [xs, np.array([-1.0, -0.5, 0.5, 1.0]) * delta])).tolist()
     far_left, near_left, near_right, far_right = w0s[len(xs):]
     x_list = xs.tolist()
-    u0c = []
-    for x in x_list:
-        try:
-            u0c.append(float(spec.u0.eval(x)))
-        except ExprDomainError:
-            u0c.append(None)
+    # u0 itself on the grid, empty where it is not finite
+    u0c = [u if math.isfinite(u) else None
+           for u in spec.u0.compiled()(xs).tolist()]
     left = 2 * near_left - far_left
     right = 2 * near_right - far_right
     header = ("x", "w0", "u0_analytic_continuation")

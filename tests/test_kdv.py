@@ -248,6 +248,103 @@ def test_real_airy_at_the_extremes():
                                rtol=1e-15, atol=0)
 
 
+def _check_complex_airy(mpmath, z):
+    """kdv._airy at each z against mpmath, within the bound of
+    test_rotated_airy_kernel_matches_mpmath_and_airy."""
+    got = kdv._airy(z)
+    with mpmath.workdps(30):
+        for zi, gi in zip(z, got):
+            want = mpmath.airyai(mpmath.mpc(zi.real, zi.imag))
+            bound = max(2e-13, 4 * np.finfo(float).eps * abs(zi) ** 1.5)
+            assert abs(mpmath.mpc(gi) - want) <= bound * abs(want), zi
+
+
+def _check_real_airy(mpmath, x):
+    """kdv._real_airy at each x against mpmath, within the envelope bound
+    of test_real_airy_matches_mpmath_across_its_bands."""
+    got = kdv._real_airy(x)
+    with mpmath.workdps(30):
+        for xi, gi in zip(x, got):
+            envelope = abs(xi) ** -0.25 * math.exp(
+                -(2.0 / 3.0) * max(xi, 0.0) ** 1.5)
+            bound = max(2e-13, 4 * np.finfo(float).eps * abs(xi) ** 1.5)
+            assert abs(mpmath.mpf(gi) - mpmath.airyai(xi)) <= (
+                bound * envelope), xi
+
+
+def test_airy_kernels_match_mpmath_across_table_cell_edges():
+    # a point and its neighbour across a cell edge read the jets of two
+    # centers: both sides of each real edge, and of the corners of 150
+    # random cells (each corner is four cells' meeting point)
+    mpmath = pytest.importorskip("mpmath")
+    h, n = kdv._H, kdv._N
+    side = np.array([0.5 - 1e-9, 0.5 + 1e-9])
+    x = (h * (np.arange(-n, n)[:, None] + side)).ravel()
+    _check_real_airy(mpmath, x[np.abs(x) < kdv._R])
+    rng = np.random.default_rng(3)
+    i = rng.integers(-n, n, 150)
+    j = rng.integers(-n, n, 150)
+    corners = h * ((i + rng.choice(side, 150))
+                   + 1j * (j + rng.choice(side, 150)))
+    _check_complex_airy(mpmath, corners[np.abs(corners) < kdv._R])
+
+
+def test_airy_kernels_match_mpmath_on_the_table_radius():
+    # just inside and just outside |z| = R, where the table hands over to
+    # DLMF 9.7.5, and about arg z = 2 pi/3, where 9.7.5 hands over to
+    # 9.7.9
+    mpmath = pytest.importorskip("mpmath")
+    radii = kdv._R * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    angles = [0.0, math.pi / 3, -math.pi / 3, math.pi]
+    angles += [s * (2.0 * math.pi / 3.0 + d) for s in (1, -1)
+               for d in (-1e-6, 1e-6)]
+    z = (radii[:, None] * np.exp(1j * np.array(angles))).ravel()
+    _check_complex_airy(mpmath, z)
+    _check_real_airy(mpmath, np.concatenate([radii, -radii]))
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def test_airy_kernels_are_elementwise():
+    # a value depends on its own argument only: alone, it has the bits it
+    # has inside a batch of 10^4 arguments that mixes every branch
+    rng = np.random.default_rng(4)
+    z = 30.0 * rng.random(10_000) ** 2 * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, 10_000))
+    x = rng.uniform(-40.0, 110.0, 10_000)
+    for kernel, args in ((kdv._airy, z), (kdv._real_airy, x)):
+        batch = _bits(kernel(args))
+        alone = np.concatenate([_bits(kernel(args[i:i + 1]))
+                                for i in range(args.size)])
+        assert np.array_equal(alone, batch), kernel.__name__
+
+
+def test_rotated_airy_kernel_is_conjugate_symmetric():
+    rng = np.random.default_rng(5)
+    z = 30.0 * rng.random(10_000) ** 2 * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, 10_000))
+    z = np.concatenate([z, z.real + 0j, -kdv._H * np.arange(80) + 0j])
+    assert np.array_equal(kdv._airy(np.conj(z)), np.conj(kdv._airy(z)))
+
+
+def test_airy_table_is_built_once_from_the_same_values():
+    # whichever kernel evaluates first builds the one table, and the other
+    # kernel reads it
+    tables = []
+    for first, arg in ((kdv._real_airy, 1.0), (kdv._airy, 1.0 + 1.0j)):
+        kdv._airy_table.cache_clear()
+        first(np.array([arg]))
+        kdv._real_airy(np.array([2.0]))
+        kdv._airy(np.array([2.0j]))
+        assert kdv._airy_table.cache_info().misses == 1
+        tables.append(kdv._airy_table())
+    for built, again in zip(*tables):
+        assert np.array_equal(_bits(built), _bits(again))
+    assert sum(part.nbytes for part in tables[0]) < 2 ** 20
+
+
 @pytest.mark.parametrize("kind", ["kdv-one-bc", "kdv-two-bc"])
 def test_i0_guard_and_values_keep_to_scipy_airy(kind, monkeypatch):
     # the guard accepts the same rows of the exact-family grid whether Ai is
