@@ -140,13 +140,6 @@ def over_factorial(value, n):
     return float(value / _FACTORIAL_HEAD[n] / _FACTORIAL_TAIL[n])
 
 
-def _checked(entry):
-    """entry, or a fresh raise of the exception kept in its place."""
-    if isinstance(entry, Exception):
-        raise type(entry)(*entry.args)
-    return entry
-
-
 def datum_coefficient(cache, order, t, stride=2, offset=0, sign=1.0):
     """sign^i f^(i)(t) / order! for order = stride*i + offset: one term of
     the doubled series a datum contributes across the boundary."""
@@ -175,7 +168,10 @@ def fractional_family(spec, datum, m, t, beta, tol):
     if key not in spec.fractional:
         spec.fractional[key] = _fractional_block(
             spec.deriv(datum), block, t, beta, tol)
-    return _checked(spec.fractional[key][row])
+    entry = spec.fractional[key][row]
+    if isinstance(entry, Exception):
+        raise type(entry)(*entry.args)
+    return entry
 
 
 def _fractional_block(cache, block, t, beta, tol):
@@ -231,18 +227,17 @@ def _fractional_block(cache, block, t, beta, tol):
 
 
 class CoeffLadder:
-    """Lazily extended Taylor data (order, coefficient) of one series about
-    ``center``.
+    """Lazily extended Taylor data of one series about ``center``.
 
     The series carries the orders stride*q + r, r in ``offsets``, up to
     MAX_DERIVATIVE_ORDER (a stride-1 series carries its structural zeros);
     ``coefficient(order)`` computes one coefficient, which may cost a
-    quadrature or a fractional block.  The coefficients are computed in
-    order of the orders, one per entry requested past the last one held,
-    and kept in ``entries``.  A datum's ladder (``datum_ladder``) fills
-    every entry of a derivative jet at once instead, and keeps in the place
-    of an entry that is not finite its ExprDomainError, which every read of
-    that entry raises.
+    quadrature or a fractional block, and raises when it cannot be
+    computed.  The coefficients are computed in order of the orders, one
+    per entry requested past the last one held, and kept in ``entries``,
+    entry i the coefficient of ``orders[i]``.  A datum's ladder
+    (``datum_ladder``) fills every entry of a derivative jet at once
+    instead.
     """
 
     def __init__(self, stride, offsets, coefficient, center=0.0):
@@ -255,32 +250,25 @@ class CoeffLadder:
         self.entries = []
 
     def get(self, i):
-        """Entry i, or None past the last carried order."""
+        """(order, coefficient) of entry i, or None past the last order."""
         if i >= len(self.orders):
             return None
         self._extend(i + 1)
-        order, coeff = self.entries[i]
-        return order, _checked(coeff)
+        return self.orders[i], self.entries[i]
 
     def block(self, i):
         """The orders and the coefficients, two arrays, of the entries held
-        from i, which ``get(i)`` has read, up to the first one whose read
-        raises."""
-        orders, coeffs = [], []
-        for order, coeff in self.entries[i:]:
-            if isinstance(coeff, Exception):
-                break
-            orders.append(order)
-            coeffs.append(coeff)
-        return np.array(orders), np.array(coeffs)
+        from i, which ``get(i)`` has read."""
+        return (np.array(self.orders[i:len(self.entries)]),
+                np.array(self.entries[i:]))
 
     def through(self, order):
-        """The entries of every carried order <= ``order``, raising the
-        first error kept among them; computes no coefficient, jet or
-        quadrature that they do not need."""
+        """The (order, coefficient) pairs of every carried order <=
+        ``order``; computes no coefficient, jet or quadrature that they do
+        not need."""
         count = bisect.bisect_right(self.orders, order)
         self._extend(count)
-        return [(o, _checked(coeff)) for o, coeff in self.entries[:count]]
+        return list(zip(self.orders, self.entries[:count]))
 
     def capped_below(self, order):
         """Whether the series carries an order <= ``order`` that the cap
@@ -290,8 +278,8 @@ class CoeffLadder:
 
     def _extend(self, count):
         while len(self.entries) < count:
-            order = self.orders[len(self.entries)]
-            self.entries.append((order, self.coefficient(order)))
+            self.entries.append(self.coefficient(
+                self.orders[len(self.entries)]))
 
 
 class _DatumLadder(CoeffLadder):
@@ -300,8 +288,9 @@ class _DatumLadder(CoeffLadder):
     cache.  Entry 0 reads f(t) through ``DerivativeCache.value``; an entry
     i >= 1 past the last one held reads ``DerivativeCache.at(t, i)``, which
     computes the jet a per-entry read computes there, and fills every
-    entry that array holds from i on, in one vectorized step with
-    over_factorial's divisors."""
+    entry that array holds from i on, up to its first one that is not
+    finite, in one vectorized step with over_factorial's divisors.  A read
+    of that entry, or past it, raises ExprDomainError."""
 
     def __init__(self, cache, t, stride, offset, sign, center):
         super().__init__(stride, (offset,), None, center)
@@ -315,11 +304,11 @@ class _DatumLadder(CoeffLadder):
             orders = self.orders[i:i + len(held)]
             signs = np.where(np.arange(i, i + len(held)) % 2, self.sign, 1.0)
             coeffs = (signs * held / _FACTORIAL_HEAD[orders]
-                      / _FACTORIAL_TAIL[orders]).tolist()
-            self.entries.extend(
-                (o, c if math.isfinite(c) else ExprDomainError(
-                    "evaluation produced a non-finite value"))
-                for o, c in zip(orders, coeffs))
+                      / _FACTORIAL_TAIL[orders])
+            kept = int(np.logical_and.accumulate(np.isfinite(coeffs)).sum())
+            if not kept:
+                raise ExprDomainError("evaluation produced a non-finite value")
+            self.entries.extend(coeffs[:kept].tolist())
 
 
 _DATUM_PARITIES = {
@@ -337,8 +326,8 @@ def datum_ladder(spec, datum, parity, t):
     right-end datum of the finite interval, and x = 0 for every other.
     A read past the entries held fills every entry that the datum's
     derivatives at t (``DerivativeCache.at``) cover at once, with the bits
-    of ``datum_coefficient``; an entry whose derivative is not finite
-    raises ExprDomainError when it is read."""
+    of ``datum_coefficient``, up to the first one that is not finite; a
+    read of that entry, or past it, raises ExprDomainError."""
     stride, offset, sign = _DATUM_PARITIES[parity]
     return _DatumLadder(spec.deriv(datum), t, stride, offset, sign,
                         spec.L if datum == "g0" else 0.0)
@@ -380,7 +369,8 @@ def adaptive_series(ladder, dx, tol):
     partial sums accumulated in turn, so that each point has the bits of
     its term-by-term sum.  The ladder is asked for more entries only while
     some point still needs one, and only for those that every point still
-    summing reads, so it computes none that a term-by-term sum would not.
+    summing reads, so it computes none that a term-by-term sum would not,
+    and raises what the ladder raises for an entry some point needs.
     Returns (values, last order read, stop_reason): the last order is that
     of the last entry a point needed, and stop_reason is "cap" when a point
     reached the cap and "converged" otherwise.

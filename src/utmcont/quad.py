@@ -145,7 +145,8 @@ def integrate_segment(f, a, b, tol, max_intervals=4096, edges=(0.0, 1.0),
         over = total_errs > limit
         if not over.any() or len(lo) >= max_intervals:
             break
-        share = (errs[over] / limit[over, None]).max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            share = (errs[over] / limit[over, None]).max(axis=0)
         n_split = max(1, len(lo) // 3)
         order = np.argsort(share)[::-1]
         split = order[:n_split]

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -1074,12 +1075,24 @@ def test_non_finite_initial_data_is_a_numerical_failure(tmp_path, capsys,
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_overflowing_datum_prints_only_the_refusal(tmp_path):
+@pytest.mark.parametrize("f0,refusal", [
     # 1.7e308 e^{-t} is finite, but the single layer's weighted sums of it
-    # are not: the row is refused, and stderr holds the refusal alone, no
-    # numpy overflow warning (its own process, where warnings print)
+    # are not
+    ("1.7e308*exp(-t)", re.escape(
+        "numerical failure: dirichlet boundary row 0: value nan+nanj or "
+        "error nan is not finite")),
+    # its interval errors lie near the float maximum, so the share of the
+    # budget each carries overflows, and the row misses its budget
+    ("1e308*t^3", re.escape(
+        "numerical failure: dirichlet boundary row 0: tolerance 5e-11 not "
+        "met (") + r"error [^)]+\); worst subinterval \[.+\] in fractions "
+     "of the segment"),
+], ids=["sums-overflow", "errors-overflow"])
+def test_overflowing_datum_prints_only_the_refusal(tmp_path, f0, refusal):
+    # the row is refused, and stderr holds the refusal alone, no numpy
+    # overflow warning (its own process, where warnings print)
     cfg = json.loads(json.dumps(MINIMAL))
-    cfg["problem"]["f0"] = "1.7e308*exp(-t)"
+    cfg["problem"]["f0"] = f0
     cfg["outputs"] = {"csv": str(tmp_path / "o.csv")}
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1088,8 +1101,29 @@ def test_overflowing_datum_prints_only_the_refusal(tmp_path):
                           "--config", _write(tmp_path, cfg)], env=env,
                          timeout=120, capture_output=True, text=True)
     assert run.returncode == EXIT_NUMERICS
-    assert run.stderr == ("numerical failure: dirichlet boundary row 0: "
-                          "value nan+nanj or error nan is not finite\n")
+    assert re.fullmatch(refusal + "\n", run.stderr), run.stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("heat-dirichlet", {"f0": "1e308*t^3"}),
+    ("heat-neumann", {"f1": "1e308*t^3"}),
+    ("kdv-one-bc", {"f0": "1e308*t^3"}),
+    ("heat-finite-interval", {"f0": "1e308*t^3", "g0": "0*t", "L": 1.0}),
+])
+def test_map_initial_of_a_datum_overflowing_at_one_order_is_refused(
+        tmp_path, capsys, kind, data):
+    # the datum's third derivative at t = 0 overflows and every one past
+    # it is 0: its ladder reads the entries below the overflow, and a read
+    # of the entry itself is refused
+    cfg = {"problem": {"kind": kind, "u0": "exp(-x^2)", **data},
+           "grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 3,
+                    "times": [1.0]},
+           "outputs": {"csv": str(tmp_path / "o.csv")}}
+    assert main(["map-initial", "--config",
+                 _write(tmp_path, cfg)]) == EXIT_NUMERICS
+    assert capsys.readouterr().err == (
+        "numerical failure: evaluation produced a non-finite value\n")
     assert not (tmp_path / "o.csv").exists()
 
 

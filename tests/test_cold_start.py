@@ -1,5 +1,5 @@
 """Start-up: a command imports scipy only when its problem evaluates a
-special function (Ai, K_{1/3}, Gamma or H_n).
+special function (Ai, Gamma or H_n).
 
 Each check runs in a fresh interpreter, since this one has imported scipy
 already (the tests import it directly).

@@ -144,7 +144,7 @@ def test_i0_matches_the_exact_integral_over_y(fresh_spec, kind):
 
 
 def test_one_bc_i0_matches_mpmath_at_one_point(fresh_spec):
-    # the K_{1/3} Airy kernel against mpmath's Ai at 20 digits, through the
+    # the Airy kernel against mpmath's Ai at 20 digits, through the
     # whole y-integral at one (x, t) where the alpha term carries weight
     mpmath = pytest.importorskip("mpmath")
     x, t = -1.0, 0.5
@@ -179,7 +179,7 @@ def test_rotated_airy_kernel_matches_mpmath_and_airy(t):
     small = np.abs(z) <= 30.0
     np.testing.assert_allclose(got[small], airy[small], rtol=1e-13, atol=0)
     # 120 random arguments, and the 12 nearest |arg z| = 2 pi/3 on each
-    # side, where the connection formula takes over
+    # side, where DLMF 9.7.5 hands over to 9.7.9 past |z| = R
     edge = np.abs(np.angle(z)) - 2.0 * math.pi / 3.0
     inside, past = np.flatnonzero(edge < 0), np.flatnonzero(edge >= 0)
     picks = np.concatenate([
@@ -218,9 +218,9 @@ def test_rotated_airy_kernel_at_the_extremes():
 
 
 def test_real_airy_matches_mpmath_across_its_bands():
-    # the three bands of the real Ai (airy on |x| <= 2, a real K_{1/3}
-    # beyond 2, an imaginary one below -2), on a grid of [-60, 60] and on
-    # both sides of x = +-2, within rounding of Ai's envelope |x|^{-1/4},
+    # the real Ai (the table's jets on |x| < 10, DLMF 9.7.5 beyond 10 and
+    # 9.7.9 below -10), on a grid of [-60, 60] and on both sides of
+    # x = +-2, within rounding of Ai's envelope |x|^{-1/4},
     # times e^{-(2/3) x^{3/2}} for x > 0
     mpmath = pytest.importorskip("mpmath")
     steps = np.array([1e-12, 1e-6, 1e-3, 0.05])
@@ -348,7 +348,7 @@ def test_airy_table_is_built_once_from_the_same_values():
 @pytest.mark.parametrize("kind", ["kdv-one-bc", "kdv-two-bc"])
 def test_i0_guard_and_values_keep_to_scipy_airy(kind, monkeypatch):
     # the guard accepts the same rows of the exact-family grid whether Ai is
-    # K_{1/3} (rotated and real) or scipy's airy, and the values agree within
+    # ``_airy`` and ``_real_airy`` or scipy's airy, and the values agree within
     # the panel-halving scale
     spec = _kdv_spec(kind)
     xs = KDV_FAMILIES[kind][2]

@@ -202,6 +202,16 @@ def test_vector_segment_non_finite_row_warns_alone():
     assert res.error[0] == alone.error[0]
 
 
+def test_error_near_the_float_maximum_steers_refinement_silently():
+    # an interval's error over the budget overflows the share it carries;
+    # the row misses its budget with a warning string and no numpy warning
+    # (RuntimeWarning is an error under pytest here)
+    res = integrate_segment(
+        lambda z: 1e307 * np.sin(40 * np.real(z)) + 0j, 0.0, 1.0, tol=1e-10)
+    assert res.warning is not None
+    assert res.warning.startswith("tolerance 1e-10 not met")
+
+
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------

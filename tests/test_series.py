@@ -157,9 +157,10 @@ def test_datum_ladder_raises_only_at_an_order_that_is_read():
     spec = _pole_spec()
     ladder = _common.datum_ladder(spec, "f0", "even", 0.0)
     # the jet that entry 71 computes covers entries 71 ... 100, the last 14
-    # of them not finite; the entries before them read as usual
+    # of them not finite; the 87 entries before them are kept and read as
+    # usual
     assert ladder.through(172)[-1][0] == 172
-    assert len(ladder.entries) == len(ladder.orders)
+    assert len(ladder.entries) == 87
     with pytest.raises(ExprDomainError):
         ladder.through(174)
     with pytest.raises(ExprDomainError):
@@ -176,6 +177,30 @@ def test_datum_ladder_raises_only_at_an_order_that_is_read():
                       np.array([-0.01, -3.0]), 1e-12)
     # w0 reads the same ladder at t = 0
     assert np.all(np.isfinite(boundary_to_initial(_pole_spec(), near)))
+
+
+def test_datum_ladder_stops_at_a_non_finite_entry_between_finite_ones():
+    # f0^(9)(0) overflows and every other derivative is 1: entry 9 of the
+    # even ladder (order 18) is not finite, the entries past it are
+    spec = ProblemSpec("heat-dirichlet", u0=parse("exp(-(x-1)^2)"),
+                       f0=parse("exp(t) + 1e308*t^9"))
+    assert math.isfinite(spec.deriv("f0").at(0.0, 10)[9])
+    ladder = _common.datum_ladder(spec, "f0", "even", 0.0)
+    assert ladder.get(8) == _entry_ladder(spec, "f0", "even", 0.0).get(8)
+    assert len(ladder.entries) == 9
+    with pytest.raises(ExprDomainError):
+        ladder.get(9)
+    with pytest.raises(ExprDomainError):
+        ladder.through(20)
+    # x = -0.3 converges by order 16; x = -3 needs order 18
+    values, last, _ = _common.adaptive_series(ladder, np.array([-0.3]), 1e-12)
+    assert last == 16 and values[0] == pytest.approx(math.cosh(0.3))
+    for read in (_common.datum_ladder(spec, "f0", "even", 0.0),
+                 _entry_ladder(spec, "f0", "even", 0.0)):
+        with pytest.raises(ExprDomainError):
+            _common.adaptive_series(read, np.array([-0.3, -3.0]), 1e-12)
+        with pytest.raises(ExprDomainError):
+            _term_by_term(read, np.array([-0.3, -3.0]), 1e-12)
 
 
 def test_taylor_coefficients_raise_only_past_the_last_finite_order():
